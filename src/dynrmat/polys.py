@@ -11,15 +11,23 @@ Euclidean gcd on the unit-stripped parts), denominator with minimum exponent
 zero and leading coefficient one.  Structural equality of the dicts is then
 value equality, which is what every verifier in this package leans on.
 
-Euclidean gcds dominate the cost, so both levels first try a one-sided
-modular filter: map the operands into GF(p) for p = 998244353, a prime with
+Gcds dominate the cost, and Euclid with Fraction arithmetic swells its
+intermediate coefficients, so both levels first try a one-sided modular
+filter: map the operands into GF(p) for p = 998244353, a prime with
 p = 1 mod 8 so the eighth-root coefficients embed (3 is a primitive root,
 hence pow(3, (p-1)//8, p) has order eight).  If the images keep their
 degrees and are coprime mod p, the exact gcd is trivial by the resultant
-argument and the Fraction-arithmetic Euclid is skipped.  Any reduction
-failure falls back to the exact path, so the filter changes speed only.
+argument and Euclid is skipped.  At the x level the degree of the image gcd
+is more generally an upper bound on the degree of the exact gcd.  When both
+operands have integer Laurent coefficients in u, the usual case for the
+exchange matrices, xp_gcd then computes a candidate by GCDHEU (Char, Geddes
+and Gonnet 1989) from integer gcds, and keeps it only if its degree meets
+that bound and it divides both operands exactly; every other outcome runs
+Euclid over Q(u).  The monic gcd is unique, so neither shortcut can change a
+result, only the time it takes.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -193,10 +201,11 @@ def _gfp_mod(a, b):
     return r
 
 
-def _gfp_gcd_is_unit(a, b):
+def _gfp_gcd(a, b):
+    # a gcd over GF(p), not normalized; a nonzero
     while b:
         a, b = b, _gfp_mod(a, b)
-    return bool(a) and max(a) == 0
+    return a
 
 
 def _qp_coprime_mod(a0, b0):
@@ -210,7 +219,7 @@ def _qp_coprime_mod(a0, b0):
         return False
     if max(am) != max(a0) or max(bm) != max(b0):
         return False
-    return _gfp_gcd_is_unit(am, bm)
+    return max(_gfp_gcd(am, bm)) == 0
 
 
 def qp_gcd(a, b):
@@ -575,7 +584,10 @@ def xp_monic(a):
     return xp_scale(a, lead.inverse())
 
 
-def _xp_coprime_mod(a0, b0):
+def _xp_image_gcd_degree(a0, b0):
+    # v-degree of the gcd of the GF(p) images at a point u0 that keeps both
+    # leading degrees, an upper bound on the exact gcd degree; None if no
+    # point tried works
     da, db = max(a0), max(b0)
     for _ in range(2):
         u0 = _RNG.randrange(2, _P - 1)
@@ -594,25 +606,206 @@ def _xp_coprime_mod(a0, b0):
             continue
         if not am or not bm or max(am) != da or max(bm) != db:
             continue
-        return _gfp_gcd_is_unit(am, bm)
-    return False
+        return max(_gfp_gcd(am, bm))
+    return None
+
+
+# Z[u][v] is a dict of v-exponents to Z[u] rows, and a Z[u] row is a dict of
+# nonnegative u-exponents to nonzero ints; qp_mul and qp_sub serve the rows.
+
+
+def _xp_to_zuv(a0):
+    """(A, s) with a0 = u**s * A and A in Z[u][v], or None if a0 is not
+    an integer Laurent polynomial in u."""
+    rows = {}
+    for k, qr in a0.items():
+        if qr.den != QP_ONE:
+            return None
+        row = {}
+        for e, c in qr.num.items():
+            if type(c) is not Fraction or c.denominator != 1:
+                return None
+            row[e] = c.numerator
+        rows[k] = row
+    s = min(min(row) for row in rows.values())
+    if s:
+        rows = {k: qp_shift(row, -s) for k, row in rows.items()}
+    return rows, s
+
+
+def _zu_eval(row, powers):
+    return sum(c * powers[e] for e, c in row.items())
+
+
+def _powers(xi, n):
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * xi)
+    return out
+
+
+def _xi_adic(n, xi):
+    # the digits of n in base xi, each in (-xi/2, xi/2], as a sparse dict
+    out = {}
+    half = xi // 2
+    e = 0
+    while n:
+        n, c = divmod(n, xi)
+        if c > half:
+            c -= xi
+            n += 1
+        if c:
+            out[e] = c
+        e += 1
+    return out
+
+
+def _gcdheu(a, b):
+    """Candidate gcds of a and b in Z[u][v] by two-level GCDHEU.
+
+    Evaluate u, then v, at integers, take the integer gcd, rebuild it by
+    symmetric xi-adic expansion in v and then u, dividing out the integer
+    content in between.  The v-point gets spare bits above the usual
+    2*norm + 29 to absorb integer factors that the cofactor values share by
+    chance.  Each of six attempts grows both points; a candidate is only a
+    guess until it is verified.
+    """
+    du = max(max(row) for p in (a, b) for row in p.values())
+    dv = max(max(a), max(b))
+    norm = min(max(abs(c) for row in p.values() for c in row.values())
+               for p in (a, b))
+    xi_u = 2 * norm + 29
+    spare = 32
+    for _ in range(6):
+        pu = _powers(xi_u, du)
+        a1 = [_zu_eval(row, pu) for row in a.values()]
+        b1 = [_zu_eval(row, pu) for row in b.values()]
+        xi_v = (2 * min(max(map(abs, a1)), max(map(abs, b1))) + 29) << spare
+        pv = _powers(xi_v, dv)
+        gamma = math.gcd(sum(c * pv[k] for k, c in zip(a, a1)),
+                         sum(c * pv[k] for k, c in zip(b, b1)))
+        g1 = _xi_adic(gamma, xi_v)
+        content = math.gcd(*g1.values())
+        yield {k: _xi_adic(c // content, xi_u) for k, c in g1.items()}
+        xi_u = xi_u * 73794 // 27011
+        spare *= 2
+
+
+def _zu_div_exact(a, b):
+    # a / b in Z[u], or None if b does not divide a there
+    db = max(b)
+    lb = b[db]
+    r = dict(a)
+    q = {}
+    while r:
+        dr = max(r)
+        if dr < db:
+            return None
+        f, m = divmod(r[dr], lb)
+        if m:
+            return None
+        k = dr - db
+        q[k] = f
+        for e, c in b.items():
+            t = e + k
+            s = r.get(t, 0) - c * f
+            if s:
+                r[t] = s
+            else:
+                r.pop(t, None)
+    return q
+
+
+def _zuv_div_exact(a, b):
+    # a / b in Z[u][v], or None if b does not divide a there
+    db = max(b)
+    lb = b[db]
+    r = dict(a)
+    q = {}
+    while r:
+        dr = max(r)
+        if dr < db:
+            return None
+        f = _zu_div_exact(r[dr], lb)
+        if f is None:
+            return None
+        k = dr - db
+        q[k] = f
+        for e, c in b.items():
+            t = e + k
+            s = qp_sub(r.get(t, QP_ZERO), qp_mul(c, f))
+            if s:
+                r[t] = s
+            else:
+                r.pop(t, None)
+    return q
+
+
+def _zu_to_qp(row, s=0):
+    return {e + s: Fraction(c) for e, c in row.items()}
+
+
+def _xp_gcd_heuristic(a0, b0, degree):
+    """(g, a0/g, b0/g) from the first GCDHEU candidate of v-degree `degree`
+    that divides both operands exactly (stage 2 of xp_gcd), or None."""
+    a = _xp_to_zuv(a0)
+    b = _xp_to_zuv(b0)
+    if a is None or b is None:
+        return None
+    (a, sa), (b, sb) = a, b
+    for g in _gcdheu(a, b):
+        if not g or max(g) != degree:
+            continue
+        qa = _zuv_div_exact(a, g)
+        qb = _zuv_div_exact(b, g) if qa is not None else None
+        if qb is None:
+            continue
+        # a0 = u**sa * g * qa, and the monic gcd is g / lc(g)
+        lead = g[degree]
+        den = _zu_to_qp(lead)
+        return (
+            {k: qrat(_zu_to_qp(row), den) for k, row in g.items()},
+            {k: QRat(_zu_to_qp(qp_mul(lead, row), sa), QP_ONE)
+             for k, row in qa.items()},
+            {k: QRat(_zu_to_qp(qp_mul(lead, row), sb), QP_ONE)
+             for k, row in qb.items()},
+        )
+    return None
 
 
 def xp_gcd(a, b):
-    if not a:
-        return xp_monic(xp_strip(b)[0]) if b else XP_ZERO
-    if not b:
-        return xp_monic(xp_strip(a)[0])
+    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
+    two nonzero XPolys, and the cofactors.
+
+    Three stages, the first that decides wins:
+    1. The GF(p) image gcd at a point that keeps both leading degrees.  Its
+       degree d bounds the exact gcd degree from above, and d = 0 proves the
+       operands coprime.
+    2. If every coefficient of a0 and b0 is an integer Laurent polynomial in
+       u, GCDHEU candidates G in Z[u][v].  A candidate of v-degree d that
+       divides both operands exactly is a common divisor of the largest
+       possible degree, hence the gcd up to a unit of Q(u); G / lc(G) is
+       the monic gcd and the division quotients give the cofactors.
+    3. Euclid over Q(u), then exact division for the cofactors.
+    """
     a0, _ = xp_strip(a)
     b0, _ = xp_strip(b)
     if len(a0) == 1 or len(b0) == 1:
-        return XP_ONE
-    if _xp_coprime_mod(a0, b0):
-        return XP_ONE
+        return XP_ONE, a0, b0
+    degree = _xp_image_gcd_degree(a0, b0)
+    if degree == 0:
+        return XP_ONE, a0, b0
+    if degree is not None:
+        found = _xp_gcd_heuristic(a0, b0, degree)
+        if found is not None:
+            return found
     x, y = a0, b0
     while y:
         x, y = y, xp_divmod(x, y)[1]
-    return xp_monic(x)
+    g = xp_monic(x)
+    if len(g) == 1:
+        return XP_ONE, a0, b0
+    return g, xp_div_exact(a0, g), xp_div_exact(b0, g)
 
 
 def xp_eval_complex(a, u0, v0):

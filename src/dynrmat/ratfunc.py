@@ -24,7 +24,6 @@ from .polys import (
     qrat_qpow,
     qrat_scale,
     xp_add,
-    xp_div_exact,
     xp_eval_complex,
     xp_gcd,
     xp_mul,
@@ -113,22 +112,17 @@ class RationalFunction:
             return RationalFunction(xp_add(xp_mul(na, db), nb), db)
         if db == XP_ONE:
             return RationalFunction(xp_add(xp_mul(nb, da), na), da)
-        g = xp_gcd(da, db)
+        g, b1, d1 = xp_gcd(da, db)
         if max(g) == 0:
             t = xp_add(xp_mul(na, db), xp_mul(nb, da))
             if not t:
                 return RF_ZERO
             return RationalFunction(t, xp_mul(da, db))
-        b1 = xp_div_exact(da, g)
-        d1 = xp_div_exact(db, g)
         t = xp_add(xp_mul(na, d1), xp_mul(nb, b1))
         if not t:
             return RF_ZERO
         t0, st = xp_strip(t)
-        h = xp_gcd(t0, g)
-        if max(h) > 0:
-            t0 = xp_div_exact(t0, h)
-            g = xp_div_exact(g, h)
+        _, t0, g = xp_gcd(t0, g)
         den = xp_mul(xp_mul(g, b1), d1)
         return RationalFunction(xp_shift(t0, st), den)
 
@@ -152,15 +146,9 @@ class RationalFunction:
         na0, sa = xp_strip(na)
         nb0, sb = xp_strip(nb)
         if db != XP_ONE and len(na0) > 1:
-            g = xp_gcd(na0, db)
-            if max(g) > 0:
-                na0 = xp_div_exact(na0, g)
-                db = xp_div_exact(db, g)
+            _, na0, db = xp_gcd(na0, db)
         if da != XP_ONE and len(nb0) > 1:
-            g = xp_gcd(nb0, da)
-            if max(g) > 0:
-                nb0 = xp_div_exact(nb0, g)
-                da = xp_div_exact(da, g)
+            _, nb0, da = xp_gcd(nb0, da)
         num = xp_shift(xp_mul(na0, nb0), sa + sb)
         den = xp_mul(da, db)
         return RationalFunction(num, den)
@@ -251,10 +239,7 @@ class RationalFunction:
 def _cancel(t, d):
     # t nonzero, d monic ordinary with nonzero constant coefficient
     t0, st = xp_strip(t)
-    g = xp_gcd(t0, d)
-    if max(g) > 0:
-        t0 = xp_div_exact(t0, g)
-        d = xp_div_exact(d, g)
+    _, t0, d = xp_gcd(t0, d)
     if d == XP_ONE:
         d = XP_ONE
     return RationalFunction(xp_shift(t0, st), d)
@@ -287,10 +272,7 @@ def ratfn(num, den=XP_ONE):
     n0, sn = xp_strip(num)
     d0, sd = xp_strip(den)
     if len(n0) > 1 and len(d0) > 1:
-        g = xp_gcd(n0, d0)
-        if max(g) > 0:
-            n0 = xp_div_exact(n0, g)
-            d0 = xp_div_exact(d0, g)
+        _, n0, d0 = xp_gcd(n0, d0)
     lead = d0[max(d0)]
     if lead != QRAT_ONE:
         inv = lead.inverse()

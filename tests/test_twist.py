@@ -110,6 +110,8 @@ def test_associator_conserves_total_weight():
         ("DELTAX_HOMOMORPHISM", (H, 1)),
         ("TWIST_LIMITS", (H, H)),
         ("TWIST_LIMITS", (H, 1)),
+        ("GNF", (F(3, 2), 1, H)),
+        ("GNF", (F(3, 2), F(3, 2), H)),
     ],
 )
 def test_relation_exact(name, spins):
