@@ -1,4 +1,4 @@
-"""Pinned output bytes: sha256 of CLI reports and dumps against tests/golden/.
+"""Pinned output bytes: sha256 of every CLI verb's output against tests/golden/.
 
 The hashes fix every printed and serialized byte, so a change to the
 arithmetic kernel or the printers is checked against fixed bytes rather than
@@ -31,11 +31,31 @@ DUMPS = [
     ("phi", "1/2,1/2,1"),
 ]
 
-CASES = [("verify", "all", "--format", "json")] + [
-    ("dump", kind, "--spins", spins, "--format", fmt)
-    for kind, spins in DUMPS
-    for fmt in ("json", "latex", "text")
+SYMBOLS = [
+    ("3j", "--j", "2,3/2,3/2", "--m", "1,-1/2,1/2"),
+    ("6j", "--j", "3/2,3/2,1,3/2,3/2,2"),
+    ("m", "--j", "2", "--sigma", "1", "--m", "1"),
+    ("limit3j", "--j", "3/2", "--sigma", "1/2", "--m", "1/2"),
 ]
+
+LAME = [
+    ("hamiltonian", "--j", "1"),
+    ("wavefunction", "--j", "2", "--k", "3"),
+]
+
+FORMATS = ("json", "latex", "text")
+
+CASES = (
+    [("verify", "all", "--format", "json")]
+    + [
+        ("dump", kind, "--spins", spins, "--format", fmt)
+        for kind, spins in DUMPS
+        for fmt in FORMATS
+    ]
+    + [("symbol",) + args + ("--format", fmt) for args in SYMBOLS for fmt in FORMATS]
+    + [("lame",) + args + ("--format", fmt) for args in LAME for fmt in FORMATS]
+    + [("limits", "--spins", "1/2,1/2", "--format", fmt) for fmt in ("json", "text")]
+)
 
 
 def _key(argv):
