@@ -12,19 +12,20 @@ zero and leading coefficient one.  Structural equality of the dicts is then
 value equality, which is what every verifier in this package leans on.
 
 Gcds dominate the cost, and Euclid with Fraction arithmetic swells its
-intermediate coefficients, so both levels first try a one-sided modular
-filter: map the operands into GF(p) for p = 998244353, a prime with
-p = 1 mod 8 so the eighth-root coefficients embed (3 is a primitive root,
-hence pow(3, (p-1)//8, p) has order eight).  If the images keep their
-degrees and are coprime mod p, the exact gcd is trivial by the resultant
-argument and Euclid is skipped.  At the x level the degree of the image gcd
-is more generally an upper bound on the degree of the exact gcd.  When both
-operands have integer Laurent coefficients in u, the usual case for the
-exchange matrices, xp_gcd then computes a candidate by GCDHEU (Char, Geddes
-and Gonnet 1989) from integer gcds, and keeps it only if its degree meets
-that bound and it divides both operands exactly; every other outcome runs
-Euclid over Q(u).  The monic gcd is unique, so neither shortcut can change a
-result, only the time it takes.
+intermediate coefficients, so qp_gcd and xp_gcd decide the same way.  First
+they map the operands into GF(p) for p = 998244353, a prime with p = 1 mod 8
+so the eighth-root coefficients embed (3 is a primitive root, hence
+pow(3, (p-1)//8, p) has order eight).  If the images keep their degrees, the
+degree of their gcd is an upper bound on the degree of the exact gcd, and a
+bound of zero proves the operands coprime.  When both operands have integer
+coefficients (in Z[u] at the q level, in Z[u^±1][v] at the x level), the
+usual case for q-integers, couplings and exchange matrices, a candidate is
+then computed by GCDHEU (Char, Geddes and Gonnet 1989) from integer gcds and
+kept only if its degree meets that bound and it divides both operands
+exactly.  Every other outcome runs Euclid over the coefficient field.  The
+monic gcd is unique, so neither shortcut can change a result, only the time
+it takes.  Every gcd returns its cofactors too, so callers never divide
+twice.
 """
 
 import math
@@ -208,36 +209,81 @@ def _gfp_gcd(a, b):
     return a
 
 
-def _qp_coprime_mod(a0, b0):
-    # sound one-sided test: True means provably coprime over the exact field
+def _qp_image_gcd_degree(a0, b0):
+    # degree of the gcd of the GF(p) images when both keep their degrees, an
+    # upper bound on the exact gcd degree; None if a degree drops
     try:
         am = _qp_mod(a0)
         bm = _qp_mod(b0)
     except ZeroDivisionError:
-        return False
-    if not am or not bm:
-        return False
-    if max(am) != max(a0) or max(bm) != max(b0):
-        return False
-    return max(_gfp_gcd(am, bm)) == 0
+        return None
+    if not am or not bm or max(am) != max(a0) or max(bm) != max(b0):
+        return None
+    return max(_gfp_gcd(am, bm))
+
+
+def _qp_gcd_heuristic(a0, b0, degree):
+    """(g, a0/g, b0/g) from the first GCDHEU candidate of degree `degree`
+    that divides both operands exactly (stage 2 of qp_gcd), or None."""
+    a = _qp_to_zu(a0)
+    b = _qp_to_zu(b0)
+    if a is None or b is None:
+        return None
+    # a0 = A(u**k) and b0 = B(u**k) have the gcd G(u**k), G = gcd(A, B)
+    k = math.gcd(*a, *b)
+    if k > 1:
+        a = {e // k: c for e, c in a.items()}
+        b = {e // k: c for e, c in b.items()}
+    for g in _zu_gcdheu(a, b):
+        if not g or max(g) * k != degree:
+            continue
+        qa = _zu_div_exact(a, g)
+        qb = _zu_div_exact(b, g) if qa is not None else None
+        if qb is None:
+            continue
+        # a0 = (g * qa)(u**k), and the monic gcd is g / lc(g)
+        lead = g[max(g)]
+        return (
+            qp_monic(_zu_to_qp(g, k=k)),
+            _zu_to_qp(qp_scale(qa, lead), k=k),
+            _zu_to_qp(qp_scale(qb, lead), k=k),
+        )
+    return None
 
 
 def qp_gcd(a, b):
-    """Monic gcd of the unit-stripped parts; Laurent inputs are fine."""
-    if not a:
-        return qp_monic(qp_strip(b)[0]) if b else QP_ZERO
-    if not b:
-        return qp_monic(qp_strip(a)[0])
+    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
+    two nonzero QPolys, and the cofactors.
+
+    Three stages, the first that decides wins:
+    1. The GF(p) image gcd, when both images keep their degrees.  Its degree
+       d bounds the exact gcd degree from above, and d = 0 proves the
+       operands coprime.
+    2. If every coefficient of a0 and b0 is an integer, GCDHEU candidates G
+       in Z[u], or in Z[u**k] when k divides every exponent.  A candidate of degree d that divides both operands exactly
+       is a common divisor of the largest possible degree, hence the gcd up
+       to a constant; G / lc(G) is the monic gcd and the division quotients
+       give the cofactors.
+    3. Euclid over Q(z8), then exact division for the cofactors.
+    """
     a0, _ = qp_strip(a)
     b0, _ = qp_strip(b)
     if len(a0) == 1 or len(b0) == 1:
-        return QP_ONE
-    if _qp_coprime_mod(a0, b0):
-        return QP_ONE
+        return QP_ONE, a0, b0
+    degree = _qp_image_gcd_degree(a0, b0)
+    if degree == 0:
+        return QP_ONE, a0, b0
+    if degree is not None:
+        found = _qp_gcd_heuristic(a0, b0, degree)
+        if found is not None:
+            return found
     x, y = a0, b0
     while y:
         x, y = y, qp_divmod(x, y)[1]
-    return qp_monic(x)
+    g = qp_monic(x)
+    if len(g) == 1:
+        return QP_ONE, a0, b0
+    return g, qp_div_exact(a0, g), qp_div_exact(b0, g)
 
 
 def qp_eval_complex(a, u0):
@@ -310,26 +356,18 @@ class QRat:
             return QRat(qp_add(qp_mul(na, db), nb), db)
         if db == QP_ONE:
             return QRat(qp_add(qp_mul(nb, da), na), da)
-        g = qp_gcd(da, db)
-        if max(g) == 0:
-            t = qp_add(qp_mul(na, db), qp_mul(nb, da))
-            if not t:
-                return QRAT_ZERO
-            return QRat(t, qp_mul(da, db))
-        b1 = qp_div_exact(da, g)
-        d1 = qp_div_exact(db, g)
+        g, b1, d1 = qp_gcd(da, db)
         t = qp_add(qp_mul(na, d1), qp_mul(nb, b1))
         if not t:
             return QRAT_ZERO
-        t0, st = qp_strip(t)
-        h = qp_gcd(t0, g)
-        if max(h) > 0:
-            t0 = qp_div_exact(t0, h)
-            g = qp_div_exact(g, h)
+        if max(g) > 0:
+            t0, st = qp_strip(t)
+            _, t0, g = qp_gcd(t0, g)
+            t = qp_shift(t0, st)
         den = qp_mul(qp_mul(g, b1), d1)
         if den == QP_ONE:
-            return QRat(qp_shift(t0, st), QP_ONE)
-        return QRat(qp_shift(t0, st), den)
+            return QRat(t, QP_ONE)
+        return QRat(t, den)
 
     def __sub__(self, other):
         if not isinstance(other, QRat):
@@ -351,15 +389,9 @@ class QRat:
         na0, sa = qp_strip(na)
         nb0, sb = qp_strip(nb)
         if db != QP_ONE:
-            g = qp_gcd(na0, db)
-            if max(g) > 0:
-                na0 = qp_div_exact(na0, g)
-                db = qp_div_exact(db, g)
+            _, na0, db = qp_gcd(na0, db)
         if da != QP_ONE:
-            g = qp_gcd(nb0, da)
-            if max(g) > 0:
-                nb0 = qp_div_exact(nb0, g)
-                da = qp_div_exact(da, g)
+            _, nb0, da = qp_gcd(nb0, da)
         num = qp_shift(qp_mul(na0, nb0), sa + sb)
         den = qp_mul(da, db)
         if den == QP_ONE:
@@ -389,10 +421,7 @@ class QRat:
 def _qrat_cancel(t, d):
     # t nonzero Laurent, d monic ordinary with nonzero constant term
     t0, st = qp_strip(t)
-    g = qp_gcd(t0, d)
-    if max(g) > 0:
-        t0 = qp_div_exact(t0, g)
-        d = qp_div_exact(d, g)
+    _, t0, d = qp_gcd(t0, d)
     if d == QP_ONE:
         return QRat(qp_shift(t0, st), QP_ONE)
     return QRat(qp_shift(t0, st), d)
@@ -407,10 +436,7 @@ def qrat(num, den=QP_ONE):
     n0, sn = qp_strip(num)
     d0, sd = qp_strip(den)
     if len(n0) > 1 and len(d0) > 1:
-        g = qp_gcd(n0, d0)
-        if max(g) > 0:
-            n0 = qp_div_exact(n0, g)
-            d0 = qp_div_exact(d0, g)
+        _, n0, d0 = qp_gcd(n0, d0)
     lead = d0[max(d0)]
     if lead != 1:
         inv = 1 / lead
@@ -614,6 +640,16 @@ def _xp_image_gcd_degree(a0, b0):
 # nonnegative u-exponents to nonzero ints; qp_mul and qp_sub serve the rows.
 
 
+def _qp_to_zu(a):
+    # a as a Z[u] row, or None unless every coefficient is an integer Fraction
+    row = {}
+    for e, c in a.items():
+        if type(c) is not Fraction or c.denominator != 1:
+            return None
+        row[e] = c.numerator
+    return row
+
+
 def _xp_to_zuv(a0):
     """(A, s) with a0 = u**s * A and A in Z[u][v], or None if a0 is not
     an integer Laurent polynomial in u."""
@@ -621,11 +657,9 @@ def _xp_to_zuv(a0):
     for k, qr in a0.items():
         if qr.den != QP_ONE:
             return None
-        row = {}
-        for e, c in qr.num.items():
-            if type(c) is not Fraction or c.denominator != 1:
-                return None
-            row[e] = c.numerator
+        row = _qp_to_zu(qr.num)
+        if row is None:
+            return None
         rows[k] = row
     s = min(min(row) for row in rows.values())
     if s:
@@ -660,33 +694,53 @@ def _xi_adic(n, xi):
     return out
 
 
+def _xi_norm(a, b):
+    # the usual first GCDHEU point for two Z[u] rows
+    return 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+
+
+def _zu_heu_step(a, b, xi):
+    # the primitive part of the xi-adic rebuild of gcd(a(xi), b(xi))
+    p = _powers(xi, max(max(a), max(b)))
+    g = _xi_adic(math.gcd(_zu_eval(a, p), _zu_eval(b, p)), xi)
+    content = math.gcd(*g.values())
+    return {e: c // content for e, c in g.items()}
+
+
+def _zu_gcdheu(a, b):
+    """Candidate gcds of a and b in Z[u] by GCDHEU.
+
+    Evaluate at an integer xi, take the integer gcd, rebuild it by symmetric
+    xi-adic expansion and divide out its content.  Each of six attempts grows
+    xi; a candidate is only a guess until it is verified.
+    """
+    xi = _xi_norm(a, b)
+    for _ in range(6):
+        yield _zu_heu_step(a, b, xi)
+        xi = xi * 73794 // 27011
+
+
 def _gcdheu(a, b):
     """Candidate gcds of a and b in Z[u][v] by two-level GCDHEU.
 
-    Evaluate u, then v, at integers, take the integer gcd, rebuild it by
-    symmetric xi-adic expansion in v and then u, dividing out the integer
-    content in between.  The v-point gets spare bits above the usual
-    2*norm + 29 to absorb integer factors that the cofactor values share by
-    chance.  Each of six attempts grows both points; a candidate is only a
-    guess until it is verified.
+    Evaluate u at an integer, run one GCDHEU step in v on the values, and
+    rebuild every coefficient of the result by symmetric xi-adic expansion
+    in u.  The v-point gets spare bits above the usual 2*norm + 29 to absorb
+    integer factors that the cofactor values share by chance.  Each of six
+    attempts grows both points; a candidate is only a guess until it is
+    verified.
     """
     du = max(max(row) for p in (a, b) for row in p.values())
-    dv = max(max(a), max(b))
     norm = min(max(abs(c) for row in p.values() for c in row.values())
                for p in (a, b))
     xi_u = 2 * norm + 29
     spare = 32
     for _ in range(6):
         pu = _powers(xi_u, du)
-        a1 = [_zu_eval(row, pu) for row in a.values()]
-        b1 = [_zu_eval(row, pu) for row in b.values()]
-        xi_v = (2 * min(max(map(abs, a1)), max(map(abs, b1))) + 29) << spare
-        pv = _powers(xi_v, dv)
-        gamma = math.gcd(sum(c * pv[k] for k, c in zip(a, a1)),
-                         sum(c * pv[k] for k, c in zip(b, b1)))
-        g1 = _xi_adic(gamma, xi_v)
-        content = math.gcd(*g1.values())
-        yield {k: _xi_adic(c // content, xi_u) for k, c in g1.items()}
+        a1 = {k: _zu_eval(row, pu) for k, row in a.items()}
+        b1 = {k: _zu_eval(row, pu) for k, row in b.items()}
+        g1 = _zu_heu_step(a1, b1, _xi_norm(a1, b1) << spare)
+        yield {k: _xi_adic(c, xi_u) for k, c in g1.items()}
         xi_u = xi_u * 73794 // 27011
         spare *= 2
 
@@ -741,8 +795,9 @@ def _zuv_div_exact(a, b):
     return q
 
 
-def _zu_to_qp(row, s=0):
-    return {e + s: Fraction(c) for e, c in row.items()}
+def _zu_to_qp(row, s=0, k=1):
+    # the QPoly u**s * row(u**k)
+    return {k * e + s: Fraction(c) for e, c in row.items()}
 
 
 def _xp_gcd_heuristic(a0, b0, degree):

@@ -373,7 +373,7 @@ def _term_mul(a1, r1, a2, r2):
     s1 = set(a1)
     s2 = set(a2)
     rf = r1 * r2
-    for a in s1 & s2:
+    for a in sorted(s1 & s2):
         rf = rf * _radicand_rf(a)
     return tuple(sorted(s1 ^ s2)), rf
 

@@ -15,6 +15,7 @@ to a Scalar once the multiplicities cancel.
 
 from fractions import Fraction
 
+from .lattice import get_lattice_denominator
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -99,13 +100,25 @@ def _triangle_ok(a, b, c):
 # finite couplings
 
 
+# the brute-force 6j overlap meets the same couplings many times over
+_THREE_J_CACHE = {}
+
+
 def three_j(j1, j2, j3, m1, m2, m3):
     """Coupling coefficient normalised so columns are orthonormal.
 
     Vanishes unless m1 + m2 = m3 and the triangle rule holds.
     """
-    j1, j2, j3 = _fr(j1), _fr(j2), _fr(j3)
-    m1, m2, m3 = _fr(m1), _fr(m2), _fr(m3)
+    args = _fr(j1), _fr(j2), _fr(j3), _fr(m1), _fr(m2), _fr(m3)
+    key = (get_lattice_denominator(),) + args
+    got = _THREE_J_CACHE.get(key)
+    if got is None:
+        got = _three_j(*args)
+        _THREE_J_CACHE[key] = got
+    return got
+
+
+def _three_j(j1, j2, j3, m1, m2, m3):
     if m1 + m2 != m3 or not _triangle_ok(j1, j2, j3):
         return SC_ZERO
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:

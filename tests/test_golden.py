@@ -1,4 +1,4 @@
-"""Pinned output bytes: sha256 of every CLI verb's output against tests/golden/.
+"""Pinned output bytes: sha256 of CLI outputs against tests/golden/.
 
 The hashes fix every printed and serialized byte, so a change to the
 arithmetic kernel or the printers is checked against fixed bytes rather than

@@ -1,9 +1,9 @@
-"""The x-level gcd against an independent reference Euclid.
+"""The gcds of both polynomial levels against an independent reference Euclid.
 
-`xp_gcd` answers from a verified integer heuristic when both operands have
-integer Laurent coefficients and from Euclid over Q(u) otherwise; either way
-its gcd must equal the one a plain Euclid loop computes, and its cofactors
-must multiply back to the unit-stripped operands.
+`qp_gcd` and `xp_gcd` answer from a verified integer heuristic when both
+operands have integer coefficients and from Euclid otherwise; either way the
+gcd must equal the one a plain Euclid loop computes, and the cofactors must
+multiply back to the unit-stripped operands.
 """
 
 from fractions import Fraction as F
@@ -12,11 +12,21 @@ import pytest
 
 from dynrmat.coeffs import imaginary_unit
 from dynrmat.polys import (
+    QP_ONE,
     XP_ONE,
+    _qp_gcd_heuristic,
+    _qp_image_gcd_degree,
+    _qp_to_zu,
     _xp_gcd_heuristic,
     _xp_image_gcd_degree,
     _xp_to_zuv,
     _zuv_div_exact,
+    qp_divmod,
+    qp_gcd,
+    qp_monic,
+    qp_mul,
+    qp_scale,
+    qp_strip,
     qrat,
     xp_divmod,
     xp_gcd,
@@ -158,5 +168,119 @@ def test_gcd_matches_reference_on_random_planted_inputs():
     def run(pa, pb, shared):
         common = product(*map(bracket, shared))
         check(xp_mul(common, xp(pa)), xp_mul(common, xp(pb)))
+
+    run()
+
+
+# ------------------------------------------------------------ q level ----
+
+
+def qp(terms):
+    """QPoly from {u-exponent: coefficient}."""
+    return {e: F(c) for e, c in terms.items()}
+
+
+def qint(n):
+    """The q-integer [n] = (q**n - q**-n) / (q - 1/q), with u**4 = q."""
+    return qp({4 * (n - 1 - 2 * i): 1 for i in range(n)})
+
+
+def qp_product(*factors):
+    out = QP_ONE
+    for f in factors:
+        out = qp_mul(out, f)
+    return out
+
+
+def reference_qp_gcd(a, b):
+    x, y = qp_strip(a)[0], qp_strip(b)[0]
+    while y:
+        x, y = y, qp_divmod(x, y)[1]
+    return qp_monic(x)
+
+
+def check_q(a, b):
+    g, qa, qb = qp_gcd(a, b)
+    assert g == reference_qp_gcd(a, b)
+    assert qp_mul(g, qa) == qp_strip(a)[0]
+    assert qp_mul(g, qb) == qp_strip(b)[0]
+    return g
+
+
+def qp_heuristic_accepts(a, b):
+    a0, b0 = qp_strip(a)[0], qp_strip(b)[0]
+    degree = _qp_image_gcd_degree(a0, b0)
+    return degree is not None and _qp_gcd_heuristic(a0, b0, degree) is not None
+
+
+PQ = qp({0: 2, 3: -1, 6: 1})
+QQ = qp({-2: 1, 1: 3, 5: -2})
+
+
+# [n] and [m] share the cyclotomic factors of q**2 at the common divisors
+# of n and m, so these products share more than their common q-integers
+@pytest.mark.parametrize(
+    "ns, ms",
+    [((2,), (4,)), ((4, 6), (6, 9)), ((5, 6), (10,)), ((3, 3), (3,)), ((6,), (8, 9))],
+)
+def test_planted_q_integers_are_found(ns, ms):
+    a = qp_mul(qp_product(*map(qint, ns)), PQ)
+    b = qp_mul(qp_product(*map(qint, ms)), QQ)
+    assert max(check_q(a, b)) > 0
+    assert qp_heuristic_accepts(a, b)
+
+
+def test_polynomials_in_a_power_of_u():
+    # q-integers and their products are polynomials in u**8 = q**2
+    def in_u8(a):
+        return {8 * e: c for e, c in a.items()}
+
+    a = qp_product(qint(4), qint(6), in_u8(PQ))
+    b = qp_product(qint(6), qint(9), in_u8(QQ))
+    assert max(check_q(a, b)) > 0
+    assert qp_heuristic_accepts(a, b)
+
+
+def test_q_coprime_operands():
+    assert check_q(qp_mul(qint(3), PQ), qp_mul(qint(4), QQ)) == QP_ONE
+
+
+def test_q_monomial_operand_gives_trivial_gcd():
+    assert qp_gcd(qp({3: 2}), PQ) == (QP_ONE, qp({0: 2}), PQ)
+
+
+def test_q_heuristic_accepts_only_the_image_degree():
+    a0 = qp_strip(qp_product(qint(4), qint(6), PQ))[0]
+    b0 = qp_strip(qp_product(qint(6), qint(9), QQ))[0]
+    degree = _qp_image_gcd_degree(a0, b0)
+    assert degree == max(reference_qp_gcd(a0, b0))
+    assert _qp_gcd_heuristic(a0, b0, degree) is not None
+    assert _qp_gcd_heuristic(a0, b0, degree - 4) is None
+    assert _qp_gcd_heuristic(a0, b0, degree + 4) is None
+
+
+@pytest.mark.parametrize(
+    "scale", [imaginary_unit(), F(1, 2)], ids=["cyclo", "fraction"]
+)
+def test_q_non_integer_coefficients_fall_back_to_euclid(scale):
+    common = qp_mul(qint(2), qint(3))
+    a = qp_mul(common, qp_scale(PQ, scale))
+    b = qp_mul(common, QQ)
+    assert _qp_to_zu(qp_strip(a)[0]) is None
+    assert check_q(a, b) == qp_monic(qp_strip(common)[0])
+
+
+def test_q_gcd_matches_reference_on_random_planted_inputs():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    polys = st.dictionaries(st.integers(-4, 8), st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=4)
+
+    @hyp.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hyp.given(polys, polys, st.lists(st.integers(1, 6), max_size=3))
+    def run(pa, pb, shared):
+        common = qp_product(*map(qint, shared))
+        check_q(qp_mul(common, qp(pa)), qp_mul(common, qp(pb)))
 
     run()
