@@ -4,8 +4,16 @@ Half-integer spin bookkeeping needs exact values of (-1)**t for t on the
 quarter-integer lattice.  All of them are powers of the formal unit z with
 z**4 = -1, so coefficients live in the field spanned by (1, z, z**2, z**3)
 over the rationals (z**2 plays the role of the imaginary unit).  Arithmetic
-demotes to a plain Fraction whenever the three upper components vanish,
+demotes to a plain rational whenever the three upper components vanish,
 which keeps the common all-rational case on the fast path.
+
+An integral rational is further demoted to a Python int (`demote`), so
+integer polynomials multiply without a Fraction gcd per term.  Mixing int,
+Fraction and Cyclo coefficients is sound because equal values compare and
+hash equal: n == Fraction(n) and hash(n) == hash(Fraction(n)), and a live
+Cyclo is never rational.  Only division needs care, since 1 / n is a float:
+divide a Fraction, as in `Fraction(1) / n`, never an int.  The components of
+a Cyclo stay Fractions, so Cyclo.inverse stays exact.
 """
 
 import cmath
@@ -14,6 +22,7 @@ from fractions import Fraction
 __all__ = [
     "Cyclo",
     "make_coeff",
+    "demote",
     "coeff_parts",
     "root8_pow",
     "minus_one_pow",
@@ -28,11 +37,22 @@ _F1 = Fraction(1)
 _Z8_COMPLEX = tuple(cmath.exp(1j * cmath.pi * k / 4) for k in range(4))
 
 
+def demote(c):
+    """A coefficient with an integral rational as int, else as a Fraction.
+
+    A Cyclo is returned unchanged; anything else goes through Fraction first.
+    """
+    if type(c) is int or type(c) is Cyclo:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def make_coeff(c0, c1=_F0, c2=_F0, c3=_F0):
     """Build a coefficient from components on the (1, z, z^2, z^3) basis."""
     if c1 or c2 or c3:
         return Cyclo((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
-    return Fraction(c0)
+    return demote(c0)
 
 
 def coeff_parts(c):

@@ -1,7 +1,11 @@
 """Layered exact Laurent-polynomial arithmetic.
 
 Level one: a QPoly is a Laurent polynomial in u = q**(1/D), stored as a dict
-mapping integer u-exponents to nonzero coefficients (Fraction or Cyclo).
+mapping integer u-exponents to nonzero coefficients (int, Fraction or
+Cyclo).  Integral rationals are stored as int where they are made (see
+coeffs.py), so integer polynomials multiply in int arithmetic; an integral
+Fraction that slips through is still correct, because equal values compare
+and hash equal whatever their type.
 Level two: a QRat is a canonical fraction of two QPolys.  Level three: an
 XPoly is a Laurent polynomial in v = x**(1/D) with QRat coefficients.  The
 fraction field of XPolys lives in ratfunc.py.
@@ -32,7 +36,7 @@ import math
 import random
 from fractions import Fraction
 
-from .coeffs import Cyclo, coeff_mod, coeff_to_complex
+from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
 from .lattice import LatticeError
 
 _F1 = Fraction(1)
@@ -42,15 +46,14 @@ _Z8 = pow(3, (_P - 1) // 8, _P)
 _RNG = random.Random(0x51CA1A)
 
 QP_ZERO = {}
-QP_ONE = {0: _F1}
+QP_ONE = {0: 1}
 
 
 # ---------------------------------------------------------------- QPoly ----
 
 
 def qp_const(c):
-    if not isinstance(c, (Fraction, Cyclo)):
-        c = Fraction(c)
+    c = demote(c)
     return {0: c} if c else {}
 
 
@@ -88,6 +91,10 @@ def qp_scale(a, c):
         return QP_ZERO
     if c == 1:
         return a
+    c = demote(c)
+    if type(c) is Fraction:
+        # a Fraction times an integer may be integral
+        return {e: demote(v * c) for e, v in a.items()}
     return {e: v * c for e, v in a.items()}
 
 
@@ -136,14 +143,14 @@ def qp_divmod(a, b):
     if not b:
         raise ZeroDivisionError("q-polynomial division by zero")
     db = max(b)
-    inv_lb = 1 / b[db]
+    inv_lb = _F1 / b[db]
     r = dict(a)
     q = {}
     while r:
         dr = max(r)
         if dr < db:
             break
-        f = r[dr] * inv_lb
+        f = demote(r[dr] * inv_lb)
         k = dr - db
         q[k] = f
         for e, c in b.items():
@@ -171,7 +178,7 @@ def qp_monic(a):
     lead = a[max(a)]
     if lead == 1:
         return a
-    return qp_scale(a, 1 / lead)
+    return qp_scale(a, _F1 / lead)
 
 
 def _qp_mod(a):
@@ -405,7 +412,7 @@ class QRat:
         den = self.den
         lead = n0[max(n0)]
         if lead != 1:
-            inv = 1 / lead
+            inv = _F1 / lead
             n0 = qp_scale(n0, inv)
             den = qp_scale(den, inv)
         if n0 == QP_ONE:
@@ -439,7 +446,7 @@ def qrat(num, den=QP_ONE):
         _, n0, d0 = qp_gcd(n0, d0)
     lead = d0[max(d0)]
     if lead != 1:
-        inv = 1 / lead
+        inv = _F1 / lead
         n0 = qp_scale(n0, inv)
         d0 = qp_scale(d0, inv)
     if d0 == QP_ONE:
@@ -457,7 +464,7 @@ def qrat_const(c):
 
 
 def qrat_qpow(units):
-    return QRat({units: _F1}, QP_ONE)
+    return QRat({units: 1}, QP_ONE)
 
 
 def qrat_scale(qr, c):
@@ -637,16 +644,23 @@ def _xp_image_gcd_degree(a0, b0):
 
 
 # Z[u][v] is a dict of v-exponents to Z[u] rows, and a Z[u] row is a dict of
-# nonnegative u-exponents to nonzero ints; qp_mul and qp_sub serve the rows.
+# nonnegative u-exponents to nonzero ints.  A QPoly with int coefficients is
+# a Z[u] row as it stands, so qp_mul and qp_sub serve the rows and a row is
+# returned as a QPoly unchanged.
 
 
 def _qp_to_zu(a):
-    # a as a Z[u] row, or None unless every coefficient is an integer Fraction
+    # a as a Z[u] row, or None unless every coefficient is an integer
+    if set(map(type, a.values())) == {int}:
+        return a
     row = {}
     for e, c in a.items():
-        if type(c) is not Fraction or c.denominator != 1:
+        if type(c) is int:
+            row[e] = c
+        elif type(c) is Fraction and c.denominator == 1:
+            row[e] = c.numerator
+        else:
             return None
-        row[e] = c.numerator
     return row
 
 
@@ -797,7 +811,9 @@ def _zuv_div_exact(a, b):
 
 def _zu_to_qp(row, s=0, k=1):
     # the QPoly u**s * row(u**k)
-    return {k * e + s: Fraction(c) for e, c in row.items()}
+    if s == 0 and k == 1:
+        return row
+    return {k * e + s: c for e, c in row.items()}
 
 
 def _xp_gcd_heuristic(a0, b0, degree):

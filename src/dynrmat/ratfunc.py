@@ -6,8 +6,6 @@ v, denominator with minimum v-exponent zero and leading coefficient one.
 Structural equality of the stored dicts is value equality.
 """
 
-from fractions import Fraction
-
 from .coeffs import root8_pow
 from .lattice import LatticeError, get_lattice_denominator, to_units
 from .polys import (
@@ -320,7 +318,7 @@ def rf_xpow(e):
 def qdiff_qrat():
     """q - 1/q as a QRat."""
     denom = get_lattice_denominator()
-    return qrat(qp_shift({2 * denom: Fraction(1), 0: Fraction(-1)}, -denom))
+    return qrat(qp_shift({2 * denom: 1, 0: -1}, -denom))
 
 
 def xbracket_rf(c_units):

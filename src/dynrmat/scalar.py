@@ -25,6 +25,7 @@ from .lattice import (
     to_units,
 )
 from .polys import (
+    QP_ONE,
     QRAT_ONE,
     QRAT_ZERO,
     QRat,
@@ -393,7 +394,7 @@ def _xbr_limit_factor(c_units, at_zero):
             qrat_monomial_mul(qr, -(c_units // 2))
         )
     else:
-        qr = qrat_scale(inv_qd, Fraction(-1))
+        qr = qrat_scale(inv_qd, -1)
         rf = rf_xpow_units(denom // 2).scale_q(
             qrat_monomial_mul(qr, c_units // 2)
         )
@@ -416,8 +417,6 @@ SC_ONE = Scalar({(): RF_ONE})
 
 
 def sc_coeff(c):
-    if not isinstance(c, (Fraction, Cyclo)):
-        c = Fraction(c)
     if not c:
         return SC_ZERO
     return Scalar({(): rf_const(qrat_const(c))})
@@ -456,8 +455,8 @@ def qrat_qnum(n):
     key = (denom, n)
     qr = _QNUM_CACHE.get(key)
     if qr is None:
-        poly = {denom * (n - 1 - 2 * i): Fraction(1) for i in range(n)}
-        qr = QRat(poly, {0: Fraction(1)}) if poly else QRAT_ZERO
+        poly = {denom * (n - 1 - 2 * i): 1 for i in range(n)}
+        qr = QRat(poly, QP_ONE) if poly else QRAT_ZERO
         _QNUM_CACHE[key] = qr
     return qr
 
@@ -578,7 +577,7 @@ def _qp_text(p, var="q"):
 def _qrat_text(qr):
     if not qr.num:
         return "0"
-    if qr.den == {0: Fraction(1)}:
+    if qr.den == QP_ONE:
         return _qp_text(qr.num)
     return "(%s)/(%s)" % (_qp_text(qr.num), _qp_text(qr.den))
 
@@ -645,7 +644,7 @@ def _coeff_jsonable(c):
 def _coeff_from_jsonable(d):
     if isinstance(d, dict):
         return make_coeff(*[Fraction(s) for s in d["zeta8"]])
-    return Fraction(d)
+    return make_coeff(Fraction(d))
 
 
 def _qp_jsonable(p):

@@ -14,6 +14,7 @@ from dynrmat.coeffs import imaginary_unit
 from dynrmat.polys import (
     QP_ONE,
     XP_ONE,
+    QRat,
     _qp_gcd_heuristic,
     _qp_image_gcd_degree,
     _qp_to_zu,
@@ -21,6 +22,7 @@ from dynrmat.polys import (
     _xp_image_gcd_degree,
     _xp_to_zuv,
     _zuv_div_exact,
+    qp_add,
     qp_divmod,
     qp_gcd,
     qp_monic,
@@ -282,5 +284,105 @@ def test_q_gcd_matches_reference_on_random_planted_inputs():
     def run(pa, pb, shared):
         common = qp_product(*map(qint, shared))
         check_q(qp_mul(common, qp(pa)), qp_mul(common, qp(pb)))
+
+    run()
+
+
+# ------------------------------------------------- int coefficients ----
+#
+# Integral coefficients are stored as int.  Every division must still start
+# from a Fraction, since 1 / n is a float; each result below must be exact
+# and equal to the same computation on all-Fraction operands.
+
+
+def as_fractions(p):
+    return {e: F(c) for e, c in p.items()}
+
+
+def assert_exact(p):
+    for c in p.values():
+        assert type(c) in (int, F), c
+        assert type(c) is int or c.denominator != 1, c
+
+
+def assert_exact_qrat(r):
+    assert_exact(r.num)
+    assert_exact(r.den)
+
+
+def test_monic_of_an_int_polynomial_is_exact():
+    got = qp_monic({0: 1, 1: 3})
+    assert got == {0: F(1, 3), 1: 1}
+    assert got == qp_monic(as_fractions({0: 1, 1: 3}))
+    assert_exact(got)
+    assert_exact(qp_monic({0: 4, 2: -2}))
+
+
+def test_divmod_by_an_int_polynomial_is_exact():
+    a, b = {0: 1, 2: 1}, {0: 1, 1: 3}
+    q, r = qp_divmod(a, b)
+    assert (q, r) == ({0: F(-1, 9), 1: F(1, 3)}, {0: F(10, 9)})
+    assert (q, r) == qp_divmod(as_fractions(a), as_fractions(b))
+    assert_exact(q)
+    assert_exact(r)
+    # an integral quotient stays int
+    q, r = qp_divmod({0: -6, 1: -2, 2: 4}, {0: 2, 1: 2})
+    assert (q, r) == ({0: -3, 1: 2}, {})
+    assert_exact(q)
+
+
+def test_qrat_and_its_inverse_are_exact():
+    num, den = {0: 1, 1: 1}, {0: 2, 1: 3}
+    x = qrat(num, den)
+    assert x == qrat(as_fractions(num), as_fractions(den))
+    assert x.den == {0: F(2, 3), 1: 1}
+    assert_exact_qrat(x)
+    y = qrat({0: 2, 1: 4})
+    inv = y.inverse()
+    assert inv == qrat(QP_ONE, as_fractions({0: 2, 1: 4}))
+    assert inv.num == {0: F(1, 4)} and inv.den == {0: F(1, 2), 1: 1}
+    assert_exact_qrat(inv)
+    quot = x / y
+    assert quot == qrat(num, qp_mul(den, {0: 2, 1: 4}))
+    assert_exact_qrat(quot)
+    assert_exact_qrat(quot * y)
+    assert quot * y == x
+
+
+def test_int_path_matches_fraction_path():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # each coefficient an int or the equal integral Fraction
+    coeff = st.tuples(st.integers(-4, 4).filter(bool), st.booleans()).map(
+        lambda cb: F(cb[0]) if cb[1] else cb[0])
+    polys = st.dictionaries(st.integers(0, 5), coeff, min_size=1, max_size=4)
+
+    def no_float(p):
+        assert not any(isinstance(c, float) for c in p.values())
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(polys, polys, polys)
+    def run(a, b, c):
+        fa, fb, fc = as_fractions(a), as_fractions(b), as_fractions(c)
+        results = [
+            (qp_mul(a, b), qp_mul(fa, fb)),
+            (qp_add(a, b), qp_add(fa, fb)),
+            (qp_monic(a), qp_monic(fa)),
+            *zip(qp_divmod(a, b), qp_divmod(fa, fb)),
+            *zip(qp_gcd(a, b), qp_gcd(fa, fb)),
+        ]
+        for got, want in results:
+            no_float(got)
+            assert got == want
+        x, y = qrat(a, b), qrat(c, a)
+        fx, fy = qrat(fa, fb), qrat(fc, fa)
+        for got, want in [(x, fx), (x + y, fx + fy), (x * y, fx * fy),
+                          (x / y, fx / fy), (x.inverse(), fx.inverse())]:
+            assert isinstance(got, QRat)
+            no_float(got.num)
+            no_float(got.den)
+            assert got == want
+            assert hash(got) == hash(want)
 
     run()

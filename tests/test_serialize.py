@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from dynrmat.lame import hamiltonian, lax_matrix
+from dynrmat.polys import QRat
 from dynrmat.scalar import qnum, qpow, sqrt_qint, xpow
 from dynrmat.serialize import (
     dumps_canonical,
@@ -17,6 +18,29 @@ from dynrmat.serialize import (
 from dynrmat.twist import boundary_m, gnf_r, twist_f
 
 H = F(1, 2)
+
+
+def qrat_signatures(obj):
+    """Sorted (hash, numerator types, denominator types) of every QRat in obj."""
+    out = []
+
+    def walk(x):
+        if isinstance(x, QRat):
+            out.append((hash(x),) + tuple(
+                tuple(type(c).__name__ for _, c in sorted(p.items()))
+                for p in (x.num, x.den)))
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+        elif hasattr(x, "__slots__"):
+            for name in x.__slots__:
+                walk(getattr(x, name))
+
+    walk(obj)
+    return sorted(out)
 
 
 @pytest.mark.parametrize(
@@ -37,6 +61,10 @@ def test_round_trip_is_exact(obj):
     text = dumps_canonical(payload)
     back = from_payload(json.loads(text))
     assert back == obj
+    # loaded coefficients hash alike and have the in-memory types: int for
+    # integral values, Fraction or Cyclo otherwise
+    sigs = qrat_signatures(obj)
+    assert sigs and qrat_signatures(back) == sigs
     # and canonical form is a fixed point
     assert dumps_canonical(to_payload(back)) == text
 

@@ -161,7 +161,7 @@ def test_classical_limit_of_coupling():
 @pytest.mark.parametrize(
     "triple",
     [(H, H, H), (H, H, 1), (H, 1, H), (1, 1, 1), (H, 1, F(3, 2)),
-     (F(3, 2), F(3, 2), F(3, 2))],
+     (F(3, 2), F(3, 2), F(3, 2)), (2, F(3, 2), F(3, 2))],
 )
 def test_recoupling_two_routes(triple):
     assert verify_recoupling(*triple).ok
