@@ -206,6 +206,8 @@ def _frac_mod(f, p):
 
 def coeff_mod(c, p, z8):
     """Image in GF(p) under z -> z8; raises ZeroDivisionError on bad primes."""
+    if type(c) is int:
+        return c % p
     if isinstance(c, Cyclo):
         t = 0
         w = 1

@@ -16,18 +16,26 @@ zero and leading coefficient one.  Structural equality of the dicts is then
 value equality, which is what every verifier in this package leans on.
 
 Gcds dominate the cost, and Euclid with Fraction arithmetic swells its
-intermediate coefficients, so qp_gcd and xp_gcd decide the same way.  First
-they map the operands into GF(p) for p = 998244353, a prime with p = 1 mod 8
-so the eighth-root coefficients embed (3 is a primitive root, hence
-pow(3, (p-1)//8, p) has order eight).  If the images keep their degrees, the
-degree of their gcd is an upper bound on the degree of the exact gcd, and a
-bound of zero proves the operands coprime.  When both operands have integer
-coefficients (in Z[u] at the q level, in Z[u^±1][v] at the x level), the
-usual case for q-integers, couplings and exchange matrices, a candidate is
-then computed by GCDHEU (Char, Geddes and Gonnet 1989) from integer gcds and
-kept only if its degree meets that bound and it divides both operands
-exactly.  Every other outcome runs Euclid over the coefficient field.  The
-monic gcd is unique, so neither shortcut can change a result, only the time
+intermediate coefficients, so qp_gcd and xp_gcd decide the same way.  Both
+first deflate: when k divides every exponent of both operands, they are
+A(t**k) and B(t**k), and their gcd is gcd(A, B)(t**k), because Euclid on A
+and B and Euclid on A(t**k) and B(t**k) take the same steps.  So the gcd runs
+on A and B and its result is inflated again.  This pays at both levels:
+q-integers are polynomials in q**2 = u**8, and the x-brackets
+x q**c - x**-1 q**-c make every x-level operand a polynomial in
+x**2 = v**8.  At the x level the u of integer rows is deflated too, which is
+sound because u -> u**k embeds Q(u) in itself.  Then they map the operands
+into GF(p) for p = 998244353, a prime with p = 1 mod 8 so the eighth-root
+coefficients embed (3 is a primitive root, hence pow(3, (p-1)//8, p) has
+order eight).  If the images keep their degrees, the degree of their gcd is
+an upper bound on the degree of the exact gcd, and a bound of zero proves
+the operands coprime.  When both operands have integer coefficients (in Z[u]
+at the q level, in Z[u^±1][v] at the x level), the usual case for
+q-integers, couplings and exchange matrices, a candidate is then computed by
+GCDHEU (Char, Geddes and Gonnet 1989) from integer gcds and kept only if its
+degree meets that bound and it divides both operands exactly.  Every other
+outcome runs Euclid over the coefficient field.  The monic gcd is unique, so
+neither the deflation nor the shortcuts can change a result, only the time
 it takes.  Every gcd returns its cofactors too, so callers never divide
 twice.
 """
@@ -35,6 +43,7 @@ twice.
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
 from .lattice import LatticeError
@@ -236,25 +245,16 @@ def _qp_gcd_heuristic(a0, b0, degree):
     b = _qp_to_zu(b0)
     if a is None or b is None:
         return None
-    # a0 = A(u**k) and b0 = B(u**k) have the gcd G(u**k), G = gcd(A, B)
-    k = math.gcd(*a, *b)
-    if k > 1:
-        a = {e // k: c for e, c in a.items()}
-        b = {e // k: c for e, c in b.items()}
     for g in _zu_gcdheu(a, b):
-        if not g or max(g) * k != degree:
+        if not g or max(g) != degree:
             continue
         qa = _zu_div_exact(a, g)
         qb = _zu_div_exact(b, g) if qa is not None else None
         if qb is None:
             continue
-        # a0 = (g * qa)(u**k), and the monic gcd is g / lc(g)
-        lead = g[max(g)]
-        return (
-            qp_monic(_zu_to_qp(g, k=k)),
-            _zu_to_qp(qp_scale(qa, lead), k=k),
-            _zu_to_qp(qp_scale(qb, lead), k=k),
-        )
+        # a0 = g * qa, and the monic gcd is g / lc(g)
+        lead = g[degree]
+        return qp_monic(g), qp_scale(qa, lead), qp_scale(qb, lead)
     return None
 
 
@@ -262,35 +262,39 @@ def qp_gcd(a, b):
     """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
     two nonzero QPolys, and the cofactors.
 
-    Three stages, the first that decides wins:
+    With k the gcd of all exponents, a0 = A(u**k) and b0 = B(u**k), and the
+    gcd is gcd(A, B)(u**k); so the stages run on A and B, and the gcd and
+    cofactors are inflated by k on the way out.  Three stages, the first
+    that decides wins:
     1. The GF(p) image gcd, when both images keep their degrees.  Its degree
        d bounds the exact gcd degree from above, and d = 0 proves the
        operands coprime.
-    2. If every coefficient of a0 and b0 is an integer, GCDHEU candidates G
-       in Z[u], or in Z[u**k] when k divides every exponent.  A candidate of degree d that divides both operands exactly
-       is a common divisor of the largest possible degree, hence the gcd up
-       to a constant; G / lc(G) is the monic gcd and the division quotients
-       give the cofactors.
+    2. If every coefficient is an integer, GCDHEU candidates G in Z[u].  A
+       candidate of degree d that divides both operands exactly is a common
+       divisor of the largest possible degree, hence the gcd up to a
+       constant; G / lc(G) is the monic gcd and the division quotients give
+       the cofactors.
     3. Euclid over Q(z8), then exact division for the cofactors.
     """
     a0, _ = qp_strip(a)
     b0, _ = qp_strip(b)
     if len(a0) == 1 or len(b0) == 1:
         return QP_ONE, a0, b0
-    degree = _qp_image_gcd_degree(a0, b0)
+    k, (a1, b1) = _deflate((a0, b0))
+    degree = _qp_image_gcd_degree(a1, b1)
     if degree == 0:
         return QP_ONE, a0, b0
-    if degree is not None:
-        found = _qp_gcd_heuristic(a0, b0, degree)
-        if found is not None:
-            return found
-    x, y = a0, b0
-    while y:
-        x, y = y, qp_divmod(x, y)[1]
-    g = qp_monic(x)
-    if len(g) == 1:
-        return QP_ONE, a0, b0
-    return g, qp_div_exact(a0, g), qp_div_exact(b0, g)
+    found = _qp_gcd_heuristic(a1, b1, degree) if degree is not None else None
+    if found is None:
+        x, y = a1, b1
+        while y:
+            x, y = y, qp_divmod(x, y)[1]
+        g = qp_monic(x)
+        if len(g) == 1:
+            return QP_ONE, a0, b0
+        found = g, qp_div_exact(a1, g), qp_div_exact(b1, g)
+    g, qa, qb = found
+    return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
 
 
 def qp_eval_complex(a, u0):
@@ -298,13 +302,6 @@ def qp_eval_complex(a, u0):
     for e, c in a.items():
         t += coeff_to_complex(c) * u0 ** e
     return t
-
-
-def _qp_eval_mod(a, u0):
-    t = 0
-    for e, c in a.items():
-        t += coeff_mod(c, _P, _Z8) * pow(u0, e, _P)
-    return t % _P
 
 
 # ----------------------------------------------------------------- QRat ----
@@ -484,14 +481,6 @@ def qrat_eval_complex(qr, u0):
     return qp_eval_complex(qr.num, u0) / qp_eval_complex(qr.den, u0)
 
 
-def qrat_eval_mod(qr, u0):
-    n = _qp_eval_mod(qr.num, u0)
-    d = _qp_eval_mod(qr.den, u0)
-    if d == 0:
-        raise ZeroDivisionError("denominator vanished at filter point")
-    return n * pow(d, -1, _P) % _P
-
-
 # ---------------------------------------------------------------- XPoly ----
 
 
@@ -617,24 +606,49 @@ def xp_monic(a):
     return xp_scale(a, lead.inverse())
 
 
+def _qp_eval_mod(a, pw, lo):
+    # a(u0) in GF(p), given pw[e - lo] = u0**e for every exponent e of a
+    row = _qp_to_zu(a)
+    if row is None:
+        row = _qp_mod(a)
+    t = 0
+    for e, c in row.items():
+        t += c * pw[e - lo]
+    return t % _P
+
+
+def _xp_eval_mod(a, pw, lo):
+    # the image of a in GF(p)[v] at u = u0, given pw as for _qp_eval_mod
+    out = {}
+    for k, qr in a.items():
+        m = _qp_eval_mod(qr.num, pw, lo)
+        if qr.den != QP_ONE:
+            d = _qp_eval_mod(qr.den, pw, lo)
+            if d == 0:
+                raise ZeroDivisionError("denominator vanished at filter point")
+            m = m * pow(d, -1, _P) % _P
+        if m:
+            out[k] = m
+    return out
+
+
 def _xp_image_gcd_degree(a0, b0):
     # v-degree of the gcd of the GF(p) images at a point u0 that keeps both
     # leading degrees, an upper bound on the exact gcd degree; None if no
     # point tried works
     da, db = max(a0), max(b0)
+    nums = [qr.num for p in (a0, b0) for qr in p.values()]
+    dens = [qr.den for p in (a0, b0) for qr in p.values()]
+    lo = min(0, min(map(min, nums)))
+    hi = max(max(map(max, nums)), max(map(max, dens)))
     for _ in range(2):
         u0 = _RNG.randrange(2, _P - 1)
+        pw = [pow(u0, lo, _P)]
+        for _ in range(hi - lo):
+            pw.append(pw[-1] * u0 % _P)
         try:
-            am = {}
-            for k, qr in a0.items():
-                m = qrat_eval_mod(qr, u0)
-                if m:
-                    am[k] = m
-            bm = {}
-            for k, qr in b0.items():
-                m = qrat_eval_mod(qr, u0)
-                if m:
-                    bm[k] = m
+            am = _xp_eval_mod(a0, pw, lo)
+            bm = _xp_eval_mod(b0, pw, lo)
         except ZeroDivisionError:
             continue
         if not am or not bm or max(am) != da or max(bm) != db:
@@ -809,11 +823,23 @@ def _zuv_div_exact(a, b):
     return q
 
 
-def _zu_to_qp(row, s=0, k=1):
-    # the QPoly u**s * row(u**k)
+def _deflate(polys):
+    """(k, [P, ...]) with every p = P(t**k) for the largest such k.
+
+    Each of the dicts `polys` maps exponents of t to coefficients; k is the
+    gcd of all their exponents, or 1 if every exponent is zero.
+    """
+    k = math.gcd(*chain.from_iterable(polys)) or 1
+    if k > 1:
+        polys = [{e // k: c for e, c in p.items()} for p in polys]
+    return k, polys
+
+
+def _inflate(p, k, s=0):
+    # the dict t**s * p(t**k), undoing _deflate
     if s == 0 and k == 1:
-        return row
-    return {k * e + s: c for e, c in row.items()}
+        return p
+    return {k * e + s: c for e, c in p.items()}
 
 
 def _xp_gcd_heuristic(a0, b0, degree):
@@ -824,6 +850,10 @@ def _xp_gcd_heuristic(a0, b0, degree):
     if a is None or b is None:
         return None
     (a, sa), (b, sb) = a, b
+    # the rows are polynomials in u**ku, and u -> u**ku embeds Q(u) in
+    # itself, so the gcd of the deflated operands gives the gcd
+    ku, rows = _deflate([*a.values(), *b.values()])
+    a, b = dict(zip(a, rows)), dict(zip(b, rows[len(a):]))
     for g in _gcdheu(a, b):
         if not g or max(g) != degree:
             continue
@@ -831,14 +861,14 @@ def _xp_gcd_heuristic(a0, b0, degree):
         qb = _zuv_div_exact(b, g) if qa is not None else None
         if qb is None:
             continue
-        # a0 = u**sa * g * qa, and the monic gcd is g / lc(g)
+        # a0 = u**sa * (g * qa)(u**ku), and the monic gcd is g / lc(g)
         lead = g[degree]
-        den = _zu_to_qp(lead)
+        den = _inflate(lead, ku)
         return (
-            {k: qrat(_zu_to_qp(row), den) for k, row in g.items()},
-            {k: QRat(_zu_to_qp(qp_mul(lead, row), sa), QP_ONE)
+            {k: qrat(_inflate(row, ku), den) for k, row in g.items()},
+            {k: QRat(_inflate(qp_mul(lead, row), ku, sa), QP_ONE)
              for k, row in qa.items()},
-            {k: QRat(_zu_to_qp(qp_mul(lead, row), sb), QP_ONE)
+            {k: QRat(_inflate(qp_mul(lead, row), ku, sb), QP_ONE)
              for k, row in qb.items()},
         )
     return None
@@ -848,35 +878,42 @@ def xp_gcd(a, b):
     """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
     two nonzero XPolys, and the cofactors.
 
-    Three stages, the first that decides wins:
+    With kv the gcd of all v-exponents, a0 = A(v**kv) and b0 = B(v**kv), and
+    the gcd is gcd(A, B)(v**kv); so the stages run on A and B, every degree
+    they compare is a degree in v**kv, and the gcd and cofactors are
+    inflated by kv on the way out.  Three stages, the first that decides
+    wins:
     1. The GF(p) image gcd at a point that keeps both leading degrees.  Its
        degree d bounds the exact gcd degree from above, and d = 0 proves the
        operands coprime.
-    2. If every coefficient of a0 and b0 is an integer Laurent polynomial in
-       u, GCDHEU candidates G in Z[u][v].  A candidate of v-degree d that
-       divides both operands exactly is a common divisor of the largest
-       possible degree, hence the gcd up to a unit of Q(u); G / lc(G) is
-       the monic gcd and the division quotients give the cofactors.
+    2. If every coefficient is an integer Laurent polynomial in u, GCDHEU
+       candidates G in Z[u][v], with u**ku for u when ku divides every
+       u-exponent of the rows (u -> u**ku embeds Q(u) in itself, so the gcd
+       over Q(u) is unchanged).  A candidate of v-degree d that divides both
+       operands exactly is a common divisor of the largest possible degree,
+       hence the gcd up to a unit of Q(u); G / lc(G) is the monic gcd and
+       the division quotients give the cofactors.
     3. Euclid over Q(u), then exact division for the cofactors.
     """
     a0, _ = xp_strip(a)
     b0, _ = xp_strip(b)
     if len(a0) == 1 or len(b0) == 1:
         return XP_ONE, a0, b0
-    degree = _xp_image_gcd_degree(a0, b0)
+    k, (a1, b1) = _deflate((a0, b0))
+    degree = _xp_image_gcd_degree(a1, b1)
     if degree == 0:
         return XP_ONE, a0, b0
-    if degree is not None:
-        found = _xp_gcd_heuristic(a0, b0, degree)
-        if found is not None:
-            return found
-    x, y = a0, b0
-    while y:
-        x, y = y, xp_divmod(x, y)[1]
-    g = xp_monic(x)
-    if len(g) == 1:
-        return XP_ONE, a0, b0
-    return g, xp_div_exact(a0, g), xp_div_exact(b0, g)
+    found = _xp_gcd_heuristic(a1, b1, degree) if degree is not None else None
+    if found is None:
+        x, y = a1, b1
+        while y:
+            x, y = y, xp_divmod(x, y)[1]
+        g = xp_monic(x)
+        if len(g) == 1:
+            return XP_ONE, a0, b0
+        found = g, xp_div_exact(a1, g), xp_div_exact(b1, g)
+    g, qa, qb = found
+    return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
 
 
 def xp_eval_complex(a, u0, v0):

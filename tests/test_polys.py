@@ -6,12 +6,16 @@ gcd must equal the one a plain Euclid loop computes, and the cofactors must
 multiply back to the unit-stripped operands.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from dynrmat.coeffs import imaginary_unit
+from dynrmat import polys
+from dynrmat.coeffs import coeff_mod, imaginary_unit
 from dynrmat.polys import (
+    _P as P_FILTER,
+    _Z8 as Z8_FILTER,
     QP_ONE,
     XP_ONE,
     QRat,
@@ -37,6 +41,7 @@ from dynrmat.polys import (
     xp_scale,
     xp_strip,
 )
+from dynrmat.twist import verify_relation
 
 
 def qr(terms):
@@ -143,6 +148,20 @@ def test_non_integer_coefficients_fall_back_to_euclid(scale):
     assert check(a, b) == xp_monic(bracket(1))
 
 
+def test_image_reads_every_denominator():
+    # two coefficients with different denominators add up to one whose
+    # numerator alone does not carry the shared bracket
+    def plus(m):
+        return {4: qr({0: 1}), 0: qrat({0: F(1)}, {0: F(1), 4 * m: F(1)})}
+
+    a = product(bracket(1), plus(1), plus(2), P)
+    b = product(bracket(1), Q)
+    a0, b0 = xp_strip(a)[0], xp_strip(b)[0]
+    degree = _xp_image_gcd_degree(*polys._deflate((a0, b0))[1])
+    assert degree is None or degree >= 2
+    assert check(a, b) == xp_monic(bracket(1))
+
+
 def test_image_degree_bounds_the_gcd_degree():
     a = product(bracket(1), bracket(-1), P)
     b = product(bracket(-1), bracket(1), Q)
@@ -151,19 +170,22 @@ def test_image_degree_bounds_the_gcd_degree():
     assert degree is None or degree >= 16
 
 
-def test_gcd_matches_reference_on_random_planted_inputs():
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
-
+def x_rows(st):
     # integer powers of x (v**4 = x), as in the exchange matrices; free
     # v-exponents can make the reference Euclid take minutes
-    rows = st.dictionaries(
+    return st.dictionaries(
         st.integers(0, 2).map(lambda k: 4 * k),
         st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
                         min_size=1, max_size=2),
         min_size=1,
         max_size=3,
     )
+
+
+def test_gcd_matches_reference_on_random_planted_inputs():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rows = x_rows(st)
 
     @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hyp.given(rows, rows, st.lists(st.integers(-2, 2), max_size=2))
@@ -386,3 +408,143 @@ def test_int_path_matches_fraction_path():
             assert hash(got) == hash(want)
 
     run()
+
+
+# ----------------------------------------------------------- deflation ----
+#
+# Both gcds run on operands deflated to the gcd k of their exponents, since
+# gcd(A(t**k), B(t**k)) = gcd(A, B)(t**k).  xp_gcd deflates v, and the u of
+# integer rows too.  The x-brackets x q**m - x**-1 q**-m make every operand
+# of the GNF checks a polynomial in x**2 = v**8.
+
+
+def xbr(m):
+    """v**8 - u**(4m), that is x**2 - q**m."""
+    return xp({8: {0: 1}, 0: {4 * m: -1}})
+
+
+def inflate_x(a, kv=1, ku=1):
+    """a(u**ku, v**kv) for an XPoly a."""
+    def up(p):
+        return {ku * e: c for e, c in p.items()}
+    return {kv * k: QRat(up(c.num), up(c.den)) for k, c in a.items()}
+
+
+def inflate_q(a, k):
+    return {k * e: c for e, c in a.items()}
+
+
+# cofactors with rows in u**8 and v-exponents multiples of 8
+P8 = inflate_x(P, 2, 8)
+Q8 = inflate_x(Q, 2, 8)
+
+
+@pytest.mark.parametrize(
+    "ma, mb",
+    [((2,), (2,)), ((2, 4), (4, -2)), ((2, 2, 6), (2, 6)), ((-4,), (2, 4))],
+)
+def test_planted_x_brackets_in_u8(ma, mb):
+    a = product(*map(xbr, ma), P8)
+    b = product(*map(xbr, mb), Q8)
+    shared = [m for m in mb if m in ma]
+    assert check(a, b) == xp_monic(xp_strip(product(*map(xbr, shared)))[0])
+    assert heuristic_accepts(a, b)
+
+
+@pytest.mark.parametrize(
+    "fa, fb, shared",
+    [
+        # v-exponent gcd 8, u-exponent gcd 1
+        ({0: {0: 2, 1: -1}, 8: {0: 1}}, {0: {-16: 1}, 16: {0: -2, 8: 5}}, 3),
+        # v-exponent gcd 1, u-exponent gcd 8
+        ({0: {0: 1}, 1: {8: 2}}, {0: {8: 1}, 3: {0: -1}}, 2),
+    ],
+    ids=["v8-u1", "v1-u8"],
+)
+def test_exponent_gcd_one_at_one_level(fa, fb, shared):
+    a = product(xbr(shared), xbr(4), xp(fa))
+    b = product(xbr(shared), xbr(-2), xp(fb))
+    assert check(a, b) == xp_monic(xbr(shared))
+    assert heuristic_accepts(a, b)
+
+
+def test_integer_operands_are_decided_without_euclid(monkeypatch):
+    # stage 2 must accept: a degree compared across deflated and undeflated
+    # operands would send every call to Euclid, which is slower but right
+    def no_euclid(*args):
+        raise AssertionError("Euclid reached")
+
+    monkeypatch.setattr(polys, "xp_divmod", no_euclid)
+    monkeypatch.setattr(polys, "qp_divmod", no_euclid)
+    for ma, mb in [((2,), (2, 4)), ((2, 4, 6), (4, 6, -2))]:
+        a = product(*map(xbr, ma), P8)
+        b = product(*map(xbr, mb), Q8)
+        g, qa, qb = xp_gcd(a, b)
+        assert max(g) == 8 * len(set(ma) & set(mb))
+        assert xp_mul(g, qa) == xp_strip(a)[0]
+        assert xp_mul(g, qb) == xp_strip(b)[0]
+    a = qp_product(qint(4), qint(6), inflate_q(PQ, 8))
+    b = qp_product(qint(6), qint(9), inflate_q(QQ, 8))
+    g, qa, qb = qp_gcd(a, b)
+    assert max(g) > 0
+    assert qp_mul(g, qa) == qp_strip(a)[0]
+    assert qp_mul(g, qb) == qp_strip(b)[0]
+
+
+def test_gcd_commutes_with_inflation():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rows = x_rows(st)
+    polys_q = st.dictionaries(st.integers(-4, 8), st.integers(-3, 3).filter(bool),
+                              min_size=1, max_size=4)
+    ks = st.sampled_from([1, 2, 3, 8])
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(rows, rows, st.lists(st.integers(-2, 2), max_size=2),
+               polys_q, polys_q, st.lists(st.integers(1, 6), max_size=2), ks, ks)
+    def run(pa, pb, shared, qa, qb, qshared, k1, k2):
+        common = product(*map(bracket, shared))
+        a, b = xp_mul(common, xp(pa)), xp_mul(common, xp(pb))
+        want = [inflate_x(r, k1, k2) for r in xp_gcd(a, b)]
+        a, b = inflate_x(a, k1, k2), inflate_x(b, k1, k2)
+        got = xp_gcd(a, b)
+        assert list(got) == want
+        assert xp_mul(got[0], got[1]) == xp_strip(a)[0]
+        assert xp_mul(got[0], got[2]) == xp_strip(b)[0]
+
+        common = qp_product(*map(qint, qshared))
+        a, b = qp_mul(common, qp(qa)), qp_mul(common, qp(qb))
+        want = [inflate_q(r, k1) for r in qp_gcd(a, b)]
+        a, b = inflate_q(a, k1), inflate_q(b, k1)
+        got = qp_gcd(a, b)
+        assert list(got) == want
+        assert qp_mul(got[0], got[1]) == qp_strip(a)[0]
+        assert qp_mul(got[0], got[2]) == qp_strip(b)[0]
+
+    run()
+
+
+def test_coeff_mod_of_an_int_matches_the_fraction_path():
+    for n in [0, 1, -1, -7, P_FILTER - 1, P_FILTER, -P_FILTER - 3,
+              10**40 + 7, -(10**40) - 7, 3**200]:
+        assert coeff_mod(n, P_FILTER, Z8_FILTER) == coeff_mod(F(n), P_FILTER, Z8_FILTER)
+
+
+def test_gcdheu_sees_deflated_operands(monkeypatch):
+    # every GCDHEU call of a GNF check runs on operands that are deflated in
+    # v and in u: the gcd of their exponents is at most 1, or 0 when every
+    # row is a constant
+    seen = []
+    gcdheu = polys._gcdheu
+
+    def spy(a, b):
+        seen.append((
+            math.gcd(*a, *b),
+            math.gcd(*(e for p in (a, b) for row in p.values() for e in row)),
+        ))
+        return gcdheu(a, b)
+
+    monkeypatch.setattr(polys, "_gcdheu", spy)
+    assert verify_relation("GNF", (1, 1, F(1, 2))).ok
+    assert seen
+    assert all(kv <= 1 and ku <= 1 for kv, ku in seen), set(seen)

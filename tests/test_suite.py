@@ -1,10 +1,13 @@
 """Manifest coverage, ordering, and the parallel runner."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from dynrmat.lame import LAME_RELATIONS
+from dynrmat.report import run_comparisons
+from dynrmat.scalar import SC_ONE
 from dynrmat.suite import (
     MANIFEST_VERSION,
     SuiteEntry,
@@ -68,3 +71,18 @@ def test_parallel_runner_preserves_manifest_order():
     key = lambda r: (r.relation, r.spins, r.status)
     assert [key(r) for r in seq] == [key(r) for r in par]
     assert [r.relation for r in seq] == [e.relation for e in manifest]
+
+
+@pytest.mark.parametrize("family", ["symbols", "lame"])
+def test_elapsed_ms_includes_building_the_comparisons(monkeypatch, family):
+    def slow(*spins, mode="exact", q0=None, x0=None):
+        time.sleep(0.05)  # building the comparisons
+        return run_comparisons("SLOW", spins, [("one", SC_ONE, SC_ONE)], mode=mode)
+
+    if family == "symbols":
+        monkeypatch.setitem(SYMBOL_RELATIONS, "SLOW", (slow, 1))
+    else:
+        monkeypatch.setitem(LAME_RELATIONS, "SLOW", slow)
+    report = run_entry(SuiteEntry(family, "SLOW", (F(1),)))
+    assert report.ok
+    assert report.elapsed_ms >= 50
