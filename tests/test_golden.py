@@ -29,6 +29,8 @@ DUMPS = [
     ("rmatrix", "1,1"),
     ("twist", "1,1"),
     ("phi", "1/2,1/2,1"),
+    ("phi", "1,1,1"),
+    ("twist", "3/2,3/2"),
 ]
 
 SYMBOLS = [
