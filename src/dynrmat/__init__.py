@@ -20,7 +20,6 @@ from .lattice import (
     LatticeError,
     from_units,
     get_lattice_denominator,
-    set_lattice_denominator,
     to_units,
 )
 from .numeric import (

@@ -117,7 +117,10 @@ def _build_parser():
     p.add_argument("relation", help="relation name, or 'all' for the manifest sweep")
     p.add_argument("--spins", type=_spin_list, default=())
     _add_mode_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="ignored; accepted for compatibility (entries run one by one)",
+    )
     p.add_argument("--timings", action="store_true", help="include elapsed_ms in JSON reports")
     _add_out_flags(p, formats=("json", "text"), default="text")
 
@@ -174,9 +177,7 @@ def _build_parser():
 def _cmd_verify(parser, args):
     _check_point(parser, args)
     if args.relation == "all":
-        reports = run_suite(
-            mode=args.mode, q0=args.q0, x0=args.x0, jobs=max(1, args.jobs)
-        )
+        reports = run_suite(mode=args.mode, q0=args.q0, x0=args.x0)
         return _finish_reports(reports, args)
     try:
         family = relation_family(args.relation)

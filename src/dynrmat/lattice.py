@@ -1,23 +1,22 @@
 """Exponent lattice bookkeeping.
 
-Every q- and x-exponent in this package lives on the lattice (1/D)*Z for a
-single global denominator D.  The default D = 4 covers integer and
-half-integer spins plus the quarter-integer phase bookkeeping they induce.
-Internally an exponent is stored as an integer count of 1/D units; this
-module owns the conversions.
+Every q- and x-exponent in this package lives on the lattice (1/D)*Z for the
+fixed denominator D = 4, which covers integer and half-integer spins plus the
+quarter-integer phase bookkeeping they induce.  Internally an exponent is
+stored as an integer count of 1/D units; this module owns the conversions.
 """
 
 from fractions import Fraction
 
 __all__ = [
+    "DENOM",
     "LatticeError",
     "get_lattice_denominator",
-    "set_lattice_denominator",
     "to_units",
     "from_units",
 ]
 
-_DENOM = 4
+DENOM = 4
 
 
 class LatticeError(ValueError):
@@ -25,30 +24,17 @@ class LatticeError(ValueError):
 
 
 def get_lattice_denominator():
-    return _DENOM
-
-
-def set_lattice_denominator(d):
-    """Reset the global lattice denominator.
-
-    Only safe before any exponent-carrying objects exist: unit counts held
-    by live objects are not rescaled.
-    """
-    global _DENOM
-    d = int(d)
-    if d <= 0:
-        raise ValueError("lattice denominator must be positive")
-    _DENOM = d
+    return DENOM
 
 
 def to_units(e):
     """Exact exponent -> integer count of 1/D units."""
     f = Fraction(e)
-    n = f * _DENOM
+    n = f * DENOM
     if n.denominator != 1:
-        raise LatticeError("exponent %s not on the (1/%d)Z lattice" % (f, _DENOM))
+        raise LatticeError("exponent %s not on the (1/%d)Z lattice" % (f, DENOM))
     return int(n)
 
 
 def from_units(n):
-    return Fraction(n, _DENOM)
+    return Fraction(n, DENOM)

@@ -38,6 +38,14 @@ outcome runs Euclid over the coefficient field.  The monic gcd is unique, so
 neither the deflation nor the shortcuts can change a result, only the time
 it takes.  Every gcd returns its cofactors too, so callers never divide
 twice.
+
+At the x level that gcd is only the fallback.  The x-denominators the
+package builds are products of binomials y - u**e with y = v**8, which
+ratfunc.py keeps factored and cancels by the binomial kit below: a GF(p)
+image at a fixed point rules a binomial out, and exact synthetic division
+rules it in.  xp_gcd runs only for a numerator that is not a polynomial in y
+or a denominator that is no product of binomials, which no manifest entry
+and no GNF check up to spin 3/2 produces.
 """
 
 import math
@@ -46,7 +54,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
-from .lattice import LatticeError
+from .lattice import DENOM, LatticeError
 
 _F1 = Fraction(1)
 
@@ -921,6 +929,110 @@ def xp_eval_complex(a, u0, v0):
     for k, c in a.items():
         t += qrat_eval_complex(c, u0) * v0 ** k
     return t
+
+
+# ------------------------------------------------------------- binomials ----
+#
+# The binomial e is y - u**e, with y = x**2 = v**Y_DEG.  It is linear in y,
+# hence irreducible, and every x-denominator the package builds is a product
+# of such binomials (ratfunc.py).
+
+Y_DEG = 2 * DENOM
+
+# a primitive root of _P: u0**e takes a different value for every exponent e
+# the package reaches, so distinct binomials keep distinct images
+_U0 = 3
+_U0_POWERS = {}
+
+
+def xp_binom_mul(a, e):
+    """a * (y - u**e)."""
+    out = {k + Y_DEG: c for k, c in a.items()}
+    for k, c in a.items():
+        t = qrat_monomial_mul(c, e)
+        s = out.get(k)
+        if s is None:
+            out[k] = -t
+        else:
+            s = s - t
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def xp_binom_div(a, e):
+    """a / (y - u**e) if the division is exact, else None.
+
+    `a` is a polynomial in y: every exponent a multiple of Y_DEG, none below
+    zero.  Synthetic division: the quotient coefficients are the running
+    values of Horner's rule at y = u**e, and the last value is the remainder.
+    """
+    q = {}
+    carry = QRAT_ZERO
+    for k in range(max(a), 0, -Y_DEG):
+        carry = a.get(k, QRAT_ZERO) + qrat_monomial_mul(carry, e)
+        if carry:
+            q[k - Y_DEG] = carry
+    if a.get(0, QRAT_ZERO) + qrat_monomial_mul(carry, e):
+        return None
+    return q
+
+
+def _u0_pow(e):
+    got = _U0_POWERS.get(e)
+    if got is None:
+        got = _U0_POWERS[e] = pow(_U0, e, _P)
+    return got
+
+
+def _qp_at_u0(a):
+    t = 0
+    for e, c in a.items():
+        if type(c) is not int:
+            c = coeff_mod(c, _P, _Z8)
+        t += c * _u0_pow(e)
+    return t % _P
+
+
+def xp_y_image(a):
+    """The image of a polynomial in y in GF(p)[y] at u = u0, as the list of
+    its y-coefficients from y**0 up; None if a coefficient has no image."""
+    out = [0] * (max(a) // Y_DEG + 1)
+    try:
+        for k, qr in a.items():
+            m = _qp_at_u0(qr.num)
+            if qr.den != QP_ONE:
+                m = m * pow(_qp_at_u0(qr.den), -1, _P) % _P
+            out[k // Y_DEG] = m
+    except (ZeroDivisionError, ValueError):
+        # a Fraction denominator divisible by p, or a denominator vanishing
+        # at u0 (pow raises ValueError for a non-invertible base)
+        return None
+    return out
+
+
+def y_image_root_order(image, e, limit):
+    """How often y - u0**e divides `image`, counted up to `limit`.
+
+    An upper bound on how often y - u**e divides the polynomial whose image
+    this is, since exact division by a monic binomial commutes with taking
+    images.
+    """
+    c = _u0_pow(e)
+    count = 0
+    while count < limit and len(image) > 1:
+        quotient = [0] * (len(image) - 1)
+        carry = 0
+        for j in range(len(image) - 1, 0, -1):
+            carry = (image[j] + c * carry) % _P
+            quotient[j - 1] = carry
+        if (image[0] + c * carry) % _P:
+            break
+        image = quotient
+        count += 1
+    return count
 
 
 # ---------------------------------------------------------- lattice ops ----

@@ -18,12 +18,7 @@ safety net on top, never the proof.
 from fractions import Fraction
 
 from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
-from .lattice import (
-    LatticeError,
-    from_units,
-    get_lattice_denominator,
-    to_units,
-)
+from .lattice import DENOM, LatticeError, from_units, to_units
 from .polys import (
     QP_ONE,
     QRAT_ONE,
@@ -79,8 +74,7 @@ _RADICAND_CACHE = {}
 
 
 def _radicand_rf(atom):
-    key = (get_lattice_denominator(), atom)
-    rf = _RADICAND_CACHE.get(key)
+    rf = _RADICAND_CACHE.get(atom)
     if rf is None:
         kind = atom[0]
         if kind == "qint":
@@ -91,7 +85,7 @@ def _radicand_rf(atom):
             rf = rf_const(qdiff_qrat())
         else:
             raise ValueError("unknown radical atom %r" % (atom,))
-        _RADICAND_CACHE[key] = rf
+        _RADICAND_CACHE[atom] = rf
     return rf
 
 
@@ -294,10 +288,7 @@ class Scalar:
         """Exact limit as x -> 0 (at_zero) or x -> infinity; may diverge."""
         if not self.terms:
             return SC_ZERO
-        denom = get_lattice_denominator()
-        if denom % 2:
-            raise LatticeError("x-limits need an even lattice denominator")
-        half = denom // 2
+        half = DENOM // 2
         total = SC_ZERO
         for atoms, rf in self.terms.items():
             e, lead = rf.edge(at_zero)
@@ -353,7 +344,7 @@ class Scalar:
                     "coeff": rf_jsonable(rf),
                 }
             )
-        return {"lattice": get_lattice_denominator(), "terms": terms}
+        return {"lattice": DENOM, "terms": terms}
 
     @staticmethod
     def from_jsonable(d):
@@ -386,16 +377,15 @@ def _xbr_limit_factor(c_units, at_zero):
     # to match principal branches at 0 < q < 1 < 1/x or x.
     if c_units % 2:
         raise LatticeError("half of bracket offset leaves the lattice")
-    denom = get_lattice_denominator()
     inv_qd = qdiff_qrat().inverse()
     if at_zero:
         qr = qrat_scale(inv_qd, imaginary_unit())
-        rf = rf_xpow_units(-(denom // 2)).scale_q(
+        rf = rf_xpow_units(-(DENOM // 2)).scale_q(
             qrat_monomial_mul(qr, -(c_units // 2))
         )
     else:
         qr = qrat_scale(inv_qd, -1)
-        rf = rf_xpow_units(denom // 2).scale_q(
+        rf = rf_xpow_units(DENOM // 2).scale_q(
             qrat_monomial_mul(qr, c_units // 2)
         )
     return Scalar({(("qdiff",),): rf})
@@ -451,13 +441,11 @@ def qrat_qnum(n):
     n = int(n)
     if n < 0:
         return -qrat_qnum(-n)
-    denom = get_lattice_denominator()
-    key = (denom, n)
-    qr = _QNUM_CACHE.get(key)
+    qr = _QNUM_CACHE.get(n)
     if qr is None:
-        poly = {denom * (n - 1 - 2 * i): 1 for i in range(n)}
+        poly = {DENOM * (n - 1 - 2 * i): 1 for i in range(n)}
         qr = QRat(poly, QP_ONE) if poly else QRAT_ZERO
-        _QNUM_CACHE[key] = qr
+        _QNUM_CACHE[n] = qr
     return qr
 
 
@@ -465,14 +453,12 @@ def qrat_qfact(n):
     n = int(n)
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
-    denom = get_lattice_denominator()
-    key = (denom, n)
-    qr = _QFACT_CACHE.get(key)
+    qr = _QFACT_CACHE.get(n)
     if qr is None:
         qr = QRAT_ONE
         for i in range(2, n + 1):
             qr = qr * qrat_qnum(i)
-        _QFACT_CACHE[key] = qr
+        _QFACT_CACHE[n] = qr
     return qr
 
 
@@ -556,11 +542,10 @@ def _coeff_text(c):
 def _qp_text(p, var="q"):
     if not p:
         return "0"
-    denom = get_lattice_denominator()
     bits = []
     for e in sorted(p, reverse=True):
         c = p[e]
-        ef = Fraction(e, denom)
+        ef = Fraction(e, DENOM)
         if ef == 0:
             bits.append(_coeff_text(c))
         else:
@@ -585,11 +570,10 @@ def _qrat_text(qr):
 def _xp_text(xp):
     if not xp:
         return "0"
-    denom = get_lattice_denominator()
     bits = []
     for k in sorted(xp, reverse=True):
         qr = xp[k]
-        kf = Fraction(k, denom)
+        kf = Fraction(k, DENOM)
         ct = _qrat_text(qr)
         if kf == 0:
             bits.append(ct)
@@ -648,9 +632,8 @@ def _coeff_from_jsonable(d):
 
 
 def _qp_jsonable(p):
-    denom = get_lattice_denominator()
     return {
-        str(Fraction(e, denom)): _coeff_jsonable(c)
+        str(Fraction(e, DENOM)): _coeff_jsonable(c)
         for e, c in sorted(p.items())
     }
 
@@ -673,14 +656,13 @@ def qrat_from_jsonable(d):
 
 
 def rf_jsonable(rf):
-    denom = get_lattice_denominator()
     return {
         "num": {
-            str(Fraction(k, denom)): qrat_jsonable(c)
+            str(Fraction(k, DENOM)): qrat_jsonable(c)
             for k, c in sorted(rf.num.items())
         },
         "den": {
-            str(Fraction(k, denom)): qrat_jsonable(c)
+            str(Fraction(k, DENOM)): qrat_jsonable(c)
             for k, c in sorted(rf.den.items())
         },
     }

@@ -2,13 +2,12 @@
 
 Every relation name registered in the twist, symbols, and lame modules
 appears at least once, plus the defining-relation checks of the matrix
-representations and the float coherence checks.  Reports always come back
-in manifest order, whatever the worker pool does.
+representations and the float coherence checks.  Reports come back in
+manifest order.
 """
 
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .lame import LAME_RELATIONS, verify_lame_relation
@@ -173,13 +172,11 @@ def run_entry(entry, mode="exact", q0=None, x0=None):
 
 
 def run_suite(manifest=None, mode="exact", q0=None, x0=None, jobs=1):
-    """Run every manifest entry; reports come back in manifest order."""
+    """Run every manifest entry in order and return their reports.
+
+    `jobs` is accepted for compatibility and ignored: the entries are pure
+    Python, so worker threads only took turns on the interpreter lock.
+    """
     if manifest is None:
         manifest = default_manifest()
-    if jobs <= 1:
-        return [run_entry(e, mode=mode, q0=q0, x0=x0) for e in manifest]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run_entry, e, mode=mode, q0=q0, x0=x0) for e in manifest
-        ]
-        return [f.result() for f in futures]
+    return [run_entry(e, mode=mode, q0=q0, x0=x0) for e in manifest]

@@ -15,7 +15,6 @@ to a Scalar once the multiplicities cancel.
 
 from fractions import Fraction
 
-from .lattice import get_lattice_denominator
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -110,7 +109,7 @@ def three_j(j1, j2, j3, m1, m2, m3):
     Vanishes unless m1 + m2 = m3 and the triangle rule holds.
     """
     args = _fr(j1), _fr(j2), _fr(j3), _fr(m1), _fr(m2), _fr(m3)
-    key = (get_lattice_denominator(),) + args
+    key = args
     got = _THREE_J_CACHE.get(key)
     if got is None:
         got = _three_j(*args)

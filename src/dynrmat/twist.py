@@ -18,7 +18,6 @@ the weight-shift automorphism.
 
 from fractions import Fraction
 
-from .lattice import get_lattice_denominator
 from .scalar import qdiff, qfact, qpow, sc_coeff, xpow
 from .spins import (
     GradedOperator,
@@ -55,8 +54,7 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# prefactor caches, all keyed with the active lattice denominator so a
-# set_lattice_denominator call cannot leak stale objects
+# prefactor caches
 
 _XQC_CACHE = {}
 _PREF_CACHE = {}
@@ -65,7 +63,7 @@ _FAMILY_CACHE = {}
 
 def _xqc(c):
     """x q^c - 1/(x q^c) as a one-term scalar."""
-    key = (get_lattice_denominator(), Fraction(c))
+    key = Fraction(c)
     got = _XQC_CACHE.get(key)
     if got is None:
         got = xpow(1) * qpow(c) - xpow(-1) * qpow(-c)
@@ -74,7 +72,7 @@ def _xqc(c):
 
 
 def _pref_rd(i, wa, wb):
-    key = (get_lattice_denominator(), "rd", i, wa, wb)
+    key = ("rd", i, wa, wb)
     got = _PREF_CACHE.get(key)
     if got is None:
         got = (qdiff() ** i) / qfact(i)
@@ -84,7 +82,7 @@ def _pref_rd(i, wa, wb):
 
 
 def _pref_f(k, wa, wb):
-    key = (get_lattice_denominator(), "f", k, wa, wb)
+    key = ("f", k, wa, wb)
     got = _PREF_CACHE.get(key)
     if got is None:
         got = sc_coeff((-1) ** k) * (qdiff() ** k) / qfact(k)
@@ -96,7 +94,7 @@ def _pref_f(k, wa, wb):
 
 
 def _pref_f_inv(k, wa, wb):
-    key = (get_lattice_denominator(), "finv", k, wa, wb)
+    key = ("finv", k, wa, wb)
     got = _PREF_CACHE.get(key)
     if got is None:
         got = (qdiff() ** k) / qfact(k)
@@ -108,7 +106,7 @@ def _pref_f_inv(k, wa, wb):
 
 
 def _m_coeff(n, m):
-    key = (get_lattice_denominator(), "m", n, m)
+    key = ("m", n, m)
     got = _PREF_CACHE.get(key)
     if got is None:
         got = sc_coeff((-1) ** m) * xpow(m)
@@ -220,7 +218,7 @@ def _m_series(space, plus, minus, weights):
 
 
 def _family(kind, *spins):
-    key = (get_lattice_denominator(), kind) + tuple(s.twice for s in spins)
+    key = (kind,) + tuple(s.twice for s in spins)
     got = _FAMILY_CACHE.get(key)
     if got is None:
         got = _FAMILY_BUILDERS[kind](*spins)

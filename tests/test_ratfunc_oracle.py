@@ -28,10 +28,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat import ratfunc
 from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
 from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xp_mul
 from dynrmat.ratfunc import PoleAtSubstitution, ratfn
 from dynrmat.scalar import rf_from_jsonable, rf_jsonable
+from dynrmat.suite import default_manifest
+from dynrmat.twist import verify_relation
 
 sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")
@@ -338,3 +341,48 @@ def test_non_binomial_denominator_is_kept_whole():
     r = ratfn(num, _EXTRA["x2+q"])
     assert r.den == _EXTRA["x2+q"]
     assert r.num == num
+
+
+# ------------------------------------------------------------ fallback ----
+
+
+def test_generic_path_serves_a_non_binomial_denominator(monkeypatch):
+    # (x**2 + q)(x**2 - q) / ((x**2 + q)(x**2 - q**2)): x**2 + q is no
+    # binomial x**2 - q**m, so the gcd runs on the generic path, and the
+    # reduced denominator x**2 - q**2 is stored factored again
+    calls = []
+    xp_gcd = ratfunc.xp_gcd
+
+    def spy(a, b):
+        calls.append(1)
+        return xp_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "xp_gcd", spy)
+    a = {"coeff": 1, "xpow": 0, "qpow": 0, "num": [], "lin": [(-1, 4)],
+         "den": [], "extra": "x2+q"}
+    # the bracket x q**-4 - x**-1 q**4 carries the binomial x**2 - q**2
+    b = {"coeff": 1, "xpow": 0, "qpow": 0, "num": [], "lin": [(1, 4)],
+         "den": [-4], "extra": None}
+    ra, rb = build_rf(a), build_rf(b)
+    assert ra.fac is None and rb.fac == {8: 1}
+    r = ra * rb
+    assert calls
+    assert_canonical(r, oracle([a, b], BINARY["mul"]))
+    assert r.fac == {8: 1}
+
+
+GUARDED = [("GNF", (1, 1, F(1, 2))), ("GNF", (1, 1, 1))] + [
+    (e.relation, e.spins) for e in default_manifest() if e.family == "twist"
+]
+
+
+@pytest.mark.parametrize("relation,spins", GUARDED,
+                         ids=["%s%s" % (r, tuple(map(str, s))) for r, s in GUARDED])
+def test_relations_never_reach_the_generic_gcd(monkeypatch, relation, spins):
+    # every x-denominator of these checks is a product of binomials and
+    # every numerator a polynomial in y, so no generic gcd may run
+    def refuse(a, b):
+        raise AssertionError("generic x-level gcd reached")
+
+    monkeypatch.setattr(ratfunc, "xp_gcd", refuse)
+    assert verify_relation(relation, spins).ok
