@@ -45,7 +45,7 @@ ratfunc.py keeps factored and cancels by the binomial kit below: a GF(p)
 image at a fixed point rules a binomial out, and exact synthetic division
 rules it in.  xp_gcd runs only for a numerator that is not a polynomial in y
 or a denominator that is no product of binomials, which no manifest entry
-and no GNF check up to spin 3/2 produces.
+and no GNF check of the benchmark produces.
 """
 
 import math

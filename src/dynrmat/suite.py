@@ -175,7 +175,7 @@ def run_suite(manifest=None, mode="exact", q0=None, x0=None, jobs=1):
     """Run every manifest entry in order and return their reports.
 
     `jobs` is accepted for compatibility and ignored: the entries are pure
-    Python, so worker threads only took turns on the interpreter lock.
+    Python, so worker threads would only take turns on the interpreter lock.
     """
     if manifest is None:
         manifest = default_manifest()

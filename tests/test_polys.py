@@ -39,7 +39,11 @@ from dynrmat.polys import (
     xp_monic,
     xp_mul,
     xp_scale,
+    xp_binom_div,
+    xp_binom_mul,
     xp_strip,
+    xp_y_image,
+    y_image_root_order,
 )
 from dynrmat.twist import verify_relation
 
@@ -551,3 +555,23 @@ def test_gcdheu_sees_deflated_operands(monkeypatch):
     assert verify_relation("GNF", (1, 1, F(1, 2))).ok
     assert seen
     assert all(kv <= 1 and ku <= 1 for kv, ku in seen), set(seen)
+
+
+# ------------------------------------------------------------ binomials ----
+
+
+def test_binomial_division_undoes_multiplication_and_nothing_else():
+    # a = 2 + (q**(3/4) + 1/2) x**2 does not vanish at x**2 = q
+    a = xp({0: {0: 2}, 8: {3: 1, 0: F(1, 2)}})
+    b = xp_binom_mul(xp_binom_mul(a, 4), 4)
+    binomial = xp({8: {0: 1}, 0: {4: -1}})
+    assert b == xp_mul(a, xp_mul(binomial, binomial))
+    assert xp_binom_div(b, 4) == xp_binom_mul(a, 4)
+    assert xp_binom_div(xp_binom_div(b, 4), 4) == a
+    assert xp_binom_div(a, 4) is None
+    assert xp_binom_div(b, 8) is None
+    # the image counts the multiplicity, up to the limit asked for
+    image = xp_y_image(b)
+    assert y_image_root_order(image, 4, 5) == 2
+    assert y_image_root_order(image, 4, 1) == 1
+    assert y_image_root_order(image, 8, 5) == 0
