@@ -317,6 +317,7 @@ def _cancel(t, fac):
 
 
 def _times(a, fac):
+    """a times the binomials of the multiset `fac`."""
     for e, m in fac.items():
         for _ in range(m):
             a = xp_binom_mul(a, e)
@@ -324,6 +325,7 @@ def _times(a, fac):
 
 
 def _minus(fac, removed):
+    """The multiset `fac` less `removed`, which it contains."""
     if not removed:
         return fac
     out = dict(fac)
@@ -392,6 +394,9 @@ def _from_parts(num, den):
 
 
 # ------------------------------------------------------- generic path ----
+#
+# Reached only when an operand has no factored denominator or a numerator
+# that could cancel is not a polynomial in y; so da and db are never both 1.
 
 
 def _add_generic(na, da, nb, db):
@@ -399,8 +404,6 @@ def _add_generic(na, da, nb, db):
         t = xp_add(na, nb)
         if not t:
             return RF_ZERO
-        if da == XP_ONE:
-            return _from_parts(t, XP_ONE)
         t0, st = xp_strip(t)
         _, t0, d = xp_gcd(t0, da)
         return _from_parts(xp_shift(t0, st), d)
