@@ -38,6 +38,9 @@ SYMBOLS = [
     ("6j", "--j", "3/2,3/2,1,3/2,3/2,2"),
     ("m", "--j", "2", "--sigma", "1", "--m", "1"),
     ("limit3j", "--j", "3/2", "--sigma", "1/2", "--m", "1/2"),
+    ("6j", "--j", "2,2,2,2,2,2"),
+    ("6j", "--j", "5/2,5/2,2,5/2,5/2,3"),
+    ("3j", "--j", "5/2,2,3/2", "--m", "1/2,-1,-1/2"),
 ]
 
 LAME = [
