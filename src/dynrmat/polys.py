@@ -49,18 +49,19 @@ and no GNF check of the benchmark produces.
 """
 
 import math
-import random
+import zlib
 from fractions import Fraction
 from itertools import chain
 
 from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
 from .lattice import DENOM, LatticeError
+from . import multisets
+from .multisets import NO_FACTORS, Alphabet
 
 _F1 = Fraction(1)
 
 _P = 998244353
 _Z8 = pow(3, (_P - 1) // 8, _P)
-_RNG = random.Random(0x51CA1A)
 
 QP_ZERO = {}
 QP_ONE = {0: 1}
@@ -312,34 +313,218 @@ def qp_eval_complex(a, u0):
     return t
 
 
+# ---------------------------------------------------------- cyclotomics ----
+#
+# The factor d is the cyclotomic polynomial Phi_d(Q) in Q = q**2 = u**Q_DEG.
+# Phi_d is irreducible over Q, and q-integers, q-factorials and q - 1/q are
+# monomials times products of them:
+#     [n] = q**-(n-1) * prod(Phi_d(q**2), d | n, d > 1),
+#     q - 1/q = q**-1 * Phi_1(q**2).
+# Integer polynomials in Q are handled dense here, as lists of coefficients
+# from Q**0 up.
+
+Q_DEG = 2 * DENOM
+
+_PHI = {}  # d -> (dense Phi_d, its nonzero coefficients below the top)
+_PHI_U = {}  # d -> Phi_d(u**Q_DEG) as a QPoly
+
+
+def _dense_div(t, phi):
+    """t / Phi_d for a dense integer polynomial t, or None if Phi_d does not
+    divide t; `phi` is a value of _PHI.  Synthetic division by a monic
+    divisor, so the quotient has integer coefficients."""
+    c, low = phi
+    k = len(c) - 1
+    top = len(t) - 1 - k
+    if top < 0:
+        return None
+    r = list(t)
+    for i in range(top, -1, -1):
+        f = r[i + k]
+        if f:
+            for j, cj in low:
+                r[i + j] -= f * cj
+    if any(r[:k]):
+        return None
+    return r[k:]
+
+
+def cyclotomic(d):
+    """(dense Phi_d(Q), [(j, c_j) for its nonzero c_j with j < deg]), cached."""
+    got = _PHI.get(d)
+    if got is None:
+        # Q**d - 1 is the product of Phi_e(Q) over the divisors e of d
+        t = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                t = _dense_div(t, cyclotomic(e))
+        got = _PHI[d] = (t, [(j, c) for j, c in enumerate(t[:-1]) if c])
+    return got
+
+
+def _phi_u(d):
+    got = _PHI_U.get(d)
+    if got is None:
+        got = _PHI_U[d] = _q_sparse(cyclotomic(d)[0])
+    return got
+
+
+def _q_dense(t0):
+    """t0, a QPoly with minimum exponent 0, as a dense list in Q; None unless
+    every coefficient is an integer and every exponent a multiple of Q_DEG."""
+    top = max(t0)
+    if top % Q_DEG:
+        return None
+    out = [0] * (top // Q_DEG + 1)
+    for e, c in t0.items():
+        if e % Q_DEG:
+            return None
+        if type(c) is not int:
+            if type(c) is not Fraction or c.denominator != 1:
+                return None
+            c = c.numerator
+        out[e // Q_DEG] = c
+    return out
+
+
+def _q_sparse(t, s=0):
+    # the QPoly u**s * t(u**Q_DEG) of a dense list t
+    return {Q_DEG * i + s: c for i, c in enumerate(t) if c}
+
+
+def _totient(d):
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def _max_index(n):
+    """An upper bound on every d with totient(d) <= n, the degree of Phi_d.
+
+    totient(d) > d / (e**gamma * log log d + 3 / log log d) for d >= 3
+    (Rosser and Schoenfeld 1962), and the right side grows with d from 30 on.
+    """
+    d = 30
+    while d / (1.7811 * math.log(math.log(d)) + 3 / math.log(math.log(d))) <= n:
+        d += d // 8
+    return d
+
+
+def _factor(d0):
+    """The multiset {d: m} with d0 = prod Phi_d(u**Q_DEG)**m, or None.
+
+    d0 is monic with minimum exponent 0.  Trial division in increasing d,
+    over every d whose Phi_d is not longer than the quotient left, until the
+    quotient is 1.  A product of cyclotomic polynomials is its own reverse
+    up to sign, which rules most other polynomials out at once.
+    """
+    if len(d0) == 1:
+        return NO_FACTORS
+    t = _q_dense(d0)
+    if t is None or (t[::-1] != t and t[::-1] != [-c for c in t]):
+        return None
+    fac = {}
+    limit = _max_index(len(t) - 1)
+    d = 1
+    while len(t) > 1:
+        if d > limit:
+            return None
+        if _totient(d) < len(t):
+            phi = cyclotomic(d)
+            q = _dense_div(t, phi)
+            while q is not None:
+                t = q
+                fac[d] = fac.get(d, 0) + 1
+                q = _dense_div(t, phi)
+        d += 1
+    return fac
+
+
+def _cancel(t, fac):
+    """(t / g, g) for g the largest product of cyclotomic factors from the
+    multiset `fac` that divides t, with g as a multiset; None unless t is,
+    after stripping, a polynomial in u**Q_DEG with int coefficients.
+
+    Then the gcd of t with Phi_d(u**Q_DEG) over Q(z8)[u] is the gcd of the
+    deflated t with the irreducible Phi_d(Q) over Q, inflated again (polys.py
+    docstring), so it is Phi_d(u**Q_DEG) or 1 and exact division decides.
+    """
+    t0, st = qp_strip(t)
+    if len(t0) == 1:
+        return t, NO_FACTORS
+    dense = _q_dense(t0)
+    if dense is None:
+        return None
+    removed = {}
+    for d, m in fac.items():
+        phi = cyclotomic(d)
+        k = 0
+        while k < m:
+            q = _dense_div(dense, phi)
+            if q is None:
+                break
+            dense = q
+            k += 1
+        if k:
+            removed[d] = k
+    if not removed:
+        return t, NO_FACTORS
+    return _q_sparse(dense, st), removed
+
+
+_CYCLOTOMICS = Alphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
+
+
 # ----------------------------------------------------------------- QRat ----
 
 
 class QRat:
-    """Canonical fraction of Laurent polynomials in u = q**(1/D)."""
+    """Canonical fraction of Laurent polynomials in u = q**(1/D).
 
-    __slots__ = ("num", "den")
+    A denominator that is a product of cyclotomic polynomials Phi_d(q**2) is
+    stored as the multiset `fac` {d: multiplicity} and expanded on demand;
+    any other denominator is stored expanded, with `fac` None.
+    """
 
-    def __init__(self, num, den):
-        # raw constructor: callers guarantee canonical form
+    __slots__ = ("num", "fac", "_den")
+
+    def __init__(self, num, fac, den=None):
+        # raw constructor: callers guarantee canonical form, and pass the
+        # denominator exactly when fac is None
         self.num = num
-        self.den = den
+        self.fac = fac
+        self._den = den
+
+    @property
+    def den(self):
+        if self._den is None:
+            self._den = _CYCLOTOMICS.expand(self.fac)
+        return self._den
 
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, QRat):
-            return self.num == other.num and self.den == other.den
+            if self.fac is None or other.fac is None:
+                return (self.fac is other.fac and self.num == other.num
+                        and self._den == other._den)
+            return self.fac == other.fac and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.num.items(), key=lambda kv: kv[0])),
-                tuple(sorted(self.den.items(), key=lambda kv: kv[0])),
-            )
-        )
+        return hash((
+            frozenset(self.num.items()),
+            multisets.key(self.fac) if self.fac is not None
+            else frozenset(self._den.items()),
+        ))
 
     def __repr__(self):
         return "QRat(%r, %r)" % (self.num, self.den)
@@ -347,7 +532,7 @@ class QRat:
     def __neg__(self):
         if not self.num:
             return self
-        return QRat(qp_neg(self.num), self.den)
+        return QRat(qp_neg(self.num), self.fac, self._den)
 
     def __add__(self, other):
         if not isinstance(other, QRat):
@@ -356,30 +541,11 @@ class QRat:
             return other
         if not other.num:
             return self
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        if da == db:
-            t = qp_add(na, nb)
-            if not t:
-                return QRAT_ZERO
-            if da == QP_ONE:
-                return QRat(t, QP_ONE)
-            return _qrat_cancel(t, da)
-        if da == QP_ONE:
-            return QRat(qp_add(qp_mul(na, db), nb), db)
-        if db == QP_ONE:
-            return QRat(qp_add(qp_mul(nb, da), na), da)
-        g, b1, d1 = qp_gcd(da, db)
-        t = qp_add(qp_mul(na, d1), qp_mul(nb, b1))
-        if not t:
-            return QRAT_ZERO
-        if max(g) > 0:
-            t0, st = qp_strip(t)
-            _, t0, g = qp_gcd(t0, g)
-            t = qp_shift(t0, st)
-        den = qp_mul(qp_mul(g, b1), d1)
-        if den == QP_ONE:
-            return QRat(t, QP_ONE)
-        return QRat(t, den)
+        if self.fac is not None and other.fac is not None:
+            got = _add_factored(self.num, self.fac, other.num, other.fac)
+            if got is not None:
+                return got
+        return _add_generic(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
         if not isinstance(other, QRat):
@@ -395,20 +561,11 @@ class QRat:
             return other
         if other is QRAT_ONE:
             return self
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        if da == QP_ONE and db == QP_ONE:
-            return QRat(qp_mul(na, nb), QP_ONE)
-        na0, sa = qp_strip(na)
-        nb0, sb = qp_strip(nb)
-        if db != QP_ONE:
-            _, na0, db = qp_gcd(na0, db)
-        if da != QP_ONE:
-            _, nb0, da = qp_gcd(nb0, da)
-        num = qp_shift(qp_mul(na0, nb0), sa + sb)
-        den = qp_mul(da, db)
-        if den == QP_ONE:
-            return QRat(num, QP_ONE)
-        return QRat(num, den)
+        if self.fac is not None and other.fac is not None:
+            got = _mul_factored(self.num, self.fac, other.num, other.fac)
+            if got is not None:
+                return got
+        return _mul_generic(self.num, self.den, other.num, other.den)
 
     def inverse(self):
         if not self.num:
@@ -420,9 +577,7 @@ class QRat:
             inv = _F1 / lead
             n0 = qp_scale(n0, inv)
             den = qp_scale(den, inv)
-        if n0 == QP_ONE:
-            return QRat(qp_shift(den, -s), QP_ONE)
-        return QRat(qp_shift(den, -s), n0)
+        return _from_parts(qp_shift(den, -s), n0)
 
     def __truediv__(self, other):
         if not isinstance(other, QRat):
@@ -430,13 +585,95 @@ class QRat:
         return self * other.inverse()
 
 
-def _qrat_cancel(t, d):
-    # t nonzero Laurent, d monic ordinary with nonzero constant term
-    t0, st = qp_strip(t)
-    _, t0, d = qp_gcd(t0, d)
-    if d == QP_ONE:
-        return QRat(qp_shift(t0, st), QP_ONE)
-    return QRat(qp_shift(t0, st), d)
+def _add_factored(na, fa, nb, fb):
+    """na/fa + nb/fb, or None if a numerator that could cancel is not a
+    polynomial in u**Q_DEG with int coefficients.  Only factors of equal
+    multiplicity in fa and fb can cancel from the sum."""
+    if fa == fb:
+        t = qp_add(na, nb)
+        if not t:
+            return QRAT_ZERO
+        tied = lcm = fa
+    else:
+        common = multisets.common(fa, fb)
+        t = qp_add(_CYCLOTOMICS.times(na, multisets.minus(fb, common)),
+                   _CYCLOTOMICS.times(nb, multisets.minus(fa, common)))
+        if not t:
+            return QRAT_ZERO
+        tied = multisets.tied(fa, fb)
+        lcm = multisets.lcm(fa, fb)
+    if not tied:
+        return QRat(t, lcm)
+    got = _cancel(t, tied)
+    if got is None:
+        return None
+    t, removed = got
+    return QRat(t, multisets.minus(lcm, removed))
+
+
+def _mul_factored(na, fa, nb, fb):
+    """(na/fa) * (nb/fb), or None if a numerator that could cancel is not a
+    polynomial in u**Q_DEG with int coefficients.  Each numerator can only
+    cancel the other's factors."""
+    if fb:
+        got = _cancel(na, fb)
+        if got is None:
+            return None
+        na, removed = got
+        fb = multisets.minus(fb, removed)
+    if fa:
+        got = _cancel(nb, fa)
+        if got is None:
+            return None
+        nb, removed = got
+        fa = multisets.minus(fa, removed)
+    return QRat(qp_mul(na, nb), multisets.total(fa, fb))
+
+
+def _from_parts(num, den):
+    """The QRat num/den of a canonical pair."""
+    fac = _factor(den)
+    if fac is None:
+        return QRat(num, None, den)
+    return QRat(num, fac)
+
+
+# The generic path: a Cyclo or Fraction coefficient, a numerator that is no
+# polynomial in u**Q_DEG, or a denominator that is no product of cyclotomic
+# factors.  It cancels by qp_gcd, and its result is factored again.
+
+
+def _add_generic(na, da, nb, db):
+    if da == db:
+        t = qp_add(na, nb)
+        if not t:
+            return QRAT_ZERO
+        t0, st = qp_strip(t)
+        _, t0, d = qp_gcd(t0, da)
+        return _from_parts(qp_shift(t0, st), d)
+    if da == QP_ONE:
+        return _from_parts(qp_add(qp_mul(na, db), nb), db)
+    if db == QP_ONE:
+        return _from_parts(qp_add(qp_mul(nb, da), na), da)
+    g, b1, d1 = qp_gcd(da, db)
+    t = qp_add(qp_mul(na, d1), qp_mul(nb, b1))
+    if not t:
+        return QRAT_ZERO
+    if max(g) > 0:
+        t0, st = qp_strip(t)
+        _, t0, g = qp_gcd(t0, g)
+        t = qp_shift(t0, st)
+    return _from_parts(t, qp_mul(qp_mul(g, b1), d1))
+
+
+def _mul_generic(na, da, nb, db):
+    na0, sa = qp_strip(na)
+    nb0, sb = qp_strip(nb)
+    if db != QP_ONE:
+        _, na0, db = qp_gcd(na0, db)
+    if da != QP_ONE:
+        _, nb0, da = qp_gcd(nb0, da)
+    return _from_parts(qp_shift(qp_mul(na0, nb0), sa + sb), qp_mul(da, db))
 
 
 def qrat(num, den=QP_ONE):
@@ -447,42 +684,65 @@ def qrat(num, den=QP_ONE):
         raise ZeroDivisionError("zero denominator in q-rational")
     n0, sn = qp_strip(num)
     d0, sd = qp_strip(den)
-    if len(n0) > 1 and len(d0) > 1:
-        _, n0, d0 = qp_gcd(n0, d0)
     lead = d0[max(d0)]
     if lead != 1:
         inv = _F1 / lead
         n0 = qp_scale(n0, inv)
         d0 = qp_scale(d0, inv)
-    if d0 == QP_ONE:
-        d0 = QP_ONE
-    return QRat(qp_shift(n0, sn - sd), d0)
+    fac = _factor(d0)
+    if fac is not None:
+        got = qrat_over_cyclotomics(qp_shift(n0, sn - sd), fac)
+        if got is not None:
+            return got
+    if len(n0) > 1 and len(d0) > 1:
+        _, n0, d0 = qp_gcd(n0, d0)
+    return _from_parts(qp_shift(n0, sn - sd), d0)
 
 
-QRAT_ZERO = QRat(QP_ZERO, QP_ONE)
-QRAT_ONE = QRat(QP_ONE, QP_ONE)
+def qrat_over_cyclotomics(num, fac):
+    """The canonical QRat num / prod Phi_d(q**2)**m over the multiset `fac`
+    {d: m}, or None if num is not, after stripping, a polynomial in
+    u**Q_DEG with int coefficients while fac is not empty."""
+    if not num:
+        return QRAT_ZERO
+    if fac:
+        got = _cancel(num, fac)
+        if got is None:
+            return None
+        num, removed = got
+        fac = multisets.minus(fac, removed)
+    return QRat(num, fac)
+
+
+QRAT_ZERO = QRat(QP_ZERO, NO_FACTORS)
+QRAT_ONE = QRat(QP_ONE, NO_FACTORS)
 
 
 def qrat_const(c):
     n = qp_const(c)
-    return QRat(n, QP_ONE) if n else QRAT_ZERO
+    return QRat(n, NO_FACTORS) if n else QRAT_ZERO
 
 
 def qrat_qpow(units):
-    return QRat({units: 1}, QP_ONE)
+    return QRat({units: 1}, NO_FACTORS)
 
 
 def qrat_scale(qr, c):
     """qr times a nonzero bare coefficient."""
     if not qr.num:
         return QRAT_ZERO
-    return QRat(qp_scale(qr.num, c), qr.den)
+    return QRat(qp_scale(qr.num, c), qr.fac, qr._den)
 
 
 def qrat_monomial_mul(qr, s):
     if not s or not qr.num:
         return qr
-    return QRat(qp_shift(qr.num, s), qr.den)
+    return QRat(qp_shift(qr.num, s), qr.fac, qr._den)
+
+
+def qp_cyclotomic_mul(a, fac):
+    """The QPoly a times the cyclotomic factors of the multiset `fac`."""
+    return _CYCLOTOMICS.times(a, fac)
 
 
 def qrat_eval_complex(qr, u0):
@@ -630,7 +890,7 @@ def _xp_eval_mod(a, pw, lo):
     out = {}
     for k, qr in a.items():
         m = _qp_eval_mod(qr.num, pw, lo)
-        if qr.den != QP_ONE:
+        if qr.fac != NO_FACTORS:
             d = _qp_eval_mod(qr.den, pw, lo)
             if d == 0:
                 raise ZeroDivisionError("denominator vanished at filter point")
@@ -638,6 +898,18 @@ def _xp_eval_mod(a, pw, lo):
         if m:
             out[k] = m
     return out
+
+
+def _xp_image_point(a0, b0, attempt):
+    """A point u0 in [2, p - 2] that depends only on the operands and the
+    attempt number, so that the image of a gcd, and every count it feeds,
+    does not depend on the calls made before it."""
+    text = repr([attempt] + [
+        sorted((k, sorted(qr.num.items()), sorted(qr.den.items()))
+               for k, qr in a.items())
+        for a in (a0, b0)
+    ])
+    return 2 + zlib.crc32(text.encode()) % (_P - 3)
 
 
 def _xp_image_gcd_degree(a0, b0):
@@ -649,8 +921,8 @@ def _xp_image_gcd_degree(a0, b0):
     dens = [qr.den for p in (a0, b0) for qr in p.values()]
     lo = min(0, min(map(min, nums)))
     hi = max(max(map(max, nums)), max(map(max, dens)))
-    for _ in range(2):
-        u0 = _RNG.randrange(2, _P - 1)
+    for attempt in range(2):
+        u0 = _xp_image_point(a0, b0, attempt)
         pw = [pow(u0, lo, _P)]
         for _ in range(hi - lo):
             pw.append(pw[-1] * u0 % _P)
@@ -691,7 +963,7 @@ def _xp_to_zuv(a0):
     an integer Laurent polynomial in u."""
     rows = {}
     for k, qr in a0.items():
-        if qr.den != QP_ONE:
+        if qr.fac != NO_FACTORS:
             return None
         row = _qp_to_zu(qr.num)
         if row is None:
@@ -874,9 +1146,9 @@ def _xp_gcd_heuristic(a0, b0, degree):
         den = _inflate(lead, ku)
         return (
             {k: qrat(_inflate(row, ku), den) for k, row in g.items()},
-            {k: QRat(_inflate(qp_mul(lead, row), ku, sa), QP_ONE)
+            {k: QRat(_inflate(qp_mul(lead, row), ku, sa), NO_FACTORS)
              for k, row in qa.items()},
-            {k: QRat(_inflate(qp_mul(lead, row), ku, sb), QP_ONE)
+            {k: QRat(_inflate(qp_mul(lead, row), ku, sb), NO_FACTORS)
              for k, row in qb.items()},
         )
     return None
@@ -943,6 +1215,7 @@ Y_DEG = 2 * DENOM
 # the package reaches, so distinct binomials keep distinct images
 _U0 = 3
 _U0_POWERS = {}
+_PHI_AT_U0 = {}  # d -> the image of Phi_d(u0**Q_DEG)
 
 
 def xp_binom_mul(a, e):
@@ -987,6 +1260,20 @@ def _u0_pow(e):
     return got
 
 
+def _den_at_u0(qr):
+    # the image of the denominator of qr at u0; for a factored one, the
+    # product of the images of its factors
+    if qr.fac is None:
+        return _qp_at_u0(qr.den)
+    t = 1
+    for d, m in qr.fac.items():
+        got = _PHI_AT_U0.get(d)
+        if got is None:
+            got = _PHI_AT_U0[d] = _qp_at_u0(_phi_u(d))
+        t = t * pow(got, m, _P) % _P
+    return t
+
+
 def _qp_at_u0(a):
     t = 0
     for e, c in a.items():
@@ -1003,8 +1290,8 @@ def xp_y_image(a):
     try:
         for k, qr in a.items():
             m = _qp_at_u0(qr.num)
-            if qr.den != QP_ONE:
-                m = m * pow(_qp_at_u0(qr.den), -1, _P) % _P
+            if qr.fac != NO_FACTORS:
+                m = m * pow(_den_at_u0(qr), -1, _P) % _P
             out[k // Y_DEG] = m
     except (ZeroDivisionError, ValueError):
         # a Fraction denominator divisible by p, or a denominator vanishing

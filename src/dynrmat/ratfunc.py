@@ -27,10 +27,11 @@ structural equality is value equality.  The expanded denominator `den` is
 built on demand, cached by multiset.
 """
 
+from . import multisets
 from .coeffs import Cyclo, root8_pow
 from .lattice import DENOM, LatticeError, to_units
+from .multisets import NO_FACTORS, Alphabet
 from .polys import (
-    QP_ONE,
     QRAT_ONE,
     QRAT_ZERO,
     XP_ONE,
@@ -69,9 +70,6 @@ __all__ = [
     "PoleAtSubstitution",
 ]
 
-# the multiset of no binomials; multisets are never mutated once built
-_NO_FACTORS = {}
-
 
 class PoleAtSubstitution(ZeroDivisionError):
     """A point substitution landed on a zero of the canonical denominator."""
@@ -95,7 +93,7 @@ class RationalFunction:
     def den(self):
         if self.fac is None:
             return self._den
-        return _expand(self.fac)
+        return _BINOMIALS.expand(self.fac)
 
     # ------------------------------------------------------------ basics
 
@@ -103,7 +101,7 @@ class RationalFunction:
         return bool(self.num)
 
     def is_one(self):
-        return self.fac == _NO_FACTORS and self.num == XP_ONE
+        return self.fac == NO_FACTORS and self.num == XP_ONE
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
@@ -219,7 +217,7 @@ class RationalFunction:
         return num / den
 
     def is_x_free(self):
-        return self.fac == _NO_FACTORS and set(self.num) <= {0}
+        return self.fac == NO_FACTORS and set(self.num) <= {0}
 
     def as_qrat(self):
         if not self.is_x_free():
@@ -254,20 +252,7 @@ class RationalFunction:
 # ------------------------------------------------------ factored path ----
 
 
-_EXPANDED = {(): XP_ONE}
-
-
-def _expand(fac):
-    """The product of the binomials of the multiset `fac`, cached."""
-    key = tuple(sorted(fac.items()))
-    got = _EXPANDED.get(key)
-    if got is None:
-        got = XP_ONE
-        for e, m in key:
-            for _ in range(m):
-                got = xp_binom_mul(got, e)
-        _EXPANDED[key] = got
-    return got
+_BINOMIALS = Alphabet(XP_ONE, xp_binom_mul)
 
 
 def _factor(d):
@@ -278,17 +263,17 @@ def _factor(d):
     every candidate and its multiplicity; d factors iff their product is d.
     """
     if len(d) == 1:
-        return _NO_FACTORS
+        return NO_FACTORS
     top = max(d)
     c = d.get(top - Y_DEG)
-    if top % Y_DEG or c is None or c.den != QP_ONE:
+    if top % Y_DEG or c is None or c.fac != NO_FACTORS:
         return None
     fac = {}
     for e, k in c.num.items():
         if type(k) is Cyclo or k >= 0 or k.denominator != 1:
             return None
         fac[e] = -int(k)
-    if sum(fac.values()) * Y_DEG != top or _expand(fac) != d:
+    if sum(fac.values()) * Y_DEG != top or _BINOMIALS.expand(fac) != d:
         return None
     return fac
 
@@ -299,7 +284,7 @@ def _cancel(t, fac):
     in y after stripping its lowest power of v."""
     t0, st = xp_strip(t)
     if len(t0) == 1:
-        return t, _NO_FACTORS
+        return t, NO_FACTORS
     if any(k % Y_DEG for k in t0):
         return None
     image = xp_y_image(t0)
@@ -316,52 +301,30 @@ def _cancel(t, fac):
     return xp_shift(t0, st), removed
 
 
-def _times(a, fac):
-    """a times the binomials of the multiset `fac`."""
-    for e, m in fac.items():
-        for _ in range(m):
-            a = xp_binom_mul(a, e)
-    return a
-
-
-def _minus(fac, removed):
-    """The multiset `fac` less `removed`, which it contains."""
-    if not removed:
-        return fac
-    out = dict(fac)
-    for e, m in removed.items():
-        if out[e] == m:
-            del out[e]
-        else:
-            out[e] -= m
-    return out
-
-
 def _add_factored(na, fa, nb, fb):
     """na/fa + nb/fb, or None if a numerator that could cancel is not a
-    polynomial in y.  Only binomials common to fa and fb can cancel from the
-    sum, at most to their smaller multiplicity."""
+    polynomial in y.  Only binomials of equal multiplicity in fa and fb can
+    cancel from the sum."""
     if fa == fb:
         t = xp_add(na, nb)
         if not t:
             return RF_ZERO
-        common = lcm = fa
+        tied = lcm = fa
     else:
-        common = {e: min(m, fb[e]) for e, m in fa.items() if e in fb}
-        t = xp_add(_times(na, _minus(fb, common)), _times(nb, _minus(fa, common)))
+        common = multisets.common(fa, fb)
+        t = xp_add(_BINOMIALS.times(na, multisets.minus(fb, common)),
+                   _BINOMIALS.times(nb, multisets.minus(fa, common)))
         if not t:
             return RF_ZERO
-        lcm = dict(fa)
-        for e, m in fb.items():
-            if m > lcm.get(e, 0):
-                lcm[e] = m
-    if not common:
+        tied = multisets.tied(fa, fb)
+        lcm = multisets.lcm(fa, fb)
+    if not tied:
         return RationalFunction(t, lcm)
-    got = _cancel(t, common)
+    got = _cancel(t, tied)
     if got is None:
         return None
     t, removed = got
-    return RationalFunction(t, _minus(lcm, removed))
+    return RationalFunction(t, multisets.minus(lcm, removed))
 
 
 def _mul_factored(na, fa, nb, fb):
@@ -372,17 +335,14 @@ def _mul_factored(na, fa, nb, fb):
         if got is None:
             return None
         na, removed = got
-        fb = _minus(fb, removed)
+        fb = multisets.minus(fb, removed)
     if fa:
         got = _cancel(nb, fa)
         if got is None:
             return None
         nb, removed = got
-        fa = _minus(fa, removed)
-    fac = dict(fa)
-    for e, m in fb.items():
-        fac[e] = fac.get(e, 0) + m
-    return RationalFunction(xp_mul(na, nb), fac)
+        fa = multisets.minus(fa, removed)
+    return RationalFunction(xp_mul(na, nb), multisets.total(fa, fb))
 
 
 def _from_parts(num, den):
@@ -473,23 +433,24 @@ def ratfn(num, den=XP_ONE):
         d0 = xp_scale(d0, inv)
     fac = _factor(d0)
     if fac is not None:
-        got = _cancel(n0, fac) if fac else (n0, _NO_FACTORS)
+        got = _cancel(n0, fac) if fac else (n0, NO_FACTORS)
         if got is not None:
             n0, removed = got
-            return RationalFunction(xp_shift(n0, sn - sd), _minus(fac, removed))
+            return RationalFunction(xp_shift(n0, sn - sd),
+                                    multisets.minus(fac, removed))
     if len(n0) > 1 and len(d0) > 1:
         _, n0, d0 = xp_gcd(n0, d0)
     return _from_parts(xp_shift(n0, sn - sd), d0)
 
 
-RF_ZERO = RationalFunction(XP_ZERO, _NO_FACTORS)
-RF_ONE = RationalFunction(XP_ONE, _NO_FACTORS)
+RF_ZERO = RationalFunction(XP_ZERO, NO_FACTORS)
+RF_ONE = RationalFunction(XP_ONE, NO_FACTORS)
 
 
 def rf_const(qr):
     if not qr:
         return RF_ZERO
-    return RationalFunction({0: qr}, _NO_FACTORS)
+    return RationalFunction({0: qr}, NO_FACTORS)
 
 
 def rf_coeff(c):
@@ -499,13 +460,13 @@ def rf_coeff(c):
 def rf_qpow_units(s):
     if not s:
         return RF_ONE
-    return RationalFunction({0: qrat_qpow(s)}, _NO_FACTORS)
+    return RationalFunction({0: qrat_qpow(s)}, NO_FACTORS)
 
 
 def rf_xpow_units(k):
     if not k:
         return RF_ONE
-    return RationalFunction({k: QRAT_ONE}, _NO_FACTORS)
+    return RationalFunction({k: QRAT_ONE}, NO_FACTORS)
 
 
 def rf_qpow(e):
@@ -528,4 +489,4 @@ def xbracket_rf(c_units):
         DENOM: qrat_monomial_mul(qd, c_units),
         -DENOM: qrat_monomial_mul(-qd, -c_units),
     }
-    return RationalFunction(num, _NO_FACTORS)
+    return RationalFunction(num, NO_FACTORS)

@@ -19,14 +19,20 @@ from fractions import Fraction
 
 from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
 from .lattice import DENOM, LatticeError, from_units, to_units
+from . import multisets
+from .multisets import NO_FACTORS
 from .polys import (
     QP_ONE,
+    QP_ZERO,
     QRAT_ONE,
     QRAT_ZERO,
     QRat,
+    qp_add,
+    qp_cyclotomic_mul,
     qrat,
     qrat_const,
     qrat_monomial_mul,
+    qrat_over_cyclotomics,
     qrat_scale,
 )
 from .ratfunc import (
@@ -444,7 +450,7 @@ def qrat_qnum(n):
     qr = _QNUM_CACHE.get(n)
     if qr is None:
         poly = {DENOM * (n - 1 - 2 * i): 1 for i in range(n)}
-        qr = QRat(poly, QP_ONE) if poly else QRAT_ZERO
+        qr = QRat(poly, NO_FACTORS) if poly else QRAT_ZERO
         _QNUM_CACHE[n] = qr
     return qr
 
@@ -460,6 +466,50 @@ def qrat_qfact(n):
             qr = qr * qrat_qnum(i)
         _QFACT_CACHE[n] = qr
     return qr
+
+
+def qfact_factors(n):
+    """(s, fac) with [n]! = u**s * prod Phi_d(q**2)**fac[d], u = q**(1/D).
+
+    [i] = q**-(i-1) * prod Phi_d(q**2) over the divisors d > 1 of i, so
+    Phi_d occurs once for each multiple of d up to n.
+    """
+    n = int(n)
+    return -DENOM * n * (n - 1) // 2, {d: n // d for d in range(2, n + 1)}
+
+
+def qrat_qfact_sum(terms):
+    """The sum of c * u**s * prod [n]! / prod [a]! over `terms`, each a tuple
+    (c, s, ns, as) of a coefficient, a u-exponent and the lists of the n and
+    the a, as one canonical QRat.
+
+    The numerators are summed over the lcm of the denominators, known
+    multisets of cyclotomic factors, and the sum is cancelled once.
+    """
+    parts = []
+    lcm = NO_FACTORS
+    for c, s, ns, ds in terms:
+        up = down = NO_FACTORS
+        for n in ns:
+            shift, fac = qfact_factors(n)
+            s += shift
+            up = multisets.total(up, fac)
+        for a in ds:
+            shift, fac = qfact_factors(a)
+            s -= shift
+            down = multisets.total(down, fac)
+        both = multisets.common(up, down)
+        down = multisets.minus(down, both)
+        parts.append((c, s, multisets.minus(up, both), down))
+        lcm = multisets.lcm(lcm, down)
+    num = QP_ZERO
+    for c, s, up, down in parts:
+        num = qp_add(num, qp_cyclotomic_mul(
+            {s: c}, multisets.total(up, multisets.minus(lcm, down))))
+    got = qrat_over_cyclotomics(num, lcm)
+    if got is None:
+        got = qrat(num, qp_cyclotomic_mul(QP_ONE, lcm))
+    return got
 
 
 def qnum(n):

@@ -15,6 +15,8 @@ to a Scalar once the multiplicities cancel.
 
 from fractions import Fraction
 
+from .coeffs import minus_one_pow
+from .lattice import to_units
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -23,7 +25,9 @@ from .scalar import (
     qdiff,
     qfact,
     qpow,
+    qrat_qfact_sum,
     sc_coeff,
+    sc_from_qrat,
     sqrt_qdiff,
     sqrt_qfact,
     sqrt_qint,
@@ -143,22 +147,20 @@ def _three_j(j1, j2, j3, m1, m2, m3):
         * sqrt_qfact(j3 + m3)
         * sqrt_qfact(j3 - m3)
     )
-    total = SC_ZERO
+    terms = []
     plo = max(0, j1 - j3 - m2, j2 + m1 - j3)
     phi_ = min(j1 + j2 - j3, j2 - m2, j1 + m1)
     p = int(plo)
     while p <= phi_:
-        den = (
-            qfact(p)
-            * qfact(j1 + j2 - j3 - p)
-            * qfact(j2 - m2 - p)
-            * qfact(j1 + m1 - p)
-            * qfact(j3 - j1 + m2 + p)
-            * qfact(j3 - j2 - m1 + p)
-        )
-        total = total + phase(p) * qpow(p * (j1 + j2 + j3 + 1)) / den
+        terms.append((
+            minus_one_pow(p),
+            to_units(p * (j1 + j2 + j3 + 1)),
+            (),
+            (p, j1 + j2 - j3 - p, j2 - m2 - p, j1 + m1 - p,
+             j3 - j1 + m2 + p, j3 - j2 - m1 + p),
+        ))
         p += 1
-    return delta * pref * root * total
+    return delta * pref * root * sc_from_qrat(qrat_qfact_sum(terms))
 
 
 def cg(j1, m1, j2, m2, j3, m3):
@@ -187,17 +189,17 @@ def six_j(j1, j2, j3, j4, j5, j6):
     zlo = max(sum(t) for t in triads)
     zhi = min(sum(b) for b in boxes)
     assert _is_int(zlo) and _is_int(zhi)
-    total = SC_ZERO
+    terms = []
     z = int(zlo)
     while z <= zhi:
-        den = SC_ONE
-        for t in triads:
-            den = den * qfact(z - sum(t))
-        for b in boxes:
-            den = den * qfact(sum(b) - z)
-        total = total + phase(z) * qfact(z + 1) / den
+        terms.append((
+            minus_one_pow(z),
+            0,
+            (z + 1,),
+            [z - sum(t) for t in triads] + [sum(b) - z for b in boxes],
+        ))
         z += 1
-    return pref * total
+    return pref * sc_from_qrat(qrat_qfact_sum(terms))
 
 
 def six_j_brute(j1, j2, j12, j3, jtot, j23):

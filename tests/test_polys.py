@@ -431,7 +431,7 @@ def inflate_x(a, kv=1, ku=1):
     """a(u**ku, v**kv) for an XPoly a."""
     def up(p):
         return {ku * e: c for e, c in p.items()}
-    return {kv * k: QRat(up(c.num), up(c.den)) for k, c in a.items()}
+    return {kv * k: qrat(up(c.num), up(c.den)) for k, c in a.items()}
 
 
 def inflate_q(a, k):
