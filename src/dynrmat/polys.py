@@ -370,8 +370,8 @@ def _phi_u(d):
 
 
 def _q_dense(t0):
-    """t0, a QPoly with minimum exponent 0, as a dense list in Q; None unless
-    every coefficient is an integer and every exponent a multiple of Q_DEG."""
+    """t0, a QPoly with minimum exponent 0, as a dense list in Q, or None
+    unless every exponent is a multiple of Q_DEG."""
     top = max(t0)
     if top % Q_DEG:
         return None
@@ -379,17 +379,14 @@ def _q_dense(t0):
     for e, c in t0.items():
         if e % Q_DEG:
             return None
-        if type(c) is not int:
-            if type(c) is not Fraction or c.denominator != 1:
-                return None
-            c = c.numerator
-        out[e // Q_DEG] = c
+        out[e // Q_DEG] = c if type(c) is int else demote(c)
     return out
 
 
 def _q_sparse(t, s=0):
     # the QPoly u**s * t(u**Q_DEG) of a dense list t
-    return {Q_DEG * i + s: c for i, c in enumerate(t) if c}
+    return {Q_DEG * i + s: c if type(c) is int else demote(c)
+            for i, c in enumerate(t) if c}
 
 
 def _totient(d):
@@ -428,7 +425,8 @@ def _factor(d0):
     if len(d0) == 1:
         return NO_FACTORS
     t = _q_dense(d0)
-    if t is None or (t[::-1] != t and t[::-1] != [-c for c in t]):
+    if (t is None or any(type(c) is not int for c in t)
+            or (t[::-1] != t and t[::-1] != [-c for c in t])):
         return None
     fac = {}
     limit = _max_index(len(t) - 1)
@@ -449,18 +447,23 @@ def _factor(d0):
 
 def _cancel(t, fac):
     """(t / g, g) for g the largest product of cyclotomic factors from the
-    multiset `fac` that divides t, with g as a multiset; None unless t is,
-    after stripping, a polynomial in u**Q_DEG with int coefficients.
+    multiset `fac` that divides t, with g as a multiset; None if t is not,
+    after stripping, a polynomial in u**Q_DEG, or if a factor of `fac` may
+    split over the coefficients of t.
 
-    Then the gcd of t with Phi_d(u**Q_DEG) over Q(z8)[u] is the gcd of the
-    deflated t with the irreducible Phi_d(Q) over Q, inflated again (polys.py
-    docstring), so it is Phi_d(u**Q_DEG) or 1 and exact division decides.
+    Then the gcd of t with Phi_d(u**Q_DEG) is the gcd of the deflated t with
+    Phi_d(Q), inflated again (module docstring).  Phi_d(Q) is irreducible
+    over Q, and over Q(z8) unless 4 divides d (Q(z8) meets the field of the
+    d-th roots of unity in the field of the gcd(d, 8)-th ones); so where it
+    is irreducible that gcd is Phi_d(u**Q_DEG) or 1, and exact division
+    decides.
     """
     t0, st = qp_strip(t)
     if len(t0) == 1:
         return t, NO_FACTORS
     dense = _q_dense(t0)
-    if dense is None:
+    if dense is None or (any(d % 4 == 0 for d in fac)
+                         and any(type(c) is Cyclo for c in dense)):
         return None
     removed = {}
     for d, m in fac.items():
@@ -586,9 +589,8 @@ class QRat:
 
 
 def _add_factored(na, fa, nb, fb):
-    """na/fa + nb/fb, or None if a numerator that could cancel is not a
-    polynomial in u**Q_DEG with int coefficients.  Only factors of equal
-    multiplicity in fa and fb can cancel from the sum."""
+    """na/fa + nb/fb, or None if _cancel declines the sum.  Only factors of
+    equal multiplicity in fa and fb can cancel from it."""
     if fa == fb:
         t = qp_add(na, nb)
         if not t:
@@ -612,9 +614,8 @@ def _add_factored(na, fa, nb, fb):
 
 
 def _mul_factored(na, fa, nb, fb):
-    """(na/fa) * (nb/fb), or None if a numerator that could cancel is not a
-    polynomial in u**Q_DEG with int coefficients.  Each numerator can only
-    cancel the other's factors."""
+    """(na/fa) * (nb/fb), or None if _cancel declines a numerator.  Each
+    numerator can only cancel the other's factors."""
     if fb:
         got = _cancel(na, fb)
         if got is None:
@@ -638,9 +639,10 @@ def _from_parts(num, den):
     return QRat(num, fac)
 
 
-# The generic path: a Cyclo or Fraction coefficient, a numerator that is no
-# polynomial in u**Q_DEG, or a denominator that is no product of cyclotomic
-# factors.  It cancels by qp_gcd, and its result is factored again.
+# The generic path: a numerator that is no polynomial in u**Q_DEG, a Cyclo
+# coefficient against a factor Phi_d with 4 | d, or a denominator that is no
+# product of cyclotomic factors.  It cancels by qp_gcd, and its result is
+# factored again.
 
 
 def _add_generic(na, da, nb, db):
@@ -701,8 +703,7 @@ def qrat(num, den=QP_ONE):
 
 def qrat_over_cyclotomics(num, fac):
     """The canonical QRat num / prod Phi_d(q**2)**m over the multiset `fac`
-    {d: m}, or None if num is not, after stripping, a polynomial in
-    u**Q_DEG with int coefficients while fac is not empty."""
+    {d: m}, or None if _cancel declines num."""
     if not num:
         return QRAT_ZERO
     if fac:

@@ -24,6 +24,7 @@ from dynrmat.polys import (
     _qp_to_zu,
     _xp_gcd_heuristic,
     _xp_image_gcd_degree,
+    _xp_image_point,
     _xp_to_zuv,
     _zuv_div_exact,
     qp_add,
@@ -116,6 +117,20 @@ def test_heuristic_accepts_only_the_image_degree():
     assert _xp_gcd_heuristic(a0, b0, 16) is not None
     assert _xp_gcd_heuristic(a0, b0, 8) is None
     assert _xp_gcd_heuristic(a0, b0, 24) is None
+
+
+def test_image_point_depends_only_on_the_operands():
+    # the same operands give the same point whatever ran before, and
+    # whatever order their dicts were built in
+    a, b = xp_strip(P)[0], xp_strip(Q)[0]
+    first = _xp_image_point(a, b, 0)
+    check(product(bracket(1), P), product(bracket(1), Q))
+    assert _xp_image_point(a, b, 0) == first
+    backwards = {k: qr(dict(reversed(list(c.num.items()))))
+                 for k, c in reversed(list(a.items()))}
+    assert _xp_image_point(backwards, b, 0) == first
+    assert _xp_image_point(a, b, 1) != first
+    assert not hasattr(polys, "_RNG")
 
 
 def test_integer_division_rejects_non_divisors():

@@ -32,10 +32,24 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat import polys
 from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
-from dynrmat.polys import QP_ONE, qp_add, qp_mul, qrat, qrat_const, qrat_qpow
+from dynrmat.polys import (
+    QP_ONE,
+    Q_DEG,
+    cyclotomic,
+    qp_add,
+    qp_cyclotomic_mul,
+    qp_mul,
+    qp_shift,
+    qrat,
+    qrat_const,
+    qrat_qpow,
+)
 from dynrmat.ratfunc import qdiff_qrat
-from dynrmat.scalar import qrat_qfact, qrat_qnum
+from dynrmat.scalar import qfact_factors, qrat_qfact, qrat_qfact_sum, qrat_qnum
+from dynrmat.suite import default_manifest
+from dynrmat.symbols import verify_symbol_relation
 
 sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")
@@ -371,3 +385,117 @@ def test_cyclo_numerator_cancels_over_q_z8():
     i = make_coeff(0, 0, 1, 0)
     r = qrat({8: 1, 0: i}, {16: 1, 0: 1})
     assert r.num == {0: 1} and r.den == {8: 1, 0: -i}
+
+
+# ------------------------------------------------------- cyclotomic kit ----
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    Qs = sp.Symbol("Q")
+    for d in range(1, 41):
+        want = sp.Poly(sp.cyclotomic_poly(d, Qs), Qs).all_coeffs()[::-1]
+        assert cyclotomic(d)[0] == [int(c) for c in want]
+
+
+def test_max_index_bounds_every_index_of_small_totient():
+    for n in range(1, 61):
+        limit = polys._max_index(n)
+        for d in range(limit + 1, 4 * limit):
+            assert sp.totient(d) > n, (n, d)
+        assert all(polys._totient(d) == sp.totient(d) for d in range(1, 200))
+
+
+def test_factor_recovers_products_of_cyclotomic_factors():
+    @SETTINGS
+    @hyp.given(st.dictionaries(st.integers(1, 30), st.integers(1, 3),
+                               max_size=4))
+    def run(fac):
+        assert polys._factor(qp_cyclotomic_mul(QP_ONE, fac)) == fac
+
+    run()
+
+
+@pytest.mark.parametrize("den", [
+    {16: 1, 8: 3, 0: 1},  # q**4 + 3 q**2 + 1, its own reverse
+    {32: 1, 24: -1, 16: -1, 8: -1, 0: 1},  # Phi_10(q**2) with one sign off
+    {8: 1, 0: 2},  # q**2 + 2
+    {4: 1, 0: 1},  # q + 1, no polynomial in q**2
+    {8: 1, 0: F(1, 2)},  # not integral
+])
+def test_factor_rejects_other_denominators(den):
+    assert polys._factor(den) is None
+
+
+def test_qfact_factors_expand_to_the_q_factorial():
+    for n in range(0, 9):
+        s, fac = qfact_factors(n)
+        assert qp_shift(qp_cyclotomic_mul(QP_ONE, fac), s) == qrat_qfact(n).num
+
+
+def test_qfact_sum_matches_term_by_term_arithmetic():
+    term = st.tuples(
+        st.sampled_from([1, -1, 2]),
+        st.sampled_from([-Q_DEG, 0, Q_DEG, 2 * Q_DEG]),
+        st.lists(st.integers(0, 5), max_size=2),
+        st.lists(st.integers(0, 5), max_size=3),
+    )
+
+    @SETTINGS
+    @hyp.given(st.lists(term, min_size=1, max_size=4))
+    def run(terms):
+        want = qrat_const(0)
+        for c, s, ns, ds in terms:
+            t = qrat_const(c) * qrat_qpow(s)
+            for n in ns:
+                t = t * qrat_qfact(n)
+            for a in ds:
+                t = t / qrat_qfact(a)
+            want = want + t
+        assert qrat_qfact_sum(terms) == want
+
+    run()
+
+
+# ------------------------------------------------------------ fallback ----
+
+
+def test_cyclo_numerator_over_phi8_reaches_the_generic_gcd(monkeypatch):
+    # Phi_8(q**2) = q**8 + 1 splits over Q(z8), so q**2 - z8 against [8],
+    # which carries Phi_8(q**2), takes qp_gcd, and the gcd cancels one of
+    # its linear factors
+    calls = []
+    qp_gcd = polys.qp_gcd
+
+    def spy(a, b):
+        calls.append(1)
+        return qp_gcd(a, b)
+
+    monkeypatch.setattr(polys, "qp_gcd", spy)
+    z8 = make_coeff(0, 1, 0, 0)
+    a = dict(_ONE_SPEC, lin=[(-z8, 0)])
+    b = dict(_ONE_SPEC, den=[("int", 8)])
+    ra, rb = build(a), build(b)
+    assert rb.fac == {2: 1, 4: 1, 8: 1}
+    calls.clear()
+    r = ra * rb
+    assert calls
+    assert_canonical(r, oracle([a, b], BINARY["mul"]))
+    assert r.fac is None and len(r.den) == 7
+
+
+GUARDED = [("RECOUPLING", (1, 1, 1)), ("RECOUPLING", (F(3, 2),) * 3)] + [
+    (e.relation, e.spins) for e in default_manifest() if e.family == "symbols"
+]
+
+
+@pytest.mark.parametrize("relation,spins", GUARDED,
+                         ids=["%s%s" % (r, tuple(map(str, s))) for r, s in GUARDED])
+def test_symbol_relations_never_reach_the_generic_gcd(monkeypatch, relation, spins):
+    # every q-denominator of these checks is a product of cyclotomic factors
+    # that stay irreducible over the numerators' coefficients, and every
+    # numerator is a polynomial in q**2 after stripping
+    def refuse(a, b):
+        raise AssertionError("generic q-level gcd reached")
+
+    monkeypatch.setattr(polys, "qp_gcd", refuse)
+    assert verify_symbol_relation(relation, spins).ok
