@@ -12,40 +12,43 @@ fraction field of XPolys lives in ratfunc.py.
 
 Canonical form of a fraction: numerator and denominator coprime (monic
 Euclidean gcd on the unit-stripped parts), denominator with minimum exponent
-zero and leading coefficient one.  Structural equality of the dicts is then
-value equality, which is what every verifier in this package leans on.
+zero and leading coefficient one.  Structural equality is then value
+equality, which is what every verifier in this package leans on.
 
-Gcds dominate the cost, and Euclid with Fraction arithmetic swells its
-intermediate coefficients, so qp_gcd and xp_gcd decide the same way.  Both
-first deflate: when k divides every exponent of both operands, they are
-A(t**k) and B(t**k), and their gcd is gcd(A, B)(t**k), because Euclid on A
-and B and Euclid on A(t**k) and B(t**k) take the same steps.  So the gcd runs
-on A and B and its result is inflated again.  This pays at both levels:
-q-integers are polynomials in q**2 = u**8, and the x-brackets
-x q**c - x**-1 q**-c make every x-level operand a polynomial in
-x**2 = v**8.  At the x level the u of integer rows is deflated too, which is
-sound because u -> u**k embeds Q(u) in itself.  Then they map the operands
-into GF(p) for p = 998244353, a prime with p = 1 mod 8 so the eighth-root
-coefficients embed (3 is a primitive root, hence pow(3, (p-1)//8, p) has
-order eight).  If the images keep their degrees, the degree of their gcd is
-an upper bound on the degree of the exact gcd, and a bound of zero proves
-the operands coprime.  When both operands have integer coefficients (in Z[u]
-at the q level, in Z[u^±1][v] at the x level), the usual case for
-q-integers, couplings and exchange matrices, a candidate is then computed by
-GCDHEU (Char, Geddes and Gonnet 1989) from integer gcds and kept only if its
-degree meets that bound and it divides both operands exactly.  Every other
-outcome runs Euclid over the coefficient field.  The monic gcd is unique, so
-neither the deflation nor the shortcuts can change a result, only the time
-it takes.  Every gcd returns its cofactors too, so callers never divide
-twice.
+Both levels keep the denominators the package builds factored, as multisets
+of irreducible factors (multisets.py), and cancel by exact division by the
+factors that can cancel:
+- q level: the cyclotomic polynomials Phi_d(Q) in Q = q**2 = u**8, since
+  q-integers, q-factorials and q - 1/q are monomials times products of them.
+  A numerator that is a polynomial in u**8 shares with Phi_d(u**8) either
+  all of it or nothing, wherever Phi_d(Q) stays irreducible over the
+  numerator's coefficients (over Q always, over Q(z8) unless 4 divides d).
+- x level: the binomials y - u**e in y = x**2 = v**8, which the x-brackets
+  x q**c - x**-1 q**-c put into every x-denominator.  Each is linear in y.
+  A GF(p) image at a fixed point rules a binomial out, and exact synthetic
+  division rules it in (the binomial kit below).
+Both rest on deflation: when k divides every exponent of two polynomials,
+they are A(t**k) and B(t**k), and their gcd is gcd(A, B)(t**k), because
+Euclid on A and B and Euclid on A(t**k) and B(t**k) take the same steps.
 
-At the x level that gcd is only the fallback.  The x-denominators the
-package builds are products of binomials y - u**e with y = v**8, which
-ratfunc.py keeps factored and cancels by the binomial kit below: a GF(p)
-image at a fixed point rules a binomial out, and exact synthetic division
-rules it in.  xp_gcd runs only for a numerator that is not a polynomial in y
-or a denominator that is no product of binomials, which no manifest entry
-and no GNF check of the benchmark produces.
+The gcds qp_gcd and xp_gcd are the fallback only: for a numerator that is
+no polynomial in u**8 (in y), a Cyclo numerator against a factor Phi_d with
+4 | d, or a denominator that is no product of the factors.  No manifest
+entry and no GNF or recoupling check of the benchmark reaches either.  Both
+decide the same way.  They deflate first (at the x level the u of integer
+rows too, which is sound because u -> u**k embeds Q(u) in itself).  Then
+they map the operands into GF(p) for p = 998244353, a prime with p = 1 mod 8
+so the eighth-root coefficients embed (3 is a primitive root, hence
+pow(3, (p-1)//8, p) has order eight).  If the images keep their degrees, the
+degree of their gcd is an upper bound on the degree of the exact gcd, and a
+bound of zero proves the operands coprime.  When both operands have integer
+coefficients (in Z[u] at the q level, in Z[u^+-1][v] at the x level), a
+candidate is then computed by GCDHEU (Char, Geddes and Gonnet 1989) from
+integer gcds and kept only if its degree meets that bound and it divides
+both operands exactly.  Every other outcome runs Euclid over the coefficient
+field.  The monic gcd is unique, so neither the factored path, the deflation
+nor the shortcuts can change a result, only the time it takes.  Every gcd
+returns its cofactors too, so callers never divide twice.
 """
 
 import math
@@ -53,9 +56,9 @@ import zlib
 from fractions import Fraction
 from itertools import chain
 
+from . import multisets
 from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
 from .lattice import DENOM, LatticeError
-from . import multisets
 from .multisets import NO_FACTORS, Alphabet
 
 _F1 = Fraction(1)
@@ -693,9 +696,10 @@ def qrat(num, den=QP_ONE):
         d0 = qp_scale(d0, inv)
     fac = _factor(d0)
     if fac is not None:
-        got = qrat_over_cyclotomics(qp_shift(n0, sn - sd), fac)
+        got = _cancel(n0, fac) if fac else (n0, NO_FACTORS)
         if got is not None:
-            return got
+            n0, removed = got
+            return QRat(qp_shift(n0, sn - sd), multisets.minus(fac, removed))
     if len(n0) > 1 and len(d0) > 1:
         _, n0, d0 = qp_gcd(n0, d0)
     return _from_parts(qp_shift(n0, sn - sd), d0)
@@ -703,16 +707,14 @@ def qrat(num, den=QP_ONE):
 
 def qrat_over_cyclotomics(num, fac):
     """The canonical QRat num / prod Phi_d(q**2)**m over the multiset `fac`
-    {d: m}, or None if _cancel declines num."""
+    {d: m}."""
     if not num:
         return QRAT_ZERO
-    if fac:
-        got = _cancel(num, fac)
-        if got is None:
-            return None
-        num, removed = got
-        fac = multisets.minus(fac, removed)
-    return QRat(num, fac)
+    got = _cancel(num, fac) if fac else (num, NO_FACTORS)
+    if got is None:
+        return qrat(num, _CYCLOTOMICS.times(QP_ONE, fac))
+    num, removed = got
+    return QRat(num, multisets.minus(fac, removed))
 
 
 QRAT_ZERO = QRat(QP_ZERO, NO_FACTORS)

@@ -17,9 +17,9 @@ safety net on top, never the proof.
 
 from fractions import Fraction
 
+from . import multisets
 from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
 from .lattice import DENOM, LatticeError, from_units, to_units
-from . import multisets
 from .multisets import NO_FACTORS
 from .polys import (
     QP_ONE,
@@ -506,10 +506,7 @@ def qrat_qfact_sum(terms):
     for c, s, up, down in parts:
         num = qp_add(num, qp_cyclotomic_mul(
             {s: c}, multisets.total(up, multisets.minus(lcm, down))))
-    got = qrat_over_cyclotomics(num, lcm)
-    if got is None:
-        got = qrat(num, qp_cyclotomic_mul(QP_ONE, lcm))
-    return got
+    return qrat_over_cyclotomics(num, lcm)
 
 
 def qnum(n):
