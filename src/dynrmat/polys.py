@@ -323,8 +323,8 @@ def qp_eval_complex(a, u0):
 # monomials times products of them:
 #     [n] = q**-(n-1) * prod(Phi_d(q**2), d | n, d > 1),
 #     q - 1/q = q**-1 * Phi_1(q**2).
-# Integer polynomials in Q are handled dense here, as lists of coefficients
-# from Q**0 up.
+# Polynomials in Q are handled dense here, as lists of coefficients from
+# Q**0 up.
 
 Q_DEG = 2 * DENOM
 
@@ -333,9 +333,9 @@ _PHI_U = {}  # d -> Phi_d(u**Q_DEG) as a QPoly
 
 
 def _dense_div(t, phi):
-    """t / Phi_d for a dense integer polynomial t, or None if Phi_d does not
-    divide t; `phi` is a value of _PHI.  Synthetic division by a monic
-    divisor, so the quotient has integer coefficients."""
+    """t / Phi_d for a dense polynomial t, or None if Phi_d does not divide
+    t; `phi` is a value of _PHI.  Synthetic division by a monic divisor, so
+    integer coefficients stay integers."""
     c, low = phi
     k = len(c) - 1
     top = len(t) - 1 - k
