@@ -485,7 +485,8 @@ def _cancel(t, fac):
     return _q_sparse(dense, st), removed
 
 
-_CYCLOTOMICS = Alphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
+# QPolys times cyclotomic factors, and expanded q-denominators
+CYCLOTOMICS = Alphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
 
 
 # ----------------------------------------------------------------- QRat ----
@@ -511,7 +512,7 @@ class QRat:
     @property
     def den(self):
         if self._den is None:
-            self._den = _CYCLOTOMICS.expand(self.fac)
+            self._den = CYCLOTOMICS.expand(self.fac)
         return self._den
 
     def __bool__(self):
@@ -547,8 +548,12 @@ class QRat:
             return other
         if not other.num:
             return self
-        if self.fac is not None and other.fac is not None:
-            got = _add_factored(self.num, self.fac, other.num, other.fac)
+        fa, fb = self.fac, other.fac
+        if fa == NO_FACTORS == fb:
+            t = qp_add(self.num, other.num)
+            return QRat(t, NO_FACTORS) if t else QRAT_ZERO
+        if fa is not None and fb is not None:
+            got = _add_factored(self.num, fa, other.num, fb)
             if got is not None:
                 return got
         return _add_generic(self.num, self.den, other.num, other.den)
@@ -567,8 +572,11 @@ class QRat:
             return other
         if other is QRAT_ONE:
             return self
-        if self.fac is not None and other.fac is not None:
-            got = _mul_factored(self.num, self.fac, other.num, other.fac)
+        fa, fb = self.fac, other.fac
+        if fa == NO_FACTORS == fb:
+            return QRat(qp_mul(self.num, other.num), NO_FACTORS)
+        if fa is not None and fb is not None:
+            got = _mul_factored(self.num, fa, other.num, fb)
             if got is not None:
                 return got
         return _mul_generic(self.num, self.den, other.num, other.den)
@@ -601,8 +609,8 @@ def _add_factored(na, fa, nb, fb):
         tied = lcm = fa
     else:
         common = multisets.common(fa, fb)
-        t = qp_add(_CYCLOTOMICS.times(na, multisets.minus(fb, common)),
-                   _CYCLOTOMICS.times(nb, multisets.minus(fa, common)))
+        t = qp_add(CYCLOTOMICS.times(na, multisets.minus(fb, common)),
+                   CYCLOTOMICS.times(nb, multisets.minus(fa, common)))
         if not t:
             return QRAT_ZERO
         tied = multisets.tied(fa, fb)
@@ -712,7 +720,7 @@ def qrat_over_cyclotomics(num, fac):
         return QRAT_ZERO
     got = _cancel(num, fac) if fac else (num, NO_FACTORS)
     if got is None:
-        return qrat(num, _CYCLOTOMICS.times(QP_ONE, fac))
+        return qrat(num, CYCLOTOMICS.times(QP_ONE, fac))
     num, removed = got
     return QRat(num, multisets.minus(fac, removed))
 
@@ -741,11 +749,6 @@ def qrat_monomial_mul(qr, s):
     if not s or not qr.num:
         return qr
     return QRat(qp_shift(qr.num, s), qr.fac, qr._den)
-
-
-def qp_cyclotomic_mul(a, fac):
-    """The QPoly a times the cyclotomic factors of the multiset `fac`."""
-    return _CYCLOTOMICS.times(a, fac)
 
 
 def qrat_eval_complex(qr, u0):

@@ -22,13 +22,13 @@ from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
 from .lattice import DENOM, LatticeError, from_units, to_units
 from .multisets import NO_FACTORS
 from .polys import (
+    CYCLOTOMICS,
     QP_ONE,
     QP_ZERO,
     QRAT_ONE,
     QRAT_ZERO,
     QRat,
     qp_add,
-    qp_cyclotomic_mul,
     qrat,
     qrat_const,
     qrat_monomial_mul,
@@ -504,7 +504,7 @@ def qrat_qfact_sum(terms):
         lcm = multisets.lcm(lcm, down)
     num = QP_ZERO
     for c, s, up, down in parts:
-        num = qp_add(num, qp_cyclotomic_mul(
+        num = qp_add(num, CYCLOTOMICS.times(
             {s: c}, multisets.total(up, multisets.minus(lcm, down))))
     return qrat_over_cyclotomics(num, lcm)
 

@@ -35,11 +35,11 @@ import pytest
 from dynrmat import polys
 from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
 from dynrmat.polys import (
+    CYCLOTOMICS,
     QP_ONE,
     Q_DEG,
     cyclotomic,
     qp_add,
-    qp_cyclotomic_mul,
     qp_mul,
     qp_shift,
     qrat,
@@ -410,7 +410,7 @@ def test_factor_recovers_products_of_cyclotomic_factors():
     @hyp.given(st.dictionaries(st.integers(1, 30), st.integers(1, 3),
                                max_size=4))
     def run(fac):
-        assert polys._factor(qp_cyclotomic_mul(QP_ONE, fac)) == fac
+        assert polys._factor(CYCLOTOMICS.times(QP_ONE, fac)) == fac
 
     run()
 
@@ -429,7 +429,7 @@ def test_factor_rejects_other_denominators(den):
 def test_qfact_factors_expand_to_the_q_factorial():
     for n in range(0, 9):
         s, fac = qfact_factors(n)
-        assert qp_shift(qp_cyclotomic_mul(QP_ONE, fac), s) == qrat_qfact(n).num
+        assert qp_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == qrat_qfact(n).num
 
 
 def test_qfact_sum_matches_term_by_term_arithmetic():
