@@ -42,9 +42,11 @@ def common(a, b):
 def tied(a, b):
     """The factors of equal multiplicity in a and b.
 
-    Only these can cancel from the sum n/a + n'/b of two canonical fractions:
-    a factor with more weight in a than in b leaves n * (b/gcd(a, b)) in the
-    numerator of the sum coprime to it, plus a multiple of it.
+    Only these can cancel from the sum n/a + n'/b of two canonical fractions.
+    Its numerator is n (b/g) + n' (a/g) with g = gcd(a, b), and a factor
+    with more weight in a than in b divides the second term but not the
+    first (n is coprime to a, and distinct factors are coprime), so it does
+    not divide the sum; likewise with a and b swapped.
     """
     return {f: m for f, m in a.items() if b.get(f) == m}
 
