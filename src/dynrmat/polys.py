@@ -1,14 +1,22 @@
-"""Layered exact Laurent-polynomial arithmetic.
+"""Layered exact Laurent-polynomial arithmetic and its canonical fractions.
 
-Level one: a QPoly is a Laurent polynomial in u = q**(1/D), stored as a dict
-mapping integer u-exponents to nonzero coefficients (int, Fraction or
-Cyclo).  Integral rationals are stored as int where they are made (see
-coeffs.py), so integer polynomials multiply in int arithmetic; an integral
-Fraction that slips through is still correct, because equal values compare
-and hash equal whatever their type.
-Level two: a QRat is a canonical fraction of two QPolys.  Level three: an
-XPoly is a Laurent polynomial in v = x**(1/D) with QRat coefficients.  The
-fraction field of XPolys lives in ratfunc.py.
+A Laurent polynomial is a dict mapping integer exponents to nonzero
+coefficients; poly_add, poly_neg, poly_sub, poly_shift and poly_strip serve
+every level.  Level one: a QPoly is a Laurent polynomial in u = q**(1/D) with
+int, Fraction or Cyclo coefficients.  Integral rationals are stored as int
+where they are made (see coeffs.py), so integer polynomials multiply in int
+arithmetic; an integral Fraction that slips through is still correct, because
+equal values compare and hash equal whatever their type.  Level two: a QRat
+is a canonical fraction of two QPolys.  Level three: an XPoly is a Laurent
+polynomial in v = x**(1/D) with QRat coefficients, and a RationalFunction
+(ratfunc.py) is a canonical fraction of two XPolys.
+
+Both fraction levels are one class, CanonicalFraction, which holds their
+arithmetic once.  A level supplies only what differs: its polynomial product
+and scale, its polynomial one, its coefficient one and the inverse of a
+coefficient, its factor alphabet, how it factors a denominator and cancels
+factors from a numerator, and its gcd.  Fractions of different levels do not
+mix.
 
 Canonical form of a fraction: numerator and denominator coprime (monic
 Euclidean gcd on the unit-stripped parts), denominator with minimum exponent
@@ -35,20 +43,23 @@ The gcds qp_gcd and xp_gcd are the fallback only: for a numerator that is
 no polynomial in u**8 (in y), a Cyclo numerator against a factor Phi_d with
 4 | d, or a denominator that is no product of the factors.  No manifest
 entry and no GNF or recoupling check of the benchmark reaches either.  Both
-decide the same way.  They deflate first (at the x level the u of integer
-rows too, which is sound because u -> u**k embeds Q(u) in itself).  Then
-they map the operands into GF(p) for p = 998244353, a prime with p = 1 mod 8
-so the eighth-root coefficients embed (3 is a primitive root, hence
-pow(3, (p-1)//8, p) has order eight).  If the images keep their degrees, the
-degree of their gcd is an upper bound on the degree of the exact gcd, and a
-bound of zero proves the operands coprime.  When both operands have integer
-coefficients (in Z[u] at the q level, in Z[u^+-1][v] at the x level), a
-candidate is then computed by GCDHEU (Char, Geddes and Gonnet 1989) from
-integer gcds and kept only if its degree meets that bound and it divides
-both operands exactly.  Every other outcome runs Euclid over the coefficient
-field.  The monic gcd is unique, so neither the factored path, the deflation
-nor the shortcuts can change a result, only the time it takes.  Every gcd
-returns its cofactors too, so callers never divide twice.
+deflate first (at the x level the u of integer rows too, which is sound
+because u -> u**k embeds Q(u) in itself).  Then they map the operands into
+GF(p) for p = 998244353, a prime with p = 1 mod 8 so the eighth-root
+coefficients embed (3 is a primitive root, hence pow(3, (p-1)//8, p) has
+order eight).  If the images keep their degrees, the degree of their gcd is
+an upper bound on the degree of the exact gcd, and a bound of zero proves the
+operands coprime.  At the x level, when both operands have integer
+coefficients in Z[u^+-1][v], a candidate is then computed by GCDHEU (Char,
+Geddes and Gonnet 1989) from integer gcds and kept only if its degree meets
+that bound and it divides both operands exactly; it decides the integer
+operands on which Euclid over Q(u) swells.  Every other outcome runs Euclid
+over the coefficient field.  The q level has no GCDHEU stage: no check of
+the package reaches qp_gcd, and the one kind of operand the factored path is
+known to send there, a Cyclo numerator against Phi_d with 4 | d, is outside
+GCDHEU's integers anyway.  The monic gcd is unique, so neither the factored path,
+the deflation nor the shortcuts can change a result, only the time it takes.
+Every gcd returns its cofactors too, so callers never divide twice.
 """
 
 import math
@@ -70,15 +81,10 @@ QP_ZERO = {}
 QP_ONE = {0: 1}
 
 
-# ---------------------------------------------------------------- QPoly ----
+# ---------------------------------------------------- Laurent polynomials ----
 
 
-def qp_const(c):
-    c = demote(c)
-    return {0: c} if c else {}
-
-
-def qp_add(a, b):
+def poly_add(a, b):
     if not a:
         return b
     if not b:
@@ -97,14 +103,36 @@ def qp_add(a, b):
     return out
 
 
-def qp_neg(a):
+def poly_neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def qp_sub(a, b):
+def poly_sub(a, b):
     if not b:
         return a
-    return qp_add(a, qp_neg(b))
+    return poly_add(a, poly_neg(b))
+
+
+def poly_shift(a, s):
+    if not s:
+        return a
+    return {e + s: c for e, c in a.items()}
+
+
+def poly_strip(a):
+    """(min-exponent-zero copy, stripped exponent)."""
+    s = min(a)
+    if s:
+        return {e - s: c for e, c in a.items()}, s
+    return a, 0
+
+
+# ---------------------------------------------------------------- QPoly ----
+
+
+def qp_const(c):
+    c = demote(c)
+    return {0: c} if c else {}
 
 
 def qp_scale(a, c):
@@ -119,21 +147,15 @@ def qp_scale(a, c):
     return {e: v * c for e, v in a.items()}
 
 
-def qp_shift(a, s):
-    if not s:
-        return a
-    return {e + s: c for e, c in a.items()}
-
-
 def qp_mul(a, b):
     if not a or not b:
         return QP_ZERO
     if len(a) == 1:
         (e, c), = a.items()
-        return qp_shift(qp_scale(b, c), e)
+        return poly_shift(qp_scale(b, c), e)
     if len(b) == 1:
         (e, c), = b.items()
-        return qp_shift(qp_scale(a, c), e)
+        return poly_shift(qp_scale(a, c), e)
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -149,14 +171,6 @@ def qp_mul(a, b):
                 else:
                     del out[e]
     return out
-
-
-def qp_strip(a):
-    """(min-exponent-zero copy, stripped exponent)."""
-    s = min(a)
-    if s:
-        return {e - s: c for e, c in a.items()}, s
-    return a, 0
 
 
 def qp_divmod(a, b):
@@ -250,62 +264,32 @@ def _qp_image_gcd_degree(a0, b0):
     return max(_gfp_gcd(am, bm))
 
 
-def _qp_gcd_heuristic(a0, b0, degree):
-    """(g, a0/g, b0/g) from the first GCDHEU candidate of degree `degree`
-    that divides both operands exactly (stage 2 of qp_gcd), or None."""
-    a = _qp_to_zu(a0)
-    b = _qp_to_zu(b0)
-    if a is None or b is None:
-        return None
-    for g in _zu_gcdheu(a, b):
-        if not g or max(g) != degree:
-            continue
-        qa = _zu_div_exact(a, g)
-        qb = _zu_div_exact(b, g) if qa is not None else None
-        if qb is None:
-            continue
-        # a0 = g * qa, and the monic gcd is g / lc(g)
-        lead = g[degree]
-        return qp_monic(g), qp_scale(qa, lead), qp_scale(qb, lead)
-    return None
-
-
 def qp_gcd(a, b):
     """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
     two nonzero QPolys, and the cofactors.
 
     With k the gcd of all exponents, a0 = A(u**k) and b0 = B(u**k), and the
     gcd is gcd(A, B)(u**k); so the stages run on A and B, and the gcd and
-    cofactors are inflated by k on the way out.  Three stages, the first
-    that decides wins:
-    1. The GF(p) image gcd, when both images keep their degrees.  Its degree
-       d bounds the exact gcd degree from above, and d = 0 proves the
-       operands coprime.
-    2. If every coefficient is an integer, GCDHEU candidates G in Z[u].  A
-       candidate of degree d that divides both operands exactly is a common
-       divisor of the largest possible degree, hence the gcd up to a
-       constant; G / lc(G) is the monic gcd and the division quotients give
-       the cofactors.
-    3. Euclid over Q(z8), then exact division for the cofactors.
+    cofactors are inflated by k on the way out.  Two stages, the first that
+    decides wins:
+    1. The GF(p) image gcd, when both images keep their degrees.  Degree 0
+       proves the operands coprime.
+    2. Euclid over Q(z8), then exact division for the cofactors.
     """
-    a0, _ = qp_strip(a)
-    b0, _ = qp_strip(b)
+    a0, _ = poly_strip(a)
+    b0, _ = poly_strip(b)
     if len(a0) == 1 or len(b0) == 1:
         return QP_ONE, a0, b0
     k, (a1, b1) = _deflate((a0, b0))
-    degree = _qp_image_gcd_degree(a1, b1)
-    if degree == 0:
+    if _qp_image_gcd_degree(a1, b1) == 0:
         return QP_ONE, a0, b0
-    found = _qp_gcd_heuristic(a1, b1, degree) if degree is not None else None
-    if found is None:
-        x, y = a1, b1
-        while y:
-            x, y = y, qp_divmod(x, y)[1]
-        g = qp_monic(x)
-        if len(g) == 1:
-            return QP_ONE, a0, b0
-        found = g, qp_div_exact(a1, g), qp_div_exact(b1, g)
-    g, qa, qb = found
+    x, y = a1, b1
+    while y:
+        x, y = y, qp_divmod(x, y)[1]
+    g = qp_monic(x)
+    if len(g) == 1:
+        return QP_ONE, a0, b0
+    qa, qb = qp_div_exact(a1, g), qp_div_exact(b1, g)
     return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
 
 
@@ -461,7 +445,7 @@ def _cancel(t, fac):
     is irreducible that gcd is Phi_d(u**Q_DEG) or 1, and exact division
     decides.
     """
-    t0, st = qp_strip(t)
+    t0, st = poly_strip(t)
     if len(t0) == 1:
         return t, NO_FACTORS
     dense = _q_dense(t0)
@@ -489,15 +473,27 @@ def _cancel(t, fac):
 CYCLOTOMICS = Alphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
 
 
-# ----------------------------------------------------------------- QRat ----
+# --------------------------------------------------- canonical fractions ----
 
 
-class QRat:
-    """Canonical fraction of Laurent polynomials in u = q**(1/D).
+class CanonicalFraction:
+    """Canonical fraction num/den of two Laurent polynomials of one level.
 
-    A denominator that is a product of cyclotomic polynomials Phi_d(q**2) is
-    stored as the multiset `fac` {d: multiplicity} and expanded on demand;
-    any other denominator is stored expanded, with `fac` None.
+    A denominator that is a product of the level's factors is stored as the
+    multiset `fac` {factor: multiplicity} and expanded on demand; any other
+    denominator is stored expanded, with `fac` None.  Factorization is
+    unique, so equal values have equal `fac` and `num`.
+
+    A level is a subclass that sets ZERO and ONE, and:
+    - `_mul(a, b)` and `_scale(a, c)`, its polynomial product and its
+      product with a coefficient, and `_poly_one`, its polynomial 1;
+    - `_coeff_one` and `_coeff_inverse(c)`, its coefficient 1 and inverse;
+    - `_alphabet`, the Alphabet of its factors;
+    - `_factor(d)`, the multiset of a monic, min-exponent-zero denominator,
+      or None if it is no product of the factors;
+    - `_cancel(t, fac)`, (t / g, g) for the largest product g of factors
+      from `fac` that divides t, or None if the factored path cannot decide;
+    - `_gcd(a, b)`, its gcd with cofactors, for the generic path.
     """
 
     __slots__ = ("num", "fac", "_den")
@@ -512,19 +508,20 @@ class QRat:
     @property
     def den(self):
         if self._den is None:
-            self._den = CYCLOTOMICS.expand(self.fac)
+            self._den = self._alphabet.expand(self.fac)
         return self._den
 
     def __bool__(self):
         return bool(self.num)
 
+    # fractions of different levels are different types, and never mix
     def __eq__(self, other):
-        if isinstance(other, QRat):
-            if self.fac is None or other.fac is None:
-                return (self.fac is other.fac and self.num == other.num
-                        and self._den == other._den)
-            return self.fac == other.fac and self.num == other.num
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.fac is None or other.fac is None:
+            return (self.fac is other.fac and self.num == other.num
+                    and self._den == other._den)
+        return self.fac == other.fac and self.num == other.num
 
     def __hash__(self):
         return hash((
@@ -533,16 +530,13 @@ class QRat:
             else frozenset(self._den.items()),
         ))
 
-    def __repr__(self):
-        return "QRat(%r, %r)" % (self.num, self.den)
-
     def __neg__(self):
         if not self.num:
             return self
-        return QRat(qp_neg(self.num), self.fac, self._den)
+        return type(self)(poly_neg(self.num), self.fac, self._den)
 
     def __add__(self, other):
-        if not isinstance(other, QRat):
+        if type(other) is not type(self):
             return NotImplemented
         if not self.num:
             return other
@@ -550,183 +544,223 @@ class QRat:
             return self
         fa, fb = self.fac, other.fac
         if fa == NO_FACTORS == fb:
-            t = qp_add(self.num, other.num)
-            return QRat(t, NO_FACTORS) if t else QRAT_ZERO
+            t = poly_add(self.num, other.num)
+            return type(self)(t, NO_FACTORS) if t else self.ZERO
         if fa is not None and fb is not None:
-            got = _add_factored(self.num, fa, other.num, fb)
+            got = self._add_factored(self.num, fa, other.num, fb)
             if got is not None:
                 return got
-        return _add_generic(self.num, self.den, other.num, other.den)
+        return self._add_generic(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
-        if not isinstance(other, QRat):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, QRat):
+        if type(other) is not type(self):
             return NotImplemented
         if not self.num or not other.num:
-            return QRAT_ZERO
-        if self is QRAT_ONE:
+            return self.ZERO
+        if self is self.ONE:
             return other
-        if other is QRAT_ONE:
+        if other is self.ONE:
             return self
         fa, fb = self.fac, other.fac
         if fa == NO_FACTORS == fb:
-            return QRat(qp_mul(self.num, other.num), NO_FACTORS)
+            return type(self)(self._mul(self.num, other.num), NO_FACTORS)
         if fa is not None and fb is not None:
-            got = _mul_factored(self.num, fa, other.num, fb)
+            got = self._mul_factored(self.num, fa, other.num, fb)
             if got is not None:
                 return got
-        return _mul_generic(self.num, self.den, other.num, other.den)
+        return self._mul_generic(self.num, self.den, other.num, other.den)
 
     def inverse(self):
         if not self.num:
-            raise ZeroDivisionError("inverse of zero q-rational")
-        n0, s = qp_strip(self.num)
+            raise ZeroDivisionError("inverse of zero fraction")
+        n0, s = poly_strip(self.num)
         den = self.den
         lead = n0[max(n0)]
-        if lead != 1:
-            inv = _F1 / lead
-            n0 = qp_scale(n0, inv)
-            den = qp_scale(den, inv)
-        return _from_parts(qp_shift(den, -s), n0)
+        if lead != self._coeff_one:
+            inv = self._coeff_inverse(lead)
+            n0 = self._scale(n0, inv)
+            den = self._scale(den, inv)
+        return self._from_parts(poly_shift(den, -s), n0)
 
     def __truediv__(self, other):
-        if not isinstance(other, QRat):
+        if type(other) is not type(self):
             return NotImplemented
         return self * other.inverse()
 
+    # ---------------------------------------------------- factored path
 
-def _add_factored(na, fa, nb, fb):
-    """na/fa + nb/fb, or None if _cancel declines the sum.  Only factors of
-    equal multiplicity in fa and fb can cancel from it."""
-    if fa == fb:
-        t = qp_add(na, nb)
-        if not t:
-            return QRAT_ZERO
-        tied = lcm = fa
-    else:
-        common = multisets.common(fa, fb)
-        t = qp_add(CYCLOTOMICS.times(na, multisets.minus(fb, common)),
-                   CYCLOTOMICS.times(nb, multisets.minus(fa, common)))
-        if not t:
-            return QRAT_ZERO
-        tied = multisets.tied(fa, fb)
-        lcm = multisets.lcm(fa, fb)
-    if not tied:
-        return QRat(t, lcm)
-    got = _cancel(t, tied)
-    if got is None:
-        return None
-    t, removed = got
-    return QRat(t, multisets.minus(lcm, removed))
-
-
-def _mul_factored(na, fa, nb, fb):
-    """(na/fa) * (nb/fb), or None if _cancel declines a numerator.  Each
-    numerator can only cancel the other's factors."""
-    if fb:
-        got = _cancel(na, fb)
+    def _add_factored(self, na, fa, nb, fb):
+        """na/fa + nb/fb, or None if _cancel declines the sum.  Only factors
+        of equal multiplicity in fa and fb can cancel from it."""
+        if fa == fb:
+            t = poly_add(na, nb)
+            if not t:
+                return self.ZERO
+            tied = lcm = fa
+        else:
+            common = multisets.common(fa, fb)
+            times = self._alphabet.times
+            t = poly_add(times(na, multisets.minus(fb, common)),
+                         times(nb, multisets.minus(fa, common)))
+            if not t:
+                return self.ZERO
+            tied = multisets.tied(fa, fb)
+            lcm = multisets.lcm(fa, fb)
+        if not tied:
+            return type(self)(t, lcm)
+        got = self._cancel(t, tied)
         if got is None:
             return None
-        na, removed = got
-        fb = multisets.minus(fb, removed)
-    if fa:
-        got = _cancel(nb, fa)
-        if got is None:
-            return None
-        nb, removed = got
-        fa = multisets.minus(fa, removed)
-    return QRat(qp_mul(na, nb), multisets.total(fa, fb))
+        t, removed = got
+        return type(self)(t, multisets.minus(lcm, removed))
 
+    def _mul_factored(self, na, fa, nb, fb):
+        """(na/fa) * (nb/fb), or None if _cancel declines a numerator.  Each
+        numerator can only cancel the other's factors."""
+        if fb:
+            got = self._cancel(na, fb)
+            if got is None:
+                return None
+            na, removed = got
+            fb = multisets.minus(fb, removed)
+        if fa:
+            got = self._cancel(nb, fa)
+            if got is None:
+                return None
+            nb, removed = got
+            fa = multisets.minus(fa, removed)
+        return type(self)(self._mul(na, nb), multisets.total(fa, fb))
 
-def _from_parts(num, den):
-    """The QRat num/den of a canonical pair."""
-    fac = _factor(den)
-    if fac is None:
-        return QRat(num, None, den)
-    return QRat(num, fac)
+    @classmethod
+    def _from_parts(cls, num, den):
+        """The fraction num/den of a canonical pair."""
+        fac = cls._factor(den)
+        if fac is None:
+            return cls(num, None, den)
+        return cls(num, fac)
 
+    # ----------------------------------------------------- generic path
+    #
+    # An operand whose denominator is no product of the level's factors, or
+    # a numerator that _cancel declines.  It cancels by the level's gcd, and
+    # its result is factored again.
 
-# The generic path: a numerator that is no polynomial in u**Q_DEG, a Cyclo
-# coefficient against a factor Phi_d with 4 | d, or a denominator that is no
-# product of cyclotomic factors.  It cancels by qp_gcd, and its result is
-# factored again.
-
-
-def _add_generic(na, da, nb, db):
-    if da == db:
-        t = qp_add(na, nb)
+    def _add_generic(self, na, da, nb, db):
+        mul = self._mul
+        if da == db:
+            t = poly_add(na, nb)
+            if not t:
+                return self.ZERO
+            t0, st = poly_strip(t)
+            _, t0, d = self._gcd(t0, da)
+            return self._from_parts(poly_shift(t0, st), d)
+        if da == self._poly_one:
+            return self._from_parts(poly_add(mul(na, db), nb), db)
+        if db == self._poly_one:
+            return self._from_parts(poly_add(mul(nb, da), na), da)
+        g, b1, d1 = self._gcd(da, db)
+        t = poly_add(mul(na, d1), mul(nb, b1))
         if not t:
-            return QRAT_ZERO
-        t0, st = qp_strip(t)
-        _, t0, d = qp_gcd(t0, da)
-        return _from_parts(qp_shift(t0, st), d)
-    if da == QP_ONE:
-        return _from_parts(qp_add(qp_mul(na, db), nb), db)
-    if db == QP_ONE:
-        return _from_parts(qp_add(qp_mul(nb, da), na), da)
-    g, b1, d1 = qp_gcd(da, db)
-    t = qp_add(qp_mul(na, d1), qp_mul(nb, b1))
-    if not t:
-        return QRAT_ZERO
-    if max(g) > 0:
-        t0, st = qp_strip(t)
-        _, t0, g = qp_gcd(t0, g)
-        t = qp_shift(t0, st)
-    return _from_parts(t, qp_mul(qp_mul(g, b1), d1))
+            return self.ZERO
+        if max(g) > 0:
+            t0, st = poly_strip(t)
+            _, t0, g = self._gcd(t0, g)
+            t = poly_shift(t0, st)
+        return self._from_parts(t, mul(mul(g, b1), d1))
+
+    def _mul_generic(self, na, da, nb, db):
+        na0, sa = poly_strip(na)
+        nb0, sb = poly_strip(nb)
+        if db != self._poly_one:
+            _, na0, db = self._gcd(na0, db)
+        if da != self._poly_one:
+            _, nb0, da = self._gcd(nb0, da)
+        return self._from_parts(poly_shift(self._mul(na0, nb0), sa + sb),
+                                self._mul(da, db))
+
+    # -------------------------------------------------------- factories
+
+    @classmethod
+    def canonical(cls, num, den=None):
+        """The canonical fraction num/den of two polynomials of the level;
+        den defaults to 1."""
+        if not num:
+            return cls.ZERO
+        if den is None:
+            den = cls._poly_one
+        elif not den:
+            raise ZeroDivisionError("zero denominator")
+        n0, sn = poly_strip(num)
+        d0, sd = poly_strip(den)
+        lead = d0[max(d0)]
+        if lead != cls._coeff_one:
+            inv = cls._coeff_inverse(lead)
+            n0 = cls._scale(n0, inv)
+            d0 = cls._scale(d0, inv)
+        fac = cls._factor(d0)
+        if fac is not None:
+            got = cls._cancel(n0, fac) if fac else (n0, NO_FACTORS)
+            if got is not None:
+                n0, removed = got
+                return cls(poly_shift(n0, sn - sd),
+                           multisets.minus(fac, removed))
+        if len(n0) > 1 and len(d0) > 1:
+            _, n0, d0 = cls._gcd(n0, d0)
+        return cls._from_parts(poly_shift(n0, sn - sd), d0)
+
+    @classmethod
+    def over_factors(cls, num, fac):
+        """The canonical fraction num / (the product of the multiset `fac`
+        of the level's factors)."""
+        if not num:
+            return cls.ZERO
+        got = cls._cancel(num, fac) if fac else (num, NO_FACTORS)
+        if got is None:
+            return cls.canonical(num, cls._alphabet.times(cls._poly_one, fac))
+        num, removed = got
+        return cls(num, multisets.minus(fac, removed))
 
 
-def _mul_generic(na, da, nb, db):
-    na0, sa = qp_strip(na)
-    nb0, sb = qp_strip(nb)
-    if db != QP_ONE:
-        _, na0, db = qp_gcd(na0, db)
-    if da != QP_ONE:
-        _, nb0, da = qp_gcd(nb0, da)
-    return _from_parts(qp_shift(qp_mul(na0, nb0), sa + sb), qp_mul(da, db))
+# ----------------------------------------------------------------- QRat ----
 
 
-def qrat(num, den=QP_ONE):
-    """Canonicalizing QRat factory."""
-    if not num:
-        return QRAT_ZERO
-    if not den:
-        raise ZeroDivisionError("zero denominator in q-rational")
-    n0, sn = qp_strip(num)
-    d0, sd = qp_strip(den)
-    lead = d0[max(d0)]
-    if lead != 1:
-        inv = _F1 / lead
-        n0 = qp_scale(n0, inv)
-        d0 = qp_scale(d0, inv)
-    fac = _factor(d0)
-    if fac is not None:
-        got = _cancel(n0, fac) if fac else (n0, NO_FACTORS)
-        if got is not None:
-            n0, removed = got
-            return QRat(qp_shift(n0, sn - sd), multisets.minus(fac, removed))
-    if len(n0) > 1 and len(d0) > 1:
-        _, n0, d0 = qp_gcd(n0, d0)
-    return _from_parts(qp_shift(n0, sn - sd), d0)
+class QRat(CanonicalFraction):
+    """Canonical fraction of Laurent polynomials in u = q**(1/D), whose
+    factors are the cyclotomic polynomials Phi_d(q**2), named by d."""
+
+    __slots__ = ()
+
+    _mul = staticmethod(qp_mul)
+    _scale = staticmethod(qp_scale)
+    _poly_one = QP_ONE
+    _coeff_one = 1
+    _alphabet = CYCLOTOMICS
+    _factor = staticmethod(_factor)
+    _cancel = staticmethod(_cancel)
+
+    @staticmethod
+    def _coeff_inverse(c):
+        return _F1 / c  # 1 / int would be a float
+
+    @staticmethod
+    def _gcd(a, b):
+        # resolved at call time, so that a replaced qp_gcd sees every call
+        return qp_gcd(a, b)
+
+    def __repr__(self):
+        return "QRat(%r, %r)" % (self.num, self.den)
 
 
-def qrat_over_cyclotomics(num, fac):
-    """The canonical QRat num / prod Phi_d(q**2)**m over the multiset `fac`
-    {d: m}."""
-    if not num:
-        return QRAT_ZERO
-    got = _cancel(num, fac) if fac else (num, NO_FACTORS)
-    if got is None:
-        return qrat(num, CYCLOTOMICS.times(QP_ONE, fac))
-    num, removed = got
-    return QRat(num, multisets.minus(fac, removed))
+QRAT_ZERO = QRat.ZERO = QRat(QP_ZERO, NO_FACTORS)
+QRAT_ONE = QRat.ONE = QRat(QP_ONE, NO_FACTORS)
 
-
-QRAT_ZERO = QRat(QP_ZERO, NO_FACTORS)
-QRAT_ONE = QRat(QP_ONE, NO_FACTORS)
+qrat = QRat.canonical
+qrat_over_cyclotomics = QRat.over_factors
 
 
 def qrat_const(c):
@@ -748,7 +782,7 @@ def qrat_scale(qr, c):
 def qrat_monomial_mul(qr, s):
     if not s or not qr.num:
         return qr
-    return QRat(qp_shift(qr.num, s), qr.fac, qr._den)
+    return QRat(poly_shift(qr.num, s), qr.fac, qr._den)
 
 
 def qrat_eval_complex(qr, u0):
@@ -762,35 +796,6 @@ XP_ZERO = {}
 XP_ONE = {0: QRAT_ONE}
 
 
-def xp_add(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def xp_neg(a):
-    return {k: -c for k, c in a.items()}
-
-
-def xp_sub(a, b):
-    if not b:
-        return a
-    return xp_add(a, xp_neg(b))
-
-
 def xp_scale(a, qr):
     if not qr:
         return XP_ZERO
@@ -799,21 +804,15 @@ def xp_scale(a, qr):
     return {k: c * qr for k, c in a.items()}
 
 
-def xp_shift(a, s):
-    if not s:
-        return a
-    return {k + s: c for k, c in a.items()}
-
-
 def xp_mul(a, b):
     if not a or not b:
         return XP_ZERO
     if len(a) == 1:
         (k, c), = a.items()
-        return xp_shift(xp_scale(b, c), k)
+        return poly_shift(xp_scale(b, c), k)
     if len(b) == 1:
         (k, c), = b.items()
-        return xp_shift(xp_scale(a, c), k)
+        return poly_shift(xp_scale(a, c), k)
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -829,13 +828,6 @@ def xp_mul(a, b):
                 else:
                     del out[k]
     return out
-
-
-def xp_strip(a):
-    s = min(a)
-    if s:
-        return {k - s: c for k, c in a.items()}, s
-    return a, 0
 
 
 def xp_divmod(a, b):
@@ -945,7 +937,7 @@ def _xp_image_gcd_degree(a0, b0):
 
 # Z[u][v] is a dict of v-exponents to Z[u] rows, and a Z[u] row is a dict of
 # nonnegative u-exponents to nonzero ints.  A QPoly with int coefficients is
-# a Z[u] row as it stands, so qp_mul and qp_sub serve the rows and a row is
+# a Z[u] row as it stands, so qp_mul and poly_sub serve the rows and a row is
 # returned as a QPoly unchanged.
 
 
@@ -977,7 +969,7 @@ def _xp_to_zuv(a0):
         rows[k] = row
     s = min(min(row) for row in rows.values())
     if s:
-        rows = {k: qp_shift(row, -s) for k, row in rows.items()}
+        rows = {k: poly_shift(row, -s) for k, row in rows.items()}
     return rows, s
 
 
@@ -1019,19 +1011,6 @@ def _zu_heu_step(a, b, xi):
     g = _xi_adic(math.gcd(_zu_eval(a, p), _zu_eval(b, p)), xi)
     content = math.gcd(*g.values())
     return {e: c // content for e, c in g.items()}
-
-
-def _zu_gcdheu(a, b):
-    """Candidate gcds of a and b in Z[u] by GCDHEU.
-
-    Evaluate at an integer xi, take the integer gcd, rebuild it by symmetric
-    xi-adic expansion and divide out its content.  Each of six attempts grows
-    xi; a candidate is only a guess until it is verified.
-    """
-    xi = _xi_norm(a, b)
-    for _ in range(6):
-        yield _zu_heu_step(a, b, xi)
-        xi = xi * 73794 // 27011
 
 
 def _gcdheu(a, b):
@@ -1101,7 +1080,7 @@ def _zuv_div_exact(a, b):
         q[k] = f
         for e, c in b.items():
             t = e + k
-            s = qp_sub(r.get(t, QP_ZERO), qp_mul(c, f))
+            s = poly_sub(r.get(t, QP_ZERO), qp_mul(c, f))
             if s:
                 r[t] = s
             else:
@@ -1181,8 +1160,8 @@ def xp_gcd(a, b):
        the division quotients give the cofactors.
     3. Euclid over Q(u), then exact division for the cofactors.
     """
-    a0, _ = xp_strip(a)
-    b0, _ = xp_strip(b)
+    a0, _ = poly_strip(a)
+    b0, _ = poly_strip(b)
     if len(a0) == 1 or len(b0) == 1:
         return XP_ONE, a0, b0
     k, (a1, b1) = _deflate((a0, b0))
@@ -1331,17 +1310,17 @@ def y_image_root_order(image, e, limit):
 # ---------------------------------------------------------- lattice ops ----
 
 
-def xp_qshift(a, m_units, denom):
+def xp_qshift(a, m_units):
     """Image of the substitution x -> x*q**(m_units/D) on an XPoly."""
     if not m_units:
         return a
     out = {}
     for k, c in a.items():
         s = m_units * k
-        if s % denom:
+        if s % DENOM:
             raise LatticeError(
                 "shift by %d/%d units leaves the lattice at x-exponent %d/%d"
-                % (m_units, denom, k, denom)
+                % (m_units, DENOM, k, DENOM)
             )
-        out[k] = qrat_monomial_mul(c, s // denom)
+        out[k] = qrat_monomial_mul(c, s // DENOM)
     return out

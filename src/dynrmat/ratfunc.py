@@ -1,33 +1,29 @@
 """Canonical rational functions of the two lattice variables q and x.
 
-A RationalFunction is a fraction of two XPolys (Laurent in v = x**(1/4),
-coefficients rational in u = q**(1/4)): numerator and denominator coprime in
-v, denominator with minimum v-exponent zero and leading coefficient one.
+A RationalFunction is the x level of the canonical fraction of polys.py: a
+fraction of two XPolys (Laurent in v = x**(1/4), coefficients QRats, rational
+in u = q**(1/4)), numerator and denominator coprime in v, denominator with
+minimum v-exponent zero and leading coefficient one.  Its arithmetic is
+CanonicalFraction's; this module supplies the level's factors and the maps
+that only the x level has (shift_x, subs_signed_qpow, edge, eval_complex).
 
 The denominators the package builds are products of binomials y - u**e, with
 y = x**2 = v**8 (x-brackets x q**c - x**-1 q**-c put them there).  Such a
-denominator is stored factored, as a multiset `fac` {e: multiplicity}, and
-arithmetic works on the multisets: products add them, sums take their
-maximum and multiply each numerator by the binomials it misses, and only the
-binomials that can cancel are tried.  A binomial y - u**e cancels from a
-numerator N that is a polynomial in y exactly when N vanishes at y = u**e; a
-nonzero GF(p) image of that value rules it out, and only an exact synthetic
-division accepts it.  y - u**e is linear in y, hence irreducible, and the
-gcd of a polynomial in y with the denominator over Q(z8)(u)[v] is its gcd
-over Q(z8)(u)[y] (the deflation argument of polys.py), so this gives the same
-reduced fraction as the generic gcd, byte for byte.
+denominator is stored factored, as a multiset `fac` {e: multiplicity}.  A
+binomial y - u**e cancels from a numerator N that is a polynomial in y
+exactly when N vanishes at y = u**e; a nonzero GF(p) image of that value
+rules it out, and only an exact synthetic division accepts it.  y - u**e is
+linear in y, hence irreducible, and the gcd of a polynomial in y with the
+denominator over Q(z8)(u)[v] is its gcd over Q(z8)(u)[y] (the deflation
+argument of polys.py), so this gives the same reduced fraction as the
+generic gcd, byte for byte.
 
 Any other operand takes the generic path: a numerator that is not a
 polynomial in y after stripping, or a denominator that is no product of
 binomials, which is then stored expanded with `fac` None.  The generic path
-cancels by xp_gcd, and its result is factored again where it can be.  So
-`fac` is None exactly when the denominator is not a product of binomials;
-factorization is unique, so equal values have equal `fac` and `num`, and
-structural equality is value equality.  The expanded denominator `den` is
-built on demand, cached by multiset.
+cancels by xp_gcd, and its result is factored again where it can be.
 """
 
-from . import multisets
 from .coeffs import Cyclo, root8_pow
 from .lattice import DENOM, LatticeError, to_units
 from .multisets import NO_FACTORS, Alphabet
@@ -37,23 +33,22 @@ from .polys import (
     XP_ONE,
     XP_ZERO,
     Y_DEG,
-    qp_shift,
+    CanonicalFraction,
+    QRat,
+    poly_shift,
+    poly_strip,
     qrat,
     qrat_const,
     qrat_monomial_mul,
     qrat_qpow,
     qrat_scale,
-    xp_add,
     xp_binom_div,
     xp_binom_mul,
     xp_eval_complex,
     xp_gcd,
     xp_mul,
-    xp_neg,
     xp_qshift,
     xp_scale,
-    xp_shift,
-    xp_strip,
     xp_y_image,
     y_image_root_order,
 )
@@ -79,37 +74,83 @@ class PoleAtSubstitution(ZeroDivisionError):
         self.numerator_vanished = numerator_vanished
 
 
-class RationalFunction:
-    __slots__ = ("num", "fac", "_den")
+# -------------------------------------------------------------- binomials ----
 
-    def __init__(self, num, fac, den=None):
-        # raw constructor: callers guarantee canonical form, and pass the
-        # denominator exactly when fac is None
-        self.num = num
-        self.fac = fac
-        self._den = den
 
-    @property
-    def den(self):
-        if self.fac is None:
-            return self._den
-        return _BINOMIALS.expand(self.fac)
+_BINOMIALS = Alphabet(XP_ONE, xp_binom_mul)
 
-    # ------------------------------------------------------------ basics
 
-    def __bool__(self):
-        return bool(self.num)
+def _factor(d):
+    """The multiset of binomials whose product is d, or None if there is none.
+
+    d is monic with minimum exponent zero.  If d = prod (y - u**e)**m has
+    degree n in y, its y**(n-1) coefficient is -sum m u**e, which names
+    every candidate and its multiplicity; d factors iff their product is d.
+    """
+    if len(d) == 1:
+        return NO_FACTORS
+    top = max(d)
+    c = d.get(top - Y_DEG)
+    if top % Y_DEG or c is None or c.fac != NO_FACTORS:
+        return None
+    fac = {}
+    for e, k in c.num.items():
+        if type(k) is Cyclo or k >= 0 or k.denominator != 1:
+            return None
+        fac[e] = -int(k)
+    if sum(fac.values()) * Y_DEG != top or _BINOMIALS.expand(fac) != d:
+        return None
+    return fac
+
+
+def _cancel(t, fac):
+    """(t / g, g) for g the largest product of binomials from the multiset
+    `fac` that divides t, with g as a multiset; None if t is not a polynomial
+    in y after stripping its lowest power of v."""
+    t0, st = poly_strip(t)
+    if len(t0) == 1:
+        return t, NO_FACTORS
+    if any(k % Y_DEG for k in t0):
+        return None
+    image = xp_y_image(t0)
+    removed = {}
+    for e, m in fac.items():
+        if image is not None:
+            m = y_image_root_order(image, e, m)
+        for _ in range(m):
+            q = xp_binom_div(t0, e)
+            if q is None:
+                break
+            t0 = q
+            removed[e] = removed.get(e, 0) + 1
+    return poly_shift(t0, st), removed
+
+
+# ------------------------------------------------------- RationalFunction ----
+
+
+class RationalFunction(CanonicalFraction):
+    """Canonical fraction of XPolys, whose factors are the binomials
+    y - u**e, named by e."""
+
+    __slots__ = ()
+
+    _mul = staticmethod(xp_mul)
+    _scale = staticmethod(xp_scale)
+    _poly_one = XP_ONE
+    _coeff_one = QRAT_ONE
+    _coeff_inverse = staticmethod(QRat.inverse)
+    _alphabet = _BINOMIALS
+    _factor = staticmethod(_factor)
+    _cancel = staticmethod(_cancel)
+
+    @staticmethod
+    def _gcd(a, b):
+        # resolved at call time, so that a replaced xp_gcd sees every call
+        return xp_gcd(a, b)
 
     def is_one(self):
         return self.fac == NO_FACTORS and self.num == XP_ONE
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            if self.fac is None or other.fac is None:
-                return (self.fac is other.fac and self.num == other.num
-                        and self.den == other.den)
-            return self.fac == other.fac and self.num == other.num
-        return NotImplemented
 
     def __repr__(self):
         n = sum(len(c.num) + len(c.den) for c in self.num.values())
@@ -120,63 +161,6 @@ class RationalFunction:
             n,
             d,
         )
-
-    # -------------------------------------------------------- arithmetic
-
-    def __neg__(self):
-        if not self.num:
-            return self
-        return RationalFunction(xp_neg(self.num), self.fac, self._den)
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.fac is not None and other.fac is not None:
-            got = _add_factored(self.num, self.fac, other.num, other.fac)
-            if got is not None:
-                return got
-        return _add_generic(self.num, self.den, other.num, other.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if not self.num or not other.num:
-            return RF_ZERO
-        if self is RF_ONE:
-            return other
-        if other is RF_ONE:
-            return self
-        if self.fac is not None and other.fac is not None:
-            got = _mul_factored(self.num, self.fac, other.num, other.fac)
-            if got is not None:
-                return got
-        return _mul_generic(self.num, self.den, other.num, other.den)
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero rational function")
-        n0, s = xp_strip(self.num)
-        den = self.den
-        lead = n0[max(n0)]
-        if lead != QRAT_ONE:
-            inv = lead.inverse()
-            n0 = xp_scale(n0, inv)
-            den = xp_scale(den, inv)
-        return _from_parts(xp_shift(den, -s), n0)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self * other.inverse()
 
     def scale_q(self, qr):
         """Multiply by an x-free factor without touching the denominator."""
@@ -196,12 +180,12 @@ class RationalFunction:
         """
         if not m_units or not self.num:
             return self
-        num = xp_qshift(self.num, m_units, DENOM)
+        num = xp_qshift(self.num, m_units)
         if self.fac is not None:
             s0 = 2 * m_units * sum(self.fac.values())
             fac = {e - 2 * m_units: m for e, m in self.fac.items()}
             return RationalFunction(_xp_qpow_mul(num, -s0), fac)
-        den = xp_qshift(self.den, m_units, DENOM)
+        den = xp_qshift(self.den, m_units)
         s0 = m_units * max(den) // DENOM
         return RationalFunction(
             _xp_qpow_mul(num, -s0), None, _xp_qpow_mul(den, -s0))
@@ -249,152 +233,6 @@ class RationalFunction:
         )
 
 
-# ------------------------------------------------------ factored path ----
-
-
-_BINOMIALS = Alphabet(XP_ONE, xp_binom_mul)
-
-
-def _factor(d):
-    """The multiset of binomials whose product is d, or None if there is none.
-
-    d is monic with minimum exponent zero.  If d = prod (y - u**e)**m has
-    degree n in y, its y**(n-1) coefficient is -sum m u**e, which names
-    every candidate and its multiplicity; d factors iff their product is d.
-    """
-    if len(d) == 1:
-        return NO_FACTORS
-    top = max(d)
-    c = d.get(top - Y_DEG)
-    if top % Y_DEG or c is None or c.fac != NO_FACTORS:
-        return None
-    fac = {}
-    for e, k in c.num.items():
-        if type(k) is Cyclo or k >= 0 or k.denominator != 1:
-            return None
-        fac[e] = -int(k)
-    if sum(fac.values()) * Y_DEG != top or _BINOMIALS.expand(fac) != d:
-        return None
-    return fac
-
-
-def _cancel(t, fac):
-    """(t / g, g) for g the largest product of binomials from the multiset
-    `fac` that divides t, with g as a multiset; None if t is not a polynomial
-    in y after stripping its lowest power of v."""
-    t0, st = xp_strip(t)
-    if len(t0) == 1:
-        return t, NO_FACTORS
-    if any(k % Y_DEG for k in t0):
-        return None
-    image = xp_y_image(t0)
-    removed = {}
-    for e, m in fac.items():
-        if image is not None:
-            m = y_image_root_order(image, e, m)
-        for _ in range(m):
-            q = xp_binom_div(t0, e)
-            if q is None:
-                break
-            t0 = q
-            removed[e] = removed.get(e, 0) + 1
-    return xp_shift(t0, st), removed
-
-
-def _add_factored(na, fa, nb, fb):
-    """na/fa + nb/fb, or None if a numerator that could cancel is not a
-    polynomial in y.  Only binomials of equal multiplicity in fa and fb can
-    cancel from the sum."""
-    if fa == fb:
-        t = xp_add(na, nb)
-        if not t:
-            return RF_ZERO
-        tied = lcm = fa
-    else:
-        common = multisets.common(fa, fb)
-        t = xp_add(_BINOMIALS.times(na, multisets.minus(fb, common)),
-                   _BINOMIALS.times(nb, multisets.minus(fa, common)))
-        if not t:
-            return RF_ZERO
-        tied = multisets.tied(fa, fb)
-        lcm = multisets.lcm(fa, fb)
-    if not tied:
-        return RationalFunction(t, lcm)
-    got = _cancel(t, tied)
-    if got is None:
-        return None
-    t, removed = got
-    return RationalFunction(t, multisets.minus(lcm, removed))
-
-
-def _mul_factored(na, fa, nb, fb):
-    """(na/fa) * (nb/fb), or None if a numerator that could cancel is not a
-    polynomial in y.  Each numerator can only cancel the other's binomials."""
-    if fb:
-        got = _cancel(na, fb)
-        if got is None:
-            return None
-        na, removed = got
-        fb = multisets.minus(fb, removed)
-    if fa:
-        got = _cancel(nb, fa)
-        if got is None:
-            return None
-        nb, removed = got
-        fa = multisets.minus(fa, removed)
-    return RationalFunction(xp_mul(na, nb), multisets.total(fa, fb))
-
-
-def _from_parts(num, den):
-    """The RationalFunction num/den of a canonical pair."""
-    fac = _factor(den)
-    if fac is None:
-        return RationalFunction(num, None, den)
-    return RationalFunction(num, fac)
-
-
-# ------------------------------------------------------- generic path ----
-#
-# Reached only when an operand has no factored denominator or a numerator
-# that could cancel is not a polynomial in y; so da and db are never both 1.
-
-
-def _add_generic(na, da, nb, db):
-    if da == db:
-        t = xp_add(na, nb)
-        if not t:
-            return RF_ZERO
-        t0, st = xp_strip(t)
-        _, t0, d = xp_gcd(t0, da)
-        return _from_parts(xp_shift(t0, st), d)
-    if da == XP_ONE:
-        return _from_parts(xp_add(xp_mul(na, db), nb), db)
-    if db == XP_ONE:
-        return _from_parts(xp_add(xp_mul(nb, da), na), da)
-    g, b1, d1 = xp_gcd(da, db)
-    if max(g) == 0:
-        t = xp_add(xp_mul(na, db), xp_mul(nb, da))
-        if not t:
-            return RF_ZERO
-        return _from_parts(t, xp_mul(da, db))
-    t = xp_add(xp_mul(na, d1), xp_mul(nb, b1))
-    if not t:
-        return RF_ZERO
-    t0, st = xp_strip(t)
-    _, t0, g = xp_gcd(t0, g)
-    return _from_parts(xp_shift(t0, st), xp_mul(xp_mul(g, b1), d1))
-
-
-def _mul_generic(na, da, nb, db):
-    na0, sa = xp_strip(na)
-    nb0, sb = xp_strip(nb)
-    if db != XP_ONE and len(na0) > 1:
-        _, na0, db = xp_gcd(na0, db)
-    if da != XP_ONE and len(nb0) > 1:
-        _, nb0, da = xp_gcd(nb0, da)
-    return _from_parts(xp_shift(xp_mul(na0, nb0), sa + sb), xp_mul(da, db))
-
-
 def _xp_qpow_mul(a, s):
     if not s:
         return a
@@ -418,33 +256,10 @@ def _xp_subs_signed(a, sign, a_units):
     return total
 
 
-def ratfn(num, den=XP_ONE):
-    """Canonicalizing factory for RationalFunction."""
-    if not num:
-        return RF_ZERO
-    if not den:
-        raise ZeroDivisionError("zero denominator in rational function")
-    n0, sn = xp_strip(num)
-    d0, sd = xp_strip(den)
-    lead = d0[max(d0)]
-    if lead != QRAT_ONE:
-        inv = lead.inverse()
-        n0 = xp_scale(n0, inv)
-        d0 = xp_scale(d0, inv)
-    fac = _factor(d0)
-    if fac is not None:
-        got = _cancel(n0, fac) if fac else (n0, NO_FACTORS)
-        if got is not None:
-            n0, removed = got
-            return RationalFunction(xp_shift(n0, sn - sd),
-                                    multisets.minus(fac, removed))
-    if len(n0) > 1 and len(d0) > 1:
-        _, n0, d0 = xp_gcd(n0, d0)
-    return _from_parts(xp_shift(n0, sn - sd), d0)
+RF_ZERO = RationalFunction.ZERO = RationalFunction(XP_ZERO, NO_FACTORS)
+RF_ONE = RationalFunction.ONE = RationalFunction(XP_ONE, NO_FACTORS)
 
-
-RF_ZERO = RationalFunction(XP_ZERO, NO_FACTORS)
-RF_ONE = RationalFunction(XP_ONE, NO_FACTORS)
+ratfn = RationalFunction.canonical
 
 
 def rf_const(qr):
@@ -479,7 +294,7 @@ def rf_xpow(e):
 
 def qdiff_qrat():
     """q - 1/q as a QRat."""
-    return qrat(qp_shift({2 * DENOM: 1, 0: -1}, -DENOM))
+    return qrat(poly_shift({2 * DENOM: 1, 0: -1}, -DENOM))
 
 
 def xbracket_rf(c_units):

@@ -28,7 +28,7 @@ from .polys import (
     QRAT_ONE,
     QRAT_ZERO,
     QRat,
-    qp_add,
+    poly_add,
     qrat,
     qrat_const,
     qrat_monomial_mul,
@@ -504,7 +504,7 @@ def qrat_qfact_sum(terms):
         lcm = multisets.lcm(lcm, down)
     num = QP_ZERO
     for c, s, up, down in parts:
-        num = qp_add(num, CYCLOTOMICS.times(
+        num = poly_add(num, CYCLOTOMICS.times(
             {s: c}, multisets.total(up, multisets.minus(lcm, down))))
     return qrat_over_cyclotomics(num, lcm)
 

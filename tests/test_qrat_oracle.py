@@ -28,6 +28,7 @@ on large Cyclo or non-integer operands, and these tests check the answers,
 not how long that path takes.
 """
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -37,16 +38,17 @@ from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
 from dynrmat.polys import (
     CYCLOTOMICS,
     QP_ONE,
+    QRAT_ONE,
     Q_DEG,
     cyclotomic,
-    qp_add,
+    poly_add,
+    poly_shift,
     qp_mul,
-    qp_shift,
     qrat,
     qrat_const,
     qrat_qpow,
 )
-from dynrmat.ratfunc import qdiff_qrat
+from dynrmat.ratfunc import RF_ONE, qdiff_qrat, ratfn, rf_const, rf_xpow_units
 from dynrmat.scalar import qfact_factors, qrat_qfact, qrat_qfact_sum, qrat_qnum
 from dynrmat.suite import default_manifest
 from dynrmat.symbols import verify_symbol_relation
@@ -155,7 +157,7 @@ def build(spec):
     num = _product(
         [{spec["qpow"]: spec["coeff"]}]
         + [_atom_poly(a) for a in spec["num"]]
-        + [qp_add({8: 1}, {s: a}) for a, s in spec["lin"]]
+        + [poly_add({8: 1}, {s: a}) for a, s in spec["lin"]]
     )
     den = _product(
         [_atom_poly(a) for a in spec["den"]]
@@ -364,8 +366,27 @@ def test_hash_follows_equality():
         r, s = build(a), build_by_arithmetic(a)
         assert r == s and hash(r) == hash(s)
         assert r + r == r * qrat_const(2)
+        # (r x**2 + 1) / den one level up, with den = x**2 - q, a binomial,
+        # and x**2 + q, which is none, built by the factory and by arithmetic
+        for c in (-1, 1):
+            den = {8: QRAT_ONE, 0: qrat({4: c})}
+            f = ratfn({8: r, 0: QRAT_ONE}, den)
+            g = (rf_const(s) * rf_xpow_units(8) + RF_ONE) / ratfn(den)
+            assert f == g and hash(f) == hash(g)
+            assert f + f == f * rf_const(qrat_const(2))
 
     run()
+
+
+def test_levels_do_not_mix():
+    # disjoint exponents, so that arithmetic that let the levels meet would
+    # return a value rather than fail on adding a QRat to an int
+    q, x = qrat({1: 1}), ratfn({4: QRAT_ONE})
+    for a, b in [(q, x), (x, q)]:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert a != b
 
 
 # ------------------------------------------------------------- examples ----
@@ -429,7 +450,7 @@ def test_factor_rejects_other_denominators(den):
 def test_qfact_factors_expand_to_the_q_factorial():
     for n in range(0, 9):
         s, fac = qfact_factors(n)
-        assert qp_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == qrat_qfact(n).num
+        assert poly_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == qrat_qfact(n).num
 
 
 def test_qfact_sum_matches_term_by_term_arithmetic():

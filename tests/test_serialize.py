@@ -7,6 +7,7 @@ import pytest
 
 from dynrmat.lame import hamiltonian, lax_matrix
 from dynrmat.polys import QRat
+from dynrmat.ratfunc import RationalFunction
 from dynrmat.scalar import qnum, qpow, sqrt_qint, xpow
 from dynrmat.serialize import (
     dumps_canonical,
@@ -29,6 +30,9 @@ def qrat_signatures(obj):
             out.append((hash(x),) + tuple(
                 tuple(type(c).__name__ for _, c in sorted(p.items()))
                 for p in (x.num, x.den)))
+        elif isinstance(x, RationalFunction):
+            walk(x.num)
+            walk(x.den)
         elif isinstance(x, dict):
             for v in x.values():
                 walk(v)
