@@ -38,7 +38,6 @@ from .polys import (
 from .ratfunc import (
     RF_ONE,
     RF_ZERO,
-    RationalFunction,
     qdiff_qrat,
     ratfn,
     rf_const,
