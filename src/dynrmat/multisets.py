@@ -4,8 +4,9 @@ The canonical fraction of polys.py keeps the denominators the package builds
 factored, as a multiset {factor: multiplicity} over its level's Alphabet:
 cyclotomic polynomials in q**2 for a QRat (polys.py), binomials x**2 - q**m
 for a RationalFunction (ratfunc.py).  The product of two denominators is the
-sum of their multisets, their lcm the maximum and their gcd the minimum.  A multiset is never mutated once built:
-the helpers below return new ones, or an argument unchanged.
+sum of their multisets, their lcm the maximum and their gcd the minimum.  A
+multiset is never mutated once built: the helpers below return new ones, or
+an argument unchanged.
 """
 
 NO_FACTORS = {}

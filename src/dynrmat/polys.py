@@ -57,9 +57,9 @@ operands on which Euclid over Q(u) swells.  Every other outcome runs Euclid
 over the coefficient field.  The q level has no GCDHEU stage: no check of
 the package reaches qp_gcd, and the one kind of operand the factored path is
 known to send there, a Cyclo numerator against Phi_d with 4 | d, is outside
-GCDHEU's integers anyway.  The monic gcd is unique, so neither the factored path,
-the deflation nor the shortcuts can change a result, only the time it takes.
-Every gcd returns its cofactors too, so callers never divide twice.
+GCDHEU's integers anyway.  The monic gcd is unique, so neither the factored
+path, the deflation nor the shortcuts can change a result, only the time it
+takes.  Every gcd returns its cofactors too, so callers never divide twice.
 """
 
 import math

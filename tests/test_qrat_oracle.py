@@ -450,7 +450,8 @@ def test_factor_rejects_other_denominators(den):
 def test_qfact_factors_expand_to_the_q_factorial():
     for n in range(0, 9):
         s, fac = qfact_factors(n)
-        assert poly_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == qrat_qfact(n).num
+        want = qrat_qfact(n).num
+        assert poly_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == want
 
 
 def test_qfact_sum_matches_term_by_term_arithmetic():
