@@ -5,11 +5,21 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat.coeffs import make_coeff
 from dynrmat.lame import hamiltonian, lax_matrix
 from dynrmat.polys import QRat
 from dynrmat.ratfunc import RationalFunction
-from dynrmat.scalar import qnum, qpow, sqrt_qint, xpow
+from dynrmat.scalar import (
+    qnum,
+    qpow,
+    sc_coeff,
+    sqrt_qdiff,
+    sqrt_qint,
+    xbracket,
+    xpow,
+)
 from dynrmat.serialize import (
+    _wrap,
     dumps_canonical,
     from_payload,
     latex,
@@ -118,3 +128,62 @@ def test_plain_text_forms():
     assert "(0,0):" in plain_text(gnf_r(H, H))
     assert plain_text(hamiltonian(0)) == "(1) T^(-1) + (1) T^(1)"
     assert "(0,0):" in plain_text(lax_matrix(H))
+
+
+def _mixed():
+    c = sc_coeff(make_coeff(F(1, 2), 1))
+    return c * qpow(H) + sc_coeff(F(1, 3)) * xpow(1) - xpow(2)
+
+
+@pytest.mark.parametrize(
+    "make, text, tex",
+    [
+        (
+            _mixed,
+            "(-1)*x^(2) + (1/3)*x + (1/2 + z8^1)*q^(1/2)",
+            "-1 \\, x^{2} + \\tfrac{1}{3} \\, x"
+            " + \\left((\\tfrac{1}{2} + \\zeta_8^{1}) q^{1/2}\\right)",
+        ),
+        (
+            lambda: _mixed() * sqrt_qint(3),
+            "((-1)*x^(2) + (1/3)*x + (1/2 + z8^1)*q^(1/2))*sqrt([3])",
+            "\\left(-1 \\, x^{2} + \\tfrac{1}{3} \\, x"
+            " + \\left((\\tfrac{1}{2} + \\zeta_8^{1}) q^{1/2}\\right)\\right)"
+            " \\, \\sqrt{[3]}",
+        ),
+        (
+            lambda: xbracket(1) * sqrt_qint(2)
+            + sqrt_qint(3) * xbracket(0) * sqrt_qdiff(),
+            "(((q)/(q^(2) - 1))*x + ((-q)/(q^(2) - 1))*x^(-1))*sqrt((q-1/q)[3])"
+            "  +  (((q^(2))/(q^(2) - 1))*x + ((-1)/(q^(2) - 1))*x^(-1))"
+            "*sqrt([2])",
+            "\\left(\\left(\\frac{q}{q^{2} - 1}\\right) \\, x"
+            " + \\left(\\frac{-q}{q^{2} - 1}\\right) \\, x^{-1}\\right)"
+            " \\, \\sqrt{(q - q^{-1}) [3]}"
+            " + \\left(\\left(\\frac{q^{2}}{q^{2} - 1}\\right) \\, x"
+            " + \\left(\\frac{-1}{q^{2} - 1}\\right) \\, x^{-1}\\right)"
+            " \\, \\sqrt{[2]}",
+        ),
+        (
+            lambda: (xpow(1) - xpow(-1)) / (xpow(1) - qpow(1)) * sqrt_qint(2),
+            "((x + (-1)*x^(-1)) / (x + -q))*sqrt([2])",
+            "\\left(\\frac{x - 1 \\, x^{-1}}{x - q}\\right) \\, \\sqrt{[2]}",
+        ),
+    ],
+    ids=["cyclo-tfrac", "cyclo-radical", "xbrackets", "x-fraction"],
+)
+def test_scalar_text_and_latex_bytes(make, text, tex):
+    # byte-exact forms for coefficient shapes the golden dumps never print:
+    # a Cyclo with a rational part, a non-integral rational in LaTeX, x-level
+    # signs that only LaTeX rewrites, and radicals beside q-denominators
+    s = make()
+    assert plain_text(s) == str(s) == text
+    assert latex(s) == tex
+
+
+def test_wrap_two_groups_in_one_pair_of_parens():
+    # opens with \left( and closes with \right) yet is two groups
+    body = "\\left(a\\right) + \\left(b\\right)"
+    assert _wrap(body) == "\\left(%s\\right)" % body
+    assert _wrap("\\left(a + b\\right)") == "\\left(a + b\\right)"
+    assert _wrap("q^{2}") == "q^{2}"
