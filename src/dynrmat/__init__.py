@@ -19,7 +19,6 @@ from .lame import (
 from .lattice import (
     LatticeError,
     from_units,
-    get_lattice_denominator,
     to_units,
 )
 from .numeric import (

@@ -88,6 +88,17 @@ def _emit(text, out):
                 fh.write("\n")
 
 
+def _emit_object(obj, args):
+    if args.format == "json":
+        text = dumps_canonical(to_payload(obj))
+    elif args.format == "latex":
+        text = latex(obj)
+    else:
+        text = plain_text(obj)
+    _emit(text, args.out)
+    return 0
+
+
 def _report_lines(reports, fmt, timings):
     lines = []
     for r in reports:
@@ -221,13 +232,7 @@ def _cmd_dump(parser, args):
             obj = hamiltonian(*spins)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.format == "json":
-        _emit(dumps_canonical(to_payload(obj)), args.out)
-    elif args.format == "latex":
-        _emit(latex(obj), args.out)
-    else:
-        _emit(plain_text(obj), args.out)
-    return 0
+    return _emit_object(obj, args)
 
 
 def _cmd_symbol(parser, args):
@@ -247,13 +252,7 @@ def _cmd_symbol(parser, args):
             value = m_element(args.j[0], args.sigma, args.m[0])
         else:
             value = limit_three_j(args.j[0], args.sigma, args.m[0]).reduce()
-    if args.format == "json":
-        _emit(dumps_canonical(to_payload(value)), args.out)
-    elif args.format == "latex":
-        _emit(latex(value), args.out)
-    else:
-        _emit(plain_text(value), args.out)
-    return 0
+    return _emit_object(value, args)
 
 
 def _cmd_lame(parser, args):
@@ -292,13 +291,7 @@ def _cmd_lame(parser, args):
         lines.append("classical limit: %s" % ("PASS" if ok else "FAIL"))
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if ok else 1
-    if args.format == "json":
-        _emit(dumps_canonical(to_payload(obj)), args.out)
-    elif args.format == "latex":
-        _emit(latex(obj), args.out)
-    else:
-        _emit(plain_text(obj), args.out)
-    return 0
+    return _emit_object(obj, args)
 
 
 def _cmd_limits(parser, args):

@@ -281,14 +281,6 @@ class QDOMatrix:
                 out[(r, c)] = op
         return QDOMatrix(self.space, out)
 
-    def to_jsonable(self):
-        ent = {}
-        for (r, c), op in sorted(self.data.items()):
-            ent["%d,%d" % (r, c)] = {
-                str(s): a.to_jsonable() for s, a in sorted(op.data.items())
-            }
-        return {"dims": list(self.space.dims), "entries": ent}
-
 
 def qdo_from_graded(op):
     """Wrap a function-valued matrix as a shift-free operator matrix."""

@@ -11,7 +11,6 @@ from fractions import Fraction
 __all__ = [
     "DENOM",
     "LatticeError",
-    "get_lattice_denominator",
     "to_units",
     "from_units",
 ]
@@ -21,10 +20,6 @@ DENOM = 4
 
 class LatticeError(ValueError):
     """An exponent fell off the (1/D)Z lattice."""
-
-
-def get_lattice_denominator():
-    return DENOM
 
 
 def to_units(e):

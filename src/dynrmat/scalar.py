@@ -15,6 +15,7 @@ package decides equality; numeric evaluation (principal square roots) is the
 safety net on top, never the proof.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import multisets
@@ -28,6 +29,7 @@ from .polys import (
     QRAT_ONE,
     QRAT_ZERO,
     QRat,
+    XP_ONE,
     poly_add,
     qrat,
     qrat_const,
@@ -567,99 +569,174 @@ def phase(t):
 
 
 # ------------------------------------------------------------- rendering ---
+#
+# One walk over the coefficient tower prints both plain text and LaTeX:
+#   scalar = sum of terms rf * sqrt(radical atoms)
+#   rf     = x-Laurent fraction whose coefficients are QRats
+#   QRat   = q-Laurent fraction over rationals or Q(z8) coefficients
+# A dialect holds only the strings in which the two forms differ.
+
+_Dialect = namedtuple("_Dialect", (
+    "rational zeta cyclo power mul q_frac group group_x_constant times"
+    " x_join x_frac term_join xbracket qdiff sqrt atom_sep"))
 
 
-def _coeff_text(c):
-    if isinstance(c, Cyclo):
-        parts = []
-        for i, comp in enumerate(c.parts):
-            if not comp:
-                continue
-            if i == 0:
-                parts.append(str(comp))
-            elif comp == 1:
-                parts.append("z8^%d" % i)
-            else:
-                parts.append("%s*z8^%d" % (comp, i))
-        return "(" + " + ".join(parts) + ")"
-    return str(c)
-
-
-def _qp_text(p, var="q"):
-    if not p:
-        return "0"
-    bits = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        ef = Fraction(e, DENOM)
-        if ef == 0:
-            bits.append(_coeff_text(c))
-        else:
-            pw = var if ef == 1 else "%s^(%s)" % (var, ef)
-            if c == 1:
-                bits.append(pw)
-            elif c == -1:
-                bits.append("-" + pw)
-            else:
-                bits.append("%s*%s" % (_coeff_text(c), pw))
+def _sum(bits):
     return " + ".join(bits).replace("+ -", "- ")
 
 
-def _qrat_text(qr):
-    if not qr.num:
-        return "0"
+def _wrap(body):
+    """Parenthesize a sum, unless it is already one wrapped group."""
+    if " + " not in body and " - " not in body:
+        return body
+    if body.startswith("\\left(") and body.endswith("\\right)"):
+        depth = 0
+        for i in range(len(body)):
+            if body.startswith("\\left(", i):
+                depth += 1
+            elif body.startswith("\\right)", i):
+                depth -= 1
+                if depth == 0:
+                    if i == len(body) - len("\\right)"):
+                        return body
+                    break
+    return "\\left(%s\\right)" % body
+
+
+def _tfrac(f):
+    if f.denominator == 1:
+        return str(f.numerator)
+    mag = "\\tfrac{%d}{%d}" % (abs(f.numerator), f.denominator)
+    return "-" + mag if f.numerator < 0 else mag
+
+
+_TEXT = _Dialect(
+    rational=str,                # an int or a Fraction
+    zeta="z8^%d",
+    cyclo=lambda parts: "(%s)" % " + ".join(parts),  # nonzero Q(z8) parts
+    power="%s^(%s)",             # var^e for e != 1
+    mul="%s*%s",                 # a coefficient times z8^i or q^e
+    q_frac="(%s)/(%s)",
+    group=lambda body: "(%s)" % body,  # a factor of a product
+    group_x_constant=False,      # whether x^0's coefficient is grouped
+    times="%s*%s",               # a group times x^e or a radical
+    x_join=" + ".join,
+    x_frac="(%s) / (%s)",
+    term_join="  +  ".join,      # the radical terms of a scalar
+    xbracket="<%s>",
+    qdiff="(q-1/q)",
+    sqrt="sqrt(%s)",             # of the atoms joined by atom_sep
+    atom_sep="",
+)
+
+_LATEX = _Dialect(
+    rational=_tfrac,
+    zeta="\\zeta_8^{%d}",
+    cyclo=lambda parts: "(%s)" % _sum(parts) if len(parts) > 1 else parts[0],
+    power="%s^{%s}",
+    mul="%s %s",
+    q_frac="\\frac{%s}{%s}",
+    group=_wrap,
+    group_x_constant=True,
+    times="%s \\, %s",
+    x_join=_sum,
+    x_frac="\\frac{%s}{%s}",
+    term_join=_sum,
+    xbracket="\\langle %s \\rangle",
+    qdiff="(q - q^{-1})",
+    sqrt="\\sqrt{%s}",
+    atom_sep=" ",
+)
+
+
+def _coeff_str(c, d):
+    if not isinstance(c, Cyclo):
+        return d.rational(c)
+    parts = []
+    for i, comp in enumerate(c.parts):
+        if not comp:
+            continue
+        if i == 0:
+            parts.append(d.rational(comp))
+        elif comp == 1:
+            parts.append(d.zeta % i)
+        else:
+            parts.append(d.mul % (d.rational(comp), d.zeta % i))
+    return d.cyclo(parts)
+
+
+def _power_str(var, units, d):
+    e = from_units(units)
+    return var if e == 1 else d.power % (var, e)
+
+
+def _qp_str(p, d):
+    bits = []
+    for e in sorted(p, reverse=True):
+        c = p[e]
+        if e == 0:
+            bits.append(_coeff_str(c, d))
+        elif c == 1:
+            bits.append(_power_str("q", e, d))
+        elif c == -1:
+            bits.append("-" + _power_str("q", e, d))
+        else:
+            bits.append(d.mul % (_coeff_str(c, d), _power_str("q", e, d)))
+    return _sum(bits)
+
+
+def _qrat_str(qr, d):
     if qr.den == QP_ONE:
-        return _qp_text(qr.num)
-    return "(%s)/(%s)" % (_qp_text(qr.num), _qp_text(qr.den))
+        return _qp_str(qr.num, d)
+    return d.q_frac % (_qp_str(qr.num, d), _qp_str(qr.den, d))
 
 
-def _xp_text(xp):
-    if not xp:
-        return "0"
+def _xp_str(xp, d):
     bits = []
     for k in sorted(xp, reverse=True):
-        qr = xp[k]
-        kf = Fraction(k, DENOM)
-        ct = _qrat_text(qr)
-        if kf == 0:
-            bits.append(ct)
+        ct = _qrat_str(xp[k], d)
+        if k == 0:
+            bits.append(d.group(ct) if d.group_x_constant else ct)
+        elif ct == "1":
+            bits.append(_power_str("x", k, d))
         else:
-            pw = "x" if kf == 1 else "x^(%s)" % kf
-            if ct == "1":
-                bits.append(pw)
-            else:
-                bits.append("(%s)*%s" % (ct, pw))
-    return " + ".join(bits)
+            bits.append(d.times % (d.group(ct), _power_str("x", k, d)))
+    return d.x_join(bits)
 
 
-def _rf_text(rf):
-    if not rf.num:
-        return "0"
-    if rf.den == {0: QRAT_ONE}:
-        return _xp_text(rf.num)
-    return "(%s) / (%s)" % (_xp_text(rf.num), _xp_text(rf.den))
+def _rf_str(rf, d):
+    if rf.den == XP_ONE:
+        return _xp_str(rf.num, d)
+    return d.x_frac % (_xp_str(rf.num, d), _xp_str(rf.den, d))
 
 
-def _atom_text(atom):
+def _atom_str(atom, d):
     if atom[0] == "qint":
         return "[%d]" % atom[1]
     if atom[0] == "xbr":
-        return "<%s>" % from_units(atom[1])
-    return "(q-1/q)"
+        return d.xbracket % from_units(atom[1])
+    return d.qdiff
 
 
-def scalar_text(s):
+def _scalar_str(s, d):
     if not s.terms:
         return "0"
     parts = []
     for atoms in sorted(s.terms):
-        rf = s.terms[atoms]
-        body = _rf_text(rf)
+        body = _rf_str(s.terms[atoms], d)
         if atoms:
-            rad = "sqrt(%s)" % "".join(_atom_text(a) for a in atoms)
-            body = "(%s)*%s" % (body, rad)
+            rad = d.sqrt % d.atom_sep.join(_atom_str(a, d) for a in atoms)
+            body = d.times % (d.group(body), rad)
         parts.append(body)
-    return "  +  ".join(parts)
+    return d.term_join(parts)
+
+
+def scalar_text(s):
+    return _scalar_str(s, _TEXT)
+
+
+def scalar_latex(s):
+    return _scalar_str(s, _LATEX)
 
 
 # ----------------------------------------------------------------- JSON ----

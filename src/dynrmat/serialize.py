@@ -1,15 +1,20 @@
-"""Canonical JSON and LaTeX forms for scalars and operator matrices.
+"""Canonical JSON, LaTeX and plain-text forms for scalars and operators.
 
 Dumps are deterministic: entries in sorted index order, JSON with sorted
 keys and fixed separators, no timing or environment data.  Parsing a dump
 rebuilds an object that compares equal to the original.
+
+A scalar prints through the one walk in `scalar.py` (plain text through
+`str`, LaTeX through `scalar_latex`); this module adds only the layouts
+around it: pmatrix and "(r,c):" lines for matrices, and the shift-operator
+printers.
 """
 
 import json
 from fractions import Fraction
 
 from .lame import QDOMatrix, QDiffOperator
-from .scalar import Scalar
+from .scalar import Scalar, _wrap, scalar_latex
 from .spins import GradedOperator, TensorSpace
 
 __all__ = [
@@ -81,145 +86,6 @@ def dumps_canonical(payload):
 
 
 # ---------------------------------------------------------------- LaTeX ----
-#
-# built from the JSON form, which exposes the full coefficient tower:
-#   scalar = sum of terms {radical atoms, coeff}
-#   coeff  = x-Laurent fraction whose coefficients are q-Laurent fractions
-#   bottom = rationals or Z[zeta_8] combinations
-
-
-def _frac_latex(s):
-    f = Fraction(s)
-    if f.denominator == 1:
-        return str(f.numerator)
-    mag = "\\tfrac{%d}{%d}" % (abs(f.numerator), f.denominator)
-    return "-" + mag if f.numerator < 0 else mag
-
-
-def _coeff_latex(c):
-    if isinstance(c, dict):
-        parts = []
-        for i, comp in enumerate(c["zeta8"]):
-            f = Fraction(comp)
-            if not f:
-                continue
-            if i == 0:
-                parts.append(_frac_latex(comp))
-            elif f == 1:
-                parts.append("\\zeta_8^{%d}" % i)
-            else:
-                parts.append("%s \\zeta_8^{%d}" % (_frac_latex(comp), i))
-        if not parts:
-            return "0"
-        body = " + ".join(parts).replace("+ -", "- ")
-        return "(%s)" % body if len(parts) > 1 else body
-    return _frac_latex(c)
-
-
-def _pow_latex(var, e):
-    if e == 1:
-        return var
-    return "%s^{%s}" % (var, e)
-
-
-def _wrap(body):
-    """Parenthesize a sum, unless it is already one wrapped group."""
-    if " + " not in body and " - " not in body:
-        return body
-    if body.startswith("\\left(") and body.endswith("\\right)"):
-        depth = 0
-        for i in range(len(body)):
-            if body.startswith("\\left(", i):
-                depth += 1
-            elif body.startswith("\\right)", i):
-                depth -= 1
-                if depth == 0:
-                    if i == len(body) - len("\\right)"):
-                        return body
-                    break
-    return "\\left(%s\\right)" % body
-
-
-def _qpoly_latex(d, var="q"):
-    if not d:
-        return "0"
-    bits = []
-    for es in sorted(d, key=Fraction, reverse=True):
-        e = Fraction(es)
-        c = _coeff_latex(d[es])
-        if e == 0:
-            bits.append(c)
-        elif c == "1":
-            bits.append(_pow_latex(var, e))
-        elif c == "-1":
-            bits.append("-" + _pow_latex(var, e))
-        else:
-            bits.append("%s %s" % (c, _pow_latex(var, e)))
-    return " + ".join(bits).replace("+ -", "- ")
-
-
-def _qrat_latex(d):
-    num = _qpoly_latex(d["num"])
-    if d["den"] == {"0": "1"}:
-        return num
-    return "\\frac{%s}{%s}" % (num, _qpoly_latex(d["den"]))
-
-
-def _is_unit_qrat(d):
-    return d["num"] == {"0": "1"} and d["den"] == {"0": "1"}
-
-
-def _xpoly_latex(d):
-    if not d:
-        return "0"
-    bits = []
-    for es in sorted(d, key=Fraction, reverse=True):
-        e = Fraction(es)
-        qr = d[es]
-        coeff = _wrap(_qrat_latex(qr))
-        if e == 0:
-            bits.append(coeff)
-        elif _is_unit_qrat(qr):
-            bits.append(_pow_latex("x", e))
-        else:
-            bits.append("%s \\, %s" % (coeff, _pow_latex("x", e)))
-    return " + ".join(bits).replace("+ -", "- ")
-
-
-def _rf_latex(d):
-    num = _xpoly_latex(d["num"])
-    if list(d["den"]) == ["0"] and _is_unit_qrat(d["den"]["0"]):
-        return num
-    return "\\frac{%s}{%s}" % (num, _xpoly_latex(d["den"]))
-
-
-def _radical_latex(atoms):
-    bits = []
-    for a in atoms:
-        if a["kind"] == "qint":
-            bits.append("[%d]" % a["n"])
-        elif a["kind"] == "xbracket":
-            bits.append("\\langle %s \\rangle" % a["c"])
-        else:
-            bits.append("(q - q^{-1})")
-    return "\\sqrt{%s}" % " ".join(bits)
-
-
-def _scalar_latex_json(sj):
-    terms = sj["terms"]
-    if not terms:
-        return "0"
-    parts = []
-    for t in terms:
-        body = _rf_latex(t["coeff"])
-        if t["radical"]:
-            body = "%s \\, %s" % (_wrap(body), _radical_latex(t["radical"]))
-        parts.append(body)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def _scalar_latex(s):
-    return _scalar_latex_json(s.to_jsonable())
 
 
 def _shift_power(s):
@@ -234,7 +100,7 @@ def _qdo_latex(op):
         return "0"
     parts = []
     for s in sorted(op.data):
-        body = _wrap(_scalar_latex(op.data[s]))
+        body = _wrap(scalar_latex(op.data[s]))
         if body == "1":
             parts.append(_shift_power(s))
         else:
@@ -242,51 +108,36 @@ def _qdo_latex(op):
     return " + ".join(parts)
 
 
-def _matrix_latex(dim, entry):
+def _matrix_latex(obj, entry):
+    dim = obj.space.dim
     rows = []
     for r in range(dim):
-        rows.append(" & ".join(entry(r, c) for c in range(dim)))
+        rows.append(" & ".join(
+            entry(obj.data[(r, c)]) if (r, c) in obj.data else "0"
+            for c in range(dim)
+        ))
     return "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % " \\\\\n".join(rows)
 
 
 def latex(obj):
     if isinstance(obj, Scalar):
-        return _scalar_latex(obj)
+        return scalar_latex(obj)
     if isinstance(obj, GradedOperator):
-        return _matrix_latex(
-            obj.space.dim,
-            lambda r, c: _scalar_latex(obj.data[(r, c)]) if (r, c) in obj.data else "0",
-        )
+        return _matrix_latex(obj, scalar_latex)
     if isinstance(obj, QDiffOperator):
         return _qdo_latex(obj)
     if isinstance(obj, QDOMatrix):
-        return _matrix_latex(
-            obj.space.dim,
-            lambda r, c: _qdo_latex(obj.data[(r, c)]) if (r, c) in obj.data else "0",
-        )
+        return _matrix_latex(obj, _qdo_latex)
     raise TypeError("cannot format %r" % type(obj).__name__)
 
 
 # ----------------------------------------------------------------- text ----
 
 
-def _qdo_text(op):
-    return str(op)
-
-
 def plain_text(obj):
-    if isinstance(obj, Scalar):
+    if isinstance(obj, (Scalar, QDiffOperator)):
         return str(obj)
-    if isinstance(obj, GradedOperator):
-        lines = []
-        for (r, c) in sorted(obj.data):
-            lines.append("(%d,%d): %s" % (r, c, obj.data[(r, c)]))
-        return "\n".join(lines) if lines else "0"
-    if isinstance(obj, QDiffOperator):
-        return _qdo_text(obj)
-    if isinstance(obj, QDOMatrix):
-        lines = []
-        for (r, c) in sorted(obj.data):
-            lines.append("(%d,%d): %s" % (r, c, _qdo_text(obj.data[(r, c)])))
+    if isinstance(obj, (GradedOperator, QDOMatrix)):
+        lines = ["(%d,%d): %s" % (r, c, obj.data[(r, c)]) for r, c in sorted(obj.data)]
         return "\n".join(lines) if lines else "0"
     raise TypeError("cannot format %r" % type(obj).__name__)
