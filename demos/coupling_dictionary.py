@@ -11,7 +11,7 @@ coupling coefficient converge to its continuous limit numerically.
 
 from fractions import Fraction
 
-from dynrmat import limit_three_j, m_element, six_j, three_j, verify_symbol_relation
+from dynrmat import limit_three_j, m_element, six_j, three_j, verify_relation
 from dynrmat.numeric import prelimit_three_j_num
 
 half = Fraction(1, 2)
@@ -43,15 +43,15 @@ for name, spins in [
     ("F_DICTIONARY", (half, half)),
     ("RECOUPLING", (half, half, half)),
 ]:
-    print(verify_symbol_relation(name, spins).line())
+    print(verify_relation(name, spins).line())
 
 # Convergence of the finite symbol to its limit.  The second spin grows
 # along mu while the evaluation point (q0, x0) stays fixed; the error
 # should shrink geometrically.
 q0, x0 = 0.7, 0.3
-j, sigma, m = one, half, Fraction(0)
+j, sigma, m = one, Fraction(0), Fraction(0)
 target = limit_three_j(j, sigma, m).reduce().numeric_eval(q0, x0)
-print("\nconvergence at (q0,x0)=(0.7,0.3), j=1 sigma=1/2 m=0:")
+print("\nconvergence at (q0,x0)=(0.7,0.3), j=1 sigma=0 m=0:")
 print("  limit value  %s" % target)
 for mu in (10, 20, 30, 40):
     pre = prelimit_three_j_num(j, sigma, m, mu, q0, x0)

@@ -11,13 +11,13 @@ exact arithmetic.
 
 from fractions import Fraction
 
-from dynrmat import energy, hamiltonian, lax_matrix, transfer_and_restrict, wavefunction
-from dynrmat.lame import (
-    verify_exclusion,
-    verify_intertwining,
-    verify_residues,
-    verify_rll,
-    verify_spectral_properties,
+from dynrmat import (
+    energy,
+    hamiltonian,
+    lax_matrix,
+    transfer_and_restrict,
+    verify_relation,
+    wavefunction,
 )
 
 # The operator at coupling j: a shift down plus a dressed shift up.  At
@@ -41,25 +41,25 @@ print("energy(3) =", energy(3))
 
 # Inside |k| <= j the candidate eigenfunctions vanish identically: the
 # dressed operator keeps the free spectrum minus a finite window.
-print(verify_exclusion(2).line())
+print(verify_relation("EXCLUSION", (2,)).line())
 
 # The closed form is a sum of simple poles at x = +-q^-r whose residues
 # cancel between neighboring terms; checked exactly.
-print(verify_residues(2).line())
+print(verify_relation("RESIDUES", (2,)).line())
 
 # The intertwining relation that generates the recursion.
 for j_ in (1, 2, 3):
-    print(verify_intertwining(j_).line())
+    print(verify_relation("INTERTWINING", (j_,)).line())
 
 # The operator also arises as the trace of a 2x2 transfer matrix built
 # from the exchange matrix with an auxiliary spin-1/2 leg.
 L = lax_matrix(Fraction(1, 2))
 print("\nLax matrix entries on the auxiliary leg:")
-for (r, c), op in sorted(L.entries.items()):
+for (r, c), op in sorted(L.data.items()):
     print("  (%d,%d): %s" % (r, c, op))
 print("transfer trace reproduces the operator:",
       transfer_and_restrict(1) == hamiltonian(1))
 
 # Exchange relation for the Lax matrix, and the one-line summary check.
-print(verify_rll(Fraction(1, 2)).line())
-print(verify_spectral_properties(1, kmax=4).line())
+print(verify_relation("RLL", (Fraction(1, 2),)).line())
+print(verify_relation("SPECTRAL_PROPERTIES", (1,)).line())

@@ -10,18 +10,13 @@ check passed, 1 means a check failed, 2 means the command was malformed.
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
-from .lame import (
-    LAME_RELATIONS,
-    classical_limit_table,
-    hamiltonian,
-    lax_matrix,
-    verify_spectral_properties,
-    wavefunction,
-)
+from .lame import classical_limit_table, hamiltonian, lax_matrix, wavefunction
+from .report import run_comparisons
 from .serialize import dumps_canonical, latex, plain_text, to_payload
-from .suite import SuiteEntry, relation_family, run_entry, run_suite
+from .suite import RELATIONS, run_suite, verify_relation
 from .symbols import limit_three_j, m_element, six_j, three_j
 from .twist import associator_phi, boundary_m, gnf_r, twist_f
 
@@ -185,21 +180,24 @@ def _build_parser():
     return parser
 
 
+def _verify_one(parser, args, name):
+    try:
+        report = verify_relation(
+            name, args.spins, mode=args.mode, q0=args.q0, x0=args.x0
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return _finish_reports([report], args)
+
+
 def _cmd_verify(parser, args):
     _check_point(parser, args)
     if args.relation == "all":
         reports = run_suite(mode=args.mode, q0=args.q0, x0=args.x0)
         return _finish_reports(reports, args)
-    try:
-        family = relation_family(args.relation)
-    except KeyError:
+    if args.relation not in RELATIONS:
         parser.error("unknown relation %r" % args.relation)
-    entry = SuiteEntry(family, args.relation, args.spins)
-    try:
-        report = run_entry(entry, mode=args.mode, q0=args.q0, x0=args.x0)
-    except (ValueError, IndexError) as exc:
-        parser.error(str(exc))
-    return _finish_reports([report], args)
+    return _verify_one(parser, args, args.relation)
 
 
 _DUMP_ARITY = {
@@ -235,23 +233,28 @@ def _cmd_dump(parser, args):
     return _emit_object(obj, args)
 
 
-def _cmd_symbol(parser, args):
+def _symbol_value(parser, args):
     kind = args.kind
     if kind == "3j":
         if len(args.j) != 3 or len(args.m) != 3:
             parser.error("3j needs --j j1,j2,j3 and --m m1,m2,m3")
-        value = three_j(*args.j, *args.m)
-    elif kind == "6j":
+        return three_j(*args.j, *args.m)
+    if kind == "6j":
         if len(args.j) != 6:
             parser.error("6j needs --j with six entries")
-        value = six_j(*args.j)
-    else:
-        if len(args.j) != 1 or len(args.m) != 1 or args.sigma is None:
-            parser.error("%s needs --j J --sigma S --m M" % kind)
-        if kind == "m":
-            value = m_element(args.j[0], args.sigma, args.m[0])
-        else:
-            value = limit_three_j(args.j[0], args.sigma, args.m[0]).reduce()
+        return six_j(*args.j)
+    if len(args.j) != 1 or len(args.m) != 1 or args.sigma is None:
+        parser.error("%s needs --j J --sigma S --m M" % kind)
+    if kind == "m":
+        return m_element(args.j[0], args.sigma, args.m[0])
+    return limit_three_j(args.j[0], args.sigma, args.m[0]).reduce()
+
+
+def _cmd_symbol(parser, args):
+    try:
+        value = _symbol_value(parser, args)
+    except ValueError as exc:
+        parser.error(str(exc))
     return _emit_object(value, args)
 
 
@@ -265,10 +268,19 @@ def _cmd_lame(parser, args):
         except ValueError as exc:
             parser.error(str(exc))
     elif verb == "verify":
+        # verify_relation has no kmax, so this builds and times on its own
         _check_point(parser, args)
-        report = verify_spectral_properties(
-            args.j, mode=args.mode, q0=args.q0, x0=args.x0, kmax=args.kmax
+        build = RELATIONS["SPECTRAL_PROPERTIES"][2]
+        t0 = time.perf_counter()
+        try:
+            comparisons = build(args.j, kmax=args.kmax)
+        except ValueError as exc:
+            parser.error(str(exc))
+        report = run_comparisons(
+            "SPECTRAL_PROPERTIES", (args.j,), comparisons,
+            mode=args.mode, q0=args.q0, x0=args.x0,
         )
+        report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
         return _finish_reports([report], args)
     else:
         lines = []
@@ -296,12 +308,7 @@ def _cmd_lame(parser, args):
 
 def _cmd_limits(parser, args):
     _check_point(parser, args)
-    entry = SuiteEntry("twist", "TWIST_LIMITS", args.spins)
-    try:
-        report = run_entry(entry, mode=args.mode, q0=args.q0, x0=args.x0)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _finish_reports([report], args)
+    return _verify_one(parser, args, "TWIST_LIMITS")
 
 
 def main(argv=None):

@@ -8,8 +8,8 @@ so composition uses a(x) T^s . b(x) T^t = a(x) b(q^s x) T^(s+t).
 from fractions import Fraction
 
 from .scalar import SC_ONE, SC_ZERO, qdiff, qbinom, qpow, xpow
-from .spins import Spin, TensorSpace, rep_eminus, rep_eplus
-from .report import VerificationReport, run_comparisons
+from .spins import Spin, TensorSpace, embed, rep_eminus, rep_eplus
+from .report import VerificationReport
 
 __all__ = [
     "QDiffOperator",
@@ -30,23 +30,21 @@ __all__ = [
     "rll_sides",
     "classical_limit_check",
     "classical_limit_table",
-    "verify_intertwining",
-    "verify_wavefunction_routes",
-    "verify_eigen_equation",
-    "verify_exclusion",
-    "verify_residues",
-    "verify_spectral_properties",
-    "verify_lax_routes",
-    "verify_transfer_restriction",
-    "verify_rll",
     "verify_classical_limit",
     "LAME_RELATIONS",
-    "verify_lame_relation",
 ]
 
 
 def _fr(v):
     return Fraction(v)
+
+
+def _int_spin(j):
+    """j as an int; a half-integer spin raises instead of truncating."""
+    j = Fraction(j)
+    if j.denominator != 1:
+        raise ValueError("needs an integer spin, got %s" % j)
+    return int(j)
 
 
 class QDiffOperator:
@@ -174,7 +172,7 @@ def energy(k):
 
 def wavefunction_recursive(j, k):
     """Eigenfunction by the ladder cascade from the free solution."""
-    j = int(j)
+    j = _int_spin(j)
     psi = xpow(k) - xpow(-k)
     for level in range(1, j + 1):
         psi = shift_operator(level).apply(psi)
@@ -191,7 +189,7 @@ def wavefunction(j, k, method="closed"):
 
 def wavefunction_terms(j, k):
     """Summands of the closed form, kept apart for residue inspection."""
-    j, k = int(j), int(k)
+    j, k = _int_spin(j), int(k)
     terms = []
     for n in range(j + 1):
         num = SC_ONE
@@ -282,11 +280,6 @@ class QDOMatrix:
         return QDOMatrix(self.space, out)
 
 
-def qdo_from_graded(op):
-    """Wrap a function-valued matrix as a shift-free operator matrix."""
-    return QDOMatrix(op.space, {rc: qdo_func(v) for rc, v in op.data.items()})
-
-
 def lax_matrix(j):
     """Dressing route: scale-shift conjugation of the exchange matrix.
 
@@ -374,51 +367,16 @@ def transfer_operator(j):
 
 def transfer_and_restrict(j):
     """Transfer operator on the zero-weight state."""
-    j = _fr(j)
-    if j.denominator != 1:
-        raise ValueError("zero-weight restriction needs an integer spin")
-    t = transfer_operator(j)
+    t = transfer_operator(_int_spin(j))
     spin = t.space.spins[0]
     zero = next(i for i in range(spin.dim) if spin.twice_m(i) == 0)
     return t.entry(zero, zero)
-
-
-def _embed_qdo(mat, big, legs):
-    """Place an aux (x) quantum operator matrix onto two legs of a larger
-    space, identity elsewhere."""
-    spectators = [i for i in range(len(big.dims)) if i not in legs]
-    out = {}
-    small = mat.space
-    for (r, c), op in mat.data.items():
-        rm = small.multi(r)
-        cm = small.multi(c)
-        specs = [range(big.dims[i]) for i in spectators]
-
-        def fill(pos, assign):
-            if pos == len(spectators):
-                rr = [0] * len(big.dims)
-                cc = [0] * len(big.dims)
-                for leg, val in zip(legs, rm):
-                    rr[leg] = val
-                for leg, val in zip(legs, cm):
-                    cc[leg] = val
-                for leg, val in zip(spectators, assign):
-                    rr[leg] = val
-                    cc[leg] = val
-                out[(big.index(tuple(rr)), big.index(tuple(cc)))] = op
-                return
-            for v in specs[pos]:
-                fill(pos + 1, assign + [v])
-
-        fill(0, [])
-    return QDOMatrix(big, out)
 
 
 def _r12_with_aux_shift(space, sign):
     """Exchange matrix on the two auxiliary legs, argument dressed by the
     weight of the quantum leg."""
     from .twist import gnf_r
-    from .spins import embed
 
     half = Fraction(1, 2)
     r12 = embed(gnf_r(half, half), space, (0, 1))
@@ -435,80 +393,61 @@ def rll_sides(j):
     half = Fraction(1, 2)
     space = TensorSpace((Spin(half), Spin(half), Spin(j)))
     lax = lax_matrix(j)
-    l13 = _embed_qdo(lax, space, (0, 2))
-    l23 = _embed_qdo(lax, space, (1, 2))
+    l13 = embed(lax, space, (0, 2))
+    l23 = embed(lax, space, (1, 2))
     lhs = _r12_with_aux_shift(space, -1) @ l13 @ l23
     rhs = l23 @ l13 @ _r12_with_aux_shift(space, +1)
     return lhs, rhs
 
 
 # ------------------------------------------------------------ verification
+# relation builders: each returns a list of (label, lhs, rhs)
+
+
+def _shift_pairs(a, b):
+    """Pair up the shift coefficients of two difference operators."""
+    return [
+        ("shift %s" % s, a.data.get(s, SC_ZERO), b.data.get(s, SC_ZERO))
+        for s in sorted(set(a.data) | set(b.data))
+    ]
 
 
 def _qdo_pairs(label, a, b):
     """Flatten two operator matrices into comparable scalar pairs."""
     pairs = []
-    keys = sorted(set(a.data) | set(b.data))
-    for rc in keys:
-        opa = a.entry(*rc)
-        opb = b.entry(*rc)
-        shifts = sorted(set(opa.data) | set(opb.data))
-        for s in shifts:
-            pairs.append(
-                (
-                    "%s entry %s shift %s" % (label, rc, s),
-                    opa.data.get(s, SC_ZERO),
-                    opb.data.get(s, SC_ZERO),
-                )
-            )
+    for rc in sorted(set(a.data) | set(b.data)):
+        for shift, lhs, rhs in _shift_pairs(a.entry(*rc), b.entry(*rc)):
+            pairs.append(("%s entry %s %s" % (label, rc, shift), lhs, rhs))
     return pairs
 
 
-def verify_intertwining(j, mode="exact", q0=None, x0=None):
+def _build_rel_intertwining(j):
     """H_j D_j = D_j H_(j-1)."""
-    j = int(j)
+    j = _int_spin(j)
     lhs = hamiltonian(j) @ shift_operator(j)
     rhs = shift_operator(j) @ hamiltonian(j - 1)
-    comparisons = []
-    shifts = sorted(set(lhs.data) | set(rhs.data))
-    for s in shifts:
-        comparisons.append(
-            (
-                "shift %s" % s,
-                lhs.data.get(s, SC_ZERO),
-                rhs.data.get(s, SC_ZERO),
-            )
-        )
-    return run_comparisons(
-        "INTERTWINING", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return _shift_pairs(lhs, rhs)
 
 
-def verify_wavefunction_routes(j, mode="exact", q0=None, x0=None, kmax=5):
-    comparisons = []
-    for k in range(-kmax, kmax + 1):
-        comparisons.append(
-            ("k=%d" % k, wavefunction_recursive(j, k), wavefunction_closed(j, k))
-        )
-    return run_comparisons(
-        "WAVEFUNCTION_ROUTES", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+def _build_rel_wavefunction_routes(j, kmax=5):
+    return [
+        ("k=%d" % k, wavefunction_recursive(j, k), wavefunction_closed(j, k))
+        for k in range(-kmax, kmax + 1)
+    ]
 
 
-def verify_eigen_equation(j, mode="exact", q0=None, x0=None, kmax=5):
+def _build_rel_eigen_equation(j, kmax=5):
     h = hamiltonian(j)
     comparisons = []
     for k in range(-kmax, kmax + 1):
         psi = wavefunction_closed(j, k)
         comparisons.append(("k=%d" % k, h.apply(psi), energy(k) * psi))
-    return run_comparisons(
-        "EIGEN_EQUATION", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
-def verify_exclusion(j, mode="exact", q0=None, x0=None):
+def _build_rel_exclusion(j):
     """Both routes annihilate the free solutions with |k| <= j."""
-    j = int(j)
+    j = _int_spin(j)
     comparisons = []
     for k in range(-j, j + 1):
         comparisons.append(
@@ -517,9 +456,7 @@ def verify_exclusion(j, mode="exact", q0=None, x0=None):
         comparisons.append(
             ("closed k=%d" % k, wavefunction_closed(j, k), SC_ZERO)
         )
-    return run_comparisons(
-        "EXCLUSION", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
 def _residue_rows(j, k):
@@ -549,22 +486,15 @@ def _residue_rows(j, k):
     return rows
 
 
-def verify_residues(j, mode="exact", q0=None, x0=None, ks=(None,)):
+def _build_rel_residues(j):
     """Residues of the wavefunctions cancel at x = +- q^-r, 1 <= r <= j."""
-    j = int(j)
-    if ks == (None,):
-        ks = (j + 1, j + 2)
-    comparisons = []
-    for k in ks:
-        comparisons.extend(_residue_rows(j, k))
-    return run_comparisons(
-        "RESIDUES", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    j = _int_spin(j)
+    return _residue_rows(j, j + 1) + _residue_rows(j, j + 2)
 
 
-def verify_spectral_properties(j, mode="exact", q0=None, x0=None, kmax=5):
-    """Eigen-equation, exclusion and residue vanishing in one report."""
-    j = int(j)
+def _build_rel_spectral_properties(j, kmax=5):
+    """Eigen-equation, exclusion and residue vanishing in one list."""
+    j = _int_spin(j)
     h = hamiltonian(j)
     comparisons = []
     for k in range(-kmax, kmax + 1):
@@ -574,41 +504,19 @@ def verify_spectral_properties(j, mode="exact", q0=None, x0=None, kmax=5):
         comparisons.append(
             ("exclusion k=%d" % k, wavefunction_closed(j, k), SC_ZERO)
         )
-    for k in (j + 1, j + 2):
-        comparisons.extend(_residue_rows(j, k))
-    return run_comparisons(
-        "SPECTRAL_PROPERTIES", (Fraction(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons + _build_rel_residues(j)
 
 
-def verify_lax_routes(j, mode="exact", q0=None, x0=None):
-    a = lax_matrix(j)
-    b = lax_matrix_blocks(j)
-    comparisons = _qdo_pairs("lax", a, b)
-    return run_comparisons(
-        "LAX_ROUTES", (_fr(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+def _build_rel_lax_routes(j):
+    return _qdo_pairs("lax", lax_matrix(j), lax_matrix_blocks(j))
 
 
-def verify_transfer_restriction(j, mode="exact", q0=None, x0=None):
-    t = transfer_and_restrict(j)
-    h = hamiltonian(j)
-    comparisons = []
-    for s in sorted(set(t.data) | set(h.data)):
-        comparisons.append(
-            ("shift %s" % s, t.data.get(s, SC_ZERO), h.data.get(s, SC_ZERO))
-        )
-    return run_comparisons(
-        "TRANSFER_RESTRICTION", (_fr(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+def _build_rel_transfer_restriction(j):
+    return _shift_pairs(transfer_and_restrict(j), hamiltonian(j))
 
 
-def verify_rll(j, mode="exact", q0=None, x0=None):
-    lhs, rhs = rll_sides(j)
-    comparisons = _qdo_pairs("rll", lhs, rhs)
-    return run_comparisons(
-        "RLL", (_fr(j),), comparisons, mode=mode, q0=q0, x0=x0
-    )
+def _build_rel_rll(j):
+    return _qdo_pairs("rll", *rll_sides(j))
 
 
 def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
@@ -624,7 +532,7 @@ def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
     """
     import math
 
-    j, k = int(j), int(k)
+    j, k = _int_spin(j), int(k)
     cj = c_function(j, shift=1)
     x0 = math.exp(z)
 
@@ -652,14 +560,10 @@ def classical_limit_check(j, k, z):
     return extrap, target, order
 
 
-def verify_classical_limit(j, mode="numeric", q0=None, x0=None,
-                           ks=(2, 3), zs=(0.5, 1.0), tol=1e-4,
+def verify_classical_limit(j, ks=(2, 3), zs=(0.5, 1.0), tol=1e-4,
                            order_window=(1.8, 2.2)):
     """Pass when every sampled (k, z) extrapolates to the continuum value
-    at second order."""
-    import time
-
-    t0 = time.perf_counter()
+    at second order.  The check is numeric whatever mode is asked for."""
     failing = None
     for k in ks:
         for z in zs:
@@ -682,32 +586,18 @@ def verify_classical_limit(j, mode="numeric", q0=None, x0=None,
         mode="numeric",
         status="pass" if failing is None else "fail",
         failing_entry=failing,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
 LAME_RELATIONS = {
-    "INTERTWINING": verify_intertwining,
-    "WAVEFUNCTION_ROUTES": verify_wavefunction_routes,
-    "EIGEN_EQUATION": verify_eigen_equation,
-    "EXCLUSION": verify_exclusion,
-    "RESIDUES": verify_residues,
-    "SPECTRAL_PROPERTIES": verify_spectral_properties,
-    "LAX_ROUTES": verify_lax_routes,
-    "TRANSFER_RESTRICTION": verify_transfer_restriction,
-    "RLL": verify_rll,
-    "CLASSICAL_LIMIT": verify_classical_limit,
+    "INTERTWINING": (_build_rel_intertwining, 1),
+    "WAVEFUNCTION_ROUTES": (_build_rel_wavefunction_routes, 1),
+    "EIGEN_EQUATION": (_build_rel_eigen_equation, 1),
+    "EXCLUSION": (_build_rel_exclusion, 1),
+    "RESIDUES": (_build_rel_residues, 1),
+    "SPECTRAL_PROPERTIES": (_build_rel_spectral_properties, 1),
+    "LAX_ROUTES": (_build_rel_lax_routes, 1),
+    "TRANSFER_RESTRICTION": (_build_rel_transfer_restriction, 1),
+    "RLL": (_build_rel_rll, 1),
+    "CLASSICAL_LIMIT": (verify_classical_limit, 1),
 }
-
-
-def verify_lame_relation(name, spins, mode="exact", q0=None, x0=None):
-    import time
-
-    fn = LAME_RELATIONS[name]
-    if len(spins) != 1:
-        raise ValueError("%s expects one spin, got %d" % (name, len(spins)))
-    t0 = time.perf_counter()
-    report = fn(spins[0], mode=mode, q0=q0, x0=x0)
-    # charge the building of the comparisons too, not only their check
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report

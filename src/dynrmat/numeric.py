@@ -9,7 +9,6 @@ real two-route coherence check, not a tautology.
 import cmath
 import math
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -316,7 +315,6 @@ def verify_numeric_coherence(points=20, seed=20260825, tol=1e-10):
     from .twist import gnf_r
     from .lame import wavefunction_closed
 
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     exact_r = gnf_r(Fraction(1, 2), 1)
     exact_psi = wavefunction_closed(2, 3)
@@ -360,7 +358,6 @@ def verify_numeric_coherence(points=20, seed=20260825, tol=1e-10):
         mode="numeric",
         status="pass" if failing is None else "fail",
         failing_entry=failing,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -372,7 +369,6 @@ def verify_prelimit_convergence(q0=0.7, x0=0.3, mus=(20, 30, 40), tol=1e-6):
     """
     from .symbols import limit_three_j
 
-    t0 = time.perf_counter()
     failing = None
     for twice in (1, 2):
         j = Fraction(twice, 2)
@@ -407,5 +403,4 @@ def verify_prelimit_convergence(q0=0.7, x0=0.3, mus=(20, 30, 40), tol=1e-6):
         mode="numeric",
         status="pass" if failing is None else "fail",
         failing_entry=failing,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )

@@ -25,7 +25,7 @@ cancels by xp_gcd, and its result is factored again where it can be.
 """
 
 from .coeffs import Cyclo, root8_pow
-from .lattice import DENOM, LatticeError, to_units
+from .lattice import DENOM, LatticeError
 from .multisets import NO_FACTORS, Alphabet
 from .polys import (
     QRAT_ONE,
@@ -203,11 +203,6 @@ class RationalFunction(CanonicalFraction):
     def is_x_free(self):
         return self.fac == NO_FACTORS and set(self.num) <= {0}
 
-    def as_qrat(self):
-        if not self.is_x_free():
-            raise ValueError("rational function depends on x")
-        return self.num.get(0, QRAT_ZERO)
-
     # ----------------------------------------------------------- limits
 
     def edge(self, at_zero):
@@ -282,14 +277,6 @@ def rf_xpow_units(k):
     if not k:
         return RF_ONE
     return RationalFunction({k: QRAT_ONE}, NO_FACTORS)
-
-
-def rf_qpow(e):
-    return rf_qpow_units(to_units(e))
-
-
-def rf_xpow(e):
-    return rf_xpow_units(to_units(e))
 
 
 def qdiff_qrat():

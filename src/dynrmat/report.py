@@ -1,6 +1,5 @@
 """Verification reports shared by every identity checker in the package."""
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,17 +118,17 @@ def run_comparisons(
     q0=None,
     x0=None,
     tol=NUMERIC_TOL,
-    started=None,
 ):
     """Fold labelled (lhs, rhs) pairs into a VerificationReport.
 
     comparisons is an iterable of (label, lhs, rhs) where lhs and rhs are
     GradedOperators or Scalars.  In exact mode the difference must vanish
-    structurally; in numeric mode entries are compared at (q0, x0).
+    structurally; in numeric mode entries are compared at (q0, x0), each
+    coordinate defaulting on its own.  The report's elapsed_ms is left to
+    the caller (suite.verify_relation charges the building too).
     """
-    t0 = started if started is not None else time.perf_counter()
-    if q0 is None:
-        q0, x0 = _DEFAULT_POINT
+    q0 = _DEFAULT_POINT[0] if q0 is None else q0
+    x0 = _DEFAULT_POINT[1] if x0 is None else x0
     failing = None
     rank = None
     for label, lhs, rhs in comparisons:
@@ -141,7 +140,6 @@ def run_comparisons(
             raise ValueError("unknown mode %r" % mode)
         if failing is not None:
             break
-    elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         relation=relation,
         spins=tuple(Fraction(s) for s in spins),
@@ -149,5 +147,4 @@ def run_comparisons(
         status="pass" if failing is None else "fail",
         failing_entry=failing,
         residual_rank=rank,
-        elapsed_ms=elapsed,
     )

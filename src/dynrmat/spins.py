@@ -266,14 +266,6 @@ class GradedOperator:
             self.space, {k: s.shift_x_units(mu) for k, s in self.data.items()}
         )
 
-    def map_entries(self, fn):
-        out = {}
-        for k, s in self.data.items():
-            t = fn(s)
-            if t:
-                out[k] = t
-        return GradedOperator(self.space, out)
-
     # ---------------------------------------------------------- queries
 
     def first_nonzero(self):
@@ -399,7 +391,7 @@ def embed(op, big, legs):
                 rfull[l] = assign[pos]
                 cfull[l] = assign[pos]
             out[(big.index(rfull), big.index(cfull))] = s
-    return GradedOperator(big, out)
+    return type(op)(big, out)
 
 
 def coproduct_h(space2):

@@ -35,7 +35,6 @@ from .scalar import (
     xbracket,
     xpow,
 )
-from .report import run_comparisons
 
 __all__ = [
     "three_j",
@@ -52,14 +51,7 @@ __all__ = [
     "limit_three_j",
     "r_dict_entry",
     "f_dict_entry",
-    "verify_m_dictionary",
-    "verify_m_limit_formula",
-    "verify_r_dictionary",
-    "verify_f_dictionary",
-    "verify_delta_m_decomposition",
-    "verify_recoupling",
     "SYMBOL_RELATIONS",
-    "verify_symbol_relation",
 ]
 
 # Pinned value of (-1)^K for the continued spin: fixed by requiring the
@@ -614,7 +606,7 @@ def f_dict_entry(j1, j2, s1, s2, sp1, sp2):
 
 
 # ---------------------------------------------------------------------------
-# verifications
+# relation builders: each returns a list of (label, lhs, rhs)
 
 
 def _spin_range(j):
@@ -627,11 +619,10 @@ def _spin_range(j):
     return vals
 
 
-def verify_m_dictionary(j, mode="exact", q0=None, x0=None):
+def _build_rel_m_dictionary(j):
     """Closed-form matrix elements against the one-leg series matrix."""
     from .twist import boundary_m
 
-    j = _fr(j)
     op = boundary_m(j)
     comparisons = []
     rng = _spin_range(j)
@@ -644,12 +635,11 @@ def verify_m_dictionary(j, mode="exact", q0=None, x0=None):
                     m_element(j, sigma, m),
                 )
             )
-    return run_comparisons("M_DICTIONARY", (j,), comparisons, mode=mode, q0=q0, x0=x0)
+    return comparisons
 
 
-def verify_m_limit_formula(j, mode="exact", q0=None, x0=None):
+def _build_rel_m_limit_formula(j):
     """Closed form == normalisation ratio times the continued coupling."""
-    j = _fr(j)
     comparisons = []
     rng = _spin_range(j)
     for sigma in rng:
@@ -657,15 +647,12 @@ def verify_m_limit_formula(j, mode="exact", q0=None, x0=None):
             lhs = m_element(j, sigma, m)
             rhs = (norm_psi(j, sigma) * limit_three_j(j, sigma, m)).reduce() / norm_xi(m)
             comparisons.append(("sigma=%s m=%s" % (sigma, m), lhs, rhs))
-    return run_comparisons(
-        "M_LIMIT_FORMULA", (j,), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
-def verify_r_dictionary(j1, j2, mode="exact", q0=None, x0=None):
+def _build_rel_r_dictionary(j1, j2):
     from .twist import gnf_r
 
-    j1, j2 = _fr(j1), _fr(j2)
     op = gnf_r(j1, j2)
     space = op.space
     r1 = _spin_range(j1)
@@ -686,15 +673,12 @@ def verify_r_dictionary(j1, j2, mode="exact", q0=None, x0=None):
                             r_dict_entry(j1, j2, sp1, sp2, s1, s2),
                         )
                     )
-    return run_comparisons(
-        "R_DICTIONARY", (j1, j2), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
-def verify_f_dictionary(j1, j2, mode="exact", q0=None, x0=None):
+def _build_rel_f_dictionary(j1, j2):
     from .twist import twist_f
 
-    j1, j2 = _fr(j1), _fr(j2)
     op = twist_f(j1, j2)
     space = op.space
     r1 = _spin_range(j1)
@@ -715,17 +699,14 @@ def verify_f_dictionary(j1, j2, mode="exact", q0=None, x0=None):
                             f_dict_entry(j1, j2, s1, s2, sp1, sp2),
                         )
                     )
-    return run_comparisons(
-        "F_DICTIONARY", (j1, j2), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
-def verify_delta_m_decomposition(j1, j2, mode="exact", q0=None, x0=None):
+def _build_rel_delta_m_decomposition(j1, j2):
     """Two-leg boundary twist decomposes over intermediate spins with
     coupling coefficients on both sides."""
     from .twist import delta_m
 
-    j1, j2 = _fr(j1), _fr(j2)
     op = delta_m(j1, j2)
     space = op.space
     r1 = _spin_range(j1)
@@ -752,14 +733,11 @@ def verify_delta_m_decomposition(j1, j2, mode="exact", q0=None, x0=None):
                             rhs,
                         )
                     )
-    return run_comparisons(
-        "DELTA_M_DECOMPOSITION", (j1, j2), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
-def verify_recoupling(j1, j2, j3, mode="exact", q0=None, x0=None):
+def _build_rel_recoupling(j1, j2, j3):
     """Single-sum recoupling symbol against the brute-force overlap."""
-    j1, j2, j3 = _fr(j1), _fr(j2), _fr(j3)
     comparisons = []
     j12 = abs(j1 - j2)
     while j12 <= j1 + j2:
@@ -779,30 +757,15 @@ def verify_recoupling(j1, j2, j3, mode="exact", q0=None, x0=None):
                 jtot += 1
             j23 += 1
         j12 += 1
-    return run_comparisons(
-        "RECOUPLING", (j1, j2, j3), comparisons, mode=mode, q0=q0, x0=x0
-    )
+    return comparisons
 
 
 SYMBOL_RELATIONS = {
-    "M_DICTIONARY": (verify_m_dictionary, 1),
-    "M_LIMIT_FORMULA": (verify_m_limit_formula, 1),
-    "R_DICTIONARY": (verify_r_dictionary, 2),
-    "F_DICTIONARY": (verify_f_dictionary, 2),
-    "DELTA_M_DECOMPOSITION": (verify_delta_m_decomposition, 2),
-    "RECOUPLING": (verify_recoupling, 3),
+    "M_DICTIONARY": (_build_rel_m_dictionary, 1),
+    "M_LIMIT_FORMULA": (_build_rel_m_limit_formula, 1),
+    "R_DICTIONARY": (_build_rel_r_dictionary, 2),
+    "F_DICTIONARY": (_build_rel_f_dictionary, 2),
+    "DELTA_M_DECOMPOSITION": (_build_rel_delta_m_decomposition, 2),
+    "RECOUPLING": (_build_rel_recoupling, 3),
 }
 
-
-def verify_symbol_relation(name, spins, mode="exact", q0=None, x0=None):
-    import time
-
-    fn, arity = SYMBOL_RELATIONS[name]
-    spins = tuple(_fr(s) for s in spins)
-    if len(spins) != arity:
-        raise ValueError("%s expects %d spins, got %d" % (name, arity, len(spins)))
-    t0 = time.perf_counter()
-    report = fn(*spins, mode=mode, q0=q0, x0=x0)
-    # charge the building of the comparisons too, not only their check
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report

@@ -33,7 +33,6 @@ from .spins import (
     rep_eplus,
     rep_h,
 )
-from .report import run_comparisons
 
 __all__ = [
     "drinfeld_r",
@@ -48,9 +47,6 @@ __all__ = [
     "phi_embedded",
     "phi_inv_embedded",
     "RELATIONS",
-    "relation_names",
-    "relation_arity",
-    "verify_relation",
 ]
 
 # ---------------------------------------------------------------------------
@@ -652,22 +648,3 @@ RELATIONS = {
     "TWIST_LIMITS": (_build_rel_twist_limits, 2),
 }
 
-
-def relation_names():
-    return tuple(RELATIONS)
-
-
-def relation_arity(name):
-    return RELATIONS[name][1]
-
-
-def verify_relation(name, spins, mode="exact", q0=None, x0=None):
-    import time
-
-    builder, arity = RELATIONS[name]
-    spins = tuple(Fraction(s) for s in spins)
-    if len(spins) != arity:
-        raise ValueError("%s expects %d spins, got %d" % (name, arity, len(spins)))
-    t0 = time.perf_counter()
-    comparisons = builder(*spins)
-    return run_comparisons(name, spins, comparisons, mode=mode, q0=q0, x0=x0, started=t0)

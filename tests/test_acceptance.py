@@ -12,20 +12,10 @@ import time
 from fractions import Fraction as F
 
 from dynrmat.cli import main as cli_main
-from dynrmat.lame import (
-    verify_classical_limit,
-    verify_eigen_equation,
-    verify_exclusion,
-    verify_intertwining,
-    verify_residues,
-    verify_rll,
-    verify_transfer_restriction,
-    verify_wavefunction_routes,
-)
+from dynrmat.lame import verify_classical_limit
 from dynrmat.numeric import verify_numeric_coherence, verify_prelimit_convergence
 from dynrmat.spins import check_algebra
-from dynrmat.symbols import verify_symbol_relation
-from dynrmat.twist import verify_relation
+from dynrmat.suite import verify_relation
 
 H = F(1, 2)
 
@@ -122,12 +112,12 @@ def test_05_endpoint_limits():
 
 def test_06_boundary_dictionary():
     reports = [
-        verify_symbol_relation("M_DICTIONARY", (H,)),
-        verify_symbol_relation("M_DICTIONARY", (F(1),)),
-        verify_symbol_relation("M_LIMIT_FORMULA", (H,)),
-        verify_symbol_relation("M_LIMIT_FORMULA", (F(1),)),
-        verify_symbol_relation("R_DICTIONARY", (H, H)),
-        verify_symbol_relation("F_DICTIONARY", (H, H)),
+        verify_relation("M_DICTIONARY", (H,)),
+        verify_relation("M_DICTIONARY", (F(1),)),
+        verify_relation("M_LIMIT_FORMULA", (H,)),
+        verify_relation("M_LIMIT_FORMULA", (F(1),)),
+        verify_relation("R_DICTIONARY", (H, H)),
+        verify_relation("F_DICTIONARY", (H, H)),
         verify_prelimit_convergence(q0=0.7, x0=0.3, mus=(20, 30, 40), tol=1e-6),
     ]
     ok, why = _all_ok(reports)
@@ -139,15 +129,18 @@ def test_07_difference_operator_spectra():
     t0 = time.monotonic()
     reports = []
     for j in (1, 2, 3, 4):
-        reports.append(verify_intertwining(j))
+        reports.append(verify_relation("INTERTWINING", (j,)))
     for j in (1, 2, 3):
-        reports.append(verify_wavefunction_routes(j, kmax=5))
-        reports.append(verify_eigen_equation(j, kmax=5))
-        reports.append(verify_exclusion(j))
-        reports.append(verify_residues(j))
-        reports.append(verify_transfer_restriction(j))
+        for name in (
+            "WAVEFUNCTION_ROUTES",
+            "EIGEN_EQUATION",
+            "EXCLUSION",
+            "RESIDUES",
+            "TRANSFER_RESTRICTION",
+        ):
+            reports.append(verify_relation(name, (j,)))
     for j in (H, F(1)):
-        reports.append(verify_rll(j))
+        reports.append(verify_relation("RLL", (j,)))
     ok_r, why = _all_ok(reports)
     elapsed = time.monotonic() - t0
     ok = ok_r and elapsed < 300.0

@@ -82,6 +82,35 @@ def test_numeric_mode_point_validation():
     assert code == 2
 
 
+def test_numeric_mode_defaults_the_other_coordinate():
+    for flag in ("--q0", "--x0"):
+        code, out, _ = run(
+            "verify", "GNF", "--spins", "1/2,1/2,1/2",
+            "--mode", "numeric", flag, "0.6",
+        )
+        assert code == 0, flag
+        assert out.startswith("PASS GNF")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "INTERTWINING", "--spins", "5/2"),
+        ("verify", "EXCLUSION", "--spins", "3/2"),
+        ("verify", "RESIDUES", "--spins", "1/2"),
+        ("verify", "CLASSICAL_LIMIT", "--spins", "3/2"),
+        ("verify", "EIGEN_EQUATION", "--spins", "1/2"),
+        ("verify", "ALGEBRA", "--spins", "1/2,1"),
+        ("verify", "NUMERIC_COHERENCE", "--spins", "1"),
+        ("lame", "verify", "--j", "1/2"),
+    ],
+)
+def test_spins_a_relation_cannot_take_are_usage_errors(argv):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_numeric_mode_runs_at_explicit_point():
     code, out, _ = run(
         "verify", "RD_INTERTWINER", "--spins", "1/2,1",
@@ -171,6 +200,13 @@ def test_symbol_needs_consistent_arguments():
     assert code == 2
 
 
+def test_symbol_value_error_is_usage_error():
+    # sigma = 1/2 is not on the spin-1 ladder
+    code, out, err = run("symbol", "limit3j", "--j", "1", "--sigma", "1/2", "--m", "0")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
 def test_symbol_limit3j_reduces():
     code, out, _ = run("symbol", "limit3j", "--j", "1/2", "--sigma", "1/2", "--m", "1/2")
     assert code == 0
@@ -211,12 +247,12 @@ def test_failure_exit_code_is_one(monkeypatch):
     import dynrmat.cli as cli
     from dynrmat.report import VerificationReport
 
-    def fake_run_entry(entry, mode="exact", q0=None, x0=None):
+    def fake_verify_relation(name, spins, mode="exact", q0=None, x0=None):
         return VerificationReport(
-            relation=entry.relation, spins=entry.spins, mode=mode, status="fail"
+            relation=name, spins=spins, mode=mode, status="fail"
         )
 
-    monkeypatch.setattr(cli, "run_entry", fake_run_entry)
+    monkeypatch.setattr(cli, "verify_relation", fake_verify_relation)
     code, out, _ = run("verify", "GNF", "--spins", "1/2,1/2,1/2")
     assert code == 1
     assert out.startswith("FAIL")

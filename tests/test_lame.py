@@ -20,23 +20,13 @@ from dynrmat.lame import (
     transfer_and_restrict,
     transfer_operator,
     verify_classical_limit,
-    verify_eigen_equation,
-    verify_exclusion,
-    verify_intertwining,
-    verify_lame_relation,
-    verify_lax_routes,
-    verify_residues,
-    verify_rll,
-    verify_spectral_properties,
-    verify_transfer_restriction,
-    verify_wavefunction_routes,
     wavefunction,
     wavefunction_closed,
     wavefunction_recursive,
-    _embed_qdo,
 )
 from dynrmat.scalar import SC_ONE, SC_ZERO, qdiff, qnum, qpow, sc_coeff, xpow
-from dynrmat.spins import Spin, TensorSpace
+from dynrmat.spins import Spin, TensorSpace, embed
+from dynrmat.suite import verify_relation
 
 H = F(1, 2)
 
@@ -112,11 +102,13 @@ def test_hamiltonian_supports():
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_intertwining(j):
-    assert verify_intertwining(j).ok
+    assert verify_relation("INTERTWINING", (j,)).ok
 
 
 def test_intertwining_numeric_mode():
-    assert verify_intertwining(2, mode="numeric", q0=0.43, x0=0.67).ok
+    assert verify_relation(
+        "INTERTWINING", (2,), mode="numeric", q0=0.43, x0=0.67
+    ).ok
 
 
 # ------------------------------------------------------------ wavefunctions
@@ -133,7 +125,7 @@ def test_seed_wavefunction():
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_wavefunction_routes(j):
-    assert verify_wavefunction_routes(j, kmax=5).ok
+    assert verify_relation("WAVEFUNCTION_ROUTES", (j,)).ok
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -144,23 +136,23 @@ def test_wavefunction_antisymmetry(j):
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_eigen_equation(j):
-    assert verify_eigen_equation(j, kmax=5).ok
+    assert verify_relation("EIGEN_EQUATION", (j,)).ok
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_exclusion(j):
-    assert verify_exclusion(j).ok
+    assert verify_relation("EXCLUSION", (j,)).ok
     # boundary sanity: the first allowed mode does not vanish
     assert wavefunction_closed(j, j + 1) != SC_ZERO
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_residues(j):
-    assert verify_residues(j).ok
+    assert verify_relation("RESIDUES", (j,)).ok
 
 
 def test_spectral_properties_combined():
-    assert verify_spectral_properties(2, kmax=4).ok
+    assert verify_relation("SPECTRAL_PROPERTIES", (2,)).ok
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -211,7 +203,7 @@ def test_wavefunction_numeric_oracle():
 
 @pytest.mark.parametrize("j", [0, H, 1])
 def test_lax_routes(j):
-    assert verify_lax_routes(j).ok
+    assert verify_relation("LAX_ROUTES", (j,)).ok
 
 
 def test_lax_free_case_shape():
@@ -239,7 +231,7 @@ def test_transfer_weight_diagonal():
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_transfer_restriction(j):
-    assert verify_transfer_restriction(j).ok
+    assert verify_relation("TRANSFER_RESTRICTION", (j,)).ok
     assert transfer_and_restrict(j) == hamiltonian(j)
 
 
@@ -250,7 +242,7 @@ def test_transfer_restriction_needs_integer_spin():
 
 @pytest.mark.parametrize("j", [H, 1])
 def test_rll(j):
-    assert verify_rll(j).ok
+    assert verify_relation("RLL", (j,)).ok
 
 
 def test_rll_negative_control():
@@ -258,8 +250,8 @@ def test_rll_negative_control():
     # relation: the two Lax factors do not commute on their own
     space = TensorSpace((Spin(H), Spin(H), Spin(H)))
     lax = lax_matrix(H)
-    l13 = _embed_qdo(lax, space, (0, 2))
-    l23 = _embed_qdo(lax, space, (1, 2))
+    l13 = embed(lax, space, (0, 2))
+    l23 = embed(lax, space, (1, 2))
     assert (l13 @ l23) != (l23 @ l13)
 
 
@@ -291,12 +283,12 @@ def test_classical_limit_reports(j):
 
 
 def test_registry_dispatch():
-    assert verify_lame_relation("INTERTWINING", (F(2),)).ok
-    assert verify_lame_relation("RLL", (H,)).ok
+    assert verify_relation("INTERTWINING", (F(2),)).ok
+    assert verify_relation("RLL", (H,)).ok
     with pytest.raises(ValueError):
-        verify_lame_relation("RLL", (H, H))
+        verify_relation("RLL", (H, H))
     with pytest.raises(KeyError):
-        verify_lame_relation("NOPE", (H,))
+        verify_relation("NOPE", (H,))
 
 
 def test_d_function_differs_from_c():

@@ -44,7 +44,7 @@ from dynrmat.polys import (
     xp_y_image,
     y_image_root_order,
 )
-from dynrmat.twist import verify_relation
+from dynrmat.suite import verify_relation
 
 
 def qr(terms):

@@ -51,7 +51,7 @@ from dynrmat.polys import (
 from dynrmat.ratfunc import RF_ONE, qdiff_qrat, ratfn, rf_const, rf_xpow_units
 from dynrmat.scalar import qfact_factors, qrat_qfact, qrat_qfact_sum, qrat_qnum
 from dynrmat.suite import default_manifest
-from dynrmat.symbols import verify_symbol_relation
+from dynrmat.suite import verify_relation
 
 sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")
@@ -520,4 +520,4 @@ def test_symbol_relations_never_reach_the_generic_gcd(monkeypatch, relation, spi
         raise AssertionError("generic q-level gcd reached")
 
     monkeypatch.setattr(polys, "qp_gcd", refuse)
-    assert verify_symbol_relation(relation, spins).ok
+    assert verify_relation(relation, spins).ok

@@ -34,7 +34,7 @@ from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xp_mul
 from dynrmat.ratfunc import PoleAtSubstitution, ratfn
 from dynrmat.scalar import rf_from_jsonable, rf_jsonable
 from dynrmat.suite import default_manifest
-from dynrmat.twist import verify_relation
+from dynrmat.suite import verify_relation
 
 sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")

@@ -1,23 +1,22 @@
-"""Manifest coverage, ordering, and the parallel runner."""
+"""The relation table, the one verify path, and the manifest."""
 
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from dynrmat.lame import LAME_RELATIONS
-from dynrmat.report import run_comparisons
-from dynrmat.scalar import SC_ONE
+from dynrmat.report import VerificationReport, run_comparisons
+from dynrmat.scalar import SC_ONE, xpow
 from dynrmat.suite import (
     MANIFEST_VERSION,
+    RELATIONS,
     SuiteEntry,
     default_manifest,
-    relation_family,
     run_entry,
     run_suite,
+    verify_relation,
 )
-from dynrmat.symbols import SYMBOL_RELATIONS
-from dynrmat.twist import RELATIONS
 
 
 def test_manifest_version_pinned():
@@ -26,14 +25,16 @@ def test_manifest_version_pinned():
 
 def test_manifest_covers_every_registered_relation():
     names = {e.relation for e in default_manifest()}
-    for name in RELATIONS:
-        assert name in names
-    for name in SYMBOL_RELATIONS:
-        assert name in names
-    for name in LAME_RELATIONS:
-        assert name in names
+    assert names == set(RELATIONS)
+    assert len(RELATIONS) == 32
     assert "ALGEBRA" in names
     assert "PRELIMIT_3J" in names and "NUMERIC_COHERENCE" in names
+
+
+def test_manifest_family_counts_pinned():
+    # the family labels feed the benchmark's per-family shares
+    counts = Counter(e.family for e in default_manifest())
+    assert counts == {"lame": 27, "twist": 24, "symbols": 8, "spins": 6, "numeric": 2}
 
 
 def test_manifest_is_deterministic():
@@ -41,13 +42,21 @@ def test_manifest_is_deterministic():
 
 
 def test_family_resolution():
-    assert relation_family("ALGEBRA") == "spins"
-    assert relation_family("GNF") == "twist"
-    assert relation_family("M_DICTIONARY") == "symbols"
-    assert relation_family("EIGEN_EQUATION") == "lame"
-    assert relation_family("PRELIMIT_3J") == "numeric"
+    assert RELATIONS["ALGEBRA"][0] == "spins"
+    assert RELATIONS["GNF"][0] == "twist"
+    assert RELATIONS["M_DICTIONARY"][0] == "symbols"
+    assert RELATIONS["EIGEN_EQUATION"][0] == "lame"
+    assert RELATIONS["PRELIMIT_3J"][0] == "numeric"
+    for entry in default_manifest():
+        assert entry.family == RELATIONS[entry.relation][0]
     with pytest.raises(KeyError):
-        relation_family("NOPE")
+        verify_relation("NOPE", ())
+
+
+def test_arity_is_checked_from_the_table():
+    for name, (_, arity, _) in RELATIONS.items():
+        with pytest.raises(ValueError):
+            verify_relation(name, (F(1),) * (arity + 1))
 
 
 def test_run_entry_each_family():
@@ -73,16 +82,40 @@ def test_parallel_runner_preserves_manifest_order():
     assert [r.relation for r in seq] == [e.relation for e in manifest]
 
 
+def _slow_comparisons(spin):
+    time.sleep(0.05)  # building the comparisons
+    return [("one", SC_ONE, SC_ONE)]
+
+
+def _slow_report(spin):
+    time.sleep(0.05)  # a check that decides and reports on its own
+    return VerificationReport("SLOW", (spin,), "numeric", "pass")
+
+
 @pytest.mark.parametrize("family", ["symbols", "lame"])
 def test_elapsed_ms_includes_building_the_comparisons(monkeypatch, family):
-    def slow(*spins, mode="exact", q0=None, x0=None):
-        time.sleep(0.05)  # building the comparisons
-        return run_comparisons("SLOW", spins, [("one", SC_ONE, SC_ONE)], mode=mode)
-
-    if family == "symbols":
-        monkeypatch.setitem(SYMBOL_RELATIONS, "SLOW", (slow, 1))
-    else:
-        monkeypatch.setitem(LAME_RELATIONS, "SLOW", slow)
+    monkeypatch.setitem(RELATIONS, "SLOW", (family, 1, _slow_comparisons))
     report = run_entry(SuiteEntry(family, "SLOW", (F(1),)))
     assert report.ok
     assert report.elapsed_ms >= 50
+
+
+def test_elapsed_ms_includes_a_check_that_reports_on_its_own(monkeypatch):
+    monkeypatch.setitem(RELATIONS, "SLOW", ("lame", 1, _slow_report))
+    report = run_entry(SuiteEntry("lame", "SLOW", (F(1),)))
+    assert report.ok
+    assert report.elapsed_ms >= 50
+
+
+def test_numeric_point_defaults_each_coordinate_alone():
+    # a known-false comparison whose sides depend on x only: with only x0
+    # given, the failing values must be evaluated at that x0
+    report = run_comparisons(
+        "SANITY", (), [("x", xpow(1), SC_ONE)], mode="numeric", x0=0.5
+    )
+    assert not report.ok
+    assert report.failing_entry["lhs"] == repr(xpow(1).numeric_eval(0.37, 0.5))
+    report = run_comparisons(
+        "SANITY", (), [("x", xpow(1), xpow(1))], mode="numeric", q0=0.6
+    )
+    assert report.ok

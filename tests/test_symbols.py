@@ -24,14 +24,8 @@ from dynrmat.symbols import (
     six_j_cont,
     six_j_u,
     three_j,
-    verify_delta_m_decomposition,
-    verify_f_dictionary,
-    verify_m_dictionary,
-    verify_m_limit_formula,
-    verify_r_dictionary,
-    verify_recoupling,
-    verify_symbol_relation,
 )
+from dynrmat.suite import verify_relation
 
 H = F(1, 2)
 
@@ -164,7 +158,7 @@ def test_classical_limit_of_coupling():
      (F(3, 2), F(3, 2), F(3, 2)), (2, F(3, 2), F(3, 2))],
 )
 def test_recoupling_two_routes(triple):
-    assert verify_recoupling(*triple).ok
+    assert verify_relation("RECOUPLING", triple).ok
 
 
 def test_six_j_pinned_value():
@@ -251,12 +245,12 @@ def test_single_continued_entry_rejected():
 
 @pytest.mark.parametrize("j", [H, 1, F(3, 2)])
 def test_m_dictionary(j):
-    assert verify_m_dictionary(j).ok
+    assert verify_relation("M_DICTIONARY", (j,)).ok
 
 
 @pytest.mark.parametrize("j", [H, 1, F(3, 2)])
 def test_m_limit_formula(j):
-    assert verify_m_limit_formula(j).ok
+    assert verify_relation("M_LIMIT_FORMULA", (j,)).ok
 
 
 def test_m_element_pinned():
@@ -278,26 +272,26 @@ def test_norm_xi_phase_lives_on_eighth_roots():
 
 @pytest.mark.parametrize("pair", [(H, H), (H, 1), (1, H), (1, 1)])
 def test_r_dictionary(pair):
-    assert verify_r_dictionary(*pair).ok
+    assert verify_relation("R_DICTIONARY", pair).ok
 
 
 @pytest.mark.parametrize("pair", [(H, H), (H, 1), (1, H)])
 def test_f_dictionary(pair):
-    assert verify_f_dictionary(*pair).ok
+    assert verify_relation("F_DICTIONARY", pair).ok
 
 
 @pytest.mark.parametrize("pair", [(H, H), (H, 1), (1, 1)])
 def test_delta_m_decomposition(pair):
-    assert verify_delta_m_decomposition(*pair).ok
+    assert verify_relation("DELTA_M_DECOMPOSITION", pair).ok
 
 
 def test_relation_registry_dispatch():
-    rep = verify_symbol_relation("M_DICTIONARY", (H,))
+    rep = verify_relation("M_DICTIONARY", (H,))
     assert rep.ok and rep.relation == "M_DICTIONARY"
     with pytest.raises(ValueError):
-        verify_symbol_relation("R_DICTIONARY", (H,))
+        verify_relation("R_DICTIONARY", (H,))
 
 
 def test_numeric_mode_dictionary():
-    rep = verify_r_dictionary(H, H, mode="numeric", q0=0.43, x0=0.67)
+    rep = verify_relation("R_DICTIONARY", (H, H), mode="numeric", q0=0.43, x0=0.67)
     assert rep.ok and rep.mode == "numeric"

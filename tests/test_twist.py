@@ -7,17 +7,16 @@ import pytest
 from dynrmat.scalar import SC_ONE, qdiff, qpow, xpow
 from dynrmat.spins import TensorSpace, identity_op
 from dynrmat.twist import (
+    RELATIONS,
     associator_phi,
     associator_phi_inv,
     boundary_m,
     drinfeld_r,
     gnf_r,
-    relation_arity,
-    relation_names,
     twist_f,
     twist_f_inv,
-    verify_relation,
 )
+from dynrmat.suite import verify_relation
 
 H = F(1, 2)
 
@@ -138,8 +137,8 @@ def test_relation_catches_wrong_identity():
 
 
 def test_registry_arities():
-    for name in relation_names():
-        assert relation_arity(name) in (2, 3)
+    for name, (_build, arity) in RELATIONS.items():
+        assert arity in (2, 3)
 
 
 def test_gnf_r_acts_block_diagonally():
