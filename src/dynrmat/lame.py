@@ -39,11 +39,11 @@ def _fr(v):
     return Fraction(v)
 
 
-def _int_spin(j):
-    """j as an int; a half-integer spin raises instead of truncating."""
+def _int_spin(j, what="spin"):
+    """j as an int; a fractional value raises instead of truncating."""
     j = Fraction(j)
     if j.denominator != 1:
-        raise ValueError("needs an integer spin, got %s" % j)
+        raise ValueError("needs an integer %s, got %s" % (what, j))
     return int(j)
 
 
@@ -189,7 +189,7 @@ def wavefunction(j, k, method="closed"):
 
 def wavefunction_terms(j, k):
     """Summands of the closed form, kept apart for residue inspection."""
-    j, k = _int_spin(j), int(k)
+    j, k = _int_spin(j), _int_spin(k, "wave number")
     terms = []
     for n in range(j + 1):
         num = SC_ONE
@@ -532,7 +532,7 @@ def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
     """
     import math
 
-    j, k = _int_spin(j), int(k)
+    j, k = _int_spin(j), _int_spin(k, "wave number")
     cj = c_function(j, shift=1)
     x0 = math.exp(z)
 

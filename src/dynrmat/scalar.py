@@ -31,6 +31,8 @@ from .polys import (
     QRat,
     XP_ONE,
     poly_add,
+    poly_shift,
+    qp_scale,
     qrat,
     qrat_const,
     qrat_monomial_mul,
@@ -68,6 +70,9 @@ __all__ = [
     "sqrt_xbracket",
     "sqrt_qdiff",
     "phase",
+    "QDIFF",
+    "add_qfact",
+    "qint_monomial",
 ]
 
 
@@ -508,6 +513,73 @@ def qrat_qfact_sum(terms):
         num = poly_add(num, CYCLOTOMICS.times(
             {s: c}, multisets.total(up, multisets.minus(lcm, down))))
     return qrat_over_cyclotomics(num, lcm)
+
+
+# The key of q - 1/q among the half-exponents of qint_monomial; it is also
+# its radical atom.
+QDIFF = ("qdiff",)
+
+# key -> (u-exponent, cyclotomic indices) of the factors of [n] and q - 1/q:
+#     [n] = q**-(n-1) * prod Phi_d(q**2) over the divisors d > 1 of n,
+#     q - 1/q = q**-1 * Phi_1(q**2),
+# the bookkeeping of qfact_factors.
+_QINT_SHAPES = {QDIFF: (-DENOM, (1,))}
+
+
+def _qint_shape(key):
+    got = _QINT_SHAPES.get(key)
+    if got is None:
+        if type(key) is not int or key < 1:
+            raise ValueError("no q-integer [%r] in a prefactor" % (key,))
+        got = _QINT_SHAPES[key] = (
+            -DENOM * (key - 1),
+            tuple(d for d in range(2, key + 1) if key % d == 0),
+        )
+    return got
+
+
+def add_qfact(halves, n, w):
+    """Add [n]!**(w/2) to the half-exponents `halves`: w on each of
+    [2]..[n].  Returns `halves`."""
+    for i in range(2, n + 1):
+        halves[i] = halves.get(i, 0) + w
+    return halves
+
+
+def qint_monomial(c, units, halves):
+    """The one-term Scalar c * u**units * prod [n]**(m/2) over the items
+    n: m of `halves`, for u = q**(1/D), a coefficient c and q-integers
+    n >= 1; the key QDIFF stands for q - 1/q.
+
+    Each exponent splits as m = 2a + b with b in (0, 1).  An odd b puts the
+    atom in the radical, and [n]**a adds its known factors a times, so the
+    rational part is c * u**s * prod Phi_d(q**2)**e_d for a signed multiset
+    e.  Its positive part is multiplied out for the numerator and its
+    negative part is the denominator, already factored.  The pair is
+    canonical as built: distinct Phi_d share no root, so numerator and
+    denominator are coprime over Q(z8), a unit c * u**s does not change
+    that, and the denominator is monic with a nonzero constant term.  No
+    inverse, gcd or factor search is needed.
+    """
+    if not c:
+        return SC_ZERO
+    atoms = []
+    fac = {}
+    for key, m in halves.items():
+        shift, ds = _qint_shape(key)
+        if not m or not ds:
+            continue  # [1] = 1
+        a, b = divmod(m, 2)
+        if b:
+            atoms.append(key if key == QDIFF else ("qint", key))
+        if a:
+            units += shift * a
+            for d in ds:
+                fac[d] = fac.get(d, 0) + a
+    up = {d: e for d, e in fac.items() if e > 0}
+    down = {d: -e for d, e in fac.items() if e < 0}
+    num = poly_shift(qp_scale(CYCLOTOMICS.expand(up), c), units)
+    return Scalar({tuple(sorted(atoms)): rf_const(QRat(num, down))})
 
 
 def qnum(n):

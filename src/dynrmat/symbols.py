@@ -15,22 +15,16 @@ to a Scalar once the multiplicities cancel.
 
 from fractions import Fraction
 
-from .coeffs import minus_one_pow
-from .lattice import to_units
+from .coeffs import root8_pow
 from .scalar import (
+    QDIFF,
     SC_ONE,
     SC_ZERO,
-    Scalar,
-    phase,
-    qdiff,
-    qfact,
+    add_qfact,
+    qint_monomial,
     qpow,
     qrat_qfact_sum,
-    sc_coeff,
     sc_from_qrat,
-    sqrt_qdiff,
-    sqrt_qfact,
-    sqrt_qint,
     sqrt_xbracket,
     xbracket,
     xpow,
@@ -59,43 +53,45 @@ __all__ = [
 # in the dictionary identities, which compare against actual matrices).
 SIGN_K = 1
 
-
-def _fr(v):
-    return Fraction(v)
-
-
-def _is_int(v):
-    return Fraction(v).denominator == 1
+# Spins, projections and offsets enter once through _twice and are doubled
+# ints from then on, so J = 2 j.  A phase (-1)**t is the eighth root
+# root8_pow(4 t), and a q-exponent e is the u-exponent 4 e (lattice.py).
 
 
-def _qd_pow(e):
-    """(q - 1/q)^e for half-integer e >= 0."""
-    e = Fraction(e)
-    if e < 0:
-        return _qd_pow(-e).inv()
-    whole, rem = divmod(e, 1)
-    out = qdiff() ** int(whole)
-    if rem == Fraction(1, 2):
-        out = out * sqrt_qdiff()
-    elif rem:
-        raise ValueError("exponent must be a half-integer")
-    return out
+def _twice(v):
+    """2 v as an int, for a spin, projection or offset v given as an int, a
+    Fraction or a string; ValueError unless v is a half-integer."""
+    if type(v) is int:
+        return 2 * v
+    f = v if type(v) is Fraction else Fraction(v)
+    if f.denominator == 1:
+        return 2 * f.numerator
+    if f.denominator == 2:
+        return f.numerator
+    raise ValueError("%s is not a half-integer" % (f,))
 
 
-def _triangle_ok(a, b, c):
-    return (
-        _is_int(a + b - c)
-        and a + b - c >= 0
-        and a - b + c >= 0
-        and -a + b + c >= 0
-    )
+def _triangle(a, b, c):
+    """The triangle rule on doubled spins."""
+    return not (a + b + c) % 2 and a <= b + c and b <= a + c and c <= a + b
+
+
+def _add_triangle(halves, a, b, c):
+    """Add the triangle factor of the doubled spins a, b, c,
+    sqrt([a+b-c]! [a-b+c]! [-a+b+c]! / [a+b+c+1]!) on the spins, to the
+    half-exponents `halves`.  Returns `halves`."""
+    add_qfact(halves, (-a + b + c) // 2, 1)
+    add_qfact(halves, (a - b + c) // 2, 1)
+    add_qfact(halves, (a + b - c) // 2, 1)
+    return add_qfact(halves, (a + b + c) // 2 + 1, -1)
 
 
 # ---------------------------------------------------------------------------
 # finite couplings
 
 
-# the brute-force 6j overlap meets the same couplings many times over
+# the brute-force 6j overlap meets the same couplings many times over;
+# keyed by doubled spins
 _THREE_J_CACHE = {}
 
 
@@ -104,55 +100,41 @@ def three_j(j1, j2, j3, m1, m2, m3):
 
     Vanishes unless m1 + m2 = m3 and the triangle rule holds.
     """
-    args = _fr(j1), _fr(j2), _fr(j3), _fr(m1), _fr(m2), _fr(m3)
-    key = args
+    return _coupling(_twice(j1), _twice(j2), _twice(j3),
+                     _twice(m1), _twice(m2), _twice(m3))
+
+
+def _coupling(*key):
     got = _THREE_J_CACHE.get(key)
     if got is None:
-        got = _three_j(*args)
-        _THREE_J_CACHE[key] = got
+        got = _THREE_J_CACHE[key] = _three_j(*key)
     return got
 
 
-def _three_j(j1, j2, j3, m1, m2, m3):
-    if m1 + m2 != m3 or not _triangle_ok(j1, j2, j3):
+def _three_j(J1, J2, J3, M1, M2, M3):
+    if M1 + M2 != M3 or not _triangle(J1, J2, J3):
         return SC_ZERO
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+    if abs(M1) > J1 or abs(M2) > J2 or abs(M3) > J3:
         return SC_ZERO
-    if not (_is_int(j1 + m1) and _is_int(j2 + m2) and _is_int(j3 + m3)):
+    if (J1 + M1) % 2 or (J2 + M2) % 2 or (J3 + M3) % 2:
         return SC_ZERO
-    delta = (
-        phase(j1 + j2 - j3)
-        * sqrt_qfact(-j1 + j2 + j3)
-        * sqrt_qfact(j1 - j2 + j3)
-        * sqrt_qfact(j1 + j2 - j3)
-        / sqrt_qfact(j1 + j2 + j3 + 1)
-        * sqrt_qint(2 * j3 + 1)
+    a, s = J1 + J2 - J3, J1 + J2 + J3  # both even
+    halves = _add_triangle({J3 + 1: 1}, J1, J2, J3)
+    for j, m in ((J1, M1), (J2, M2), (J3, M3)):
+        add_qfact(halves, (j + m) // 2, 1)
+        add_qfact(halves, (j - m) // 2, 1)
+    # (-1)**(j1+j2-j3) q**(-(j1+j2-j3)(j1+j2+j3+1)/2 + j1 m2 - j2 m1)
+    pref = qint_monomial(
+        root8_pow(2 * a), -a * (s + 2) // 2 + J1 * M2 - J2 * M1, halves
     )
-    pref = qpow(
-        -Fraction(1, 2) * (j1 + j2 - j3) * (j1 + j2 + j3 + 1) + j1 * m2 - j2 * m1
-    )
-    root = (
-        sqrt_qfact(j1 + m1)
-        * sqrt_qfact(j1 - m1)
-        * sqrt_qfact(j2 + m2)
-        * sqrt_qfact(j2 - m2)
-        * sqrt_qfact(j3 + m3)
-        * sqrt_qfact(j3 - m3)
-    )
-    terms = []
-    plo = max(0, j1 - j3 - m2, j2 + m1 - j3)
-    phi_ = min(j1 + j2 - j3, j2 - m2, j1 + m1)
-    p = int(plo)
-    while p <= phi_:
-        terms.append((
-            minus_one_pow(p),
-            to_units(p * (j1 + j2 + j3 + 1)),
-            (),
-            (p, j1 + j2 - j3 - p, j2 - m2 - p, j1 + m1 - p,
-             j3 - j1 + m2 + p, j3 - j2 - m1 + p),
-        ))
-        p += 1
-    return delta * pref * root * sc_from_qrat(qrat_qfact_sum(terms))
+    b1, b2 = (J2 - M2) // 2, (J1 + M1) // 2
+    c1, c2 = (J3 - J1 + M2) // 2, (J3 - J2 - M1) // 2
+    terms = [
+        ((-1) ** p, 2 * p * (s + 2), (),
+         (p, a // 2 - p, b1 - p, b2 - p, c1 + p, c2 + p))
+        for p in range(max(0, -c1, -c2), min(a // 2, b1, b2) + 1)
+    ]
+    return pref * sc_from_qrat(qrat_qfact_sum(terms))
 
 
 def cg(j1, m1, j2, m2, j3, m3):
@@ -162,36 +144,25 @@ def cg(j1, m1, j2, m2, j3, m3):
 
 def six_j(j1, j2, j3, j4, j5, j6):
     """Recoupling symbol {j1 j2 j3; j4 j5 j6} by the single-sum formula."""
-    js = tuple(_fr(j) for j in (j1, j2, j3, j4, j5, j6))
-    j1, j2, j3, j4, j5, j6 = js
-    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
-    boxes = ((j1, j2, j4, j5), (j2, j3, j5, j6), (j3, j1, j6, j4))
+    return _six_j(*(_twice(j) for j in (j1, j2, j3, j4, j5, j6)))
+
+
+def _six_j(J1, J2, J3, J4, J5, J6):
+    triads = ((J1, J2, J3), (J1, J5, J6), (J4, J2, J6), (J4, J5, J3))
+    if not all(_triangle(*t) for t in triads):
+        return SC_ZERO
+    halves = {}
     for t in triads:
-        if not _triangle_ok(*t):
-            return SC_ZERO
-    pref = SC_ONE
-    for a, b, c in triads:
-        pref = (
-            pref
-            * sqrt_qfact(-a + b + c)
-            * sqrt_qfact(a - b + c)
-            * sqrt_qfact(a + b - c)
-            / sqrt_qfact(a + b + c + 1)
-        )
-    zlo = max(sum(t) for t in triads)
-    zhi = min(sum(b) for b in boxes)
-    assert _is_int(zlo) and _is_int(zhi)
-    terms = []
-    z = int(zlo)
-    while z <= zhi:
-        terms.append((
-            minus_one_pow(z),
-            0,
-            (z + 1,),
-            [z - sum(t) for t in triads] + [sum(b) - z for b in boxes],
-        ))
-        z += 1
-    return pref * sc_from_qrat(qrat_qfact_sum(terms))
+        _add_triangle(halves, *t)
+    # the triangle rule makes every triad sum even, hence every box sum
+    tri = [sum(t) // 2 for t in triads]
+    box = [(J1 + J2 + J4 + J5) // 2, (J2 + J3 + J5 + J6) // 2,
+           (J3 + J1 + J6 + J4) // 2]
+    terms = [
+        ((-1) ** z, 0, (z + 1,), [z - t for t in tri] + [b - z for b in box])
+        for z in range(max(tri), min(box) + 1)
+    ]
+    return qint_monomial(1, 0, halves) * sc_from_qrat(qrat_qfact_sum(terms))
 
 
 def six_j_brute(j1, j2, j12, j3, jtot, j23):
@@ -200,28 +171,24 @@ def six_j_brute(j1, j2, j12, j3, jtot, j23):
     Independent of the single-sum formula: builds both recoupled vectors
     coefficient by coefficient and divides out the stated normalisation.
     """
-    js = tuple(_fr(j) for j in (j1, j2, j12, j3, jtot, j23))
-    j1, j2, j12, j3, jtot, j23 = js
-    mtot = jtot
+    J1, J2, J12, J3, JT, J23 = (
+        _twice(j) for j in (j1, j2, j12, j3, jtot, j23))
     overlap = SC_ZERO
-    m1 = -j1
-    while m1 <= j1:
-        m2 = -j2
-        while m2 <= j2:
-            m3 = mtot - m1 - m2
-            if abs(m3) <= j3:
-                a = cg(j1, m1, j2, m2, j12, m1 + m2)
+    for M1 in range(-J1, J1 + 1, 2):
+        for M2 in range(-J2, J2 + 1, 2):
+            M3 = JT - M1 - M2
+            if abs(M3) <= J3:
+                a = _coupling(J1, J2, J12, M1, M2, M1 + M2)
                 if a:
-                    b = cg(j12, m1 + m2, j3, m3, jtot, mtot)
-                    c = cg(j2, m2, j3, m3, j23, m2 + m3)
-                    d = cg(j1, m1, j23, m2 + m3, jtot, mtot)
+                    b = _coupling(J12, J3, JT, M1 + M2, M3, JT)
+                    c = _coupling(J2, J3, J23, M2, M3, M2 + M3)
+                    d = _coupling(J1, J23, JT, M1, M2 + M3, JT)
                     overlap = overlap + a * b * c * d
-            m2 += 1
-        m1 += 1
-    norm = phase(j1 + j2 + j3 + jtot) * sqrt_qint(2 * j12 + 1) * sqrt_qint(
-        2 * j23 + 1
-    )
-    return overlap / norm
+    # times the inverse of (-1)**(j1+j2+j3+jtot) sqrt([2 j12 + 1][2 j23 + 1])
+    halves = {J12 + 1: -1}
+    halves[J23 + 1] = halves.get(J23 + 1, 0) - 1
+    return overlap * qint_monomial(
+        root8_pow(-2 * (J1 + J2 + J3 + JT)), 0, halves)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +201,10 @@ def cont_spin(offset=0):
 
 
 def _pos(p):
-    """Normalise a six_j_cont position to (weight, constant)."""
+    """A six_j_cont position as (weight, doubled constant)."""
     if isinstance(p, tuple) and len(p) == 2 and p[0] == "J":
-        return (1, Fraction(p[1]))
-    return (0, Fraction(p))
+        return (1, _twice(p[1]))
+    return (0, _twice(p))
 
 
 class ContinuedExpr:
@@ -330,30 +297,36 @@ class ContinuedExpr:
         return "ContinuedExpr(%r, %r)" % (self.scalar, self.facts)
 
 
-def _cont_tri_delta(pa, pb, pc):
-    """Triangle factor of one six-j triad, with continued entries allowed.
+def _cont_triangle(pa, pb, pc, halves, facts, sign=1):
+    """Add the triangle factor of one six-j triad, raised to sign = +-1,
+    with continued entries allowed: its finite q-factorials to the
+    half-exponents `halves`, its continued ones to the multiplicities
+    `facts` of a ContinuedExpr.
 
-    Returns a ContinuedExpr holding the square roots; only triads with zero
-    or two continued positions occur in this paper's dictionaries.
+    Only triads with zero or two continued positions occur in this paper's
+    dictionaries.
     """
-    half = Fraction(1, 2)
-    expr = ContinuedExpr()
-    for (w, c), mult in (
-        ((pa[0] * -1 + pb[0] + pc[0], -pa[1] + pb[1] + pc[1]), half),
-        ((pa[0] - pb[0] + pc[0], pa[1] - pb[1] + pc[1]), half),
-        ((pa[0] + pb[0] - pc[0], pa[1] + pb[1] - pc[1]), half),
-        ((pa[0] + pb[0] + pc[0], pa[1] + pb[1] + pc[1] + 1), -half),
+    (wa, a), (wb, b), (wc, c) = pa, pb, pc
+    for w, n, e in (
+        (-wa + wb + wc, -a + b + c, sign),
+        (wa - wb + wc, a - b + c, sign),
+        (wa + wb - wc, a + b - c, sign),
+        (wa + wb + wc, a + b + c + 2, -sign),
     ):
         if w == 0:
-            if c < 0 or not _is_int(c):
+            if n < 0 or n % 2:
                 raise ValueError("triangle violated in continued symbol")
-            f = sqrt_qfact(c)
-            expr = expr * (f if mult > 0 else f.inv())
+            add_qfact(halves, n // 2, e)
         elif w == 2:
-            expr = expr.with_fact(c, mult)
+            if n % 2:
+                raise ValueError("continued factorial offset must be an integer")
+            mult = facts.get(n // 2, 0) + Fraction(e, 2)
+            if mult:
+                facts[n // 2] = mult
+            else:
+                del facts[n // 2]
         else:
             raise ValueError("triad with a single continued entry")
-    return expr
 
 
 def six_j_cont(p1, p2, p3, p4, p5, p6):
@@ -363,58 +336,57 @@ def six_j_cont(p1, p2, p3, p4, p5, p6):
     the same as six_j.  The single-sum formula is continued termwise: the
     summation variable becomes K + y and each term telescopes exactly.
     """
-    pos = tuple(_pos(p) for p in (p1, p2, p3, p4, p5, p6))
+    return _six_j_cont(tuple(_pos(p) for p in (p1, p2, p3, p4, p5, p6)))
+
+
+def _six_j_cont(pos):
+    if all(w == 0 for w, _ in pos):
+        return _six_j(*(c for _, c in pos))
     triads = ((pos[0], pos[1], pos[2]), (pos[0], pos[4], pos[5]),
               (pos[3], pos[1], pos[5]), (pos[3], pos[4], pos[2]))
     boxes = ((pos[0], pos[1], pos[3], pos[4]),
              (pos[1], pos[2], pos[4], pos[5]),
              (pos[2], pos[0], pos[5], pos[3]))
-    if all(w == 0 for w, _ in pos):
-        return six_j(*(c for _, c in pos))
-
-    pref = ContinuedExpr()
+    halves = {}
+    facts = {}
     for t in triads:
-        pref = pref * _cont_tri_delta(*t)
+        _cont_triangle(*t, halves, facts)
 
     tri_sums = [(sum(w for w, _ in t), sum(c for _, c in t)) for t in triads]
     box_sums = [(sum(w for w, _ in b), sum(c for _, c in b)) for b in boxes]
     if not any(w == 2 for w, _ in tri_sums):
         raise ValueError("no continued triad; use six_j")
-    ylo = max(c for w, c in tri_sums if w == 2)
     finite_hi = [c for w, c in box_sums if w == 2]
     if not finite_hi:
         raise ValueError("continued sum does not terminate")
-    yhi = min(finite_hi)
-    if not (_is_int(ylo) and _is_int(yhi)):
+    if any(c % 2 for _, c in tri_sums + box_sums):
         raise ValueError("continued summation variable must be integral")
+    tri_sums = [(w, c // 2) for w, c in tri_sums]
+    box_sums = [(w, c // 2) for w, c in box_sums]
+    ylo = max(c for w, c in tri_sums if w == 2)
+    yhi = min(finite_hi) // 2
 
     total = SC_ZERO
-    y = int(ylo)
-    while y <= yhi:
-        term = pref.with_fact(y + 1, 1) * (sc_coeff(SIGN_K) * phase(y))
-        ok = True
+    for y in range(ylo, yhi + 1):
+        # a triad or box with two continued entries leaves a finite
+        # factorial 1/[y - c]! or 1/[c - y]! in the term, the others a
+        # continued one
+        args = [y - c for w, c in tri_sums if w == 2]
+        args += [c - y for w, c in box_sums if w == 2]
+        if min(args) < 0:
+            continue
+        h = dict(halves)
+        for n in args:
+            add_qfact(h, n, -2)
+        term = ContinuedExpr(qint_monomial(SIGN_K * (-1) ** y, 0, h), facts)
+        term = term.with_fact(y + 1, 1)
         for w, c in tri_sums:
-            if w == 2:
-                arg = y - c
-                if arg < 0:
-                    ok = False
-                    break
-                term = term / qfact(arg)
-            else:
+            if w != 2:
                 term = term.with_fact(y - c, -1)
-        if ok:
-            for w, c in box_sums:
-                if w == 2:
-                    arg = c - y
-                    if arg < 0:
-                        ok = False
-                        break
-                    term = term / qfact(arg)
-                else:
-                    term = term.with_fact(c - y, -1)
-        if ok:
-            total = total + term.reduce()
-        y += 1
+        for w, c in box_sums:
+            if w != 2:
+                term = term.with_fact(c - y, -1)
+        total = total + term.reduce()
     return total
 
 
@@ -426,64 +398,68 @@ def six_j_u(p1, p2, p3, p4, p5, p6):
     This is the normalisation the matrix dictionaries use; continued
     entries are allowed in any position.
     """
-    pos = tuple(_pos(p) for p in (p1, p2, p3, p4, p5, p6))
+    return _six_j_u(tuple(_pos(p) for p in (p1, p2, p3, p4, p5, p6)))
+
+
+def _six_j_u(pos):
     wsum = pos[0][0] + pos[1][0] + pos[3][0] + pos[4][0]
     csum = pos[0][1] + pos[1][1] + pos[3][1] + pos[4][1]
     if wsum % 2:
         raise ValueError("phase of a half-continued recoupling is undefined")
-    norm = phase(csum) * sc_coeff(SIGN_K ** (wsum // 2))
+    halves = {}
+    xroots = SC_ONE
     for w, c in (pos[2], pos[5]):
         if w == 0:
-            norm = norm * sqrt_qint(2 * c + 1)
+            halves[c + 1] = halves.get(c + 1, 0) + 1
         else:
-            norm = norm * sqrt_xbracket(2 * c)
-    return norm * six_j_cont(p1, p2, p3, p4, p5, p6)
+            xroots = xroots * sqrt_xbracket(c)
+    norm = qint_monomial(root8_pow(2 * csum) * SIGN_K ** (wsum // 2), 0, halves)
+    return norm * xroots * _six_j_cont(pos)
 
 
 # ---------------------------------------------------------------------------
 # the one-leg matrix in closed form and the limit coupling
 
 
+def _x_poles(n):
+    """prod (1 - x^2 q^(2 r)) over r = 1..n."""
+    den = SC_ONE
+    for r in range(1, n + 1):
+        den = den * (SC_ONE - xpow(2) * qpow(2 * r))
+    return den
+
+
+def _limit_sum(J, S, M):
+    """sum over p of x^(2p) q^(2 p sigma) / ([p]! [j-sigma-p]! [j+m-p]!
+    [sigma-m+p]!) for doubled j, sigma and m."""
+    total = SC_ZERO
+    for p in range(max(0, (M - S) // 2), min(J - S, J + M) // 2 + 1):
+        h = {}
+        for n in (p, (J - S) // 2 - p, (J + M) // 2 - p, (S - M) // 2 + p):
+            add_qfact(h, n, -2)
+        total = total + qint_monomial(1, 4 * p * S, h) * xpow(2 * p)
+    return total
+
+
 def m_element(j, sigma, m):
     """Closed-form matrix element of the one-leg twist at row sigma, col m."""
-    j, sigma, m = _fr(j), _fr(sigma), _fr(m)
-    if abs(sigma) > j or abs(m) > j:
+    J, S, M = _twice(j), _twice(sigma), _twice(m)
+    if abs(S) > J or abs(M) > J or (J + S) % 2 or (J + M) % 2:
         return SC_ZERO
-    if not (_is_int(j + sigma) and _is_int(j + m)):
-        return SC_ZERO
-    pre = (
-        phase(2 * j + sigma + m)
-        * sqrt_qfact(j + sigma)
-        * sqrt_qfact(j - sigma)
-        * sqrt_qfact(j + m)
-        * sqrt_qfact(j - m)
-        * qpow(sigma * (sigma - m))
-        * xpow(sigma - m)
-    )
-    den = SC_ONE
-    r = 1
-    while r <= j + sigma:
-        den = den * (SC_ONE - xpow(2) * qpow(2 * r))
-        r += 1
-    total = SC_ZERO
-    plo = max(Fraction(0), m - sigma)
-    p = int(plo)
-    while p <= min(j - sigma, j + m):
-        den_p = (
-            qfact(p)
-            * qfact(sigma - m + p)
-            * qfact(j - sigma - p)
-            * qfact(j + m - p)
-        )
-        total = total + qpow(2 * p * sigma) * xpow(2 * p) / den_p
-        p += 1
-    return pre * total / den
+    halves = {}
+    for n in ((J + S) // 2, (J - S) // 2, (J + M) // 2, (J - M) // 2):
+        add_qfact(halves, n, 1)
+    # (-1)**(2j + sigma + m) q**(sigma (sigma - m)) x**(sigma - m)
+    pre = qint_monomial(root8_pow(2 * (2 * J + S + M)), S * (S - M), halves)
+    pre = pre * xpow(Fraction(S - M, 2))
+    return pre * _limit_sum(J, S, M) / _x_poles((J + S) // 2)
 
 
 def norm_xi(m):
     """Field normalisation on the vertex side."""
-    m = _fr(m)
-    return phase(-Fraction(m, 2)) * qpow(Fraction(m, 2))
+    M = _twice(m)
+    # (-1)**(-m/2) q**(m/2)
+    return qint_monomial(root8_pow(-M), M, {})
 
 
 def norm_psi(j, sigma, shift=0):
@@ -492,29 +468,26 @@ def norm_psi(j, sigma, shift=0):
     Carries the continued triangle denominator, so the result is a
     ContinuedExpr; the continued parts cancel inside the dictionaries.
     """
-    j, sigma, shift = _fr(j), _fr(sigma), _fr(shift)
-    scal = (
-        phase(j + Fraction(3 * sigma, 2))
-        * sqrt_qfact(j + sigma)
-        * sqrt_qfact(j - sigma)
-        * _qd_pow(j)
-        * xpow(j)
-        * qpow(j * sigma)
-    )
-    den = SC_ONE
-    r = 1
-    while r <= j + sigma:
-        den = den * (SC_ONE - xpow(2) * qpow(2 * r))
-        r += 1
-    scal = (scal / den).shift_x(shift)
-    # triangle factor of (j, J', J'+sigma) with J' = j(x q^shift) = J + shift/2
-    u = Fraction(shift, 2)
-    tri = _cont_tri_delta((0, j), (1, u), (1, u + sigma))
-    tri_phase = phase(j - sigma)
-    # continued dimension root: [2 j(xq^shift) + 2 sigma + 1] = [K + shift + 2 sigma + 1]
-    dimroot = sqrt_xbracket(shift + 2 * sigma)
-    out = ContinuedExpr(scal) / (tri * (tri_phase * dimroot))
-    return out
+    u = _twice(shift)
+    if u % 2:
+        raise ValueError("x-shift %s is not an integer" % (Fraction(u, 2),))
+    return _norm_psi(_twice(j), _twice(sigma), u // 2)
+
+
+def _norm_psi(J, S, u):
+    """norm_psi for doubled j and sigma at the integer shift u, which is
+    also the doubled offset of j(x q^u) = j(x) + u/2."""
+    halves = {QDIFF: J}
+    add_qfact(halves, (J + S) // 2, 1)
+    add_qfact(halves, (J - S) // 2, 1)
+    # over the triangle factor of (j, J', J'+sigma), J' = j(x q^u) ...
+    facts = {}
+    _cont_triangle((0, J), (1, u), (1, u + S), halves, facts, sign=-1)
+    # ... and its phase: (-1)**(j + 3 sigma/2) / (-1)**(j - sigma)
+    scal = qint_monomial(root8_pow(2 * J + 3 * S - 2 * (J - S)), J * S, halves)
+    scal = (scal * xpow(Fraction(J, 2)) / _x_poles((J + S) // 2)).shift_x(u)
+    # continued dimension root: [2 j(xq^u) + 2 sigma + 1] = [K + u + 2 sigma + 1]
+    return ContinuedExpr(scal, facts) / sqrt_xbracket(u + S)
 
 
 def limit_three_j(j, sigma, m):
@@ -523,36 +496,22 @@ def limit_three_j(j, sigma, m):
     Includes the continued triangle and dimension factors, mirroring
     norm_psi, so the product norm_psi/norm_xi * limit reduces exactly.
     """
-    j, sigma, m = _fr(j), _fr(sigma), _fr(m)
-    if abs(m) > j or abs(sigma) > j:
+    J, S, M = _twice(j), _twice(sigma), _twice(m)
+    if abs(M) > J or abs(S) > J:
         return ContinuedExpr(SC_ZERO)
-    scal = (
-        sqrt_qfact(j + m)
-        * sqrt_qfact(j - m)
-        / _qd_pow(j)
-        * phase(j + Fraction(m - sigma, 2))
-        * xpow(sigma - j)
-        * qpow(sigma * (sigma - j))
-        * qpow(-Fraction(m, 2))
-        * xpow(-m)
-        * qpow(m * (1 - sigma))
+    halves = {QDIFF: -J}
+    add_qfact(halves, (J + M) // 2, 1)
+    add_qfact(halves, (J - M) // 2, 1)
+    facts = {}
+    _cont_triangle((0, J), (1, 0), (1, S), halves, facts)
+    # (-1)**(j + (m - sigma)/2) (-1)**(j - sigma), the second the triangle's,
+    # q**(sigma (sigma - j) - m/2 + m (1 - sigma)) x**(sigma - j - m)
+    scal = qint_monomial(
+        root8_pow(2 * J + M - S + 2 * (J - S)), S * (S - J) + M - M * S, halves
     )
-    total = SC_ZERO
-    plo = max(Fraction(0), m - sigma)
-    p = int(plo)
-    while p <= min(j - sigma, j + m):
-        den_p = (
-            qfact(p)
-            * qfact(j - sigma - p)
-            * qfact(j + m - p)
-            * qfact(sigma - m + p)
-        )
-        total = total + xpow(2 * p) * qpow(2 * p * sigma) / den_p
-        p += 1
-    tri = _cont_tri_delta((0, j), (1, Fraction(0)), (1, sigma))
-    tri_phase = phase(j - sigma)
-    dimroot = sqrt_xbracket(2 * sigma)
-    return tri * (tri_phase * dimroot * scal * total)
+    scal = scal * xpow(Fraction(S - J - M, 2))
+    # continued dimension root [2 j(x) + 2 sigma + 1]
+    return ContinuedExpr(scal * sqrt_xbracket(S) * _limit_sum(J, S, M), facts)
 
 
 # ---------------------------------------------------------------------------
@@ -562,46 +521,46 @@ def limit_three_j(j, sigma, m):
 def r_dict_entry(j1, j2, sp1, sp2, s1, s2):
     """Exchange-matrix element <sp1 sp2| R(x) |s1 s2> via the recoupling
     symbol with two continued spins."""
-    j1, j2 = _fr(j1), _fr(j2)
-    sp1, sp2, s1, s2 = _fr(sp1), _fr(sp2), _fr(s1), _fr(s2)
-    if sp1 + sp2 != s1 + s2:
+    J1, J2, SP1, SP2, S1, S2 = (
+        _twice(v) for v in (j1, j2, sp1, sp2, s1, s2))
+    if SP1 + SP2 != S1 + S2:
         return SC_ZERO
-    s = s1 + s2
-    combo = qpow(s * s + s - sp1 * sp1 - sp1 - s2 * s2 - s2) * (
-        xpow(s1 - sp1) * qpow(sp1 - s1)
-    )
+    S = S1 + S2
+    # (-1)**(sp1 - s1) q**(s^2 + s - sp1^2 - sp1 - s2^2 - s2 + sp1 - s1)
+    # x**(s1 - sp1)
+    combo = qint_monomial(
+        root8_pow(2 * (SP1 - S1)),
+        S * S + 2 * S - SP1 * SP1 - 2 * SP1 - S2 * S2 - 2 * S2
+        + 2 * (SP1 - S1),
+        {},
+    ) * xpow(Fraction(S1 - SP1, 2))
     ratio = (
-        norm_psi(j1, sp1)
-        * norm_psi(j2, sp2, shift=2 * sp1)
-        / (norm_psi(j1, s1, shift=2 * s2) * norm_psi(j2, s2))
+        _norm_psi(J1, SP1, 0)
+        * _norm_psi(J2, SP2, SP1)
+        / (_norm_psi(J1, S1, S2) * _norm_psi(J2, S2, 0))
     )
-    sym = six_j_u(
-        j2, cont_spin(s), cont_spin(sp1), j1, cont_spin(0), cont_spin(s2)
-    )
-    return phase(sp1 - s1) * combo * (ratio.reduce() * sym)
+    sym = _six_j_u(((0, J2), (1, S), (1, SP1), (0, J1), (1, 0), (1, S2)))
+    return combo * (ratio.reduce() * sym)
 
 
 def f_dict_entry(j1, j2, s1, s2, sp1, sp2):
     """Twist element <s1 s2| F(x) |sp1 sp2> as a sum over the intermediate
     spin of couplings times continued recouplings."""
-    j1, j2 = _fr(j1), _fr(j2)
-    s1, s2, sp1, sp2 = _fr(s1), _fr(s2), _fr(sp1), _fr(sp2)
-    if s1 + s2 != sp1 + sp2:
+    J1, J2, S1, S2, SP1, SP2 = (
+        _twice(v) for v in (j1, j2, s1, s2, sp1, sp2))
+    if S1 + S2 != SP1 + SP2:
         return SC_ZERO
-    s = s1 + s2
+    S = S1 + S2
     total = SC_ZERO
-    j12 = max(abs(j1 - j2), abs(s))
-    while j12 <= j1 + j2:
-        w = three_j(j1, j2, j12, s1, s2, s)
+    for J12 in range(max(abs(J1 - J2), abs(S)), J1 + J2 + 1, 2):
+        w = _coupling(J1, J2, J12, S1, S2, S)
         if w:
-            ratio = norm_psi(j12, s) / (
-                norm_psi(j1, sp1, shift=2 * sp2) * norm_psi(j2, sp2)
+            ratio = _norm_psi(J12, S, 0) / (
+                _norm_psi(J1, SP1, SP2) * _norm_psi(J2, SP2, 0)
             )
-            sym = six_j_u(
-                j1, j2, j12, cont_spin(0), cont_spin(s), cont_spin(sp2)
-            )
+            sym = _six_j_u(
+                ((0, J1), (0, J2), (0, J12), (1, 0), (1, S), (1, SP2)))
             total = total + w * (ratio.reduce() * sym)
-        j12 += 1
     return total
 
 
@@ -610,7 +569,7 @@ def f_dict_entry(j1, j2, s1, s2, sp1, sp2):
 
 
 def _spin_range(j):
-    j = _fr(j)
+    j = Fraction(j)
     vals = []
     m = j
     while m >= -j:

@@ -65,6 +65,13 @@ def test_bad_spin_string_is_usage_error():
     assert code == 2
 
 
+def test_off_lattice_symbol_spin_is_usage_error():
+    code, out, err = run("symbol", "6j", "--j", "1/3,1/2,1/2,1/2,1/2,1/2")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "not a half-integer" in err
+
+
 def test_numeric_mode_point_validation():
     code, _, err = run(
         "verify", "GNF", "--spins", "1/2,1/2,1/2",

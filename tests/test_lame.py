@@ -8,6 +8,7 @@ from dynrmat.lame import (
     QDiffOperator,
     c_function,
     classical_limit_check,
+    classical_limit_table,
     d_function,
     energy,
     hamiltonian,
@@ -121,6 +122,14 @@ def test_seed_wavefunction():
         assert wavefunction(0, k, method="recursive") == want
     with pytest.raises(ValueError):
         wavefunction(1, 1, method="magic")
+
+
+def test_fractional_wave_number_is_rejected():
+    # a wave number of 5/2 once truncated silently to 2
+    with pytest.raises(ValueError, match="integer wave number"):
+        wavefunction_closed(1, F(5, 2))
+    with pytest.raises(ValueError, match="integer wave number"):
+        classical_limit_table(1, F(5, 2), 0.5)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])

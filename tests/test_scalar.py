@@ -23,11 +23,11 @@ from dynrmat import (
     xbracket,
     xpow,
 )
-from dynrmat.coeffs import make_coeff
+from dynrmat.coeffs import make_coeff, root8_pow
 from dynrmat.lattice import LatticeError
 from dynrmat.polys import QP_ONE, QRAT_ONE, qp_gcd, qrat
 from dynrmat.ratfunc import ratfn
-from dynrmat.scalar import sc_from_rf
+from dynrmat.scalar import QDIFF, add_qfact, qint_monomial, sc_from_rf
 
 
 # ----------------------------------------------------------- q machinery ---
@@ -100,6 +100,60 @@ def test_distinct_radicals_do_not_merge():
     s = sqrt_qint(2) + sqrt_qint(3)
     assert len(s.terms) == 2
     assert s - sqrt_qint(3) == sqrt_qint(2)
+
+
+# ------------------------------------------------------ prefactor builder ---
+
+
+def _prefactor_by_division(k, units, halves, qfacts):
+    """z8**k q**(units/4) prod [n]**(m/2) prod [n]!**(w/2), built from the
+    radical builders with * and / alone."""
+    out = phase(F(k, 4)) * qpow(F(units, 4))
+    factors = [(sqrt_qdiff() if n == QDIFF else sqrt_qint(n), m)
+               for n, m in halves.items()]
+    factors += [(sqrt_qfact(n), w) for n, w in qfacts]
+    for root, m in factors:
+        for _ in range(abs(m)):
+            out = out * root if m > 0 else out / root
+    return out
+
+
+def test_prefactor_builder_matches_division():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exps = st.integers(-3, 3)
+
+    @hyp.settings(max_examples=200, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(
+        st.dictionaries(st.integers(1, 12), exps, max_size=4),
+        st.one_of(st.none(), exps),
+        st.lists(st.tuples(st.integers(0, 12), exps), max_size=2),
+        st.integers(0, 7),
+        st.integers(-24, 24),
+    )
+    def run(qints, qd, qfacts, k, units):
+        halves = dict(qints)
+        if qd is not None:
+            halves[QDIFF] = qd
+        want = _prefactor_by_division(k, units, halves, qfacts)
+        for n, w in qfacts:
+            add_qfact(halves, n, w)
+        got = qint_monomial(root8_pow(k), units, halves)
+        assert got == want
+        (rf,) = got.terms.values()
+        assert all(m > 0 for m in rf.num[0].fac.values())
+
+    run()
+
+
+def test_prefactor_builder_edges():
+    assert qint_monomial(0, 4, {2: 1}) == SC_ZERO
+    assert qint_monomial(1, 0, {1: 3}) == SC_ONE
+    assert qint_monomial(-1, 4, {}) == -qpow(1)
+    assert add_qfact({2: 1}, 3, -2) == {2: -1, 3: -2}
+    with pytest.raises(ValueError):
+        qint_monomial(1, 0, {0: 1})
 
 
 # ----------------------------------------------------------------- phases ---

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat import symbols
+from dynrmat.polys import QRat
 from dynrmat.scalar import (
     SC_ONE,
     SC_ZERO,
+    Scalar,
     phase,
     qpow,
     sqrt_qint,
@@ -194,6 +197,54 @@ def test_overlap_normalisation_matches_brute_force():
         assert six_j_brute(H, H, j12, H, jtot, j23) == six_j(
             H, H, j12, H, jtot, j23
         )
+
+
+def test_prefactors_need_no_inverse_or_factor_search(monkeypatch):
+    # the prefactors are built from known q-integer factors, so neither
+    # Scalar.inv nor the cyclotomic factor search runs on either side
+    calls = {"inv": 0, "factor": 0}
+    inv, factor = Scalar.inv, QRat._factor
+
+    def counted_inv(self):
+        calls["inv"] += 1
+        return inv(self)
+
+    def counted_factor(d):
+        calls["factor"] += 1
+        return factor(d)
+
+    monkeypatch.setattr(Scalar, "inv", counted_inv)
+    monkeypatch.setattr(QRat, "_factor", staticmethod(counted_factor))
+    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
+    triple = (2, F(3, 2), F(3, 2))
+    assert three_j(*triple, 1, H, F(3, 2)) != SC_ZERO
+    for label, lhs, rhs in symbols._build_rel_recoupling(*triple):
+        assert lhs == rhs, label
+    assert calls == {"inv": 0, "factor": 0}
+
+
+def test_three_j_cache_is_keyed_by_doubled_spins(monkeypatch):
+    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
+    a = three_j(1, H, "3/2", 0, "1/2", H)
+    b = three_j(F(1), "1/2", F(3, 2), F(0), H, "1/2")
+    assert a is b
+    assert list(symbols._THREE_J_CACHE) == [(2, 1, 3, 0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: three_j(F(1, 3), F(1, 3), 0, F(1, 3), F(-1, 3), 0),
+        lambda: three_j(1, 1, 1, F(1, 3), 0, F(1, 3)),
+        lambda: six_j(F(1, 3), H, H, H, H, H),
+        lambda: six_j_brute(F(1, 3), H, H, H, H, H),
+        lambda: six_j_u(F(1, 3), H, H, H, H, H),
+        lambda: six_j_u(H, cont_spin(F(1, 3)), H, H, H, H),
+    ],
+)
+def test_off_lattice_spins_are_rejected(call):
+    with pytest.raises(ValueError, match="not a half-integer"):
+        call()
 
 
 # ------------------------------------------------------ continued symbols
