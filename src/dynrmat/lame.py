@@ -172,7 +172,7 @@ def energy(k):
 
 def wavefunction_recursive(j, k):
     """Eigenfunction by the ladder cascade from the free solution."""
-    j = _int_spin(j)
+    j, k = _int_spin(j), _int_spin(k, "wave number")
     psi = xpow(k) - xpow(-k)
     for level in range(1, j + 1):
         psi = shift_operator(level).apply(psi)

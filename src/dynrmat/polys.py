@@ -7,16 +7,21 @@ int, Fraction or Cyclo coefficients.  Integral rationals are stored as int
 where they are made (see coeffs.py), so integer polynomials multiply in int
 arithmetic; an integral Fraction that slips through is still correct, because
 equal values compare and hash equal whatever their type.  Level two: a QRat
-is a canonical fraction of two QPolys.  Level three: an XPoly is a Laurent
-polynomial in v = x**(1/D) with QRat coefficients, and a RationalFunction
-(ratfunc.py) is a canonical fraction of two XPolys.
+is a canonical fraction of two QPolys.  Level three: an XNum is the flat
+numerator of a RationalFunction (ratfunc.py), one Laurent polynomial in u
+and v = x**(1/D) whose rows, the coefficients of the powers of v, are packed
+into one Python int each when every coefficient is an int (see the flat
+numerators section).  A RationalFunction is N / (Dq * Dx): an XNum over a
+common q-denominator and an x-denominator, both factored.
 
-Both fraction levels are one class, CanonicalFraction, which holds their
-arithmetic once.  A level supplies only what differs: its polynomial product
-and scale, its polynomial one, its coefficient one and the inverse of a
-coefficient, its factor alphabet, how it factors a denominator and cancels
-factors from a numerator, and its gcd.  Fractions of different levels do not
-mix.
+A CanonicalFraction holds the arithmetic of a fraction once.  A level
+supplies only what differs: its polynomial product and scale, its
+polynomial one, its coefficient one and the inverse of a coefficient, its
+factor alphabet, how it factors a denominator and cancels factors from a
+numerator, and its gcd.  QRat is one, and so is the nested form of the x
+level, a fraction of nested XPolys (dicts v-exponent -> QRat), which holds
+the x-level values the flat form cannot and runs its generic path.
+Fractions of different levels do not mix.
 
 Canonical form of a fraction: numerator and denominator coprime (monic
 Euclidean gcd on the unit-stripped parts), denominator with minimum exponent
@@ -31,10 +36,11 @@ factors that can cancel:
   A numerator that is a polynomial in u**8 shares with Phi_d(u**8) either
   all of it or nothing, wherever Phi_d(Q) stays irreducible over the
   numerator's coefficients (over Q always, over Q(z8) unless 4 divides d).
+  The common q-denominator of an XNum cancels the same way, row by row.
 - x level: the binomials y - u**e in y = x**2 = v**8, which the x-brackets
   x q**c - x**-1 q**-c put into every x-denominator.  Each is linear in y.
-  A GF(p) image at a fixed point rules a binomial out, and exact synthetic
-  division rules it in (the binomial kit below).
+  One exact evaluation of the numerator at y = u**e rules a binomial in or
+  out, and Horner's rule divides (the binomial kit below).
 Both rest on deflation: when k divides every exponent of two polynomials,
 they are A(t**k) and B(t**k), and their gcd is gcd(A, B)(t**k), because
 Euclid on A and B and Euclid on A(t**k) and B(t**k) take the same steps.
@@ -63,6 +69,7 @@ takes.  Every gcd returns its cofactors too, so callers never divide twice.
 """
 
 import math
+import sys
 import zlib
 from fractions import Fraction
 from itertools import chain
@@ -790,13 +797,17 @@ def qrat_eval_complex(qr, u0):
 
 
 # ---------------------------------------------------------------- XPoly ----
+#
+# A nested XPoly is a dict v-exponent -> QRat.  The generic path of the x
+# level (ratfunc.py) and the gcd below work on it; the flat numerators of
+# the next section carry every other x-level operation.
 
 
 XP_ZERO = {}
 XP_ONE = {0: QRAT_ONE}
 
 
-def xp_scale(a, qr):
+def xq_scale(a, qr):
     if not qr:
         return XP_ZERO
     if qr is QRAT_ONE:
@@ -804,15 +815,15 @@ def xp_scale(a, qr):
     return {k: c * qr for k, c in a.items()}
 
 
-def xp_mul(a, b):
+def xq_mul(a, b):
     if not a or not b:
         return XP_ZERO
     if len(a) == 1:
         (k, c), = a.items()
-        return poly_shift(xp_scale(b, c), k)
+        return poly_shift(xq_scale(b, c), k)
     if len(b) == 1:
         (k, c), = b.items()
-        return poly_shift(xp_scale(a, c), k)
+        return poly_shift(xq_scale(a, c), k)
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -858,18 +869,18 @@ def xp_divmod(a, b):
     return q, r
 
 
-def xp_div_exact(a, b):
+def xq_div_exact(a, b):
     q, r = xp_divmod(a, b)
     if r:
         raise ArithmeticError("inexact x-polynomial division")
     return q
 
 
-def xp_monic(a):
+def xq_monic(a):
     lead = a[max(a)]
     if lead is QRAT_ONE or lead == QRAT_ONE:
         return a
-    return xp_scale(a, lead.inverse())
+    return xq_scale(a, lead.inverse())
 
 
 def _qp_eval_mod(a, pw, lo):
@@ -1173,154 +1184,634 @@ def xp_gcd(a, b):
         x, y = a1, b1
         while y:
             x, y = y, xp_divmod(x, y)[1]
-        g = xp_monic(x)
+        g = xq_monic(x)
         if len(g) == 1:
             return XP_ONE, a0, b0
-        found = g, xp_div_exact(a1, g), xp_div_exact(b1, g)
+        found = g, xq_div_exact(a1, g), xq_div_exact(b1, g)
     g, qa, qb = found
     return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
 
 
-def xp_eval_complex(a, u0, v0):
+def xq_eval_complex(a, u0, v0):
     t = 0j
     for k, c in a.items():
         t += qrat_eval_complex(c, u0) * v0 ** k
     return t
 
 
+# ------------------------------------------------------- flat numerators ----
+#
+# The numerator N of a RationalFunction (ratfunc.py) is one Laurent
+# polynomial in u and v, an XNum:
+#     N = u**o * sum_k v**k * P_k(u**s),
+# with its rows P_k by v-exponent k and a stride s that divides Q_DEG.
+#
+# Packed form, when every coefficient is an int: each row is one Python int,
+# P_k(2**b) (Kronecker substitution).  Slot j, b bits wide, holds the
+# coefficient of u**(o + s*j), balanced and signed, so a product of rows is
+# one big-int product and a sum one big-int sum.  `bound` is an upper bound
+# on every |coefficient|.  The bound rule: every slot a kit function makes,
+# of its result or on the way to it, stays below 2**(b - 1) in absolute
+# value.  So before it combines rows, each function bounds what it will
+# make (a product: ba * bb times the row count and the slot count of the
+# operand with fewer rows; a sum: ba + bb; times y - u**e: 2b; division by
+# y - u**e and the root test: b times the number of rows).  If that bound
+# reaches 2**(b - 1), it first lowers the operands' bounds to their largest
+# coefficients, and if that is not enough, repacks them to a wider b.  An
+# overflow would be a silent wrong answer.  The offset is normalized: some
+# row has a nonzero slot 0.
+#
+# Dict form, when a coefficient is a Fraction or a Cyclo: each row is a
+# QPoly in u with its absolute exponents (o = 0, s = 1, b = 0).  A result
+# whose coefficients are all ints is packed again.
+#
+# Values compare by their coefficients: rows packed at one width and stride
+# compare as ints, any other pair by their unpacked rows (xp_terms), and
+# xp_key, the hash key, reads the unpacked rows, so neither depends on the
+# width or the stride at which a value was packed.
+
+Y_DEG = 2 * DENOM  # y = x**2 = v**Y_DEG
+
+SLOT = 64  # every slot width is a multiple of SLOT
+
+
+class XNum:
+    """An x-level numerator; see the section comment."""
+
+    __slots__ = ("rows", "o", "s", "b", "bound", "tight")
+
+    def __init__(self, rows, o=0, s=1, b=0, bound=0, tight=False):
+        self.rows = rows
+        self.o = o
+        self.s = s
+        self.b = b  # 0 for the dict form
+        self.bound = bound
+        self.tight = tight  # whether bound was read off the slots
+
+    def __bool__(self):
+        return bool(self.rows)
+
+    def __repr__(self):
+        return "XNum(%r)" % (xp_terms(self),)
+
+
+XN_ZERO = XNum({})
+
+
+def _width(bound):
+    """The narrowest slot width whose balanced slots hold every |c| <= bound."""
+    return max(SLOT, -(-(bound.bit_length() + 1) // SLOT) * SLOT)
+
+
+def _chunks(n, b):
+    """The b-bit chunks of the two's complement bytes of n, signed, lowest
+    first: each is its balanced slot, or that slot less one."""
+    w = b >> 3
+    raw = n.to_bytes(w * (n.bit_length() // b + 1), "little", signed=True)
+    if b == SLOT and sys.byteorder == "little":
+        return memoryview(raw).cast("q").tolist()
+    return [int.from_bytes(raw[i:i + w], "little", signed=True)
+            for i in range(0, len(raw), w)]
+
+
+def _digits(n, b):
+    """The balanced slots of n at width b, lowest first."""
+    chunks = _chunks(n, b)
+    # a chunk is its slot less one whenever the slots below it sum to a
+    # negative number, that is whenever the chunk below it is negative
+    return [c + (p < 0) for c, p in zip(chunks, [0] + chunks)]
+
+
+def _top(n, b):
+    """An upper bound on the |slots| of n at width b, at most one above the
+    largest."""
+    chunks = _chunks(n, b)
+    return max(max(chunks) + 1, -min(chunks))
+
+
+def _pack(digits, b):
+    """The int whose balanced slots at width b are `digits`, lowest first."""
+    n = 0
+    for d in reversed(digits):
+        n = (n << b) + d
+    return n
+
+
+def _pack_terms(rows, o, s, b):
+    """The packed XNum of int rows {k: QPoly}, every exponent o + s*j with
+    j >= 0, at slot width b or wider if its coefficients need it."""
+    bound = max(abs(c) for row in rows.values() for c in row.values())
+    b = max(b, _width(bound))
+    out = {}
+    for k, row in rows.items():
+        digits = [0] * ((max(row) - o) // s + 1)
+        for e, c in row.items():
+            digits[(e - o) // s] = c
+        out[k] = _pack(digits, b)
+    return _packed(out, o, s, b, bound, True)
+
+
+def _packed(rows, o, s, b, bound, tight=False):
+    """The XNum of packed rows, none of them zero, with its offset
+    normalized."""
+    mask = (1 << b) - 1
+    for n in rows.values():
+        if n & mask:
+            break
+    else:
+        if rows:
+            t = (min((n & -n).bit_length() for n in rows.values()) - 1) // b
+            rows = {k: n >> (t * b) for k, n in rows.items()}
+            o += s * t
+    return XNum(rows, o, s, b, bound, tight)
+
+
+def xp_monomial(k, e):
+    """The XNum v**k * u**e."""
+    return XNum({k: 1}, e, Q_DEG, SLOT, 1, True)
+
+
+def xp_from_terms(rows):
+    """The XNum of the rows {k: QPoly}, none of them zero, packed when every
+    coefficient is an int."""
+    if not rows:
+        return XN_ZERO
+    if len(rows) == 1:
+        (k, row), = rows.items()
+        if len(row) == 1:
+            (e, c), = row.items()
+            if type(c) is int and not abs(c) >> (SLOT - 1):
+                return XNum({k: c}, e, Q_DEG, SLOT, abs(c), True)
+    for row in rows.values():
+        for c in row.values():
+            if type(c) is not int:
+                return XNum(rows)
+    o = min(min(row) for row in rows.values())
+    s = math.gcd(Q_DEG, *(e - o for row in rows.values() for e in row))
+    return _pack_terms(rows, o, s, SLOT)
+
+
+def xp_terms(a):
+    """The rows of a as QPolys in u, by v-exponent."""
+    if not a.b:
+        return a.rows
+    o, s, b = a.o, a.s, a.b
+    return {k: {o + s * j: c for j, c in enumerate(_digits(n, b)) if c}
+            for k, n in a.rows.items()}
+
+
+def xp_key(a):
+    """A hashable name for the value of a, whatever its packing."""
+    return frozenset((k, frozenset(row.items()))
+                     for k, row in xp_terms(a).items())
+
+
+def xp_equal(a, b):
+    if a.b and a.b == b.b and a.s == b.s:
+        return a.o == b.o and a.rows == b.rows
+    return xp_terms(a) == xp_terms(b)
+
+
+def _repack(a, b, s):
+    """a packed at slot width b, or wider if its coefficients need it, and
+    at stride s, a divisor of a.s."""
+    return _pack_terms(xp_terms(a), a.o, s, b)
+
+
+def _tighten(a):
+    """Lower a.bound to its slots' magnitude (_top)."""
+    if not a.tight:
+        a.bound = max(_top(n, a.b) for n in a.rows.values())
+        a.tight = True
+
+
+def _fit(xs, bound_of):
+    """The packed XNums xs, of one width and stride, tightened and if need
+    be repacked wider, so that bound_of(xs) fits a slot; and that bound."""
+    for x in xs:
+        _tighten(x)
+    bound = bound_of(xs)
+    if bound >> (xs[0].b - 1):
+        b = _width(bound)
+        xs = [_repack(x, b, x.s) for x in xs]
+    return xs, bound
+
+
+def _aligned(a, b):
+    """Packed a and b at one slot width and one stride."""
+    w = max(a.b, b.b)
+    s = math.gcd(a.s, b.s)
+    if a.b != w or a.s != s:
+        a = _repack(a, w, s)
+    if b.b != w or b.s != s:
+        b = _repack(b, w, s)
+    return a, b
+
+
+def _mul_bound(xs):
+    # the slot count of each row of the operand with fewer rows bounds the
+    # number of products that meet in one slot of a row product
+    a, b = xs
+    if len(a.rows) > len(b.rows):
+        a, b = b, a
+    span = max(map(int.bit_length, a.rows.values())) // a.b + 1
+    return a.bound * b.bound * len(a.rows) * span
+
+
+def _add_bound(xs):
+    return xs[0].bound + xs[1].bound
+
+
+def xp_mul(a, b):
+    """The product of two x-level numerators: one big-int product per pair
+    of packed rows."""
+    if not a.rows or not b.rows:
+        return XN_ZERO
+    if not (a.b and b.b):
+        return _dict_mul(xp_terms(a), xp_terms(b))
+    if a.b != b.b or a.s != b.s:
+        a, b = _aligned(a, b)
+    bound = _mul_bound((a, b))
+    if bound >> (a.b - 1):
+        (a, b), bound = _fit((a, b), _mul_bound)
+    out = {}
+    for ka, pa in a.rows.items():
+        for kb, pb in b.rows.items():
+            k = ka + kb
+            t = out.get(k)
+            out[k] = pa * pb if t is None else t + pa * pb
+    return _packed({k: n for k, n in out.items() if n},
+                   a.o + b.o, a.s, a.b, bound)
+
+
+def xp_add(a, b):
+    """The sum of two x-level numerators: offsets aligned by shifts, then
+    one big-int sum per row."""
+    if not a.rows:
+        return b
+    if not b.rows:
+        return a
+    if not (a.b and b.b):
+        return _dict_add(xp_terms(a), xp_terms(b))
+    if a.b != b.b or a.s != b.s:
+        a, b = _aligned(a, b)
+    d = a.o - b.o
+    if d % a.s:
+        s = math.gcd(a.s, d)
+        a, b = _repack(a, a.b, s), _repack(b, b.b, s)
+    bound = a.bound + b.bound
+    if bound >> (a.b - 1):
+        (a, b), bound = _fit((a, b), _add_bound)
+    ra, rb, s, w = a.rows, b.rows, a.s, a.b
+    if d > 0:
+        sh = d // s * w
+        ra = {k: n << sh for k, n in ra.items()}
+        o = b.o
+    else:
+        if d:
+            sh = -d // s * w
+            rb = {k: n << sh for k, n in rb.items()}
+        o = a.o
+    out = dict(ra)
+    for k, n in rb.items():
+        t = out.get(k)
+        if t is None:
+            out[k] = n
+        else:
+            t += n
+            if t:
+                out[k] = t
+            else:
+                del out[k]
+    return _packed(out, o, s, w, bound)
+
+
+def xp_neg(a):
+    if not a.b:
+        return XNum({k: poly_neg(row) for k, row in a.rows.items()})
+    return XNum({k: -n for k, n in a.rows.items()}, a.o, a.s, a.b, a.bound,
+                a.tight)
+
+
+def _dict_mul(ra, rb):
+    out = {}
+    for ka, pa in ra.items():
+        for kb, pb in rb.items():
+            k = ka + kb
+            t = poly_add(out.get(k, QP_ZERO), qp_mul(pa, pb))
+            if t:
+                out[k] = t
+            else:
+                out.pop(k, None)
+    return xp_from_terms(out)
+
+
+def _dict_add(ra, rb):
+    out = dict(ra)
+    for k, row in rb.items():
+        t = poly_add(out.get(k, QP_ZERO), row)
+        if t:
+            out[k] = t
+        else:
+            out.pop(k, None)
+    return xp_from_terms(out)
+
+
 # ------------------------------------------------------------- binomials ----
 #
-# The binomial e is y - u**e, with y = x**2 = v**Y_DEG.  It is linear in y,
-# hence irreducible, and every x-denominator the package builds is a product
-# of such binomials (ratfunc.py).
+# The binomial e is y - u**e.  It is linear in y, hence irreducible, and
+# every x-denominator the package builds is a product of such binomials
+# (ratfunc.py).  Division and the root test take a numerator that is a
+# polynomial in y times a power of v: all its v-exponents agree mod Y_DEG.
 
-Y_DEG = 2 * DENOM
 
-# a primitive root of _P: u0**e takes a different value for every exponent e
-# the package reaches, so distinct binomials keep distinct images
-_U0 = 3
-_U0_POWERS = {}
-_PHI_AT_U0 = {}  # d -> the image of Phi_d(u0**Q_DEG)
+def _y_rows(rows, zero):
+    """(k0, [P_0, ..., P_J]) with rows = v**k0 * sum_j y**j P_j."""
+    k0 = min(rows)
+    ps = [zero] * ((max(rows) - k0) // Y_DEG + 1)
+    for k, p in rows.items():
+        ps[(k - k0) // Y_DEG] = p
+    return k0, ps
+
+
+def _binom_ready(a, e, factor):
+    """Packed a at a stride that divides e, and at a width that holds
+    `factor` times its bound."""
+    if e % a.s:
+        a = _repack(a, a.b, math.gcd(a.s, e))
+    if (a.bound * factor) >> (a.b - 1):
+        (a,), _ = _fit((a,), lambda xs: xs[0].bound * factor)
+    return a
 
 
 def xp_binom_mul(a, e):
-    """a * (y - u**e)."""
-    out = {k + Y_DEG: c for k, c in a.items()}
-    for k, c in a.items():
-        t = qrat_monomial_mul(c, e)
-        s = out.get(k)
-        if s is None:
-            out[k] = -t
+    """a * (y - u**e): a shift and a subtraction."""
+    if not a.rows:
+        return a
+    if not a.b:
+        out = {k + Y_DEG: row for k, row in a.rows.items()}
+        for k, row in a.rows.items():
+            t = poly_sub(out.get(k, QP_ZERO), poly_shift(row, e))
+            if t:
+                out[k] = t
+            else:
+                out.pop(k, None)
+        return xp_from_terms(out)
+    if e % a.s or a.bound >> (a.b - 2):
+        a = _binom_ready(a, e, 2)
+    sh = abs(e) // a.s * a.b
+    if e >= 0:
+        up, down, o = a.rows, {k: n << sh for k, n in a.rows.items()}, a.o
+    else:
+        up, down, o = {k: n << sh for k, n in a.rows.items()}, a.rows, a.o + e
+    out = {k + Y_DEG: n for k, n in up.items()}
+    for k, n in down.items():
+        t = out.get(k)
+        if t is None:
+            out[k] = -n
         else:
-            s = s - t
-            if s:
-                out[k] = s
+            t -= n
+            if t:
+                out[k] = t
             else:
                 del out[k]
-    return out
+    return _packed(out, o, a.s, a.b, 2 * a.bound)
+
+
+def xp_binom_root(a, e):
+    """Whether y - u**e divides a, decided exactly: whether a vanishes at
+    y = u**e.  For packed rows that is one evaluation,
+    sum_j P_j * 2**(b * e/s * j) == 0 (for e < 0, a times u**(-e*J))."""
+    rows = a.rows
+    if not a.b:
+        k0 = min(rows)
+        t = QP_ZERO
+        for k, p in rows.items():
+            t = poly_add(t, poly_shift(p, e * ((k - k0) // Y_DEG)))
+        return not t
+    if e % a.s or (a.bound * len(rows)) >> (a.b - 1):
+        a = _binom_ready(a, e, len(rows))
+        rows = a.rows
+    sh = abs(e) // a.s * a.b
+    if e < 0:
+        k0 = max(rows)
+        sh = -sh
+    else:
+        k0 = min(rows)
+    t = 0
+    for k, n in rows.items():
+        t += n << (sh * (k - k0) // Y_DEG)
+    return not t
 
 
 def xp_binom_div(a, e):
-    """a / (y - u**e) if the division is exact, else None.
+    """a / (y - u**e), or None if y - u**e does not divide a.
 
-    `a` is a polynomial in y: every exponent a multiple of Y_DEG, none below
-    zero.  Synthetic division: the quotient coefficients are the running
-    values of Horner's rule at y = u**e, and the last value is the remainder.
+    Synthetic division, with u**|e| only ever a left shift: for e >= 0
+    Horner's rule at y = u**e from the top, q_(j-1) = P_j + u**e q_j; for
+    e < 0 from the bottom, q_j = u**-e (q_(j-1) - P_j), since a = q * (y -
+    u**e) gives P_0 = -u**e q_0.  What is left over decides.
     """
-    q = {}
-    carry = QRAT_ZERO
-    for k in range(max(a), 0, -Y_DEG):
-        carry = a.get(k, QRAT_ZERO) + qrat_monomial_mul(carry, e)
-        if carry:
-            q[k - Y_DEG] = carry
-    if a.get(0, QRAT_ZERO) + qrat_monomial_mul(carry, e):
-        return None
-    return q
+    if not a.rows:
+        return a
+    if not a.b:
+        k0, ps = _y_rows(a.rows, QP_ZERO)
+        q = []
+        carry = QP_ZERO
+        for p in reversed(ps[1:]):
+            carry = poly_add(p, poly_shift(carry, e))
+            q.append(carry)
+        if poly_add(ps[0], poly_shift(carry, e)):
+            return None
+        q.reverse()
+        return xp_from_terms({k0 + Y_DEG * j: t for j, t in enumerate(q) if t})
+    if e % a.s or (a.bound * len(a.rows)) >> (a.b - 1):
+        a = _binom_ready(a, e, len(a.rows))
+    k0, ps = _y_rows(a.rows, 0)
+    sh = abs(e) // a.s * a.b
+    q = []
+    carry = 0
+    if e >= 0:
+        for p in reversed(ps[1:]):
+            carry = p + (carry << sh)
+            q.append(carry)
+        if ps[0] + (carry << sh):
+            return None
+        q.reverse()
+    else:
+        for p in ps[:-1]:
+            carry = (carry - p) << sh
+            q.append(carry)
+        if carry != ps[-1]:
+            return None
+    return _packed({k0 + Y_DEG * j: t for j, t in enumerate(q) if t},
+                   a.o, a.s, a.b, len(a.rows) * a.bound)
 
 
-def _u0_pow(e):
-    got = _U0_POWERS.get(e)
-    if got is None:
-        got = _U0_POWERS[e] = pow(_U0, e, _P)
-    return got
+# ------------------------------------------------- common q-denominators ----
+#
+# The q-denominator of a RationalFunction is common to all its rows: a
+# multiset of cyclotomic factors Phi_d(u**Q_DEG).  Each factor divides a row
+# wholly or not at all when the row is u**o times a polynomial in u**Q_DEG
+# and the factor stays irreducible over its coefficients (the q level's
+# _cancel); then the factors that divide every row cancel by exact division.
 
 
-def _den_at_u0(qr):
-    # the image of the denominator of qr at u0; for a factored one, the
-    # product of the images of its factors
-    if qr.fac is None:
-        return _qp_at_u0(qr.den)
-    t = 1
-    for d, m in qr.fac.items():
-        got = _PHI_AT_U0.get(d)
-        if got is None:
-            got = _PHI_AT_U0[d] = _qp_at_u0(_phi_u(d))
-        t = t * pow(got, m, _P) % _P
-    return t
+def xp_qsafe(a, fac):
+    """Whether every factor of the multiset `fac` divides each row of a
+    wholly or not at all: every exponent of u in a agrees mod Q_DEG, and no
+    factor may split over a's coefficients."""
+    if a.b:
+        return a.s == Q_DEG
+    e0 = None
+    cyclo = False
+    for row in a.rows.values():
+        for e, c in row.items():
+            if e0 is None:
+                e0 = e
+            elif (e - e0) % Q_DEG:
+                return False
+            cyclo = cyclo or type(c) is Cyclo
+    return not (cyclo and any(d % 4 == 0 for d in fac))
 
 
-def _qp_at_u0(a):
-    t = 0
-    for e, c in a.items():
-        if type(c) is not int:
-            c = coeff_mod(c, _P, _Z8)
-        t += c * _u0_pow(e)
-    return t % _P
+_QTIMES = {}  # multiset key -> the XNum of the product of its factors
 
 
-def xp_y_image(a):
-    """The image of a polynomial in y in GF(p)[y] at u = u0, as the list of
-    its y-coefficients from y**0 up; None if a coefficient has no image."""
-    out = [0] * (max(a) // Y_DEG + 1)
-    try:
-        for k, qr in a.items():
-            m = _qp_at_u0(qr.num)
-            if qr.fac != NO_FACTORS:
-                m = m * pow(_den_at_u0(qr), -1, _P) % _P
-            out[k // Y_DEG] = m
-    except (ZeroDivisionError, ValueError):
-        # a Fraction denominator divisible by p, or a denominator vanishing
-        # at u0 (pow raises ValueError for a non-invertible base)
-        return None
-    return out
+def xp_qtimes(a, fac):
+    """a times the cyclotomic factors of the multiset `fac`."""
+    if not fac or not a.rows:
+        return a
+    key = multisets.key(fac)
+    by = _QTIMES.get(key)
+    if by is None:
+        by = _QTIMES[key] = xp_from_terms({0: CYCLOTOMICS.expand(fac)})
+    return xp_mul(a, by)
 
 
-def y_image_root_order(image, e, limit):
-    """How often y - u0**e divides `image`, counted up to `limit`.
+def xp_qcancel(a, fac):
+    """(a / g, g) for g the largest product of cyclotomic factors from the
+    multiset `fac` that divides every row of a, with g as a multiset; a is
+    nonzero and xp_qsafe(a, fac)."""
+    if a.b:
+        got = _qcancel_packed(a, fac)
+        if got is not None:
+            return got
+    dense, shifts = {}, {}
+    for k, row in xp_terms(a).items():
+        t0, shifts[k] = poly_strip(row)
+        dense[k] = _q_dense(t0)
+    dense, removed = _divide_out(dense, fac)
+    if not removed:
+        return a, NO_FACTORS
+    return xp_from_terms({k: _q_sparse(t, shifts[k])
+                          for k, t in dense.items()}), removed
 
-    An upper bound on how often y - u**e divides the polynomial whose image
-    this is, since exact division by a monic binomial commutes with taking
-    images.
-    """
-    c = _u0_pow(e)
-    count = 0
-    while count < limit and len(image) > 1:
-        quotient = [0] * (len(image) - 1)
-        carry = 0
-        for j in range(len(image) - 1, 0, -1):
-            carry = (image[j] + c * carry) % _P
-            quotient[j - 1] = carry
-        if (image[0] + c * carry) % _P:
+
+def _divide_out(rows, fac):
+    """(quotients, g): the dense rows of the dict `rows` divided by the
+    largest product g of factors from the multiset `fac` that divides every
+    row, with g as a multiset."""
+    removed = {}
+    for d, m in fac.items():
+        phi = cyclotomic(d)
+        k = 0
+        while k < m:
+            quotients = {}
+            for key, t in rows.items():
+                q = _dense_div(t, phi)
+                if q is None:
+                    break
+                quotients[key] = q
+            else:
+                rows = quotients
+                k += 1
+                continue
             break
-        image = quotient
-        count += 1
-    return count
+        if k:
+            removed[d] = k
+    return rows, removed
+
+
+_PHI_PACKED = {}  # (d, b) -> Phi_d(2**b)
+
+
+def _qcancel_packed(a, fac):
+    """xp_qcancel for a packed a, by exact big-int division, or None if
+    the quotient's slots could have wrapped.
+
+    A stride-Q_DEG row n is P(2**b) for P a polynomial in Q = u**Q_DEG, so
+    g | P gives g(2**b) | n: a nonzero remainder rules a factor out.  Zero
+    ones give q = n / g(2**b), whose slots make a polynomial Q' with
+    (Q' g)(2**b) = n.  When every slot of Q' times the sum of |coefficients|
+    of g is below 2**(b - 1), Q' g and P have the same balanced slots, so
+    P = Q' g: every division was exact, and q is the packed quotient.
+    """
+    b = a.b
+    rows = a.rows
+    removed = {}
+    for d, m in fac.items():
+        phi = _PHI_PACKED.get((d, b))
+        if phi is None:
+            phi = _PHI_PACKED[(d, b)] = _pack(cyclotomic(d)[0], b)
+        k = 0
+        while k < m:
+            quotients = {}
+            for key, n in rows.items():
+                q, r = divmod(n, phi)
+                if r:
+                    break
+                quotients[key] = q
+            else:
+                rows = quotients
+                k += 1
+                continue
+            break
+        if k:
+            removed[d] = k
+    if not removed:
+        return a, NO_FACTORS
+    norm = 1
+    for d, k in removed.items():
+        norm *= sum(map(abs, cyclotomic(d)[0])) ** k
+    bound = max(_top(n, b) for n in rows.values())
+    if (bound * norm) >> (b - 1):
+        return None
+    return _packed(rows, a.o, Q_DEG, b, bound, True), removed
 
 
 # ---------------------------------------------------------- lattice ops ----
 
 
-def xp_qshift(a, m_units):
-    """Image of the substitution x -> x*q**(m_units/D) on an XPoly."""
+def _shift_units(m_units, k):
+    # the u-exponent by which x -> x*q**(m_units/D) multiplies v**k
+    s = m_units * k
+    if s % DENOM:
+        raise LatticeError(
+            "shift by %d/%d units leaves the lattice at x-exponent %d/%d"
+            % (m_units, DENOM, k, DENOM)
+        )
+    return s // DENOM
+
+
+def xp_qshift(a, m_units, s=0):
+    """The substitution x -> x*q**(m_units/D) on a, times u**s."""
+    shifts = {k: _shift_units(m_units, k) + s for k in a.rows}
+    if not a.b:
+        return XNum({k: poly_shift(row, shifts[k])
+                     for k, row in a.rows.items()})
+    lo = min(shifts.values())
+    g = math.gcd(a.s, *(t - lo for t in shifts.values()))
+    if g != a.s:
+        a = _repack(a, a.b, g)
+    return _packed({k: n << ((shifts[k] - lo) // g * a.b)
+                    for k, n in a.rows.items()},
+                   a.o + lo, g, a.b, a.bound, a.tight)
+
+
+def xq_qshift(a, m_units):
+    """The substitution x -> x*q**(m_units/D) on a nested XPoly."""
     if not m_units:
         return a
-    out = {}
-    for k, c in a.items():
-        s = m_units * k
-        if s % DENOM:
-            raise LatticeError(
-                "shift by %d/%d units leaves the lattice at x-exponent %d/%d"
-                % (m_units, DENOM, k, DENOM)
-            )
-        out[k] = qrat_monomial_mul(c, s // DENOM)
-    return out
+    return {k: qrat_monomial_mul(c, _shift_units(m_units, k))
+            for k, c in a.items()}

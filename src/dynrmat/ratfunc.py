@@ -1,35 +1,72 @@
 """Canonical rational functions of the two lattice variables q and x.
 
-A RationalFunction is the x level of the canonical fraction of polys.py: a
-fraction of two XPolys (Laurent in v = x**(1/4), coefficients QRats, rational
-in u = q**(1/4)), numerator and denominator coprime in v, denominator with
-minimum v-exponent zero and leading coefficient one.  Its arithmetic is
-CanonicalFraction's; this module supplies the level's factors and the maps
-that only the x level has (shift_x, subs_signed_qpow, edge, eval_complex).
+A RationalFunction is a rational function of u = q**(1/4) and v =
+x**(1/4), stored flat as
 
-The denominators the package builds are products of binomials y - u**e, with
-y = x**2 = v**8 (x-brackets x q**c - x**-1 q**-c put them there).  Such a
-denominator is stored factored, as a multiset `fac` {e: multiplicity}.  A
-binomial y - u**e cancels from a numerator N that is a polynomial in y
-exactly when N vanishes at y = u**e; a nonzero GF(p) image of that value
-rules it out, and only an exact synthetic division accepts it.  y - u**e is
-linear in y, hence irreducible, and the gcd of a polynomial in y with the
-denominator over Q(z8)(u)[v] is its gcd over Q(z8)(u)[y] (the deflation
-argument of polys.py), so this gives the same reduced fraction as the
-generic gcd, byte for byte.
+    N / (Dq * Dx):
 
-Any other operand takes the generic path: a numerator that is not a
-polynomial in y after stripping, or a denominator that is no product of
-binomials, which is then stored expanded with `fac` None.  The generic path
-cancels by xp_gcd, and its result is factored again where it can be.
+- Dx is a multiset `fac` {e: multiplicity} of binomials y - u**e, with y =
+  x**2 = v**8.  The x-brackets x q**c - x**-1 q**-c put them into every
+  x-denominator the package builds.
+- Dq is a multiset {d: multiplicity} of cyclotomic factors Phi_d(u**8), the
+  common q-denominator of all the rows.
+- N = u**o * sum_k v**k * P_k(u), an XNum (polys.py).  When every
+  coefficient is an int, each row P_k is one Python int, its coefficients
+  in balanced signed slots of b bits (Kronecker substitution); a Fraction or
+  a Cyclo coefficient keeps the rows as QPolys.
+
+Canonical form: N is coprime in v to Dx, and Dq is minimal: no Phi_d left
+in Dq divides every row of N.  Then each row P_k / Dq, reduced at the q
+level, is the canonical QRat coefficient of v**k, and the fraction of the
+XPoly of those coefficients over the expanded Dx is canonical in the sense
+of polys.CanonicalFraction; `num`, `den` and `fac` are read-only views of
+that form, which the printers, the JSON and the tests read.  Equal values
+have equal N, Dq and Dx, whatever width or stride N was packed at (`==`
+and `hash` compare coefficients, not ints).
+
+The bound rule of the packed rows (polys.py): each kernel function bounds
+every slot it will make, of its result or on the way, and lowers its
+operands' coefficient bounds or repacks them wider before that bound could
+reach 2**(b - 1).  An overflow would be a silent wrong answer.
+
+Arithmetic on the flat form:
+- A product adds the multisets and multiplies the numerators, one big-int
+  product per pair of rows.  Each numerator can only cancel the other's
+  binomials, and the product the factors of the two Dq.
+- A sum multiplies each numerator by the factors the other has and it does
+  not, adds, and cancels only the factors of equal multiplicity on both
+  sides (multisets.tied).  A factor that only one side has cannot cancel
+  from any row of the sum, not even in part: each row is congruent mod
+  that factor to a row coprime to it.
+- A binomial cancels from a numerator that is a polynomial in y after
+  stripping its lowest power of v exactly when the numerator vanishes at
+  y = u**e.  One packed evaluation decides that exactly, and Horner's rule
+  with shifts divides.  y - u**e is linear in y, hence irreducible, and the
+  gcd of a polynomial in y with the denominator over Q(z8)(u)[v] is its gcd
+  over Q(z8)(u)[y] (the deflation argument of polys.py).
+- A Phi_d(u**8) divides a row wholly or not at all when all exponents of u
+  in N agree mod 8 and Phi_d stays irreducible over N's coefficients
+  (polys.xp_qsafe).  Otherwise each row is reduced as a QRat and the flat
+  form is rebuilt from the reduced rows.
+
+Values the flat form cannot hold are stored nested, as a `_Nested` fraction
+of XPolys over QRats: an x-denominator that is no product of binomials
+(`fac` None), or a row whose reduced q-denominator is no product of
+cyclotomic factors.  So is the result of a flat operation the flat path
+cannot decide: a binomial to cancel from a numerator that is no polynomial
+in y.  That generic path cancels by xp_gcd, and its result is flattened
+again where it can be.
 """
 
+from . import multisets
 from .coeffs import Cyclo, root8_pow
 from .lattice import DENOM, LatticeError
 from .multisets import NO_FACTORS, Alphabet
 from .polys import (
+    CYCLOTOMICS,
     QRAT_ONE,
     QRAT_ZERO,
+    XN_ZERO,
     XP_ONE,
     XP_ZERO,
     Y_DEG,
@@ -40,17 +77,28 @@ from .polys import (
     qrat,
     qrat_const,
     qrat_monomial_mul,
-    qrat_qpow,
+    qrat_over_cyclotomics,
     qrat_scale,
+    xp_add,
     xp_binom_div,
     xp_binom_mul,
-    xp_eval_complex,
+    xp_binom_root,
+    xp_equal,
+    xp_from_terms,
     xp_gcd,
+    xp_key,
+    xp_monomial,
     xp_mul,
+    xp_neg,
+    xp_qcancel,
+    xp_qsafe,
     xp_qshift,
-    xp_scale,
-    xp_y_image,
-    y_image_root_order,
+    xp_qtimes,
+    xp_terms,
+    xq_eval_complex,
+    xq_mul,
+    xq_qshift,
+    xq_scale,
 )
 
 __all__ = [
@@ -77,15 +125,29 @@ class PoleAtSubstitution(ZeroDivisionError):
 # -------------------------------------------------------------- binomials ----
 
 
-_BINOMIALS = Alphabet(XP_ONE, xp_binom_mul)
+def _xq_binom_mul(a, e):
+    """A nested XPoly a times y - u**e."""
+    out = {k + Y_DEG: c for k, c in a.items()}
+    for k, c in a.items():
+        t = (out.get(k, QRAT_ZERO)) - qrat_monomial_mul(c, e)
+        if t:
+            out[k] = t
+        else:
+            out.pop(k, None)
+    return out
+
+
+# expanded x-denominators, as nested XPolys
+_BINOMIALS = Alphabet(XP_ONE, _xq_binom_mul)
 
 
 def _factor(d):
     """The multiset of binomials whose product is d, or None if there is none.
 
-    d is monic with minimum exponent zero.  If d = prod (y - u**e)**m has
-    degree n in y, its y**(n-1) coefficient is -sum m u**e, which names
-    every candidate and its multiplicity; d factors iff their product is d.
+    d is a nested XPoly, monic with minimum exponent zero.  If d = prod (y -
+    u**e)**m has degree n in y, its y**(n-1) coefficient is -sum m u**e,
+    which names every candidate and its multiplicity; d factors iff their
+    product is d.
     """
     if len(d) == 1:
         return NO_FACTORS
@@ -105,52 +167,196 @@ def _factor(d):
 
 def _cancel(t, fac):
     """(t / g, g) for g the largest product of binomials from the multiset
-    `fac` that divides t, with g as a multiset; None if t is not a polynomial
-    in y after stripping its lowest power of v."""
-    t0, st = poly_strip(t)
-    if len(t0) == 1:
+    `fac` that divides the XNum t, with g as a multiset; None if t is not a
+    polynomial in y after stripping its lowest power of v."""
+    rows = t.rows
+    if len(rows) == 1:
         return t, NO_FACTORS
-    if any(k % Y_DEG for k in t0):
+    k0 = min(rows)
+    if any((k - k0) % Y_DEG for k in rows):
         return None
-    image = xp_y_image(t0)
     removed = {}
     for e, m in fac.items():
-        if image is not None:
-            m = y_image_root_order(image, e, m)
         for _ in range(m):
-            q = xp_binom_div(t0, e)
-            if q is None:
+            if not xp_binom_root(t, e):
                 break
-            t0 = q
+            t = xp_binom_div(t, e)
             removed[e] = removed.get(e, 0) + 1
-    return poly_shift(t0, st), removed
+    return t, removed
 
 
-# ------------------------------------------------------- RationalFunction ----
+def _xtimes(n, fac):
+    """The XNum n times the binomials of the multiset `fac`."""
+    for e, m in fac.items():
+        for _ in range(m):
+            n = xp_binom_mul(n, e)
+    return n
 
 
-class RationalFunction(CanonicalFraction):
-    """Canonical fraction of XPolys, whose factors are the binomials
-    y - u**e, named by e."""
+# ------------------------------------------------------------ nested form ----
+
+
+def _decline(t, fac):
+    return None
+
+
+class _Nested(CanonicalFraction):
+    """The x level as a canonical fraction of nested XPolys over QRats, for
+    the values the flat form cannot hold and for the generic path.  Its
+    factored cancellation always declines, so it cancels by xp_gcd."""
 
     __slots__ = ()
 
-    _mul = staticmethod(xp_mul)
-    _scale = staticmethod(xp_scale)
+    _mul = staticmethod(xq_mul)
+    _scale = staticmethod(xq_scale)
     _poly_one = XP_ONE
     _coeff_one = QRAT_ONE
     _coeff_inverse = staticmethod(QRat.inverse)
     _alphabet = _BINOMIALS
     _factor = staticmethod(_factor)
-    _cancel = staticmethod(_cancel)
+    _cancel = staticmethod(_decline)
 
     @staticmethod
     def _gcd(a, b):
         # resolved at call time, so that a replaced xp_gcd sees every call
         return xp_gcd(a, b)
 
+
+_Nested.ZERO = _Nested(XP_ZERO, NO_FACTORS)
+_Nested.ONE = _Nested(XP_ONE, NO_FACTORS)
+
+
+def _from_qrats(num, fac):
+    """The RationalFunction of a nested XPoly of canonical QRats, coprime to
+    the binomials of the multiset `fac`, over them: flat unless a row's
+    q-denominator is no product of cyclotomic factors.  Dq is the lcm of the
+    rows' q-denominators, which makes it minimal."""
+    if not num:
+        return RF_ZERO
+    dq = NO_FACTORS
+    for qr in num.values():
+        if qr.fac is None:
+            return RationalFunction._of_nested(_Nested(num, fac))
+        if qr.fac:
+            dq = multisets.lcm(dq, qr.fac)
+    if dq:
+        rows = {k: CYCLOTOMICS.times(qr.num, multisets.minus(dq, qr.fac))
+                for k, qr in num.items()}
+    else:
+        rows = {k: qr.num for k, qr in num.items()}
+    return RationalFunction(xp_from_terms(rows), dq, fac)
+
+
+def _from_nested(x):
+    """The RationalFunction of a _Nested fraction."""
+    if x.fac is None:
+        return RationalFunction._of_nested(x)
+    return _from_qrats(x.num, x.fac)
+
+
+def _requalify(t, dq, fac):
+    """The RationalFunction t / (dq * fac), for an XNum t coprime to fac
+    whose rows the flat q-path cannot reduce: each row is reduced as a QRat
+    and the form rebuilt."""
+    return _from_qrats({k: qrat_over_cyclotomics(row, dq)
+                        for k, row in xp_terms(t).items()}, fac)
+
+
+def _reduce_q(t, dq, fac, tied, shared):
+    """The RationalFunction t / (dq * fac), for a nonzero XNum t coprime to
+    fac and to every factor of dq outside the multiset `tied`, whose rows
+    can share part of a factor with dq only for the factors of `shared`."""
+    if shared and not xp_qsafe(t, shared):
+        return _requalify(t, dq, fac)
+    if tied:
+        t, removed = xp_qcancel(t, tied)
+        dq = multisets.minus(dq, removed)
+    return RationalFunction(t, dq, fac)
+
+
+# ------------------------------------------------------- RationalFunction ----
+
+
+class RationalFunction:
+    """Canonical rational function N / (Dq * Dx) of u and v; see the module
+    docstring.  A value the flat form cannot hold wraps a _Nested fraction,
+    and then `n` and `dq` are None."""
+
+    __slots__ = ("n", "dq", "fac", "_nested", "_num")
+
+    def __init__(self, n, dq, fac):
+        # raw constructor of a flat value: callers guarantee canonical form
+        self.n = n
+        self.dq = dq
+        self.fac = fac
+        self._nested = None
+        self._num = None
+
+    @classmethod
+    def _of_nested(cls, x):
+        """The value of a _Nested fraction that the flat form cannot hold."""
+        self = cls(None, None, x.fac)
+        self._nested = x
+        return self
+
+    # ------------------------------------------------------------ views
+
+    @property
+    def num(self):
+        """The numerator as a nested XPoly: each row of N reduced over Dq."""
+        if self._nested is not None:
+            return self._nested.num
+        got = self._num
+        if got is None:
+            dq = self.dq
+            got = self._num = {
+                k: qrat_over_cyclotomics(row, dq) if dq
+                else QRat(row, NO_FACTORS)
+                for k, row in xp_terms(self.n).items()
+            }
+        return got
+
+    @property
+    def den(self):
+        """The denominator as a nested XPoly: Dx expanded."""
+        if self._nested is not None:
+            return self._nested.den
+        return _BINOMIALS.expand(self.fac)
+
+    def _nest(self):
+        if self._nested is not None:
+            return self._nested
+        return _Nested(self.num, self.fac)
+
+    # ----------------------------------------------------------- basics
+
+    def __bool__(self):
+        if self.n is None:
+            return bool(self._nested)
+        return bool(self.n.rows)
+
+    def __eq__(self, other):
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        a, b = self.n, other.n
+        if a is None or b is None:
+            return a is b and self._nested == other._nested
+        return (self.fac == other.fac and self.dq == other.dq
+                and xp_equal(a, b))
+
+    def __hash__(self):
+        if self.n is None:
+            return hash(self._nested)
+        return hash((xp_key(self.n), multisets.key(self.dq),
+                     multisets.key(self.fac)))
+
     def is_one(self):
-        return self.fac == NO_FACTORS and self.num == XP_ONE
+        return self == RF_ONE
+
+    def is_x_free(self):
+        if self.n is None:
+            return self.fac == NO_FACTORS and set(self.num) <= {0}
+        return not self.fac and set(self.n.rows) <= {0}
 
     def __repr__(self):
         n = sum(len(c.num) + len(c.den) for c in self.num.values())
@@ -162,13 +368,130 @@ class RationalFunction(CanonicalFraction):
             d,
         )
 
-    def scale_q(self, qr):
-        """Multiply by an x-free factor without touching the denominator."""
-        if not qr:
-            return RF_ZERO
-        if not self.num:
+    # ------------------------------------------------------- arithmetic
+
+    def __neg__(self):
+        if self.n is None:
+            return RationalFunction._of_nested(-self._nested)
+        return RationalFunction(xp_neg(self.n), self.dq, self.fac)
+
+    def __add__(self, other):
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        if not self:
+            return other
+        if not other:
             return self
-        return RationalFunction(xp_scale(self.num, qr), self.fac, self._den)
+        if self.n is not None and other.n is not None:
+            got = self._add_factored(other)
+            if got is not None:
+                return got
+        a, b = self._nest(), other._nest()
+        return _from_nested(a._add_generic(a.num, a.den, b.num, b.den))
+
+    def __sub__(self, other):
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        if not self or not other:
+            return RF_ZERO
+        if self is RF_ONE:
+            return other
+        if other is RF_ONE:
+            return self
+        if self.n is not None and other.n is not None:
+            got = self._mul_factored(other)
+            if got is not None:
+                return got
+        a, b = self._nest(), other._nest()
+        return _from_nested(a._mul_generic(a.num, a.den, b.num, b.den))
+
+    def inverse(self):
+        if self.n is not None and len(self.n.rows) == 1:
+            # (Dq * Dx) / (v**k P): Dx over v**k, times the QRat Dq / P
+            (k, qr), = self.num.items()
+            q = qr.inverse()
+            return _from_qrats({j - k: c * q for j, c in self.den.items()},
+                               NO_FACTORS)
+        return _from_nested(self._nest().inverse())
+
+    def __truediv__(self, other):
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        return self * other.inverse()
+
+    def _add_factored(self, other):
+        """self + other on the flat form, or None if a tied binomial would
+        have to cancel from a sum that is no polynomial in y."""
+        na, fa, qa = self.n, self.fac, self.dq
+        nb, fb, qb = other.n, other.fac, other.dq
+        if qa == qb:
+            qtied = dq = shared = qa
+        else:
+            common = shared = multisets.common(qa, qb)
+            na = xp_qtimes(na, multisets.minus(qb, common))
+            nb = xp_qtimes(nb, multisets.minus(qa, common))
+            qtied = multisets.tied(qa, qb)
+            dq = multisets.lcm(qa, qb)
+        if fa == fb:
+            tied = fac = fa
+        else:
+            common = multisets.common(fa, fb)
+            na = _xtimes(na, multisets.minus(fb, common))
+            nb = _xtimes(nb, multisets.minus(fa, common))
+            tied = multisets.tied(fa, fb)
+            fac = multisets.lcm(fa, fb)
+        t = xp_add(na, nb)
+        if not t:
+            return RF_ZERO
+        if tied:
+            got = _cancel(t, tied)
+            if got is None:
+                return None
+            t, removed = got
+            if removed:
+                shared = dq  # division by a binomial mixes the rows
+            fac = multisets.minus(fac, removed)
+        return _reduce_q(t, dq, fac, qtied, shared)
+
+    def _mul_factored(self, other):
+        """self * other on the flat form, or None if a binomial would have
+        to cancel from a numerator that is no polynomial in y."""
+        na, fa = self.n, self.fac
+        nb, fb = other.n, other.fac
+        if fb:
+            got = _cancel(na, fb)
+            if got is None:
+                return None
+            na, removed = got
+            fb = multisets.minus(fb, removed)
+        if fa:
+            got = _cancel(nb, fa)
+            if got is None:
+                return None
+            nb, removed = got
+            fa = multisets.minus(fa, removed)
+        fac = multisets.total(fa, fb)
+        qa, qb = self.dq, other.dq
+        if qa or qb:
+            dq = multisets.total(qa, qb)
+            if not (xp_qsafe(na, dq) and xp_qsafe(nb, dq)):
+                return _requalify(xp_mul(na, nb), dq, fac)
+            if qb:
+                na, removed = xp_qcancel(na, qb)
+                qb = multisets.minus(qb, removed)
+            if qa:
+                nb, removed = xp_qcancel(nb, qa)
+                qa = multisets.minus(qa, removed)
+        return RationalFunction(xp_mul(na, nb), multisets.total(qa, qb), fac)
+
+    def scale_q(self, qr):
+        """Multiply by an x-free factor."""
+        return self * rf_const(qr)
 
     # ------------------------------------------------------ lattice maps
 
@@ -178,17 +501,23 @@ class RationalFunction(CanonicalFraction):
         It takes y - u**e to u**(2m) * (y - u**(e - 2m)) for m = m_units, so
         a factored denominator only relabels its binomials.
         """
-        if not m_units or not self.num:
+        if not m_units or not self:
             return self
-        num = xp_qshift(self.num, m_units)
-        if self.fac is not None:
-            s0 = 2 * m_units * sum(self.fac.values())
-            fac = {e - 2 * m_units: m for e, m in self.fac.items()}
-            return RationalFunction(_xp_qpow_mul(num, -s0), fac)
-        den = xp_qshift(self.den, m_units)
+        fac = self.fac
+        if fac is not None:
+            s0 = 2 * m_units * sum(fac.values())
+            fac = {e - 2 * m_units: m for e, m in fac.items()}
+        if self.n is not None:
+            return RationalFunction(xp_qshift(self.n, m_units, -s0), self.dq,
+                                    fac)
+        num = xq_qshift(self.num, m_units)
+        if fac is not None:
+            return RationalFunction._of_nested(
+                _Nested(_xq_qpow_mul(num, -s0), fac))
+        den = xq_qshift(self.den, m_units)
         s0 = m_units * max(den) // DENOM
-        return RationalFunction(
-            _xp_qpow_mul(num, -s0), None, _xp_qpow_mul(den, -s0))
+        return RationalFunction._of_nested(_Nested(
+            _xq_qpow_mul(num, -s0), None, _xq_qpow_mul(den, -s0)))
 
     def subs_signed_qpow(self, sign, a_units):
         """Evaluate at x = sign * q**(a_units/D); returns a QRat."""
@@ -200,35 +529,32 @@ class RationalFunction(CanonicalFraction):
             )
         return num / den
 
-    def is_x_free(self):
-        return self.fac == NO_FACTORS and set(self.num) <= {0}
-
     # ----------------------------------------------------------- limits
 
     def edge(self, at_zero):
         """Leading (v-exponent difference, coefficient) at x -> 0 or infinity."""
-        if not self.num:
+        if not self:
             raise ValueError("edge data of the zero function")
-        den = self.den
+        num, den = self.num, self.den
         if at_zero:
-            kn = min(self.num)
+            kn = min(num)
             kd = min(den)
         else:
-            kn = max(self.num)
+            kn = max(num)
             kd = max(den)
-        return kn - kd, self.num[kn] / den[kd]
+        return kn - kd, num[kn] / den[kd]
 
     # ---------------------------------------------------------- numeric
 
     def eval_complex(self, q0, x0):
         u0 = float(q0) ** (1.0 / DENOM)
         v0 = float(x0) ** (1.0 / DENOM)
-        return xp_eval_complex(self.num, u0, v0) / xp_eval_complex(
+        return xq_eval_complex(self.num, u0, v0) / xq_eval_complex(
             self.den, u0, v0
         )
 
 
-def _xp_qpow_mul(a, s):
+def _xq_qpow_mul(a, s):
     if not s:
         return a
     return {k: qrat_monomial_mul(c, s) for k, c in a.items()}
@@ -251,16 +577,38 @@ def _xp_subs_signed(a, sign, a_units):
     return total
 
 
-RF_ZERO = RationalFunction.ZERO = RationalFunction(XP_ZERO, NO_FACTORS)
-RF_ONE = RationalFunction.ONE = RationalFunction(XP_ONE, NO_FACTORS)
+RF_ZERO = RationalFunction(XN_ZERO, NO_FACTORS, NO_FACTORS)
+RF_ONE = RationalFunction(xp_monomial(0, 0), NO_FACTORS, NO_FACTORS)
 
-ratfn = RationalFunction.canonical
+
+def ratfn(num, den=None):
+    """The canonical RationalFunction num/den of two nested XPolys; den
+    defaults to 1."""
+    if den is None:
+        den = XP_ONE
+    if num and den:
+        d0, sd = poly_strip(den)
+        lead = d0[max(d0)]
+        n0 = num
+        if lead != QRAT_ONE:
+            inv = lead.inverse()
+            n0, d0 = xq_scale(n0, inv), xq_scale(d0, inv)
+        fac = _factor(d0)
+        if fac is not None:
+            x = _from_qrats(poly_shift(n0, -sd), NO_FACTORS)
+            if x.n is not None:
+                got = _cancel(x.n, fac) if fac else (x.n, NO_FACTORS)
+                if got is not None:
+                    t, removed = got
+                    return _reduce_q(t, x.dq, multisets.minus(fac, removed),
+                                     NO_FACTORS, x.dq)
+    return _from_nested(_Nested.canonical(num, den))
 
 
 def rf_const(qr):
     if not qr:
         return RF_ZERO
-    return RationalFunction({0: qr}, NO_FACTORS)
+    return _from_qrats({0: qr}, NO_FACTORS)
 
 
 def rf_coeff(c):
@@ -270,13 +618,13 @@ def rf_coeff(c):
 def rf_qpow_units(s):
     if not s:
         return RF_ONE
-    return RationalFunction({0: qrat_qpow(s)}, NO_FACTORS)
+    return RationalFunction(xp_monomial(0, s), NO_FACTORS, NO_FACTORS)
 
 
 def rf_xpow_units(k):
     if not k:
         return RF_ONE
-    return RationalFunction({k: QRAT_ONE}, NO_FACTORS)
+    return RationalFunction(xp_monomial(k, 0), NO_FACTORS, NO_FACTORS)
 
 
 def qdiff_qrat():
@@ -287,8 +635,7 @@ def qdiff_qrat():
 def xbracket_rf(c_units):
     """(x*q**c - (x*q**c)**-1) / (q - 1/q) as a RationalFunction."""
     qd = qdiff_qrat().inverse()
-    num = {
+    return _from_qrats({
         DENOM: qrat_monomial_mul(qd, c_units),
         -DENOM: qrat_monomial_mul(-qd, -c_units),
-    }
-    return RationalFunction(num, NO_FACTORS)
+    }, NO_FACTORS)

@@ -130,6 +130,10 @@ def test_fractional_wave_number_is_rejected():
         wavefunction_closed(1, F(5, 2))
     with pytest.raises(ValueError, match="integer wave number"):
         classical_limit_table(1, F(5, 2), 0.5)
+    # both routes of wavefunction refuse it alike
+    for method in ("closed", "recursive"):
+        with pytest.raises(ValueError, match="integer wave number"):
+            wavefunction(1, F(5, 2), method=method)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])

@@ -34,15 +34,19 @@ from dynrmat.polys import (
     qp_mul,
     qp_scale,
     qrat,
-    xp_divmod,
-    xp_gcd,
-    xp_monic,
-    xp_mul,
-    xp_scale,
+    xp_add,
     xp_binom_div,
     xp_binom_mul,
-    xp_y_image,
-    y_image_root_order,
+    xp_binom_root,
+    xp_divmod,
+    xp_from_terms,
+    xp_gcd,
+    xp_key,
+    xp_mul,
+    xp_terms,
+    xq_monic,
+    xq_mul,
+    xq_scale,
 )
 from dynrmat.suite import verify_relation
 
@@ -66,21 +70,21 @@ def reference_gcd(a, b):
     x, y = poly_strip(a)[0], poly_strip(b)[0]
     while y:
         x, y = y, xp_divmod(x, y)[1]
-    return xp_monic(x)
+    return xq_monic(x)
 
 
 def product(*factors):
     out = XP_ONE
     for f in factors:
-        out = xp_mul(out, f)
+        out = xq_mul(out, f)
     return out
 
 
 def check(a, b):
     g, qa, qb = xp_gcd(a, b)
     assert g == reference_gcd(a, b)
-    assert xp_mul(g, qa) == poly_strip(a)[0]
-    assert xp_mul(g, qb) == poly_strip(b)[0]
+    assert xq_mul(g, qa) == poly_strip(a)[0]
+    assert xq_mul(g, qb) == poly_strip(b)[0]
     return g
 
 
@@ -97,16 +101,16 @@ def heuristic_accepts(a, b):
 @pytest.mark.parametrize("shared", [(1,), (-2,), (1, -2), (3, 3)])
 def test_planted_brackets_are_found(shared):
     common = product(*map(bracket, shared))
-    a = xp_mul(common, P)
-    b = xp_mul(common, xp_mul(Q, {5: qr({0: 1})}))
-    assert check(a, b) == xp_monic(common)
+    a = xq_mul(common, P)
+    b = xq_mul(common, xq_mul(Q, {5: qr({0: 1})}))
+    assert check(a, b) == xq_monic(common)
     assert heuristic_accepts(a, b)
 
 
 def test_one_of_two_brackets_shared():
     a = product(bracket(1), bracket(2), P)
     b = product(bracket(2), Q)
-    assert check(a, b) == xp_monic(bracket(2))
+    assert check(a, b) == xq_monic(bracket(2))
 
 
 def test_heuristic_accepts_only_the_image_degree():
@@ -141,7 +145,7 @@ def test_integer_division_rejects_non_divisors():
 
 
 def test_coprime_operands():
-    assert check(xp_mul(bracket(1), P), xp_mul(bracket(3), Q)) == XP_ONE
+    assert check(xq_mul(bracket(1), P), xq_mul(bracket(3), Q)) == XP_ONE
 
 
 def test_monomial_operand_gives_trivial_gcd():
@@ -159,10 +163,10 @@ def test_monomial_operand_gives_trivial_gcd():
     ids=["cyclo", "denominator", "fraction"],
 )
 def test_non_integer_coefficients_fall_back_to_euclid(scale):
-    a = xp_mul(bracket(1), xp_scale(P, scale))
-    b = xp_mul(bracket(1), Q)
+    a = xq_mul(bracket(1), xq_scale(P, scale))
+    b = xq_mul(bracket(1), Q)
     assert _xp_to_zuv(poly_strip(a)[0]) is None
-    assert check(a, b) == xp_monic(bracket(1))
+    assert check(a, b) == xq_monic(bracket(1))
 
 
 def test_image_reads_every_denominator():
@@ -176,7 +180,7 @@ def test_image_reads_every_denominator():
     a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
     degree = _xp_image_gcd_degree(*polys._deflate((a0, b0))[1])
     assert degree is None or degree >= 2
-    assert check(a, b) == xp_monic(bracket(1))
+    assert check(a, b) == xq_monic(bracket(1))
 
 
 def test_image_degree_bounds_the_gcd_degree():
@@ -208,7 +212,7 @@ def test_gcd_matches_reference_on_random_planted_inputs():
     @hyp.given(rows, rows, st.lists(st.integers(-2, 2), max_size=2))
     def run(pa, pb, shared):
         common = product(*map(bracket, shared))
-        check(xp_mul(common, xp(pa)), xp_mul(common, xp(pb)))
+        check(xq_mul(common, xp(pa)), xq_mul(common, xp(pb)))
 
     run()
 
@@ -446,7 +450,7 @@ def test_planted_x_brackets_in_u8(ma, mb):
     a = product(*map(xbr, ma), P8)
     b = product(*map(xbr, mb), Q8)
     shared = [m for m in mb if m in ma]
-    assert check(a, b) == xp_monic(poly_strip(product(*map(xbr, shared)))[0])
+    assert check(a, b) == xq_monic(poly_strip(product(*map(xbr, shared)))[0])
     assert heuristic_accepts(a, b)
 
 
@@ -463,7 +467,7 @@ def test_planted_x_brackets_in_u8(ma, mb):
 def test_exponent_gcd_one_at_one_level(fa, fb, shared):
     a = product(xbr(shared), xbr(4), xp(fa))
     b = product(xbr(shared), xbr(-2), xp(fb))
-    assert check(a, b) == xp_monic(xbr(shared))
+    assert check(a, b) == xq_monic(xbr(shared))
     assert heuristic_accepts(a, b)
 
 
@@ -479,8 +483,8 @@ def test_integer_operands_are_decided_without_euclid(monkeypatch):
         b = product(*map(xbr, mb), Q8)
         g, qa, qb = xp_gcd(a, b)
         assert max(g) == 8 * len(set(ma) & set(mb))
-        assert xp_mul(g, qa) == poly_strip(a)[0]
-        assert xp_mul(g, qb) == poly_strip(b)[0]
+        assert xq_mul(g, qa) == poly_strip(a)[0]
+        assert xq_mul(g, qb) == poly_strip(b)[0]
 
 
 def test_gcd_commutes_with_inflation():
@@ -496,13 +500,13 @@ def test_gcd_commutes_with_inflation():
                polys_q, polys_q, st.lists(st.integers(1, 6), max_size=2), ks, ks)
     def run(pa, pb, shared, qa, qb, qshared, k1, k2):
         common = product(*map(bracket, shared))
-        a, b = xp_mul(common, xp(pa)), xp_mul(common, xp(pb))
+        a, b = xq_mul(common, xp(pa)), xq_mul(common, xp(pb))
         want = [inflate_x(r, k1, k2) for r in xp_gcd(a, b)]
         a, b = inflate_x(a, k1, k2), inflate_x(b, k1, k2)
         got = xp_gcd(a, b)
         assert list(got) == want
-        assert xp_mul(got[0], got[1]) == poly_strip(a)[0]
-        assert xp_mul(got[0], got[2]) == poly_strip(b)[0]
+        assert xq_mul(got[0], got[1]) == poly_strip(a)[0]
+        assert xq_mul(got[0], got[2]) == poly_strip(b)[0]
 
         common = qp_product(*map(qint, qshared))
         a, b = qp_mul(common, qp(qa)), qp_mul(common, qp(qb))
@@ -549,18 +553,179 @@ def test_gcdheu_sees_deflated_operands(monkeypatch):
 # ------------------------------------------------------------ binomials ----
 
 
+def xn(rows):
+    """XNum from {v-exponent: {u-exponent: coefficient}}, packed when every
+    coefficient is an int."""
+    return xp_from_terms({k: {e: c for e, c in row.items()}
+                          for k, row in rows.items()})
+
+
+def as_dict_rows(a):
+    """The same value held in dict rows, which the dict-row path serves."""
+    return polys.XNum(dict(xp_terms(a)))
+
+
 def test_binomial_division_undoes_multiplication_and_nothing_else():
-    # a = 2 + (q**(3/4) + 1/2) x**2 does not vanish at x**2 = q
-    a = xp({0: {0: 2}, 8: {3: 1, 0: F(1, 2)}})
-    b = xp_binom_mul(xp_binom_mul(a, 4), 4)
-    binomial = xp({8: {0: 1}, 0: {4: -1}})
-    assert b == xp_mul(a, xp_mul(binomial, binomial))
-    assert xp_binom_div(b, 4) == xp_binom_mul(a, 4)
-    assert xp_binom_div(xp_binom_div(b, 4), 4) == a
-    assert xp_binom_div(a, 4) is None
-    assert xp_binom_div(b, 8) is None
-    # the image counts the multiplicity, up to the limit asked for
-    image = xp_y_image(b)
-    assert y_image_root_order(image, 4, 5) == 2
-    assert y_image_root_order(image, 4, 1) == 1
-    assert y_image_root_order(image, 8, 5) == 0
+    # a = 2 + (q**(3/4) + c) x**2 does not vanish at x**2 = q; c = 1/2 keeps
+    # the rows as dicts, c = 1 packs them
+    for coeff in (F(1, 2), 1):
+        a = xn({0: {0: 2}, 8: {3: 1, 0: coeff}})
+        assert bool(a.b) == (coeff == 1)
+        b = xp_binom_mul(xp_binom_mul(a, 4), 4)
+        binomial = xn({8: {0: 1}, 0: {4: -1}})
+        assert xp_terms(b) == xp_terms(xp_mul(a, xp_mul(binomial, binomial)))
+        once = xp_binom_div(b, 4)
+        assert xp_terms(once) == xp_terms(xp_binom_mul(a, 4))
+        assert xp_terms(xp_binom_div(once, 4)) == xp_terms(a)
+        assert xp_binom_div(a, 4) is None
+        assert xp_binom_div(b, 8) is None
+        # the root test is exact
+        assert xp_binom_root(b, 4) and xp_binom_root(once, 4)
+        assert not xp_binom_root(a, 4) and not xp_binom_root(b, 8)
+
+
+def test_negative_binomial_exponents_shift_the_other_way():
+    a = xn({0: {0: 3, 8: -1}, 8: {16: 2}})
+    for e in (-8, -4, -1):
+        b = xp_binom_mul(a, e)
+        assert xp_terms(b) == xp_terms(xp_mul(a, xn({8: {0: 1}, 0: {e: -1}})))
+        assert xp_binom_root(b, e)
+        assert xp_terms(xp_binom_div(b, e)) == xp_terms(a)
+        assert xp_binom_div(b, -e) is None
+
+
+# coefficients within a few units of 2**(SLOT - 2) and 2**(SLOT - 1), on
+# both sides, so that every kind of result and every intermediate sum of
+# the kit crosses the slot limit of the narrowest width
+def _near_limit(st):
+    magnitudes = st.sampled_from([1 << (polys.SLOT - 2), 1 << (polys.SLOT - 1)])
+    near = st.tuples(magnitudes, st.integers(-4, 3), st.sampled_from([1, -1]))
+    return st.one_of(near.map(lambda t: t[2] * (t[0] + t[1])),
+                     st.integers(-3, 3).filter(bool))
+
+
+def _big_rows(st, kv):
+    # u-exponents either all in one class mod 8 (packed at stride 8) or free
+    residue = st.integers(-3, 4)
+    eights = st.tuples(st.integers(-2, 6), residue).map(lambda t: 8 * t[0] + t[1])
+    exps = st.one_of(eights, st.integers(-16, 40))
+    row = st.dictionaries(exps, _near_limit(st), min_size=1, max_size=8)
+    return st.dictionaries(st.integers(-2, 3).map(lambda j: kv * j), row,
+                           min_size=1, max_size=5)
+
+
+def test_packed_kit_matches_dict_rows_near_the_slot_limit():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    es = st.integers(-20, 20)
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(_big_rows(st, 8), _big_rows(st, 8), es, es)
+    def run(ra, rb, e, f):
+        a, b = xn(ra), xn(rb)
+        assert a.b and b.b
+        da, db = as_dict_rows(a), as_dict_rows(b)
+        assert not da.b
+        assert xp_terms(xp_mul(a, b)) == xp_terms(xp_mul(da, db))
+        assert xp_terms(xp_add(a, b)) == xp_terms(xp_add(da, db))
+        assert xp_terms(xp_add(a, polys.xp_neg(a))) == {}
+        ab = xp_binom_mul(a, e)
+        assert xp_terms(ab) == xp_terms(xp_binom_mul(da, e))
+        abf = xp_binom_mul(ab, f)
+        for n, dn in [(ab, as_dict_rows(ab)), (abf, as_dict_rows(abf)), (a, da)]:
+            for g in (e, f, e + 1):
+                root = xp_binom_root(n, g)
+                assert root == xp_binom_root(dn, g)
+                q, dq = xp_binom_div(n, g), xp_binom_div(dn, g)
+                assert (q is None) == (dq is None) == (not root)
+                if q is not None:
+                    assert xp_terms(q) == xp_terms(dq)
+        assert xp_terms(xp_binom_div(ab, e)) == xp_terms(a)
+        assert xp_terms(xp_binom_div(xp_binom_div(abf, f), e)) == xp_terms(a)
+
+    run()
+
+
+def test_packing_width_does_not_change_equality_or_hash():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from dynrmat.multisets import NO_FACTORS
+    from dynrmat.ratfunc import RationalFunction
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(_big_rows(st, 4))
+    def run(rows):
+        a = xn(rows)
+        wide = polys._repack(a, 2 * a.b, a.s)
+        assert wide.b == 2 * a.b
+        loose = polys._repack(a, a.b, 1)
+        for other in (wide, loose, as_dict_rows(a)):
+            assert polys.xp_equal(a, other) and polys.xp_equal(other, a)
+            assert xp_key(a) == xp_key(other)
+            ra = RationalFunction(a, NO_FACTORS, NO_FACTORS)
+            rb = RationalFunction(other, NO_FACTORS, NO_FACTORS)
+            assert ra == rb and hash(ra) == hash(rb)
+        # one more unit in one slot is another value at every width
+        k = min(rows)
+        e = min(rows[k])
+        bumped = xn({**rows, k: {**rows[k], e: rows[k][e] + 1}})
+        assert not polys.xp_equal(bumped, wide)
+
+    run()
+
+
+def test_root_test_and_division_widen_before_slots_could_carry():
+    # y = 1 is no root of a = P_0 + P_1 y + P_2 y**2 with P_0 = h - u**8,
+    # P_1 = h and P_2 = 2 for h = 2**63 - 1: a(1) = 2**64 - u**8.  Packed
+    # at 64 bits, that sum is 2**64 - 2**64 = 0, so a root test or a
+    # division that added the rows in 64-bit slots would accept it.
+    h = (1 << (polys.SLOT - 1)) - 1
+    a = xn({0: {0: h, 8: -1}, 8: {0: h}, 16: {0: 2}})
+    assert a.b == polys.SLOT
+    assert not xp_binom_root(a, 0)
+    assert xp_binom_div(a, 0) is None
+    assert not xp_binom_root(as_dict_rows(a), 0)
+
+
+def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
+    # rows u**r times polynomials in u**8, times cyclotomic factors, with
+    # coefficients near the slot limit: the exact big-int division must
+    # cancel what dense division cancels, and fall back where its quotient
+    # slots could have wrapped
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ds = st.sampled_from([1, 2, 3, 4, 6, 8])
+    row = st.dictionaries(st.integers(-2, 5).map(lambda j: 8 * j),
+                          _near_limit(st), min_size=1, max_size=6)
+
+    @hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.dictionaries(st.integers(-1, 2).map(lambda j: 4 * j), row,
+                               min_size=1, max_size=3),
+               st.integers(0, 7), st.lists(ds, max_size=3),
+               st.dictionaries(ds, st.integers(1, 2), max_size=3))
+    def run(rows, r, planted, fac):
+        a = xn({k: {e + r: c for e, c in row.items()} for k, row in rows.items()})
+        for d in planted:
+            a = polys.xp_qtimes(a, {d: 1})
+        assert a.b and polys.xp_qsafe(a, fac)
+        got, removed = polys.xp_qcancel(a, fac)
+        want, wanted = polys.xp_qcancel(as_dict_rows(a), fac)
+        assert removed == wanted
+        assert xp_terms(got) == xp_terms(want)
+
+    run()
+    # 2**62 (Q**3 - 1) / (Q - 1): the quotient's slots times the two of
+    # Q - 1 reach 2**63, so the packed division must not vouch for it
+    h = 1 << (polys.SLOT - 2)
+    a = xn({0: {24: h, 0: -h}})
+    got, removed = polys.xp_qcancel(a, {1: 1})
+    assert removed == {1: 1}
+    assert xp_terms(got) == {0: {0: h, 8: h, 16: h}}
+    # P = h' + h' Q + Q**2 with h' = 2**63 - 1 has P(1) = 2**64 - 1, so
+    # Phi_1(2**64) = 2**64 - 1 divides P(2**64) although Q - 1 does not
+    # divide P: only the slot check tells the two apart
+    h = (1 << (polys.SLOT - 1)) - 1
+    a = xn({0: {0: h, 8: h, 16: 1}})
+    assert a.b == polys.SLOT and a.rows[0] % ((1 << polys.SLOT) - 1) == 0
+    got, removed = polys.xp_qcancel(a, {1: 1})
+    assert removed == {} and got is a

@@ -30,7 +30,7 @@ import pytest
 
 from dynrmat import ratfunc
 from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
-from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xp_mul
+from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xq_mul
 from dynrmat.ratfunc import PoleAtSubstitution, ratfn
 from dynrmat.scalar import rf_from_jsonable, rf_jsonable
 from dynrmat.suite import default_manifest
@@ -100,7 +100,7 @@ def qr(terms):
 def _product(polys):
     out = XP_ONE
     for p in polys:
-        out = xp_mul(out, p)
+        out = xq_mul(out, p)
     return out
 
 
@@ -386,3 +386,99 @@ def test_relations_never_reach_the_generic_gcd(monkeypatch, relation, spins):
 
     monkeypatch.setattr(ratfunc, "xp_gcd", refuse)
     assert verify_relation(relation, spins).ok
+
+
+# ------------------------------------------------ common q-denominators ----
+#
+# The operands above carry no q-denominator.  These are operands over
+# products of cyclotomic factors Phi_d(q**2), so that sums, products and
+# quotients move the common q-denominator of the flat form: its alignment,
+# its cancellation, and the rebuild from reduced rows when the exponents of
+# q**(1/4) in a numerator fall into several classes mod 8.  A result built
+# again from its own views must be the same value, which fails unless the
+# common q-denominator is minimal.
+
+QFACTORS = st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=2)
+
+
+@st.composite
+def q_operands(draw):
+    """(spec, q-numerator factors, q-denominator factors).  Half of them have
+    shifts in whole powers of q, so that a numerator stays in one class mod
+    8 and its factors cancel on the flat path."""
+    spec = draw(binomial_operands)
+    if draw(st.booleans()):
+        spec = dict(spec, qpow=8 * (spec["qpow"] // 8),
+                    num=[4 * (c // 4) for c in spec["num"]],
+                    den=[4 * (c // 4) for c in spec["den"]],
+                    lin=[(a, 8 * (e // 8)) for a, e in spec["lin"]])
+    return spec, draw(QFACTORS), draw(QFACTORS)
+
+
+def _phi_coeffs(d):
+    """The coefficients of Phi_d, from t**0 up."""
+    t = sp.Symbol("t")
+    return [int(c) for c in sp.Poly(sp.cyclotomic_poly(d, t), t).all_coeffs()[::-1]]
+
+
+def _phi_u8(d):
+    return {8 * j: c for j, c in enumerate(_phi_coeffs(d)) if c}
+
+
+def build_q_rf(op):
+    spec, up, down = op
+    r = build_rf(spec)
+    for d in up:
+        r = r * ratfn({0: qrat(_phi_u8(d))})
+    for d in down:
+        r = r * ratfn({0: qrat({0: 1}, _phi_u8(d))})
+    return r
+
+
+def q_oracle(K, op):
+    spec, up, down = op
+    value = K.spec(spec)
+    for d in up:
+        value *= K.qpoly(_phi_u8(d))
+    for d in down:
+        value /= K.qpoly(_phi_u8(d))
+    return value
+
+
+def test_q_denominators_match_oracle():
+    @SETTINGS
+    @hyp.given(q_operands(), q_operands(), st.sampled_from(sorted(BINARY)))
+    def run(a, b, op):
+        fn = BINARY[op]
+        got = fn(build_q_rf(a), build_q_rf(b))
+        assert_canonical(got, {K: fn(q_oracle(K, a), q_oracle(K, b))
+                               for K in fields(a[0], b[0])})
+        again = ratfn(got.num, got.den)
+        assert again == got and hash(again) == hash(got)
+
+    run()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_common_q_factor_cancels_from_a_sum(d):
+    # x / Phi_d + (Phi_d y - x) / Phi_d = y, on operands in whole powers of q
+    phi = ratfn({0: qrat(_phi_u8(d))})
+    x = build_rf({"coeff": 2, "xpow": 0, "qpow": 8, "num": [4], "lin": [],
+                  "den": [-4], "extra": None})
+    y = build_rf({"coeff": -1, "xpow": 4, "qpow": 0, "num": [8], "lin": [],
+                  "den": [], "extra": None})
+    s = x / phi + (phi * y - x) / phi
+    assert s == y and hash(s) == hash(y)
+    assert s.dq == y.dq == {}
+
+
+def test_a_q_factor_that_cancels_in_part_leaves_the_flat_form():
+    # u / (q**2 - 1) - 1 / (q**2 - 1) = (u - 1) / (u**8 - 1), u = q**(1/4):
+    # u - 1 divides u**8 - 1, so the reduced denominator is no product of
+    # cyclotomic factors in q**2, and the value is held nested
+    phi1 = _phi_u8(1)
+    s = ratfn({0: qrat({1: 1}, phi1)}) - ratfn({0: qrat({0: 1}, phi1)})
+    assert s == ratfn({0: qrat({1: 1, 0: -1}, phi1)})
+    assert s.n is None and s.num[0].fac is None
+    K = Field()
+    assert K.xpoly(s.num) / K.xpoly(s.den) - (K.u - 1) / (K.u ** 8 - 1) == 0

@@ -157,3 +157,42 @@ def test_report_json_shape():
         "mode": "exact",
         "status": "pass",
     }
+
+
+def test_gnf_products_need_no_q_level_products_or_images(monkeypatch):
+    # the x-level numerators of GNF(1,1,1) are packed integer rows, so an
+    # x-level product multiplies big ints with no QPoly product under it,
+    # and a binomial is ruled in or out exactly, with no GF(p) image
+    from dynrmat import polys, ratfunc
+
+    assert not hasattr(polys, "_qp_at_u0")
+    calls = {"xp_mul": 0, "qp_mul under xp_mul": 0, "image": 0}
+    inside = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    def counted_xp_mul(a, b, xp_mul=ratfunc.xp_mul):
+        calls["xp_mul"] += 1
+        inside.append(1)
+        try:
+            return xp_mul(a, b)
+        finally:
+            inside.pop()
+
+    def counted_qp_mul(a, b, qp_mul=polys.qp_mul):
+        if inside:
+            calls["qp_mul under xp_mul"] += 1
+        return qp_mul(a, b)
+
+    monkeypatch.setattr(ratfunc, "xp_mul", counted_xp_mul)
+    monkeypatch.setattr(polys, "qp_mul", counted_qp_mul)
+    monkeypatch.setattr(polys.QRat, "_mul", staticmethod(counted_qp_mul))
+    for name in ("_qp_mod", "_qp_eval_mod"):
+        monkeypatch.setattr(polys, name, counted("image", getattr(polys, name)))
+    assert verify_relation("GNF", (1, 1, 1)).ok
+    assert calls["xp_mul"] > 0
+    assert calls["qp_mul under xp_mul"] == 0 and calls["image"] == 0, calls
