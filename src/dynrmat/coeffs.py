@@ -200,7 +200,7 @@ def coeff_to_complex(c):
 def _frac_mod(f, p):
     d = f.denominator % p
     if d == 0:
-        raise ZeroDivisionError("denominator hit the filter prime")
+        raise ZeroDivisionError("p divides a denominator")
     return f.numerator % p * pow(d, -1, p) % p
 
 

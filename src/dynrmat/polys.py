@@ -23,8 +23,8 @@ level, a fraction of nested XPolys (dicts v-exponent -> QRat), which holds
 the x-level values the flat form cannot and runs its generic path.
 Fractions of different levels do not mix.
 
-Canonical form of a fraction: numerator and denominator coprime (monic
-Euclidean gcd on the unit-stripped parts), denominator with minimum exponent
+Canonical form of a fraction: numerator and denominator coprime (monic gcd
+on the unit-stripped parts), denominator with minimum exponent
 zero and leading coefficient one.  Structural equality is then value
 equality, which is what every verifier in this package leans on.
 
@@ -49,40 +49,44 @@ The gcds qp_gcd and xp_gcd are the fallback only: for a numerator that is
 no polynomial in u**8 (in y), a Cyclo numerator against a factor Phi_d with
 4 | d, or a denominator that is no product of the factors.  No manifest
 entry and no GNF or recoupling check of the benchmark reaches either.  Both
-deflate first (at the x level the u of integer rows too, which is sound
-because u -> u**k embeds Q(u) in itself).  Then they map the operands into
-GF(p) for p = 998244353, a prime with p = 1 mod 8 so the eighth-root
-coefficients embed (3 is a primitive root, hence pow(3, (p-1)//8, p) has
-order eight).  If the images keep their degrees, the degree of their gcd is
-an upper bound on the degree of the exact gcd, and a bound of zero proves the
-operands coprime.  At the x level, when both operands have integer
-coefficients in Z[u^+-1][v], a candidate is then computed by GCDHEU (Char,
-Geddes and Gonnet 1989) from integer gcds and kept only if its degree meets
-that bound and it divides both operands exactly; it decides the integer
-operands on which Euclid over Q(u) swells.  Every other outcome runs Euclid
-over the coefficient field.  The q level has no GCDHEU stage: no check of
-the package reaches qp_gcd, and the one kind of operand the factored path is
-known to send there, a Cyclo numerator against Phi_d with 4 | d, is outside
-GCDHEU's integers anyway.  The monic gcd is unique, so neither the factored
-path, the deflation nor the shortcuts can change a result, only the time it
-takes.  Every gcd returns its cofactors too, so callers never divide twice.
+are one dense modular gcd (Brown 1971) over Q(z8) by splitting primes
+(Encarnacion 1995), the q level its univariate case.  The operands are
+deflated (in u too: u -> u**k embeds Q(u) in itself) and cleared of
+u-denominators and u-contents, so in Q(z8)[u][v].  With g their gcd and
+gamma the gcd of their leading coefficients, it finds h = gamma * g / lc(g),
+a polynomial as lc(g) divides gamma.  Images are taken mod primes p = 1 mod
+8, where Phi_8 splits, under the four embeddings z8 -> w of Z[z8] in GF(p),
+and at the x level at points u = x; a prime that divides a denominator, and
+a prime or point where a leading coefficient vanishes, are skipped:
+- No image's degree is below that of g: over Z[z8][u], a unique
+  factorization domain, g divides both operands and lc(g) their leading
+  coefficients, so g's image divides both images and keeps its degree.  An
+  image of degree 0 proves the operands coprime.
+- The images of least degree are kept.  Where that is g's degree, the monic
+  image gcd times gamma(x) is h's image.  Interpolation in u at deg(gamma) +
+  min(deg_u) + 1 points, the inverse 4-point transform from the embeddings
+  to the basis 1, z8, z8**2, z8**3, CRT over primes and rational
+  reconstruction (Wang 1981) give a candidate once two primes agree.
+- It is accepted only after exact trial division of gamma times each
+  operand, which gives the cofactors too, and a common divisor of at least
+  g's degree is g.  So the result is exact, and the same for any primes and
+  points; unlucky ones are where a fixed nonzero resultant vanishes, and the
+  primes have no end, so the gcd returns.
 """
 
 import math
+import operator
 import sys
-import zlib
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, count
 
 from . import multisets
-from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote
+from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote, make_coeff
 from .lattice import DENOM, LatticeError
 from .multisets import NO_FACTORS, Alphabet
 
 _F1 = Fraction(1)
-
-_P = 998244353
-_Z8 = pow(3, (_P - 1) // 8, _P)
 
 QP_ZERO = {}
 QP_ONE = {0: 1}
@@ -132,6 +136,26 @@ def poly_strip(a):
     if s:
         return {e - s: c for e, c in a.items()}, s
     return a, 0
+
+
+def _long_div(a, b, quo, mul, sub, zero):
+    """(q, r) with a = q * b + r, deg r < deg b, over a ring with product
+    mul, difference sub and zero `zero`, where quo(c, lead) is c over b's
+    leading coefficient, or None, and then so is q."""
+    db = max(b)
+    r, q = dict(a), {}
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        f = q[dr - db] = quo(r[dr], b[db])
+        if f is None:
+            return None, r
+        for e, c in b.items():
+            t = sub(r.pop(e + dr - db, zero), mul(c, f))
+            if t:
+                r[e + dr - db] = t
+    return q, r
 
 
 # ---------------------------------------------------------------- QPoly ----
@@ -184,36 +208,9 @@ def qp_divmod(a, b):
     # ordinary polynomials, b nonzero
     if not b:
         raise ZeroDivisionError("q-polynomial division by zero")
-    db = max(b)
-    inv_lb = _F1 / b[db]
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        f = demote(r[dr] * inv_lb)
-        k = dr - db
-        q[k] = f
-        for e, c in b.items():
-            t = e + k
-            s = r.get(t)
-            if s is None:
-                r[t] = -c * f
-            else:
-                s = s - c * f
-                if s:
-                    r[t] = s
-                else:
-                    del r[t]
-    return q, r
-
-
-def qp_div_exact(a, b):
-    q, r = qp_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact q-polynomial division")
-    return q
+    inv = _F1 / b[max(b)]
+    return _long_div(a, b, lambda c, _: demote(c * inv), operator.mul,
+                     operator.sub, 0)
 
 
 def qp_monic(a):
@@ -221,83 +218,6 @@ def qp_monic(a):
     if lead == 1:
         return a
     return qp_scale(a, _F1 / lead)
-
-
-def _qp_mod(a):
-    out = {}
-    for e, c in a.items():
-        m = coeff_mod(c, _P, _Z8)
-        if m:
-            out[e] = m
-    return out
-
-
-def _gfp_mod(a, b):
-    db = max(b)
-    inv = pow(b[db], -1, _P)
-    r = dict(a)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        f = r[dr] * inv % _P
-        for e, c in b.items():
-            t = e + dr - db
-            s = (r.get(t, 0) - c * f) % _P
-            if s:
-                r[t] = s
-            else:
-                r.pop(t, None)
-    return r
-
-
-def _gfp_gcd(a, b):
-    # a gcd over GF(p), not normalized; a nonzero
-    while b:
-        a, b = b, _gfp_mod(a, b)
-    return a
-
-
-def _qp_image_gcd_degree(a0, b0):
-    # degree of the gcd of the GF(p) images when both keep their degrees, an
-    # upper bound on the exact gcd degree; None if a degree drops
-    try:
-        am = _qp_mod(a0)
-        bm = _qp_mod(b0)
-    except ZeroDivisionError:
-        return None
-    if not am or not bm or max(am) != max(a0) or max(bm) != max(b0):
-        return None
-    return max(_gfp_gcd(am, bm))
-
-
-def qp_gcd(a, b):
-    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
-    two nonzero QPolys, and the cofactors.
-
-    With k the gcd of all exponents, a0 = A(u**k) and b0 = B(u**k), and the
-    gcd is gcd(A, B)(u**k); so the stages run on A and B, and the gcd and
-    cofactors are inflated by k on the way out.  Two stages, the first that
-    decides wins:
-    1. The GF(p) image gcd, when both images keep their degrees.  Degree 0
-       proves the operands coprime.
-    2. Euclid over Q(z8), then exact division for the cofactors.
-    """
-    a0, _ = poly_strip(a)
-    b0, _ = poly_strip(b)
-    if len(a0) == 1 or len(b0) == 1:
-        return QP_ONE, a0, b0
-    k, (a1, b1) = _deflate((a0, b0))
-    if _qp_image_gcd_degree(a1, b1) == 0:
-        return QP_ONE, a0, b0
-    x, y = a1, b1
-    while y:
-        x, y = y, qp_divmod(x, y)[1]
-    g = qp_monic(x)
-    if len(g) == 1:
-        return QP_ONE, a0, b0
-    qa, qb = qp_div_exact(a1, g), qp_div_exact(b1, g)
-    return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
 
 
 def qp_eval_complex(a, u0):
@@ -844,36 +764,9 @@ def xq_mul(a, b):
 def xp_divmod(a, b):
     if not b:
         raise ZeroDivisionError("x-polynomial division by zero")
-    db = max(b)
-    inv_lb = b[db].inverse()
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        f = r[dr] * inv_lb
-        k = dr - db
-        q[k] = f
-        for e, c in b.items():
-            t = e + k
-            s = r.get(t)
-            if s is None:
-                r[t] = -(c * f)
-            else:
-                s = s - c * f
-                if s:
-                    r[t] = s
-                else:
-                    del r[t]
-    return q, r
-
-
-def xq_div_exact(a, b):
-    q, r = xp_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact x-polynomial division")
-    return q
+    inv = b[max(b)].inverse()
+    return _long_div(a, b, lambda c, _: c * inv, operator.mul, operator.sub,
+                     QRAT_ZERO)
 
 
 def xq_monic(a):
@@ -883,320 +776,221 @@ def xq_monic(a):
     return xq_scale(a, lead.inverse())
 
 
-def _qp_eval_mod(a, pw, lo):
-    # a(u0) in GF(p), given pw[e - lo] = u0**e for every exponent e of a
-    row = _qp_to_zu(a)
-    if row is None:
-        row = _qp_mod(a)
-    t = 0
-    for e, c in row.items():
-        t += c * pw[e - lo]
-    return t % _P
-
-
-def _xp_eval_mod(a, pw, lo):
-    # the image of a in GF(p)[v] at u = u0, given pw as for _qp_eval_mod
-    out = {}
-    for k, qr in a.items():
-        m = _qp_eval_mod(qr.num, pw, lo)
-        if qr.fac != NO_FACTORS:
-            d = _qp_eval_mod(qr.den, pw, lo)
-            if d == 0:
-                raise ZeroDivisionError("denominator vanished at filter point")
-            m = m * pow(d, -1, _P) % _P
-        if m:
-            out[k] = m
-    return out
-
-
-def _xp_image_point(a0, b0, attempt):
-    """A point u0 in [2, p - 2] that depends only on the operands and the
-    attempt number, so that the image of a gcd, and every count it feeds,
-    does not depend on the calls made before it."""
-    text = repr([attempt] + [
-        sorted((k, sorted(qr.num.items()), sorted(qr.den.items()))
-               for k, qr in a.items())
-        for a in (a0, b0)
-    ])
-    return 2 + zlib.crc32(text.encode()) % (_P - 3)
-
-
-def _xp_image_gcd_degree(a0, b0):
-    # v-degree of the gcd of the GF(p) images at a point u0 that keeps both
-    # leading degrees, an upper bound on the exact gcd degree; None if no
-    # point tried works
-    da, db = max(a0), max(b0)
-    nums = [qr.num for p in (a0, b0) for qr in p.values()]
-    dens = [qr.den for p in (a0, b0) for qr in p.values()]
-    lo = min(0, min(map(min, nums)))
-    hi = max(max(map(max, nums)), max(map(max, dens)))
-    for attempt in range(2):
-        u0 = _xp_image_point(a0, b0, attempt)
-        pw = [pow(u0, lo, _P)]
-        for _ in range(hi - lo):
-            pw.append(pw[-1] * u0 % _P)
-        try:
-            am = _xp_eval_mod(a0, pw, lo)
-            bm = _xp_eval_mod(b0, pw, lo)
-        except ZeroDivisionError:
-            continue
-        if not am or not bm or max(am) != da or max(bm) != db:
-            continue
-        return max(_gfp_gcd(am, bm))
-    return None
-
-
-# Z[u][v] is a dict of v-exponents to Z[u] rows, and a Z[u] row is a dict of
-# nonnegative u-exponents to nonzero ints.  A QPoly with int coefficients is
-# a Z[u] row as it stands, so qp_mul and poly_sub serve the rows and a row is
-# returned as a QPoly unchanged.
-
-
-def _qp_to_zu(a):
-    # a as a Z[u] row, or None unless every coefficient is an integer
-    if set(map(type, a.values())) == {int}:
-        return a
-    row = {}
-    for e, c in a.items():
-        if type(c) is int:
-            row[e] = c
-        elif type(c) is Fraction and c.denominator == 1:
-            row[e] = c.numerator
-        else:
-            return None
-    return row
-
-
-def _xp_to_zuv(a0):
-    """(A, s) with a0 = u**s * A and A in Z[u][v], or None if a0 is not
-    an integer Laurent polynomial in u."""
-    rows = {}
-    for k, qr in a0.items():
-        if qr.fac != NO_FACTORS:
-            return None
-        row = _qp_to_zu(qr.num)
-        if row is None:
-            return None
-        rows[k] = row
-    s = min(min(row) for row in rows.values())
-    if s:
-        rows = {k: poly_shift(row, -s) for k, row in rows.items()}
-    return rows, s
-
-
-def _zu_eval(row, powers):
-    return sum(c * powers[e] for e, c in row.items())
-
-
-def _powers(xi, n):
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * xi)
-    return out
-
-
-def _xi_adic(n, xi):
-    # the digits of n in base xi, each in (-xi/2, xi/2], as a sparse dict
-    out = {}
-    half = xi // 2
-    e = 0
-    while n:
-        n, c = divmod(n, xi)
-        if c > half:
-            c -= xi
-            n += 1
-        if c:
-            out[e] = c
-        e += 1
-    return out
-
-
-def _xi_norm(a, b):
-    # the usual first GCDHEU point for two Z[u] rows
-    return 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-
-
-def _zu_heu_step(a, b, xi):
-    # the primitive part of the xi-adic rebuild of gcd(a(xi), b(xi))
-    p = _powers(xi, max(max(a), max(b)))
-    g = _xi_adic(math.gcd(_zu_eval(a, p), _zu_eval(b, p)), xi)
-    content = math.gcd(*g.values())
-    return {e: c // content for e, c in g.items()}
-
-
-def _gcdheu(a, b):
-    """Candidate gcds of a and b in Z[u][v] by two-level GCDHEU.
-
-    Evaluate u at an integer, run one GCDHEU step in v on the values, and
-    rebuild every coefficient of the result by symmetric xi-adic expansion
-    in u.  The v-point gets spare bits above the usual 2*norm + 29 to absorb
-    integer factors that the cofactor values share by chance.  Each of six
-    attempts grows both points; a candidate is only a guess until it is
-    verified.
-    """
-    du = max(max(row) for p in (a, b) for row in p.values())
-    norm = min(max(abs(c) for row in p.values() for c in row.values())
-               for p in (a, b))
-    xi_u = 2 * norm + 29
-    spare = 32
-    for _ in range(6):
-        pu = _powers(xi_u, du)
-        a1 = {k: _zu_eval(row, pu) for k, row in a.items()}
-        b1 = {k: _zu_eval(row, pu) for k, row in b.items()}
-        g1 = _zu_heu_step(a1, b1, _xi_norm(a1, b1) << spare)
-        yield {k: _xi_adic(c, xi_u) for k, c in g1.items()}
-        xi_u = xi_u * 73794 // 27011
-        spare *= 2
-
-
-def _zu_div_exact(a, b):
-    # a / b in Z[u], or None if b does not divide a there
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            return None
-        f, m = divmod(r[dr], lb)
-        if m:
-            return None
-        k = dr - db
-        q[k] = f
-        for e, c in b.items():
-            t = e + k
-            s = r.get(t, 0) - c * f
-            if s:
-                r[t] = s
-            else:
-                r.pop(t, None)
-    return q
-
-
-def _zuv_div_exact(a, b):
-    # a / b in Z[u][v], or None if b does not divide a there
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            return None
-        f = _zu_div_exact(r[dr], lb)
-        if f is None:
-            return None
-        k = dr - db
-        q[k] = f
-        for e, c in b.items():
-            t = e + k
-            s = poly_sub(r.get(t, QP_ZERO), qp_mul(c, f))
-            if s:
-                r[t] = s
-            else:
-                r.pop(t, None)
-    return q
-
-
-def _deflate(polys):
-    """(k, [P, ...]) with every p = P(t**k) for the largest such k.
-
-    Each of the dicts `polys` maps exponents of t to coefficients; k is the
-    gcd of all their exponents, or 1 if every exponent is zero.
-    """
-    k = math.gcd(*chain.from_iterable(polys)) or 1
-    if k > 1:
-        polys = [{e // k: c for e, c in p.items()} for p in polys]
-    return k, polys
-
-
-def _inflate(p, k, s=0):
-    # the dict t**s * p(t**k), undoing _deflate
-    if s == 0 and k == 1:
-        return p
-    return {k * e + s: c for e, c in p.items()}
-
-
-def _xp_gcd_heuristic(a0, b0, degree):
-    """(g, a0/g, b0/g) from the first GCDHEU candidate of v-degree `degree`
-    that divides both operands exactly (stage 2 of xp_gcd), or None."""
-    a = _xp_to_zuv(a0)
-    b = _xp_to_zuv(b0)
-    if a is None or b is None:
-        return None
-    (a, sa), (b, sb) = a, b
-    # the rows are polynomials in u**ku, and u -> u**ku embeds Q(u) in
-    # itself, so the gcd of the deflated operands gives the gcd
-    ku, rows = _deflate([*a.values(), *b.values()])
-    a, b = dict(zip(a, rows)), dict(zip(b, rows[len(a):]))
-    for g in _gcdheu(a, b):
-        if not g or max(g) != degree:
-            continue
-        qa = _zuv_div_exact(a, g)
-        qb = _zuv_div_exact(b, g) if qa is not None else None
-        if qb is None:
-            continue
-        # a0 = u**sa * (g * qa)(u**ku), and the monic gcd is g / lc(g)
-        lead = g[degree]
-        den = _inflate(lead, ku)
-        return (
-            {k: qrat(_inflate(row, ku), den) for k, row in g.items()},
-            {k: QRat(_inflate(qp_mul(lead, row), ku, sa), NO_FACTORS)
-             for k, row in qa.items()},
-            {k: QRat(_inflate(qp_mul(lead, row), ku, sb), NO_FACTORS)
-             for k, row in qb.items()},
-        )
-    return None
-
-
-def xp_gcd(a, b):
-    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
-    two nonzero XPolys, and the cofactors.
-
-    With kv the gcd of all v-exponents, a0 = A(v**kv) and b0 = B(v**kv), and
-    the gcd is gcd(A, B)(v**kv); so the stages run on A and B, every degree
-    they compare is a degree in v**kv, and the gcd and cofactors are
-    inflated by kv on the way out.  Three stages, the first that decides
-    wins:
-    1. The GF(p) image gcd at a point that keeps both leading degrees.  Its
-       degree d bounds the exact gcd degree from above, and d = 0 proves the
-       operands coprime.
-    2. If every coefficient is an integer Laurent polynomial in u, GCDHEU
-       candidates G in Z[u][v], with u**ku for u when ku divides every
-       u-exponent of the rows (u -> u**ku embeds Q(u) in itself, so the gcd
-       over Q(u) is unchanged).  A candidate of v-degree d that divides both
-       operands exactly is a common divisor of the largest possible degree,
-       hence the gcd up to a unit of Q(u); G / lc(G) is the monic gcd and
-       the division quotients give the cofactors.
-    3. Euclid over Q(u), then exact division for the cofactors.
-    """
-    a0, _ = poly_strip(a)
-    b0, _ = poly_strip(b)
-    if len(a0) == 1 or len(b0) == 1:
-        return XP_ONE, a0, b0
-    k, (a1, b1) = _deflate((a0, b0))
-    degree = _xp_image_gcd_degree(a1, b1)
-    if degree == 0:
-        return XP_ONE, a0, b0
-    found = _xp_gcd_heuristic(a1, b1, degree) if degree is not None else None
-    if found is None:
-        x, y = a1, b1
-        while y:
-            x, y = y, xp_divmod(x, y)[1]
-        g = xq_monic(x)
-        if len(g) == 1:
-            return XP_ONE, a0, b0
-        found = g, xq_div_exact(a1, g), xq_div_exact(b1, g)
-    g, qa, qb = found
-    return _inflate(g, k), _inflate(qa, k), _inflate(qb, k)
-
-
 def xq_eval_complex(a, u0, v0):
     t = 0j
     for k, c in a.items():
         t += qrat_eval_complex(c, u0) * v0 ** k
     return t
+
+
+# ---------------------------------------------------------- modular gcd ----
+
+
+def _deflate(polys):
+    """(k, [P, ...]) with every p = P(t**k) for the dicts `polys` of
+    exponents of t: k is the gcd of all their exponents, or 1 if all are 0."""
+    k = math.gcd(*chain.from_iterable(polys)) or 1
+    return k, [{e // k: c for e, c in p.items()} for p in polys]
+
+
+def _inflate(p, k):
+    # the dict p(t**k), undoing _deflate
+    return {k * e: c for e, c in p.items()}
+
+
+@lru_cache(maxsize=None)
+def _prime(i):
+    """(p, w): the i-th prime p = 1 mod 8 from 2**31 up, and w of order 8
+    mod p; z8 -> w**(2j + 1), j < 4, embed Z[z8] in GF(p) four ways."""
+    p = _prime(i - 1)[0] + 8 if i else 2**31 + 1
+    while any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+        p += 8
+    g = next(g for g in count(2) if pow(g, (p - 1) // 2, p) != 1)
+    return p, pow(g, (p - 1) // 8, p)
+
+
+def _primes():
+    return map(_prime, count())
+
+
+def _image(a, p, w):
+    """a under z8 -> w mod p, a list in v of dicts in u; raises
+    ZeroDivisionError if p divides a denominator."""
+    return [{e: coeff_mod(c, p, w) for e, c in a.get(k, {}).items()}
+            for k in range(max(a) + 1)]
+
+
+def _at(r, x, p):
+    return sum(c * pow(x, e, p) for e, c in r.items()) % p
+
+
+def _gf_gcd(a, b, p):
+    """The monic gcd over GF(p) of dense lists, lowest first, tops nonzero."""
+    while b:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        for i in range(len(a) - 1, n - 1, -1):
+            f = a[i] * inv % p
+            for j, c in enumerate(b):
+                a[i - n + j] = (a[i - n + j] - f * c) % p
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _interpolate(xs, ys, p):
+    """c_0, c_1, ... with sum_i c_i[m] * xs[j]**i = ys[j][m] for all j, m."""
+    c = [list(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            inv = pow(xs[i] - xs[i - j], -1, p)
+            c[i] = [(s - t) * inv % p for s, t in zip(c[i], c[i - 1])]
+    out = []  # Horner's rule: out * (u - x) + c_i, from the top
+    for x, ci in zip(reversed(xs), reversed(c)):
+        out = [[(s - x * t) % p for s, t in zip(hi, lo)]
+               for hi, lo in zip([ci, *out], [*out, [0] * len(ci)])]
+    return out
+
+
+def _image_gcd(ia, ib, ig, e, p, points):
+    """(n, c): c interpolates in u the image gcds, times gamma(x), of least
+    length n at e + 1 points u = x; (1, None) as soon as an image is 1."""
+    n, xs, ys = None, [], []
+    while len(xs) <= e:
+        x = next(points)
+        va, vb = ([_at(r, x, p) for r in f] for f in (ia, ib))
+        if not (va[-1] and vb[-1]):
+            continue
+        g = _gf_gcd(va, vb, p)
+        if len(g) == 1:
+            return 1, None
+        if n is None or len(g) < n:
+            n, xs, ys = len(g), [], []
+        if len(g) == n:
+            xs.append(x)
+            ys.append([c * _at(ig, x, p) % p for c in g])
+    return n, _interpolate(xs, ys, p)
+
+
+def _ratrec(n, m):
+    """r/s = n mod m with |r|, s <= sqrt(m/2), or None (Wang 1981)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, n, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _div_exact(a, b):
+    """a / b in Q(z8)[u][v], or None unless b divides a there."""
+    def quo(c, lead):
+        f, rest = qp_divmod(c, lead)
+        return None if rest else f
+
+    q, r = _long_div(a, b, quo, qp_mul, poly_sub, QP_ZERO)
+    return None if r else q
+
+
+def _modular_gcd(a, b, gamma):
+    """(h, gamma * a / h, gamma * b / h) for h = gamma * g / lc(g), with g
+    the gcd of a and b, dicts v-exponent -> QPoly in Q(z8)[u], and gamma a
+    common divisor of their leading coefficients; None if g is 1."""
+    ku, (gamma, *rows) = _deflate([gamma, *a.values(), *b.values()])
+    a, b = dict(zip(a, rows)), dict(zip(b, rows[len(a):]))
+    e = max(gamma) + min(max(map(max, f.values())) for f in (a, b))
+    n_emb = 4 if any(type(c) is Cyclo for f in (a, b)
+                     for row in f.values() for c in row.values()) else 1
+    points = count(1)
+    d = last = None  # the least degree so far, and the last reconstruction
+    for p, w in _primes():
+        ws = [pow(w, 2 * j + 1, p) for j in range(n_emb)]
+        try:
+            imgs = [[_image(f, p, z) for f in (a, b, {0: gamma})] for z in ws]
+        except ZeroDivisionError:
+            continue
+        if not all(any(ia[-1].values()) and any(ib[-1].values())
+                   for ia, ib, _ in imgs):
+            continue
+        got = [_image_gcd(ia, ib, ig[0], e, p, points) for ia, ib, ig in imgs]
+        dp = min(n for n, _ in got)
+        if dp == 1:
+            return None
+        if any(n != dp for n, _ in got) or (d is not None and d < dp):
+            continue
+        # the inverse transform: sum_j w_j**(i - k) = 4 * (i == k), i, k < 4
+        inv = pow(n_emb, -1, p)
+        image = [sum(pow(z, 8 - k, p) * c[i][j] for z, (_, c) in zip(ws, got))
+                 * inv % p for j in range(dp) for i in range(e + 1)
+                 for k in range(n_emb)]
+        if dp != d:
+            d, res, m, last = dp, image, p, None
+        else:
+            inv = pow(m, -1, p)
+            res = [r + m * ((s - r) * inv % p) for r, s in zip(res, image)]
+            m *= p
+        cand = [_ratrec(r, m) for r in res]
+        if None in cand or cand != last:
+            last = cand  # accepted once one more prime agrees
+            continue
+        cs = [make_coeff(*cand[t:t + n_emb])
+              for t in range(0, len(cand), n_emb)]
+        rows = [{i: c for i, c in enumerate(cs[j * (e + 1):][:e + 1]) if c}
+                for j in range(d)]
+        h = {j: row for j, row in enumerate(rows) if row}
+        qa = _div_exact({k: qp_mul(gamma, r) for k, r in a.items()}, h)
+        qb = qa and _div_exact({k: qp_mul(gamma, r) for k, r in b.items()}, h)
+        if qb:
+            return [{k: _inflate(t, ku) for k, t in f.items()}
+                    for f in (h, qa, qb)]
+        last = None
+
+
+def qp_gcd(a, b):
+    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
+    two nonzero QPolys, and the cofactors."""
+    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
+    k, ab = _deflate((a0, b0))
+    got = _modular_gcd(*({e: {0: c} for e, c in f.items()} for f in ab),
+                       QP_ONE)
+    if got is None:
+        return QP_ONE, a0, b0
+    return tuple(_inflate({e: t[0] for e, t in f.items()}, k) for f in got)
+
+
+def _primitive(a):
+    """(A, c, d, s), a = u**s * c * A / d for a nested XPoly a: A in
+    Q(z8)[u][v] with content c in u, d the lcm of a's denominators."""
+    dens = {frozenset(qr.den.items()): qr.den for qr in a.values()}
+    d = reduce(lambda d, t: qp_mul(d, qp_gcd(d, t)[2]), dens.values())
+    rows = {k: qp_mul(qr.num, qp_divmod(d, qr.den)[0]) for k, qr in a.items()}
+    s = min(map(min, rows.values()))
+    c = reduce(lambda c, t: qp_gcd(c, t)[0], rows.values())
+    return ({k: qp_divmod(poly_shift(t, -s), c)[0] for k, t in rows.items()},
+            c, d, s)
+
+
+def xp_gcd(a, b):
+    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
+    two nonzero XPolys, and the cofactors."""
+    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
+    if len(a0) == 1 or len(b0) == 1:
+        return XP_ONE, a0, b0
+    k, ab = _deflate((a0, b0))
+    (pa, ca, da, sa), (pb, cb, db, sb) = map(_primitive, ab)
+    la, lb = pa[max(pa)], pb[max(pb)]
+    gamma = poly_shift(qp_gcd(la, lb)[0], min(min(la), min(lb)))
+    got = _modular_gcd(pa, pb, gamma)
+    if got is None:
+        return XP_ONE, a0, b0
+    return tuple(_inflate({j: qrat(poly_shift(qp_mul(c, t), s), d)
+                           for j, t in f.items()}, k)
+                 for f, (c, d, s) in zip(got, ((QP_ONE, gamma, 0),
+                                               (ca, da, sa), (cb, db, sb))))
 
 
 # ------------------------------------------------------- flat numerators ----

@@ -9,7 +9,13 @@ atom kinds occur:
     ("qdiff",)    radicand q - q^-1
 
 Products square out repeated atoms into the rational part, so each atom
-appears at most once per term and distinct atom tuples are independent.
+appears at most once per term.  Distinct atom tuples are independent: no
+non-empty product of distinct atoms is a square.  Modulo squares (monomials
+and -1 are squares) an atom is a GF(2) vector over the irreducible Phi_d(q**2)
+and binomials x**2 - q**m: [n] is the sum of the Phi_d, 1 < d | n, q - 1/q is
+Phi_1, an x-bracket atom its binomial plus Phi_1.  Only it has its binomial,
+and only [n] has Phi_n among atoms of index <= n; so an x-bracket atom, else
+the [n] of largest index, else q - 1/q leaves a factor of odd multiplicity.
 Structural equality of canonical terms is how every identity check in this
 package decides equality; numeric evaluation (principal square roots) is the
 safety net on top, never the proof.

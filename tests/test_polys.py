@@ -1,10 +1,11 @@
-"""The gcds of both polynomial levels against an independent reference Euclid.
+"""The gcds of both polynomial levels against independent references.
 
-`xp_gcd` answers from a verified integer heuristic when both operands have
-integer coefficients and from Euclid otherwise, and `qp_gcd` from Euclid
-unless the GF(p) image proves the operands coprime; either way the gcd must
-equal the one a plain Euclid loop computes, and the cofactors must multiply
-back to the unit-stripped operands.
+`xp_gcd` and `qp_gcd` are one dense modular gcd: images over GF(p) at
+primes p = 1 mod 8, and at the x level at points u = u0, combined and
+accepted only after exact trial division.  The gcd must equal the one a
+plain Euclid loop computes, or on operands where that loop swells, the one
+sympy computes over Q[u, v]; and the cofactors must multiply back to the
+unit-stripped operands.
 """
 
 import math
@@ -13,19 +14,12 @@ from fractions import Fraction as F
 import pytest
 
 from dynrmat import polys, ratfunc
-from dynrmat.coeffs import coeff_mod, imaginary_unit
+from dynrmat.coeffs import coeff_mod, imaginary_unit, root8_pow
 from dynrmat.polys import (
-    _P as P_FILTER,
-    _Z8 as Z8_FILTER,
     QP_ONE,
     XP_ONE,
     QRat,
-    _qp_to_zu,
-    _xp_gcd_heuristic,
-    _xp_image_gcd_degree,
-    _xp_image_point,
-    _xp_to_zuv,
-    _zuv_div_exact,
+    _div_exact,
     poly_add,
     poly_strip,
     qp_divmod,
@@ -92,19 +86,12 @@ P = xp({0: {0: 2, 4: -1}, 4: {-4: 3}, 8: {8: 1}})
 Q = xp({0: {-8: 1}, 4: {0: -2, 2: 5}})
 
 
-def heuristic_accepts(a, b):
-    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
-    degree = _xp_image_gcd_degree(a0, b0)
-    return degree is not None and _xp_gcd_heuristic(a0, b0, degree) is not None
-
-
 @pytest.mark.parametrize("shared", [(1,), (-2,), (1, -2), (3, 3)])
 def test_planted_brackets_are_found(shared):
     common = product(*map(bracket, shared))
     a = xq_mul(common, P)
     b = xq_mul(common, xq_mul(Q, {5: qr({0: 1})}))
     assert check(a, b) == xq_monic(common)
-    assert heuristic_accepts(a, b)
 
 
 def test_one_of_two_brackets_shared():
@@ -113,35 +100,16 @@ def test_one_of_two_brackets_shared():
     assert check(a, b) == xq_monic(bracket(2))
 
 
-def test_heuristic_accepts_only_the_image_degree():
-    a0 = product(bracket(1), bracket(2), P)
-    b0 = product(bracket(1), bracket(2), Q)
-    assert _xp_gcd_heuristic(a0, b0, 16) is not None
-    assert _xp_gcd_heuristic(a0, b0, 8) is None
-    assert _xp_gcd_heuristic(a0, b0, 24) is None
-
-
-def test_image_point_depends_only_on_the_operands():
-    # the same operands give the same point whatever ran before, and
-    # whatever order their dicts were built in
-    a, b = poly_strip(P)[0], poly_strip(Q)[0]
-    first = _xp_image_point(a, b, 0)
-    check(product(bracket(1), P), product(bracket(1), Q))
-    assert _xp_image_point(a, b, 0) == first
-    backwards = {k: qr(dict(reversed(list(c.num.items()))))
-                 for k, c in reversed(list(a.items()))}
-    assert _xp_image_point(backwards, b, 0) == first
-    assert _xp_image_point(a, b, 1) != first
-    assert not hasattr(polys, "_RNG")
-
-
 def test_integer_division_rejects_non_divisors():
+    # the trial division that accepts a candidate gcd is exact in
+    # Q(z8)[u][v]: a unit of Q is no obstacle, a power of u or of v is
     v8_minus_1 = {8: {0: 1}, 0: {0: -1}}
-    assert _zuv_div_exact({16: {0: 1}, 0: {0: -1}}, v8_minus_1) == {
+    assert _div_exact({16: {0: 1}, 0: {0: -1}}, v8_minus_1) == {
         8: {0: 1}, 0: {0: 1}}
-    assert _zuv_div_exact({16: {0: 1}, 0: {0: 1}}, v8_minus_1) is None
-    assert _zuv_div_exact({8: {0: 3}, 0: {0: -3}}, {8: {0: 2}, 0: {0: -2}}) is None
-    assert _zuv_div_exact({8: {2: 1}, 0: {0: -1}}, {8: {1: 1}, 0: {0: -1}}) is None
+    assert _div_exact({16: {0: 1}, 0: {0: 1}}, v8_minus_1) is None
+    assert _div_exact({8: {0: 3}, 0: {0: -3}}, {8: {0: 2}, 0: {0: -2}}) == {
+        0: {0: F(3, 2)}}
+    assert _div_exact({8: {2: 1}, 0: {0: -1}}, {8: {1: 1}, 0: {0: -1}}) is None
 
 
 def test_coprime_operands():
@@ -163,9 +131,9 @@ def test_monomial_operand_gives_trivial_gcd():
     ids=["cyclo", "denominator", "fraction"],
 )
 def test_non_integer_coefficients_fall_back_to_euclid(scale):
+    # every coefficient type takes the one modular gcd
     a = xq_mul(bracket(1), xq_scale(P, scale))
     b = xq_mul(bracket(1), Q)
-    assert _xp_to_zuv(poly_strip(a)[0]) is None
     assert check(a, b) == xq_monic(bracket(1))
 
 
@@ -177,18 +145,42 @@ def test_image_reads_every_denominator():
 
     a = product(bracket(1), plus(1), plus(2), P)
     b = product(bracket(1), Q)
-    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
-    degree = _xp_image_gcd_degree(*polys._deflate((a0, b0))[1])
-    assert degree is None or degree >= 2
     assert check(a, b) == xq_monic(bracket(1))
 
 
-def test_image_degree_bounds_the_gcd_degree():
+def image_degrees(monkeypatch):
+    """The v-degree of every x-level GF(p) image gcd computed from now on,
+    leaving out the q-level gcds of contents and leading coefficients."""
+    seen = []
+    inside_q = []
+    gf_gcd, q_gcd = polys._gf_gcd, polys.qp_gcd
+
+    def spy(a, b, p):
+        g = gf_gcd(a, b, p)
+        if not inside_q:
+            seen.append(len(g) - 1)
+        return g
+
+    def q_spy(a, b):
+        inside_q.append(1)
+        try:
+            return q_gcd(a, b)
+        finally:
+            inside_q.pop()
+
+    monkeypatch.setattr(polys, "_gf_gcd", spy)
+    monkeypatch.setattr(polys, "qp_gcd", q_spy)
+    return seen
+
+
+def test_image_degree_bounds_the_gcd_degree(monkeypatch):
+    # no image's degree is below that of the true gcd, here 16 in v, that
+    # is 4 in the v**4 the operands are deflated to
+    seen = image_degrees(monkeypatch)
     a = product(bracket(1), bracket(-1), P)
     b = product(bracket(-1), bracket(1), Q)
-    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
-    degree = _xp_image_gcd_degree(a0, b0)
-    assert degree is None or degree >= 16
+    assert max(check(a, b)) == 16
+    assert seen and min(seen) >= 4
 
 
 def x_rows(st):
@@ -215,6 +207,97 @@ def test_gcd_matches_reference_on_random_planted_inputs():
         check(xq_mul(common, xp(pa)), xq_mul(common, xp(pb)))
 
     run()
+
+
+def sympy_monic_gcd(a, b):
+    """The monic gcd in v over Q(u) of two XPolys with polynomial
+    coefficients, computed by sympy over Q[u, v], as an XPoly."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+
+    def poly(x):
+        x = poly_strip(x)[0]
+        lo = min(min(c.num) for c in x.values())
+        return sp.Poly(sum(v**k * u**(e - lo) * sp.Rational(str(c))
+                           for k, qc in x.items() for e, c in qc.num.items()),
+                       v, u)
+
+    def qpoly(t):
+        return {e: F(int(c.p), int(c.q))
+                for (e,), c in sp.Poly(t, u).as_dict().items()}
+
+    def as_qrat(expr):
+        num, den = sp.fraction(sp.cancel(expr))
+        return qrat(qpoly(num), qpoly(den))
+
+    g = sp.Poly(sp.gcd(poly(a), poly(b)).as_expr(), v)
+    top = g.LC()
+    return {k: as_qrat(c / top) for (k,), c in g.as_dict().items()}
+
+
+def test_fraction_coefficient_does_not_swell():
+    # Euclid over Q(u) ran for minutes on these operands: two shared
+    # x-brackets times 3-row, 2-term cofactors with free v-exponents, and
+    # one coefficient 1/2
+    pa = xp({0: {0: 2, 3: -1}, 5: {-4: 3, 1: 1}, 8: {2: 1, -3: -2}})
+    pb = xp({1: {0: 1, 4: 2}, 6: {-2: -3, 2: 1}, 7: {3: 1, 0: F(1, 2)}})
+    common = product(bracket(1), bracket(-2))
+    a, b = xq_mul(common, pa), xq_mul(common, pb)
+    g, qa, qb = xp_gcd(a, b)
+    assert g == sympy_monic_gcd(a, b) == xq_monic(common)
+    assert xq_mul(g, qa) == poly_strip(a)[0]
+    assert xq_mul(g, qb) == poly_strip(b)[0]
+
+
+def test_cyclo_gcds_are_exact():
+    # a gcd with a coefficient z8 takes all four embeddings of Q(z8) and
+    # the inverse transform back to the basis 1, z8, z8**2, z8**3
+    z8, i = root8_pow(1), imaginary_unit()
+    common = {8: qr({0: 1}), 0: qrat({4: -z8})}
+    b = xq_mul(common, xq_scale(Q, qrat({0: i})))
+    assert check(xq_mul(common, P), b) == common
+    qcommon = {2: 1, 0: -z8}
+    b = qp_mul(qcommon, qp_scale(QQ, i))
+    assert check_q(qp_mul(qcommon, PQ), b) == qcommon
+
+
+def test_gcd_matches_sympy_with_free_exponents_and_fractions():
+    # Euclid, the reference above, swells on these; sympy does not
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeff = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
+        lambda t: F(*t))
+    rows = st.dictionaries(
+        st.integers(0, 8),
+        st.dictionaries(st.integers(-4, 4), coeff, min_size=1, max_size=2),
+        min_size=1,
+        max_size=3,
+    )
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(rows, rows, st.lists(st.integers(-2, 2), max_size=2))
+    def run(pa, pb, shared):
+        common = product(*map(bracket, shared))
+        a, b = xq_mul(common, xp(pa)), xq_mul(common, xp(pb))
+        g, qa, qb = xp_gcd(a, b)
+        assert g == sympy_monic_gcd(a, b)
+        assert xq_mul(g, qa) == poly_strip(a)[0]
+        assert xq_mul(g, qb) == poly_strip(b)[0]
+
+    run()
+
+
+def test_unlucky_first_point_is_outvoted(monkeypatch):
+    # at u = 1, the first point, both cofactors are x**2 - 1, so the image
+    # there has degree 2 in x**2; the gcd has degree 1
+    seen = image_degrees(monkeypatch)
+    common = bracket(1)
+    a = xq_mul(common, xp({8: {0: 1}, 0: {8: -1}}))
+    b = xq_mul(common, xp({8: {0: 1}, 0: {0: -1}}))
+    assert check(a, b) == xq_monic(common)
+    assert seen[0] == 2 and min(seen) == 1
+    # the points and primes are fixed sequences: no random state
+    assert not hasattr(polys, "_RNG")
 
 
 # ------------------------------------------------------------ q level ----
@@ -293,8 +376,32 @@ def test_q_non_integer_coefficients_fall_back_to_euclid(scale):
     common = qp_mul(qint(2), qint(3))
     a = qp_mul(common, qp_scale(PQ, scale))
     b = qp_mul(common, QQ)
-    assert _qp_to_zu(poly_strip(a)[0]) is None
     assert check_q(a, b) == qp_monic(poly_strip(common)[0])
+
+
+def test_unlucky_first_prime_is_outvoted(monkeypatch):
+    # mod 17, u + 20 = u + 3, so the image there has degree 2; the gcd u + 1
+    # has degree 1.  2 has order eight mod 17.
+    primes = polys._primes
+
+    def substituted():
+        yield 17, 2
+        yield from primes()
+
+    monkeypatch.setattr(polys, "_primes", substituted)
+    seen = []
+    gf_gcd = polys._gf_gcd
+
+    def spy(a, b, p):
+        g = gf_gcd(a, b, p)
+        seen.append((p, len(g) - 1))
+        return g
+
+    monkeypatch.setattr(polys, "_gf_gcd", spy)
+    a = qp_mul(qp({0: 1, 1: 1}), qp({0: 3, 1: 1}))
+    b = qp_mul(qp({0: 1, 1: 1}), qp({0: 20, 1: 1}))
+    assert check_q(a, b) == {0: 1, 1: 1}
+    assert seen[0] == (17, 2) and min(d for _, d in seen) == 1
 
 
 def test_q_gcd_matches_reference_on_random_planted_inputs():
@@ -451,7 +558,6 @@ def test_planted_x_brackets_in_u8(ma, mb):
     b = product(*map(xbr, mb), Q8)
     shared = [m for m in mb if m in ma]
     assert check(a, b) == xq_monic(poly_strip(product(*map(xbr, shared)))[0])
-    assert heuristic_accepts(a, b)
 
 
 @pytest.mark.parametrize(
@@ -468,23 +574,6 @@ def test_exponent_gcd_one_at_one_level(fa, fb, shared):
     a = product(xbr(shared), xbr(4), xp(fa))
     b = product(xbr(shared), xbr(-2), xp(fb))
     assert check(a, b) == xq_monic(xbr(shared))
-    assert heuristic_accepts(a, b)
-
-
-def test_integer_operands_are_decided_without_euclid(monkeypatch):
-    # stage 2 must accept: a degree compared across deflated and undeflated
-    # operands would send every call to Euclid, which is slower but right
-    def no_euclid(*args):
-        raise AssertionError("Euclid reached")
-
-    monkeypatch.setattr(polys, "xp_divmod", no_euclid)
-    for ma, mb in [((2,), (2, 4)), ((2, 4, 6), (4, 6, -2))]:
-        a = product(*map(xbr, ma), P8)
-        b = product(*map(xbr, mb), Q8)
-        g, qa, qb = xp_gcd(a, b)
-        assert max(g) == 8 * len(set(ma) & set(mb))
-        assert xq_mul(g, qa) == poly_strip(a)[0]
-        assert xq_mul(g, qb) == poly_strip(b)[0]
 
 
 def test_gcd_commutes_with_inflation():
@@ -521,30 +610,33 @@ def test_gcd_commutes_with_inflation():
 
 
 def test_coeff_mod_of_an_int_matches_the_fraction_path():
-    for n in [0, 1, -1, -7, P_FILTER - 1, P_FILTER, -P_FILTER - 3,
+    p, w = next(polys._primes())
+    for n in [0, 1, -1, -7, p - 1, p, -p - 3,
               10**40 + 7, -(10**40) - 7, 3**200]:
-        assert coeff_mod(n, P_FILTER, Z8_FILTER) == coeff_mod(F(n), P_FILTER, Z8_FILTER)
+        assert coeff_mod(n, p, w) == coeff_mod(F(n), p, w)
 
 
 def test_gcdheu_sees_deflated_operands(monkeypatch):
-    # every GCDHEU call of a GNF check runs on operands that are deflated in
-    # v and in u: the gcd of their exponents is at most 1, or 0 when every
-    # row is a constant.  GNF cancels its factored denominators without any
-    # gcd, so the check is driven through the generic path.
+    # every pair of images the modular gcd takes for a GNF check is of
+    # operands deflated in v and in u, so the gcd of their exponents is at
+    # most 1, or 0 when every row is a constant (as at the q level, whose
+    # variable takes the place of v).  GNF cancels its factored denominators
+    # without any gcd, so the check is driven through the generic path.
     rf = ratfunc.RationalFunction
     monkeypatch.setattr(rf, "_add_factored", lambda *args: None)
     monkeypatch.setattr(rf, "_mul_factored", lambda *args: None)
     seen = []
-    gcdheu = polys._gcdheu
+    image_gcd = polys._image_gcd
 
-    def spy(a, b):
-        seen.append((
-            math.gcd(*a, *b),
-            math.gcd(*(e for p in (a, b) for row in p.values() for e in row)),
-        ))
-        return gcdheu(a, b)
+    def spy(ia, ib, *args):
+        # the exponents of the nonzero coefficients of two dense images
+        dense = [(k, i) for f in (ia, ib) for k, row in enumerate(f)
+                 for i, c in enumerate(row) if c]
+        seen.append((math.gcd(*(k for k, _ in dense)),
+                     math.gcd(*(i for _, i in dense))))
+        return image_gcd(ia, ib, *args)
 
-    monkeypatch.setattr(polys, "_gcdheu", spy)
+    monkeypatch.setattr(polys, "_image_gcd", spy)
     assert verify_relation("GNF", (1, 1, F(1, 2))).ok
     assert seen
     assert all(kv <= 1 and ku <= 1 for kv, ku in seen), set(seen)

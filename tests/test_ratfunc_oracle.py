@@ -18,9 +18,8 @@ x**2 + a q**s, with int, Fraction and Cyclo coefficients a, over products of
 x-brackets.  Some denominators also carry x**4 + x**2 + 1 or x**2 + q, which
 are no products of x**2 - q**m.
 
-Operand sizes are bounded by MAX_FACTORS and MAX_SHIFT_UNITS.  The bound is
-deliberate: Euclid over Q(u) swells on large Cyclo or non-integer operands,
-and these tests check the answers, not how long that path takes.
+Operand sizes are bounded by MAX_FACTORS and MAX_SHIFT_UNITS, to keep the
+run short.
 """
 
 import json
@@ -40,15 +39,13 @@ sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
 
-# at most this many factors in a numerator or a denominator; at three, one
-# product whose operands share an x**2 + q denominator and carry a Fraction
-# coefficient took 40-50 s in Euclid
-MAX_FACTORS = 2
+# at most this many factors in a numerator or a denominator
+MAX_FACTORS = 3
 # bracket shifts c and linear-factor powers s, in units of q**(1/4)
 MAX_SHIFT_UNITS = 8
 
-# a prime = 1 mod 8 other than the one the package filters with, an element
-# of order eight, and primitive roots to specialize u at
+# a prime = 1 mod 8 below the package's gcd primes, an element of order
+# eight, and primitive roots to specialize u at
 P_ORACLE = 65537
 R8 = pow(3, (P_ORACLE - 1) // 8, P_ORACLE)
 U_POINTS = (3, 5, 7)

@@ -342,6 +342,43 @@ def test_field_laws_random_sweep():
         assert a * SC_ONE == a
 
 
+def test_distinct_atom_tuples_are_numerically_independent():
+    # a structurally non-zero Scalar of several atom tuples is a non-zero
+    # element of the radical extension, so it is non-zero at a random point
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    roots = [sqrt_qdiff()] + [sqrt_qint(n) for n in range(2, 7)] + [
+        sqrt_xbracket(F(c, 4)) for c in (-4, -1, 0, 2, 5)]
+    # first every sqrt(T1) -+ sqrt(T2) for distinct tuples of up to two atoms
+    tuples = [SC_ONE, *roots, *(r * t for i, r in enumerate(roots)
+                                for t in roots[i + 1:])]
+    values = [t.numeric_eval(1.37, 0.83) for t in tuples]
+    for i, v in enumerate(values):
+        for w in values[:i]:
+            assert min(abs(v - w), abs(v + w)) > 1e-9 * abs(v), (i, v, w)
+    terms = st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool), st.integers(-2, 2),
+                  st.integers(-2, 2), st.sets(st.sampled_from(range(len(roots))),
+                                              max_size=3)),
+        min_size=2, max_size=4)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(terms, st.floats(1.1, 2.5), st.floats(0.3, 3.0))
+    def run(spec, q0, x0):
+        s = SC_ZERO
+        for c, a, b, picks in spec:
+            t = sc_coeff(c) * qpow(a) * xpow(b)
+            for i in picks:
+                t = t * roots[i]
+            s = s + t
+        hyp.assume(len(s.terms) >= 2)
+        scale = sum(abs(Scalar({k: rf}).numeric_eval(q0, x0))
+                    for k, rf in s.terms.items())
+        assert abs(s.numeric_eval(q0, x0)) > 1e-9 * scale
+
+    run()
+
+
 def test_division_round_trip():
     rng = random.Random(43)
     for _ in range(25):

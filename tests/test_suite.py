@@ -73,6 +73,21 @@ def test_run_entry_each_family():
         assert report.relation == entry.relation
 
 
+def test_whole_manifest_never_reaches_a_generic_gcd(monkeypatch):
+    # every check of the manifest cancels by its factored paths, so the
+    # modular gcd of either level stays at 0 calls on a sweep
+    from dynrmat import polys, ratfunc
+
+    def refuse(a, b):
+        raise AssertionError("generic gcd reached")
+
+    monkeypatch.setattr(ratfunc, "xp_gcd", refuse)
+    monkeypatch.setattr(polys, "qp_gcd", refuse)
+    reports = run_suite(default_manifest())
+    assert len(reports) == 67
+    assert [r for r in reports if not r.ok] == []
+
+
 def test_parallel_runner_preserves_manifest_order():
     manifest = default_manifest()[:8]
     seq = run_suite(manifest, jobs=1)
