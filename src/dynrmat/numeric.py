@@ -1,17 +1,14 @@
 """Floating-point rebuilds of the defining series.
 
 Nothing in this module touches the exact scalar field: representations,
-series prefactors and sums are reconstructed from plain floats and numpy.
-Agreement with the exact layer evaluated at the same point is therefore a
-real two-route coherence check, not a tautology.
+series prefactors and sums are reconstructed from plain floats, with
+matrices as lists of rows.  Agreement with the exact layer evaluated at the
+same point is therefore a real two-route coherence check, not a tautology.
 """
 
-import cmath
 import math
 import random
 from fractions import Fraction
-
-import numpy as np
 
 from .report import VerificationReport
 
@@ -39,54 +36,94 @@ def _qfact_int(n, q):
     return out
 
 
-def _rep_num(twice):
-    """Raising/lowering matrices and the weight list for one spin leg."""
-    dim = twice + 1
-    ep = np.zeros((dim, dim))
-    em = np.zeros((dim, dim))
-    return ep, em, [twice - 2 * i for i in range(dim)]
+# ------------------------------------------------ list-of-rows matrices
+
+
+def _eye(n):
+    return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _matmul(a, b):
+    """Product a @ b that skips the zero entries of a's rows."""
+    out = []
+    for row in a:
+        acc = [0.0] * len(b[0])
+        for k, v in enumerate(row):
+            if v:
+                for c, w in enumerate(b[k]):
+                    acc[c] += v * w
+        out.append(acc)
+    return out
+
+
+def _inv(a):
+    """Gauss-Jordan inverse with partial pivoting."""
+    n = len(a)
+    m = [list(row) + e for row, e in zip(a, _eye(n))]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if not m[piv][col]:
+            raise ZeroDivisionError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        scale = 1.0 / m[col][col]
+        prow = m[col] = [v * scale for v in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [v - f * p for v, p in zip(m[r], prow)]
+    return [row[n:] for row in m]
+
+
+# ------------------------------------------------------- exchange matrix
 
 
 def _rep_filled(twice, q):
-    ep, em, w = _rep_num(twice)
+    """Raising/lowering matrices and the weight list for one spin leg."""
     dim = twice + 1
+    ep = [[0.0] * dim for _ in range(dim)]
+    em = [[0.0] * dim for _ in range(dim)]
     for i in range(1, dim):
-        ep[i - 1, i] = math.sqrt(_qn(i, q) * _qn(twice - i + 1, q))
+        ep[i - 1][i] = math.sqrt(_qn(i, q) * _qn(twice - i + 1, q))
     for i in range(dim - 1):
-        em[i + 1, i] = math.sqrt(_qn(twice - i, q) * _qn(i + 1, q))
-    return ep, em, w
+        em[i + 1][i] = math.sqrt(_qn(twice - i, q) * _qn(i + 1, q))
+    return ep, em, [twice - 2 * i for i in range(dim)]
 
 
 def _row_dressed_series_num(plus_a, minus_b, wa, wb, pref):
-    n = plus_a.shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    term = np.eye(n, dtype=complex)
+    n = len(plus_a)
+    acc = [[0.0] * n for _ in range(n)]
+    term = _eye(n)
     k = 0
-    while term.any():
-        for r in range(n):
-            if term[r].any():
-                acc[r] += pref(k, wa[r], wb[r]) * term[r]
-        term = plus_a @ term @ minus_b
+    while any(any(row) for row in term):
+        for r, row in enumerate(term):
+            if any(row):
+                p = pref(k, wa[r], wb[r])
+                acc[r] = [a + p * t for a, t in zip(acc[r], row)]
+        term = _matmul(_matmul(plus_a, term), minus_b)
         k += 1
     return acc
 
 
 def gnf_r_num(q0, x0, twice1=1, twice2=2):
-    """Dynamical exchange matrix on (j1, j2) rebuilt with numpy.
+    """Dynamical exchange matrix on (j1, j2) rebuilt in floats, as rows.
 
     The two twist series and the constant exchange series are resummed in
-    floats; the flipped inverse twist is replaced by a numpy matrix inverse,
-    which makes the route independent of the closed-form inverse series too.
+    floats; the flipped inverse twist is replaced by a Gauss-Jordan matrix
+    inverse, which makes the route independent of the closed-form inverse
+    series too.
     """
     q, x = float(q0), float(x0)
     ep1, em1, w1 = _rep_filled(twice1, q)
     ep2, em2, w2 = _rep_filled(twice2, q)
-    d1, d2 = twice1 + 1, twice2 + 1
-    id1, id2 = np.eye(d1), np.eye(d2)
-    plus1 = np.kron(ep1, id2)
-    minus1 = np.kron(em1, id2)
-    plus2 = np.kron(id1, ep2)
-    minus2 = np.kron(id1, em2)
+    id1, id2 = _eye(twice1 + 1), _eye(twice2 + 1)
+    plus1 = _kron(ep1, id2)
+    minus1 = _kron(em1, id2)
+    plus2 = _kron(id1, ep2)
+    minus2 = _kron(id1, em2)
     wa = [a for a in w1 for _ in w2]
     wb = [b for _ in w1 for b in w2]
     qd = q - 1.0 / q
@@ -106,7 +143,7 @@ def gnf_r_num(q0, x0, twice1=1, twice2=2):
     f12 = _row_dressed_series_num(plus1, minus2, wa, wb, pref_f)
     # the flipped twist raises on leg 2 and lowers on leg 1
     f21 = _row_dressed_series_num(plus2, minus1, wb, wa, pref_f)
-    return np.linalg.inv(f21) @ rd @ f12
+    return _matmul(_matmul(_inv(f21), rd), f12)
 
 
 def psi_closed_num(j, k, q0, x0):
@@ -327,7 +364,7 @@ def verify_numeric_coherence(points=20, seed=20260825, tol=1e-10):
         for r in range(dim):
             for c in range(dim):
                 have = exact_r.entry(r, c).numeric_eval(q0, x0)
-                want = num[r, c]
+                want = num[r][c]
                 if _rel_err(have, want) > tol:
                     failing = {
                         "check": "point %d exchange entry (%d, %d)" % (n, r, c),

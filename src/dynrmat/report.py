@@ -1,6 +1,5 @@
 """Verification reports shared by every identity checker in the package."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import Scalar
@@ -12,15 +11,24 @@ NUMERIC_TOL = 1e-9
 _DEFAULT_POINT = (0.37, 0.81)
 
 
-@dataclass
 class VerificationReport:
-    relation: str
-    spins: tuple
-    mode: str
-    status: str
-    failing_entry: dict | None = None
-    residual_rank: int | None = None
-    elapsed_ms: float = 0.0
+    def __init__(
+        self,
+        relation,
+        spins,
+        mode,
+        status,
+        failing_entry=None,
+        residual_rank=None,
+        elapsed_ms=0.0,
+    ):
+        self.relation = relation
+        self.spins = spins
+        self.mode = mode
+        self.status = status
+        self.failing_entry = failing_entry
+        self.residual_rank = residual_rank
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self):
@@ -50,20 +58,40 @@ class VerificationReport:
         return out
 
 
+def _float_rank(rows, tol=1e-8):
+    """Rank of a dense complex matrix by Gaussian elimination with complete
+    pivoting; elimination stops at the first pivot of modulus <= tol."""
+    rank = 0
+    while rows and rows[0]:
+        i, j = max(
+            ((i, j) for i in range(len(rows)) for j in range(len(rows[0]))),
+            key=lambda ij: abs(rows[ij[0]][ij[1]]),
+        )
+        pivot = rows[i][j]
+        if abs(pivot) <= tol:
+            break
+        rank += 1
+        prow = rows[i]
+        rows = [
+            [v - row[j] / pivot * p for c, (v, p) in enumerate(zip(row, prow))
+             if c != j]
+            for k, row in enumerate(rows)
+            if k != i
+        ]
+    return rank
+
+
 def _numeric_residual_rank(diff):
-    try:
-        import numpy as np
-    except ImportError:  # diagnostics only; exact result already decided
-        return None
+    """Rank of the difference at the default point, over its nonzero rows
+    and columns; diagnostics only, the exact result is already decided."""
     q0, x0 = _DEFAULT_POINT
-    n = diff.space.dim
-    mat = np.zeros((n, n), dtype=complex)
     try:
-        for (r, c), s in diff.data.items():
-            mat[r, c] = s.numeric_eval(q0, x0)
+        vals = {key: s.numeric_eval(q0, x0) for key, s in diff.data.items()}
     except (ZeroDivisionError, ArithmeticError):
         return None
-    return int(np.linalg.matrix_rank(mat, tol=1e-8))
+    rows = sorted({r for (r, _), v in vals.items() if v})
+    cols = sorted({c for (_, c), v in vals.items() if v})
+    return _float_rank([[vals.get((r, c), 0) for c in cols] for r in rows])
 
 
 def _first_failure_exact(label, lhs, rhs):

@@ -1,11 +1,14 @@
 """Floating-point mirrors: series rebuilds, continued factorials, limits."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from dynrmat.lame import wavefunction_closed
 from dynrmat.numeric import (
+    _inv,
+    _matmul,
     gnf_r_num,
     log_qfact_real,
     prelimit_three_j_num,
@@ -49,13 +52,65 @@ def test_gnf_r_num_matches_exact_entries(point):
     exact = gnf_r(F(1, 2), F(1))
     for (r, c), v in exact.data.items():
         ev = v.numeric_eval(q0, x0)
-        assert abs(ev - num[r, c]) <= 1e-12 * max(1.0, abs(ev))
+        assert abs(ev - num[r][c]) <= 1e-12 * max(1.0, abs(ev))
     # structural zeros of the weight blocks survive the float rebuild
     support = set(exact.data)
     for r in range(6):
         for c in range(6):
             if (r, c) not in support:
-                assert abs(num[r, c]) < 1e-12
+                assert abs(num[r][c]) < 1e-12
+
+
+@pytest.mark.parametrize("point", [(0.55, 0.77), (0.31, 0.42)])
+def test_gnf_r_num_matches_exact_entries_spin_one_pair(point):
+    # a square 9x9 pair: the kron and matmul helpers see a second shape
+    q0, x0 = point
+    num = gnf_r_num(q0, x0, 2, 2)
+    exact = gnf_r(F(1), F(1))
+    assert len(num) == 9 and all(len(row) == 9 for row in num)
+    for r in range(9):
+        for c in range(9):
+            ev = exact.entry(r, c).numeric_eval(q0, x0)
+            assert abs(ev - num[r][c]) <= 1e-12 * max(1.0, abs(ev))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_inv_matches_numpy(n):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(1000 + n)
+    for _ in range(5):
+        # diagonally dominant, hence well conditioned
+        a = [
+            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        for r in range(n):
+            a[r][r] += 2 * n
+        got = np.array(_inv(a))
+        want = np.linalg.inv(np.array(a))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_inv_needs_pivoting():
+    # a zero leading entry: only a row swap gets past the first column
+    a = [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [4.0, 1.0, 0.0]]
+    prod = _matmul(_inv(a), a)
+    for r in range(3):
+        for c in range(3):
+            assert abs(prod[r][c] - (r == c)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 3.0, 4.0]],
+    ],
+)
+def test_inv_raises_on_singular(a):
+    with pytest.raises(ZeroDivisionError):
+        _inv(a)
 
 
 def test_gnf_r_num_is_sensitive():
@@ -65,7 +120,7 @@ def test_gnf_r_num_is_sensitive():
     num = gnf_r_num(q0 * 1.001, x0, 1, 2)
     exact = gnf_r(F(1, 2), F(1))
     worst = max(
-        abs(v.numeric_eval(q0, x0) - num[r, c])
+        abs(v.numeric_eval(q0, x0) - num[r][c])
         for (r, c), v in exact.data.items()
     )
     assert worst > 1e-6

@@ -1,12 +1,24 @@
 """The relation table, the one verify path, and the manifest."""
 
+import os
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from dynrmat.report import VerificationReport, run_comparisons
+import dynrmat
+from dynrmat.report import (
+    _DEFAULT_POINT,
+    VerificationReport,
+    _float_rank,
+    _numeric_residual_rank,
+    run_comparisons,
+)
 from dynrmat.scalar import SC_ONE, xpow
 from dynrmat.suite import (
     MANIFEST_VERSION,
@@ -134,3 +146,71 @@ def test_numeric_point_defaults_each_coordinate_alone():
         "SANITY", (), [("x", xpow(1), xpow(1))], mode="numeric", q0=0.6
     )
     assert report.ok
+
+
+def _numpy_rank(diff):
+    np = pytest.importorskip("numpy")
+    q0, x0 = _DEFAULT_POINT
+    n = diff.space.dim
+    mat = np.zeros((n, n), dtype=complex)
+    for (r, c), s in diff.data.items():
+        mat[r, c] = s.numeric_eval(q0, x0)
+    return int(np.linalg.matrix_rank(mat, tol=1e-8))
+
+
+@pytest.mark.parametrize("rhs", ["shifted", "drinfeld"])
+def test_residual_rank_matches_numpy(rhs):
+    lhs = dynrmat.gnf_r(1, 1)
+    other = lhs.shift_x(1) if rhs == "shifted" else dynrmat.drinfeld_r(1, 1)
+    rep = run_comparisons("CTRL", (1, 1), [("gnf_r", lhs, other)])
+    assert not rep.ok
+    assert rep.residual_rank == _numpy_rank(lhs - other) == 7
+
+
+def test_residual_rank_of_a_zero_difference():
+    r = dynrmat.gnf_r(1, 1)
+    assert _numeric_residual_rank(r - r) == 0
+
+
+@pytest.mark.parametrize(
+    "shape,rank", [((6, 6), 3), ((9, 4), 2), ((5, 8), 1), ((7, 7), 7)]
+)
+def test_float_rank_of_planted_low_rank_matrices(shape, rank):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(31 * shape[0] + shape[1] + rank)
+
+    def cplx():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    left = np.array([[cplx() for _ in range(rank)] for _ in range(shape[0])])
+    right = np.array([[cplx() for _ in range(shape[1])] for _ in range(rank)])
+    mat = left @ right
+    want = int(np.linalg.matrix_rank(mat, tol=1e-8))
+    assert want == rank
+    assert _float_rank(mat.tolist()) == want
+
+
+def test_verify_paths_leave_numpy_unloaded():
+    # the float cross-checks and the failure diagnostics are pure Python:
+    # a cold import and every verify path must not pull numpy in
+    script = """
+import sys
+import dynrmat
+from dynrmat.report import run_comparisons
+from dynrmat.suite import verify_relation
+for name in ("NUMERIC_COHERENCE", "PRELIMIT_3J"):
+    assert verify_relation(name, ()).ok, name
+lhs = dynrmat.gnf_r(1, 1)
+rep = run_comparisons("CTRL", (1, 1), [("gnf_r", lhs, lhs.shift_x(1))])
+assert not rep.ok and rep.residual_rank == 7
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
