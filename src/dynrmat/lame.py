@@ -3,11 +3,25 @@
 Everything acts on Laurent-type functions of x through the scale shift
 T: f(x) -> f(q x).  Operators are kept in the normal form sum_s a_s(x) T^s,
 so composition uses a(x) T^s . b(x) T^t = a(x) b(q^s x) T^(s+t).
+
+The potential, the ladder coefficients, the eigenfunction summands and the
+Lax entries are products of x-brackets <c> = (x q^c - x^-1 q^-c)/(q - q^-1)
+and q-binomials; each is built by one scalar.qint_monomial call, never by
+division.
 """
 
 from fractions import Fraction
 
-from .scalar import SC_ONE, SC_ZERO, qdiff, qbinom, qpow, xpow
+from .lattice import to_units
+from .scalar import (
+    SC_ONE,
+    SC_ZERO,
+    add_qfact,
+    add_xbracket,
+    qint_monomial,
+    qpow,
+    xpow,
+)
 from .spins import Spin, TensorSpace, embed, rep_eminus, rep_eplus
 from .report import VerificationReport
 
@@ -133,27 +147,25 @@ def qdo_func(a):
 # --------------------------------------------------------------- operators
 
 
-def _two_brackets(a, b):
-    """(q^a x - q^-a x^-1)(q^b x - q^-b x^-1) as a Scalar."""
-    return (xpow(1) * qpow(a) - xpow(-1) * qpow(-a)) * (
-        xpow(1) * qpow(b) - xpow(-1) * qpow(-b)
-    )
+def _brackets(shift, *pairs):
+    """prod <c + shift>**(w/2) over the pairs (c, w), as one Scalar."""
+    halves = {}
+    for c, w in pairs:
+        add_xbracket(halves, to_units(c + shift), w)
+    return qint_monomial(1, 0, halves)
 
 
 def c_function(j, shift=0):
-    """Potential coefficient at argument x q^shift."""
+    """Potential coefficient <j><-j-1>/(<0><-1>) at argument x q^shift."""
     j = _fr(j)
-    num = _two_brackets(j, -j - 1)
-    den = _two_brackets(0, -1)
-    return (num / den).shift_x(shift)
+    return _brackets(shift, (j, 2), (-j - 1, 2), (0, -2), (-1, -2))
 
 
 def d_function(j, shift=0):
-    """Forward coefficient of the ladder operator at x q^shift."""
+    """Forward coefficient <-j><-j-1>/(<0><-1>) of the ladder operator at
+    x q^shift."""
     j = _fr(j)
-    num = _two_brackets(-j, -j - 1)
-    den = _two_brackets(0, -1)
-    return (num / den).shift_x(shift)
+    return _brackets(shift, (-j, 2), (-j - 1, 2), (0, -2), (-1, -2))
 
 
 def hamiltonian(j):
@@ -192,14 +204,13 @@ def wavefunction_terms(j, k):
     j, k = _int_spin(j), _int_spin(k, "wave number")
     terms = []
     for n in range(j + 1):
-        num = SC_ONE
-        den = SC_ONE
+        # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
+        halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n, -2)
         for r in range(1, n + 1):
-            num = num * (xpow(1) * qpow(r - j - 1) - xpow(-1) * qpow(j + 1 - r))
-            den = den * (xpow(1) * qpow(r) - xpow(-1) * qpow(-r))
+            add_xbracket(halves, to_units(r - j - 1), 2)
+            add_xbracket(halves, to_units(r), -2)
         wave = qpow(k * (2 * n - j)) * xpow(k) - qpow(-k * (2 * n - j)) * xpow(-k)
-        sign = SC_ONE if n % 2 == 0 else -SC_ONE
-        terms.append(sign * qbinom(j, n) * num / den * wave)
+        terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
     return terms
 
 
@@ -311,9 +322,9 @@ def lax_matrix_blocks(j):
     eminus = rep_eminus(spin)
     weights = [spin.twice_m(i) for i in range(dim)]
 
-    def fx(shift_units):
-        # (q - q^-1)/(x - x^-1) at argument x q^shift
-        return (qdiff() / (xpow(1) - xpow(-1))).shift_x(shift_units)
+    def fx(shift):
+        # (q - q^-1)/(x - x^-1) = 1/<0> at argument x q^shift
+        return _brackets(shift, (0, -2))
 
     data = {}
     half = Fraction(1, 2)

@@ -1009,7 +1009,7 @@ def xp_gcd(a, b):
 # value.  So before it combines rows, each function bounds what it will
 # make (a product: ba * bb times the row count and the slot count of the
 # operand with fewer rows; a sum: ba + bb; times y - u**e: 2b; division by
-# y - u**e and the root test: b times the number of rows).  If that bound
+# y - u**e: b times the number of rows).  If that bound
 # reaches 2**(b - 1), it first lowers the operands' bounds to their largest
 # coefficients, and if that is not enough, repacks them to a wider b.  An
 # overflow would be a silent wrong answer.  The offset is normalized: some
@@ -1315,8 +1315,8 @@ def _dict_add(ra, rb):
 #
 # The binomial e is y - u**e.  It is linear in y, hence irreducible, and
 # every x-denominator the package builds is a product of such binomials
-# (ratfunc.py).  Division and the root test take a numerator that is a
-# polynomial in y times a power of v: all its v-exponents agree mod Y_DEG.
+# (ratfunc.py).  Division takes a numerator that is a polynomial in y times
+# a power of v: all its v-exponents agree mod Y_DEG.
 
 
 def _y_rows(rows, zero):
@@ -1370,32 +1370,6 @@ def xp_binom_mul(a, e):
             else:
                 del out[k]
     return _packed(out, o, a.s, a.b, 2 * a.bound)
-
-
-def xp_binom_root(a, e):
-    """Whether y - u**e divides a, decided exactly: whether a vanishes at
-    y = u**e.  For packed rows that is one evaluation,
-    sum_j P_j * 2**(b * e/s * j) == 0 (for e < 0, a times u**(-e*J))."""
-    rows = a.rows
-    if not a.b:
-        k0 = min(rows)
-        t = QP_ZERO
-        for k, p in rows.items():
-            t = poly_add(t, poly_shift(p, e * ((k - k0) // Y_DEG)))
-        return not t
-    if e % a.s or (a.bound * len(rows)) >> (a.b - 1):
-        a = _binom_ready(a, e, len(rows))
-        rows = a.rows
-    sh = abs(e) // a.s * a.b
-    if e < 0:
-        k0 = max(rows)
-        sh = -sh
-    else:
-        k0 = min(rows)
-    t = 0
-    for k, n in rows.items():
-        t += n << (sh * (k - k0) // Y_DEG)
-    return not t
 
 
 def xp_binom_div(a, e):

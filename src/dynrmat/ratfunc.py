@@ -74,7 +74,6 @@ from .polys import (
     QRat,
     poly_shift,
     poly_strip,
-    qrat,
     qrat_const,
     qrat_monomial_mul,
     qrat_over_cyclotomics,
@@ -82,7 +81,6 @@ from .polys import (
     xp_add,
     xp_binom_div,
     xp_binom_mul,
-    xp_binom_root,
     xp_equal,
     xp_from_terms,
     xp_gcd,
@@ -107,6 +105,7 @@ __all__ = [
     "RF_ZERO",
     "RF_ONE",
     "rf_const",
+    "rf_product",
     "rf_coeff",
     "rf_qpow_units",
     "rf_xpow_units",
@@ -178,9 +177,10 @@ def _cancel(t, fac):
     removed = {}
     for e, m in fac.items():
         for _ in range(m):
-            if not xp_binom_root(t, e):
+            q = xp_binom_div(t, e)
+            if q is None:
                 break
-            t = xp_binom_div(t, e)
+            t = q
             removed[e] = removed.get(e, 0) + 1
     return t, removed
 
@@ -605,6 +605,23 @@ def ratfn(num, den=None):
     return _from_nested(_Nested.canonical(num, den))
 
 
+def rf_product(k, num, dq, binoms):
+    """The RationalFunction v**k * num * prod (y - u**e)**m / dq over the
+    items e: m of the signed multiset `binoms`, for a nonzero QPoly num
+    that no factor of the cyclotomic multiset dq divides.
+
+    The positive binomials are multiplied into N and the negative ones are
+    Dx; distinct binomials share no root, so N is coprime to Dx, and the
+    top row of N in y is num, so Dq is minimal.  The pair is canonical as
+    built unless the rows could share part of a factor of Dq (xp_qsafe);
+    then each row is reduced as a QRat.
+    """
+    up = {e: m for e, m in binoms.items() if m > 0}
+    fac = {e: -m for e, m in binoms.items() if m < 0}
+    return _reduce_q(_xtimes(xp_from_terms({k: num}), up), dq, fac,
+                     NO_FACTORS, dq)
+
+
 def rf_const(qr):
     if not qr:
         return RF_ZERO
@@ -625,17 +642,3 @@ def rf_xpow_units(k):
     if not k:
         return RF_ONE
     return RationalFunction(xp_monomial(k, 0), NO_FACTORS, NO_FACTORS)
-
-
-def qdiff_qrat():
-    """q - 1/q as a QRat."""
-    return qrat(poly_shift({2 * DENOM: 1, 0: -1}, -DENOM))
-
-
-def xbracket_rf(c_units):
-    """(x*q**c - (x*q**c)**-1) / (q - 1/q) as a RationalFunction."""
-    qd = qdiff_qrat().inverse()
-    return _from_qrats({
-        DENOM: qrat_monomial_mul(qd, c_units),
-        -DENOM: qrat_monomial_mul(-qd, -c_units),
-    }, NO_FACTORS)

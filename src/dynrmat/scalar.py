@@ -32,28 +32,22 @@ from .polys import (
     CYCLOTOMICS,
     QP_ONE,
     QP_ZERO,
-    QRAT_ONE,
-    QRAT_ZERO,
-    QRat,
     XP_ONE,
     poly_add,
     poly_shift,
     qp_scale,
     qrat,
     qrat_const,
-    qrat_monomial_mul,
     qrat_over_cyclotomics,
-    qrat_scale,
 )
 from .ratfunc import (
     RF_ONE,
     RF_ZERO,
-    qdiff_qrat,
     ratfn,
     rf_const,
+    rf_product,
     rf_qpow_units,
     rf_xpow_units,
-    xbracket_rf,
 )
 
 __all__ = [
@@ -78,6 +72,7 @@ __all__ = [
     "phase",
     "QDIFF",
     "add_qfact",
+    "add_xbracket",
     "qint_monomial",
 ]
 
@@ -94,16 +89,8 @@ _RADICAND_CACHE = {}
 def _radicand_rf(atom):
     rf = _RADICAND_CACHE.get(atom)
     if rf is None:
-        kind = atom[0]
-        if kind == "qint":
-            rf = rf_const(qrat_qnum(atom[1]))
-        elif kind == "xbr":
-            rf = xbracket_rf(atom[1])
-        elif kind == "qdiff":
-            rf = rf_const(qdiff_qrat())
-        else:
-            raise ValueError("unknown radical atom %r" % (atom,))
-        _RADICAND_CACHE[atom] = rf
+        key = atom[1] if atom[0] == "qint" else atom
+        rf = _RADICAND_CACHE[atom] = qint_monomial(1, 0, {key: 2}).terms[()]
     return rf
 
 
@@ -391,22 +378,14 @@ def _term_mul(a1, r1, a2, r2):
 def _xbr_limit_factor(c_units, at_zero):
     # sqrt<c> ~ i x^(-1/2) q^(-c/2) / sqrt(q - 1/q)      as x -> 0
     # sqrt<c> ~  -x^(+1/2) q^(+c/2) / sqrt(q - 1/q)      as x -> infinity
-    # with 1/sqrt(q - 1/q) written as sqrt(q - 1/q)/(q - 1/q); signs chosen
+    # with 1/sqrt(q - 1/q) the half-exponent -1 of q - 1/q; signs chosen
     # to match principal branches at 0 < q < 1 < 1/x or x.
     if c_units % 2:
         raise LatticeError("half of bracket offset leaves the lattice")
-    inv_qd = qdiff_qrat().inverse()
     if at_zero:
-        qr = qrat_scale(inv_qd, imaginary_unit())
-        rf = rf_xpow_units(-(DENOM // 2)).scale_q(
-            qrat_monomial_mul(qr, -(c_units // 2))
-        )
-    else:
-        qr = qrat_scale(inv_qd, -1)
-        rf = rf_xpow_units(DENOM // 2).scale_q(
-            qrat_monomial_mul(qr, c_units // 2)
-        )
-    return Scalar({(("qdiff",),): rf})
+        return qint_monomial(imaginary_unit(), -(c_units // 2), {QDIFF: -1},
+                             -(DENOM // 2))
+    return qint_monomial(-1, c_units // 2, {QDIFF: -1}, DENOM // 2)
 
 
 def _coerce(x):
@@ -448,36 +427,6 @@ def qpow(e):
 
 def xpow(e):
     return sc_from_rf(rf_xpow_units(to_units(e)))
-
-
-_QNUM_CACHE = {}
-_QFACT_CACHE = {}
-
-
-def qrat_qnum(n):
-    """[n] = (q^n - q^-n)/(q - q^-1) as a QRat."""
-    n = int(n)
-    if n < 0:
-        return -qrat_qnum(-n)
-    qr = _QNUM_CACHE.get(n)
-    if qr is None:
-        poly = {DENOM * (n - 1 - 2 * i): 1 for i in range(n)}
-        qr = QRat(poly, NO_FACTORS) if poly else QRAT_ZERO
-        _QNUM_CACHE[n] = qr
-    return qr
-
-
-def qrat_qfact(n):
-    n = int(n)
-    if n < 0:
-        raise ValueError("q-factorial of a negative integer")
-    qr = _QFACT_CACHE.get(n)
-    if qr is None:
-        qr = QRAT_ONE
-        for i in range(2, n + 1):
-            qr = qr * qrat_qnum(i)
-        _QFACT_CACHE[n] = qr
-    return qr
 
 
 def qfact_factors(n):
@@ -522,25 +471,32 @@ def qrat_qfact_sum(terms):
 
 
 # The key of q - 1/q among the half-exponents of qint_monomial; it is also
-# its radical atom.
+# its radical atom, as ("xbr", c_units) is the key and the atom of <c>.
 QDIFF = ("qdiff",)
 
-# key -> (u-exponent, cyclotomic indices) of the factors of [n] and q - 1/q:
+# key -> (u-exponent, v-exponent, signed cyclotomic indices, binomial
+# exponent or None) of the factors of [n], q - 1/q and <c>:
 #     [n] = q**-(n-1) * prod Phi_d(q**2) over the divisors d > 1 of n,
 #     q - 1/q = q**-1 * Phi_1(q**2),
-# the bookkeeping of qfact_factors.
-_QINT_SHAPES = {QDIFF: (-DENOM, (1,))}
+#     <c> = v**-D * u**(c_units + D) * (y - u**(-2 c_units)) / Phi_1(q**2),
+# for u = q**(1/D), v = x**(1/D), y = x**2 and c = c_units/D; the first two
+# are the bookkeeping of qfact_factors.
+_SHAPES = {QDIFF: (-DENOM, 0, ((1, 1),), None)}
 
 
-def _qint_shape(key):
-    got = _QINT_SHAPES.get(key)
+def _shape(key):
+    got = _SHAPES.get(key)
     if got is None:
-        if type(key) is not int or key < 1:
-            raise ValueError("no q-integer [%r] in a prefactor" % (key,))
-        got = _QINT_SHAPES[key] = (
-            -DENOM * (key - 1),
-            tuple(d for d in range(2, key + 1) if key % d == 0),
-        )
+        if type(key) is int and key >= 1:
+            got = (-DENOM * (key - 1), 0,
+                   tuple((d, 1) for d in range(2, key + 1) if key % d == 0),
+                   None)
+        elif (type(key) is tuple and len(key) == 2 and key[0] == "xbr"
+              and type(key[1]) is int):
+            got = (key[1] + DENOM, -DENOM, ((1, -1),), -2 * key[1])
+        else:
+            raise ValueError("no factor %r in a prefactor" % (key,))
+        _SHAPES[key] = got
     return got
 
 
@@ -552,66 +508,90 @@ def add_qfact(halves, n, w):
     return halves
 
 
-def qint_monomial(c, units, halves):
-    """The one-term Scalar c * u**units * prod [n]**(m/2) over the items
-    n: m of `halves`, for u = q**(1/D), a coefficient c and q-integers
-    n >= 1; the key QDIFF stands for q - 1/q.
+def add_xbracket(halves, c_units, w):
+    """Add <c>**(w/2), c = c_units/D, to the half-exponents `halves`.
+    Returns `halves`."""
+    key = ("xbr", c_units)
+    halves[key] = halves.get(key, 0) + w
+    return halves
+
+
+def qint_monomial(c, units, halves, x_units=0):
+    """The one-term Scalar c * u**units * v**x_units * prod f**(m/2) over
+    the items f: m of `halves`, for u = q**(1/D), v = x**(1/D) and a
+    coefficient c.  A key n >= 1 stands for the q-integer [n], QDIFF for
+    q - 1/q and ("xbr", c_units) for the x-bracket <c_units/D>.
 
     Each exponent splits as m = 2a + b with b in (0, 1).  An odd b puts the
-    atom in the radical, and [n]**a adds its known factors a times, so the
-    rational part is c * u**s * prod Phi_d(q**2)**e_d for a signed multiset
-    e.  Its positive part is multiplied out for the numerator and its
-    negative part is the denominator, already factored.  The pair is
-    canonical as built: distinct Phi_d share no root, so numerator and
-    denominator are coprime over Q(z8), a unit c * u**s does not change
-    that, and the denominator is monic with a nonzero constant term.  No
-    inverse, gcd or factor search is needed.
+    atom in the radical, and f**a adds its known factors a times (_SHAPES),
+    so the rational part is a unit times prod Phi_d(q**2)**e_d for a signed
+    multiset e, times prod (y - u**e)**a over the brackets.  The positive
+    parts are multiplied out for the numerator, and the negative parts are
+    the denominators Dq and Dx, already factored.  The fraction is
+    canonical as built: distinct Phi_d share no root, nor do distinct
+    binomials, so numerator and denominator are coprime over Q(z8); a unit
+    c * u**s * v**k does not change that, and each denominator is monic with
+    a nonzero constant term.  No inverse, gcd or factor search is needed,
+    except that brackets whose offsets differ by a non-integer can leave
+    rows that share part of a Phi_d(q**2), and those rows are reduced as
+    QRats (ratfunc.rf_product).
     """
     if not c:
         return SC_ZERO
     atoms = []
     fac = {}
+    binoms = {}
     for key, m in halves.items():
-        shift, ds = _qint_shape(key)
+        du, dv, ds, e = _shape(key)
         if not m or not ds:
             continue  # [1] = 1
         a, b = divmod(m, 2)
         if b:
-            atoms.append(key if key == QDIFF else ("qint", key))
+            atoms.append(("qint", key) if type(key) is int else key)
         if a:
-            units += shift * a
-            for d in ds:
-                fac[d] = fac.get(d, 0) + a
+            units += du * a
+            x_units += dv * a
+            for d, s in ds:
+                fac[d] = fac.get(d, 0) + s * a
+            if e is not None:
+                binoms[e] = a
     up = {d: e for d, e in fac.items() if e > 0}
     down = {d: -e for d, e in fac.items() if e < 0}
     num = poly_shift(qp_scale(CYCLOTOMICS.expand(up), c), units)
-    return Scalar({tuple(sorted(atoms)): rf_const(QRat(num, down))})
+    return Scalar({tuple(sorted(atoms)): rf_product(x_units, num, down,
+                                                    binoms)})
 
 
 def qnum(n):
-    return sc_from_qrat(qrat_qnum(n))
+    """[n] = (q^n - q^-n)/(q - q^-1)."""
+    n = int(n)
+    if not n:
+        return SC_ZERO
+    return qint_monomial(1 if n > 0 else -1, 0, {abs(n): 2})
 
 
 def qfact(n):
-    return sc_from_qrat(qrat_qfact(n))
+    n = int(n)
+    if n < 0:
+        raise ValueError("q-factorial of a negative integer")
+    return qint_monomial(1, 0, add_qfact({}, n, 2))
 
 
 def qbinom(n, k):
     n, k = int(n), int(k)
     if k < 0 or k > n:
         return SC_ZERO
-    return sc_from_qrat(
-        qrat_qfact(n) / (qrat_qfact(k) * qrat_qfact(n - k))
-    )
+    halves = add_qfact(add_qfact({}, n, 2), k, -2)
+    return qint_monomial(1, 0, add_qfact(halves, n - k, -2))
 
 
 def qdiff():
-    return sc_from_qrat(qdiff_qrat())
+    return qint_monomial(1, 0, {QDIFF: 2})
 
 
 def xbracket(c):
     """<c> = (x q^c - x^-1 q^-c)/(q - q^-1)."""
-    return sc_from_rf(xbracket_rf(to_units(c)))
+    return qint_monomial(1, 0, add_xbracket({}, to_units(c), 2))
 
 
 def sqrt_qint(n):

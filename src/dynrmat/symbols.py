@@ -7,27 +7,27 @@ Writing K = 2 j(x), every continued q-number collapses to a two-term bracket,
     [K + c] = (x q^(c-1) - x^(-1) q^(1-c)) / (q - q^(-1)),
 
 so continued factorials only ever appear through ratios [K+c1]!/[K+c2]!
-which telescope into finite products of brackets.  ContinuedExpr tracks an
-exact scalar prefactor together with the multiset of such factorial symbols
-(with half-integer multiplicities coming from triangle factors) and reduces
-to a Scalar once the multiplicities cancel.
+which telescope into finite products of brackets.  ContinuedExpr tracks a
+monomial prefactor, as the exponents of its known factors, together with
+the multiset of such factorial symbols (with half-integer multiplicities
+coming from triangle factors), and reduces to a Scalar once the
+multiplicities cancel.  Every prefactor here, continued or not, is built by
+one scalar.qint_monomial call, never by division.
 """
 
 from fractions import Fraction
 
 from .coeffs import root8_pow
+from .lattice import DENOM
 from .scalar import (
     QDIFF,
     SC_ONE,
     SC_ZERO,
     add_qfact,
+    add_xbracket,
     qint_monomial,
-    qpow,
     qrat_qfact_sum,
     sc_from_qrat,
-    sqrt_xbracket,
-    xbracket,
-    xpow,
 )
 
 __all__ = [
@@ -48,14 +48,16 @@ __all__ = [
     "SYMBOL_RELATIONS",
 ]
 
-# Pinned value of (-1)^K for the continued spin: fixed by requiring the
-# stretched continued recouplings to match the finite-spin limits (checked
-# in the dictionary identities, which compare against actual matrices).
-SIGN_K = 1
+# Pinned value of (-1)^K for the continued spin, as the exponent of the
+# eighth root of unity z8**K_PHASE: fixed by requiring the stretched
+# continued recouplings to match the finite-spin limits (checked in the
+# dictionary identities, which compare against actual matrices).
+K_PHASE = 0
 
 # Spins, projections and offsets enter once through _twice and are doubled
 # ints from then on, so J = 2 j.  A phase (-1)**t is the eighth root
 # root8_pow(4 t), and a q-exponent e is the u-exponent 4 e (lattice.py).
+# Multiplicities of continued factorials are doubled ints too.
 
 
 def _twice(v):
@@ -207,101 +209,105 @@ def _pos(p):
     return (0, _twice(p))
 
 
+def _add(d, key, m):
+    """Add m to d[key], dropping the key where it reaches zero."""
+    got = d.get(key, 0) + m
+    if got:
+        d[key] = got
+    else:
+        d.pop(key, None)
+
+
+def _merged(a, b, sign):
+    """The multiset a + sign * b."""
+    out = dict(a)
+    for key, m in b.items():
+        _add(out, key, sign * m)
+    return out
+
+
 class ContinuedExpr:
-    """scalar * prod_c ([K+c]!)^mult_c with Fraction multiplicities."""
+    """scalar * z8**k * u**s * v**t * prod f**(m/2) * prod ([K+c]!)**(f_c/2)
+    for (k, s, t) = `mono`, u = q**(1/D), v = x**(1/D), the items f: m of
+    `halves` (the half-exponents of scalar.qint_monomial) and the items
+    c: f_c of `facts`, doubled ints.
 
-    __slots__ = ("scalar", "facts")
+    The monomial part and the continued factorials are kept as exponents,
+    so products and quotients add or subtract them; reduce() builds the
+    monomial with one qint_monomial call and multiplies `scalar` in.
+    """
 
-    def __init__(self, scalar=SC_ONE, facts=None):
+    __slots__ = ("scalar", "facts", "mono", "halves")
+
+    def __init__(self, scalar=SC_ONE, facts=None, mono=(0, 0, 0), halves=None):
         self.scalar = scalar
-        self.facts = dict(facts) if facts else {}
+        self.facts = dict(facts or {})
+        self.mono = mono
+        self.halves = dict(halves or {})
 
-    def _merged(self, other_facts, flip=False):
-        out = dict(self.facts)
-        for c, mult in other_facts.items():
-            m = -mult if flip else mult
-            got = out.get(c, 0) + m
-            if got:
-                out[c] = got
-            elif c in out:
-                del out[c]
-        return out
+    def _times(self, other, sign):
+        by = other.scalar
+        if sign < 0 and not by.is_one():
+            by = by.inv()
+        return ContinuedExpr(
+            self.scalar * by, _merged(self.facts, other.facts, sign),
+            tuple(a + sign * b for a, b in zip(self.mono, other.mono)),
+            _merged(self.halves, other.halves, sign))
 
     def __mul__(self, other):
-        if isinstance(other, ContinuedExpr):
-            return ContinuedExpr(self.scalar * other.scalar, self._merged(other.facts))
-        return ContinuedExpr(self.scalar * other, self.facts)
-
-    __rmul__ = __mul__
+        return self._times(other, 1)
 
     def __truediv__(self, other):
-        if isinstance(other, ContinuedExpr):
-            return ContinuedExpr(
-                self.scalar / other.scalar, self._merged(other.facts, flip=True)
-            )
-        return ContinuedExpr(self.scalar / other, self.facts)
-
-    def __neg__(self):
-        return ContinuedExpr(-self.scalar, self.facts)
+        return self._times(other, -1)
 
     def with_fact(self, c, mult):
+        """Times ([K+c]!)**mult, for an integer c and a half-integer mult."""
         c = Fraction(c)
         if c.denominator != 1:
             raise ValueError("continued factorial offset must be an integer")
-        out = dict(self.facts)
-        got = out.get(c, 0) + Fraction(mult)
-        if got:
-            out[c] = got
-        elif c in out:
-            del out[c]
-        return ContinuedExpr(self.scalar, out)
+        return self * ContinuedExpr(facts={int(c): _twice(mult)})
 
     def shift_x(self, m):
         """x -> x q^m, hence every symbol offset moves by m."""
         m = Fraction(m)
         if m.denominator != 1:
             raise ValueError("shift must keep offsets integral")
+        m = int(m)
+        phase, units, x_units = self.mono
+        halves = {("xbr", f[1] + DENOM * m) if type(f) is tuple and f[0] == "xbr"
+                  else f: e for f, e in self.halves.items()}
         return ContinuedExpr(
-            self.scalar.shift_x(m), {c + m: mult for c, mult in self.facts.items()}
-        )
+            self.scalar.shift_x(m), {c + m: f for c, f in self.facts.items()},
+            (phase, units + x_units * m, x_units), halves)
 
     def reduce(self):
         """Collapse to a Scalar; multiplicities must sum to zero."""
-        if not self.facts:
-            return self.scalar
-        if sum(self.facts.values()) != 0:
+        if sum(self.facts.values()):
             raise ValueError("unbalanced continued factorials: %r" % (self.facts,))
-        keys = sorted(self.facts)
-        out = self.scalar
-        base = keys[0]
-        running = Fraction(0)
-        # [K+c]! = [K+base]! * prod_{t=base+1}^{c} [K+t]; the [K+base]! parts
-        # cancel since the multiplicities sum to zero, and the cumulative
-        # exponent of each [K+t] is the mass of symbols at or above t
-        for t in range(int(base) + 1, int(keys[-1]) + 1):
-            running = sum(m for c, m in self.facts.items() if c >= t)
-            if not running:
-                continue
-            whole, rem = divmod(running, 1)
-            if whole:
-                out = out * xbracket(t - 1) ** int(whole)
-            if rem == Fraction(1, 2):
-                # floor division left a +1/2 remainder even for negative
-                # masses, so a single root factor always suffices here
-                out = out * sqrt_xbracket(t - 1)
-            elif rem:
-                raise ValueError("multiplicity must be a half-integer")
-        return out
+        halves = dict(self.halves)
+        if self.facts:
+            # [K+c]! = [K+base]! * prod_{t=base+1}^{c} [K+t] with [K+t] =
+            # <t-1>; the [K+base]! parts cancel since the multiplicities sum
+            # to zero, and the cumulative exponent of each [K+t] is the mass
+            # of symbols at or above t
+            for t in range(min(self.facts) + 1, max(self.facts) + 1):
+                running = sum(f for c, f in self.facts.items() if c >= t)
+                if running:
+                    add_xbracket(halves, DENOM * (t - 1), running)
+        phase, units, x_units = self.mono
+        return qint_monomial(root8_pow(phase), units, halves,
+                             x_units) * self.scalar
 
     def __repr__(self):
-        return "ContinuedExpr(%r, %r)" % (self.scalar, self.facts)
+        return "ContinuedExpr(%r, %r, %r, %r)" % (
+            self.scalar, self.facts, self.mono, self.halves)
 
 
 def _cont_triangle(pa, pb, pc, halves, facts, sign=1):
     """Add the triangle factor of one six-j triad, raised to sign = +-1,
     with continued entries allowed: its finite q-factorials to the
-    half-exponents `halves`, its continued ones to the multiplicities
-    `facts` of a ContinuedExpr.
+    half-exponents `halves`, its continued ones to the doubled
+    multiplicities `facts` of a ContinuedExpr.
 
     Only triads with zero or two continued positions occur in this paper's
     dictionaries.
@@ -320,11 +326,7 @@ def _cont_triangle(pa, pb, pc, halves, facts, sign=1):
         elif w == 2:
             if n % 2:
                 raise ValueError("continued factorial offset must be an integer")
-            mult = facts.get(n // 2, 0) + Fraction(e, 2)
-            if mult:
-                facts[n // 2] = mult
-            else:
-                del facts[n // 2]
+            _add(facts, n // 2, e)
         else:
             raise ValueError("triad with a single continued entry")
 
@@ -378,14 +380,15 @@ def _six_j_cont(pos):
         h = dict(halves)
         for n in args:
             add_qfact(h, n, -2)
-        term = ContinuedExpr(qint_monomial(SIGN_K * (-1) ** y, 0, h), facts)
-        term = term.with_fact(y + 1, 1)
+        f = dict(facts)
+        _add(f, y + 1, 2)
         for w, c in tri_sums:
             if w != 2:
-                term = term.with_fact(y - c, -1)
+                _add(f, y - c, -2)
         for w, c in box_sums:
             if w != 2:
-                term = term.with_fact(c - y, -1)
+                _add(f, c - y, -2)
+        term = ContinuedExpr(facts=f, mono=(K_PHASE + 4 * y, 0, 0), halves=h)
         total = total + term.reduce()
     return total
 
@@ -407,26 +410,30 @@ def _six_j_u(pos):
     if wsum % 2:
         raise ValueError("phase of a half-continued recoupling is undefined")
     halves = {}
-    xroots = SC_ONE
     for w, c in (pos[2], pos[5]):
         if w == 0:
             halves[c + 1] = halves.get(c + 1, 0) + 1
         else:
-            xroots = xroots * sqrt_xbracket(c)
-    norm = qint_monomial(root8_pow(2 * csum) * SIGN_K ** (wsum // 2), 0, halves)
-    return norm * xroots * _six_j_cont(pos)
+            # [2 p + 1] = [K + c + 1] = <c> for p = j(x) + c/2
+            add_xbracket(halves, DENOM * c, 1)
+    norm = qint_monomial(
+        root8_pow(2 * csum + K_PHASE * (wsum // 2)), 0, halves)
+    return norm * _six_j_cont(pos)
 
 
 # ---------------------------------------------------------------------------
 # the one-leg matrix in closed form and the limit coupling
 
 
-def _x_poles(n):
-    """prod (1 - x^2 q^(2 r)) over r = 1..n."""
-    den = SC_ONE
-    for r in range(1, n + 1):
-        den = den * (SC_ONE - xpow(2) * qpow(2 * r))
-    return den
+def _over_x_poles(halves, n, u=0):
+    """1/prod (1 - x^2 q^(2 r)) over r = u+1..u+n, where 1 - x^2 q^(2 r) =
+    -x q^r (q - q^-1) <r>: adds the q - 1/q and the brackets to the
+    half-exponents `halves` and returns the z8-, u- and v-exponents of the
+    rest."""
+    halves[QDIFF] = halves.get(QDIFF, 0) - 2 * n
+    for r in range(u + 1, u + n + 1):
+        add_xbracket(halves, DENOM * r, -2)
+    return 4 * n, -2 * n * (n + 1 + 2 * u), -DENOM * n
 
 
 def _limit_sum(J, S, M):
@@ -437,7 +444,7 @@ def _limit_sum(J, S, M):
         h = {}
         for n in (p, (J - S) // 2 - p, (J + M) // 2 - p, (S - M) // 2 + p):
             add_qfact(h, n, -2)
-        total = total + qint_monomial(1, 4 * p * S, h) * xpow(2 * p)
+        total = total + qint_monomial(1, 4 * p * S, h, 2 * DENOM * p)
     return total
 
 
@@ -449,10 +456,11 @@ def m_element(j, sigma, m):
     halves = {}
     for n in ((J + S) // 2, (J - S) // 2, (J + M) // 2, (J - M) // 2):
         add_qfact(halves, n, 1)
+    phase, units, x_units = _over_x_poles(halves, (J + S) // 2)
     # (-1)**(2j + sigma + m) q**(sigma (sigma - m)) x**(sigma - m)
-    pre = qint_monomial(root8_pow(2 * (2 * J + S + M)), S * (S - M), halves)
-    pre = pre * xpow(Fraction(S - M, 2))
-    return pre * _limit_sum(J, S, M) / _x_poles((J + S) // 2)
+    pre = qint_monomial(root8_pow(2 * (2 * J + S + M) + phase),
+                        S * (S - M) + units, halves, 2 * (S - M) + x_units)
+    return pre * _limit_sum(J, S, M)
 
 
 def norm_xi(m):
@@ -483,11 +491,14 @@ def _norm_psi(J, S, u):
     # over the triangle factor of (j, J', J'+sigma), J' = j(x q^u) ...
     facts = {}
     _cont_triangle((0, J), (1, u), (1, u + S), halves, facts, sign=-1)
-    # ... and its phase: (-1)**(j + 3 sigma/2) / (-1)**(j - sigma)
-    scal = qint_monomial(root8_pow(2 * J + 3 * S - 2 * (J - S)), J * S, halves)
-    scal = (scal * xpow(Fraction(J, 2)) / _x_poles((J + S) // 2)).shift_x(u)
+    # ... and its phase: (-1)**(j + 3 sigma/2) / (-1)**(j - sigma); all
+    # of it x**(j/2) / prod (1 - x^2 q^(2r)), r = 1..j+sigma, at x q^u
+    phase, units, x_units = _over_x_poles(halves, (J + S) // 2, u)
     # continued dimension root: [2 j(xq^u) + 2 sigma + 1] = [K + u + 2 sigma + 1]
-    return ContinuedExpr(scal, facts) / sqrt_xbracket(u + S)
+    add_xbracket(halves, DENOM * (u + S), -1)
+    mono = (2 * J + 3 * S - 2 * (J - S) + phase, J * S + 2 * J * u + units,
+            2 * J + x_units)
+    return ContinuedExpr(facts=facts, mono=mono, halves=halves)
 
 
 def limit_three_j(j, sigma, m):
@@ -504,14 +515,13 @@ def limit_three_j(j, sigma, m):
     add_qfact(halves, (J - M) // 2, 1)
     facts = {}
     _cont_triangle((0, J), (1, 0), (1, S), halves, facts)
+    # continued dimension root [2 j(x) + 2 sigma + 1]
+    add_xbracket(halves, DENOM * S, 1)
     # (-1)**(j + (m - sigma)/2) (-1)**(j - sigma), the second the triangle's,
     # q**(sigma (sigma - j) - m/2 + m (1 - sigma)) x**(sigma - j - m)
-    scal = qint_monomial(
-        root8_pow(2 * J + M - S + 2 * (J - S)), S * (S - J) + M - M * S, halves
-    )
-    scal = scal * xpow(Fraction(S - J - M, 2))
-    # continued dimension root [2 j(x) + 2 sigma + 1]
-    return ContinuedExpr(scal * sqrt_xbracket(S) * _limit_sum(J, S, M), facts)
+    mono = (2 * J + M - S + 2 * (J - S), S * (S - J) + M - M * S,
+            2 * (S - J - M))
+    return ContinuedExpr(_limit_sum(J, S, M), facts, mono, halves)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +538,19 @@ def r_dict_entry(j1, j2, sp1, sp2, s1, s2):
     S = S1 + S2
     # (-1)**(sp1 - s1) q**(s^2 + s - sp1^2 - sp1 - s2^2 - s2 + sp1 - s1)
     # x**(s1 - sp1)
-    combo = qint_monomial(
-        root8_pow(2 * (SP1 - S1)),
-        S * S + 2 * S - SP1 * SP1 - 2 * SP1 - S2 * S2 - 2 * S2
-        + 2 * (SP1 - S1),
-        {},
-    ) * xpow(Fraction(S1 - SP1, 2))
+    combo = ContinuedExpr(mono=(
+        2 * (SP1 - S1),
+        S * S + 2 * S - SP1 * SP1 - 2 * SP1 - S2 * S2 - 2 * S2 + 2 * (SP1 - S1),
+        2 * (S1 - SP1),
+    ))
     ratio = (
-        _norm_psi(J1, SP1, 0)
+        combo
+        * _norm_psi(J1, SP1, 0)
         * _norm_psi(J2, SP2, SP1)
         / (_norm_psi(J1, S1, S2) * _norm_psi(J2, S2, 0))
     )
     sym = _six_j_u(((0, J2), (1, S), (1, SP1), (0, J1), (1, 0), (1, S2)))
-    return combo * (ratio.reduce() * sym)
+    return ratio.reduce() * sym
 
 
 def f_dict_entry(j1, j2, s1, s2, sp1, sp2):

@@ -13,12 +13,24 @@ engines:
 
 All operators live over the exact scalar field; the x argument of a family
 is always the bare one, shifted versions are produced afterwards through
-the weight-shift automorphism.
+the weight-shift automorphism.  Every prefactor is a product of known
+factors, a phase, powers of q and x, q-factorials, q - 1/q and x-brackets
+<c> = (x q^c - x^-1 q^-c)/(q - q^-1), and is built by one
+scalar.qint_monomial call, never by division.
 """
 
 from fractions import Fraction
 
-from .scalar import qdiff, qfact, qpow, sc_coeff, xpow
+from .lattice import DENOM
+from .scalar import (
+    QDIFF,
+    add_qfact,
+    add_xbracket,
+    qint_monomial,
+    qnum,
+    qpow,
+    sc_coeff,
+)
 from .spins import (
     GradedOperator,
     TensorSpace,
@@ -52,65 +64,55 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # prefactor caches
 
-_XQC_CACHE = {}
 _PREF_CACHE = {}
 _FAMILY_CACHE = {}
 
 
-def _xqc(c):
-    """x q^c - 1/(x q^c) as a one-term scalar."""
-    key = Fraction(c)
-    got = _XQC_CACHE.get(key)
-    if got is None:
-        got = xpow(1) * qpow(c) - xpow(-1) * qpow(-c)
-        _XQC_CACHE[key] = got
-    return got
-
-
 def _pref_rd(i, wa, wb):
+    """(q - 1/q)**i / [i]! * q**(wa wb/2 + i (wa - wb)/2 - i (i + 1)/2)."""
     key = ("rd", i, wa, wb)
     got = _PREF_CACHE.get(key)
     if got is None:
-        got = (qdiff() ** i) / qfact(i)
-        got = got * qpow(Fraction(wa * wb, 2) + Fraction(i * (wa - wb), 2) - Fraction(i * (i + 1), 2))
-        _PREF_CACHE[key] = got
+        got = _PREF_CACHE[key] = qint_monomial(
+            1, 2 * (wa * wb + i * (wa - wb) - i * (i + 1)),
+            add_qfact({QDIFF: 2 * i}, i, -2))
+    return got
+
+
+def _pref_twist(key, k, wa, wb, nus, sign):
+    """sign * (q - 1/q)**k / [k]! * x**k * q**(k (wa + wb)/2) / prod
+    (x q**(nu + wb) - x**-1 q**-(nu + wb)) over the k values nu in `nus`:
+    each bracket there is (q - 1/q) <nu + wb>, so q - 1/q cancels."""
+    got = _PREF_CACHE.get(key)
+    if got is None:
+        halves = add_qfact({}, k, -2)
+        for nu in nus:
+            add_xbracket(halves, DENOM * (nu + wb), -2)
+        got = _PREF_CACHE[key] = qint_monomial(
+            sign, 2 * k * (wa + wb), halves, DENOM * k)
     return got
 
 
 def _pref_f(k, wa, wb):
-    key = ("f", k, wa, wb)
-    got = _PREF_CACHE.get(key)
-    if got is None:
-        got = sc_coeff((-1) ** k) * (qdiff() ** k) / qfact(k)
-        got = got * xpow(k) * qpow(Fraction(k * (wa + wb), 2))
-        for nu in range(k, 2 * k):
-            got = got / _xqc(nu + wb)
-        _PREF_CACHE[key] = got
-    return got
+    return _pref_twist(("f", k, wa, wb), k, wa, wb, range(k, 2 * k),
+                       (-1) ** k)
 
 
 def _pref_f_inv(k, wa, wb):
-    key = ("finv", k, wa, wb)
-    got = _PREF_CACHE.get(key)
-    if got is None:
-        got = (qdiff() ** k) / qfact(k)
-        got = got * xpow(k) * qpow(Fraction(k * (wa + wb), 2))
-        for nu in range(1, k + 1):
-            got = got / _xqc(nu + wb)
-        _PREF_CACHE[key] = got
-    return got
+    return _pref_twist(("finv", k, wa, wb), k, wa, wb, range(1, k + 1), 1)
 
 
 def _m_coeff(n, m):
+    """(-1)**m x**m q**(n (n - 1)/2 + m (n - m)) / ([n]! [m]!
+    prod_(nu=1..n) (x q**nu - x**-1 q**-nu))."""
     key = ("m", n, m)
     got = _PREF_CACHE.get(key)
     if got is None:
-        got = sc_coeff((-1) ** m) * xpow(m)
-        got = got * qpow(Fraction(n * (n - 1), 2) + m * (n - m))
-        got = got / (qfact(n) * qfact(m))
+        halves = add_qfact(add_qfact({QDIFF: -2 * n}, n, -2), m, -2)
         for nu in range(1, n + 1):
-            got = got / _xqc(nu)
-        _PREF_CACHE[key] = got
+            add_xbracket(halves, DENOM * nu, -2)
+        got = _PREF_CACHE[key] = qint_monomial(
+            (-1) ** m, 2 * n * (n - 1) + 4 * m * (n - m), halves, DENOM * m)
     return got
 
 
@@ -588,9 +590,7 @@ def _build_rel_deltax_homomorphism(j1, j2):
     bp = finv @ coproduct_eplus(space) @ f
     bm = finv @ coproduct_eminus(space) @ f
     w = space.total_weights
-    card = diag_scalars(
-        space, tuple((qpow(m) - qpow(-m)) / qdiff() for m in w)
-    )
+    card = diag_scalars(space, tuple(qnum(m) for m in w))
     two = sc_coeff(2)
     return [
         ("cartan image undeformed", bh, coproduct_h(space)),

@@ -31,7 +31,6 @@ from dynrmat.polys import (
     xp_add,
     xp_binom_div,
     xp_binom_mul,
-    xp_binom_root,
     xp_divmod,
     xp_from_terms,
     xp_gcd,
@@ -671,9 +670,6 @@ def test_binomial_division_undoes_multiplication_and_nothing_else():
         assert xp_terms(xp_binom_div(once, 4)) == xp_terms(a)
         assert xp_binom_div(a, 4) is None
         assert xp_binom_div(b, 8) is None
-        # the root test is exact
-        assert xp_binom_root(b, 4) and xp_binom_root(once, 4)
-        assert not xp_binom_root(a, 4) and not xp_binom_root(b, 8)
 
 
 def test_negative_binomial_exponents_shift_the_other_way():
@@ -681,7 +677,6 @@ def test_negative_binomial_exponents_shift_the_other_way():
     for e in (-8, -4, -1):
         b = xp_binom_mul(a, e)
         assert xp_terms(b) == xp_terms(xp_mul(a, xn({8: {0: 1}, 0: {e: -1}})))
-        assert xp_binom_root(b, e)
         assert xp_terms(xp_binom_div(b, e)) == xp_terms(a)
         assert xp_binom_div(b, -e) is None
 
@@ -726,10 +721,8 @@ def test_packed_kit_matches_dict_rows_near_the_slot_limit():
         abf = xp_binom_mul(ab, f)
         for n, dn in [(ab, as_dict_rows(ab)), (abf, as_dict_rows(abf)), (a, da)]:
             for g in (e, f, e + 1):
-                root = xp_binom_root(n, g)
-                assert root == xp_binom_root(dn, g)
                 q, dq = xp_binom_div(n, g), xp_binom_div(dn, g)
-                assert (q is None) == (dq is None) == (not root)
+                assert (q is None) == (dq is None)
                 if q is not None:
                     assert xp_terms(q) == xp_terms(dq)
         assert xp_terms(xp_binom_div(ab, e)) == xp_terms(a)
@@ -769,14 +762,13 @@ def test_packing_width_does_not_change_equality_or_hash():
 def test_root_test_and_division_widen_before_slots_could_carry():
     # y = 1 is no root of a = P_0 + P_1 y + P_2 y**2 with P_0 = h - u**8,
     # P_1 = h and P_2 = 2 for h = 2**63 - 1: a(1) = 2**64 - u**8.  Packed
-    # at 64 bits, that sum is 2**64 - 2**64 = 0, so a root test or a
-    # division that added the rows in 64-bit slots would accept it.
+    # at 64 bits, that sum is 2**64 - 2**64 = 0, so a division that added
+    # the rows in 64-bit slots would accept it.
     h = (1 << (polys.SLOT - 1)) - 1
     a = xn({0: {0: h, 8: -1}, 8: {0: h}, 16: {0: 2}})
     assert a.b == polys.SLOT
-    assert not xp_binom_root(a, 0)
     assert xp_binom_div(a, 0) is None
-    assert not xp_binom_root(as_dict_rows(a), 0)
+    assert xp_binom_div(as_dict_rows(a), 0) is None
 
 
 def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():

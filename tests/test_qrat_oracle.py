@@ -46,8 +46,14 @@ from dynrmat.polys import (
     qrat_const,
     qrat_qpow,
 )
-from dynrmat.ratfunc import RF_ONE, qdiff_qrat, ratfn, rf_const, rf_xpow_units
-from dynrmat.scalar import qfact_factors, qrat_qfact, qrat_qfact_sum, qrat_qnum
+from dynrmat.ratfunc import RF_ONE, ratfn, rf_const, rf_xpow_units
+from dynrmat.scalar import (
+    QDIFF,
+    add_qfact,
+    qfact_factors,
+    qint_monomial,
+    qrat_qfact_sum,
+)
 from dynrmat.suite import default_manifest
 from dynrmat.suite import verify_relation
 
@@ -133,11 +139,19 @@ def _atom_poly(atom):
 
 
 def _atom_qrat(atom):
+    """The atom as the package's prefactor builder makes it."""
     if atom[0] == "int":
-        return qrat_qnum(atom[1])
-    if atom[0] == "fact":
-        return qrat_qfact(atom[1])
-    return qdiff_qrat()
+        halves = {atom[1]: 2}
+    elif atom[0] == "fact":
+        halves = add_qfact({}, atom[1], 2)
+    else:
+        halves = {QDIFF: 2}
+    return qint_monomial(1, 0, halves).terms[()].num[0]
+
+
+def _qfact_qrat(n):
+    """[n]! multiplied out, as a QRat."""
+    return qrat(_atom_poly(("fact", n)))
 
 
 _EXTRA = {"q2+2": {8: 1, 0: 2}, "q+1": {4: 1, 0: 1}}
@@ -450,7 +464,7 @@ def test_factor_rejects_other_denominators(den):
 def test_qfact_factors_expand_to_the_q_factorial():
     for n in range(0, 9):
         s, fac = qfact_factors(n)
-        want = qrat_qfact(n).num
+        want = _qfact_qrat(n).num
         assert poly_shift(CYCLOTOMICS.times(QP_ONE, fac), s) == want
 
 
@@ -469,9 +483,9 @@ def test_qfact_sum_matches_term_by_term_arithmetic():
         for c, s, ns, ds in terms:
             t = qrat_const(c) * qrat_qpow(s)
             for n in ns:
-                t = t * qrat_qfact(n)
+                t = t * _qfact_qrat(n)
             for a in ds:
-                t = t / qrat_qfact(a)
+                t = t / _qfact_qrat(a)
             want = want + t
         assert qrat_qfact_sum(terms) == want
 

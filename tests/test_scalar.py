@@ -24,10 +24,16 @@ from dynrmat import (
     xpow,
 )
 from dynrmat.coeffs import make_coeff, root8_pow
-from dynrmat.lattice import LatticeError
+from dynrmat.lattice import DENOM, LatticeError, from_units
 from dynrmat.polys import QP_ONE, QRAT_ONE, qp_gcd, qrat
 from dynrmat.ratfunc import ratfn
-from dynrmat.scalar import QDIFF, add_qfact, qint_monomial, sc_from_rf
+from dynrmat.scalar import (
+    QDIFF,
+    add_qfact,
+    add_xbracket,
+    qint_monomial,
+    sc_from_rf,
+)
 
 
 # ----------------------------------------------------------- q machinery ---
@@ -105,12 +111,26 @@ def test_distinct_radicals_do_not_merge():
 # ------------------------------------------------------ prefactor builder ---
 
 
-def _prefactor_by_division(k, units, halves, qfacts):
-    """z8**k q**(units/4) prod [n]**(m/2) prod [n]!**(w/2), built from the
-    radical builders with * and / alone."""
-    out = phase(F(k, 4)) * qpow(F(units, 4))
-    factors = [(sqrt_qdiff() if n == QDIFF else sqrt_qint(n), m)
-               for n, m in halves.items()]
+def _same(a, b):
+    """a and b are equal, term by term in value and in hash."""
+    assert a == b
+    assert ({k: hash(rf) for k, rf in a.terms.items()}
+            == {k: hash(rf) for k, rf in b.terms.items()})
+
+
+def _root(key):
+    if key == QDIFF:
+        return sqrt_qdiff()
+    if type(key) is tuple:
+        return sqrt_xbracket(from_units(key[1]))
+    return sqrt_qint(key)
+
+
+def _prefactor_by_division(k, units, halves, qfacts, x_units=0):
+    """z8**k q**(units/4) x**(x_units/4) prod f**(m/2) prod [n]!**(w/2),
+    built from the radical builders with * and / alone."""
+    out = phase(F(k, 4)) * qpow(F(units, 4)) * xpow(F(x_units, 4))
+    factors = [(_root(key), m) for key, m in halves.items()]
     factors += [(sqrt_qfact(n), w) for n, w in qfacts]
     for root, m in factors:
         for _ in range(abs(m)):
@@ -129,22 +149,149 @@ def test_prefactor_builder_matches_division():
         st.dictionaries(st.integers(1, 12), exps, max_size=4),
         st.one_of(st.none(), exps),
         st.lists(st.tuples(st.integers(0, 12), exps), max_size=2),
+        st.dictionaries(st.integers(-12, 12), exps, max_size=3),
         st.integers(0, 7),
         st.integers(-24, 24),
+        st.integers(-8, 8),
     )
-    def run(qints, qd, qfacts, k, units):
+    def run(qints, qd, qfacts, brackets, k, units, x_units):
         halves = dict(qints)
         if qd is not None:
             halves[QDIFF] = qd
-        want = _prefactor_by_division(k, units, halves, qfacts)
+        for c, m in brackets.items():
+            add_xbracket(halves, c, m)
+        want = _prefactor_by_division(k, units, halves, qfacts, x_units)
         for n, w in qfacts:
             add_qfact(halves, n, w)
-        got = qint_monomial(root8_pow(k), units, halves)
-        assert got == want
+        got = qint_monomial(root8_pow(k), units, halves, x_units)
+        _same(got, want)
         (rf,) = got.terms.values()
-        assert all(m > 0 for m in rf.num[0].fac.values())
+        assert all(m > 0 for qr in rf.num.values() if qr.fac
+                   for m in qr.fac.values())
 
     run()
+
+
+def test_bracket_builder_matches_powers_of_the_root():
+    # c on the quarter lattice in [-3, 3], every power m/2 for |m| <= 4:
+    # negative powers of the root go through Scalar.inv
+    for c_units in range(-3 * DENOM, 3 * DENOM + 1):
+        root = sqrt_xbracket(from_units(c_units))
+        for m in range(-4, 5):
+            _same(qint_monomial(1, 0, add_xbracket({}, c_units, m)), root ** m)
+    assert qint_monomial(1, 0, add_xbracket({}, 3, 2)) == xbracket(F(3, 4))
+
+
+def _xqc(c):
+    return xpow(1) * qpow(c) - xpow(-1) * qpow(-c)
+
+
+def test_twist_prefactors_match_division():
+    from dynrmat import twist
+
+    def rd(i, wa, wb):
+        return (qdiff() ** i) / qfact(i) * qpow(
+            F(wa * wb, 2) + F(i * (wa - wb), 2) - F(i * (i + 1), 2))
+
+    def f(k, wa, wb, nus, sign):
+        out = sc_coeff(sign) * (qdiff() ** k) / qfact(k)
+        out = out * xpow(k) * qpow(F(k * (wa + wb), 2))
+        for nu in nus:
+            out = out / _xqc(nu + wb)
+        return out
+
+    def m_coeff(n, m):
+        out = sc_coeff((-1) ** m) * xpow(m)
+        out = out * qpow(F(n * (n - 1), 2) + m * (n - m))
+        out = out / (qfact(n) * qfact(m))
+        for nu in range(1, n + 1):
+            out = out / _xqc(nu)
+        return out
+
+    for k in range(5):
+        for wa in range(-4, 5):
+            for wb in range(-4, 5):
+                _same(twist._pref_rd(k, wa, wb), rd(k, wa, wb))
+                _same(twist._pref_f(k, wa, wb),
+                      f(k, wa, wb, range(k, 2 * k), (-1) ** k))
+                _same(twist._pref_f_inv(k, wa, wb),
+                      f(k, wa, wb, range(1, k + 1), 1))
+        for m in range(5):
+            _same(twist._m_coeff(k, m), m_coeff(k, m))
+
+
+def test_lame_prefactors_match_division():
+    from dynrmat import lame
+
+    def two_brackets(a, b):
+        return _xqc(a) * _xqc(b)
+
+    for j in (0, F(1, 2), 1, F(3, 2), 2, 3):
+        for shift in (0, 1, F(-1, 2), -2):
+            den = two_brackets(0, -1)
+            _same(lame.c_function(j, shift),
+                  (two_brackets(j, -j - 1) / den).shift_x(shift))
+            _same(lame.d_function(j, shift),
+                  (two_brackets(-j, -j - 1) / den).shift_x(shift))
+            _same(lame._brackets(shift, (0, -2)),
+                  (qdiff() / (xpow(1) - xpow(-1))).shift_x(shift))
+    for j in range(4):
+        for k in (-2, 0, 3):
+            for n, got in enumerate(lame.wavefunction_terms(j, k)):
+                num = den = SC_ONE
+                for r in range(1, n + 1):
+                    num = num * _xqc(r - j - 1)
+                    den = den * _xqc(r)
+                wave = qpow(k * (2 * n - j)) * xpow(k) - qpow(-k * (2 * n - j)) * xpow(-k)
+                binom = qfact(j) / (qfact(n) * qfact(j - n))
+                _same(got, phase(n) * binom * num / den * wave)
+
+
+def test_symbol_prefactors_match_division():
+    from dynrmat import symbols
+    from dynrmat.symbols import ContinuedExpr
+
+    def over_x_poles(n):
+        den = SC_ONE
+        for r in range(1, n + 1):
+            den = den * (SC_ONE - xpow(2) * qpow(2 * r))
+        return SC_ONE / den
+
+    def monomial(ce):
+        # the part of a ContinuedExpr that is no continued factorial
+        rest = ContinuedExpr(facts={c: -f for c, f in ce.facts.items()})
+        return (ce * rest).reduce()
+
+    for J in range(5):
+        for S in range(-J, J + 1, 2):
+            halves = add_qfact(add_qfact({}, (J + S) // 2, 1), (J - S) // 2, 1)
+            for M in range(-J, J + 1, 2):
+                h = add_qfact(add_qfact(dict(halves), (J + M) // 2, 1),
+                              (J - M) // 2, 1)
+                pre = qint_monomial(root8_pow(2 * (2 * J + S + M)),
+                                    S * (S - M), h) * xpow(F(S - M, 2))
+                want = pre * symbols._limit_sum(J, S, M) * over_x_poles(
+                    (J + S) // 2)
+                _same(symbols.m_element(F(J, 2), F(S, 2), F(M, 2)), want)
+            for u in (-1, 0, 2):
+                h = dict(halves)
+                h[QDIFF] = J
+                facts = {}
+                symbols._cont_triangle((0, J), (1, u), (1, u + S), h, facts,
+                                       sign=-1)
+                scal = qint_monomial(root8_pow(2 * J + 3 * S - 2 * (J - S)),
+                                     J * S, h) * xpow(F(J, 2))
+                scal = (scal * over_x_poles((J + S) // 2)).shift_x(u)
+                got = symbols._norm_psi(J, S, u)
+                assert got.facts == facts
+                _same(monomial(got), scal / sqrt_xbracket(u + S))
+    # the continued dimension roots of six_j_u
+    cont = symbols.cont_spin
+    args = (F(1, 2), cont(0), cont(F(1, 2)), F(1, 2), cont(0), cont(F(-1, 2)))
+    want = (phase(1) * sqrt_xbracket(1) * sqrt_xbracket(-1)
+            * symbols.six_j_cont(*args))
+    assert want
+    _same(symbols.six_j_u(*args), want)
 
 
 def test_prefactor_builder_edges():

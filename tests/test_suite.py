@@ -100,6 +100,25 @@ def test_whole_manifest_never_reaches_a_generic_gcd(monkeypatch):
     assert [r for r in reports if not r.ok] == []
 
 
+def test_whole_manifest_never_inverts_a_multi_row_numerator(monkeypatch):
+    # every product of known factors is built by scalar.qint_monomial, so
+    # no check of the manifest inverts a numerator of more than one power
+    # of x, which would go through the nested form
+    from dynrmat.ratfunc import RationalFunction
+
+    inverse = RationalFunction.inverse
+
+    def refuse(self):
+        if self.n is None or len(self.n.rows) > 1:
+            raise AssertionError("multi-row inverse")
+        return inverse(self)
+
+    monkeypatch.setattr(RationalFunction, "inverse", refuse)
+    reports = run_suite(default_manifest())
+    assert len(reports) == 67
+    assert [r for r in reports if not r.ok] == []
+
+
 def test_parallel_runner_preserves_manifest_order():
     manifest = default_manifest()[:8]
     seq = run_suite(manifest, jobs=1)
