@@ -13,7 +13,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .lame import classical_limit_table, hamiltonian, lax_matrix, wavefunction
+from .lame import (
+    classical_limit_table,
+    classical_limit_verdict,
+    hamiltonian,
+    lax_matrix,
+    wavefunction,
+)
 from .report import run_comparisons
 from .serialize import dumps_canonical, latex, plain_text, to_payload
 from .suite import RELATIONS, run_suite, verify_relation
@@ -294,12 +300,12 @@ def _cmd_lame(parser, args):
                         "  eps=%-8g value=%.12g abs_err=%.3e"
                         % (eps, val, abs(val - target))
                     )
-                rel = abs(extrap - target) / max(1.0, abs(target))
+                rel, passed = classical_limit_verdict(extrap, target, order)
                 lines.append(
                     "  extrapolated=%.12g rel_err=%.3e order=%.3f"
                     % (extrap, rel, order)
                 )
-                ok = ok and rel < 1e-4 and 1.8 <= order <= 2.2
+                ok = ok and passed
         lines.append("classical limit: %s" % ("PASS" if ok else "FAIL"))
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if ok else 1

@@ -13,6 +13,7 @@ division.
 from fractions import Fraction
 
 from .lattice import to_units
+from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -44,6 +45,7 @@ __all__ = [
     "rll_sides",
     "classical_limit_check",
     "classical_limit_table",
+    "classical_limit_verdict",
     "verify_classical_limit",
     "LAME_RELATIONS",
 ]
@@ -82,15 +84,7 @@ class QDiffOperator:
         return self.data == other.data
 
     def __add__(self, other):
-        out = dict(self.data)
-        for s, a in other.data.items():
-            got = out.get(s)
-            tot = a if got is None else got + a
-            if tot:
-                out[s] = tot
-            elif s in out:
-                del out[s]
-        return QDiffOperator(out)
+        return QDiffOperator(poly_add(self.data, other.data))
 
     def __sub__(self, other):
         return self + (-other)
@@ -102,14 +96,7 @@ class QDiffOperator:
         out = {}
         for s, a in self.data.items():
             for t, b in other.data.items():
-                term = a * b.shift_x(s)
-                key = s + t
-                got = out.get(key)
-                tot = term if got is None else got + term
-                if tot:
-                    out[key] = tot
-                elif key in out:
-                    del out[key]
+                add_into(out, s + t, a * b.shift_x(s))
         return QDiffOperator(out)
 
     def scale(self, c):
@@ -250,15 +237,7 @@ class QDOMatrix:
         return self.space.dims == other.space.dims and self.data == other.data
 
     def __add__(self, other):
-        out = dict(self.data)
-        for rc, op in other.data.items():
-            got = out.get(rc)
-            tot = op if got is None else got + op
-            if tot:
-                out[rc] = tot
-            elif rc in out:
-                del out[rc]
-        return QDOMatrix(self.space, out)
+        return QDOMatrix(self.space, poly_add(self.data, other.data))
 
     def __sub__(self, other):
         return self + other.scale(-SC_ONE)
@@ -279,13 +258,7 @@ class QDOMatrix:
             acc = {}
             for k, op1 in row:
                 for c, op2 in right_rows.get(k, ()):
-                    term = op1 @ op2
-                    got = acc.get(c)
-                    tot = term if got is None else got + term
-                    if tot:
-                        acc[c] = tot
-                    elif c in acc:
-                        del acc[c]
+                    add_into(acc, c, op1 @ op2)
             for c, op in acc.items():
                 out[(r, c)] = op
         return QDOMatrix(self.space, out)
@@ -365,14 +338,8 @@ def transfer_operator(j):
     for (r, c), op in lax.data.items():
         ra, ri = big.multi(r)
         ca, ci = big.multi(c)
-        if ra != ca:
-            continue
-        got = data.get((ri, ci))
-        tot = op if got is None else got + op
-        if tot:
-            data[(ri, ci)] = tot
-        elif (ri, ci) in data:
-            del data[(ri, ci)]
+        if ra == ca:
+            add_into(data, (ri, ci), op)
     return QDOMatrix(small, data)
 
 
@@ -571,16 +538,31 @@ def classical_limit_check(j, k, z):
     return extrap, target, order
 
 
-def verify_classical_limit(j, ks=(2, 3), zs=(0.5, 1.0), tol=1e-4,
-                           order_window=(1.8, 2.2)):
+_TOL, _ORDER_WINDOW = 1e-4, (1.8, 2.2)  # the default pass rule
+
+
+def classical_limit_verdict(extrap, target, order, tol=_TOL,
+                            order_window=_ORDER_WINDOW):
+    """(relative error, whether the point passes) for one sampled (k, z):
+    it passes when the extrapolated value is within tol of the continuum
+    value, relative to max(1, |target|), and the observed order lies in
+    order_window."""
+    rel = abs(extrap - target) / max(1.0, abs(target))
+    return rel, rel <= tol and order_window[0] <= order <= order_window[1]
+
+
+def verify_classical_limit(j, ks=(2, 3), zs=(0.5, 1.0), tol=_TOL,
+                           order_window=_ORDER_WINDOW):
     """Pass when every sampled (k, z) extrapolates to the continuum value
-    at second order.  The check is numeric whatever mode is asked for."""
+    at second order (classical_limit_verdict).  The check is numeric
+    whatever mode is asked for."""
     failing = None
     for k in ks:
         for z in zs:
             extrap, target, order = classical_limit_check(j, k, z)
-            rel = abs(extrap - target) / max(1.0, abs(target))
-            if rel > tol or not (order_window[0] <= order <= order_window[1]):
+            rel, ok = classical_limit_verdict(extrap, target, order, tol,
+                                              order_window)
+            if not ok:
                 failing = {
                     "check": "k=%d z=%s" % (k, z),
                     "extrapolated": repr(extrap),

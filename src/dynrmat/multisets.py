@@ -6,7 +6,9 @@ cyclotomic polynomials in q**2 for a QRat (polys.py), binomials x**2 - q**m
 for a RationalFunction (ratfunc.py).  The product of two denominators is the
 sum of their multisets, their lcm the maximum and their gcd the minimum.  A
 multiset is never mutated once built: the helpers below return new ones, or
-an argument unchanged.
+an argument unchanged.  over_lcm and cancel_across are the sum and the
+product rule of factored fractions, for every level and both multisets of
+a RationalFunction.
 """
 
 NO_FACTORS = {}
@@ -63,6 +65,38 @@ def minus(a, removed):
         else:
             out[f] -= m
     return out
+
+
+def over_lcm(na, fa, nb, fb, times):
+    """(na', nb', tied, lcm) with na/fa + nb/fb = (na' + nb') / lcm, for
+    numerators na, nb over the multisets fa, fb: each numerator times the
+    factors of the lcm it lacks, times(n, fac) being n times the factors of
+    `fac`.  Only the factors `tied` can cancel from na' + nb' (see tied)."""
+    if fa == fb:
+        return na, nb, fa, fa
+    g = common(fa, fb)
+    return (times(na, minus(fb, g)), times(nb, minus(fa, g)), tied(fa, fb),
+            lcm(fa, fb))
+
+
+def cancel_across(na, fa, nb, fb, cancel):
+    """(na', fa', nb', fb') with (na/fa) * (nb/fb) = (na' nb') / (fa' fb'):
+    each numerator cancelled only by the other's factors, cancel(n, fac)
+    being (n / g, g) for the largest product g of factors of `fac` that
+    divides n; None if cancel declines (returns None)."""
+    if fb:
+        got = cancel(na, fb)
+        if got is None:
+            return None
+        na, removed = got
+        fb = minus(fb, removed)
+    if fa:
+        got = cancel(nb, fa)
+        if got is None:
+            return None
+        nb, removed = got
+        fa = minus(fa, removed)
+    return na, fa, nb, fb
 
 
 def key(a):

@@ -23,6 +23,21 @@ level, a fraction of nested XPolys (dicts v-exponent -> QRat), which holds
 the x-level values the flat form cannot and runs its generic path.
 Fractions of different levels do not mix.
 
+Three rules of the arithmetic are written once, for every level:
+- the sparse sum that never stores a zero: add_into, and poly_add and
+  poly_mul (the product of both Laurent levels) on top of it.  The sparse
+  dicts of every level sum through them, from QPoly terms and packed XNum
+  rows to Scalar terms and operator entries; only the dict rows of an
+  XNum, whose entries are QPolys, sum by poly_add row by row.
+- dividing the cyclotomic factors Phi_d out of rows: _divide_out, given the
+  division of one row.  The QRat _cancel is its one-row dense case,
+  xp_qcancel its dense and _qcancel_packed its packed case, and cyclotomic
+  and _factor divide through it too; _may_split says where a factor may
+  split over the coefficients.
+- the factored sum and product: multisets.over_lcm and
+  multisets.cancel_across.  CanonicalFraction uses them for its factors,
+  and RationalFunction (ratfunc.py) for both Dq and Dx.
+
 Canonical form of a fraction: numerator and denominator coprime (monic gcd
 on the unit-stripped parts), denominator with minimum exponent
 zero and leading coefficient one.  Structural equality is then value
@@ -95,22 +110,32 @@ QP_ONE = {0: 1}
 # ---------------------------------------------------- Laurent polynomials ----
 
 
+def add_into(out, key, value):
+    """Add value into the sparse dict `out` at `key`, in place: a zero value
+    is never stored, and a key whose sum is zero is deleted, so `out` never
+    holds a zero."""
+    s = out.get(key)
+    if s is None:
+        if value:
+            out[key] = value
+    else:
+        s = s + value
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
 def poly_add(a, b):
+    """The termwise sum of two sparse dicts, neither storing a zero; one of
+    them is returned as it is when the other is empty."""
     if not a:
         return b
     if not b:
         return a
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+        add_into(out, e, c)
     return out
 
 
@@ -136,6 +161,24 @@ def poly_strip(a):
     if s:
         return {e - s: c for e, c in a.items()}, s
     return a, 0
+
+
+def poly_mul(a, b, scale):
+    """The product of two Laurent polynomials of one level, whose product
+    with one coefficient is scale(p, c)."""
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        (e, c), = a.items()
+        return poly_shift(scale(b, c), e)
+    if len(b) == 1:
+        (e, c), = b.items()
+        return poly_shift(scale(a, c), e)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            add_into(out, ea + eb, ca * cb)
+    return out
 
 
 def _long_div(a, b, quo, mul, sub, zero):
@@ -179,29 +222,7 @@ def qp_scale(a, c):
 
 
 def qp_mul(a, b):
-    if not a or not b:
-        return QP_ZERO
-    if len(a) == 1:
-        (e, c), = a.items()
-        return poly_shift(qp_scale(b, c), e)
-    if len(b) == 1:
-        (e, c), = b.items()
-        return poly_shift(qp_scale(a, c), e)
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            t = ca * cb
-            s = out.get(e)
-            if s is None:
-                out[e] = t
-            else:
-                s = s + t
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-    return out
+    return poly_mul(a, b, qp_scale)
 
 
 def qp_divmod(a, b):
@@ -244,23 +265,48 @@ _PHI_U = {}  # d -> Phi_d(u**Q_DEG) as a QPoly
 
 
 def _dense_div(t, phi):
-    """t / Phi_d for a dense polynomial t, or None if Phi_d does not divide
-    t; `phi` is a value of _PHI.  Synthetic division by a monic divisor, so
-    integer coefficients stay integers."""
+    """(t / Phi_d, whether a remainder is left) for a dense polynomial t,
+    like divmod; `phi` is a value of _PHI.  Synthetic division by a monic
+    divisor, so integer coefficients stay integers."""
     c, low = phi
     k = len(c) - 1
     top = len(t) - 1 - k
     if top < 0:
-        return None
+        return None, True
     r = list(t)
     for i in range(top, -1, -1):
         f = r[i + k]
         if f:
             for j, cj in low:
                 r[i + j] -= f * cj
-    if any(r[:k]):
-        return None
-    return r[k:]
+    return r[k:], any(r[:k])
+
+
+def _divide_out(rows, fac, phi_of, div):
+    """(quotients, g): the rows of the dict `rows` divided by the largest
+    product g of factors from the multiset `fac` that divides every row,
+    with g as a multiset.  phi_of(d) is Phi_d in the rows' form, and
+    div(t, phi) is (quotient, remainder) as divmod gives them, the
+    remainder true unless phi divides t."""
+    removed = {}
+    for d, m in fac.items():
+        phi = phi_of(d)
+        k = 0
+        while k < m:
+            quotients = {}
+            for key, t in rows.items():
+                q, r = div(t, phi)
+                if r:
+                    break
+                quotients[key] = q
+            else:
+                rows = quotients
+                k += 1
+                continue
+            break
+        if k:
+            removed[d] = k
+    return rows, removed
 
 
 def cyclotomic(d):
@@ -268,10 +314,10 @@ def cyclotomic(d):
     got = _PHI.get(d)
     if got is None:
         # Q**d - 1 is the product of Phi_e(Q) over the divisors e of d
-        t = [-1] + [0] * (d - 1) + [1]
-        for e in range(1, d):
-            if d % e == 0:
-                t = _dense_div(t, cyclotomic(e))
+        rows, _ = _divide_out({0: [-1] + [0] * (d - 1) + [1]},
+                              {e: 1 for e in range(1, d) if d % e == 0},
+                              cyclotomic, _dense_div)
+        t = rows[0]
         got = _PHI[d] = (t, [(j, c) for j, c in enumerate(t[:-1]) if c])
     return got
 
@@ -348,15 +394,27 @@ def _factor(d0):
     while len(t) > 1:
         if d > limit:
             return None
-        if _totient(d) < len(t):
-            phi = cyclotomic(d)
-            q = _dense_div(t, phi)
-            while q is not None:
-                t = q
-                fac[d] = fac.get(d, 0) + 1
-                q = _dense_div(t, phi)
+        n = _totient(d)
+        if n < len(t):
+            # Phi_d divides t at most deg(t) / deg(Phi_d) times
+            rows, got = _divide_out({0: t}, {d: (len(t) - 1) // n},
+                                    cyclotomic, _dense_div)
+            t = rows[0]
+            fac.update(got)
         d += 1
     return fac
+
+
+def _may_split(fac, coeffs):
+    """Whether some factor Phi_d(Q) of the multiset `fac` may split over the
+    field of the coefficients `coeffs`.
+
+    Phi_d(Q) is irreducible over Q, and over Q(z8) unless 4 divides d
+    (Q(z8) meets the field of the d-th roots of unity in the field of the
+    gcd(d, 8)-th ones).
+    """
+    return (any(d % 4 == 0 for d in fac)
+            and any(type(c) is Cyclo for c in coeffs))
 
 
 def _cancel(t, fac):
@@ -366,34 +424,20 @@ def _cancel(t, fac):
     split over the coefficients of t.
 
     Then the gcd of t with Phi_d(u**Q_DEG) is the gcd of the deflated t with
-    Phi_d(Q), inflated again (module docstring).  Phi_d(Q) is irreducible
-    over Q, and over Q(z8) unless 4 divides d (Q(z8) meets the field of the
-    d-th roots of unity in the field of the gcd(d, 8)-th ones); so where it
-    is irreducible that gcd is Phi_d(u**Q_DEG) or 1, and exact division
-    decides.
+    Phi_d(Q), inflated again (module docstring), and Phi_d(Q) is
+    irreducible over t's coefficients; so that gcd is Phi_d(u**Q_DEG) or 1,
+    and exact division decides.  The one-row case of _divide_out.
     """
     t0, st = poly_strip(t)
     if len(t0) == 1:
         return t, NO_FACTORS
     dense = _q_dense(t0)
-    if dense is None or (any(d % 4 == 0 for d in fac)
-                         and any(type(c) is Cyclo for c in dense)):
+    if dense is None or _may_split(fac, dense):
         return None
-    removed = {}
-    for d, m in fac.items():
-        phi = cyclotomic(d)
-        k = 0
-        while k < m:
-            q = _dense_div(dense, phi)
-            if q is None:
-                break
-            dense = q
-            k += 1
-        if k:
-            removed[d] = k
+    rows, removed = _divide_out({0: dense}, fac, cyclotomic, _dense_div)
     if not removed:
         return t, NO_FACTORS
-    return _q_sparse(dense, st), removed
+    return _q_sparse(rows[0], st), removed
 
 
 # QPolys times cyclotomic factors, and expanded q-denominators
@@ -470,9 +514,6 @@ class CanonicalFraction:
         if not other.num:
             return self
         fa, fb = self.fac, other.fac
-        if fa == NO_FACTORS == fb:
-            t = poly_add(self.num, other.num)
-            return type(self)(t, NO_FACTORS) if t else self.ZERO
         if fa is not None and fb is not None:
             got = self._add_factored(self.num, fa, other.num, fb)
             if got is not None:
@@ -494,8 +535,6 @@ class CanonicalFraction:
         if other is self.ONE:
             return self
         fa, fb = self.fac, other.fac
-        if fa == NO_FACTORS == fb:
-            return type(self)(self._mul(self.num, other.num), NO_FACTORS)
         if fa is not None and fb is not None:
             got = self._mul_factored(self.num, fa, other.num, fb)
             if got is not None:
@@ -522,22 +561,12 @@ class CanonicalFraction:
     # ---------------------------------------------------- factored path
 
     def _add_factored(self, na, fa, nb, fb):
-        """na/fa + nb/fb, or None if _cancel declines the sum.  Only factors
-        of equal multiplicity in fa and fb can cancel from it."""
-        if fa == fb:
-            t = poly_add(na, nb)
-            if not t:
-                return self.ZERO
-            tied = lcm = fa
-        else:
-            common = multisets.common(fa, fb)
-            times = self._alphabet.times
-            t = poly_add(times(na, multisets.minus(fb, common)),
-                         times(nb, multisets.minus(fa, common)))
-            if not t:
-                return self.ZERO
-            tied = multisets.tied(fa, fb)
-            lcm = multisets.lcm(fa, fb)
+        """na/fa + nb/fb, or None if _cancel declines the sum."""
+        na, nb, tied, lcm = multisets.over_lcm(na, fa, nb, fb,
+                                               self._alphabet.times)
+        t = poly_add(na, nb)
+        if not t:
+            return self.ZERO
         if not tied:
             return type(self)(t, lcm)
         got = self._cancel(t, tied)
@@ -547,20 +576,11 @@ class CanonicalFraction:
         return type(self)(t, multisets.minus(lcm, removed))
 
     def _mul_factored(self, na, fa, nb, fb):
-        """(na/fa) * (nb/fb), or None if _cancel declines a numerator.  Each
-        numerator can only cancel the other's factors."""
-        if fb:
-            got = self._cancel(na, fb)
-            if got is None:
-                return None
-            na, removed = got
-            fb = multisets.minus(fb, removed)
-        if fa:
-            got = self._cancel(nb, fa)
-            if got is None:
-                return None
-            nb, removed = got
-            fa = multisets.minus(fa, removed)
+        """(na/fa) * (nb/fb), or None if _cancel declines a numerator."""
+        got = multisets.cancel_across(na, fa, nb, fb, self._cancel)
+        if got is None:
+            return None
+        na, fa, nb, fb = got
         return type(self)(self._mul(na, nb), multisets.total(fa, fb))
 
     @classmethod
@@ -736,29 +756,7 @@ def xq_scale(a, qr):
 
 
 def xq_mul(a, b):
-    if not a or not b:
-        return XP_ZERO
-    if len(a) == 1:
-        (k, c), = a.items()
-        return poly_shift(xq_scale(b, c), k)
-    if len(b) == 1:
-        (k, c), = b.items()
-        return poly_shift(xq_scale(a, c), k)
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            t = ca * cb
-            s = out.get(k)
-            if s is None:
-                out[k] = t
-            else:
-                s = s + t
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+    return poly_mul(a, b, xq_scale)
 
 
 def xp_divmod(a, b):
@@ -1266,18 +1264,7 @@ def xp_add(a, b):
             sh = -d // s * w
             rb = {k: n << sh for k, n in rb.items()}
         o = a.o
-    out = dict(ra)
-    for k, n in rb.items():
-        t = out.get(k)
-        if t is None:
-            out[k] = n
-        else:
-            t += n
-            if t:
-                out[k] = t
-            else:
-                del out[k]
-    return _packed(out, o, s, w, bound)
+    return _packed(poly_add(ra, rb), o, s, w, bound)
 
 
 def xp_neg(a):
@@ -1343,14 +1330,9 @@ def xp_binom_mul(a, e):
     if not a.rows:
         return a
     if not a.b:
-        out = {k + Y_DEG: row for k, row in a.rows.items()}
-        for k, row in a.rows.items():
-            t = poly_sub(out.get(k, QP_ZERO), poly_shift(row, e))
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-        return xp_from_terms(out)
+        return _dict_add({k + Y_DEG: row for k, row in a.rows.items()},
+                         {k: poly_neg(poly_shift(row, e))
+                          for k, row in a.rows.items()})
     if e % a.s or a.bound >> (a.b - 2):
         a = _binom_ready(a, e, 2)
     sh = abs(e) // a.s * a.b
@@ -1360,15 +1342,7 @@ def xp_binom_mul(a, e):
         up, down, o = {k: n << sh for k, n in a.rows.items()}, a.rows, a.o + e
     out = {k + Y_DEG: n for k, n in up.items()}
     for k, n in down.items():
-        t = out.get(k)
-        if t is None:
-            out[k] = -n
-        else:
-            t -= n
-            if t:
-                out[k] = t
-            else:
-                del out[k]
+        add_into(out, k, -n)
     return _packed(out, o, a.s, a.b, 2 * a.bound)
 
 
@@ -1431,16 +1405,11 @@ def xp_qsafe(a, fac):
     factor may split over a's coefficients."""
     if a.b:
         return a.s == Q_DEG
-    e0 = None
-    cyclo = False
-    for row in a.rows.values():
-        for e, c in row.items():
-            if e0 is None:
-                e0 = e
-            elif (e - e0) % Q_DEG:
-                return False
-            cyclo = cyclo or type(c) is Cyclo
-    return not (cyclo and any(d % 4 == 0 for d in fac))
+    exps = [e for row in a.rows.values() for e in row]
+    if any((e - exps[0]) % Q_DEG for e in exps):
+        return False
+    return not _may_split(fac, (c for row in a.rows.values()
+                                for c in row.values()))
 
 
 _QTIMES = {}  # multiset key -> the XNum of the product of its factors
@@ -1469,39 +1438,26 @@ def xp_qcancel(a, fac):
     for k, row in xp_terms(a).items():
         t0, shifts[k] = poly_strip(row)
         dense[k] = _q_dense(t0)
-    dense, removed = _divide_out(dense, fac)
+    dense, removed = _divide_out(dense, fac, cyclotomic, _dense_div)
     if not removed:
         return a, NO_FACTORS
     return xp_from_terms({k: _q_sparse(t, shifts[k])
                           for k, t in dense.items()}), removed
 
 
-def _divide_out(rows, fac):
-    """(quotients, g): the dense rows of the dict `rows` divided by the
-    largest product g of factors from the multiset `fac` that divides every
-    row, with g as a multiset."""
-    removed = {}
-    for d, m in fac.items():
-        phi = cyclotomic(d)
-        k = 0
-        while k < m:
-            quotients = {}
-            for key, t in rows.items():
-                q = _dense_div(t, phi)
-                if q is None:
-                    break
-                quotients[key] = q
-            else:
-                rows = quotients
-                k += 1
-                continue
-            break
-        if k:
-            removed[d] = k
-    return rows, removed
+class _PackedPhis(dict):
+    """d -> Phi_d(2**b) at one slot width b, made on first use."""
+
+    def __init__(self, b):
+        super().__init__()
+        self.b = b
+
+    def __missing__(self, d):
+        got = self[d] = _pack(cyclotomic(d)[0], self.b)
+        return got
 
 
-_PHI_PACKED = {}  # (d, b) -> Phi_d(2**b)
+_PHI_PACKED = {}  # slot width b -> its _PackedPhis
 
 
 def _qcancel_packed(a, fac):
@@ -1516,27 +1472,10 @@ def _qcancel_packed(a, fac):
     P = Q' g: every division was exact, and q is the packed quotient.
     """
     b = a.b
-    rows = a.rows
-    removed = {}
-    for d, m in fac.items():
-        phi = _PHI_PACKED.get((d, b))
-        if phi is None:
-            phi = _PHI_PACKED[(d, b)] = _pack(cyclotomic(d)[0], b)
-        k = 0
-        while k < m:
-            quotients = {}
-            for key, n in rows.items():
-                q, r = divmod(n, phi)
-                if r:
-                    break
-                quotients[key] = q
-            else:
-                rows = quotients
-                k += 1
-                continue
-            break
-        if k:
-            removed[d] = k
+    phis = _PHI_PACKED.get(b)
+    if phis is None:
+        phis = _PHI_PACKED[b] = _PackedPhis(b)
+    rows, removed = _divide_out(a.rows, fac, phis.__getitem__, divmod)
     if not removed:
         return a, NO_FACTORS
     norm = 1

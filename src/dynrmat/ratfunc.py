@@ -35,7 +35,7 @@ Arithmetic on the flat form:
   binomials, and the product the factors of the two Dq.
 - A sum multiplies each numerator by the factors the other has and it does
   not, adds, and cancels only the factors of equal multiplicity on both
-  sides (multisets.tied).  A factor that only one side has cannot cancel
+  sides (multisets.over_lcm).  A factor that only one side has cannot cancel
   from any row of the sum, not even in part: each row is congruent mod
   that factor to a row coprime to it.
 - A binomial cancels from a numerator that is a polynomial in y after
@@ -72,6 +72,7 @@ from .polys import (
     Y_DEG,
     CanonicalFraction,
     QRat,
+    add_into,
     poly_shift,
     poly_strip,
     qrat_const,
@@ -128,11 +129,7 @@ def _xq_binom_mul(a, e):
     """A nested XPoly a times y - u**e."""
     out = {k + Y_DEG: c for k, c in a.items()}
     for k, c in a.items():
-        t = (out.get(k, QRAT_ZERO)) - qrat_monomial_mul(c, e)
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
+        add_into(out, k, -qrat_monomial_mul(c, e))
     return out
 
 
@@ -427,27 +424,15 @@ class RationalFunction:
     def _add_factored(self, other):
         """self + other on the flat form, or None if a tied binomial would
         have to cancel from a sum that is no polynomial in y."""
-        na, fa, qa = self.n, self.fac, self.dq
-        nb, fb, qb = other.n, other.fac, other.dq
-        if qa == qb:
-            qtied = dq = shared = qa
-        else:
-            common = shared = multisets.common(qa, qb)
-            na = xp_qtimes(na, multisets.minus(qb, common))
-            nb = xp_qtimes(nb, multisets.minus(qa, common))
-            qtied = multisets.tied(qa, qb)
-            dq = multisets.lcm(qa, qb)
-        if fa == fb:
-            tied = fac = fa
-        else:
-            common = multisets.common(fa, fb)
-            na = _xtimes(na, multisets.minus(fb, common))
-            nb = _xtimes(nb, multisets.minus(fa, common))
-            tied = multisets.tied(fa, fb)
-            fac = multisets.lcm(fa, fb)
+        qa, qb = self.dq, other.dq
+        na, nb, qtied, dq = multisets.over_lcm(self.n, qa, other.n, qb,
+                                               xp_qtimes)
+        na, nb, tied, fac = multisets.over_lcm(na, self.fac, nb, other.fac,
+                                               _xtimes)
         t = xp_add(na, nb)
         if not t:
             return RF_ZERO
+        shared = qa if qa == qb else multisets.common(qa, qb)
         if tied:
             got = _cancel(t, tied)
             if got is None:
@@ -461,32 +446,19 @@ class RationalFunction:
     def _mul_factored(self, other):
         """self * other on the flat form, or None if a binomial would have
         to cancel from a numerator that is no polynomial in y."""
-        na, fa = self.n, self.fac
-        nb, fb = other.n, other.fac
-        if fb:
-            got = _cancel(na, fb)
-            if got is None:
-                return None
-            na, removed = got
-            fb = multisets.minus(fb, removed)
-        if fa:
-            got = _cancel(nb, fa)
-            if got is None:
-                return None
-            nb, removed = got
-            fa = multisets.minus(fa, removed)
+        got = multisets.cancel_across(self.n, self.fac, other.n, other.fac,
+                                      _cancel)
+        if got is None:
+            return None
+        na, fa, nb, fb = got
         fac = multisets.total(fa, fb)
         qa, qb = self.dq, other.dq
         if qa or qb:
             dq = multisets.total(qa, qb)
             if not (xp_qsafe(na, dq) and xp_qsafe(nb, dq)):
                 return _requalify(xp_mul(na, nb), dq, fac)
-            if qb:
-                na, removed = xp_qcancel(na, qb)
-                qb = multisets.minus(qb, removed)
-            if qa:
-                nb, removed = xp_qcancel(nb, qa)
-                qa = multisets.minus(qa, removed)
+            na, qa, nb, qb = multisets.cancel_across(na, qa, nb, qb,
+                                                     xp_qcancel)
         return RationalFunction(xp_mul(na, nb), multisets.total(qa, qb), fac)
 
     def scale_q(self, qr):

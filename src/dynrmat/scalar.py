@@ -33,6 +33,7 @@ from .polys import (
     QP_ONE,
     QP_ZERO,
     XP_ONE,
+    add_into,
     poly_add,
     poly_shift,
     qp_scale,
@@ -155,22 +156,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for a, rf in other.terms.items():
-            s = out.get(a)
-            if s is None:
-                out[a] = rf
-            else:
-                s = s + rf
-                if s:
-                    out[a] = s
-                else:
-                    del out[a]
-        return Scalar(out)
+        return Scalar(poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -195,16 +181,7 @@ class Scalar:
         out = {}
         for a1, r1 in self.terms.items():
             for a2, r2 in other.terms.items():
-                atoms, rf = _term_mul(a1, r1, a2, r2)
-                s = out.get(atoms)
-                if s is None:
-                    out[atoms] = rf
-                else:
-                    s = s + rf
-                    if s:
-                        out[atoms] = s
-                    else:
-                        del out[atoms]
+                add_into(out, *_term_mul(a1, r1, a2, r2))
         return Scalar(out)
 
     __rmul__ = __mul__

@@ -25,6 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .lattice import to_units
+from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -179,18 +180,7 @@ class GradedOperator:
             return NotImplemented
         if self.space != other.space:
             raise ValueError("operator spaces differ")
-        out = dict(self.data)
-        for k, s in other.data.items():
-            t = out.get(k)
-            if t is None:
-                out[k] = s
-            else:
-                t = t + s
-                if t:
-                    out[k] = t
-                else:
-                    del out[k]
-        return GradedOperator(self.space, out)
+        return GradedOperator(self.space, poly_add(self.data, other.data))
 
     def __sub__(self, other):
         if not isinstance(other, GradedOperator):
@@ -211,18 +201,7 @@ class GradedOperator:
             if not cols:
                 continue
             for c, sb in cols:
-                key = (r, c)
-                p = sa * sb
-                t = out.get(key)
-                if t is None:
-                    if p:
-                        out[key] = p
-                else:
-                    t = t + p
-                    if t:
-                        out[key] = t
-                    else:
-                        del out[key]
+                add_into(out, (r, c), sa * sb)
         return GradedOperator(self.space, out)
 
     def __mul__(self, factor):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .coeffs import root8_pow
 from .lattice import DENOM
+from .polys import add_into
 from .scalar import (
     QDIFF,
     SC_ONE,
@@ -209,20 +210,11 @@ def _pos(p):
     return (0, _twice(p))
 
 
-def _add(d, key, m):
-    """Add m to d[key], dropping the key where it reaches zero."""
-    got = d.get(key, 0) + m
-    if got:
-        d[key] = got
-    else:
-        d.pop(key, None)
-
-
 def _merged(a, b, sign):
     """The multiset a + sign * b."""
     out = dict(a)
     for key, m in b.items():
-        _add(out, key, sign * m)
+        add_into(out, key, sign * m)
     return out
 
 
@@ -326,7 +318,7 @@ def _cont_triangle(pa, pb, pc, halves, facts, sign=1):
         elif w == 2:
             if n % 2:
                 raise ValueError("continued factorial offset must be an integer")
-            _add(facts, n // 2, e)
+            add_into(facts, n // 2, e)
         else:
             raise ValueError("triad with a single continued entry")
 
@@ -381,13 +373,13 @@ def _six_j_cont(pos):
         for n in args:
             add_qfact(h, n, -2)
         f = dict(facts)
-        _add(f, y + 1, 2)
+        add_into(f, y + 1, 2)
         for w, c in tri_sums:
             if w != 2:
-                _add(f, y - c, -2)
+                add_into(f, y - c, -2)
         for w, c in box_sums:
             if w != 2:
-                _add(f, c - y, -2)
+                add_into(f, c - y, -2)
         term = ContinuedExpr(facts=f, mono=(K_PHASE + 4 * y, 0, 0), halves=h)
         total = total + term.reduce()
     return total
@@ -465,9 +457,14 @@ def m_element(j, sigma, m):
 
 def norm_xi(m):
     """Field normalisation on the vertex side."""
+    return _norm_xi(m).reduce()
+
+
+def _norm_xi(m):
+    """norm_xi as a ContinuedExpr monomial."""
     M = _twice(m)
     # (-1)**(-m/2) q**(m/2)
-    return qint_monomial(root8_pow(-M), M, {})
+    return ContinuedExpr(mono=(-M, M, 0))
 
 
 def norm_psi(j, sigma, shift=0):
@@ -614,7 +611,8 @@ def _build_rel_m_limit_formula(j):
     for sigma in rng:
         for m in rng:
             lhs = m_element(j, sigma, m)
-            rhs = (norm_psi(j, sigma) * limit_three_j(j, sigma, m)).reduce() / norm_xi(m)
+            rhs = (norm_psi(j, sigma) * limit_three_j(j, sigma, m)
+                   / _norm_xi(m)).reduce()
             comparisons.append(("sigma=%s m=%s" % (sigma, m), lhs, rhs))
     return comparisons
 

@@ -22,6 +22,7 @@ scalar.qint_monomial call, never by division.
 from fractions import Fraction
 
 from .lattice import DENOM
+from .polys import add_into
 from .scalar import (
     QDIFF,
     add_qfact,
@@ -155,17 +156,8 @@ def _row_dressed_series(space, aside, bside, pref):
     while term.data:
         for (r, c), s in term.data.items():
             p = pref(k, wa[r], wb[r])
-            if not p:
-                continue
-            v = s * p
-            if not v:
-                continue
-            prev = acc.get((r, c))
-            v = v if prev is None else prev + v
-            if v:
-                acc[(r, c)] = v
-            elif prev is not None:
-                del acc[(r, c)]
+            if p:
+                add_into(acc, (r, c), s * p)
         term = plus_a @ term @ minus_b
         k += 1
     return GradedOperator(space, acc)
@@ -199,15 +191,8 @@ def _m_series(space, plus, minus, weights):
                 continue
             cnm = _m_coeff(n, m)
             for (r, c), s in op.data.items():
-                v = s * cnm * qpow(Fraction((n + m) * weights[c], 2))
-                if not v:
-                    continue
-                prev = acc.get((r, c))
-                v = v if prev is None else prev + v
-                if v:
-                    acc[(r, c)] = v
-                elif prev is not None:
-                    del acc[(r, c)]
+                add_into(acc, (r, c),
+                         s * cnm * qpow(Fraction((n + m) * weights[c], 2)))
     return GradedOperator(space, acc)
 
 

@@ -244,6 +244,29 @@ def test_lame_classical_table():
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("point", [
+    None,  # the real sample
+    (1e-4, 0.0, 2.0),  # relative error exactly at the tolerance
+    (2e-4, 0.0, 2.0),
+    (0.0, 0.0, 2.5),  # order outside its window
+])
+def test_lame_classical_verdict_is_the_verifiers(monkeypatch, point):
+    # point: a faked (extrapolated, target, order) for the one sample
+    import dynrmat.cli as cli
+    import dynrmat.lame as lame
+
+    if point is not None:
+        def fake_table(j, k, z):
+            return ([], *point)
+
+        monkeypatch.setattr(cli, "classical_limit_table", fake_table)
+        monkeypatch.setattr(lame, "classical_limit_table", fake_table)
+    code, out, _ = run("lame", "classical", "--j", "1", "--k", "2", "--z", "0.5")
+    report = lame.verify_classical_limit(1, ks=(2,), zs=(0.5,))
+    assert (code == 0) == report.ok
+    assert out.endswith("classical limit: %s\n" % ("PASS" if report.ok else "FAIL"))
+
+
 def test_limits_verb():
     code, out, _ = run("limits", "--spins", "1/2,1")
     assert code == 0

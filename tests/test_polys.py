@@ -20,6 +20,7 @@ from dynrmat.polys import (
     XP_ONE,
     QRat,
     _div_exact,
+    add_into,
     poly_add,
     poly_strip,
     qp_divmod,
@@ -813,3 +814,105 @@ def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
     assert a.b == polys.SLOT and a.rows[0] % ((1 << polys.SLOT) - 1) == 0
     got, removed = polys.xp_qcancel(a, {1: 1})
     assert removed == {} and got is a
+
+
+# ------------------------------------------------------- shared kernels ----
+
+
+def test_poly_add_and_add_into_match_a_plain_dict_sum():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    keys, values = st.integers(-3, 3), st.integers(-2, 2)
+    terms = st.dictionaries(keys, values.filter(bool), max_size=6)
+
+    @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hyp.given(terms, terms, st.lists(st.tuples(keys, values), max_size=10))
+    def run(a, b, adds):
+        a0, b0 = dict(a), dict(b)
+        want = {e: a.get(e, 0) + b.get(e, 0) for e in {*a, *b}}
+        assert poly_add(a, b) == {e: c for e, c in want.items() if c}
+        assert (a, b) == (a0, b0)
+        out, ref = dict(a), dict(a)
+        for key, value in adds:
+            add_into(out, key, value)
+            ref[key] = ref.get(key, 0) + value
+            assert 0 not in out.values()
+        assert out == {e: c for e, c in ref.items() if c}
+
+    run()
+
+
+def _minus_itself(level):
+    """The stored terms of a - a for a value a of one level of the tower."""
+    from dynrmat.lame import hamiltonian, lax_matrix, shift_operator
+    from dynrmat.scalar import qpow, sqrt_qint, xbracket
+    from dynrmat.twist import gnf_r
+
+    if level == "qpoly":
+        a = {0: 1, 3: F(1, 2), 8: -2}
+        return polys.poly_sub(a, a)
+    if level == "packed":
+        a = xn({0: {0: 3, 8: -1}, 8: {16: 2}})
+        assert a.b
+        return xp_add(a, polys.xp_neg(a)).rows
+    if level == "scalar":
+        a = sqrt_qint(2) * xbracket(1) + qpow(1)
+        return (a - a).terms
+    if level == "operator":
+        a = gnf_r(F(1, 2), 1)
+    elif level == "qdiff":
+        a = hamiltonian(1) @ shift_operator(1)
+    else:
+        a = lax_matrix(1) @ lax_matrix(1)
+    return (a - a).data
+
+
+@pytest.mark.parametrize("level", ["qpoly", "packed", "scalar", "operator",
+                                   "qdiff", "qdo_matrix"])
+def test_a_minus_a_stores_nothing(level):
+    assert _minus_itself(level) == {}
+
+
+def test_q_cancel_is_the_one_row_x_cancel():
+    # the QRat cancel and the common q-denominator cancel of a one-row XNum
+    # divide alike, packed or in dict rows; where a factor Phi_d with 4 | d
+    # may split over a Cyclo coefficient, both decline
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from dynrmat.coeffs import imaginary_unit
+
+    ds = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
+    coeff = st.one_of(st.integers(-3, 3).filter(bool),
+                      st.sampled_from([F(1, 2), F(-2, 3), imaginary_unit()]))
+    row = st.dictionaries(st.integers(-2, 4).map(lambda j: 8 * j), coeff,
+                          min_size=1, max_size=5)
+
+    def agree(t, fac):
+        want = polys._cancel(t, fac)
+        a = xn({0: t})
+        for x in ((a, as_dict_rows(a)) if a.b else (a,)):
+            if polys.xp_qsafe(x, fac):
+                got, removed = polys.xp_qcancel(x, fac)
+                assert want is not None
+                assert (xp_terms(got), removed) == ({0: want[0]}, want[1])
+            else:
+                assert not x.b
+        return want
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(row, st.integers(0, 7), st.lists(ds, max_size=3),
+               st.dictionaries(ds, st.integers(1, 2), min_size=1, max_size=3))
+    def run(row, r, planted, fac):
+        t = {e + r: c for e, c in row.items()}
+        for d in planted:
+            t = qp_mul(t, polys._phi_u(d))
+        agree(t, fac)
+
+    run()
+    # i * Phi_4(q**2) = i * (q**4 + 1) is i * (q**2 + i) * (q**2 - i) over
+    # Q(z8), so Phi_4 may split over the coefficient i
+    t = qp_scale(polys._phi_u(4), imaginary_unit())
+    assert agree(t, {4: 1}) is None
+    assert not polys.xp_qsafe(xn({0: t}), {4: 1})
+    assert agree(t, {2: 1}) == (t, {})
+    assert agree(polys._phi_u(4), {4: 1}) == ({0: 1}, {4: 1})

@@ -119,6 +119,21 @@ def test_whole_manifest_never_inverts_a_multi_row_numerator(monkeypatch):
     assert [r for r in reports if not r.ok] == []
 
 
+def test_whole_manifest_never_inverts_a_scalar(monkeypatch):
+    # every division of the manifest is by a product of known factors, kept
+    # as exponents (scalar.qint_monomial, symbols.ContinuedExpr) until it
+    # is built, so no check calls Scalar.inv
+    from dynrmat.scalar import Scalar
+
+    def refuse(self):
+        raise AssertionError("Scalar.inv called")
+
+    monkeypatch.setattr(Scalar, "inv", refuse)
+    reports = run_suite(default_manifest())
+    assert len(reports) == 67
+    assert [r for r in reports if not r.ok] == []
+
+
 def test_parallel_runner_preserves_manifest_order():
     manifest = default_manifest()[:8]
     seq = run_suite(manifest, jobs=1)
