@@ -9,6 +9,7 @@ same point is therefore a real two-route coherence check, not a tautology.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .report import VerificationReport
 
@@ -186,12 +187,15 @@ def _log_pochhammer(a, Q):
         n += 1
 
 
+@lru_cache(maxsize=None)
 def log_qfact_real(z, q):
     """(sign, log magnitude) of the q-factorial continued to real argument.
 
     [z]! = q^(-z(z-1)/2) (Q; Q)_z / (1-Q)^z with Q = q^2 and the Pochhammer
     ratio (Q; Q)_z = (Q; Q)_inf / (Q^(z+1); Q)_inf.  For nonnegative integer
-    z this reproduces the product of the symmetric q-integers.
+    z this reproduces the product of the symmetric q-integers.  Memoized: a
+    pure float function that the prelimit check calls with few distinct
+    arguments many times over.
     """
     Q = q * q
     s_num, l_num = _log_pochhammer(1.0, Q)

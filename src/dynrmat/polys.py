@@ -30,10 +30,11 @@ Three rules of the arithmetic are written once, for every level:
   rows to Scalar terms and operator entries; only the dict rows of an
   XNum, whose entries are QPolys, sum by poly_add row by row.
 - dividing the cyclotomic factors Phi_d out of rows: _divide_out, given the
-  division of one row.  The QRat _cancel is its one-row dense case,
-  xp_qcancel its dense and _qcancel_packed its packed case, and cyclotomic
-  and _factor divide through it too; _may_split says where a factor may
-  split over the coefficients.
+  division of one row.  Its packed case, _qcancel_packed, divides the int
+  rows of xp_qcancel and of the QRat _cancel (one row), and its dense case
+  the others; cyclotomic and _factor divide through it too, and _may_split
+  says where a factor may split over the coefficients.  Multiplying
+  factors in is packed too (CYCLOTOMICS).
 - the factored sum and product: multisets.over_lcm and
   multisets.cancel_across.  CanonicalFraction uses them for its factors,
   and RationalFunction (ratfunc.py) for both Dq and Dx.
@@ -262,6 +263,7 @@ Q_DEG = 2 * DENOM
 
 _PHI = {}  # d -> (dense Phi_d, its nonzero coefficients below the top)
 _PHI_U = {}  # d -> Phi_d(u**Q_DEG) as a QPoly
+_PHI_NORM = {}  # d -> ||Phi_d||_1, the sum of |coefficients| of Phi_d
 
 
 def _dense_div(t, phi):
@@ -327,6 +329,18 @@ def _phi_u(d):
     if got is None:
         got = _PHI_U[d] = _q_sparse(cyclotomic(d)[0])
     return got
+
+
+def _norm(fac):
+    """prod ||Phi_d||_1**m over the items d: m of the multiset `fac`, where
+    ||p||_1 is the sum of |coefficients| of p; it bounds ||product||_1."""
+    out = 1
+    for d, m in fac.items():
+        n = _PHI_NORM.get(d)
+        if n is None:
+            n = _PHI_NORM[d] = sum(map(abs, cyclotomic(d)[0]))
+        out *= n ** m
+    return out
 
 
 def _q_dense(t0):
@@ -426,7 +440,9 @@ def _cancel(t, fac):
     Then the gcd of t with Phi_d(u**Q_DEG) is the gcd of the deflated t with
     Phi_d(Q), inflated again (module docstring), and Phi_d(Q) is
     irreducible over t's coefficients; so that gcd is Phi_d(u**Q_DEG) or 1,
-    and exact division decides.  The one-row case of _divide_out.
+    and exact division decides: packed when the coefficients are ints
+    (_qcancel_packed), dense, the one-row case of _divide_out, otherwise or
+    when the packed quotient's slots could have wrapped.
     """
     t0, st = poly_strip(t)
     if len(t0) == 1:
@@ -434,14 +450,120 @@ def _cancel(t, fac):
     dense = _q_dense(t0)
     if dense is None or _may_split(fac, dense):
         return None
+    if all(type(c) is int for c in dense):
+        # as a packed one-row XNum
+        top = max(map(abs, dense))
+        b = _width(top)
+        got = _qcancel_packed(XNum({0: _pack(dense, b)}, 0, Q_DEG, b, top,
+                                   True), fac)
+        if got is not None:
+            q, removed = got
+            if not removed:
+                return t, NO_FACTORS
+            return poly_shift(xp_terms(q)[0], st), removed
     rows, removed = _divide_out({0: dense}, fac, cyclotomic, _dense_div)
     if not removed:
         return t, NO_FACTORS
     return _q_sparse(rows[0], st), removed
 
 
-# QPolys times cyclotomic factors, and expanded q-denominators
-CYCLOTOMICS = Alphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
+class _Cyclotomics(Alphabet):
+    """QPolys times cyclotomic factors, and expanded q-denominators.
+
+    Int QPolys are multiplied as packed ints, like the rows of an XNum (see
+    the flat numerators section).  The terms of a QPoly whose exponents
+    agree mod Q_DEG are a block u**o * P(Q), P a polynomial in Q = u**Q_DEG
+    packed as P(2**b), so a product is one big-int product per factor and
+    per block.  The slot width b holds max|p| * prod ||p_i||_1 *
+    prod ||Phi_d||_1**m for the product of p, the p_i and the factors, with
+    ||p||_1 the sum of |coefficients| of p: it is submultiplicative, so that
+    bounds every slot of the product, and by the bound rule none wraps.
+    Fraction and Cyclo operands take the loop of one polynomial product per
+    factor.  Expanded products are cached by multiset (expand); products
+    with a QPoly are not.
+    """
+
+    def times(self, p, fac):
+        if not fac or not p:
+            return p
+        return self.sum_times((((p,), fac),))
+
+    def sum_times(self, terms):
+        """The sum over `terms` (ps, fac) of the product of the QPolys ps
+        times the factors of the multiset fac: one packed sum when every
+        coefficient is an int, whose slots hold the sum of the terms'
+        bounds."""
+        bound = 0
+        products = []  # (fac, [(o, the dense P_i of one block)])
+        for ps, fac in terms:
+            top = None
+            blocks = [(0, ())]
+            for p in ps:
+                for c in p.values():
+                    if type(c) is not int:
+                        return reduce(poly_add, (
+                            Alphabet.times(self, reduce(qp_mul, ps), fac)
+                            for ps, fac in terms), QP_ZERO)
+                top = (max(map(abs, p.values())) if top is None
+                       else top * sum(map(abs, p.values())))
+                blocks = [(o + o2, ds + (d,)) for o, ds in blocks
+                          for o2, d in _blocks(p)]
+            bound += top * _norm(fac)
+            products.append((fac, blocks))
+        if not bound:
+            return QP_ZERO
+        b = _width(bound)
+        phis = _phis_packed(b)
+        lows = {}  # residue mod Q_DEG -> the least block offset in its class
+        for _, blocks in products:
+            for o, _ in blocks:
+                if o < lows.get(o % Q_DEG, o + 1):
+                    lows[o % Q_DEG] = o
+        sums = dict.fromkeys(lows, 0)
+        for fac, blocks in products:
+            by = 1
+            for d, m in fac.items():
+                by *= phis[d] ** m
+            for o, ds in blocks:
+                n = by
+                for dense in ds:
+                    n *= dense[0] if len(dense) == 1 else _pack(dense, b)
+                r = o % Q_DEG
+                sums[r] += n << ((o - lows[r]) // Q_DEG * b)
+        out = {}
+        for r, n in sums.items():
+            o = lows[r]
+            for j, c in enumerate(_digits(n, b)):
+                if c:
+                    out[o + Q_DEG * j] = c
+        return out
+
+
+def _blocks(p):
+    """The QPoly p as blocks (o, P): p is the sum of u**o * P(u**Q_DEG),
+    one block for each residue class of p's exponents mod Q_DEG, with P a
+    dense list whose first coefficient is not zero."""
+    if len(p) == 1:
+        (e, c), = p.items()
+        return ((e, (c,)),)
+    classes = {}
+    for e, c in p.items():
+        got = classes.get(e % Q_DEG)
+        if got is None:
+            classes[e % Q_DEG] = {e: c}
+        else:
+            got[e] = c
+    out = []
+    for terms in classes.values():
+        o = min(terms)
+        dense = [0] * ((max(terms) - o) // Q_DEG + 1)
+        for e, c in terms.items():
+            dense[(e - o) // Q_DEG] = c
+        out.append((o, dense))
+    return out
+
+
+CYCLOTOMICS = _Cyclotomics(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
 
 
 # --------------------------------------------------- canonical fractions ----
@@ -1401,11 +1523,14 @@ def xp_binom_div(a, e):
 
 def xp_qsafe(a, fac):
     """Whether every factor of the multiset `fac` divides each row of a
-    wholly or not at all: every exponent of u in a agrees mod Q_DEG, and no
-    factor may split over a's coefficients."""
+    wholly or not at all: a is a single term, which shares no factor with
+    any Phi_d, or every exponent of u in a agrees mod Q_DEG and no factor
+    may split over a's coefficients."""
     if a.b:
         return a.s == Q_DEG
     exps = [e for row in a.rows.values() for e in row]
+    if len(exps) == 1:
+        return True
     if any((e - exps[0]) % Q_DEG for e in exps):
         return False
     return not _may_split(fac, (c for row in a.rows.values()
@@ -1460,8 +1585,32 @@ class _PackedPhis(dict):
 _PHI_PACKED = {}  # slot width b -> its _PackedPhis
 
 
+def _phis_packed(b):
+    """The _PackedPhis of slot width b."""
+    got = _PHI_PACKED.get(b)
+    if got is None:
+        got = _PHI_PACKED[b] = _PackedPhis(b)
+    return got
+
+
 def _qcancel_packed(a, fac):
-    """xp_qcancel for a packed a, by exact big-int division, or None if
+    """xp_qcancel for a packed a, by exact big-int division at a's slot
+    width, and if the quotient's slots could have wrapped there, at slots
+    that hold a's bound times ||g||_1 for every product g of factors from
+    `fac`; None if they could have wrapped there too."""
+    got = _divided(a, fac)
+    if got is None:
+        _tighten(a)
+        b = _width(a.bound * _norm(fac))
+        if b > a.b:
+            got = _divided(_repack(a, b, a.s), fac)
+    if got is not None and not got[1]:
+        return a, NO_FACTORS
+    return got
+
+
+def _divided(a, fac):
+    """(a / g, g) by exact big-int division at a's slot width, or None if
     the quotient's slots could have wrapped.
 
     A stride-Q_DEG row n is P(2**b) for P a polynomial in Q = u**Q_DEG, so
@@ -1472,17 +1621,12 @@ def _qcancel_packed(a, fac):
     P = Q' g: every division was exact, and q is the packed quotient.
     """
     b = a.b
-    phis = _PHI_PACKED.get(b)
-    if phis is None:
-        phis = _PHI_PACKED[b] = _PackedPhis(b)
-    rows, removed = _divide_out(a.rows, fac, phis.__getitem__, divmod)
+    rows, removed = _divide_out(a.rows, fac, _phis_packed(b).__getitem__,
+                                divmod)
     if not removed:
         return a, NO_FACTORS
-    norm = 1
-    for d, k in removed.items():
-        norm *= sum(map(abs, cyclotomic(d)[0])) ** k
     bound = max(_top(n, b) for n in rows.values())
-    if (bound * norm) >> (b - 1):
+    if (bound * _norm(removed)) >> (b - 1):
         return None
     return _packed(rows, a.o, Q_DEG, b, bound, True), removed
 

@@ -23,19 +23,20 @@ safety net on top, never the proof.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, repeat
 
-from . import multisets
 from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
 from .lattice import DENOM, LatticeError, from_units, to_units
 from .multisets import NO_FACTORS
 from .polys import (
     CYCLOTOMICS,
     QP_ONE,
-    QP_ZERO,
     XP_ONE,
     add_into,
     poly_add,
     poly_shift,
+    qp_mul,
     qp_scale,
     qrat,
     qrat_const,
@@ -419,32 +420,137 @@ def qfact_factors(n):
 def qrat_qfact_sum(terms):
     """The sum of c * u**s * prod [n]! / prod [a]! over `terms`, each a tuple
     (c, s, ns, as) of a coefficient, a u-exponent and the lists of the n and
-    the a, as one canonical QRat.
-
-    The numerators are summed over the lcm of the denominators, known
-    multisets of cyclotomic factors, and the sum is cancelled once.
-    """
-    parts = []
-    lcm = NO_FACTORS
+    the a, as one canonical QRat (cyclotomic_sum)."""
+    pairs = []
     for c, s, ns, ds in terms:
-        up = down = NO_FACTORS
-        for n in ns:
-            shift, fac = qfact_factors(n)
-            s += shift
-            up = multisets.total(up, fac)
-        for a in ds:
-            shift, fac = qfact_factors(a)
-            s -= shift
-            down = multisets.total(down, fac)
-        both = multisets.common(up, down)
-        down = multisets.minus(down, both)
-        parts.append((c, s, multisets.minus(up, both), down))
-        lcm = multisets.lcm(lcm, down)
-    num = QP_ZERO
-    for c, s, up, down in parts:
-        num = poly_add(num, CYCLOTOMICS.times(
-            {s: c}, multisets.total(up, multisets.minus(lcm, down))))
-    return qrat_over_cyclotomics(num, lcm)
+        fac = {}
+        for n, w in chain(zip(ns, repeat(1)), zip(ds, repeat(-1))):
+            shift, got = qfact_factors(n)
+            s += w * shift
+            for d, m in got.items():
+                fac[d] = fac.get(d, 0) + w * m
+        pairs.append((({s: c},), fac))
+    return cyclotomic_sum(pairs)
+
+
+def cyclotomic_sum(pairs, by=QP_ONE, by_fac=NO_FACTORS):
+    """The sum of prod ps * prod Phi_d(q**2)**e[d] over `pairs` (ps, e) of a
+    tuple of QPolys and a signed multiset, times the QPoly by and
+    prod Phi_d(q**2)**by_fac[d], as one canonical QRat.
+
+    The per-key minimum `low` of the multisets is factored out, so every
+    remainder e - low is a multiset and the numerators sum as one QPoly
+    (CYCLOTOMICS.sum_times).  The factors of low + by_fac are known: the
+    positive ones are multiplied in and the sum is cancelled once against
+    the negative ones.
+    """
+    keys = set().union(*(e for _, e in pairs))
+    low = {}
+    for d in keys:
+        m = min(e.get(d, 0) for _, e in pairs)
+        if m:
+            low[d] = m
+    num = CYCLOTOMICS.sum_times([
+        (ps, {d: m for d in keys if (m := e.get(d, 0) - low.get(d, 0))})
+        for ps, e in pairs])
+    if by is not QP_ONE:
+        num = qp_mul(num, by)
+    for d, m in by_fac.items():
+        low[d] = low.get(d, 0) + m
+    return qrat_over_cyclotomics(
+        CYCLOTOMICS.times(num, {d: m for d, m in low.items() if m > 0}),
+        {d: -m for d, m in low.items() if m < 0})
+
+
+class KnownTerm:
+    """The x-free value c * u**units * sqrt(prod of the atoms of `odd`) *
+    prod Phi_d(q**2)**fac[d] * prod nums: a coefficient c, the frozenset
+    `odd` of the keys of qint_monomial whose atoms are in the radical, a
+    signed multiset `fac` with no zero, and a tuple `nums` of QPolys, which
+    are multiplied out only in sums.
+
+    Products of KnownTerms add their exponents (known_product), and a sum
+    of them factors out what each group of terms under one radical has in
+    common (known_sum), so no term is expanded or cancelled on its own.
+    """
+
+    __slots__ = ("c", "units", "odd", "fac", "nums")
+
+    def __init__(self, c, units, odd, fac, nums=()):
+        self.c = c
+        self.units = units
+        self.odd = odd
+        self.fac = fac
+        self.nums = nums
+
+
+def known_term(c, units, halves, cof=None):
+    """The KnownTerm of qint_monomial(c, units, halves) times the factored
+    QRat cof (None for one)."""
+    du, dv, odd, fac, binoms = _split(halves)
+    if dv or binoms:
+        raise ValueError("an x-bracket in an x-free term")
+    nums = ()
+    if cof is not None:
+        if cof.fac is None:
+            raise ValueError("an unfactored q-denominator in a known term")
+        for d, m in cof.fac.items():
+            fac[d] = fac.get(d, 0) - m
+        nums = (cof.num,)
+    return KnownTerm(c, units + du, frozenset(odd),
+                     {d: m for d, m in fac.items() if m}, nums)
+
+
+def known_product(terms):
+    """The KnownTerm of the product of the KnownTerms `terms`: an atom in
+    the radicals of two of them squares out into its known factors."""
+    c, units, fac, nums, count = 1, 0, {}, (), {}
+    for t in terms:
+        c *= t.c
+        units += t.units
+        for key in t.odd:
+            count[key] = count.get(key, 0) + 1
+        for d, m in t.fac.items():
+            fac[d] = fac.get(d, 0) + m
+        nums += t.nums
+    odd = []
+    for key, n in count.items():
+        if n % 2:
+            odd.append(key)
+        if n > 1:
+            du, _, ds, _ = _shape(key)
+            units += du * (n // 2)
+            for d, w in ds:
+                fac[d] = fac.get(d, 0) + w * (n // 2)
+    return KnownTerm(c, units, frozenset(odd),
+                     {d: m for d, m in fac.items() if m}, nums)
+
+
+def known_sum(terms, by=None):
+    """The Scalar sum of the KnownTerms `terms`, times the KnownTerm `by`.
+
+    The terms under one radical make one term of the Scalar, their sum
+    over the common part of their multisets (cyclotomic_sum), times `by`;
+    so the Scalar is cancelled once per radical, not once per term.
+    """
+    groups = {}
+    for t in terms:
+        got = groups.get(t.odd)
+        if got is None:
+            groups[t.odd] = [t]
+        else:
+            got.append(t)
+    out = {}
+    for odd, group in groups.items():
+        head = KnownTerm(1, 0, odd, NO_FACTORS)
+        if by is not None:
+            head = known_product((head, by))
+        qr = cyclotomic_sum(
+            [(({t.units: t.c},) + t.nums, t.fac) for t in group],
+            reduce(qp_mul, head.nums, {head.units: head.c}), head.fac)
+        if qr:
+            add_into(out, tuple(sorted(map(_atom, head.odd))), rf_const(qr))
+    return Scalar(out)
 
 
 # The key of q - 1/q among the half-exponents of qint_monomial; it is also
@@ -515,28 +621,43 @@ def qint_monomial(c, units, halves, x_units=0):
     """
     if not c:
         return SC_ZERO
-    atoms = []
+    du, dv, odd, fac, binoms = _split(halves)
+    up = {d: e for d, e in fac.items() if e > 0}
+    down = {d: -e for d, e in fac.items() if e < 0}
+    num = poly_shift(qp_scale(CYCLOTOMICS.expand(up), c), units + du)
+    return Scalar({tuple(sorted(map(_atom, odd))): rf_product(
+        x_units + dv, num, down, binoms)})
+
+
+def _split(halves):
+    """(du, dv, odd, fac, binoms) with prod f**(m/2) over the items f: m of
+    `halves` = u**du * v**dv * sqrt(prod of the atoms of the keys `odd`) *
+    prod Phi_d(q**2)**fac[d] * prod (y - u**e)**binoms[e] (qint_monomial);
+    `fac` may hold zeros."""
+    du = dv = 0
+    odd = []
     fac = {}
     binoms = {}
     for key, m in halves.items():
-        du, dv, ds, e = _shape(key)
+        su, sv, ds, e = _shape(key)
         if not m or not ds:
             continue  # [1] = 1
         a, b = divmod(m, 2)
         if b:
-            atoms.append(("qint", key) if type(key) is int else key)
+            odd.append(key)
         if a:
-            units += du * a
-            x_units += dv * a
-            for d, s in ds:
-                fac[d] = fac.get(d, 0) + s * a
+            du += su * a
+            dv += sv * a
+            for d, w in ds:
+                fac[d] = fac.get(d, 0) + w * a
             if e is not None:
                 binoms[e] = a
-    up = {d: e for d, e in fac.items() if e > 0}
-    down = {d: -e for d, e in fac.items() if e < 0}
-    num = poly_shift(qp_scale(CYCLOTOMICS.expand(up), c), units)
-    return Scalar({tuple(sorted(atoms)): rf_product(x_units, num, down,
-                                                    binoms)})
+    return du, dv, odd, fac, binoms
+
+
+def _atom(key):
+    """The radical atom of a key of qint_monomial."""
+    return ("qint", key) if type(key) is int else key
 
 
 def qnum(n):

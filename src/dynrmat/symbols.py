@@ -26,6 +26,9 @@ from .scalar import (
     SC_ZERO,
     add_qfact,
     add_xbracket,
+    known_product,
+    known_sum,
+    known_term,
     qint_monomial,
     qrat_qfact_sum,
     sc_from_qrat,
@@ -93,9 +96,53 @@ def _add_triangle(halves, a, b, c):
 # finite couplings
 
 
-# the brute-force 6j overlap meets the same couplings many times over;
-# keyed by doubled spins
+# doubled spins -> the _Parts of a coupling, or None where it vanishes; the
+# brute-force 6j overlap meets the same couplings many times over
 _THREE_J_CACHE = {}
+
+
+class _Parts:
+    """c * u**units * prod f**(m/2) over the items f: m of `halves`
+    (scalar.qint_monomial) times the q-factorial sum of `terms`
+    (scalar.qrat_qfact_sum).  A single term joins the other factors; a
+    longer sum is kept as the QRat `cof`, None for one."""
+
+    __slots__ = ("c", "units", "halves", "cof", "_known", "_scalar")
+
+    def __init__(self, c, units, halves, terms):
+        cof = None
+        if len(terms) == 1:
+            (t, s, ns, ds), = terms
+            c, units = c * t, units + s
+            for n in ns:
+                add_qfact(halves, n, 2)
+            for n in ds:
+                add_qfact(halves, n, -2)
+        else:
+            cof = qrat_qfact_sum(terms)
+        self.c, self.units, self.halves, self.cof = c, units, halves, cof
+        self._known = self._scalar = None
+
+    def __bool__(self):
+        return self.cof is None or bool(self.cof)
+
+    def known(self):
+        """The value as a KnownTerm, cached."""
+        got = self._known
+        if got is None:
+            got = self._known = known_term(self.c, self.units, self.halves,
+                                           self.cof)
+        return got
+
+    def scalar(self):
+        """The value as a Scalar, cached."""
+        got = self._scalar
+        if got is None:
+            got = qint_monomial(self.c, self.units, self.halves)
+            if self.cof is not None:
+                got = got * sc_from_qrat(self.cof)
+            self._scalar = got
+        return got
 
 
 def three_j(j1, j2, j3, m1, m2, m3):
@@ -108,28 +155,32 @@ def three_j(j1, j2, j3, m1, m2, m3):
 
 
 def _coupling(*key):
-    got = _THREE_J_CACHE.get(key)
-    if got is None:
+    got = _parts(*key)
+    return SC_ZERO if got is None else got.scalar()
+
+
+def _parts(*key):
+    """The _Parts of the coupling of the doubled spins `key`, or None where
+    it vanishes, cached."""
+    try:
+        return _THREE_J_CACHE[key]
+    except KeyError:
         got = _THREE_J_CACHE[key] = _three_j(*key)
-    return got
+        return got
 
 
 def _three_j(J1, J2, J3, M1, M2, M3):
     if M1 + M2 != M3 or not _triangle(J1, J2, J3):
-        return SC_ZERO
+        return None
     if abs(M1) > J1 or abs(M2) > J2 or abs(M3) > J3:
-        return SC_ZERO
+        return None
     if (J1 + M1) % 2 or (J2 + M2) % 2 or (J3 + M3) % 2:
-        return SC_ZERO
+        return None
     a, s = J1 + J2 - J3, J1 + J2 + J3  # both even
     halves = _add_triangle({J3 + 1: 1}, J1, J2, J3)
     for j, m in ((J1, M1), (J2, M2), (J3, M3)):
         add_qfact(halves, (j + m) // 2, 1)
         add_qfact(halves, (j - m) // 2, 1)
-    # (-1)**(j1+j2-j3) q**(-(j1+j2-j3)(j1+j2+j3+1)/2 + j1 m2 - j2 m1)
-    pref = qint_monomial(
-        root8_pow(2 * a), -a * (s + 2) // 2 + J1 * M2 - J2 * M1, halves
-    )
     b1, b2 = (J2 - M2) // 2, (J1 + M1) // 2
     c1, c2 = (J3 - J1 + M2) // 2, (J3 - J2 - M1) // 2
     terms = [
@@ -137,7 +188,10 @@ def _three_j(J1, J2, J3, M1, M2, M3):
          (p, a // 2 - p, b1 - p, b2 - p, c1 + p, c2 + p))
         for p in range(max(0, -c1, -c2), min(a // 2, b1, b2) + 1)
     ]
-    return pref * sc_from_qrat(qrat_qfact_sum(terms))
+    # (-1)**(j1+j2-j3) q**(-(j1+j2-j3)(j1+j2+j3+1)/2 + j1 m2 - j2 m1)
+    got = _Parts(root8_pow(2 * a), -a * (s + 2) // 2 + J1 * M2 - J2 * M1,
+                 halves, terms)
+    return got if got else None
 
 
 def cg(j1, m1, j2, m2, j3, m3):
@@ -165,33 +219,36 @@ def _six_j(J1, J2, J3, J4, J5, J6):
         ((-1) ** z, 0, (z + 1,), [z - t for t in tri] + [b - z for b in box])
         for z in range(max(tri), min(box) + 1)
     ]
-    return qint_monomial(1, 0, halves) * sc_from_qrat(qrat_qfact_sum(terms))
+    return _Parts(1, 0, halves, terms).scalar()
 
 
 def six_j_brute(j1, j2, j12, j3, jtot, j23):
     """{j1 j2 j12; j3 jtot j23} from the overlap of the two coupled bases.
 
-    Independent of the single-sum formula: builds both recoupled vectors
-    coefficient by coefficient and divides out the stated normalisation.
+    Independent of the single-sum formula: sums the products of the
+    couplings of both recoupled vectors, coefficient by coefficient, and
+    divides out the stated normalisation.  The products and the sum are
+    taken in the exponents of known factors (scalar.known_sum), so the
+    overlap is cancelled once per radical.
     """
     J1, J2, J12, J3, JT, J23 = (
         _twice(j) for j in (j1, j2, j12, j3, jtot, j23))
-    overlap = SC_ZERO
+    terms = []
     for M1 in range(-J1, J1 + 1, 2):
         for M2 in range(-J2, J2 + 1, 2):
             M3 = JT - M1 - M2
             if abs(M3) <= J3:
-                a = _coupling(J1, J2, J12, M1, M2, M1 + M2)
-                if a:
-                    b = _coupling(J12, J3, JT, M1 + M2, M3, JT)
-                    c = _coupling(J2, J3, J23, M2, M3, M2 + M3)
-                    d = _coupling(J1, J23, JT, M1, M2 + M3, JT)
-                    overlap = overlap + a * b * c * d
+                parts = (_parts(J1, J2, J12, M1, M2, M1 + M2),
+                         _parts(J12, J3, JT, M1 + M2, M3, JT),
+                         _parts(J2, J3, J23, M2, M3, M2 + M3),
+                         _parts(J1, J23, JT, M1, M2 + M3, JT))
+                if None not in parts:
+                    terms.append(known_product([p.known() for p in parts]))
     # times the inverse of (-1)**(j1+j2+j3+jtot) sqrt([2 j12 + 1][2 j23 + 1])
     halves = {J12 + 1: -1}
     halves[J23 + 1] = halves.get(J23 + 1, 0) - 1
-    return overlap * qint_monomial(
-        root8_pow(-2 * (J1 + J2 + J3 + JT)), 0, halves)
+    return known_sum(terms, known_term(
+        root8_pow(-2 * (J1 + J2 + J3 + JT)), 0, halves))
 
 
 # ---------------------------------------------------------------------------

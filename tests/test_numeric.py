@@ -45,6 +45,15 @@ def test_log_qfact_recurrence_at_fractional_argument():
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
+def test_log_qfact_memo_returns_the_computed_values():
+    # memoized, and bit for bit what the function computes
+    for z in (0.0, 0.37, 2.0, -0.63):
+        for q in (0.62, 0.7):
+            got = log_qfact_real(z, q)
+            assert got == log_qfact_real.__wrapped__(z, q)
+            assert log_qfact_real(z, q) is got
+
+
 @pytest.mark.parametrize("point", [(0.55, 0.77), (0.31, 0.42)])
 def test_gnf_r_num_matches_exact_entries(point):
     q0, x0 = point

@@ -797,6 +797,10 @@ def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
         want, wanted = polys.xp_qcancel(as_dict_rows(a), fac)
         assert removed == wanted
         assert xp_terms(got) == xp_terms(want)
+        # the QRat cancel, packed too, divides each row alike
+        for row in xp_terms(a).values():
+            want, wanted = polys.xp_qcancel(as_dict_rows(xn({0: row})), fac)
+            assert polys._cancel(row, fac) == (xp_terms(want)[0], wanted)
 
     run()
     # 2**62 (Q**3 - 1) / (Q - 1): the quotient's slots times the two of
@@ -814,6 +818,7 @@ def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
     assert a.b == polys.SLOT and a.rows[0] % ((1 << polys.SLOT) - 1) == 0
     got, removed = polys.xp_qcancel(a, {1: 1})
     assert removed == {} and got is a
+    assert polys._cancel(xp_terms(a)[0], {1: 1}) == (xp_terms(a)[0], {})
 
 
 # ------------------------------------------------------- shared kernels ----
@@ -875,8 +880,9 @@ def test_a_minus_a_stores_nothing(level):
 
 def test_q_cancel_is_the_one_row_x_cancel():
     # the QRat cancel and the common q-denominator cancel of a one-row XNum
-    # divide alike, packed or in dict rows; where a factor Phi_d with 4 | d
-    # may split over a Cyclo coefficient, both decline
+    # accept alike and divide alike, packed or in dict rows; where a factor
+    # Phi_d with 4 | d may split over a Cyclo coefficient of a sum, both
+    # decline, and a single term both accept
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     from dynrmat.coeffs import imaginary_unit
@@ -891,12 +897,10 @@ def test_q_cancel_is_the_one_row_x_cancel():
         want = polys._cancel(t, fac)
         a = xn({0: t})
         for x in ((a, as_dict_rows(a)) if a.b else (a,)):
-            if polys.xp_qsafe(x, fac):
+            assert polys.xp_qsafe(x, fac) == (want is not None)
+            if want is not None:
                 got, removed = polys.xp_qcancel(x, fac)
-                assert want is not None
                 assert (xp_terms(got), removed) == ({0: want[0]}, want[1])
-            else:
-                assert not x.b
         return want
 
     @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -914,5 +918,60 @@ def test_q_cancel_is_the_one_row_x_cancel():
     t = qp_scale(polys._phi_u(4), imaginary_unit())
     assert agree(t, {4: 1}) is None
     assert not polys.xp_qsafe(xn({0: t}), {4: 1})
+    # but i * q**2 alone shares no factor with any Phi_d
+    assert agree({8: imaginary_unit()}, {4: 1, 8: 2}) == (
+        {8: imaginary_unit()}, {})
     assert agree(t, {2: 1}) == (t, {})
     assert agree(polys._phi_u(4), {4: 1}) == ({0: 1}, {4: 1})
+
+
+def test_packed_cyclotomic_product_matches_the_dict_loop(monkeypatch):
+    # CYCLOTOMICS.times and sum_times multiply int QPolys as packed ints;
+    # the reference is one poly_mul per factor and per QPoly.  The
+    # coefficients run past the first slot width, the exponents cover every
+    # residue mod 8 and the multiplicities go up to 3; a Fraction or Cyclo
+    # coefficient must take the loop, without packing
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from dynrmat.multisets import Alphabet
+
+    loop = Alphabet(QP_ONE, lambda p, d: qp_mul(p, polys._phi_u(d)))
+    edge = 2 ** (polys.SLOT - 1)
+    ints = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.sampled_from([edge - 1, 1 - edge, edge, -edge, 3 * edge,
+                         -edge ** 2]),
+        st.integers(-edge ** 2, edge ** 2).filter(bool))
+    others = st.sampled_from([F(1, 2), F(-3, 4), imaginary_unit(),
+                              root8_pow(1)])
+    poly = st.dictionaries(st.integers(-20, 40), ints, min_size=1, max_size=6)
+    fac = st.dictionaries(
+        st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 30]),
+        st.integers(1, 3), max_size=4)
+    packed = []
+    phis_packed = polys._phis_packed
+    monkeypatch.setattr(polys, "_phis_packed",
+                        lambda b: packed.append(b) or phis_packed(b))
+
+    @hyp.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.lists(st.tuples(st.lists(poly, min_size=1, max_size=3), fac),
+                        min_size=1, max_size=4),
+               st.one_of(st.none(), st.tuples(st.integers(-20, 40), others)))
+    def run(terms, other):
+        if other is not None:
+            e, c = other
+            (p, *ps), f = terms[0]
+            terms = [([{**p, e: c}, *ps], f)] + terms[1:]
+        want = {}
+        for ps, f in terms:
+            p = ps[0]
+            for q in ps[1:]:
+                p = qp_mul(p, q)
+            want = poly_add(want, loop.times(p, f))
+        del packed[:]
+        assert polys.CYCLOTOMICS.sum_times(terms) == want
+        assert bool(packed) == (other is None)
+        (p, *_), f = terms[0]
+        assert polys.CYCLOTOMICS.times(p, f) == loop.times(p, f)
+
+    run()

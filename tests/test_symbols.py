@@ -231,6 +231,78 @@ def test_three_j_cache_is_keyed_by_doubled_spins(monkeypatch):
     assert list(symbols._THREE_J_CACHE) == [(2, 1, 3, 0, 1, 1)]
 
 
+def _overlap_by_products(j1, j2, j12, j3, jtot, j23):
+    """six_j_brute as the Scalar products of its couplings, a * b * c * d,
+    summed term by term and divided by the normalisation: the reference."""
+    overlap = SC_ZERO
+    for m1 in _mrange(j1):
+        for m2 in _mrange(j2):
+            m3 = jtot - m1 - m2
+            if abs(m3) <= j3:
+                a = three_j(j1, j2, j12, m1, m2, m1 + m2)
+                if a:
+                    b = three_j(j12, j3, jtot, m1 + m2, m3, jtot)
+                    c = three_j(j2, j3, j23, m2, m3, m2 + m3)
+                    d = three_j(j1, j23, jtot, m1, m2 + m3, jtot)
+                    overlap = overlap + a * b * c * d
+    return overlap * phase(-(j1 + j2 + j3 + jtot)) / (
+        sqrt_qint(2 * j12 + 1) * sqrt_qint(2 * j23 + 1))
+
+
+def _same(a, b):
+    """Structural equality, hashes included."""
+    return a.terms == b.terms and (
+        {k: hash(rf) for k, rf in a.terms.items()}
+        == {k: hash(rf) for k, rf in b.terms.items()})
+
+
+def test_overlap_in_exponents_matches_the_products_and_the_single_sum():
+    spins = [F(k, 2) for k in range(1, 5)]
+    count = 0
+    for j1 in spins:
+        for j2 in spins:
+            for j3 in spins:
+                for j12 in _jrange(j1, j2):
+                    for j23 in _jrange(j2, j3):
+                        for jtot in _jrange(j12, j3):
+                            if not abs(j1 - j23) <= jtot <= j1 + j23:
+                                continue
+                            got = six_j_brute(j1, j2, j12, j3, jtot, j23)
+                            want = _overlap_by_products(j1, j2, j12, j3, jtot,
+                                                        j23)
+                            label = (j1, j2, j12, j3, jtot, j23)
+                            assert _same(got, want), label
+                            assert _same(got, six_j(*label)), label
+                            count += 1
+    assert count == 1208
+
+
+def test_overlap_expands_no_term_on_its_own(monkeypatch):
+    # the overlap sums its terms in known-factor exponents, so with every
+    # cache cold a RECOUPLING(2,3/2,3/2) pass adds no expanded cyclotomic
+    # product to the cache of them in six_j_brute, and at most one per
+    # single-sum six_j
+    from dynrmat.polys import CYCLOTOMICS
+
+    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
+    monkeypatch.setattr(CYCLOTOMICS, "_expanded",
+                        {(): CYCLOTOMICS._expanded[()]})
+    added = []
+    brute = symbols.six_j_brute
+
+    def counted(*spins):
+        n = len(CYCLOTOMICS._expanded)
+        got = brute(*spins)
+        added.append(len(CYCLOTOMICS._expanded) - n)
+        return got
+
+    monkeypatch.setattr(symbols, "six_j_brute", counted)
+    comparisons = symbols._build_rel_recoupling(2, F(3, 2), F(3, 2))
+    assert len(added) == len(comparisons) == 40
+    assert added == [0] * 40
+    assert len(CYCLOTOMICS._expanded) <= 1 + len(comparisons)
+
+
 @pytest.mark.parametrize(
     "call",
     [
