@@ -186,26 +186,42 @@ def wavefunction(j, k, method="closed"):
     raise ValueError("method must be 'closed' or 'recursive'")
 
 
+_WAVE_TERMS = {}  # int (j, k) -> the summands of the closed form, a tuple
+_WAVE_CLOSED = {}  # int (j, k) -> their sum
+
+
+def _wave_terms(j, k):
+    got = _WAVE_TERMS.get((j, k))
+    if got is None:
+        terms = []
+        for n in range(j + 1):
+            # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
+            halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n,
+                               -2)
+            for r in range(1, n + 1):
+                add_xbracket(halves, to_units(r - j - 1), 2)
+                add_xbracket(halves, to_units(r), -2)
+            wave = (qpow(k * (2 * n - j)) * xpow(k)
+                    - qpow(-k * (2 * n - j)) * xpow(-k))
+            terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
+        got = _WAVE_TERMS[(j, k)] = tuple(terms)
+    return got
+
+
 def wavefunction_terms(j, k):
     """Summands of the closed form, kept apart for residue inspection."""
-    j, k = _int_spin(j), _int_spin(k, "wave number")
-    terms = []
-    for n in range(j + 1):
-        # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
-        halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n, -2)
-        for r in range(1, n + 1):
-            add_xbracket(halves, to_units(r - j - 1), 2)
-            add_xbracket(halves, to_units(r), -2)
-        wave = qpow(k * (2 * n - j)) * xpow(k) - qpow(-k * (2 * n - j)) * xpow(-k)
-        terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
-    return terms
+    return list(_wave_terms(_int_spin(j), _int_spin(k, "wave number")))
 
 
 def wavefunction_closed(j, k):
-    out = SC_ZERO
-    for t in wavefunction_terms(j, k):
-        out = out + t
-    return out
+    j, k = _int_spin(j), _int_spin(k, "wave number")
+    got = _WAVE_CLOSED.get((j, k))
+    if got is None:
+        got = SC_ZERO
+        for t in _wave_terms(j, k):
+            got = got + t
+        _WAVE_CLOSED[(j, k)] = got
+    return got
 
 
 # ------------------------------------------------------------- lax matrix

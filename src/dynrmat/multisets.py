@@ -81,22 +81,35 @@ def over_lcm(na, fa, nb, fb, times):
 
 def cancel_across(na, fa, nb, fb, cancel):
     """(na', fa', nb', fb') with (na/fa) * (nb/fb) = (na' nb') / (fa' fb'):
-    each numerator cancelled only by the other's factors, cancel(n, fac)
-    being (n / g, g) for the largest product g of factors of `fac` that
-    divides n; None if cancel declines (returns None)."""
-    if fb:
-        got = cancel(na, fb)
-        if got is None:
-            return None
-        na, removed = got
-        fb = minus(fb, removed)
-    if fa:
-        got = cancel(nb, fa)
-        if got is None:
-            return None
-        nb, removed = got
-        fa = minus(fa, removed)
-    return na, fa, nb, fb
+    each numerator cancelled only by the factors of the other's multiset
+    that its own lacks, cancel(n, fac) being (n / g, g) for the largest
+    product g of factors of `fac` that divides n; None if cancel declines
+    (returns None).  A canonical numerator is coprime to its own factors,
+    so a factor of both fa and fb divides neither numerator."""
+    got = _cancelled(na, fa, fb, cancel)
+    if got is None:
+        return None
+    na, fb1 = got
+    got = _cancelled(nb, fb, fa, cancel)
+    if got is None:
+        return None
+    nb, fa = got
+    return na, fa, nb, fb1
+
+
+def _cancelled(n, own, other, cancel):
+    """(n', other') with n / other = n' / other': n cancelled by the factors
+    of `other` that `own` lacks; None if cancel declines."""
+    lack = other
+    if own and not own.keys().isdisjoint(other):
+        lack = {f: m for f, m in other.items() if f not in own}
+    if not lack:
+        return n, other
+    got = cancel(n, lack)
+    if got is None:
+        return None
+    n, removed = got
+    return n, minus(other, removed)
 
 
 def key(a):

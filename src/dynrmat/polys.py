@@ -1429,11 +1429,15 @@ def _dict_add(ra, rb):
 
 
 def _y_rows(rows, zero):
-    """(k0, [P_0, ..., P_J]) with rows = v**k0 * sum_j y**j P_j."""
+    """(k0, [P_0, ..., P_J]) with rows = v**k0 * sum_j y**j P_j, or None if
+    the v-exponents of rows do not all agree mod Y_DEG."""
     k0 = min(rows)
     ps = [zero] * ((max(rows) - k0) // Y_DEG + 1)
     for k, p in rows.items():
-        ps[(k - k0) // Y_DEG] = p
+        j, r = divmod(k - k0, Y_DEG)
+        if r:
+            return None
+        ps[j] = p
     return k0, ps
 
 
@@ -1469,47 +1473,103 @@ def xp_binom_mul(a, e):
 
 
 def xp_binom_div(a, e):
-    """a / (y - u**e), or None if y - u**e does not divide a.
+    """a / (y - u**e), or None if y - u**e does not divide a: the
+    one-binomial case of xp_binom_cancel."""
+    if not a.rows:
+        return a
+    q, removed = xp_binom_cancel(a, {e: 1})
+    return q if removed else None
+
+
+def xp_binom_cancel(a, fac):
+    """(a / g, g) for g the largest product of binomials from the multiset
+    `fac` that divides the nonzero a, with g as a multiset; None if a has
+    more than one row and is no polynomial in y after stripping its lowest
+    power of v.
+
+    Every division runs on one list of y-rows (_binom_quotient).  Packed
+    rows are repacked once, at a stride that divides every e, and the
+    quotient is packed once.  The bound rule holds step by step: a
+    division makes slots up to the bound times the number of nonzero rows,
+    so before a step whose bound could reach a slot the rows are tightened
+    (_top), and if need be repacked wider.
+    """
+    if len(a.rows) == 1:
+        return a, NO_FACTORS
+    b = a.b
+    t = a
+    if b:
+        s = math.gcd(a.s, *fac)
+        if s != a.s:
+            t = _repack(a, b, s)
+            b = t.b
+        bound = t.bound
+    got = _y_rows(t.rows, 0 if b else QP_ZERO)
+    if got is None:
+        return None
+    k0, ps = got
+    removed = {}
+    for e, m in fac.items():
+        for _ in range(m):
+            if b:
+                n = len(ps) - ps.count(0)
+                if (bound * n) >> (b - 1):
+                    bound = max(_top(p, b) for p in ps if p)
+                    if (bound * n) >> (b - 1):
+                        w = _width(bound * n)
+                        ps = [_pack(_digits(p, b), w) for p in ps]
+                        b = w
+            q = _binom_quotient(ps, e, abs(e) // t.s * b if b else None)
+            if q is None:
+                break
+            ps = q
+            if b:
+                bound *= n
+            removed[e] = removed.get(e, 0) + 1
+    if not removed:
+        return a, NO_FACTORS
+    rows = {k0 + Y_DEG * j: p for j, p in enumerate(ps) if p}
+    if not b:
+        return xp_from_terms(rows), removed
+    return _packed(rows, t.o, t.s, b, bound), removed
+
+
+def _binom_quotient(ps, e, sh):
+    """The y-rows of (sum_j y**j ps[j]) / (y - u**e), lowest first, or None
+    if y - u**e does not divide it; sh is the left shift that multiplies a
+    packed row by u**|e|, or None for QPoly rows.
 
     Synthetic division, with u**|e| only ever a left shift: for e >= 0
     Horner's rule at y = u**e from the top, q_(j-1) = P_j + u**e q_j; for
     e < 0 from the bottom, q_j = u**-e (q_(j-1) - P_j), since a = q * (y -
-    u**e) gives P_0 = -u**e q_0.  What is left over decides.
+    u**e) gives P_0 = -u**e q_0.  What is left over decides.  QPoly rows
+    take the top-down rule for either sign.
     """
-    if not a.rows:
-        return a
-    if not a.b:
-        k0, ps = _y_rows(a.rows, QP_ZERO)
-        q = []
+    q = []
+    if sh is None:
         carry = QP_ZERO
-        for p in reversed(ps[1:]):
+        for p in ps[:0:-1]:
             carry = poly_add(p, poly_shift(carry, e))
             q.append(carry)
         if poly_add(ps[0], poly_shift(carry, e)):
             return None
         q.reverse()
-        return xp_from_terms({k0 + Y_DEG * j: t for j, t in enumerate(q) if t})
-    if e % a.s or (a.bound * len(a.rows)) >> (a.b - 1):
-        a = _binom_ready(a, e, len(a.rows))
-    k0, ps = _y_rows(a.rows, 0)
-    sh = abs(e) // a.s * a.b
-    q = []
-    carry = 0
-    if e >= 0:
-        for p in reversed(ps[1:]):
+    elif e >= 0:
+        carry = 0
+        for p in ps[:0:-1]:
             carry = p + (carry << sh)
             q.append(carry)
         if ps[0] + (carry << sh):
             return None
         q.reverse()
     else:
+        carry = 0
         for p in ps[:-1]:
             carry = (carry - p) << sh
             q.append(carry)
         if carry != ps[-1]:
             return None
-    return _packed({k0 + Y_DEG * j: t for j, t in enumerate(q) if t},
-                   a.o, a.s, a.b, len(a.rows) * a.bound)
+    return q
 
 
 # ------------------------------------------------- common q-denominators ----

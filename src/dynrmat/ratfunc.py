@@ -33,6 +33,15 @@ Arithmetic on the flat form:
 - A product adds the multisets and multiplies the numerators, one big-int
   product per pair of rows.  Each numerator can only cancel the other's
   binomials, and the product the factors of the two Dq.
+- Own-factor rule: each numerator is tried only against the factors of the
+  other's multisets that its own lack (multisets.cancel_across).  N is
+  coprime to its own binomials.  No Phi_d of its own Dq divides all rows of
+  N, nor all rows of N over some binomials: it would divide every row of
+  their product with the binomials, which is N.
+- Monomial rule: a factor c * v**k * u**e over 1, c an int, scales and
+  relabels the other factor's rows and keeps its Dq and Dx (_scaled).  A
+  monomial shares no factor with a binomial or a Phi_d, so the result is
+  canonical as built.
 - A sum multiplies each numerator by the factors the other has and it does
   not, adds, and cancels only the factors of equal multiplicity on both
   sides (multisets.over_lcm).  A factor that only one side has cannot cancel
@@ -41,9 +50,10 @@ Arithmetic on the flat form:
 - A binomial cancels from a numerator that is a polynomial in y after
   stripping its lowest power of v exactly when the numerator vanishes at
   y = u**e.  One packed evaluation decides that exactly, and Horner's rule
-  with shifts divides.  y - u**e is linear in y, hence irreducible, and the
-  gcd of a polynomial in y with the denominator over Q(z8)(u)[v] is its gcd
-  over Q(z8)(u)[y] (the deflation argument of polys.py).
+  with shifts divides; a whole multiset is divided out on one list of rows
+  (polys.xp_binom_cancel).  y - u**e is linear in y, hence irreducible,
+  and the gcd of a polynomial in y with the denominator over Q(z8)(u)[v]
+  is its gcd over Q(z8)(u)[y] (the deflation argument of polys.py).
 - A Phi_d(u**8) divides a row wholly or not at all when all exponents of u
   in N agree mod 8 and Phi_d stays irreducible over N's coefficients
   (polys.xp_qsafe).  Otherwise each row is reduced as a QRat and the flat
@@ -72,6 +82,7 @@ from .polys import (
     Y_DEG,
     CanonicalFraction,
     QRat,
+    XNum,
     add_into,
     poly_shift,
     poly_strip,
@@ -80,7 +91,7 @@ from .polys import (
     qrat_over_cyclotomics,
     qrat_scale,
     xp_add,
-    xp_binom_div,
+    xp_binom_cancel,
     xp_binom_mul,
     xp_equal,
     xp_from_terms,
@@ -165,21 +176,7 @@ def _cancel(t, fac):
     """(t / g, g) for g the largest product of binomials from the multiset
     `fac` that divides the XNum t, with g as a multiset; None if t is not a
     polynomial in y after stripping its lowest power of v."""
-    rows = t.rows
-    if len(rows) == 1:
-        return t, NO_FACTORS
-    k0 = min(rows)
-    if any((k - k0) % Y_DEG for k in rows):
-        return None
-    removed = {}
-    for e, m in fac.items():
-        for _ in range(m):
-            q = xp_binom_div(t, e)
-            if q is None:
-                break
-            t = q
-            removed[e] = removed.get(e, 0) + 1
-    return t, removed
+    return xp_binom_cancel(t, fac)
 
 
 def _xtimes(n, fac):
@@ -401,7 +398,14 @@ class RationalFunction:
         if other is RF_ONE:
             return self
         if self.n is not None and other.n is not None:
-            got = self._mul_factored(other)
+            got = None
+            if len(self.n.rows) == 1 and not self.dq and not self.fac:
+                got = _scaled(self, other)
+            if (got is None and len(other.n.rows) == 1 and not other.dq
+                    and not other.fac):
+                got = _scaled(other, self)
+            if got is None:
+                got = self._mul_factored(other)
             if got is not None:
                 return got
         a, b = self._nest(), other._nest()
@@ -524,6 +528,26 @@ class RationalFunction:
         return xq_eval_complex(self.num, u0, v0) / xq_eval_complex(
             self.den, u0, v0
         )
+
+
+def _scaled(m, x):
+    """m * x for a monomial m = c * v**k * u**e over 1, by scaling x's rows
+    by the int c and relabelling them; None unless m, which has one row and
+    no Dq or Dx, is such a monomial (its packed row is one slot), x's rows
+    are packed, and bound * |c| stays below a slot.  A monomial shares no
+    factor with a binomial or a Phi_d, so x's Dq and Dx stay as they are and
+    the result is canonical as built."""
+    a = m.n
+    if not a.b:
+        return None
+    (k, c), = a.rows.items()
+    n = x.n
+    bound = n.bound * abs(c)
+    if not n.b or abs(c) >> (a.b - 1) or bound >> (n.b - 1):
+        return None
+    return RationalFunction(
+        XNum({j + k: r * c for j, r in n.rows.items()}, n.o + a.o, n.s, n.b,
+             bound, n.tight and bound == n.bound), x.dq, x.fac)
 
 
 def _xq_qpow_mul(a, s):

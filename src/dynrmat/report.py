@@ -95,6 +95,10 @@ def _numeric_residual_rank(diff):
 
 
 def _first_failure_exact(label, lhs, rhs):
+    # equal canonical forms are equal values: only a failure needs the
+    # difference, which the report prints
+    if isinstance(lhs, (GradedOperator, Scalar)) and lhs == rhs:
+        return None, None
     diff = lhs - rhs
     if isinstance(diff, GradedOperator):
         if diff.is_zero():

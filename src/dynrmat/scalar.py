@@ -179,11 +179,7 @@ class Scalar:
             return NotImplemented
         if not self.terms or not other.terms:
             return SC_ZERO
-        out = {}
-        for a1, r1 in self.terms.items():
-            for a2, r2 in other.terms.items():
-                add_into(out, *_term_mul(a1, r1, a2, r2))
-        return Scalar(out)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -338,6 +334,18 @@ class Scalar:
             if rf:
                 out[atoms] = rf
         return Scalar(out)
+
+
+def dot(pairs):
+    """The sum of a * b over the pairs (a, b) of Scalars.  Each product of
+    two terms is cancelled on its own (_term_mul) and added straight into
+    the RationalFunction of its radical, so the Scalar is built once."""
+    out = {}
+    for a, b in pairs:
+        for a1, r1 in a.terms.items():
+            for a2, r2 in b.terms.items():
+                add_into(out, *_term_mul(a1, r1, a2, r2))
+    return Scalar(out)
 
 
 def _term_mul(a1, r1, a2, r2):

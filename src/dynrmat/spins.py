@@ -25,11 +25,12 @@ import itertools
 from fractions import Fraction
 
 from .lattice import to_units
-from .polys import add_into, poly_add
+from .polys import poly_add
 from .scalar import (
     SC_ONE,
     SC_ZERO,
     Scalar,
+    dot,
     qnum,
     qpow,
     sc_coeff,
@@ -195,13 +196,18 @@ class GradedOperator:
         by_row = {}
         for (k, c), s in other.data.items():
             by_row.setdefault(k, []).append((c, s))
-        out = {}
+        pairs = {}
         for (r, k), sa in self.data.items():
             cols = by_row.get(k)
             if not cols:
                 continue
             for c, sb in cols:
-                add_into(out, (r, c), sa * sb)
+                pairs.setdefault((r, c), []).append((sa, sb))
+        out = {}
+        for rc, entry in pairs.items():
+            s = dot(entry)
+            if s:
+                out[rc] = s
         return GradedOperator(self.space, out)
 
     def __mul__(self, factor):

@@ -732,6 +732,76 @@ def test_packed_kit_matches_dict_rows_near_the_slot_limit():
     run()
 
 
+def _binom_loop(a, fac):
+    """(a / g, g) for the largest product g of binomials from fac, one
+    xp_binom_div at a time."""
+    removed = {}
+    for e, m in fac.items():
+        for _ in range(m):
+            q = xp_binom_div(a, e)
+            if q is None:
+                break
+            a = q
+            removed[e] = removed.get(e, 0) + 1
+    return a, removed
+
+
+def test_one_pass_binomial_cancel_matches_the_one_binomial_loop():
+    # numerators near the slot limit times up to three copies of each of a
+    # few binomials, negative exponents and exponents off the stride
+    # included, cancelled against multisets that ask for more copies than
+    # were multiplied in, so that divisions fail partway
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    counts = st.dictionaries(st.integers(-12, 12), st.integers(0, 3),
+                             max_size=4)
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(_big_rows(st, 8), counts, counts)
+    def run(rows, built, extra):
+        n = xn(rows)
+        for e, m in built.items():
+            for _ in range(m):
+                n = xp_binom_mul(n, e)
+        fac = {e: min(3, built.get(e, 0) + extra.get(e, 0))
+               for e in set(built) | set(extra)}
+        fac = {e: m for e, m in fac.items() if m}
+        q, removed = polys.xp_binom_cancel(n, fac)
+        want, want_removed = _binom_loop(n, fac)
+        assert removed == want_removed
+        assert xp_terms(q) == xp_terms(want)
+        dq, dremoved = polys.xp_binom_cancel(as_dict_rows(n), fac)
+        assert dremoved == removed and xp_terms(dq) == xp_terms(q)
+        back = q
+        for e, m in removed.items():
+            for _ in range(m):
+                back = xp_binom_mul(back, e)
+        assert xp_terms(back) == xp_terms(n)
+        for e, m in fac.items():
+            assert removed.get(e, 0) >= min(m, built.get(e, 0))
+            if removed.get(e, 0) < m:
+                assert xp_binom_div(q, e) is None
+
+    run()
+    # a numerator at stride 8 tried against exponents off that stride
+    a = xp_binom_mul(xn({0: {0: 3, 8: -1}, 8: {16: 2}}), -8)
+    assert a.s == 8
+    q, removed = polys.xp_binom_cancel(a, {3: 1, -8: 2, 4: 1})
+    assert removed == {-8: 1} and q.s == 1
+    assert xp_terms(q) == xp_terms(xn({0: {0: 3, 8: -1}, 8: {16: 2}}))
+    # a quotient whose slots outgrow the numerator's: n = (y - 1) q with
+    # q's rows c, 2c, ..., 8c, ..., c and q(1) = 2**64 - u**8, which a
+    # second division adding q's rows in 64-bit slots would take for zero
+    c = 1 << 58
+    rows = {8 * j: {0: c * min(j + 1, 15 - j)} for j in range(15)}
+    rows[0][8] = -1
+    q = xn(rows)
+    n = xp_binom_mul(q, 0)
+    assert n.b == polys.SLOT
+    got, removed = polys.xp_binom_cancel(n, {0: 2})
+    assert removed == {0: 1} and xp_terms(got) == xp_terms(q)
+
+
 def test_packing_width_does_not_change_equality_or_hash():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

@@ -1,5 +1,7 @@
 """The relation table, the one verify path, and the manifest."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -19,7 +21,8 @@ from dynrmat.report import (
     _numeric_residual_rank,
     run_comparisons,
 )
-from dynrmat.scalar import SC_ONE, xpow
+from dynrmat.scalar import SC_ONE, Scalar, xpow
+from dynrmat.spins import GradedOperator
 from dynrmat.suite import (
     MANIFEST_VERSION,
     RELATIONS,
@@ -204,6 +207,76 @@ def test_residual_rank_matches_numpy(rhs):
 def test_residual_rank_of_a_zero_difference():
     r = dynrmat.gnf_r(1, 1)
     assert _numeric_residual_rank(r - r) == 0
+
+
+H = F(1, 2)
+
+
+def _planted():
+    # one entry of GNF's R(1, 1/2) moved by q: the first comparison passes,
+    # the second fails at that entry
+    r = dynrmat.gnf_r(1, H)
+    data = dict(r.data)
+    key = sorted(data)[len(data) // 2]
+    data[key] = data[key] + dynrmat.qpow(1)
+    return [("same", r, r), ("planted", r, GradedOperator(r.space, data))]
+
+
+# the known-false controls of bench/child.py and one planted failure, with
+# the sha256 of each report's stable JSON, its residual rank and its length
+FAILING = {
+    "ctrl_gnf_vs_shifted": (
+        (1, 1), lambda: [("gnf_r", dynrmat.gnf_r(1, 1),
+                          dynrmat.gnf_r(1, 1).shift_x(1))],
+        "0bbbeb945aab574f2e19fa25877942f906da7a3d330fe11dac3011e737f9fd6f",
+        7, 271),
+    "ctrl_gnf_vs_drinfeld": (
+        (1, 1), lambda: [("gnf_r", dynrmat.gnf_r(1, 1),
+                          dynrmat.drinfeld_r(1, 1))],
+        "3d5ac3b286d2fbd8f085fdd9051482d7052ec753e9ca266e40afd32dd51c440d",
+        7, 232),
+    "ctrl_wrong_energy": (
+        (2,), lambda: [("H psi",
+                        dynrmat.hamiltonian(2).apply(dynrmat.wavefunction(2, 3)),
+                        dynrmat.energy(4) * dynrmat.wavefunction(2, 3))],
+        "a7ee6d1673aa063f6df4cfa905adeb10ab18302ff430293bda3b2b3ce6c3b266",
+        None, 609),
+    "ctrl_six_j": (
+        (H, H, 1, H, H, 1), lambda: [("6j", dynrmat.six_j(H, H, 1, H, H, 1),
+                                      dynrmat.six_j(H, H, 0, H, H, 1))],
+        "396199f2894037f452a6779b562bcc63dd5cede1b93f2b647a9179f7053b24ca",
+        None, 206),
+    "planted": (
+        (1, H), _planted,
+        "720128f024f22e43ae9b23d938e996b7e37a86568bbc165c9904df82e202f487",
+        1, 180),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAILING))
+def test_failing_reports_keep_their_bytes(label):
+    # an exact comparison passes on equal canonical forms without forming
+    # the difference; a failing one still reports the difference's first
+    # nonzero entry and its residual rank, byte for byte
+    spins, build, digest, rank, size = FAILING[label]
+    rep = run_comparisons(label, spins, build())
+    text = json.dumps(rep.to_jsonable(stable=True), sort_keys=True)
+    assert rep.status == "fail" and rep.residual_rank == rank
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_equal_sides_pass_without_a_difference(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("difference formed for equal sides")
+
+    monkeypatch.setattr(GradedOperator, "__sub__", refuse)
+    monkeypatch.setattr(Scalar, "__sub__", refuse)
+    r = dynrmat.gnf_r(1, 1)
+    rep = run_comparisons("EQ", (1, 1), [("op", r, dynrmat.gnf_r(1, 1)),
+                                         ("scalar", r.entry(0, 0),
+                                          r.entry(0, 0))])
+    assert rep.ok and rep.failing_entry is None and rep.residual_rank is None
 
 
 @pytest.mark.parametrize(
