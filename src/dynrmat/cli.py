@@ -293,7 +293,11 @@ def _cmd_lame(parser, args):
         ok = True
         for k in args.k:
             for z in args.z:
-                rows, extrap, target, order = classical_limit_table(args.j, k, z)
+                try:
+                    rows, extrap, target, order = classical_limit_table(
+                        args.j, k, z)
+                except ValueError as exc:
+                    parser.error(str(exc))
                 lines.append("j=%d k=%d z=%g target=%.12g" % (args.j, k, z, target))
                 for eps, val in rows:
                     lines.append(

@@ -11,6 +11,7 @@ division.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .lattice import to_units
 from .polys import add_into, poly_add
@@ -186,26 +187,20 @@ def wavefunction(j, k, method="closed"):
     raise ValueError("method must be 'closed' or 'recursive'")
 
 
-_WAVE_TERMS = {}  # int (j, k) -> the summands of the closed form, a tuple
-_WAVE_CLOSED = {}  # int (j, k) -> their sum
-
-
+@cache
 def _wave_terms(j, k):
-    got = _WAVE_TERMS.get((j, k))
-    if got is None:
-        terms = []
-        for n in range(j + 1):
-            # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
-            halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n,
-                               -2)
-            for r in range(1, n + 1):
-                add_xbracket(halves, to_units(r - j - 1), 2)
-                add_xbracket(halves, to_units(r), -2)
-            wave = (qpow(k * (2 * n - j)) * xpow(k)
-                    - qpow(-k * (2 * n - j)) * xpow(-k))
-            terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
-        got = _WAVE_TERMS[(j, k)] = tuple(terms)
-    return got
+    """The summands of the closed form at int (j, k), a tuple."""
+    terms = []
+    for n in range(j + 1):
+        # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
+        halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n, -2)
+        for r in range(1, n + 1):
+            add_xbracket(halves, to_units(r - j - 1), 2)
+            add_xbracket(halves, to_units(r), -2)
+        wave = (qpow(k * (2 * n - j)) * xpow(k)
+                - qpow(-k * (2 * n - j)) * xpow(-k))
+        terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
+    return tuple(terms)
 
 
 def wavefunction_terms(j, k):
@@ -214,14 +209,13 @@ def wavefunction_terms(j, k):
 
 
 def wavefunction_closed(j, k):
-    j, k = _int_spin(j), _int_spin(k, "wave number")
-    got = _WAVE_CLOSED.get((j, k))
-    if got is None:
-        got = SC_ZERO
-        for t in _wave_terms(j, k):
-            got = got + t
-        _WAVE_CLOSED[(j, k)] = got
-    return got
+    return _wave_closed(_int_spin(j), _int_spin(k, "wave number"))
+
+
+@cache
+def _wave_closed(j, k):
+    """The sum of _wave_terms(j, k)."""
+    return sum(_wave_terms(j, k), SC_ZERO)
 
 
 # ------------------------------------------------------------- lax matrix
@@ -489,6 +483,8 @@ def _build_rel_residues(j):
 def _build_rel_spectral_properties(j, kmax=5):
     """Eigen-equation, exclusion and residue vanishing in one list."""
     j = _int_spin(j)
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative, got %d" % kmax)
     h = hamiltonian(j)
     comparisons = []
     for k in range(-kmax, kmax + 1):
@@ -522,11 +518,13 @@ def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
     (rows, extrapolated, target, order) with rows pairing each eps with
     the symmetrized value.  The one-sided action carries an odd eps term
     (the test function is not an eigenfunction), which the symmetrization
-    removes.
+    removes.  Raises ValueError at z = 0, where the target has a pole.
     """
     import math
 
     j, k = _int_spin(j), _int_spin(k, "wave number")
+    if z == 0:
+        raise ValueError("the classical limit has a pole at z = 0")
     cj = c_function(j, shift=1)
     x0 = math.exp(z)
 

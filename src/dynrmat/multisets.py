@@ -11,6 +11,8 @@ product rule of factored fractions, for every level and both multisets of
 a RationalFunction.
 """
 
+from functools import cache
+
 NO_FACTORS = {}
 
 
@@ -127,7 +129,6 @@ class Alphabet:
     def __init__(self, one, mul):
         self.one = one
         self.mul = mul
-        self._expanded = {(): one}
 
     def times(self, p, fac):
         """p times the factors of the multiset `fac`."""
@@ -138,8 +139,8 @@ class Alphabet:
 
     def expand(self, fac):
         """The product of the factors of the multiset `fac`, cached."""
-        k = key(fac)
-        got = self._expanded.get(k)
-        if got is None:
-            got = self._expanded[k] = self.times(self.one, fac)
-        return got
+        return self._expanded(key(fac))
+
+    @cache
+    def _expanded(self, k):
+        return self.times(self.one, dict(k))

@@ -9,7 +9,7 @@ same point is therefore a real two-route coherence check, not a tautology.
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .report import VerificationReport
 
@@ -187,7 +187,7 @@ def _log_pochhammer(a, Q):
         n += 1
 
 
-@lru_cache(maxsize=None)
+@cache
 def log_qfact_real(z, q):
     """(sign, log magnitude) of the q-factorial continued to real argument.
 

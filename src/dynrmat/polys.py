@@ -94,7 +94,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from itertools import chain, count
 
 from . import multisets
@@ -261,15 +261,11 @@ def qp_eval_complex(a, u0):
 
 Q_DEG = 2 * DENOM
 
-_PHI = {}  # d -> (dense Phi_d, its nonzero coefficients below the top)
-_PHI_U = {}  # d -> Phi_d(u**Q_DEG) as a QPoly
-_PHI_NORM = {}  # d -> ||Phi_d||_1, the sum of |coefficients| of Phi_d
-
 
 def _dense_div(t, phi):
     """(t / Phi_d, whether a remainder is left) for a dense polynomial t,
-    like divmod; `phi` is a value of _PHI.  Synthetic division by a monic
-    divisor, so integer coefficients stay integers."""
+    like divmod; `phi` is a value of cyclotomic.  Synthetic division by a
+    monic divisor, so integer coefficients stay integers."""
     c, low = phi
     k = len(c) - 1
     top = len(t) - 1 - k
@@ -311,24 +307,27 @@ def _divide_out(rows, fac, phi_of, div):
     return rows, removed
 
 
+@cache
 def cyclotomic(d):
     """(dense Phi_d(Q), [(j, c_j) for its nonzero c_j with j < deg]), cached."""
-    got = _PHI.get(d)
-    if got is None:
-        # Q**d - 1 is the product of Phi_e(Q) over the divisors e of d
-        rows, _ = _divide_out({0: [-1] + [0] * (d - 1) + [1]},
-                              {e: 1 for e in range(1, d) if d % e == 0},
-                              cyclotomic, _dense_div)
-        t = rows[0]
-        got = _PHI[d] = (t, [(j, c) for j, c in enumerate(t[:-1]) if c])
-    return got
+    # Q**d - 1 is the product of Phi_e(Q) over the divisors e of d
+    rows, _ = _divide_out({0: [-1] + [0] * (d - 1) + [1]},
+                          {e: 1 for e in range(1, d) if d % e == 0},
+                          cyclotomic, _dense_div)
+    t = rows[0]
+    return t, [(j, c) for j, c in enumerate(t[:-1]) if c]
 
 
+@cache
 def _phi_u(d):
-    got = _PHI_U.get(d)
-    if got is None:
-        got = _PHI_U[d] = _q_sparse(cyclotomic(d)[0])
-    return got
+    """Phi_d(u**Q_DEG) as a QPoly."""
+    return _q_sparse(cyclotomic(d)[0])
+
+
+@cache
+def _phi_norm(d):
+    """||Phi_d||_1, the sum of |coefficients| of Phi_d."""
+    return sum(map(abs, cyclotomic(d)[0]))
 
 
 def _norm(fac):
@@ -336,10 +335,7 @@ def _norm(fac):
     ||p||_1 is the sum of |coefficients| of p; it bounds ||product||_1."""
     out = 1
     for d, m in fac.items():
-        n = _PHI_NORM.get(d)
-        if n is None:
-            n = _PHI_NORM[d] = sum(map(abs, cyclotomic(d)[0]))
-        out *= n ** m
+        out *= _phi_norm(d) ** m
     return out
 
 
@@ -918,7 +914,7 @@ def _inflate(p, k):
     return {k * e: c for e, c in p.items()}
 
 
-@lru_cache(maxsize=None)
+@cache
 def _prime(i):
     """(p, w): the i-th prime p = 1 mod 8 from 2**31 up, and w of order 8
     mod p; z8 -> w**(2j + 1), j < 4, embed Z[z8] in GF(p) four ways."""
@@ -1597,18 +1593,18 @@ def xp_qsafe(a, fac):
                                 for c in row.values()))
 
 
-_QTIMES = {}  # multiset key -> the XNum of the product of its factors
-
-
 def xp_qtimes(a, fac):
     """a times the cyclotomic factors of the multiset `fac`."""
     if not fac or not a.rows:
         return a
-    key = multisets.key(fac)
-    by = _QTIMES.get(key)
-    if by is None:
-        by = _QTIMES[key] = xp_from_terms({0: CYCLOTOMICS.expand(fac)})
-    return xp_mul(a, by)
+    return xp_mul(a, _qtimes(multisets.key(fac)))
+
+
+@cache
+def _qtimes(key):
+    """The XNum of the product of the cyclotomic factors of the multiset
+    named `key` (multisets.key)."""
+    return xp_from_terms({0: CYCLOTOMICS.expand(dict(key))})
 
 
 def xp_qcancel(a, fac):
@@ -1642,15 +1638,10 @@ class _PackedPhis(dict):
         return got
 
 
-_PHI_PACKED = {}  # slot width b -> its _PackedPhis
-
-
+@cache
 def _phis_packed(b):
     """The _PackedPhis of slot width b."""
-    got = _PHI_PACKED.get(b)
-    if got is None:
-        got = _PHI_PACKED[b] = _PackedPhis(b)
-    return got
+    return _PackedPhis(b)
 
 
 def _qcancel_packed(a, fac):

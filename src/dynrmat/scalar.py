@@ -23,7 +23,7 @@ safety net on top, never the proof.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, repeat
 
 from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
@@ -85,15 +85,10 @@ class DivergentLimit(ArithmeticError):
 
 # ------------------------------------------------------------- radicands ---
 
-_RADICAND_CACHE = {}
-
-
+@cache
 def _radicand_rf(atom):
-    rf = _RADICAND_CACHE.get(atom)
-    if rf is None:
-        key = atom[1] if atom[0] == "qint" else atom
-        rf = _RADICAND_CACHE[atom] = qint_monomial(1, 0, {key: 2}).terms[()]
-    return rf
+    key = atom[1] if atom[0] == "qint" else atom
+    return qint_monomial(1, 0, {key: 2}).terms[()]
 
 
 def _atom_jsonable(atom):
@@ -565,30 +560,26 @@ def known_sum(terms, by=None):
 # its radical atom, as ("xbr", c_units) is the key and the atom of <c>.
 QDIFF = ("qdiff",)
 
-# key -> (u-exponent, v-exponent, signed cyclotomic indices, binomial
-# exponent or None) of the factors of [n], q - 1/q and <c>:
-#     [n] = q**-(n-1) * prod Phi_d(q**2) over the divisors d > 1 of n,
-#     q - 1/q = q**-1 * Phi_1(q**2),
-#     <c> = v**-D * u**(c_units + D) * (y - u**(-2 c_units)) / Phi_1(q**2),
-# for u = q**(1/D), v = x**(1/D), y = x**2 and c = c_units/D; the first two
-# are the bookkeeping of qfact_factors.
-_SHAPES = {QDIFF: (-DENOM, 0, ((1, 1),), None)}
 
-
+@cache
 def _shape(key):
-    got = _SHAPES.get(key)
-    if got is None:
-        if type(key) is int and key >= 1:
-            got = (-DENOM * (key - 1), 0,
-                   tuple((d, 1) for d in range(2, key + 1) if key % d == 0),
-                   None)
-        elif (type(key) is tuple and len(key) == 2 and key[0] == "xbr"
-              and type(key[1]) is int):
-            got = (key[1] + DENOM, -DENOM, ((1, -1),), -2 * key[1])
-        else:
-            raise ValueError("no factor %r in a prefactor" % (key,))
-        _SHAPES[key] = got
-    return got
+    """(u-exponent, v-exponent, signed cyclotomic indices, binomial exponent
+    or None) of the factors of the key [n], q - 1/q or <c>:
+        [n] = q**-(n-1) * prod Phi_d(q**2) over the divisors d > 1 of n,
+        q - 1/q = q**-1 * Phi_1(q**2),
+        <c> = v**-D * u**(c_units + D) * (y - u**(-2 c_units)) / Phi_1(q**2),
+    for u = q**(1/D), v = x**(1/D), y = x**2 and c = c_units/D; the first
+    two are the bookkeeping of qfact_factors."""
+    if key == QDIFF:
+        return (-DENOM, 0, ((1, 1),), None)
+    if type(key) is int and key >= 1:
+        return (-DENOM * (key - 1), 0,
+                tuple((d, 1) for d in range(2, key + 1) if key % d == 0),
+                None)
+    if (type(key) is tuple and len(key) == 2 and key[0] == "xbr"
+            and type(key[1]) is int):
+        return (key[1] + DENOM, -DENOM, ((1, -1),), -2 * key[1])
+    raise ValueError("no factor %r in a prefactor" % (key,))
 
 
 def add_qfact(halves, n, w):
@@ -614,7 +605,7 @@ def qint_monomial(c, units, halves, x_units=0):
     q - 1/q and ("xbr", c_units) for the x-bracket <c_units/D>.
 
     Each exponent splits as m = 2a + b with b in (0, 1).  An odd b puts the
-    atom in the radical, and f**a adds its known factors a times (_SHAPES),
+    atom in the radical, and f**a adds its known factors a times (_shape),
     so the rational part is a unit times prod Phi_d(q**2)**e_d for a signed
     multiset e, times prod (y - u**e)**a over the brackets.  The positive
     parts are multiplied out for the numerator, and the negative parts are

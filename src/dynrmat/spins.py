@@ -23,6 +23,7 @@ with the flipped coproduct D' obtained by swapping the q^(+-H/2) dressings.
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 from .lattice import to_units
 from .polys import poly_add
@@ -296,56 +297,47 @@ def diag_scalars(space, values):
 
 # ------------------------------------------------------- representations ---
 
-_REP_CACHE = {}
-
-
 def _single(spin):
     return TensorSpace((spin,))
 
 
 def rep_h(spin):
-    spin = Spin(spin)
-    key = ("h", spin.twice)
-    op = _REP_CACHE.get(key)
-    if op is None:
-        space = _single(spin)
-        data = {}
-        for i in range(spin.dim):
-            tm = spin.twice_m(i)
-            if tm:
-                data[(i, i)] = sc_coeff(tm)
-        op = GradedOperator(space, data)
-        _REP_CACHE[key] = op
-    return op
+    return _rep_h(Spin(spin))
 
 
 def rep_eplus(spin):
-    spin = Spin(spin)
-    key = ("e+", spin.twice)
-    op = _REP_CACHE.get(key)
-    if op is None:
-        space = _single(spin)
-        data = {}
-        for i in range(1, spin.dim):
-            # input m at index i, output m+1 at index i-1
-            data[(i - 1, i)] = sqrt_qint(i) * sqrt_qint(spin.twice - i + 1)
-        op = GradedOperator(space, data)
-        _REP_CACHE[key] = op
-    return op
+    return _rep_eplus(Spin(spin))
 
 
 def rep_eminus(spin):
-    spin = Spin(spin)
-    key = ("e-", spin.twice)
-    op = _REP_CACHE.get(key)
-    if op is None:
-        space = _single(spin)
-        data = {}
-        for i in range(spin.dim - 1):
-            data[(i + 1, i)] = sqrt_qint(spin.twice - i) * sqrt_qint(i + 1)
-        op = GradedOperator(space, data)
-        _REP_CACHE[key] = op
-    return op
+    return _rep_eminus(Spin(spin))
+
+
+@cache
+def _rep_h(spin):
+    data = {}
+    for i in range(spin.dim):
+        tm = spin.twice_m(i)
+        if tm:
+            data[(i, i)] = sc_coeff(tm)
+    return GradedOperator(_single(spin), data)
+
+
+@cache
+def _rep_eplus(spin):
+    data = {}
+    for i in range(1, spin.dim):
+        # input m at index i, output m+1 at index i-1
+        data[(i - 1, i)] = sqrt_qint(i) * sqrt_qint(spin.twice - i + 1)
+    return GradedOperator(_single(spin), data)
+
+
+@cache
+def _rep_eminus(spin):
+    data = {}
+    for i in range(spin.dim - 1):
+        data[(i + 1, i)] = sqrt_qint(spin.twice - i) * sqrt_qint(i + 1)
+    return GradedOperator(_single(spin), data)
 
 
 def embed(op, big, legs):
@@ -386,20 +378,20 @@ def coproduct_h(space2):
 
 
 def coproduct_eplus(space2, flipped=False):
-    s0, s1 = space2.spins
-    half = Fraction(-1, 2) if flipped else Fraction(1, 2)
-    e0 = embed(rep_eplus(s0), space2, (0,))
-    e1 = embed(rep_eplus(s1), space2, (1,))
-    d1 = diag_weight_qpow(space2, space2.leg_weights[1], half)
-    d0 = diag_weight_qpow(space2, space2.leg_weights[0], -half)
-    return e0 @ d1 + d0 @ e1
+    return _coproduct(rep_eplus, space2, flipped)
 
 
 def coproduct_eminus(space2, flipped=False):
+    return _coproduct(rep_eminus, space2, flipped)
+
+
+def _coproduct(rep, space2, flipped):
+    """rep (x) q^(H/2) + q^(-H/2) (x) rep, the dressings swapped if
+    flipped, for the one-leg generator rep."""
     s0, s1 = space2.spins
     half = Fraction(-1, 2) if flipped else Fraction(1, 2)
-    e0 = embed(rep_eminus(s0), space2, (0,))
-    e1 = embed(rep_eminus(s1), space2, (1,))
+    e0 = embed(rep(s0), space2, (0,))
+    e1 = embed(rep(s1), space2, (1,))
     d1 = diag_weight_qpow(space2, space2.leg_weights[1], half)
     d0 = diag_weight_qpow(space2, space2.leg_weights[0], -half)
     return e0 @ d1 + d0 @ e1

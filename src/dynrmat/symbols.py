@@ -16,6 +16,7 @@ one scalar.qint_monomial call, never by division.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .coeffs import root8_pow
 from .lattice import DENOM
@@ -96,11 +97,6 @@ def _add_triangle(halves, a, b, c):
 # finite couplings
 
 
-# doubled spins -> the _Parts of a coupling, or None where it vanishes; the
-# brute-force 6j overlap meets the same couplings many times over
-_THREE_J_CACHE = {}
-
-
 class _Parts:
     """c * u**units * prod f**(m/2) over the items f: m of `halves`
     (scalar.qint_monomial) times the q-factorial sum of `terms`
@@ -159,17 +155,11 @@ def _coupling(*key):
     return SC_ZERO if got is None else got.scalar()
 
 
-def _parts(*key):
-    """The _Parts of the coupling of the doubled spins `key`, or None where
-    it vanishes, cached."""
-    try:
-        return _THREE_J_CACHE[key]
-    except KeyError:
-        got = _THREE_J_CACHE[key] = _three_j(*key)
-        return got
-
-
-def _three_j(J1, J2, J3, M1, M2, M3):
+@cache
+def _parts(J1, J2, J3, M1, M2, M3):
+    """The _Parts of the coupling of the doubled spins, or None where it
+    vanishes, cached: the brute-force 6j overlap meets the same couplings
+    many times over."""
     if M1 + M2 != M3 or not _triangle(J1, J2, J3):
         return None
     if abs(M1) > J1 or abs(M2) > J2 or abs(M3) > J3:

@@ -20,6 +20,7 @@ scalar.qint_monomial call, never by division.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .lattice import DENOM
 from .polys import add_into
@@ -34,6 +35,7 @@ from .scalar import (
 )
 from .spins import (
     GradedOperator,
+    Spin,
     TensorSpace,
     coproduct_eminus,
     coproduct_eplus,
@@ -63,58 +65,45 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# prefactor caches
-
-_PREF_CACHE = {}
-_FAMILY_CACHE = {}
+# prefactors
 
 
+@cache
 def _pref_rd(i, wa, wb):
     """(q - 1/q)**i / [i]! * q**(wa wb/2 + i (wa - wb)/2 - i (i + 1)/2)."""
-    key = ("rd", i, wa, wb)
-    got = _PREF_CACHE.get(key)
-    if got is None:
-        got = _PREF_CACHE[key] = qint_monomial(
-            1, 2 * (wa * wb + i * (wa - wb) - i * (i + 1)),
-            add_qfact({QDIFF: 2 * i}, i, -2))
-    return got
+    return qint_monomial(1, 2 * (wa * wb + i * (wa - wb) - i * (i + 1)),
+                         add_qfact({QDIFF: 2 * i}, i, -2))
 
 
-def _pref_twist(key, k, wa, wb, nus, sign):
+def _pref_twist(k, wa, wb, nus, sign):
     """sign * (q - 1/q)**k / [k]! * x**k * q**(k (wa + wb)/2) / prod
     (x q**(nu + wb) - x**-1 q**-(nu + wb)) over the k values nu in `nus`:
     each bracket there is (q - 1/q) <nu + wb>, so q - 1/q cancels."""
-    got = _PREF_CACHE.get(key)
-    if got is None:
-        halves = add_qfact({}, k, -2)
-        for nu in nus:
-            add_xbracket(halves, DENOM * (nu + wb), -2)
-        got = _PREF_CACHE[key] = qint_monomial(
-            sign, 2 * k * (wa + wb), halves, DENOM * k)
-    return got
+    halves = add_qfact({}, k, -2)
+    for nu in nus:
+        add_xbracket(halves, DENOM * (nu + wb), -2)
+    return qint_monomial(sign, 2 * k * (wa + wb), halves, DENOM * k)
 
 
+@cache
 def _pref_f(k, wa, wb):
-    return _pref_twist(("f", k, wa, wb), k, wa, wb, range(k, 2 * k),
-                       (-1) ** k)
+    return _pref_twist(k, wa, wb, range(k, 2 * k), (-1) ** k)
 
 
+@cache
 def _pref_f_inv(k, wa, wb):
-    return _pref_twist(("finv", k, wa, wb), k, wa, wb, range(1, k + 1), 1)
+    return _pref_twist(k, wa, wb, range(1, k + 1), 1)
 
 
+@cache
 def _m_coeff(n, m):
     """(-1)**m x**m q**(n (n - 1)/2 + m (n - m)) / ([n]! [m]!
     prod_(nu=1..n) (x q**nu - x**-1 q**-nu))."""
-    key = ("m", n, m)
-    got = _PREF_CACHE.get(key)
-    if got is None:
-        halves = add_qfact(add_qfact({QDIFF: -2 * n}, n, -2), m, -2)
-        for nu in range(1, n + 1):
-            add_xbracket(halves, DENOM * nu, -2)
-        got = _PREF_CACHE[key] = qint_monomial(
-            (-1) ** m, 2 * n * (n - 1) + 4 * m * (n - m), halves, DENOM * m)
-    return got
+    halves = add_qfact(add_qfact({QDIFF: -2 * n}, n, -2), m, -2)
+    for nu in range(1, n + 1):
+        add_xbracket(halves, DENOM * nu, -2)
+    return qint_monomial((-1) ** m, 2 * n * (n - 1) + 4 * m * (n - m), halves,
+                         DENOM * m)
 
 
 # ---------------------------------------------------------------------------
@@ -197,39 +186,35 @@ def _m_series(space, plus, minus, weights):
 
 
 # ---------------------------------------------------------------------------
-# cached two-leg and one-leg families
+# two-leg and one-leg families, cached on their Spins
 
 
-def _family(kind, *spins):
-    key = (kind,) + tuple(s.twice for s in spins)
-    got = _FAMILY_CACHE.get(key)
-    if got is None:
-        got = _FAMILY_BUILDERS[kind](*spins)
-        _FAMILY_CACHE[key] = got
-    return got
-
-
+@cache
 def _build_rd(s1, s2):
     space = TensorSpace((s1, s2))
     return _rd_series(space, ("leg", 0), ("leg", 1))
 
 
+@cache
 def _build_f(s1, s2):
     space = TensorSpace((s1, s2))
     return _f_series(space, ("leg", 0), ("leg", 1))
 
 
+@cache
 def _build_f_inv(s1, s2):
     space = TensorSpace((s1, s2))
     return _f_series(space, ("leg", 0), ("leg", 1), inverse=True)
 
 
+@cache
 def _build_gnf_r(s1, s2):
     space = TensorSpace((s1, s2))
-    f21_inv = embed(_family("finv", s2, s1), space, (1, 0))
-    return f21_inv @ _family("rd", s1, s2) @ _family("f", s1, s2)
+    f21_inv = embed(_build_f_inv(s2, s1), space, (1, 0))
+    return f21_inv @ _build_rd(s1, s2) @ _build_f(s1, s2)
 
 
+@cache
 def _build_m(s):
     space = TensorSpace((s,))
     plus = embed(rep_eplus(s), space, (0,))
@@ -237,6 +222,7 @@ def _build_m(s):
     return _m_series(space, plus, minus, space.total_weights)
 
 
+@cache
 def _build_delta_m(s1, s2):
     space = TensorSpace((s1, s2))
     plus = coproduct_eplus(space)
@@ -244,83 +230,67 @@ def _build_delta_m(s1, s2):
     return _m_series(space, plus, minus, space.total_weights)
 
 
+@cache
 def _build_phi(s1, s2, s3):
     space = TensorSpace((s1, s2, s3))
-    f23_inv = embed(_family("finv", s2, s3), space, (1, 2))
+    f23_inv = embed(_build_f_inv(s2, s3), space, (1, 2))
     mid_inv = _f_series(space, ("leg", 0), ("cop", 1, 2), inverse=True)
     mid = _f_series(space, ("cop", 0, 1), ("leg", 2))
-    f12 = embed(_family("f", s1, s2), space, (0, 1))
+    f12 = embed(_build_f(s1, s2), space, (0, 1))
     return f23_inv @ mid_inv @ mid @ f12
 
 
+@cache
 def _build_phi_inv(s1, s2, s3):
     space = TensorSpace((s1, s2, s3))
-    f12_inv = embed(_family("finv", s1, s2), space, (0, 1))
+    f12_inv = embed(_build_f_inv(s1, s2), space, (0, 1))
     mid_inv = _f_series(space, ("cop", 0, 1), ("leg", 2), inverse=True)
     mid = _f_series(space, ("leg", 0), ("cop", 1, 2))
-    f23 = embed(_family("f", s2, s3), space, (1, 2))
+    f23 = embed(_build_f(s2, s3), space, (1, 2))
     return f12_inv @ mid_inv @ mid @ f23
-
-
-_FAMILY_BUILDERS = {
-    "rd": _build_rd,
-    "f": _build_f,
-    "finv": _build_f_inv,
-    "r": _build_gnf_r,
-    "m": _build_m,
-    "dm": _build_delta_m,
-    "phi": _build_phi,
-    "phiinv": _build_phi_inv,
-}
-
-
-def _spin(j):
-    from .spins import Spin
-
-    return Spin(j)
 
 
 def drinfeld_r(j1, j2):
     """Constant exchange matrix on the (j1, j2) pair, normalised so the
     highest vector is an eigenvector with eigenvalue q^(2 j1 j2)."""
-    return _family("rd", _spin(j1), _spin(j2))
+    return _build_rd(Spin(j1), Spin(j2))
 
 
 def twist_f(j1, j2):
-    return _family("f", _spin(j1), _spin(j2))
+    return _build_f(Spin(j1), Spin(j2))
 
 
 def twist_f_inv(j1, j2):
-    return _family("finv", _spin(j1), _spin(j2))
+    return _build_f_inv(Spin(j1), Spin(j2))
 
 
 def gnf_r(j1, j2):
     """Dynamical exchange matrix obtained by twisting the constant one."""
-    return _family("r", _spin(j1), _spin(j2))
+    return _build_gnf_r(Spin(j1), Spin(j2))
 
 
 def boundary_m(j):
     """One-leg companion twist entering the coboundary identity."""
-    return _family("m", _spin(j))
+    return _build_m(Spin(j))
 
 
 def delta_m(j1, j2):
     """Coproduct image of the one-leg companion twist on a pair."""
-    return _family("dm", _spin(j1), _spin(j2))
+    return _build_delta_m(Spin(j1), Spin(j2))
 
 
 def associator_phi(j1, j2, j3):
-    return _family("phi", _spin(j1), _spin(j2), _spin(j3))
+    return _build_phi(Spin(j1), Spin(j2), Spin(j3))
 
 
 def associator_phi_inv(j1, j2, j3):
-    return _family("phiinv", _spin(j1), _spin(j2), _spin(j3))
+    return _build_phi_inv(Spin(j1), Spin(j2), Spin(j3))
 
 
 def associator_phi_short(j1, j2, j3):
     """Associator in its two-factor form: the inverse pair twist with the
     argument shifted by the third weight, times the bare pair twist."""
-    space = TensorSpace((_spin(j1), _spin(j2), _spin(j3)))
+    space = TensorSpace((Spin(j1), Spin(j2), Spin(j3)))
     f12_inv = embed(twist_f_inv(j1, j2), space, (0, 1))
     f12 = embed(twist_f(j1, j2), space, (0, 1))
     return f12_inv.shift_x_by_weight(1, space.leg_weights[2]) @ f12
@@ -341,27 +311,12 @@ def phi_inv_embedded(space, perm):
 
 
 def _triple(j1, j2, j3):
-    return TensorSpace((_spin(j1), _spin(j2), _spin(j3)))
+    return TensorSpace((Spin(j1), Spin(j2), Spin(j3)))
 
 
-def _r_on(space, a, b):
-    ja = space.spins[a].j
-    jb = space.spins[b].j
-    return embed(gnf_r(ja, jb), space, (a, b))
-
-
-def _rd_on(space, a, b):
-    ja = space.spins[a].j
-    jb = space.spins[b].j
-    return embed(drinfeld_r(ja, jb), space, (a, b))
-
-
-def _f_on(space, a, b):
-    return embed(twist_f(space.spins[a].j, space.spins[b].j), space, (a, b))
-
-
-def _finv_on(space, a, b):
-    return embed(twist_f_inv(space.spins[a].j, space.spins[b].j), space, (a, b))
+def _on(build, space, a, b):
+    """The two-leg family `build` (a cached _build_*) on legs a and b."""
+    return embed(build(space.spins[a], space.spins[b]), space, (a, b))
 
 
 def _shift(op, leg):
@@ -373,8 +328,8 @@ def _shift(op, leg):
 
 
 def _build_rel_rd_intertwiner(j1, j2):
-    space = TensorSpace((_spin(j1), _spin(j2)))
-    rd = _rd_on(space, 0, 1)
+    space = TensorSpace((Spin(j1), Spin(j2)))
+    rd = _on(_build_rd, space, 0, 1)
     out = []
     for name, straight, flipped in (
         ("h", coproduct_h(space), coproduct_h(space)),
@@ -389,17 +344,18 @@ def _build_rel_rd_fusion(j1, j2, j3):
     space = _triple(j1, j2, j3)
     left = _rd_series(space, ("cop", 0, 1), ("leg", 2))
     right = _rd_series(space, ("leg", 0), ("cop", 1, 2))
+    rd02 = _on(_build_rd, space, 0, 2)
     return [
-        ("first pair fused", left, _rd_on(space, 0, 2) @ _rd_on(space, 1, 2)),
-        ("second pair fused", right, _rd_on(space, 0, 2) @ _rd_on(space, 0, 1)),
+        ("first pair fused", left, rd02 @ _on(_build_rd, space, 1, 2)),
+        ("second pair fused", right, rd02 @ _on(_build_rd, space, 0, 1)),
     ]
 
 
 def _build_rel_gnf(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    r12 = _r_on(space, 0, 1)
-    r13 = _r_on(space, 0, 2)
-    r23 = _r_on(space, 1, 2)
+    r12 = _on(_build_gnf_r, space, 0, 1)
+    r13 = _on(_build_gnf_r, space, 0, 2)
+    r23 = _on(_build_gnf_r, space, 1, 2)
     lhs = r12 @ _shift(r13, 1) @ r23
     rhs = _shift(r23, 0) @ r13 @ _shift(r12, 2)
     return [("dynamical braid relation", lhs, rhs)]
@@ -407,16 +363,18 @@ def _build_rel_gnf(j1, j2, j3):
 
 def _build_rel_cocycle(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    lhs = _f_series(space, ("leg", 0), ("cop", 1, 2)) @ _f_on(space, 1, 2)
-    rhs = _f_series(space, ("cop", 0, 1), ("leg", 2)) @ _shift(_f_on(space, 0, 1), 2)
+    lhs = (_f_series(space, ("leg", 0), ("cop", 1, 2))
+           @ _on(_build_f, space, 1, 2))
+    rhs = (_f_series(space, ("cop", 0, 1), ("leg", 2))
+           @ _shift(_on(_build_f, space, 0, 1), 2))
     return [("shifted two-cocycle", lhs, rhs)]
 
 
 def _build_rel_coboundary(j1, j2):
-    space = TensorSpace((_spin(j1), _spin(j2)))
+    space = TensorSpace((Spin(j1), Spin(j2)))
     m1 = embed(boundary_m(j1), space, (0,))
     m2 = embed(boundary_m(j2), space, (1,))
-    lhs = _f_on(space, 0, 1) @ _shift(m1, 1) @ m2
+    lhs = _on(_build_f, space, 0, 1) @ _shift(m1, 1) @ m2
     return [("coboundary factorisation", lhs, delta_m(j1, j2))]
 
 
@@ -433,12 +391,12 @@ def _build_rel_phi_forms(j1, j2, j3):
 
 def _build_rel_shifted_coassoc(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    f23 = _f_on(space, 1, 2)
-    f23_inv = _finv_on(space, 1, 2)
+    f23 = _on(_build_f, space, 1, 2)
+    f23_inv = _on(_build_f_inv, space, 1, 2)
     mid_r = _f_series(space, ("leg", 0), ("cop", 1, 2))
     mid_r_inv = _f_series(space, ("leg", 0), ("cop", 1, 2), inverse=True)
-    f12s = _shift(_f_on(space, 0, 1), 2)
-    f12s_inv = _shift(_finv_on(space, 0, 1), 2)
+    f12s = _shift(_on(_build_f, space, 0, 1), 2)
+    f12s_inv = _shift(_on(_build_f_inv, space, 0, 1), 2)
     mid_l = _f_series(space, ("cop", 0, 1), ("leg", 2))
     mid_l_inv = _f_series(space, ("cop", 0, 1), ("leg", 2), inverse=True)
 
@@ -485,7 +443,7 @@ def _cascade(space, single_rep, pair_cop):
 
 def _build_rel_phi_conjugation(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    r12 = _r_on(space, 0, 1)
+    r12 = _on(_build_gnf_r, space, 0, 1)
     lhs = _shift(r12, 2)
     rhs = phi_embedded(space, (1, 0, 2)) @ r12 @ phi_inv_embedded(space, (0, 1, 2))
     return [("argument shift as conjugation", lhs, rhs)]
@@ -493,9 +451,9 @@ def _build_rel_phi_conjugation(j1, j2, j3):
 
 def _build_rel_quasi_ybe(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    r12 = _r_on(space, 0, 1)
-    r13 = _r_on(space, 0, 2)
-    r23 = _r_on(space, 1, 2)
+    r12 = _on(_build_gnf_r, space, 0, 1)
+    r13 = _on(_build_gnf_r, space, 0, 2)
+    r23 = _on(_build_gnf_r, space, 1, 2)
     lhs = (
         phi_inv_embedded(space, (2, 1, 0))
         @ r12
@@ -517,16 +475,16 @@ def _build_rel_quasi_ybe(j1, j2, j3):
 
 def _build_rel_quasitriangular_left(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    f12 = _f_on(space, 0, 1)
-    f12_inv = _finv_on(space, 0, 1)
+    f12 = _on(_build_f, space, 0, 1)
+    f12_inv = _on(_build_f_inv, space, 0, 1)
     spread_r = (
         _f_series(space, ("leg", 2), ("cop", 0, 1), inverse=True)
         @ _rd_series(space, ("cop", 0, 1), ("leg", 2))
         @ _f_series(space, ("cop", 0, 1), ("leg", 2))
     )
     lhs = f12_inv @ spread_r @ f12
-    r13 = _r_on(space, 0, 2)
-    r23 = _r_on(space, 1, 2)
+    r13 = _on(_build_gnf_r, space, 0, 2)
+    r23 = _on(_build_gnf_r, space, 1, 2)
     rhs_dyn = _shift(r13, 1) @ r23 @ _shift(f12_inv, 2) @ f12
     rhs_axiom = (
         phi_embedded(space, (2, 0, 1))
@@ -543,16 +501,16 @@ def _build_rel_quasitriangular_left(j1, j2, j3):
 
 def _build_rel_quasitriangular_right(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    f23 = _f_on(space, 1, 2)
-    f23_inv = _finv_on(space, 1, 2)
+    f23 = _on(_build_f, space, 1, 2)
+    f23_inv = _on(_build_f_inv, space, 1, 2)
     spread_r = (
         _f_series(space, ("cop", 1, 2), ("leg", 0), inverse=True)
         @ _rd_series(space, ("leg", 0), ("cop", 1, 2))
         @ _f_series(space, ("leg", 0), ("cop", 1, 2))
     )
     lhs = f23_inv @ spread_r @ f23
-    r12 = _r_on(space, 0, 1)
-    r13 = _r_on(space, 0, 2)
+    r12 = _on(_build_gnf_r, space, 0, 1)
+    r13 = _on(_build_gnf_r, space, 0, 2)
     rhs_dyn = f23_inv @ _shift(f23, 0) @ r13 @ _shift(r12, 2)
     rhs_axiom = (
         phi_inv_embedded(space, (1, 2, 0))
@@ -568,9 +526,9 @@ def _build_rel_quasitriangular_right(j1, j2, j3):
 
 
 def _build_rel_deltax_homomorphism(j1, j2):
-    space = TensorSpace((_spin(j1), _spin(j2)))
-    f = _f_on(space, 0, 1)
-    finv = _finv_on(space, 0, 1)
+    space = TensorSpace((Spin(j1), Spin(j2)))
+    f = _on(_build_f, space, 0, 1)
+    finv = _on(_build_f_inv, space, 0, 1)
     bh = finv @ coproduct_h(space) @ f
     bp = finv @ coproduct_eplus(space) @ f
     bm = finv @ coproduct_eminus(space) @ f
@@ -595,7 +553,7 @@ def _limit_op(op, at_zero):
 
 
 def _build_rel_twist_limits(j1, j2):
-    space = TensorSpace((_spin(j1), _spin(j2)))
+    space = TensorSpace((Spin(j1), Spin(j2)))
     f = twist_f(j1, j2)
     finv = twist_f_inv(j1, j2)
     r = gnf_r(j1, j2)

@@ -110,12 +110,17 @@ def test_numeric_mode_defaults_the_other_coordinate():
         ("verify", "ALGEBRA", "--spins", "1/2,1"),
         ("verify", "NUMERIC_COHERENCE", "--spins", "1"),
         ("lame", "verify", "--j", "1/2"),
+        # the target k**2 - j(j+1)/sinh(z)**2 has a pole at z = 0
+        ("lame", "classical", "--j", "1", "--k", "2", "--z", "0.5,0"),
+        # no k at all: range(-kmax, kmax + 1) is empty
+        ("lame", "verify", "--j", "1", "--kmax", "-1"),
     ],
 )
 def test_spins_a_relation_cannot_take_are_usage_errors(argv):
     code, out, err = run(*argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("usage:")
 
 
 def test_numeric_mode_runs_at_explicit_point():
@@ -145,6 +150,22 @@ def test_dump_rmatrix_is_deterministic_and_round_trips():
     assert code1 == 0 and out1 == out2
     obj = from_payload(json.loads(out1))
     assert obj == gnf_r("1/2", "1/2")
+
+
+def test_cache_state_never_changes_a_result(cold_caches):
+    argvs = [("verify", "all", "--format", "json"),
+             ("dump", "rmatrix", "--spins", "1,1", "--format", "json")]
+    warm = [run(*argv) for argv in argvs]
+    assert [run(*argv) for argv in argvs] == warm
+    names = {c.__qualname__ for c in cold_caches if c.cache_info().currsize}
+    assert {"Alphabet._expanded", "_parts", "_build_gnf_r", "_rep_eplus",
+            "cyclotomic", "_wave_closed", "log_qfact_real"} <= names
+    for c in cold_caches:
+        c.cache_clear()
+    assert [c.cache_info().currsize for c in cold_caches] == [0] * len(
+        cold_caches)
+    assert [run(*argv) for argv in argvs] == warm
+    assert [code for code, _, _ in warm] == [0, 0]
 
 
 def test_dump_arity_mismatch_is_usage_error():

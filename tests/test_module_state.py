@@ -1,0 +1,94 @@
+"""No function stores into a module-level container.
+
+Built values are remembered by functools.cache, which gives every cache a
+cache_clear and a cache_info; a dict filled by hand has neither.  The
+module-level constants NO_FACTORS, QP_ZERO, QP_ONE, XP_ZERO and XP_ONE are
+shared by every value that has no factors or is 0 or 1, so a store into one
+of them would change all of those values at once.  This test flags any
+subscript store or delete, inside a function of src/dynrmat, whose base is
+a name bound at the top of the module and not bound in the function.  The
+source is read, not run.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dynrmat"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _bound(nodes):
+    """The names that the statements `nodes` bind at their own level."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                names.update(n.id for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def _locals(func):
+    """The parameters of `func` and the names it assigns anywhere."""
+    a = func.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    names.update(p.arg for p in (a.vararg, a.kwarg) if p is not None)
+    names.update(n.id for n in ast.walk(func)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def _base(node):
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node
+
+
+def module_stores(path):
+    """(line, name) of each subscript store into a module-level name made
+    inside a function of the module at `path`."""
+    tree = ast.parse(path.read_text())
+    module_names = _bound(tree.body)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = _locals(func)
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                base = _base(node.value)
+                if (isinstance(base, ast.Name) and base.id in module_names
+                        and base.id not in local):
+                    found.append((node.lineno, base.id))
+    return sorted(set(found))
+
+
+def test_the_guard_sees_a_cache_filled_by_hand(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from .multisets import NO_FACTORS\n"
+        "_CACHE = {}\n"
+        "def f(k):\n"
+        "    _CACHE[k] = 1\n"
+        "    NO_FACTORS[k] += 1\n"
+        "    out = {}\n"
+        "    out[k] = 1\n"
+        "def g(_CACHE, k):\n"
+        "    _CACHE[k] = 1\n")
+    assert module_stores(src) == [(4, "_CACHE"), (5, "NO_FACTORS")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_function_stores_into_module_state(path):
+    assert module_stores(path) == []

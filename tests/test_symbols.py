@@ -199,7 +199,8 @@ def test_overlap_normalisation_matches_brute_force():
         )
 
 
-def test_prefactors_need_no_inverse_or_factor_search(monkeypatch):
+def test_prefactors_need_no_inverse_or_factor_search(monkeypatch,
+                                                     cold_caches):
     # the prefactors are built from known q-integer factors, so neither
     # Scalar.inv nor the cyclotomic factor search runs on either side
     calls = {"inv": 0, "factor": 0}
@@ -215,7 +216,6 @@ def test_prefactors_need_no_inverse_or_factor_search(monkeypatch):
 
     monkeypatch.setattr(Scalar, "inv", counted_inv)
     monkeypatch.setattr(QRat, "_factor", staticmethod(counted_factor))
-    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
     triple = (2, F(3, 2), F(3, 2))
     assert three_j(*triple, 1, H, F(3, 2)) != SC_ZERO
     for label, lhs, rhs in symbols._build_rel_recoupling(*triple):
@@ -223,12 +223,14 @@ def test_prefactors_need_no_inverse_or_factor_search(monkeypatch):
     assert calls == {"inv": 0, "factor": 0}
 
 
-def test_three_j_cache_is_keyed_by_doubled_spins(monkeypatch):
-    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
+def test_three_j_cache_is_keyed_by_doubled_spins():
+    symbols._parts.cache_clear()
     a = three_j(1, H, "3/2", 0, "1/2", H)
     b = three_j(F(1), "1/2", F(3, 2), F(0), H, "1/2")
     assert a is b
-    assert list(symbols._THREE_J_CACHE) == [(2, 1, 3, 0, 1, 1)]
+    assert symbols._parts(2, 1, 3, 0, 1, 1).scalar() is a
+    info = symbols._parts.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
 def _overlap_by_products(j1, j2, j12, j3, jtot, j23):
@@ -277,30 +279,29 @@ def test_overlap_in_exponents_matches_the_products_and_the_single_sum():
     assert count == 1208
 
 
-def test_overlap_expands_no_term_on_its_own(monkeypatch):
+def test_overlap_expands_no_term_on_its_own(monkeypatch, cold_caches):
     # the overlap sums its terms in known-factor exponents, so with every
-    # cache cold a RECOUPLING(2,3/2,3/2) pass adds no expanded cyclotomic
-    # product to the cache of them in six_j_brute, and at most one per
-    # single-sum six_j
-    from dynrmat.polys import CYCLOTOMICS
+    # cache cold a RECOUPLING(2,3/2,3/2) pass adds no expanded product to
+    # the cache of them in six_j_brute, and at most one per single-sum six_j
+    from dynrmat.multisets import Alphabet
 
-    monkeypatch.setattr(symbols, "_THREE_J_CACHE", {})
-    monkeypatch.setattr(CYCLOTOMICS, "_expanded",
-                        {(): CYCLOTOMICS._expanded[()]})
+    def expanded():
+        return Alphabet._expanded.cache_info().currsize
+
     added = []
     brute = symbols.six_j_brute
 
     def counted(*spins):
-        n = len(CYCLOTOMICS._expanded)
+        n = expanded()
         got = brute(*spins)
-        added.append(len(CYCLOTOMICS._expanded) - n)
+        added.append(expanded() - n)
         return got
 
     monkeypatch.setattr(symbols, "six_j_brute", counted)
     comparisons = symbols._build_rel_recoupling(2, F(3, 2), F(3, 2))
     assert len(added) == len(comparisons) == 40
     assert added == [0] * 40
-    assert len(CYCLOTOMICS._expanded) <= 1 + len(comparisons)
+    assert expanded() <= len(comparisons)
 
 
 @pytest.mark.parametrize(
