@@ -425,26 +425,27 @@ def _build_rel_wavefunction_routes(j, kmax=5):
 
 
 def _build_rel_eigen_equation(j, kmax=5):
+    """H psi_k = E(k) psi_k for |k| <= kmax.  psi_k vanishes for |k| <= j
+    (EXCLUSION), so kmax must exceed j for any check to have substance."""
+    j = _int_spin(j)
+    if kmax <= j:
+        raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     h = hamiltonian(j)
     comparisons = []
     for k in range(-kmax, kmax + 1):
         psi = wavefunction_closed(j, k)
-        comparisons.append(("k=%d" % k, h.apply(psi), energy(k) * psi))
+        comparisons.append(("eigen k=%d" % k, h.apply(psi), energy(k) * psi))
     return comparisons
 
 
-def _build_rel_exclusion(j):
-    """Both routes annihilate the free solutions with |k| <= j."""
+def _build_rel_exclusion(j, methods=("recursive", "closed")):
+    """Each route in `methods` annihilates the free solutions with |k| <= j."""
     j = _int_spin(j)
-    comparisons = []
-    for k in range(-j, j + 1):
-        comparisons.append(
-            ("recursive k=%d" % k, wavefunction_recursive(j, k), SC_ZERO)
-        )
-        comparisons.append(
-            ("closed k=%d" % k, wavefunction_closed(j, k), SC_ZERO)
-        )
-    return comparisons
+    return [
+        ("%s k=%d" % (method, k), wavefunction(j, k, method=method), SC_ZERO)
+        for k in range(-j, j + 1)
+        for method in methods
+    ]
 
 
 def _residue_rows(j, k):
@@ -482,19 +483,9 @@ def _build_rel_residues(j):
 
 def _build_rel_spectral_properties(j, kmax=5):
     """Eigen-equation, exclusion and residue vanishing in one list."""
-    j = _int_spin(j)
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative, got %d" % kmax)
-    h = hamiltonian(j)
-    comparisons = []
-    for k in range(-kmax, kmax + 1):
-        psi = wavefunction_closed(j, k)
-        comparisons.append(("eigen k=%d" % k, h.apply(psi), energy(k) * psi))
-    for k in range(-j, j + 1):
-        comparisons.append(
-            ("exclusion k=%d" % k, wavefunction_closed(j, k), SC_ZERO)
-        )
-    return comparisons + _build_rel_residues(j)
+    return (_build_rel_eigen_equation(j, kmax)
+            + _build_rel_exclusion(j, methods=("closed",))
+            + _build_rel_residues(j))
 
 
 def _build_rel_lax_routes(j):

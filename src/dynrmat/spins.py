@@ -19,6 +19,12 @@ and on two legs the coproduct
     D(H)  = H (x) 1 + 1 (x) H
 
 with the flipped coproduct D' obtained by swapping the q^(+-H/2) dressings.
+Iterated over an ordered group of legs l_1, ..., l_n it is
+
+    D(E) = sum_i q^(-H_(l_1..l_(i-1))/2) E_(l_i) q^(H_(l_(i+1)..l_n)/2)
+
+with H_(...) the summed weight of the named legs; `coproduct` builds this
+for any group, and D(H) is the plain sum of the H_(l_i).
 """
 
 import itertools
@@ -26,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 
 from .lattice import to_units
-from .polys import poly_add
+from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
     SC_ZERO,
@@ -44,15 +50,17 @@ __all__ = [
     "GradedOperator",
     "identity_op",
     "zero_op",
-    "diag_weight_qpow",
     "rep_h",
     "rep_eplus",
     "rep_eminus",
     "embed",
+    "leg_weights",
+    "coproduct",
     "coproduct_h",
     "coproduct_eplus",
     "coproduct_eminus",
     "zero_weight_indices",
+    "relations",
     "check_algebra",
 ]
 
@@ -279,14 +287,6 @@ def identity_op(space):
     return GradedOperator(space, {(i, i): SC_ONE for i in range(space.dim)})
 
 
-def diag_weight_qpow(space, weights, coeff):
-    """Diagonal operator q^(coeff * w(i)) for an integer weight table."""
-    coeff = Fraction(coeff)
-    return GradedOperator(
-        space, {(i, i): qpow(coeff * w) for i, w in enumerate(weights)}
-    )
-
-
 def diag_scalars(space, values):
     data = {}
     for i, s in enumerate(values):
@@ -371,34 +371,63 @@ def embed(op, big, legs):
     return type(op)(big, out)
 
 
+def leg_weights(space, legs):
+    """2m summed over the legs `legs` of space, for every basis index."""
+    return tuple(sum(space.leg_weights[l][i] for l in legs)
+                 for i in range(space.dim))
+
+
+def coproduct(rep, space, legs, flipped=False):
+    """The iterated coproduct of the one-leg generator rep over the ordered
+    tuple `legs` of space's legs.
+
+    Each leg contributes rep on that leg times q^(-H/2) on the legs before
+    it and q^(H/2) on the legs after it; flipped swaps the two dressings,
+    and rep_h takes no dressing.
+    """
+    sign = -1 if flipped else 1
+    out = {}
+    for n, leg in enumerate(legs):
+        before = leg_weights(space, legs[:n])
+        after = leg_weights(space, legs[n + 1:])
+        g = embed(rep(space.spins[leg]), space, (leg,))
+        for (r, c), s in g.data.items():
+            e = 0 if rep is rep_h else sign * (after[r] - before[r])
+            add_into(out, (r, c), s * qpow(Fraction(e, 2)) if e else s)
+    return GradedOperator(space, out)
+
+
 def coproduct_h(space2):
-    return embed(rep_h(space2.spins[0]), space2, (0,)) + embed(
-        rep_h(space2.spins[1]), space2, (1,)
-    )
+    return coproduct(rep_h, space2, (0, 1))
 
 
 def coproduct_eplus(space2, flipped=False):
-    return _coproduct(rep_eplus, space2, flipped)
+    return coproduct(rep_eplus, space2, (0, 1), flipped)
 
 
 def coproduct_eminus(space2, flipped=False):
-    return _coproduct(rep_eminus, space2, flipped)
-
-
-def _coproduct(rep, space2, flipped):
-    """rep (x) q^(H/2) + q^(-H/2) (x) rep, the dressings swapped if
-    flipped, for the one-leg generator rep."""
-    s0, s1 = space2.spins
-    half = Fraction(-1, 2) if flipped else Fraction(1, 2)
-    e0 = embed(rep(s0), space2, (0,))
-    e1 = embed(rep(s1), space2, (1,))
-    d1 = diag_weight_qpow(space2, space2.leg_weights[1], half)
-    d0 = diag_weight_qpow(space2, space2.leg_weights[0], -half)
-    return e0 @ d1 + d0 @ e1
+    return coproduct(rep_eminus, space2, (0, 1), flipped)
 
 
 def zero_weight_indices(space):
     return [i for i, w in enumerate(space.total_weights) if w == 0]
+
+
+def relations(h, ep, em, weights):
+    """The defining relations on images h, ep, em of H, E+, E-, where
+    weights is the diagonal of h: a list of (label, lhs, rhs)."""
+    two = sc_coeff(2)
+    return [
+        ("[H, E+] = 2 E+", h @ ep - ep @ h, ep * two),
+        ("[H, E-] = -2 E-", h @ em - em @ h, em * (-two)),
+        ("[E+, E-] = [H]", ep @ em - em @ ep,
+         diag_scalars(h.space, [qnum(w) for w in weights])),
+    ]
+
+
+def _first_failure(comparisons):
+    """The label of the first comparison whose sides differ, else None."""
+    return next((label for label, lhs, rhs in comparisons if lhs != rhs), None)
 
 
 def check_algebra(spin):
@@ -407,41 +436,22 @@ def check_algebra(spin):
     Returns (ok, message); message names the first failing relation.
     """
     spin = Spin(spin)
-    space = _single(spin)
     h = rep_h(spin)
-    ep = rep_eplus(spin)
-    em = rep_eminus(spin)
-    two = sc_coeff(2)
-
-    comm = h @ ep - ep @ h
-    if comm != ep * two:
-        return False, "[H, E+] != 2 E+ at spin %s" % spin.j
-    comm = h @ em - em @ h
-    if comm != em * (-two):
-        return False, "[H, E-] != -2 E- at spin %s" % spin.j
-    comm = ep @ em - em @ ep
-    target = diag_scalars(
-        space, [qnum(spin.twice_m(i)) for i in range(spin.dim)]
-    )
-    if comm != target:
-        return False, "[E+, E-] != [H]_q at spin %s" % spin.j
+    failed = _first_failure(
+        relations(h, rep_eplus(spin), rep_eminus(spin), h.space.total_weights))
+    if failed:
+        return False, "%s fails at spin %s" % (failed, spin.j)
     return True, "spin %s algebra relations hold" % spin.j
 
 
 def check_coproduct_algebra(space2, flipped=False):
     """The coproduct images satisfy the same defining relations."""
-    h = coproduct_h(space2)
-    ep = coproduct_eplus(space2, flipped)
-    em = coproduct_eminus(space2, flipped)
-    two = sc_coeff(2)
-    if h @ ep - ep @ h != ep * two:
-        return False, "[D(H), D(E+)] != 2 D(E+)"
-    if h @ em - em @ h != em * (-two):
-        return False, "[D(H), D(E-)] != -2 D(E-)"
-    comm = ep @ em - em @ ep
-    target = diag_scalars(
-        space2, [qnum(w) for w in space2.total_weights]
-    )
-    if comm != target:
-        return False, "[D(E+), D(E-)] != [D(H)]_q"
+    failed = _first_failure(relations(
+        coproduct_h(space2),
+        coproduct_eplus(space2, flipped),
+        coproduct_eminus(space2, flipped),
+        space2.total_weights,
+    ))
+    if failed:
+        return False, "%s fails on the coproduct" % failed
     return True, "coproduct algebra relations hold"

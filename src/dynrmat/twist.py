@@ -6,10 +6,12 @@ engines:
 
 * a row-dressed series  sum_k pref(k, row) * A_+^k B_-^k   where the whole
   diagonal prefactor is evaluated at the output row (used for the constant
-  exchange matrix, the dynamical twist and its inverse, in any coproduct
-  arrangement of the two roles), and
-* a column-dressed double series for the one-leg boundary twist, whose
-  Cartan factor sits to the right of the nilpotent monomials.
+  exchange matrix, the dynamical twist and its inverse).  Each of the two
+  roles A and B is an ordered tuple of legs, say (0,) for a bare leg or
+  (1, 2) for the coproduct spread over legs 1 and 2, and its generator is
+  the iterated coproduct spins.coproduct over those legs; and
+* a column-dressed double series for the boundary twist on all legs of a
+  space, whose Cartan factor sits to the right of the nilpotent monomials.
 
 All operators live over the exact scalar field; the x argument of a family
 is always the bare one, shifted versions are produced afterwards through
@@ -24,26 +26,17 @@ from functools import cache
 
 from .lattice import DENOM
 from .polys import add_into
-from .scalar import (
-    QDIFF,
-    add_qfact,
-    add_xbracket,
-    qint_monomial,
-    qnum,
-    qpow,
-    sc_coeff,
-)
+from .scalar import QDIFF, add_qfact, add_xbracket, qint_monomial, qpow
 from .spins import (
     GradedOperator,
     Spin,
     TensorSpace,
-    coproduct_eminus,
-    coproduct_eplus,
-    coproduct_h,
+    coproduct,
     diag_scalars,
-    diag_weight_qpow,
     embed,
     identity_op,
+    leg_weights,
+    relations,
     rep_eminus,
     rep_eplus,
     rep_h,
@@ -110,35 +103,14 @@ def _m_coeff(n, m):
 # series engines
 
 
-def _side_ops(space, side):
-    """Raising/lowering operator pair and weight table for one series role.
-
-    side is ("leg", i) for a bare tensor leg or ("cop", i, j) for the
-    coproduct spread over legs i and j.
-    """
-    if side[0] == "leg":
-        i = side[1]
-        spin = space.spins[i]
-        plus = embed(rep_eplus(spin), space, (i,))
-        minus = embed(rep_eminus(spin), space, (i,))
-        weights = space.leg_weights[i]
-        return plus, minus, weights
-    if side[0] == "cop":
-        i, j = side[1], side[2]
-        sub = TensorSpace((space.spins[i], space.spins[j]))
-        plus = embed(coproduct_eplus(sub), space, (i, j))
-        minus = embed(coproduct_eminus(sub), space, (i, j))
-        wi = space.leg_weights[i]
-        wj = space.leg_weights[j]
-        weights = tuple(a + b for a, b in zip(wi, wj))
-        return plus, minus, weights
-    raise ValueError("unknown side %r" % (side,))
-
-
-def _row_dressed_series(space, aside, bside, pref):
-    """sum_k pref(k, wa[r], wb[r]) * plusA^k minusB^k with output-row dressing."""
-    plus_a, _, wa = _side_ops(space, aside)
-    _, minus_b, wb = _side_ops(space, bside)
+def _row_dressed_series(space, a, b, pref):
+    """sum_k pref(k, wa[r], wb[r]) * A_+^k B_-^k with output-row dressing,
+    A_+ raising on the legs a, B_- lowering on the legs b, and wa, wb
+    their summed weights."""
+    plus_a = coproduct(rep_eplus, space, a)
+    minus_b = coproduct(rep_eminus, space, b)
+    wa = leg_weights(space, a)
+    wb = leg_weights(space, b)
     acc = {}
     term = identity_op(space)
     k = 0
@@ -152,17 +124,13 @@ def _row_dressed_series(space, aside, bside, pref):
     return GradedOperator(space, acc)
 
 
-def _rd_series(space, aside, bside):
-    return _row_dressed_series(space, aside, bside, _pref_rd)
-
-
-def _f_series(space, aside, bside, inverse=False):
-    pref = _pref_f_inv if inverse else _pref_f
-    return _row_dressed_series(space, aside, bside, pref)
-
-
-def _m_series(space, plus, minus, weights):
-    """Double series sum_{n,m} c_nm * plus^n minus^m * q^((n+m) w/2) at the column."""
+def _m_series(space):
+    """Double series sum_{n,m} c_nm * D(E+)^n D(E-)^m * q^((n+m) w/2) at the
+    column, D the coproduct over all legs of space and w their total weight."""
+    legs = tuple(range(len(space.spins)))
+    plus = coproduct(rep_eplus, space, legs)
+    minus = coproduct(rep_eminus, space, legs)
+    weights = space.total_weights
     plus_pows = [identity_op(space)]
     while plus_pows[-1].data:
         plus_pows.append(plus @ plus_pows[-1])
@@ -191,20 +159,17 @@ def _m_series(space, plus, minus, weights):
 
 @cache
 def _build_rd(s1, s2):
-    space = TensorSpace((s1, s2))
-    return _rd_series(space, ("leg", 0), ("leg", 1))
+    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_rd)
 
 
 @cache
 def _build_f(s1, s2):
-    space = TensorSpace((s1, s2))
-    return _f_series(space, ("leg", 0), ("leg", 1))
+    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_f)
 
 
 @cache
 def _build_f_inv(s1, s2):
-    space = TensorSpace((s1, s2))
-    return _f_series(space, ("leg", 0), ("leg", 1), inverse=True)
+    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_f_inv)
 
 
 @cache
@@ -216,26 +181,20 @@ def _build_gnf_r(s1, s2):
 
 @cache
 def _build_m(s):
-    space = TensorSpace((s,))
-    plus = embed(rep_eplus(s), space, (0,))
-    minus = embed(rep_eminus(s), space, (0,))
-    return _m_series(space, plus, minus, space.total_weights)
+    return _m_series(TensorSpace((s,)))
 
 
 @cache
 def _build_delta_m(s1, s2):
-    space = TensorSpace((s1, s2))
-    plus = coproduct_eplus(space)
-    minus = coproduct_eminus(space)
-    return _m_series(space, plus, minus, space.total_weights)
+    return _m_series(TensorSpace((s1, s2)))
 
 
 @cache
 def _build_phi(s1, s2, s3):
     space = TensorSpace((s1, s2, s3))
     f23_inv = embed(_build_f_inv(s2, s3), space, (1, 2))
-    mid_inv = _f_series(space, ("leg", 0), ("cop", 1, 2), inverse=True)
-    mid = _f_series(space, ("cop", 0, 1), ("leg", 2))
+    mid_inv = _row_dressed_series(space, (0,), (1, 2), _pref_f_inv)
+    mid = _row_dressed_series(space, (0, 1), (2,), _pref_f)
     f12 = embed(_build_f(s1, s2), space, (0, 1))
     return f23_inv @ mid_inv @ mid @ f12
 
@@ -244,8 +203,8 @@ def _build_phi(s1, s2, s3):
 def _build_phi_inv(s1, s2, s3):
     space = TensorSpace((s1, s2, s3))
     f12_inv = embed(_build_f_inv(s1, s2), space, (0, 1))
-    mid_inv = _f_series(space, ("cop", 0, 1), ("leg", 2), inverse=True)
-    mid = _f_series(space, ("leg", 0), ("cop", 1, 2))
+    mid_inv = _row_dressed_series(space, (0, 1), (2,), _pref_f_inv)
+    mid = _row_dressed_series(space, (0,), (1, 2), _pref_f)
     f23 = embed(_build_f(s2, s3), space, (1, 2))
     return f12_inv @ mid_inv @ mid @ f23
 
@@ -323,6 +282,9 @@ def _shift(op, leg):
     return op.shift_x_by_weight(1, op.space.leg_weights[leg])
 
 
+_GENERATORS = (("h", rep_h), ("e+", rep_eplus), ("e-", rep_eminus))
+
+
 # ---------------------------------------------------------------------------
 # relation builders: each returns a list of (label, lhs, rhs)
 
@@ -330,20 +292,17 @@ def _shift(op, leg):
 def _build_rel_rd_intertwiner(j1, j2):
     space = TensorSpace((Spin(j1), Spin(j2)))
     rd = _on(_build_rd, space, 0, 1)
-    out = []
-    for name, straight, flipped in (
-        ("h", coproduct_h(space), coproduct_h(space)),
-        ("e+", coproduct_eplus(space), coproduct_eplus(space, flipped=True)),
-        ("e-", coproduct_eminus(space), coproduct_eminus(space, flipped=True)),
-    ):
-        out.append(("intertwines %s" % name, rd @ straight, flipped @ rd))
-    return out
+    return [
+        ("intertwines %s" % name, rd @ coproduct(rep, space, (0, 1)),
+         coproduct(rep, space, (0, 1), flipped=True) @ rd)
+        for name, rep in _GENERATORS
+    ]
 
 
 def _build_rel_rd_fusion(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    left = _rd_series(space, ("cop", 0, 1), ("leg", 2))
-    right = _rd_series(space, ("leg", 0), ("cop", 1, 2))
+    left = _row_dressed_series(space, (0, 1), (2,), _pref_rd)
+    right = _row_dressed_series(space, (0,), (1, 2), _pref_rd)
     rd02 = _on(_build_rd, space, 0, 2)
     return [
         ("first pair fused", left, rd02 @ _on(_build_rd, space, 1, 2)),
@@ -363,9 +322,9 @@ def _build_rel_gnf(j1, j2, j3):
 
 def _build_rel_cocycle(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    lhs = (_f_series(space, ("leg", 0), ("cop", 1, 2))
+    lhs = (_row_dressed_series(space, (0,), (1, 2), _pref_f)
            @ _on(_build_f, space, 1, 2))
-    rhs = (_f_series(space, ("cop", 0, 1), ("leg", 2))
+    rhs = (_row_dressed_series(space, (0, 1), (2,), _pref_f)
            @ _shift(_on(_build_f, space, 0, 1), 2))
     return [("shifted two-cocycle", lhs, rhs)]
 
@@ -393,52 +352,19 @@ def _build_rel_shifted_coassoc(j1, j2, j3):
     space = _triple(j1, j2, j3)
     f23 = _on(_build_f, space, 1, 2)
     f23_inv = _on(_build_f_inv, space, 1, 2)
-    mid_r = _f_series(space, ("leg", 0), ("cop", 1, 2))
-    mid_r_inv = _f_series(space, ("leg", 0), ("cop", 1, 2), inverse=True)
+    mid_r = _row_dressed_series(space, (0,), (1, 2), _pref_f)
+    mid_r_inv = _row_dressed_series(space, (0,), (1, 2), _pref_f_inv)
     f12s = _shift(_on(_build_f, space, 0, 1), 2)
     f12s_inv = _shift(_on(_build_f_inv, space, 0, 1), 2)
-    mid_l = _f_series(space, ("cop", 0, 1), ("leg", 2))
-    mid_l_inv = _f_series(space, ("cop", 0, 1), ("leg", 2), inverse=True)
-
-    h = coproduct_h
-    ep = coproduct_eplus
-    em = coproduct_eminus
+    mid_l = _row_dressed_series(space, (0, 1), (2,), _pref_f)
+    mid_l_inv = _row_dressed_series(space, (0, 1), (2,), _pref_f_inv)
     out = []
-    for name, two_step in (
-        ("h", lambda sp: _cascade(sp, rep_h, h)),
-        ("e+", lambda sp: _cascade(sp, rep_eplus, ep)),
-        ("e-", lambda sp: _cascade(sp, rep_eminus, em)),
-    ):
-        full = two_step(space)
+    for name, rep in _GENERATORS:
+        full = coproduct(rep, space, (0, 1, 2))
         lhs = f23_inv @ mid_r_inv @ full @ mid_r @ f23
         rhs = f12s_inv @ mid_l_inv @ full @ mid_l @ f12s
         out.append(("coassociativity on %s" % name, lhs, rhs))
     return out
-
-
-def _cascade(space, single_rep, pair_cop):
-    """Two-step coproduct of a generator on a three-leg space.
-
-    For the Cartan generator this is the plain sum of leg weights; for the
-    raising/lowering generators it is the weight-dressed three-term sum,
-    built here from the pair coproduct applied on legs (1, 2) after the
-    one-leg embedding rule on leg 0.
-    """
-    s0 = space.spins[0]
-    sub = TensorSpace((space.spins[1], space.spins[2]))
-    if single_rep is rep_h:
-        g0 = embed(rep_h(s0), space, (0,))
-        g12 = embed(pair_cop(sub), space, (1, 2))
-        return g0 + g12
-    half = Fraction(1, 2)
-    w0 = space.leg_weights[0]
-    w12 = tuple(a + b for a, b in zip(space.leg_weights[1], space.leg_weights[2]))
-    g0 = embed(single_rep(s0), space, (0,))
-    g12 = embed(pair_cop(sub), space, (1, 2))
-    # same grouping for both nilpotent generators: g0 q^(H_{23}/2) + q^(-H_0/2) g12
-    d12 = diag_weight_qpow(space, w12, half)
-    d0 = diag_weight_qpow(space, w0, -half)
-    return g0 @ d12 + d0 @ g12
 
 
 def _build_rel_phi_conjugation(j1, j2, j3):
@@ -478,9 +404,9 @@ def _build_rel_quasitriangular_left(j1, j2, j3):
     f12 = _on(_build_f, space, 0, 1)
     f12_inv = _on(_build_f_inv, space, 0, 1)
     spread_r = (
-        _f_series(space, ("leg", 2), ("cop", 0, 1), inverse=True)
-        @ _rd_series(space, ("cop", 0, 1), ("leg", 2))
-        @ _f_series(space, ("cop", 0, 1), ("leg", 2))
+        _row_dressed_series(space, (2,), (0, 1), _pref_f_inv)
+        @ _row_dressed_series(space, (0, 1), (2,), _pref_rd)
+        @ _row_dressed_series(space, (0, 1), (2,), _pref_f)
     )
     lhs = f12_inv @ spread_r @ f12
     r13 = _on(_build_gnf_r, space, 0, 2)
@@ -504,9 +430,9 @@ def _build_rel_quasitriangular_right(j1, j2, j3):
     f23 = _on(_build_f, space, 1, 2)
     f23_inv = _on(_build_f_inv, space, 1, 2)
     spread_r = (
-        _f_series(space, ("cop", 1, 2), ("leg", 0), inverse=True)
-        @ _rd_series(space, ("leg", 0), ("cop", 1, 2))
-        @ _f_series(space, ("leg", 0), ("cop", 1, 2))
+        _row_dressed_series(space, (1, 2), (0,), _pref_f_inv)
+        @ _row_dressed_series(space, (0,), (1, 2), _pref_rd)
+        @ _row_dressed_series(space, (0,), (1, 2), _pref_f)
     )
     lhs = f23_inv @ spread_r @ f23
     r12 = _on(_build_gnf_r, space, 0, 1)
@@ -529,18 +455,10 @@ def _build_rel_deltax_homomorphism(j1, j2):
     space = TensorSpace((Spin(j1), Spin(j2)))
     f = _on(_build_f, space, 0, 1)
     finv = _on(_build_f_inv, space, 0, 1)
-    bh = finv @ coproduct_h(space) @ f
-    bp = finv @ coproduct_eplus(space) @ f
-    bm = finv @ coproduct_eminus(space) @ f
-    w = space.total_weights
-    card = diag_scalars(space, tuple(qnum(m) for m in w))
-    two = sc_coeff(2)
-    return [
-        ("cartan image undeformed", bh, coproduct_h(space)),
-        ("raising weight", bh @ bp - bp @ bh, two * bp),
-        ("lowering weight", bh @ bm - bm @ bh, -two * bm),
-        ("ladder commutator", bp @ bm - bm @ bp, card),
-    ]
+    d = [coproduct(rep, space, (0, 1)) for _, rep in _GENERATORS]
+    bh, bp, bm = (finv @ g @ f for g in d)
+    return ([("cartan image undeformed", bh, d[0])]
+            + relations(bh, bp, bm, space.total_weights))
 
 
 def _limit_op(op, at_zero):

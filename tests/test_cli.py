@@ -112,8 +112,11 @@ def test_numeric_mode_defaults_the_other_coordinate():
         ("lame", "verify", "--j", "1/2"),
         # the target k**2 - j(j+1)/sinh(z)**2 has a pole at z = 0
         ("lame", "classical", "--j", "1", "--k", "2", "--z", "0.5,0"),
-        # no k at all: range(-kmax, kmax + 1) is empty
+        # psi_k vanishes for |k| <= j, so a kmax of at most j checks the
+        # eigen-equation on zero wavefunctions only
         ("lame", "verify", "--j", "1", "--kmax", "-1"),
+        ("lame", "verify", "--j", "1", "--kmax", "1"),
+        ("verify", "EIGEN_EQUATION", "--spins", "5"),
     ],
 )
 def test_spins_a_relation_cannot_take_are_usage_errors(argv):

@@ -1,12 +1,16 @@
-"""No function stores into a module-level container.
+"""No function stores into a module-level container, and no module keeps
+an import it does not use.
 
 Built values are remembered by functools.cache, which gives every cache a
 cache_clear and a cache_info; a dict filled by hand has neither.  The
 module-level constants NO_FACTORS, QP_ZERO, QP_ONE, XP_ZERO and XP_ONE are
 shared by every value that has no factors or is 0 or 1, so a store into one
-of them would change all of those values at once.  This test flags any
-subscript store or delete, inside a function of src/dynrmat, whose base is
-a name bound at the top of the module and not bound in the function.  The
+of them would change all of those values at once.  The first guard flags
+any subscript store or delete, inside a function of src/dynrmat, whose base
+is a name bound at the top of the module and not bound in the function.
+
+The second guard flags a name that a module other than __init__.py imports
+but neither uses nor lists in __all__: what a refactor leaves behind.  The
 source is read, not run.
 """
 
@@ -92,3 +96,44 @@ def test_the_guard_sees_a_cache_filled_by_hand(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_function_stores_into_module_state(path):
     assert module_stores(path) == []
+
+
+def unused_imports(path):
+    """The names that the module at `path` imports, anywhere in it, but
+    neither reads nor lists in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import itertools\n"
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "from .spins import coproduct, embed, rep_h\n"
+        "__all__ = ['coproduct']\n"
+        "def f():\n"
+        "    from .scalar import qnum\n"
+        "    return itertools.chain(os.path, rep_h)\n")
+    assert unused_imports(src) == ["F", "embed", "qnum"]
+
+
+SOURCES = [p for p in MODULES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_module_keeps_an_unused_import(path):
+    assert unused_imports(path) == []

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat import spins
+from dynrmat.report import run_comparisons
 from dynrmat.scalar import SC_ONE, qpow, sc_coeff, sqrt_qint
 from dynrmat.spins import (
     GradedOperator,
@@ -11,9 +13,14 @@ from dynrmat.spins import (
     TensorSpace,
     check_algebra,
     check_coproduct_algebra,
+    coproduct,
+    coproduct_eminus,
     coproduct_eplus,
+    coproduct_h,
+    diag_scalars,
     embed,
     identity_op,
+    relations,
     rep_eminus,
     rep_eplus,
     rep_h,
@@ -35,6 +42,79 @@ def test_coproduct_algebra(pair, flipped):
     space = TensorSpace(pair)
     ok, msg = check_coproduct_algebra(space, flipped)
     assert ok, msg
+
+
+# The pair coproduct of each generator, as (space2, flipped) -> operator.
+_PAIR = {
+    rep_h: lambda space2, flipped: coproduct_h(space2),
+    rep_eplus: coproduct_eplus,
+    rep_eminus: coproduct_eminus,
+}
+
+
+def _on_group(rep, space, legs, flipped):
+    """rep on one leg, or its pair coproduct on two, embedded in space."""
+    sub = TensorSpace([space.spins[l] for l in legs])
+    op = rep(sub.spins[0]) if len(legs) == 1 else _PAIR[rep](sub, flipped)
+    return embed(op, space, legs)
+
+
+def _dress(space, legs, sign):
+    """The diagonal q^(sign H/2), H the summed weight of `legs`."""
+    weights = map(sum, zip(*(space.leg_weights[l] for l in legs)))
+    return diag_scalars(space, [qpow(F(sign * w, 2)) for w in weights])
+
+
+def _two_step(rep, space, left, right, flipped):
+    """The coproduct on three legs in one bracketing: the two-leg rule
+    applied to the leg groups `left` and `right`, one of them a pair."""
+    a = _on_group(rep, space, left, flipped)
+    b = _on_group(rep, space, right, flipped)
+    if rep is rep_h:
+        return a + b
+    sign = -1 if flipped else 1
+    return a @ _dress(space, right, sign) + _dress(space, left, -sign) @ b
+
+
+@pytest.mark.parametrize("three", [(H, H, H), (H, 1, H), (1, H, 1)])
+@pytest.mark.parametrize("flipped", [False, True])
+def test_iterated_coproduct_matches_both_bracketings(three, flipped):
+    space = TensorSpace(three)
+    images = []
+    for rep in (rep_h, rep_eplus, rep_eminus):
+        full = coproduct(rep, space, (0, 1, 2), flipped)
+        assert full == _two_step(rep, space, (0,), (1, 2), flipped)
+        assert full == _two_step(rep, space, (0, 1), (2,), flipped)
+        images.append(full)
+    for label, lhs, rhs in relations(*images, space.total_weights):
+        assert lhs == rhs, label
+
+
+def test_reversed_legs_give_the_flipped_coproduct():
+    space = TensorSpace((H, 1))
+    for rep in (rep_eplus, rep_eminus):
+        assert coproduct(rep, space, (1, 0)) == coproduct(
+            rep, space, (0, 1), flipped=True)
+
+
+@pytest.mark.parametrize("wrong, failing", [
+    # [H, E+] = 2 E+ is linear in E+, so a multiple of E+ keeps it
+    (lambda s: rep_eplus(s) * qpow(1), "[E+, E-] = [H]"),
+    (lambda s: rep_eplus(s) + rep_eminus(s), "[H, E+] = 2 E+"),
+])
+def test_shared_relations_catch_a_wrong_raising_generator(
+        monkeypatch, wrong, failing):
+    s = Spin(1)
+    planted = wrong(s)
+    monkeypatch.setattr(spins, "rep_eplus", lambda spin: planted)
+    ok, message = check_algebra(s)
+    assert not ok
+    assert message.startswith(failing)
+    h = rep_h(s)
+    report = run_comparisons("ALGEBRA", (1,), relations(
+        h, planted, rep_eminus(s), h.space.total_weights))
+    assert report.status == "fail"
+    assert report.failing_entry["check"] == failing
 
 
 def test_coproduct_on_lowest_vector():
