@@ -418,6 +418,12 @@ def _build_rel_intertwining(j):
 
 
 def _build_rel_wavefunction_routes(j, kmax=5):
+    """The recursive and closed routes agree for |k| <= kmax.  Both vanish
+    for |k| <= j (EXCLUSION), so kmax must exceed j for any check to have
+    substance."""
+    j = _int_spin(j)
+    if kmax <= j:
+        raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     return [
         ("k=%d" % k, wavefunction_recursive(j, k), wavefunction_closed(j, k))
         for k in range(-kmax, kmax + 1)

@@ -1,9 +1,19 @@
-"""Verification reports shared by every identity checker in the package."""
+"""Verification reports shared by every identity checker in the package.
+
+Operator sides, evaluated GradedOperators and unevaluated spins.Products
+alike, are compared one row at a time in increasing row order, and each
+row is dropped once it is checked.  Row r of a product A1 ... An is
+e_r A1 ... An, so a row is exact on its own whatever the factors are, and a
+product side is never held whole.  The first row that differs holds the
+least failing (row, col), the entry an evaluated difference would report;
+only then are the remaining rows built, for the residual rank.
+"""
 
 from fractions import Fraction
 
-from .scalar import Scalar
-from .spins import GradedOperator
+from .polys import poly_sub
+from .scalar import SC_ZERO, Scalar
+from .spins import GradedOperator, Product
 
 __all__ = ["VerificationReport", "run_comparisons", "NUMERIC_TOL"]
 
@@ -94,46 +104,64 @@ def _numeric_residual_rank(diff):
     return _float_rank([[vals.get((r, c), 0) for c in cols] for r in rows])
 
 
-def _first_failure_exact(label, lhs, rhs):
-    # equal canonical forms are equal values: only a failure needs the
-    # difference, which the report prints
-    if isinstance(lhs, (GradedOperator, Scalar)) and lhs == rhs:
-        return None, None
-    diff = lhs - rhs
-    if isinstance(diff, GradedOperator):
-        if diff.is_zero():
-            return None, None
-        r, c, s = diff.first_nonzero()
-        entry = {
-            "check": label,
-            "row": r,
-            "col": c,
-            "difference": str(s),
-        }
-        return entry, _numeric_residual_rank(diff)
-    if isinstance(diff, Scalar):
-        if diff.is_zero():
-            return None, None
-        return {"check": label, "difference": str(diff)}, None
-    raise TypeError("cannot compare %r" % type(diff))
+def _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol):
+    for c in sorted(lrow.keys() | rrow.keys()):
+        va = lrow.get(c, SC_ZERO).numeric_eval(q0, x0)
+        vb = rrow.get(c, SC_ZERO).numeric_eval(q0, x0)
+        scale = max(1.0, abs(va), abs(vb))
+        if abs(va - vb) > tol * scale:
+            return {"check": label, "row": r, "col": c,
+                    "lhs": repr(va), "rhs": repr(vb)}
+    return None
 
 
-def _first_failure_numeric(label, lhs, rhs, q0, x0, tol):
-    if isinstance(lhs, GradedOperator):
-        keys = set(lhs.data) | set(rhs.data)
-        for key in sorted(keys):
-            va = lhs.entry(*key).numeric_eval(q0, x0)
-            vb = rhs.entry(*key).numeric_eval(q0, x0)
-            scale = max(1.0, abs(va), abs(vb))
-            if abs(va - vb) > tol * scale:
-                return {
-                    "check": label,
-                    "row": key[0],
-                    "col": key[1],
-                    "lhs": repr(va),
-                    "rhs": repr(vb),
-                }
+def _operator_failure(label, lhs, rhs, exact, q0, x0, tol):
+    """The first failing entry of two operator sides, and in exact mode the
+    residual rank of their difference.
+
+    Both sides are read one row at a time in increasing row order, and each
+    row is dropped once it is checked, so a side that is a spins.Product is
+    never held whole.  The first row that differs holds the least failing
+    (row, col); only then are the remaining rows read, to assemble the
+    difference whose rank the report gives.
+    """
+    if lhs.space != rhs.space:
+        raise ValueError("operator spaces differ")
+    paired = zip(lhs.rows(), rhs.rows())
+    for (r, lrow), (_, rrow) in paired:
+        if not exact:
+            failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol)
+            if failing is not None:
+                return failing, None
+            continue
+        # equal canonical forms are equal values: only a failure needs the
+        # difference, which the report prints
+        if lrow == rrow:
+            continue
+        diff = poly_sub(lrow, rrow)
+        if not diff:
+            continue
+        c = min(diff)
+        entry = {"check": label, "row": r, "col": c, "difference": str(diff[c])}
+        data = {(r, k): s for k, s in diff.items()}
+        for (r, lrow), (_, rrow) in paired:
+            data.update(((r, k), s) for k, s in poly_sub(lrow, rrow).items())
+        return entry, _numeric_residual_rank(GradedOperator(lhs.space, data))
+    return None, None
+
+
+def _scalar_failure_exact(label, lhs, rhs):
+    if not isinstance(lhs, Scalar):
+        raise TypeError("cannot compare %r" % type(lhs))
+    if lhs == rhs:
         return None
+    diff = lhs - rhs
+    if diff.is_zero():
+        return None
+    return {"check": label, "difference": str(diff)}
+
+
+def _scalar_failure_numeric(label, lhs, rhs, q0, x0, tol):
     va = lhs.numeric_eval(q0, x0)
     vb = rhs.numeric_eval(q0, x0)
     scale = max(1.0, abs(va), abs(vb))
@@ -154,7 +182,8 @@ def run_comparisons(
     """Fold labelled (lhs, rhs) pairs into a VerificationReport.
 
     comparisons is an iterable of (label, lhs, rhs) where lhs and rhs are
-    GradedOperators or Scalars.  In exact mode the difference must vanish
+    operators (GradedOperators or spins.Products, read row by row) or
+    Scalars.  In exact mode the difference must vanish
     structurally; in numeric mode entries are compared at (q0, x0), each
     coordinate defaulting on its own.  The report's elapsed_ms is left to
     the caller (suite.verify_relation charges the building too).
@@ -164,12 +193,15 @@ def run_comparisons(
     failing = None
     rank = None
     for label, lhs, rhs in comparisons:
-        if mode == "exact":
-            failing, rank = _first_failure_exact(label, lhs, rhs)
-        elif mode == "numeric":
-            failing = _first_failure_numeric(label, lhs, rhs, q0, x0, tol)
-        else:
+        if mode not in ("exact", "numeric"):
             raise ValueError("unknown mode %r" % mode)
+        if isinstance(lhs, (GradedOperator, Product)):
+            failing, rank = _operator_failure(
+                label, lhs, rhs, mode == "exact", q0, x0, tol)
+        elif mode == "exact":
+            failing = _scalar_failure_exact(label, lhs, rhs)
+        else:
+            failing = _scalar_failure_numeric(label, lhs, rhs, q0, x0, tol)
         if failing is not None:
             break
     return VerificationReport(

@@ -4,7 +4,11 @@ A Spin stores 2j as an integer.  A TensorSpace is an ordered tuple of spins
 with row-major basis indexing; basis vectors of each leg are ordered by
 descending magnetic number, and the per-leg weight tables hold 2m for every
 full-space basis index.  A GradedOperator is a sparse matrix over the exact
-scalar field, keyed by (row, column).
+scalar field, keyed by (row, column).  A Product is an unevaluated product
+of GradedOperators that yields its rows one at a time: row r of
+A1 ... An is e_r A1 ... An, built left to right by the one product kernel,
+so it is exact for any factors and needs only the factors and one row in
+memory.  GradedOperator.__matmul__ is that same kernel run over every row.
 
 Generator conventions on a single spin-j leg:
 
@@ -48,6 +52,7 @@ __all__ = [
     "Spin",
     "TensorSpace",
     "GradedOperator",
+    "Product",
     "identity_op",
     "zero_op",
     "rep_h",
@@ -162,9 +167,6 @@ class GradedOperator:
     def __bool__(self):
         return bool(self.data)
 
-    def is_zero(self):
-        return not self.data
-
     def entry(self, r, c):
         return self.data.get((r, c), SC_ZERO)
 
@@ -202,22 +204,7 @@ class GradedOperator:
             return NotImplemented
         if self.space != other.space:
             raise ValueError("operator spaces differ")
-        by_row = {}
-        for (k, c), s in other.data.items():
-            by_row.setdefault(k, []).append((c, s))
-        pairs = {}
-        for (r, k), sa in self.data.items():
-            cols = by_row.get(k)
-            if not cols:
-                continue
-            for c, sb in cols:
-                pairs.setdefault((r, c), []).append((sa, sb))
-        out = {}
-        for rc, entry in pairs.items():
-            s = dot(entry)
-            if s:
-                out[rc] = s
-        return GradedOperator(self.space, out)
+        return GradedOperator(self.space, _times(self.data, _row_index(other)))
 
     def __mul__(self, factor):
         if isinstance(factor, GradedOperator):
@@ -262,12 +249,12 @@ class GradedOperator:
 
     # ---------------------------------------------------------- queries
 
-    def first_nonzero(self):
-        """Deterministic witness entry (row, col, scalar) of a nonzero op."""
-        if not self.data:
-            return None
-        r, c = min(self.data)
-        return (r, c, self.data[(r, c)])
+    def rows(self):
+        """(r, {c: scalar}) for r = 0, 1, ..., dim - 1, empty rows included,
+        each row's columns in storage order."""
+        index = _row_index(self)
+        for r in range(self.space.dim):
+            yield r, dict(index.get(r, ()))
 
     def to_jsonable(self):
         return {
@@ -277,6 +264,68 @@ class GradedOperator:
                 for k in sorted(self.data)
             },
         }
+
+
+def _row_index(op):
+    """The stored rows of op: row -> [(col, scalar)] in storage order."""
+    index = {}
+    for (r, c), s in op.data.items():
+        index.setdefault(r, []).append((c, s))
+    return index
+
+
+def _times(data, index):
+    """The entries {(r, k): scalar} times the operator whose row index is
+    `index`, as {(r, c): scalar}: the one product kernel.
+
+    The pairs of each output entry reach dot in the order of k in `data`, so
+    a row passed alone gets the same pairs, in the same order, as it gets
+    among all the rows of an operator."""
+    pairs = {}
+    for (r, k), sa in data.items():
+        cols = index.get(k)
+        if not cols:
+            continue
+        for c, sb in cols:
+            pairs.setdefault((r, c), []).append((sa, sb))
+    out = {}
+    for rc, entry in pairs.items():
+        s = dot(entry)
+        if s:
+            out[rc] = s
+    return out
+
+
+class Product:
+    """The unevaluated product A1 @ A2 @ ... @ An of operators on one space.
+
+    Row r of the product is e_r A1 A2 ... An, so `rows` builds each row on
+    its own, left to right, and a check can drop it before building the
+    next: only the factors and one row are held at a time.  That is exact
+    whatever the factors are (no weight needs to be conserved), and the
+    arithmetic is that of the evaluated product, pair for pair.
+    """
+
+    __slots__ = ("space", "factors")
+
+    def __init__(self, *factors):
+        space = factors[0].space
+        if any(f.space != space for f in factors):
+            raise ValueError("operator spaces differ")
+        self.space = space
+        self.factors = factors
+
+    def rows(self):
+        """(r, {c: scalar}) for r = 0, 1, ..., dim - 1, empty rows included."""
+        first = _row_index(self.factors[0])
+        rest = [_row_index(f) for f in self.factors[1:]]
+        for r in range(self.space.dim):
+            data = {(r, c): s for c, s in first.get(r, ())}
+            for index in rest:
+                if not data:
+                    break
+                data = _times(data, index)
+            yield r, {c: s for (_, c), s in data.items()}
 
 
 def zero_op(space):

@@ -19,6 +19,13 @@ the weight-shift automorphism.  Every prefactor is a product of known
 factors, a phase, powers of q and x, q-factorials, q - 1/q and x-brackets
 <c> = (x q^c - x^-1 q^-c)/(q - q^-1), and is built by one
 scalar.qint_monomial call, never by division.
+
+A relation side that is a plain product of operators is returned as an
+unevaluated spins.Product, which report.run_comparisons checks one row at
+a time; row r of a product is e_r times its factors, so that is exact for
+any factors and never holds the whole product.  A side that two
+comparisons share, the cached family builders and the operands of the
+`relations` commutators stay evaluated.
 """
 
 from fractions import Fraction
@@ -29,6 +36,7 @@ from .polys import add_into
 from .scalar import QDIFF, add_qfact, add_xbracket, qint_monomial, qpow
 from .spins import (
     GradedOperator,
+    Product,
     Spin,
     TensorSpace,
     coproduct,
@@ -293,8 +301,8 @@ def _build_rel_rd_intertwiner(j1, j2):
     space = TensorSpace((Spin(j1), Spin(j2)))
     rd = _on(_build_rd, space, 0, 1)
     return [
-        ("intertwines %s" % name, rd @ coproduct(rep, space, (0, 1)),
-         coproduct(rep, space, (0, 1), flipped=True) @ rd)
+        ("intertwines %s" % name, Product(rd, coproduct(rep, space, (0, 1))),
+         Product(coproduct(rep, space, (0, 1), flipped=True), rd))
         for name, rep in _GENERATORS
     ]
 
@@ -305,8 +313,8 @@ def _build_rel_rd_fusion(j1, j2, j3):
     right = _row_dressed_series(space, (0,), (1, 2), _pref_rd)
     rd02 = _on(_build_rd, space, 0, 2)
     return [
-        ("first pair fused", left, rd02 @ _on(_build_rd, space, 1, 2)),
-        ("second pair fused", right, rd02 @ _on(_build_rd, space, 0, 1)),
+        ("first pair fused", left, Product(rd02, _on(_build_rd, space, 1, 2))),
+        ("second pair fused", right, Product(rd02, _on(_build_rd, space, 0, 1))),
     ]
 
 
@@ -315,17 +323,17 @@ def _build_rel_gnf(j1, j2, j3):
     r12 = _on(_build_gnf_r, space, 0, 1)
     r13 = _on(_build_gnf_r, space, 0, 2)
     r23 = _on(_build_gnf_r, space, 1, 2)
-    lhs = r12 @ _shift(r13, 1) @ r23
-    rhs = _shift(r23, 0) @ r13 @ _shift(r12, 2)
+    lhs = Product(r12, _shift(r13, 1), r23)
+    rhs = Product(_shift(r23, 0), r13, _shift(r12, 2))
     return [("dynamical braid relation", lhs, rhs)]
 
 
 def _build_rel_cocycle(j1, j2, j3):
     space = _triple(j1, j2, j3)
-    lhs = (_row_dressed_series(space, (0,), (1, 2), _pref_f)
-           @ _on(_build_f, space, 1, 2))
-    rhs = (_row_dressed_series(space, (0, 1), (2,), _pref_f)
-           @ _shift(_on(_build_f, space, 0, 1), 2))
+    lhs = Product(_row_dressed_series(space, (0,), (1, 2), _pref_f),
+                  _on(_build_f, space, 1, 2))
+    rhs = Product(_row_dressed_series(space, (0, 1), (2,), _pref_f),
+                  _shift(_on(_build_f, space, 0, 1), 2))
     return [("shifted two-cocycle", lhs, rhs)]
 
 
@@ -333,7 +341,7 @@ def _build_rel_coboundary(j1, j2):
     space = TensorSpace((Spin(j1), Spin(j2)))
     m1 = embed(boundary_m(j1), space, (0,))
     m2 = embed(boundary_m(j2), space, (1,))
-    lhs = _on(_build_f, space, 0, 1) @ _shift(m1, 1) @ m2
+    lhs = Product(_on(_build_f, space, 0, 1), _shift(m1, 1), m2)
     return [("coboundary factorisation", lhs, delta_m(j1, j2))]
 
 
@@ -344,7 +352,7 @@ def _build_rel_phi_forms(j1, j2, j3):
     inv = associator_phi_inv(j1, j2, j3)
     return [
         ("two-factor equals four-factor", short, phi),
-        ("associator times inverse", phi @ inv, identity_op(space)),
+        ("associator times inverse", Product(phi, inv), identity_op(space)),
     ]
 
 
@@ -361,8 +369,8 @@ def _build_rel_shifted_coassoc(j1, j2, j3):
     out = []
     for name, rep in _GENERATORS:
         full = coproduct(rep, space, (0, 1, 2))
-        lhs = f23_inv @ mid_r_inv @ full @ mid_r @ f23
-        rhs = f12s_inv @ mid_l_inv @ full @ mid_l @ f12s
+        lhs = Product(f23_inv, mid_r_inv, full, mid_r, f23)
+        rhs = Product(f12s_inv, mid_l_inv, full, mid_l, f12s)
         out.append(("coassociativity on %s" % name, lhs, rhs))
     return out
 
@@ -371,7 +379,8 @@ def _build_rel_phi_conjugation(j1, j2, j3):
     space = _triple(j1, j2, j3)
     r12 = _on(_build_gnf_r, space, 0, 1)
     lhs = _shift(r12, 2)
-    rhs = phi_embedded(space, (1, 0, 2)) @ r12 @ phi_inv_embedded(space, (0, 1, 2))
+    rhs = Product(phi_embedded(space, (1, 0, 2)), r12,
+                  phi_inv_embedded(space, (0, 1, 2)))
     return [("argument shift as conjugation", lhs, rhs)]
 
 
@@ -380,21 +389,21 @@ def _build_rel_quasi_ybe(j1, j2, j3):
     r12 = _on(_build_gnf_r, space, 0, 1)
     r13 = _on(_build_gnf_r, space, 0, 2)
     r23 = _on(_build_gnf_r, space, 1, 2)
-    lhs = (
-        phi_inv_embedded(space, (2, 1, 0))
-        @ r12
-        @ phi_embedded(space, (2, 0, 1))
-        @ r13
-        @ phi_inv_embedded(space, (0, 2, 1))
-        @ r23
+    lhs = Product(
+        phi_inv_embedded(space, (2, 1, 0)),
+        r12,
+        phi_embedded(space, (2, 0, 1)),
+        r13,
+        phi_inv_embedded(space, (0, 2, 1)),
+        r23,
     )
-    rhs = (
-        r23
-        @ phi_inv_embedded(space, (1, 2, 0))
-        @ r13
-        @ phi_embedded(space, (1, 0, 2))
-        @ r12
-        @ phi_inv_embedded(space, (0, 1, 2))
+    rhs = Product(
+        r23,
+        phi_inv_embedded(space, (1, 2, 0)),
+        r13,
+        phi_embedded(space, (1, 0, 2)),
+        r12,
+        phi_inv_embedded(space, (0, 1, 2)),
     )
     return [("hexagonal braid relation", lhs, rhs)]
 
@@ -411,13 +420,13 @@ def _build_rel_quasitriangular_left(j1, j2, j3):
     lhs = f12_inv @ spread_r @ f12
     r13 = _on(_build_gnf_r, space, 0, 2)
     r23 = _on(_build_gnf_r, space, 1, 2)
-    rhs_dyn = _shift(r13, 1) @ r23 @ _shift(f12_inv, 2) @ f12
-    rhs_axiom = (
-        phi_embedded(space, (2, 0, 1))
-        @ r13
-        @ phi_inv_embedded(space, (0, 2, 1))
-        @ r23
-        @ phi_embedded(space, (0, 1, 2))
+    rhs_dyn = Product(_shift(r13, 1), r23, _shift(f12_inv, 2), f12)
+    rhs_axiom = Product(
+        phi_embedded(space, (2, 0, 1)),
+        r13,
+        phi_inv_embedded(space, (0, 2, 1)),
+        r23,
+        phi_embedded(space, (0, 1, 2)),
     )
     return [
         ("fusion with shifted factors", lhs, rhs_dyn),
@@ -437,13 +446,13 @@ def _build_rel_quasitriangular_right(j1, j2, j3):
     lhs = f23_inv @ spread_r @ f23
     r12 = _on(_build_gnf_r, space, 0, 1)
     r13 = _on(_build_gnf_r, space, 0, 2)
-    rhs_dyn = f23_inv @ _shift(f23, 0) @ r13 @ _shift(r12, 2)
-    rhs_axiom = (
-        phi_inv_embedded(space, (1, 2, 0))
-        @ r13
-        @ phi_embedded(space, (1, 0, 2))
-        @ r12
-        @ phi_inv_embedded(space, (0, 1, 2))
+    rhs_dyn = Product(f23_inv, _shift(f23, 0), r13, _shift(r12, 2))
+    rhs_axiom = Product(
+        phi_inv_embedded(space, (1, 2, 0)),
+        r13,
+        phi_embedded(space, (1, 0, 2)),
+        r12,
+        phi_inv_embedded(space, (0, 1, 2)),
     )
     return [
         ("fusion with shifted factors", lhs, rhs_dyn),
@@ -488,8 +497,10 @@ def _build_rel_twist_limits(j1, j2):
     return [
         ("twist at the origin", _limit_op(f, True), identity_op(space)),
         ("exchange matrix at the origin", _limit_op(r, True), rd),
-        ("inverse twist at infinity", _limit_op(finv, False), half_cartan_inv @ rd),
-        ("exchange matrix at infinity", _limit_op(r, False), half_cartan_inv @ rd21 @ half_cartan),
+        ("inverse twist at infinity", _limit_op(finv, False),
+         Product(half_cartan_inv, rd)),
+        ("exchange matrix at infinity", _limit_op(r, False),
+         Product(half_cartan_inv, rd21, half_cartan)),
     ]
 
 

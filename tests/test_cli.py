@@ -117,6 +117,8 @@ def test_numeric_mode_defaults_the_other_coordinate():
         ("lame", "verify", "--j", "1", "--kmax", "-1"),
         ("lame", "verify", "--j", "1", "--kmax", "1"),
         ("verify", "EIGEN_EQUATION", "--spins", "5"),
+        # both wavefunction routes vanish for |k| <= j alike
+        ("verify", "WAVEFUNCTION_ROUTES", "--spins", "5"),
     ],
 )
 def test_spins_a_relation_cannot_take_are_usage_errors(argv):

@@ -1,14 +1,17 @@
 """Representation layer: generator relations, coproducts, embeddings."""
 
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
-from dynrmat import spins
+from dynrmat import spins, twist
 from dynrmat.report import run_comparisons
-from dynrmat.scalar import SC_ONE, qpow, sc_coeff, sqrt_qint
+from dynrmat.scalar import SC_ONE, dot, qpow, sc_coeff, sqrt_qint, xpow
 from dynrmat.spins import (
     GradedOperator,
+    Product,
     Spin,
     TensorSpace,
     check_algebra,
@@ -192,16 +195,103 @@ def test_shift_guard_rejects_nonconserving():
         op.shift_x_by_weight(1, space.leg_weights[0])
 
 
-def test_first_nonzero_witness_is_deterministic():
-    space = TensorSpace((H, H))
-    op = coproduct_eplus(space)
-    r, c, s = op.first_nonzero()
-    assert (r, c) == min(op.data)
-    assert s == op.entry(r, c)
-
-
 def test_json_round_trip_shape():
     space = TensorSpace((H,))
     op = embed(rep_h(Spin(H)), space, (0,))
     blob = op.to_jsonable()
     assert sorted(blob["entries"]) == ["0,0", "1,1"]
+
+
+# ------------------------------------------------------ row-by-row products
+
+
+def _whole_product(a, b):
+    """a @ b formed over the whole operator at once, the pairs of each entry
+    in the order of a's storage: the reference for the row kernel."""
+    by_row = {}
+    for (k, c), s in b.data.items():
+        by_row.setdefault(k, []).append((c, s))
+    pairs = {}
+    for (r, k), sa in a.data.items():
+        for c, sb in by_row.get(k, ()):
+            pairs.setdefault((r, c), []).append((sa, sb))
+    out = {}
+    for rc, entry in pairs.items():
+        s = dot(entry)
+        if s:
+            out[rc] = s
+    return GradedOperator(a.space, out)
+
+
+def _check_rows(product):
+    """The rows of a Product are those of the whole product, row for row and
+    with each row's columns in the same order (the order in which the next
+    factor's pairs reach dot), and the product evaluated with @ agrees."""
+    rows = list(product.rows())
+    assert [r for r, _ in rows] == list(range(product.space.dim))
+    whole = reduce(_whole_product, product.factors)
+    want = [[] for _ in rows]
+    for (r, c), s in whole.data.items():
+        want[r].append((c, s))
+    assert [list(row.items()) for _, row in rows] == want
+    assert reduce(operator.matmul, product.factors) == whole
+
+
+# every twist relation with a side that is an unevaluated product
+_PRODUCT_RELATIONS = [
+    "RD_INTERTWINER", "RD_FUSION", "GNF", "COCYCLE", "COBOUNDARY", "PHI_FORMS",
+    "SHIFTED_COASSOC", "PHI_CONJUGATION", "QUASI_YBE", "QUASITRIANG_LEFT",
+    "QUASITRIANG_RIGHT", "TWIST_LIMITS",
+]
+
+
+@pytest.mark.parametrize("three", [(H, H, H), (1, H, 1)])
+@pytest.mark.parametrize("name", _PRODUCT_RELATIONS)
+def test_product_sides_have_the_rows_of_the_evaluated_product(name, three):
+    build, arity = twist.RELATIONS[name]
+    sides = [side for _, lhs, rhs in build(*three[:arity])
+             for side in (lhs, rhs) if isinstance(side, Product)]
+    assert sides
+    for side in sides:
+        _check_rows(side)
+
+
+def test_product_refuses_factors_on_different_spaces():
+    with pytest.raises(ValueError):
+        Product(identity_op(TensorSpace((H,))), identity_op(TensorSpace((1,))))
+
+
+def test_random_row_products_match_whole_products():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    values = [sc_coeff(2), sc_coeff(-1), qpow(H), xpow(1) - SC_ONE,
+              sqrt_qint(2), sqrt_qint(3) * qpow(-1)]
+
+    @st.composite
+    def factor(draw, space):
+        kind = draw(st.sampled_from(["sparse", "e+", "e-", "h", "zero"]))
+        if kind == "zero":
+            return GradedOperator(space, {})
+        if kind != "sparse":
+            rep = {"e+": rep_eplus, "e-": rep_eminus, "h": rep_h}[kind]
+            legs = tuple(draw(st.permutations(range(len(space.spins)))))
+            return coproduct(rep, space, legs)
+        # a sparse operator whose rows avoid a drawn set, so empty rows occur
+        index = st.integers(0, space.dim - 1)
+        skip = draw(st.sets(index, max_size=space.dim // 2))
+        entries = draw(st.dictionaries(
+            st.tuples(index.filter(lambda r: r not in skip), index),
+            st.sampled_from(values), max_size=2 * space.dim))
+        return GradedOperator(space, entries)
+
+    @hyp.settings(max_examples=80, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(st.data())
+    def run(data):
+        three = data.draw(st.sampled_from(
+            [(H,), (1,), (H, H), (H, 1), (1, H), (H, H, H)]))
+        space = TensorSpace(three)
+        factors = data.draw(st.lists(factor(space), min_size=1, max_size=4))
+        _check_rows(Product(*factors))
+
+    run()

@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import dynrmat
+from dynrmat import twist
 from dynrmat.report import (
     _DEFAULT_POINT,
     VerificationReport,
@@ -22,7 +26,7 @@ from dynrmat.report import (
     run_comparisons,
 )
 from dynrmat.scalar import SC_ONE, Scalar, xpow
-from dynrmat.spins import GradedOperator
+from dynrmat.spins import GradedOperator, Product
 from dynrmat.suite import (
     MANIFEST_VERSION,
     RELATIONS,
@@ -222,7 +226,25 @@ def _planted():
     return [("same", r, r), ("planted", r, GradedOperator(r.space, data))]
 
 
-# the known-false controls of bench/child.py and one planted failure, with
+def _evaluated(product):
+    return reduce(operator.matmul, product.factors)
+
+
+def _planted_gnf_factor(evaluate=False):
+    # GNF(1, 1/2, 1/2) with the argument shift of R13 on the left side left
+    # out: both sides are products, and the first row that differs is row 1
+    space = twist._triple(1, H, H)
+    r12 = twist._on(twist._build_gnf_r, space, 0, 1)
+    r13 = twist._on(twist._build_gnf_r, space, 0, 2)
+    r23 = twist._on(twist._build_gnf_r, space, 1, 2)
+    lhs = Product(r12, r13, r23)
+    rhs = Product(twist._shift(r23, 0), r13, twist._shift(r12, 2))
+    if evaluate:
+        lhs, rhs = _evaluated(lhs), _evaluated(rhs)
+    return [("dynamical braid relation", lhs, rhs)]
+
+
+# the known-false controls of bench/child.py and two planted failures, with
 # the sha256 of each report's stable JSON, its residual rank and its length
 FAILING = {
     "ctrl_gnf_vs_shifted": (
@@ -250,7 +272,14 @@ FAILING = {
         (1, H), _planted,
         "720128f024f22e43ae9b23d938e996b7e37a86568bbc165c9904df82e202f487",
         1, 180),
+    "planted_gnf_factor": (
+        (1, H, H), _planted_gnf_factor,
+        "54f6aab2ddf1d4a96b2a74ba47a770b0661aa2c44376978c98fe534007b5afe0",
+        8, 295),
 }
+# the numeric-mode report of planted_gnf_factor: its sha256 and length
+PLANTED_GNF_NUMERIC = (
+    "cf0379c3783b6f8e5857015b0d75dd8d1da8818074404c2aeae2ad159972e20d", 245)
 
 
 @pytest.mark.parametrize("label", sorted(FAILING))
@@ -264,6 +293,48 @@ def test_failing_reports_keep_their_bytes(label):
     assert rep.status == "fail" and rep.residual_rank == rank
     assert len(text) == size
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_product_sides_fail_as_their_evaluated_products(mode):
+    # sides checked row by row report the bytes of the same sides evaluated
+    # first: the least failing (row, col) and, in exact mode, the residual
+    # rank of the whole difference
+    label = "planted_gnf_factor"
+    spins, _, digest, _, size = FAILING[label]
+    if mode == "numeric":
+        digest, size = PLANTED_GNF_NUMERIC
+    texts = []
+    for evaluate in (False, True):
+        rep = run_comparisons(label, spins, _planted_gnf_factor(evaluate),
+                              mode=mode)
+        texts.append(json.dumps(rep.to_jsonable(stable=True), sort_keys=True))
+    assert texts[0] == texts[1]
+    assert len(texts[0]) == size
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
+    assert json.loads(texts[0])["failing_entry"]["row"] == 1
+
+
+def test_product_sides_are_checked_without_holding_them_whole():
+    # the traced peak of deciding GNF(3/2, 3/2, 1) on its product sides is
+    # under half of the peak when the same sides are evaluated up front;
+    # the factors are built, and every cache filled, before tracing starts
+    comparisons = twist._build_rel_gnf(F(3, 2), F(3, 2), 1)
+    assert run_comparisons("GNF", (0, 0, 0), comparisons).ok
+
+    def traced_peak(decide):
+        tracemalloc.start()
+        try:
+            assert decide().ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    by_row = traced_peak(lambda: run_comparisons("GNF", (0, 0, 0), comparisons))
+    whole = traced_peak(lambda: run_comparisons("GNF", (0, 0, 0), [
+        (label, _evaluated(lhs), _evaluated(rhs))
+        for label, lhs, rhs in comparisons]))
+    assert by_row < whole / 2
 
 
 def test_equal_sides_pass_without_a_difference(monkeypatch):
