@@ -44,11 +44,13 @@ def demote(c):
     """
     if type(c) is int or type(c) is Cyclo:
         return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    n, d = c.as_integer_ratio()
+    return n if d == 1 else c
 
 
-def make_coeff(c0, c1=_F0, c2=_F0, c3=_F0):
+def make_coeff(c0, c1=0, c2=0, c3=0):
     """Build a coefficient from components on the (1, z, z^2, z^3) basis."""
     if c1 or c2 or c3:
         return Cyclo((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
@@ -164,13 +166,20 @@ class Cyclo:
         return NotImplemented
 
 
-def root8_pow(k):
-    """z**k as a coefficient, for integer k."""
-    k %= 8
+def _root8(k):
     sign = _F1 if k < 4 else -_F1
     comps = [_F0, _F0, _F0, _F0]
     comps[k % 4] = sign
     return make_coeff(*comps)
+
+
+# z**k for k = 0..7: the ints 1 and -1 at k = 0 and 4, else a Cyclo
+_ROOT8 = tuple(_root8(k) for k in range(8))
+
+
+def root8_pow(k):
+    """z**k as a coefficient, for integer k."""
+    return _ROOT8[k % 8]
 
 
 def minus_one_pow(t):

@@ -2,7 +2,9 @@
 
 Everything acts on Laurent-type functions of x through the scale shift
 T: f(x) -> f(q x).  Operators are kept in the normal form sum_s a_s(x) T^s,
-so composition uses a(x) T^s . b(x) T^t = a(x) b(q^s x) T^(s+t).
+so composition uses a(x) T^s . b(x) T^t = a(x) b(q^s x) T^(s+t).  Shifts,
+bracket offsets and q-powers are kept in lattice units (lattice.py); spins
+and wave numbers given by a caller are parsed once, to ints.
 
 The potential, the ladder coefficients, the eigenfunction summands and the
 Lax entries are products of x-brackets <c> = (x q^c - x^-1 q^-c)/(q - q^-1)
@@ -13,7 +15,7 @@ division.
 from fractions import Fraction
 from functools import cache
 
-from .lattice import to_units
+from .lattice import DENOM, from_units, ratio_str, to_units, twice
 from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
@@ -22,6 +24,7 @@ from .scalar import (
     add_xbracket,
     qint_monomial,
     qpow,
+    qpow_units,
     xpow,
 )
 from .spins import Spin, TensorSpace, embed, rep_eminus, rep_eplus
@@ -52,29 +55,37 @@ __all__ = [
 ]
 
 
-def _fr(v):
-    return Fraction(v)
+def _integer(v, what="spin"):
+    """v as an int, for an integer v given as an int, a Fraction or a
+    string; a fractional value raises instead of truncating."""
+    t = twice(v)
+    if t % 2:
+        raise ValueError("needs an integer %s, got %s" % (what, ratio_str(t, 2)))
+    return t // 2
 
 
-def _int_spin(j, what="spin"):
-    """j as an int; a fractional value raises instead of truncating."""
-    j = Fraction(j)
-    if j.denominator != 1:
-        raise ValueError("needs an integer %s, got %s" % (what, j))
-    return int(j)
+_HALF = Spin(Fraction(1, 2))
 
 
 class QDiffOperator:
-    """Finite sum of scale shifts with exact function coefficients."""
+    """Finite sum of scale shifts with exact function coefficients.
+
+    `data` maps the shift s of each T^s, in lattice units, to its nonzero
+    coefficient.  The constructor takes the shifts as exact values;
+    `of_units` takes them in units.
+    """
 
     __slots__ = ("data",)
 
     def __init__(self, data=None):
-        clean = {}
-        for s, a in (data or {}).items():
-            if a:
-                clean[Fraction(s)] = a
-        self.data = clean
+        self.data = {to_units(s): a for s, a in (data or {}).items() if a}
+
+    @classmethod
+    def of_units(cls, data):
+        """The operator with the coefficients of `data`, keyed by units."""
+        op = cls.__new__(cls)
+        op.data = {u: a for u, a in data.items() if a}
+        return op
 
     def __bool__(self):
         return bool(self.data)
@@ -85,39 +96,41 @@ class QDiffOperator:
         return self.data == other.data
 
     def __add__(self, other):
-        return QDiffOperator(poly_add(self.data, other.data))
+        return QDiffOperator.of_units(poly_add(self.data, other.data))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return QDiffOperator({s: -a for s, a in self.data.items()})
+        return QDiffOperator.of_units({s: -a for s, a in self.data.items()})
 
     def __matmul__(self, other):
         out = {}
         for s, a in self.data.items():
             for t, b in other.data.items():
-                add_into(out, s + t, a * b.shift_x(s))
-        return QDiffOperator(out)
+                add_into(out, s + t, a * b.shift_x_units(s))
+        return QDiffOperator.of_units(out)
 
     def scale(self, c):
-        return QDiffOperator({s: a * c for s, a in self.data.items()})
+        return QDiffOperator.of_units({s: a * c for s, a in self.data.items()})
 
     def apply(self, psi):
         """Act on a function of x."""
         out = SC_ZERO
         for s, a in self.data.items():
-            out = out + a * psi.shift_x(s)
+            out = out + a * psi.shift_x_units(s)
         return out
 
     def __repr__(self):
-        return "QDiffOperator(%r)" % (self.data,)
+        shifts = {from_units(s): a for s, a in self.data.items()}
+        return "QDiffOperator(%r)" % (shifts,)
 
     def __str__(self):
         if not self.data:
             return "0"
         return " + ".join(
-            "(%s) T^(%s)" % (a, s) for s, a in sorted(self.data.items())
+            "(%s) T^(%s)" % (a, ratio_str(s))
+            for s, a in sorted(self.data.items())
         )
 
 
@@ -125,45 +138,50 @@ QDO_ZERO = QDiffOperator()
 
 
 def qdo_shift(s, coeff=SC_ONE):
-    return QDiffOperator({Fraction(s): coeff})
+    return QDiffOperator.of_units({to_units(s): coeff})
 
 
 def qdo_func(a):
-    return QDiffOperator({Fraction(0): a})
+    return QDiffOperator.of_units({0: a})
 
 
 # --------------------------------------------------------------- operators
 
 
 def _brackets(shift, *pairs):
-    """prod <c + shift>**(w/2) over the pairs (c, w), as one Scalar."""
+    """prod <c + shift>**(w/2) over the pairs (c, w), the offsets c and
+    shift in lattice units, as one Scalar."""
     halves = {}
     for c, w in pairs:
-        add_xbracket(halves, to_units(c + shift), w)
+        add_xbracket(halves, c + shift, w)
     return qint_monomial(1, 0, halves)
 
 
 def c_function(j, shift=0):
     """Potential coefficient <j><-j-1>/(<0><-1>) at argument x q^shift."""
-    j = _fr(j)
-    return _brackets(shift, (j, 2), (-j - 1, 2), (0, -2), (-1, -2))
+    ju = to_units(j)
+    return _brackets(to_units(shift), (ju, 2), (-ju - DENOM, 2), (0, -2),
+                     (-DENOM, -2))
 
 
 def d_function(j, shift=0):
     """Forward coefficient <-j><-j-1>/(<0><-1>) of the ladder operator at
     x q^shift."""
-    j = _fr(j)
-    return _brackets(shift, (-j, 2), (-j - 1, 2), (0, -2), (-1, -2))
+    ju = to_units(j)
+    return _brackets(to_units(shift), (-ju, 2), (-ju - DENOM, 2), (0, -2),
+                     (-DENOM, -2))
 
 
 def hamiltonian(j):
     """T^-1 + c_j(qx) T."""
-    return QDiffOperator({-1: SC_ONE, 1: c_function(j, shift=1)})
+    return QDiffOperator.of_units(
+        {-DENOM: SC_ONE, DENOM: c_function(j, shift=1)})
 
 
 def shift_operator(j):
     """T^-1 - d_j(qx) T, mapping level j-1 eigenfunctions to level j."""
-    return QDiffOperator({-1: SC_ONE, 1: -d_function(j, shift=1)})
+    return QDiffOperator.of_units(
+        {-DENOM: SC_ONE, DENOM: -d_function(j, shift=1)})
 
 
 def energy(k):
@@ -172,7 +190,7 @@ def energy(k):
 
 def wavefunction_recursive(j, k):
     """Eigenfunction by the ladder cascade from the free solution."""
-    j, k = _int_spin(j), _int_spin(k, "wave number")
+    j, k = _integer(j), _integer(k, "wave number")
     psi = xpow(k) - xpow(-k)
     for level in range(1, j + 1):
         psi = shift_operator(level).apply(psi)
@@ -195,21 +213,21 @@ def _wave_terms(j, k):
         # (-1)**n [j choose n] prod_(r=1..n) <r-j-1>/<r>
         halves = add_qfact(add_qfact(add_qfact({}, j, 2), n, -2), j - n, -2)
         for r in range(1, n + 1):
-            add_xbracket(halves, to_units(r - j - 1), 2)
-            add_xbracket(halves, to_units(r), -2)
-        wave = (qpow(k * (2 * n - j)) * xpow(k)
-                - qpow(-k * (2 * n - j)) * xpow(-k))
+            add_xbracket(halves, DENOM * (r - j - 1), 2)
+            add_xbracket(halves, DENOM * r, -2)
+        wave = (qpow_units(DENOM * k * (2 * n - j)) * xpow(k)
+                - qpow_units(-DENOM * k * (2 * n - j)) * xpow(-k))
         terms.append(qint_monomial((-1) ** n, 0, halves) * wave)
     return tuple(terms)
 
 
 def wavefunction_terms(j, k):
     """Summands of the closed form, kept apart for residue inspection."""
-    return list(_wave_terms(_int_spin(j), _int_spin(k, "wave number")))
+    return list(_wave_terms(_integer(j), _integer(k, "wave number")))
 
 
 def wavefunction_closed(j, k):
-    return _wave_closed(_int_spin(j), _int_spin(k, "wave number"))
+    return _wave_closed(_integer(j), _integer(k, "wave number"))
 
 
 @cache
@@ -222,7 +240,7 @@ def _wave_closed(j, k):
 
 
 def _aux_quantum_space(j):
-    return TensorSpace((Spin(Fraction(1, 2)), Spin(_fr(j))))
+    return TensorSpace((_HALF, Spin(j)))
 
 
 class QDOMatrix:
@@ -282,22 +300,21 @@ def lax_matrix(j):
     """
     from .twist import gnf_r
 
-    j = _fr(j)
-    r_op = gnf_r(Fraction(1, 2), j)
+    r_op = gnf_r(_HALF, j)
     space = r_op.space
     w_aux = space.leg_weights[0]
     w_qua = space.leg_weights[1]
     data = {}
     for (r, c), v in r_op.data.items():
-        lead = -(Fraction(w_aux[r]) + Fraction(w_qua[r], 2))
-        tpow = lead + Fraction(w_qua[c], 2)
-        data[(r, c)] = qdo_shift(tpow, v.shift_x(lead))
+        # in units: lead = -(w_aux + w_qua/2), tpow = lead + w_qua'/2
+        lead = -DENOM * w_aux[r] - DENOM * w_qua[r] // 2
+        tpow = lead + DENOM * w_qua[c] // 2
+        data[(r, c)] = QDiffOperator.of_units({tpow: v.shift_x_units(lead)})
     return QDOMatrix(space, data)
 
 
 def lax_matrix_blocks(j):
     """Display route: the 2x2 auxiliary block form with ladder entries."""
-    j = _fr(j)
     space = _aux_quantum_space(j)
     spin = space.spins[1]
     dim = spin.dim
@@ -306,34 +323,35 @@ def lax_matrix_blocks(j):
     weights = [spin.twice_m(i) for i in range(dim)]
 
     def fx(shift):
-        # (q - q^-1)/(x - x^-1) = 1/<0> at argument x q^shift
+        # (q - q^-1)/(x - x^-1) = 1/<0> at argument x q^shift, in units
         return _brackets(shift, (0, -2))
 
     data = {}
-    half = Fraction(1, 2)
+    half = DENOM // 2
     for i in range(dim):
-        m = Fraction(weights[i]) / 2
+        m = DENOM * weights[i] // 2
+        upper, lower = space.index((0, i)), space.index((1, i))
         # upper-left: T^-1 q^(H/2)
-        data[(space.index((0, i)), space.index((0, i)))] = qdo_shift(-1, qpow(m))
+        data[(upper, upper)] = QDiffOperator.of_units({-DENOM: qpow_units(m)})
         # lower-right: T q^(-H/2) (1 - f(x q^(-H/2)) f(x q^(H/2-1)) E+ E-);
         # E+E- is diagonal here, and pulling T left->right shifts every x
         val = SC_ZERO
         if i + 1 < dim:
             val = eplus.entry(i, i + 1) * eminus.entry(i + 1, i)
-        coeff = qpow(-m) * (SC_ONE - fx(-m) * fx(m - 1) * val)
-        data[(space.index((1, i)), space.index((1, i)))] = qdo_shift(
-            1, coeff.shift_x(1)
-        )
+        coeff = qpow_units(-m) * (SC_ONE - fx(-m) * fx(m - DENOM) * val)
+        data[(lower, lower)] = QDiffOperator.of_units(
+            {DENOM: coeff.shift_x_units(DENOM)})
     for (r, c), v in eminus.data.items():
         # upper-right: -q^(-1/2) x^-1 f(x q^(H/2)) q^(-H/2) E-, with the
         # diagonal factors acting on the lowered state (weight of the row)
-        m_out = Fraction(weights[r]) / 2
-        ent = -qpow(-half) * xpow(-1) * fx(m_out) * qpow(-m_out) * v
+        m_out = DENOM * weights[r] // 2
+        ent = -qpow_units(-half) * xpow(-1) * fx(m_out) * qpow_units(-m_out) * v
         data[(space.index((0, r)), space.index((1, c)))] = qdo_func(ent)
     for (r, c), v in eplus.data.items():
         # lower-left: q^(-1/2) x f(x q^(-H/2+1)) q^(H/2) E+
-        m_out = Fraction(weights[r]) / 2
-        ent = qpow(-half) * xpow(1) * fx(-m_out + 1) * qpow(m_out) * v
+        m_out = DENOM * weights[r] // 2
+        ent = (qpow_units(-half) * xpow(1) * fx(-m_out + DENOM)
+               * qpow_units(m_out) * v)
         data[(space.index((1, r)), space.index((0, c)))] = qdo_func(ent)
     return QDOMatrix(space, data)
 
@@ -355,7 +373,7 @@ def transfer_operator(j):
 
 def transfer_and_restrict(j):
     """Transfer operator on the zero-weight state."""
-    t = transfer_operator(_int_spin(j))
+    t = transfer_operator(_integer(j))
     spin = t.space.spins[0]
     zero = next(i for i in range(spin.dim) if spin.twice_m(i) == 0)
     return t.entry(zero, zero)
@@ -366,20 +384,17 @@ def _r12_with_aux_shift(space, sign):
     weight of the quantum leg."""
     from .twist import gnf_r
 
-    half = Fraction(1, 2)
-    r12 = embed(gnf_r(half, half), space, (0, 1))
+    r12 = embed(gnf_r(_HALF, _HALF), space, (0, 1))
     w3 = space.leg_weights[2]
     data = {}
     for (r, c), v in r12.data.items():
-        data[(r, c)] = qdo_func(v.shift_x(sign * Fraction(w3[r], 2)))
+        data[(r, c)] = qdo_func(v.shift_x_units(sign * DENOM * w3[r] // 2))
     return QDOMatrix(space, data)
 
 
 def rll_sides(j):
     """Both sides of the exchange relation for the Lax matrix."""
-    j = _fr(j)
-    half = Fraction(1, 2)
-    space = TensorSpace((Spin(half), Spin(half), Spin(j)))
+    space = TensorSpace((_HALF, _HALF, Spin(j)))
     lax = lax_matrix(j)
     l13 = embed(lax, space, (0, 2))
     l23 = embed(lax, space, (1, 2))
@@ -395,7 +410,8 @@ def rll_sides(j):
 def _shift_pairs(a, b):
     """Pair up the shift coefficients of two difference operators."""
     return [
-        ("shift %s" % s, a.data.get(s, SC_ZERO), b.data.get(s, SC_ZERO))
+        ("shift %s" % ratio_str(s),
+         a.data.get(s, SC_ZERO), b.data.get(s, SC_ZERO))
         for s in sorted(set(a.data) | set(b.data))
     ]
 
@@ -411,7 +427,7 @@ def _qdo_pairs(label, a, b):
 
 def _build_rel_intertwining(j):
     """H_j D_j = D_j H_(j-1)."""
-    j = _int_spin(j)
+    j = _integer(j)
     lhs = hamiltonian(j) @ shift_operator(j)
     rhs = shift_operator(j) @ hamiltonian(j - 1)
     return _shift_pairs(lhs, rhs)
@@ -421,7 +437,7 @@ def _build_rel_wavefunction_routes(j, kmax=5):
     """The recursive and closed routes agree for |k| <= kmax.  Both vanish
     for |k| <= j (EXCLUSION), so kmax must exceed j for any check to have
     substance."""
-    j = _int_spin(j)
+    j = _integer(j)
     if kmax <= j:
         raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     return [
@@ -433,7 +449,7 @@ def _build_rel_wavefunction_routes(j, kmax=5):
 def _build_rel_eigen_equation(j, kmax=5):
     """H psi_k = E(k) psi_k for |k| <= kmax.  psi_k vanishes for |k| <= j
     (EXCLUSION), so kmax must exceed j for any check to have substance."""
-    j = _int_spin(j)
+    j = _integer(j)
     if kmax <= j:
         raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     h = hamiltonian(j)
@@ -446,7 +462,7 @@ def _build_rel_eigen_equation(j, kmax=5):
 
 def _build_rel_exclusion(j, methods=("recursive", "closed")):
     """Each route in `methods` annihilates the free solutions with |k| <= j."""
-    j = _int_spin(j)
+    j = _integer(j)
     return [
         ("%s k=%d" % (method, k), wavefunction(j, k, method=method), SC_ZERO)
         for k in range(-j, j + 1)
@@ -483,7 +499,7 @@ def _residue_rows(j, k):
 
 def _build_rel_residues(j):
     """Residues of the wavefunctions cancel at x = +- q^-r, 1 <= r <= j."""
-    j = _int_spin(j)
+    j = _integer(j)
     return _residue_rows(j, j + 1) + _residue_rows(j, j + 2)
 
 
@@ -519,7 +535,7 @@ def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
     """
     import math
 
-    j, k = _int_spin(j), _int_spin(k, "wave number")
+    j, k = _integer(j), _integer(k, "wave number")
     if z == 0:
         raise ValueError("the classical limit has a pole at z = 0")
     cj = c_function(j, shift=1)

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+from .lattice import ratio_str, twice
 from .report import VerificationReport
 
 __all__ = [
@@ -41,11 +42,13 @@ def _qfact_int(n, q):
 
 
 def _eye(n):
-    return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+    return [
+        [1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
 
 
 def _kron(a, b):
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+    return [
+        [x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
 def _matmul(a, b):
@@ -264,12 +267,15 @@ def prelimit_three_j_num(j, sigma, m, mu, q0, x0):
     per unit of j - sigma orients the root of the q - 1/q deficit on the
     same side as the exact limit.
     """
+    return _prelimit_three_j(twice(j), twice(sigma), twice(m), mu, q0, x0)
+
+
+def _prelimit_three_j(J, S, M, mu, q0, x0):
+    """prelimit_three_j_num for doubled j, sigma and m."""
     q, x = float(q0), float(x0)
-    jf = Fraction(j)
-    sf = Fraction(sigma)
-    j = float(jf)
-    sigma = float(sf)
-    m = float(Fraction(m))
+    j = J / 2
+    sigma = S / 2
+    m = M / 2
     mu = int(mu)
     jx = (math.log(x) / math.log(q) - 1.0) / 2.0
     j1, j2, j3 = j, jx, jx + sigma
@@ -310,7 +316,7 @@ def prelimit_three_j_num(j, sigma, m, mu, q0, x0):
         quarter += way * ng
         grp_log += way * lg
     root = (1j ** (quarter % 4)) * math.exp(0.5 * grp_log)
-    root *= (-1.0) ** int(jf - sf)
+    root *= (-1.0) ** int((J - S) / 2)
 
     pref_log = (j1 * mu - j2 * m1) * math.log(q) - 0.5 * (j1 + j2 - j3) * (
         j1 + j2 + j3 + 1.0
@@ -408,20 +414,17 @@ def verify_prelimit_convergence(q0=0.7, x0=0.3, mus=(20, 30, 40), tol=1e-6):
     For each spin and each (sigma, m) pair the finite coupling must approach
     the exact limit value, reaching the tolerance at the largest mu.
     """
-    from .symbols import limit_three_j
+    from .symbols import _limit_three_j
 
     failing = None
-    for twice in (1, 2):
-        j = Fraction(twice, 2)
-        for tsig in range(-twice, twice + 1, 2):
-            sigma = Fraction(tsig, 2)
-            for tm in range(-twice, twice + 1, 2):
-                m = Fraction(tm, 2)
-                lim = limit_three_j(j, sigma, m).reduce().numeric_eval(q0, x0)
+    for J in (1, 2):
+        for S in range(-J, J + 1, 2):
+            for M in range(-J, J + 1, 2):
+                lim = _limit_three_j(J, S, M).reduce().numeric_eval(q0, x0)
                 if abs(lim) < 1e-14:
                     continue
                 errs = [
-                    abs(prelimit_three_j_num(j, sigma, m, mu, q0, x0) - lim)
+                    abs(_prelimit_three_j(J, S, M, mu, q0, x0) - lim)
                     / abs(lim)
                     for mu in mus
                 ]
@@ -429,7 +432,8 @@ def verify_prelimit_convergence(q0=0.7, x0=0.3, mus=(20, 30, 40), tol=1e-6):
                     a >= b for a, b in zip(errs, errs[1:])
                 ):
                     failing = {
-                        "check": "j=%s sigma=%s m=%s" % (j, sigma, m),
+                        "check": "j=%s sigma=%s m=%s" % (
+                            ratio_str(J, 2), ratio_str(S, 2), ratio_str(M, 2)),
                         "limit": repr(lim),
                         "relative_errors": [repr(e) for e in errs],
                     }

@@ -965,8 +965,9 @@ def _interpolate(xs, ys, p):
             c[i] = [(s - t) * inv % p for s, t in zip(c[i], c[i - 1])]
     out = []  # Horner's rule: out * (u - x) + c_i, from the top
     for x, ci in zip(reversed(xs), reversed(c)):
-        out = [[(s - x * t) % p for s, t in zip(hi, lo)]
-               for hi, lo in zip([ci, *out], [*out, [0] * len(ci)])]
+        out = [
+            [(s - x * t) % p for s, t in zip(hi, lo)]
+            for hi, lo in zip([ci, *out], [*out, [0] * len(ci)])]
     return out
 
 
@@ -1026,7 +1027,8 @@ def _modular_gcd(a, b, gamma):
     for p, w in _primes():
         ws = [pow(w, 2 * j + 1, p) for j in range(n_emb)]
         try:
-            imgs = [[_image(f, p, z) for f in (a, b, {0: gamma})] for z in ws]
+            imgs = [
+                [_image(f, p, z) for f in (a, b, {0: gamma})] for z in ws]
         except ZeroDivisionError:
             continue
         if not all(any(ia[-1].values()) and any(ib[-1].values())
@@ -1266,8 +1268,9 @@ def xp_terms(a):
     if not a.b:
         return a.rows
     o, s, b = a.o, a.s, a.b
-    return {k: {o + s * j: c for j, c in enumerate(_digits(n, b)) if c}
-            for k, n in a.rows.items()}
+    return {
+        k: {o + s * j: c for j, c in enumerate(_digits(n, b)) if c}
+        for k, n in a.rows.items()}
 
 
 def xp_key(a):

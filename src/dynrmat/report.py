@@ -101,7 +101,8 @@ def _numeric_residual_rank(diff):
         return None
     rows = sorted({r for (r, _), v in vals.items() if v})
     cols = sorted({c for (_, c), v in vals.items() if v})
-    return _float_rank([[vals.get((r, c), 0) for c in cols] for r in rows])
+    return _float_rank([
+        [vals.get((r, c), 0) for c in cols] for r in rows])
 
 
 def _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol):

@@ -61,6 +61,7 @@ __all__ = [
     "sc_from_rf",
     "sc_from_qrat",
     "qpow",
+    "qpow_units",
     "xpow",
     "qnum",
     "qfact",
@@ -402,8 +403,13 @@ def sc_from_qrat(qr):
     return Scalar({(): rf_const(qr)})
 
 
+def qpow_units(u):
+    """q**(u/D), for an exponent u in lattice units."""
+    return sc_from_rf(rf_qpow_units(u))
+
+
 def qpow(e):
-    return sc_from_rf(rf_qpow_units(to_units(e)))
+    return qpow_units(to_units(e))
 
 
 def xpow(e):

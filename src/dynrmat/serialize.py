@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 
 from .lame import QDOMatrix, QDiffOperator
+from .lattice import DENOM, ratio_str
 from .scalar import Scalar, _wrap, scalar_latex
 from .spins import GradedOperator, TensorSpace
 
@@ -38,14 +39,16 @@ def to_payload(obj):
     if isinstance(obj, QDiffOperator):
         return {
             "kind": "shift_operator",
-            "shifts": {str(s): a.to_jsonable() for s, a in sorted(obj.data.items())},
+            "shifts": {ratio_str(s): a.to_jsonable()
+                       for s, a in sorted(obj.data.items())},
         }
     if isinstance(obj, QDOMatrix):
         return {
             "kind": "shift_operator_matrix",
-            "spins": [str(s.j) for s in obj.space.spins],
+            "spins": [ratio_str(s.twice, 2) for s in obj.space.spins],
             "entries": {
-                "%d,%d" % rc: {str(s): a.to_jsonable() for s, a in sorted(op.data.items())}
+                "%d,%d" % rc: {ratio_str(s): a.to_jsonable()
+                               for s, a in sorted(op.data.items())}
                 for rc, op in sorted(obj.data.items())
             },
         }
@@ -53,9 +56,7 @@ def to_payload(obj):
 
 
 def _parse_shifts(d):
-    return QDiffOperator(
-        {Fraction(s): Scalar.from_jsonable(a) for s, a in d.items()}
-    )
+    return QDiffOperator({s: Scalar.from_jsonable(a) for s, a in d.items()})
 
 
 def from_payload(d):
@@ -89,10 +90,10 @@ def dumps_canonical(payload):
 
 
 def _shift_power(s):
-    s = Fraction(s)
-    if s == 1:
+    """T**s for a shift s in lattice units."""
+    if s == DENOM:
         return "T"
-    return "T^{%s}" % s
+    return "T^{%s}" % ratio_str(s)
 
 
 def _qdo_latex(op):

@@ -35,7 +35,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .lattice import to_units
+from .lattice import DENOM, ratio_str, to_units, twice
 from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
@@ -43,7 +43,7 @@ from .scalar import (
     Scalar,
     dot,
     qnum,
-    qpow,
+    qpow_units,
     sc_coeff,
     sqrt_qint,
 )
@@ -79,10 +79,13 @@ class Spin:
         if isinstance(j, Spin):
             self.twice = j.twice
             return
-        t = Fraction(j) * 2
-        if t.denominator != 1 or t < 0:
+        try:
+            t = twice(j)
+        except ValueError:
+            t = -1
+        if t < 0:
             raise ValueError("spin must be a nonnegative half-integer")
-        self.twice = int(t)
+        self.twice = t
 
     @property
     def j(self):
@@ -103,7 +106,7 @@ class Spin:
         return hash(("spin", self.twice))
 
     def __repr__(self):
-        return "Spin(%s)" % (self.j,)
+        return "Spin(%s)" % (ratio_str(self.twice, 2),)
 
 
 class TensorSpace:
@@ -149,7 +152,8 @@ class TensorSpace:
         return hash(self.spins)
 
     def __repr__(self):
-        return "TensorSpace(%s)" % (", ".join(str(s.j) for s in self.spins),)
+        return "TensorSpace(%s)" % (
+            ", ".join(ratio_str(s.twice, 2) for s in self.spins),)
 
 
 class GradedOperator:
@@ -226,7 +230,8 @@ class GradedOperator:
         Only legal when the weight is conserved by the operator, i.e. the
         shifted argument commutes with it.
         """
-        coeff = Fraction(coeff)
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
         if not coeff:
             return self
         out = {}
@@ -258,7 +263,7 @@ class GradedOperator:
 
     def to_jsonable(self):
         return {
-            "spins": [str(s.j) for s in self.space.spins],
+            "spins": [ratio_str(s.twice, 2) for s in self.space.spins],
             "entries": {
                 "%d,%d" % k: self.data[k].to_jsonable()
                 for k in sorted(self.data)
@@ -422,8 +427,9 @@ def embed(op, big, legs):
 
 def leg_weights(space, legs):
     """2m summed over the legs `legs` of space, for every basis index."""
-    return tuple(sum(space.leg_weights[l][i] for l in legs)
-                 for i in range(space.dim))
+    if not legs:
+        return (0,) * space.dim
+    return tuple(map(sum, zip(*(space.leg_weights[l] for l in legs))))
 
 
 def coproduct(rep, space, legs, flipped=False):
@@ -442,7 +448,7 @@ def coproduct(rep, space, legs, flipped=False):
         g = embed(rep(space.spins[leg]), space, (leg,))
         for (r, c), s in g.data.items():
             e = 0 if rep is rep_h else sign * (after[r] - before[r])
-            add_into(out, (r, c), s * qpow(Fraction(e, 2)) if e else s)
+            add_into(out, (r, c), s * qpow_units(DENOM * e // 2) if e else s)
     return GradedOperator(space, out)
 
 
@@ -489,8 +495,8 @@ def check_algebra(spin):
     failed = _first_failure(
         relations(h, rep_eplus(spin), rep_eminus(spin), h.space.total_weights))
     if failed:
-        return False, "%s fails at spin %s" % (failed, spin.j)
-    return True, "spin %s algebra relations hold" % spin.j
+        return False, "%s fails at spin %s" % (failed, ratio_str(spin.twice, 2))
+    return True, "spin %s algebra relations hold" % ratio_str(spin.twice, 2)
 
 
 def check_coproduct_algebra(space2, flipped=False):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .coeffs import root8_pow
-from .lattice import DENOM
+from .lattice import DENOM, ratio_str, twice
 from .polys import add_into
 from .scalar import (
     QDIFF,
@@ -59,23 +59,12 @@ __all__ = [
 # dictionary identities, which compare against actual matrices).
 K_PHASE = 0
 
-# Spins, projections and offsets enter once through _twice and are doubled
-# ints from then on, so J = 2 j.  A phase (-1)**t is the eighth root
-# root8_pow(4 t), and a q-exponent e is the u-exponent 4 e (lattice.py).
-# Multiplicities of continued factorials are doubled ints too.
-
-
-def _twice(v):
-    """2 v as an int, for a spin, projection or offset v given as an int, a
-    Fraction or a string; ValueError unless v is a half-integer."""
-    if type(v) is int:
-        return 2 * v
-    f = v if type(v) is Fraction else Fraction(v)
-    if f.denominator == 1:
-        return 2 * f.numerator
-    if f.denominator == 2:
-        return f.numerator
-    raise ValueError("%s is not a half-integer" % (f,))
+# Spins, projections and offsets enter once through lattice.twice and are
+# doubled ints from then on, so J = 2 j; the relation builders work on the
+# doubled ints throughout and print them with lattice.ratio_str.  A phase
+# (-1)**t is the eighth root root8_pow(4 t), and a q-exponent e is the
+# u-exponent 4 e (lattice.py).  Multiplicities of continued factorials are
+# doubled ints too.
 
 
 def _triangle(a, b, c):
@@ -146,8 +135,8 @@ def three_j(j1, j2, j3, m1, m2, m3):
 
     Vanishes unless m1 + m2 = m3 and the triangle rule holds.
     """
-    return _coupling(_twice(j1), _twice(j2), _twice(j3),
-                     _twice(m1), _twice(m2), _twice(m3))
+    return _coupling(twice(j1), twice(j2), twice(j3),
+                     twice(m1), twice(m2), twice(m3))
 
 
 def _coupling(*key):
@@ -191,7 +180,7 @@ def cg(j1, m1, j2, m2, j3, m3):
 
 def six_j(j1, j2, j3, j4, j5, j6):
     """Recoupling symbol {j1 j2 j3; j4 j5 j6} by the single-sum formula."""
-    return _six_j(*(_twice(j) for j in (j1, j2, j3, j4, j5, j6)))
+    return _six_j(*(twice(j) for j in (j1, j2, j3, j4, j5, j6)))
 
 
 def _six_j(J1, J2, J3, J4, J5, J6):
@@ -206,7 +195,9 @@ def _six_j(J1, J2, J3, J4, J5, J6):
     box = [(J1 + J2 + J4 + J5) // 2, (J2 + J3 + J5 + J6) // 2,
            (J3 + J1 + J6 + J4) // 2]
     terms = [
-        ((-1) ** z, 0, (z + 1,), [z - t for t in tri] + [b - z for b in box])
+        ((-1) ** z, 0, (z + 1,),
+         [z - t for t in tri]
+         + [b - z for b in box])
         for z in range(max(tri), min(box) + 1)
     ]
     return _Parts(1, 0, halves, terms).scalar()
@@ -221,8 +212,11 @@ def six_j_brute(j1, j2, j12, j3, jtot, j23):
     taken in the exponents of known factors (scalar.known_sum), so the
     overlap is cancelled once per radical.
     """
-    J1, J2, J12, J3, JT, J23 = (
-        _twice(j) for j in (j1, j2, j12, j3, jtot, j23))
+    return _six_j_brute(*(twice(j) for j in (j1, j2, j12, j3, jtot, j23)))
+
+
+def _six_j_brute(J1, J2, J12, J3, JT, J23):
+    """six_j_brute on doubled spins."""
     terms = []
     for M1 in range(-J1, J1 + 1, 2):
         for M2 in range(-J2, J2 + 1, 2):
@@ -253,8 +247,8 @@ def cont_spin(offset=0):
 def _pos(p):
     """A six_j_cont position as (weight, doubled constant)."""
     if isinstance(p, tuple) and len(p) == 2 and p[0] == "J":
-        return (1, _twice(p[1]))
-    return (0, _twice(p))
+        return (1, twice(p[1]))
+    return (0, twice(p))
 
 
 def _merged(a, b, sign):
@@ -304,7 +298,7 @@ class ContinuedExpr:
         c = Fraction(c)
         if c.denominator != 1:
             raise ValueError("continued factorial offset must be an integer")
-        return self * ContinuedExpr(facts={int(c): _twice(mult)})
+        return self * ContinuedExpr(facts={int(c): twice(mult)})
 
     def shift_x(self, m):
         """x -> x q^m, hence every symbol offset moves by m."""
@@ -393,8 +387,8 @@ def _six_j_cont(pos):
     for t in triads:
         _cont_triangle(*t, halves, facts)
 
-    tri_sums = [(sum(w for w, _ in t), sum(c for _, c in t)) for t in triads]
-    box_sums = [(sum(w for w, _ in b), sum(c for _, c in b)) for b in boxes]
+    tri_sums = [tuple(map(sum, zip(*t))) for t in triads]
+    box_sums = [tuple(map(sum, zip(*b))) for b in boxes]
     if not any(w == 2 for w, _ in tri_sums):
         raise ValueError("no continued triad; use six_j")
     finite_hi = [c for w, c in box_sums if w == 2]
@@ -489,7 +483,11 @@ def _limit_sum(J, S, M):
 
 def m_element(j, sigma, m):
     """Closed-form matrix element of the one-leg twist at row sigma, col m."""
-    J, S, M = _twice(j), _twice(sigma), _twice(m)
+    return _m_element(twice(j), twice(sigma), twice(m))
+
+
+def _m_element(J, S, M):
+    """m_element for doubled j, sigma and m."""
     if abs(S) > J or abs(M) > J or (J + S) % 2 or (J + M) % 2:
         return SC_ZERO
     halves = {}
@@ -504,12 +502,11 @@ def m_element(j, sigma, m):
 
 def norm_xi(m):
     """Field normalisation on the vertex side."""
-    return _norm_xi(m).reduce()
+    return _norm_xi(twice(m)).reduce()
 
 
-def _norm_xi(m):
-    """norm_xi as a ContinuedExpr monomial."""
-    M = _twice(m)
+def _norm_xi(M):
+    """norm_xi as a ContinuedExpr monomial, for the doubled m."""
     # (-1)**(-m/2) q**(m/2)
     return ContinuedExpr(mono=(-M, M, 0))
 
@@ -520,10 +517,10 @@ def norm_psi(j, sigma, shift=0):
     Carries the continued triangle denominator, so the result is a
     ContinuedExpr; the continued parts cancel inside the dictionaries.
     """
-    u = _twice(shift)
+    u = twice(shift)
     if u % 2:
-        raise ValueError("x-shift %s is not an integer" % (Fraction(u, 2),))
-    return _norm_psi(_twice(j), _twice(sigma), u // 2)
+        raise ValueError("x-shift %s is not an integer" % (ratio_str(u, 2),))
+    return _norm_psi(twice(j), twice(sigma), u // 2)
 
 
 def _norm_psi(J, S, u):
@@ -551,7 +548,11 @@ def limit_three_j(j, sigma, m):
     Includes the continued triangle and dimension factors, mirroring
     norm_psi, so the product norm_psi/norm_xi * limit reduces exactly.
     """
-    J, S, M = _twice(j), _twice(sigma), _twice(m)
+    return _limit_three_j(twice(j), twice(sigma), twice(m))
+
+
+def _limit_three_j(J, S, M):
+    """limit_three_j for doubled j, sigma and m."""
     if abs(M) > J or abs(S) > J:
         return ContinuedExpr(SC_ZERO)
     halves = {QDIFF: -J}
@@ -575,8 +576,11 @@ def limit_three_j(j, sigma, m):
 def r_dict_entry(j1, j2, sp1, sp2, s1, s2):
     """Exchange-matrix element <sp1 sp2| R(x) |s1 s2> via the recoupling
     symbol with two continued spins."""
-    J1, J2, SP1, SP2, S1, S2 = (
-        _twice(v) for v in (j1, j2, sp1, sp2, s1, s2))
+    return _r_dict_entry(*(twice(v) for v in (j1, j2, sp1, sp2, s1, s2)))
+
+
+def _r_dict_entry(J1, J2, SP1, SP2, S1, S2):
+    """r_dict_entry on doubled spins and projections."""
     if SP1 + SP2 != S1 + S2:
         return SC_ZERO
     S = S1 + S2
@@ -600,8 +604,11 @@ def r_dict_entry(j1, j2, sp1, sp2, s1, s2):
 def f_dict_entry(j1, j2, s1, s2, sp1, sp2):
     """Twist element <s1 s2| F(x) |sp1 sp2> as a sum over the intermediate
     spin of couplings times continued recouplings."""
-    J1, J2, S1, S2, SP1, SP2 = (
-        _twice(v) for v in (j1, j2, s1, s2, sp1, sp2))
+    return _f_dict_entry(*(twice(v) for v in (j1, j2, s1, s2, sp1, sp2)))
+
+
+def _f_dict_entry(J1, J2, S1, S2, SP1, SP2):
+    """f_dict_entry on doubled spins and projections."""
     if S1 + S2 != SP1 + SP2:
         return SC_ZERO
     S = S1 + S2
@@ -622,14 +629,14 @@ def f_dict_entry(j1, j2, s1, s2, sp1, sp2):
 # relation builders: each returns a list of (label, lhs, rhs)
 
 
-def _spin_range(j):
-    j = Fraction(j)
-    vals = []
-    m = j
-    while m >= -j:
-        vals.append(m)
-        m -= 1
-    return vals
+def _spin_range(J):
+    """The doubled projections J, J - 2, ..., -J of the doubled spin J."""
+    return range(J, -J - 1, -2)
+
+
+def _entry_label(*doubled):
+    """ "entry (a,b)<-(c,d)" for the doubled projections a, b, c, d."""
+    return "entry (%s,%s)<-(%s,%s)" % tuple(ratio_str(t, 2) for t in doubled)
 
 
 def _build_rel_m_dictionary(j):
@@ -637,15 +644,16 @@ def _build_rel_m_dictionary(j):
     from .twist import boundary_m
 
     op = boundary_m(j)
+    J = twice(j)
     comparisons = []
-    rng = _spin_range(j)
-    for r, sigma in enumerate(rng):
-        for c, m in enumerate(rng):
+    rng = _spin_range(J)
+    for r, S in enumerate(rng):
+        for c, M in enumerate(rng):
             comparisons.append(
                 (
-                    "entry sigma=%s m=%s" % (sigma, m),
+                    "entry sigma=%s m=%s" % (ratio_str(S, 2), ratio_str(M, 2)),
                     op.entry(r, c),
-                    m_element(j, sigma, m),
+                    _m_element(J, S, M),
                 )
             )
     return comparisons
@@ -653,14 +661,16 @@ def _build_rel_m_dictionary(j):
 
 def _build_rel_m_limit_formula(j):
     """Closed form == normalisation ratio times the continued coupling."""
+    J = twice(j)
     comparisons = []
-    rng = _spin_range(j)
-    for sigma in rng:
-        for m in rng:
-            lhs = m_element(j, sigma, m)
-            rhs = (norm_psi(j, sigma) * limit_three_j(j, sigma, m)
-                   / _norm_xi(m)).reduce()
-            comparisons.append(("sigma=%s m=%s" % (sigma, m), lhs, rhs))
+    rng = _spin_range(J)
+    for S in rng:
+        for M in rng:
+            lhs = _m_element(J, S, M)
+            rhs = (_norm_psi(J, S, 0) * _limit_three_j(J, S, M)
+                   / _norm_xi(M)).reduce()
+            comparisons.append(
+                ("sigma=%s m=%s" % (ratio_str(S, 2), ratio_str(M, 2)), lhs, rhs))
     return comparisons
 
 
@@ -669,22 +679,23 @@ def _build_rel_r_dictionary(j1, j2):
 
     op = gnf_r(j1, j2)
     space = op.space
-    r1 = _spin_range(j1)
-    r2 = _spin_range(j2)
+    J1, J2 = twice(j1), twice(j2)
+    r1 = _spin_range(J1)
+    r2 = _spin_range(J2)
     comparisons = []
-    for a, sp1 in enumerate(r1):
-        for b, sp2 in enumerate(r2):
-            for c, s1 in enumerate(r1):
-                for d, s2 in enumerate(r2):
-                    if sp1 + sp2 != s1 + s2:
+    for a, SP1 in enumerate(r1):
+        for b, SP2 in enumerate(r2):
+            for c, S1 in enumerate(r1):
+                for d, S2 in enumerate(r2):
+                    if SP1 + SP2 != S1 + S2:
                         continue
                     row = space.index((a, b))
                     col = space.index((c, d))
                     comparisons.append(
                         (
-                            "entry (%s,%s)<-(%s,%s)" % (sp1, sp2, s1, s2),
+                            _entry_label(SP1, SP2, S1, S2),
                             op.entry(row, col),
-                            r_dict_entry(j1, j2, sp1, sp2, s1, s2),
+                            _r_dict_entry(J1, J2, SP1, SP2, S1, S2),
                         )
                     )
     return comparisons
@@ -695,22 +706,23 @@ def _build_rel_f_dictionary(j1, j2):
 
     op = twist_f(j1, j2)
     space = op.space
-    r1 = _spin_range(j1)
-    r2 = _spin_range(j2)
+    J1, J2 = twice(j1), twice(j2)
+    r1 = _spin_range(J1)
+    r2 = _spin_range(J2)
     comparisons = []
-    for a, s1 in enumerate(r1):
-        for b, s2 in enumerate(r2):
-            for c, sp1 in enumerate(r1):
-                for d, sp2 in enumerate(r2):
-                    if s1 + s2 != sp1 + sp2:
+    for a, S1 in enumerate(r1):
+        for b, S2 in enumerate(r2):
+            for c, SP1 in enumerate(r1):
+                for d, SP2 in enumerate(r2):
+                    if S1 + S2 != SP1 + SP2:
                         continue
                     row = space.index((a, b))
                     col = space.index((c, d))
                     comparisons.append(
                         (
-                            "entry (%s,%s)<-(%s,%s)" % (s1, s2, sp1, sp2),
+                            _entry_label(S1, S2, SP1, SP2),
                             op.entry(row, col),
-                            f_dict_entry(j1, j2, s1, s2, sp1, sp2),
+                            _f_dict_entry(J1, J2, S1, S2, SP1, SP2),
                         )
                     )
     return comparisons
@@ -723,54 +735,44 @@ def _build_rel_delta_m_decomposition(j1, j2):
 
     op = delta_m(j1, j2)
     space = op.space
-    r1 = _spin_range(j1)
-    r2 = _spin_range(j2)
+    J1, J2 = twice(j1), twice(j2)
+    r1 = _spin_range(J1)
+    r2 = _spin_range(J2)
     comparisons = []
-    for a, s1 in enumerate(r1):
-        for b, s2 in enumerate(r2):
-            for c, m1 in enumerate(r1):
-                for d, m2 in enumerate(r2):
+    for a, S1 in enumerate(r1):
+        for b, S2 in enumerate(r2):
+            for c, M1 in enumerate(r1):
+                for d, M2 in enumerate(r2):
                     row = space.index((a, b))
                     col = space.index((c, d))
                     rhs = SC_ZERO
-                    j12 = abs(j1 - j2)
-                    while j12 <= j1 + j2:
-                        w1 = three_j(j1, j2, j12, s1, s2, s1 + s2)
-                        w2 = three_j(j1, j2, j12, m1, m2, m1 + m2)
+                    for J12 in range(abs(J1 - J2), J1 + J2 + 1, 2):
+                        w1 = _coupling(J1, J2, J12, S1, S2, S1 + S2)
+                        w2 = _coupling(J1, J2, J12, M1, M2, M1 + M2)
                         if w1 and w2:
-                            rhs = rhs + w1 * m_element(j12, s1 + s2, m1 + m2) * w2
-                        j12 += 1
+                            rhs = rhs + w1 * _m_element(J12, S1 + S2, M1 + M2) * w2
                     comparisons.append(
-                        (
-                            "entry (%s,%s)<-(%s,%s)" % (s1, s2, m1, m2),
-                            op.entry(row, col),
-                            rhs,
-                        )
-                    )
+                        (_entry_label(S1, S2, M1, M2), op.entry(row, col), rhs))
     return comparisons
 
 
 def _build_rel_recoupling(j1, j2, j3):
     """Single-sum recoupling symbol against the brute-force overlap."""
+    J1, J2, J3 = twice(j1), twice(j2), twice(j3)
     comparisons = []
-    j12 = abs(j1 - j2)
-    while j12 <= j1 + j2:
-        j23 = abs(j2 - j3)
-        while j23 <= j2 + j3:
-            lo = max(abs(j12 - j3), abs(j1 - j23))
-            hi = min(j12 + j3, j1 + j23)
-            jtot = lo
-            while jtot <= hi:
+    for J12 in range(abs(J1 - J2), J1 + J2 + 1, 2):
+        for J23 in range(abs(J2 - J3), J2 + J3 + 1, 2):
+            lo = max(abs(J12 - J3), abs(J1 - J23))
+            hi = min(J12 + J3, J1 + J23)
+            for JT in range(lo, hi + 1, 2):
                 comparisons.append(
                     (
-                        "j12=%s j23=%s jtot=%s" % (j12, j23, jtot),
-                        six_j(j1, j2, j12, j3, jtot, j23),
-                        six_j_brute(j1, j2, j12, j3, jtot, j23),
+                        "j12=%s j23=%s jtot=%s" % (
+                            ratio_str(J12, 2), ratio_str(J23, 2), ratio_str(JT, 2)),
+                        _six_j(J1, J2, J12, J3, JT, J23),
+                        _six_j_brute(J1, J2, J12, J3, JT, J23),
                     )
                 )
-                jtot += 1
-            j23 += 1
-        j12 += 1
     return comparisons
 
 

@@ -28,12 +28,11 @@ comparisons share, the cached family builders and the operands of the
 `relations` commutators stay evaluated.
 """
 
-from fractions import Fraction
 from functools import cache
 
 from .lattice import DENOM
 from .polys import add_into
-from .scalar import QDIFF, add_qfact, add_xbracket, qint_monomial, qpow
+from .scalar import QDIFF, add_qfact, add_xbracket, qint_monomial, qpow_units
 from .spins import (
     GradedOperator,
     Product,
@@ -156,8 +155,8 @@ def _m_series(space):
                 continue
             cnm = _m_coeff(n, m)
             for (r, c), s in op.data.items():
-                add_into(acc, (r, c),
-                         s * cnm * qpow(Fraction((n + m) * weights[c], 2)))
+                units = DENOM * (n + m) * weights[c] // 2
+                add_into(acc, (r, c), s * cnm * qpow_units(units))
     return GradedOperator(space, acc)
 
 
@@ -264,13 +263,11 @@ def associator_phi_short(j1, j2, j3):
 
 
 def phi_embedded(space, perm):
-    js = tuple(space.spins[p].j for p in perm)
-    return embed(associator_phi(*js), space, perm)
+    return embed(_build_phi(*(space.spins[p] for p in perm)), space, perm)
 
 
 def phi_inv_embedded(space, perm):
-    js = tuple(space.spins[p].j for p in perm)
-    return embed(associator_phi_inv(*js), space, perm)
+    return embed(_build_phi_inv(*(space.spins[p] for p in perm)), space, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +486,10 @@ def _build_rel_twist_limits(j1, j2):
     wa = space.leg_weights[0]
     wb = space.leg_weights[1]
     half_cartan_inv = diag_scalars(
-        space, tuple(qpow(-Fraction(a * b, 2)) for a, b in zip(wa, wb))
+        space, tuple(qpow_units(-DENOM * a * b // 2) for a, b in zip(wa, wb))
     )
     half_cartan = diag_scalars(
-        space, tuple(qpow(Fraction(a * b, 2)) for a, b in zip(wa, wb))
+        space, tuple(qpow_units(DENOM * a * b // 2) for a, b in zip(wa, wb))
     )
     return [
         ("twist at the origin", _limit_op(f, True), identity_op(space)),

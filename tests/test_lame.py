@@ -25,6 +25,7 @@ from dynrmat.lame import (
     wavefunction_closed,
     wavefunction_recursive,
 )
+from dynrmat.lattice import to_units
 from dynrmat.scalar import SC_ONE, SC_ZERO, qdiff, qnum, qpow, sc_coeff, xpow
 from dynrmat.spins import Spin, TensorSpace, embed
 from dynrmat.suite import verify_relation
@@ -94,8 +95,8 @@ def test_hamiltonian_supports():
     h3 = hamiltonian(3)
     h0 = hamiltonian(0)
     diff = h3 - h0
-    assert sorted(diff.data) == [1]
-    assert diff.data[F(1)] == c_function(3, shift=1) - SC_ONE
+    assert sorted(diff.data) == [to_units(1)]
+    assert diff.data[to_units(1)] == c_function(3, shift=1) - SC_ONE
 
 
 # ------------------------------------------------------------ intertwining

@@ -24,7 +24,7 @@ from dynrmat import (
     xpow,
 )
 from dynrmat.coeffs import make_coeff, root8_pow
-from dynrmat.lattice import DENOM, LatticeError, from_units
+from dynrmat.lattice import DENOM, LatticeError, from_units, to_units
 from dynrmat.polys import QP_ONE, QRAT_ONE, qp_gcd, qrat
 from dynrmat.ratfunc import ratfn
 from dynrmat.scalar import (
@@ -233,7 +233,7 @@ def test_lame_prefactors_match_division():
                   (two_brackets(j, -j - 1) / den).shift_x(shift))
             _same(lame.d_function(j, shift),
                   (two_brackets(-j, -j - 1) / den).shift_x(shift))
-            _same(lame._brackets(shift, (0, -2)),
+            _same(lame._brackets(to_units(shift), (0, -2)),
                   (qdiff() / (xpow(1) - xpow(-1))).shift_x(shift))
     for j in range(4):
         for k in (-2, 0, 3):

@@ -289,7 +289,7 @@ def test_overlap_expands_no_term_on_its_own(monkeypatch, cold_caches):
         return Alphabet._expanded.cache_info().currsize
 
     added = []
-    brute = symbols.six_j_brute
+    brute = symbols._six_j_brute
 
     def counted(*spins):
         n = expanded()
@@ -297,7 +297,7 @@ def test_overlap_expands_no_term_on_its_own(monkeypatch, cold_caches):
         added.append(expanded() - n)
         return got
 
-    monkeypatch.setattr(symbols, "six_j_brute", counted)
+    monkeypatch.setattr(symbols, "_six_j_brute", counted)
     comparisons = symbols._build_rel_recoupling(2, F(3, 2), F(3, 2))
     assert len(added) == len(comparisons) == 40
     assert added == [0] * 40
