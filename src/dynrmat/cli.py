@@ -20,7 +20,7 @@ from .lame import (
     lax_matrix,
     wavefunction,
 )
-from .report import run_comparisons
+from .report import check_point, run_comparisons
 from .serialize import dumps_canonical, latex, plain_text, to_payload
 from .suite import RELATIONS, run_suite, verify_relation
 from .symbols import limit_three_j, m_element, six_j, three_j
@@ -67,14 +67,12 @@ def _add_out_flags(p, formats=("json", "latex", "text"), default="json"):
 
 
 def _check_point(parser, args):
-    if args.mode != "numeric":
-        if args.q0 is not None or args.x0 is not None:
-            parser.error("--q0/--x0 only apply to --mode numeric")
-        return
-    if args.q0 is not None and (args.q0 <= 0 or args.q0 == 1.0):
-        parser.error("numeric mode needs q0 > 0 and q0 != 1")
-    if args.x0 is not None and args.x0 <= 0:
-        parser.error("numeric mode needs x0 > 0")
+    if args.mode != "numeric" and (args.q0 is not None or args.x0 is not None):
+        parser.error("--q0/--x0 only apply to --mode numeric")
+    try:
+        check_point(args.mode, args.q0, args.x0)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _emit(text, out):

@@ -3,7 +3,7 @@
 A Laurent polynomial is a dict mapping integer exponents to nonzero
 coefficients; poly_add, poly_neg, poly_sub, poly_shift and poly_strip serve
 every level.  Level one: a QPoly is a Laurent polynomial in u = q**(1/D) with
-int, Fraction or Cyclo coefficients.  Integral rationals are stored as int
+rational coefficients.  Integral rationals are stored as int
 where they are made (see coeffs.py), so integer polynomials multiply in int
 arithmetic; an integral Fraction that slips through is still correct, because
 equal values compare and hash equal whatever their type.  Level two: a QRat
@@ -32,8 +32,7 @@ Three rules of the arithmetic are written once, for every level:
 - dividing the cyclotomic factors Phi_d out of rows: _divide_out, given the
   division of one row.  Its packed case, _qcancel_packed, divides the int
   rows of xp_qcancel and of the QRat _cancel (one row), and its dense case
-  the others; cyclotomic and _factor divide through it too, and _may_split
-  says where a factor may split over the coefficients.  Multiplying
+  the others; cyclotomic and _factor divide through it too.  Multiplying
   factors in is packed too (CYCLOTOMICS).
 - the factored sum and product: multisets.over_lcm and
   multisets.cancel_across.  CanonicalFraction uses them for its factors,
@@ -50,9 +49,8 @@ factors that can cancel:
 - q level: the cyclotomic polynomials Phi_d(Q) in Q = q**2 = u**8, since
   q-integers, q-factorials and q - 1/q are monomials times products of them.
   A numerator that is a polynomial in u**8 shares with Phi_d(u**8) either
-  all of it or nothing, wherever Phi_d(Q) stays irreducible over the
-  numerator's coefficients (over Q always, over Q(z8) unless 4 divides d).
-  The common q-denominator of an XNum cancels the same way, row by row.
+  all of it or nothing, since Phi_d(Q) is irreducible over Q.  The common
+  q-denominator of an XNum cancels the same way, row by row.
 - x level: the binomials y - u**e in y = x**2 = v**8, which the x-brackets
   x q**c - x**-1 q**-c put into every x-denominator.  Each is linear in y.
   One exact evaluation of the numerator at y = u**e rules a binomial in or
@@ -62,27 +60,24 @@ they are A(t**k) and B(t**k), and their gcd is gcd(A, B)(t**k), because
 Euclid on A and B and Euclid on A(t**k) and B(t**k) take the same steps.
 
 The gcds qp_gcd and xp_gcd are the fallback only: for a numerator that is
-no polynomial in u**8 (in y), a Cyclo numerator against a factor Phi_d with
-4 | d, or a denominator that is no product of the factors.  No manifest
-entry and no GNF or recoupling check of the benchmark reaches either.  Both
-are one dense modular gcd (Brown 1971) over Q(z8) by splitting primes
-(Encarnacion 1995), the q level its univariate case.  The operands are
-deflated (in u too: u -> u**k embeds Q(u) in itself) and cleared of
-u-denominators and u-contents, so in Q(z8)[u][v].  With g their gcd and
-gamma the gcd of their leading coefficients, it finds h = gamma * g / lc(g),
-a polynomial as lc(g) divides gamma.  Images are taken mod primes p = 1 mod
-8, where Phi_8 splits, under the four embeddings z8 -> w of Z[z8] in GF(p),
-and at the x level at points u = x; a prime that divides a denominator, and
-a prime or point where a leading coefficient vanishes, are skipped:
-- No image's degree is below that of g: over Z[z8][u], a unique
-  factorization domain, g divides both operands and lc(g) their leading
-  coefficients, so g's image divides both images and keeps its degree.  An
-  image of degree 0 proves the operands coprime.
+no polynomial in u**8 (in y), or a denominator that is no product of the
+factors.  No manifest entry and no GNF or recoupling check of the benchmark
+reaches either.  Both are one dense modular gcd (Brown 1971) over Q, the q
+level its univariate case.  The operands are deflated (in u too: u -> u**k
+embeds Q(u) in itself) and cleared of u-denominators and u-contents, so in
+Z[u][v].  With g their gcd and gamma the gcd of their leading coefficients,
+it finds h = gamma * g / lc(g), a polynomial as lc(g) divides gamma.  Images
+are taken mod primes p, one image per prime, and at the x level at points
+u = x; a prime that divides a denominator, and a prime or point where a
+leading coefficient vanishes, are skipped:
+- No image's degree is below that of g: over Z[u], a unique factorization
+  domain, g divides both operands and lc(g) their leading coefficients, so
+  g's image divides both images and keeps its degree.  An image of degree 0
+  proves the operands coprime.
 - The images of least degree are kept.  Where that is g's degree, the monic
   image gcd times gamma(x) is h's image.  Interpolation in u at deg(gamma) +
-  min(deg_u) + 1 points, the inverse 4-point transform from the embeddings
-  to the basis 1, z8, z8**2, z8**3, CRT over primes and rational
-  reconstruction (Wang 1981) give a candidate once two primes agree.
+  min(deg_u) + 1 points, CRT over primes and rational reconstruction (Wang
+  1981) give a candidate once two primes agree.
 - It is accepted only after exact trial division of gamma times each
   operand, which gives the cofactors too, and a common divisor of at least
   g's degree is g.  So the result is exact, and the same for any primes and
@@ -98,7 +93,7 @@ from functools import cache, reduce
 from itertools import chain, count
 
 from . import multisets
-from .coeffs import Cyclo, coeff_mod, coeff_to_complex, demote, make_coeff
+from .coeffs import coeff_mod, demote
 from .lattice import DENOM, LatticeError
 from .multisets import NO_FACTORS, Alphabet
 
@@ -245,7 +240,7 @@ def qp_monic(a):
 def qp_eval_complex(a, u0):
     t = 0j
     for e, c in a.items():
-        t += coeff_to_complex(c) * u0 ** e
+        t += complex(c) * u0 ** e
     return t
 
 
@@ -415,27 +410,14 @@ def _factor(d0):
     return fac
 
 
-def _may_split(fac, coeffs):
-    """Whether some factor Phi_d(Q) of the multiset `fac` may split over the
-    field of the coefficients `coeffs`.
-
-    Phi_d(Q) is irreducible over Q, and over Q(z8) unless 4 divides d
-    (Q(z8) meets the field of the d-th roots of unity in the field of the
-    gcd(d, 8)-th ones).
-    """
-    return (any(d % 4 == 0 for d in fac)
-            and any(type(c) is Cyclo for c in coeffs))
-
-
 def _cancel(t, fac):
     """(t / g, g) for g the largest product of cyclotomic factors from the
     multiset `fac` that divides t, with g as a multiset; None if t is not,
-    after stripping, a polynomial in u**Q_DEG, or if a factor of `fac` may
-    split over the coefficients of t.
+    after stripping, a polynomial in u**Q_DEG.
 
     Then the gcd of t with Phi_d(u**Q_DEG) is the gcd of the deflated t with
     Phi_d(Q), inflated again (module docstring), and Phi_d(Q) is
-    irreducible over t's coefficients; so that gcd is Phi_d(u**Q_DEG) or 1,
+    irreducible over Q; so that gcd is Phi_d(u**Q_DEG) or 1,
     and exact division decides: packed when the coefficients are ints
     (_qcancel_packed), dense, the one-row case of _divide_out, otherwise or
     when the packed quotient's slots could have wrapped.
@@ -444,7 +426,7 @@ def _cancel(t, fac):
     if len(t0) == 1:
         return t, NO_FACTORS
     dense = _q_dense(t0)
-    if dense is None or _may_split(fac, dense):
+    if dense is None:
         return None
     if all(type(c) is int for c in dense):
         # as a packed one-row XNum
@@ -463,7 +445,7 @@ def _cancel(t, fac):
     return _q_sparse(rows[0], st), removed
 
 
-class _Cyclotomics(Alphabet):
+class _PhiAlphabet(Alphabet):
     """QPolys times cyclotomic factors, and expanded q-denominators.
 
     Int QPolys are multiplied as packed ints, like the rows of an XNum (see
@@ -474,7 +456,7 @@ class _Cyclotomics(Alphabet):
     prod ||Phi_d||_1**m for the product of p, the p_i and the factors, with
     ||p||_1 the sum of |coefficients| of p: it is submultiplicative, so that
     bounds every slot of the product, and by the bound rule none wraps.
-    Fraction and Cyclo operands take the loop of one polynomial product per
+    Fraction operands take the loop of one polynomial product per
     factor.  Expanded products are cached by multiset (expand); products
     with a QPoly are not.
     """
@@ -559,7 +541,7 @@ def _blocks(p):
     return out
 
 
-CYCLOTOMICS = _Cyclotomics(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
+CYCLOTOMICS = _PhiAlphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
 
 
 # --------------------------------------------------- canonical fractions ----
@@ -837,13 +819,6 @@ def qrat_qpow(units):
     return QRat({units: 1}, NO_FACTORS)
 
 
-def qrat_scale(qr, c):
-    """qr times a nonzero bare coefficient."""
-    if not qr.num:
-        return QRAT_ZERO
-    return QRat(qp_scale(qr.num, c), qr.fac, qr._den)
-
-
 def qrat_monomial_mul(qr, s):
     if not s or not qr.num:
         return qr
@@ -916,23 +891,21 @@ def _inflate(p, k):
 
 @cache
 def _prime(i):
-    """(p, w): the i-th prime p = 1 mod 8 from 2**31 up, and w of order 8
-    mod p; z8 -> w**(2j + 1), j < 4, embed Z[z8] in GF(p) four ways."""
-    p = _prime(i - 1)[0] + 8 if i else 2**31 + 1
+    """The i-th prime from 2**31 up."""
+    p = _prime(i - 1) + 2 if i else 2**31 + 1
     while any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
-        p += 8
-    g = next(g for g in count(2) if pow(g, (p - 1) // 2, p) != 1)
-    return p, pow(g, (p - 1) // 8, p)
+        p += 2
+    return p
 
 
 def _primes():
     return map(_prime, count())
 
 
-def _image(a, p, w):
-    """a under z8 -> w mod p, a list in v of dicts in u; raises
-    ZeroDivisionError if p divides a denominator."""
-    return [{e: coeff_mod(c, p, w) for e, c in a.get(k, {}).items()}
+def _image(a, p):
+    """a mod p, a list in v of dicts in u; raises ZeroDivisionError if p
+    divides a denominator."""
+    return [{e: coeff_mod(c, p) for e, c in a.get(k, {}).items()}
             for k in range(max(a) + 1)]
 
 
@@ -1004,7 +977,7 @@ def _ratrec(n, m):
 
 
 def _div_exact(a, b):
-    """a / b in Q(z8)[u][v], or None unless b divides a there."""
+    """a / b in Q[u][v], or None unless b divides a there."""
     def quo(c, lead):
         f, rest = qp_divmod(c, lead)
         return None if rest else f
@@ -1015,36 +988,26 @@ def _div_exact(a, b):
 
 def _modular_gcd(a, b, gamma):
     """(h, gamma * a / h, gamma * b / h) for h = gamma * g / lc(g), with g
-    the gcd of a and b, dicts v-exponent -> QPoly in Q(z8)[u], and gamma a
+    the gcd of a and b, dicts v-exponent -> QPoly in Q[u], and gamma a
     common divisor of their leading coefficients; None if g is 1."""
     ku, (gamma, *rows) = _deflate([gamma, *a.values(), *b.values()])
     a, b = dict(zip(a, rows)), dict(zip(b, rows[len(a):]))
     e = max(gamma) + min(max(map(max, f.values())) for f in (a, b))
-    n_emb = 4 if any(type(c) is Cyclo for f in (a, b)
-                     for row in f.values() for c in row.values()) else 1
     points = count(1)
     d = last = None  # the least degree so far, and the last reconstruction
-    for p, w in _primes():
-        ws = [pow(w, 2 * j + 1, p) for j in range(n_emb)]
+    for p in _primes():
         try:
-            imgs = [
-                [_image(f, p, z) for f in (a, b, {0: gamma})] for z in ws]
+            ia, ib, ig = [_image(f, p) for f in (a, b, {0: gamma})]
         except ZeroDivisionError:
             continue
-        if not all(any(ia[-1].values()) and any(ib[-1].values())
-                   for ia, ib, _ in imgs):
+        if not (any(ia[-1].values()) and any(ib[-1].values())):
             continue
-        got = [_image_gcd(ia, ib, ig[0], e, p, points) for ia, ib, ig in imgs]
-        dp = min(n for n, _ in got)
+        dp, c = _image_gcd(ia, ib, ig[0], e, p, points)
         if dp == 1:
             return None
-        if any(n != dp for n, _ in got) or (d is not None and d < dp):
+        if d is not None and d < dp:
             continue
-        # the inverse transform: sum_j w_j**(i - k) = 4 * (i == k), i, k < 4
-        inv = pow(n_emb, -1, p)
-        image = [sum(pow(z, 8 - k, p) * c[i][j] for z, (_, c) in zip(ws, got))
-                 * inv % p for j in range(dp) for i in range(e + 1)
-                 for k in range(n_emb)]
+        image = [c[i][j] for j in range(dp) for i in range(e + 1)]
         if dp != d:
             d, res, m, last = dp, image, p, None
         else:
@@ -1055,8 +1018,7 @@ def _modular_gcd(a, b, gamma):
         if None in cand or cand != last:
             last = cand  # accepted once one more prime agrees
             continue
-        cs = [make_coeff(*cand[t:t + n_emb])
-              for t in range(0, len(cand), n_emb)]
+        cs = [demote(c) for c in cand]
         rows = [{i: c for i, c in enumerate(cs[j * (e + 1):][:e + 1]) if c}
                 for j in range(d)]
         h = {j: row for j, row in enumerate(rows) if row}
@@ -1082,7 +1044,7 @@ def qp_gcd(a, b):
 
 def _primitive(a):
     """(A, c, d, s), a = u**s * c * A / d for a nested XPoly a: A in
-    Q(z8)[u][v] with content c in u, d the lcm of a's denominators."""
+    Q[u][v] with content c in u, d the lcm of a's denominators."""
     dens = {frozenset(qr.den.items()): qr.den for qr in a.values()}
     d = reduce(lambda d, t: qp_mul(d, qp_gcd(d, t)[2]), dens.values())
     rows = {k: qp_mul(qr.num, qp_divmod(d, qr.den)[0]) for k, qr in a.items()}
@@ -1133,7 +1095,7 @@ def xp_gcd(a, b):
 # overflow would be a silent wrong answer.  The offset is normalized: some
 # row has a nonzero slot 0.
 #
-# Dict form, when a coefficient is a Fraction or a Cyclo: each row is a
+# Dict form, when a coefficient is a Fraction: each row is a
 # QPoly in u with its absolute exponents (o = 0, s = 1, b = 0).  A result
 # whose coefficients are all ints is packed again.
 #
@@ -1576,24 +1538,18 @@ def _binom_quotient(ps, e, sh):
 # The q-denominator of a RationalFunction is common to all its rows: a
 # multiset of cyclotomic factors Phi_d(u**Q_DEG).  Each factor divides a row
 # wholly or not at all when the row is u**o times a polynomial in u**Q_DEG
-# and the factor stays irreducible over its coefficients (the q level's
-# _cancel); then the factors that divide every row cancel by exact division.
+# (the q level's _cancel); then the factors that divide every row cancel by
+# exact division.
 
 
-def xp_qsafe(a, fac):
-    """Whether every factor of the multiset `fac` divides each row of a
-    wholly or not at all: a is a single term, which shares no factor with
-    any Phi_d, or every exponent of u in a agrees mod Q_DEG and no factor
-    may split over a's coefficients."""
+def xp_qsafe(a):
+    """Whether every factor Phi_d(u**Q_DEG) divides each row of a wholly or
+    not at all: a is a single term, which shares no factor with any Phi_d,
+    or every exponent of u in a agrees mod Q_DEG."""
     if a.b:
         return a.s == Q_DEG
     exps = [e for row in a.rows.values() for e in row]
-    if len(exps) == 1:
-        return True
-    if any((e - exps[0]) % Q_DEG for e in exps):
-        return False
-    return not _may_split(fac, (c for row in a.rows.values()
-                                for c in row.values()))
+    return not any((e - exps[0]) % Q_DEG for e in exps)
 
 
 def xp_qtimes(a, fac):
@@ -1613,7 +1569,7 @@ def _qtimes(key):
 def xp_qcancel(a, fac):
     """(a / g, g) for g the largest product of cyclotomic factors from the
     multiset `fac` that divides every row of a, with g as a multiset; a is
-    nonzero and xp_qsafe(a, fac)."""
+    nonzero and xp_qsafe(a)."""
     if a.b:
         got = _qcancel_packed(a, fac)
         if got is not None:

@@ -12,8 +12,8 @@ x**(1/4), stored flat as
   common q-denominator of all the rows.
 - N = u**o * sum_k v**k * P_k(u), an XNum (polys.py).  When every
   coefficient is an int, each row P_k is one Python int, its coefficients
-  in balanced signed slots of b bits (Kronecker substitution); a Fraction or
-  a Cyclo coefficient keeps the rows as QPolys.
+  in balanced signed slots of b bits (Kronecker substitution); a Fraction
+  coefficient keeps the rows as QPolys.
 
 Canonical form: N is coprime in v to Dx, and Dq is minimal: no Phi_d left
 in Dq divides every row of N.  Then each row P_k / Dq, reduced at the q
@@ -45,19 +45,20 @@ Arithmetic on the flat form:
 - A sum multiplies each numerator by the factors the other has and it does
   not, adds, and cancels only the factors of equal multiplicity on both
   sides (multisets.over_lcm).  A factor that only one side has cannot cancel
-  from any row of the sum, not even in part: each row is congruent mod
-  that factor to a row coprime to it.
+  from any row of the sum, not even in part, while the sides' rows are only
+  scaled: each row is congruent mod that factor to a row coprime to it.  A
+  product with a binomial mixes a side's rows, and then a row of the sum can
+  share part of any factor of Dq (see the next rule but one).
 - A binomial cancels from a numerator that is a polynomial in y after
   stripping its lowest power of v exactly when the numerator vanishes at
   y = u**e.  One packed evaluation decides that exactly, and Horner's rule
   with shifts divides; a whole multiset is divided out on one list of rows
   (polys.xp_binom_cancel).  y - u**e is linear in y, hence irreducible,
-  and the gcd of a polynomial in y with the denominator over Q(z8)(u)[v]
-  is its gcd over Q(z8)(u)[y] (the deflation argument of polys.py).
+  and the gcd of a polynomial in y with the denominator over Q(u)[v] is its
+  gcd over Q(u)[y] (the deflation argument of polys.py).
 - A Phi_d(u**8) divides a row wholly or not at all when all exponents of u
-  in N agree mod 8 and Phi_d stays irreducible over N's coefficients
-  (polys.xp_qsafe).  Otherwise each row is reduced as a QRat and the flat
-  form is rebuilt from the reduced rows.
+  in N agree mod 8 (polys.xp_qsafe).  Otherwise each row is reduced as a
+  QRat and the flat form is rebuilt from the reduced rows.
 
 Values the flat form cannot hold are stored nested, as a `_Nested` fraction
 of XPolys over QRats: an x-denominator that is no product of binomials
@@ -69,7 +70,7 @@ again where it can be.
 """
 
 from . import multisets
-from .coeffs import Cyclo, root8_pow
+from .coeffs import z8_div
 from .lattice import DENOM, LatticeError
 from .multisets import NO_FACTORS, Alphabet
 from .polys import (
@@ -89,7 +90,6 @@ from .polys import (
     qrat_const,
     qrat_monomial_mul,
     qrat_over_cyclotomics,
-    qrat_scale,
     xp_add,
     xp_binom_cancel,
     xp_binom_mul,
@@ -164,7 +164,7 @@ def _factor(d):
         return None
     fac = {}
     for e, k in c.num.items():
-        if type(k) is Cyclo or k >= 0 or k.denominator != 1:
+        if k >= 0 or k.denominator != 1:
             return None
         fac[e] = -int(k)
     if sum(fac.values()) * Y_DEG != top or _BINOMIALS.expand(fac) != d:
@@ -260,7 +260,7 @@ def _reduce_q(t, dq, fac, tied, shared):
     """The RationalFunction t / (dq * fac), for a nonzero XNum t coprime to
     fac and to every factor of dq outside the multiset `tied`, whose rows
     can share part of a factor with dq only for the factors of `shared`."""
-    if shared and not xp_qsafe(t, shared):
+    if shared and not xp_qsafe(t):
         return _requalify(t, dq, fac)
     if tied:
         t, removed = xp_qcancel(t, tied)
@@ -436,7 +436,10 @@ class RationalFunction:
         t = xp_add(na, nb)
         if not t:
             return RF_ZERO
-        shared = qa if qa == qb else multisets.common(qa, qb)
+        if self.fac != other.fac:
+            shared = dq  # a product with a binomial mixes the rows
+        else:
+            shared = qa if qa == qb else multisets.common(qa, qb)
         if tied:
             got = _cancel(t, tied)
             if got is None:
@@ -459,7 +462,7 @@ class RationalFunction:
         qa, qb = self.dq, other.dq
         if qa or qb:
             dq = multisets.total(qa, qb)
-            if not (xp_qsafe(na, dq) and xp_qsafe(nb, dq)):
+            if not (xp_qsafe(na) and xp_qsafe(nb)):
                 return _requalify(xp_mul(na, nb), dq, fac)
             na, qa, nb, qb = multisets.cancel_across(na, qa, nb, qb,
                                                      xp_qcancel)
@@ -496,14 +499,16 @@ class RationalFunction:
             _xq_qpow_mul(num, -s0), None, _xq_qpow_mul(den, -s0)))
 
     def subs_signed_qpow(self, sign, a_units):
-        """Evaluate at x = sign * q**(a_units/D); returns a QRat."""
+        """Evaluate at x = sign * q**(a_units/D).  At x = -q**a each
+        x**(k/D) carries the phase (-1)**(k/D) = z8**(4k/D), so the value is
+        returned by its parts on 1, z8, z8**2, z8**3: a list of four QRats."""
         num = _xp_subs_signed(self.num, sign, a_units)
         den = _xp_subs_signed(self.den, sign, a_units)
-        if not den:
+        if not any(den):
             raise PoleAtSubstitution(
-                "substitution hit a denominator zero", not num
+                "substitution hit a denominator zero", not any(num)
             )
-        return num / den
+        return z8_div(num, den)
 
     # ----------------------------------------------------------- limits
 
@@ -557,20 +562,24 @@ def _xq_qpow_mul(a, s):
 
 
 def _xp_subs_signed(a, sign, a_units):
-    total = QRAT_ZERO
+    """The parts on 1, z8, z8**2, z8**3 of the nested XPoly a at x = sign *
+    q**(a_units/D)."""
+    parts = [QRAT_ZERO] * 4
     for k, c in a.items():
         s = a_units * k
         if s % DENOM:
             raise LatticeError("substitution exponent off the lattice")
         t = qrat_monomial_mul(c, s // DENOM)
+        j = 0
         if sign < 0:
             e8 = 4 * k
             if e8 % DENOM:
                 raise LatticeError("sign phase off the eighth-root lattice")
-            ph = root8_pow(e8 // DENOM)
-            t = qrat_scale(t, ph)
-        total = total + t
-    return total
+            j = e8 // DENOM % 8
+            if j >= 4:  # z8**4 = -1
+                t, j = -t, j - 4
+        parts[j] = parts[j] + t
+    return parts
 
 
 RF_ZERO = RationalFunction(XN_ZERO, NO_FACTORS, NO_FACTORS)

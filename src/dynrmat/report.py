@@ -15,10 +15,23 @@ from .polys import poly_sub
 from .scalar import SC_ZERO, Scalar
 from .spins import GradedOperator, Product
 
-__all__ = ["VerificationReport", "run_comparisons", "NUMERIC_TOL"]
+__all__ = ["VerificationReport", "run_comparisons", "check_point",
+           "NUMERIC_TOL"]
 
 NUMERIC_TOL = 1e-9
 _DEFAULT_POINT = (0.37, 0.81)
+
+
+def check_point(mode, q0=None, x0=None):
+    """Raise ValueError unless mode is "exact" or "numeric" and a given
+    point is one where numeric mode can tell values apart: q0 > 0, x0 > 0
+    and q0 != 1 (at q = 1 every q-deformation collapses)."""
+    if mode not in ("exact", "numeric"):
+        raise ValueError("unknown mode %r" % (mode,))
+    if q0 is not None and (q0 <= 0 or q0 == 1):
+        raise ValueError("numeric mode needs q0 > 0 and q0 != 1")
+    if x0 is not None and x0 <= 0:
+        raise ValueError("numeric mode needs x0 > 0")
 
 
 class VerificationReport:
@@ -189,13 +202,12 @@ def run_comparisons(
     coordinate defaulting on its own.  The report's elapsed_ms is left to
     the caller (suite.verify_relation charges the building too).
     """
+    check_point(mode, q0, x0)
     q0 = _DEFAULT_POINT[0] if q0 is None else q0
     x0 = _DEFAULT_POINT[1] if x0 is None else x0
     failing = None
     rank = None
     for label, lhs, rhs in comparisons:
-        if mode not in ("exact", "numeric"):
-            raise ValueError("unknown mode %r" % mode)
         if isinstance(lhs, (GradedOperator, Product)):
             failing, rank = _operator_failure(
                 label, lhs, rhs, mode == "exact", q0, x0, tol)

@@ -1,23 +1,30 @@
 """Scalars: rational functions of q and x extended by formal square roots.
 
-A Scalar is a finite sum of terms  rf * sqrt(prod of radicands), stored as a
-dict mapping a sorted tuple of radical atoms to a RationalFunction.  Three
-atom kinds occur:
+A Scalar is a finite sum of terms  z8**k * rf * sqrt(prod of radicands),
+stored as a dict mapping a sorted tuple of atoms to a RationalFunction with
+rational coefficients.  Three radical atoms occur:
 
     ("qint", n)   radicand [n] = (q^n - q^-n)/(q - q^-1)
     ("xbr", c)    radicand (x q^c - x^-1 q^-c)/(q - q^-1), c in lattice units
     ("qdiff",)    radicand q - q^-1
 
-Products square out repeated atoms into the rational part, so each atom
-appears at most once per term.  Distinct atom tuples are independent: no
-non-empty product of distinct atoms is a square.  Modulo squares (monomials
-and -1 are squares) an atom is a GF(2) vector over the irreducible Phi_d(q**2)
-and binomials x**2 - q**m: [n] is the sum of the Phi_d, 1 < d | n, q - 1/q is
-Phi_1, an x-bracket atom its binomial plus Phi_1.  Only it has its binomial,
-and only [n] has Phi_n among atoms of index <= n; so an x-bracket atom, else
-the [n] of largest index, else q - 1/q leaves a factor of odd multiplicity.
-Structural equality of canonical terms is how every identity check in this
-package decides equality; numeric evaluation (principal square roots) is the
+and the phase z8**k, z8 = exp(i pi / 4) and k = 1, 2 or 3, is a last atom
+("z8", k); z8**4 = -1 is folded into the sign of rf (_phased).  Products
+square out repeated radical atoms into the rational part and add phases, so
+each atom appears at most once per term.  Distinct atom tuples are
+independent over Q(q, x).  No non-empty product of distinct radical atoms
+is a square: modulo squares (monomials and -1 are squares) an atom is a
+GF(2) vector over the irreducible Phi_d(q**2) and binomials x**2 - q**m:
+[n] is the sum of the Phi_d, 1 < d | n, q - 1/q is Phi_1, an x-bracket atom
+its binomial plus Phi_1.  Only it has its binomial, and only [n] has Phi_n
+among atoms of index <= n; so an x-bracket atom, else the [n] of largest
+index, else q - 1/q leaves a factor of odd multiplicity.  And the phases
+add nothing dependent: Q(z8) = Q(sqrt(-1), sqrt(2)) meets Q(q, x) with the
+radicals adjoined only in Q, because no product of distinct radical atoms,
+the empty one included, is -1, 2 or -2 times a square: a constant is a
+square in Q(q, x) only if it is one in Q.  Structural equality of
+canonical terms is how every identity check in this package decides
+equality; numeric evaluation (principal square roots) is the
 safety net on top, never the proof.
 """
 
@@ -26,7 +33,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, repeat
 
-from .coeffs import Cyclo, imaginary_unit, make_coeff, minus_one_pow
+from .coeffs import demote, z8_div
 from .lattice import DENOM, LatticeError, from_units, to_units
 from .multisets import NO_FACTORS
 from .polys import (
@@ -41,6 +48,7 @@ from .polys import (
     qrat,
     qrat_const,
     qrat_over_cyclotomics,
+    xq_mul,
 )
 from .ratfunc import (
     RF_ONE,
@@ -180,19 +188,33 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self):
-        """Reciprocal; defined for single-term scalars only."""
-        if len(self.terms) != 1:
-            if not self.terms:
-                raise ZeroDivisionError("inverse of zero scalar")
+        """Reciprocal; defined for scalars whose terms share one radical.
+
+        1/(a sqrt(R)) = sqrt(R) / (a R), and a value a = sum z8**k a_k of
+        several phases is inverted by its Galois conjugates (z8_div)."""
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero scalar")
+        parts = [RF_ZERO] * 4
+        radicals = set()
+        for atoms, rf in self.terms.items():
+            rad, k = _phase_of(atoms)
+            radicals.add(rad)
+            parts[k] = rf
+        if len(radicals) != 1:
             raise ArithmeticError(
-                "inverse of a %d-term scalar is not radical-representable"
-                % len(self.terms)
+                "inverse of a scalar of %d radicals is not "
+                "radical-representable" % len(radicals)
             )
-        (atoms, rf), = self.terms.items()
-        acc = rf
-        for a in atoms:
-            acc = acc * _radicand_rf(a)
-        return Scalar({atoms: acc.inverse()})
+        rad, = radicals
+        norm = RF_ONE
+        for a in rad:
+            norm = norm * _radicand_rf(a)
+        out = {}
+        one = (RF_ONE, RF_ZERO, RF_ZERO, RF_ZERO)
+        for k, rf in enumerate(z8_div(one, [p * norm for p in parts])):
+            if rf:
+                add_into(out, *_phased(rad, k, rf))
+        return Scalar(out)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -252,9 +274,10 @@ class Scalar:
         for atoms, rf in self.terms.items():
             if any(at[0] == "xbr" for at in atoms):
                 raise ValueError("substitution into an x-dependent radical")
-            qr = rf.subs_signed_qpow(sign, au)
-            if qr:
-                out[atoms] = rf_const(qr)
+            rad, k = _phase_of(atoms)
+            for j, qr in enumerate(rf.subs_signed_qpow(sign, au)):
+                if qr:
+                    add_into(out, *_phased(rad, k + j, rf_const(qr)))
         return Scalar(out)
 
     # ----------------------------------------------------------- limits
@@ -302,7 +325,10 @@ class Scalar:
         total = 0j
         for atoms, rf in self.terms.items():
             v = rf.eval_complex(q0, x0)
-            for a in atoms:
+            rad, k = _phase_of(atoms)
+            if k:
+                v *= cmath.exp(1j * cmath.pi * k / 4)
+            for a in rad:
                 v *= cmath.sqrt(_radicand_rf(a).eval_complex(q0, x0))
             total += v
         return total
@@ -311,11 +337,10 @@ class Scalar:
 
     def to_jsonable(self):
         terms = []
-        for atoms in sorted(self.terms):
-            rf = self.terms[atoms]
+        for rad, rf in _by_radical(self):
             terms.append(
                 {
-                    "radical": [_atom_jsonable(a) for a in atoms],
+                    "radical": [_atom_jsonable(a) for a in rad],
                     "coeff": rf_jsonable(rf),
                 }
             )
@@ -325,10 +350,10 @@ class Scalar:
     def from_jsonable(d):
         out = {}
         for t in d["terms"]:
-            atoms = tuple(sorted(_atom_from_jsonable(a) for a in t["radical"]))
-            rf = rf_from_jsonable(t["coeff"])
-            if rf:
-                out[atoms] = rf
+            rad = tuple(sorted(_atom_from_jsonable(a) for a in t["radical"]))
+            for k, rf in enumerate(_rf_parts_from_jsonable(t["coeff"])):
+                if rf:
+                    add_into(out, *_phased(rad, k, rf))
         return Scalar(out)
 
 
@@ -349,12 +374,33 @@ def _term_mul(a1, r1, a2, r2):
         return a2, r1 * r2
     if not a2:
         return a1, r1 * r2
+    if a1[-1][0] == "z8" or a2[-1][0] == "z8":
+        b1, k1 = _phase_of(a1)
+        b2, k2 = _phase_of(a2)
+        atoms, rf = _term_mul(b1, r1, b2, r2)
+        return _phased(atoms, k1 + k2, rf)
     s1 = set(a1)
     s2 = set(a2)
     rf = r1 * r2
     for a in sorted(s1 & s2):
         rf = rf * _radicand_rf(a)
     return tuple(sorted(s1 ^ s2)), rf
+
+
+def _phase_of(atoms):
+    """(radical, k): the radical atoms of a term's atoms, and its phase k."""
+    if atoms and atoms[-1][0] == "z8":
+        return atoms[:-1], atoms[-1][1]
+    return atoms, 0
+
+
+def _phased(rad, k, rf):
+    """(atoms, rf') with z8**k * rf * sqrt(rad) the term rf' of atoms:
+    z8**4 = -1 folds into the sign, and z8**(k mod 4) is the last atom."""
+    k %= 8
+    if k >= 4:
+        rf, k = -rf, k - 4
+    return (rad + (("z8", k),) if k else rad), rf
 
 
 def _xbr_limit_factor(c_units, at_zero):
@@ -365,15 +411,15 @@ def _xbr_limit_factor(c_units, at_zero):
     if c_units % 2:
         raise LatticeError("half of bracket offset leaves the lattice")
     if at_zero:
-        return qint_monomial(imaginary_unit(), -(c_units // 2), {QDIFF: -1},
-                             -(DENOM // 2))
+        return qint_monomial(1, -(c_units // 2), {QDIFF: -1}, -(DENOM // 2),
+                             z8=2)
     return qint_monomial(-1, c_units // 2, {QDIFF: -1}, DENOM // 2)
 
 
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction, Cyclo)):
+    if isinstance(x, (int, Fraction)):
         return sc_coeff(x)
     return NotImplemented
 
@@ -472,30 +518,32 @@ def cyclotomic_sum(pairs, by=QP_ONE, by_fac=NO_FACTORS):
 
 
 class KnownTerm:
-    """The x-free value c * u**units * sqrt(prod of the atoms of `odd`) *
-    prod Phi_d(q**2)**fac[d] * prod nums: a coefficient c, the frozenset
-    `odd` of the keys of qint_monomial whose atoms are in the radical, a
-    signed multiset `fac` with no zero, and a tuple `nums` of QPolys, which
-    are multiplied out only in sums.
+    """The x-free value c * z8**z8 * u**units * sqrt(prod of the atoms of
+    `odd`) * prod Phi_d(q**2)**fac[d] * prod nums: a rational c, a phase
+    exponent z8, the frozenset `odd` of the keys of qint_monomial whose
+    atoms are in the radical, a signed multiset `fac` with no zero, and a
+    tuple `nums` of QPolys, which are multiplied out only in sums.
 
     Products of KnownTerms add their exponents (known_product), and a sum
-    of them factors out what each group of terms under one radical has in
-    common (known_sum), so no term is expanded or cancelled on its own.
+    of them factors out what each group of terms under one radical and
+    phase has in common (known_sum), so no term is expanded or cancelled on
+    its own.
     """
 
-    __slots__ = ("c", "units", "odd", "fac", "nums")
+    __slots__ = ("c", "units", "odd", "fac", "nums", "z8")
 
-    def __init__(self, c, units, odd, fac, nums=()):
+    def __init__(self, c, units, odd, fac, nums=(), z8=0):
         self.c = c
         self.units = units
         self.odd = odd
         self.fac = fac
         self.nums = nums
+        self.z8 = z8
 
 
-def known_term(c, units, halves, cof=None):
-    """The KnownTerm of qint_monomial(c, units, halves) times the factored
-    QRat cof (None for one)."""
+def known_term(c, units, halves, cof=None, z8=0):
+    """The KnownTerm of qint_monomial(c, units, halves, z8=z8) times the
+    factored QRat cof (None for one)."""
     du, dv, odd, fac, binoms = _split(halves)
     if dv or binoms:
         raise ValueError("an x-bracket in an x-free term")
@@ -507,15 +555,16 @@ def known_term(c, units, halves, cof=None):
             fac[d] = fac.get(d, 0) - m
         nums = (cof.num,)
     return KnownTerm(c, units + du, frozenset(odd),
-                     {d: m for d, m in fac.items() if m}, nums)
+                     {d: m for d, m in fac.items() if m}, nums, z8)
 
 
 def known_product(terms):
     """The KnownTerm of the product of the KnownTerms `terms`: an atom in
     the radicals of two of them squares out into its known factors."""
-    c, units, fac, nums, count = 1, 0, {}, (), {}
+    c, z8, units, fac, nums, count = 1, 0, 0, {}, (), {}
     for t in terms:
         c *= t.c
+        z8 += t.z8
         units += t.units
         for key in t.odd:
             count[key] = count.get(key, 0) + 1
@@ -532,33 +581,36 @@ def known_product(terms):
             for d, w in ds:
                 fac[d] = fac.get(d, 0) + w * (n // 2)
     return KnownTerm(c, units, frozenset(odd),
-                     {d: m for d, m in fac.items() if m}, nums)
+                     {d: m for d, m in fac.items() if m}, nums, z8)
 
 
 def known_sum(terms, by=None):
     """The Scalar sum of the KnownTerms `terms`, times the KnownTerm `by`.
 
-    The terms under one radical make one term of the Scalar, their sum
-    over the common part of their multisets (cyclotomic_sum), times `by`;
-    so the Scalar is cancelled once per radical, not once per term.
+    The terms under one radical and phase make one term of the Scalar, their
+    sum over the common part of their multisets (cyclotomic_sum), times
+    `by`; so the Scalar is cancelled once per radical and phase, not once
+    per term.
     """
     groups = {}
     for t in terms:
-        got = groups.get(t.odd)
+        k = t.z8 % 8
+        summand = (({t.units: -t.c if k >= 4 else t.c},) + t.nums, t.fac)
+        got = groups.get((t.odd, k % 4))
         if got is None:
-            groups[t.odd] = [t]
+            groups[t.odd, k % 4] = [summand]
         else:
-            got.append(t)
+            got.append(summand)
     out = {}
-    for odd, group in groups.items():
-        head = KnownTerm(1, 0, odd, NO_FACTORS)
+    for (odd, k), group in groups.items():
+        head = KnownTerm(1, 0, odd, NO_FACTORS, z8=k)
         if by is not None:
             head = known_product((head, by))
         qr = cyclotomic_sum(
-            [(({t.units: t.c},) + t.nums, t.fac) for t in group],
-            reduce(qp_mul, head.nums, {head.units: head.c}), head.fac)
+            group, reduce(qp_mul, head.nums, {head.units: head.c}), head.fac)
         if qr:
-            add_into(out, tuple(sorted(map(_atom, head.odd))), rf_const(qr))
+            add_into(out, *_phased(tuple(sorted(map(_atom, head.odd))),
+                                   head.z8, rf_const(qr)))
     return Scalar(out)
 
 
@@ -604,11 +656,12 @@ def add_xbracket(halves, c_units, w):
     return halves
 
 
-def qint_monomial(c, units, halves, x_units=0):
-    """The one-term Scalar c * u**units * v**x_units * prod f**(m/2) over
-    the items f: m of `halves`, for u = q**(1/D), v = x**(1/D) and a
-    coefficient c.  A key n >= 1 stands for the q-integer [n], QDIFF for
-    q - 1/q and ("xbr", c_units) for the x-bracket <c_units/D>.
+def qint_monomial(c, units, halves, x_units=0, z8=0):
+    """The one-term Scalar c * z8**z8 * u**units * v**x_units * prod
+    f**(m/2) over the items f: m of `halves`, for u = q**(1/D), v =
+    x**(1/D), a rational c and an int z8.  A key n >= 1 stands for the
+    q-integer [n], QDIFF for q - 1/q and ("xbr", c_units) for the x-bracket
+    <c_units/D>.
 
     Each exponent splits as m = 2a + b with b in (0, 1).  An odd b puts the
     atom in the radical, and f**a adds its known factors a times (_shape),
@@ -617,7 +670,7 @@ def qint_monomial(c, units, halves, x_units=0):
     parts are multiplied out for the numerator, and the negative parts are
     the denominators Dq and Dx, already factored.  The fraction is
     canonical as built: distinct Phi_d share no root, nor do distinct
-    binomials, so numerator and denominator are coprime over Q(z8); a unit
+    binomials, so numerator and denominator are coprime over Q; a unit
     c * u**s * v**k does not change that, and each denominator is monic with
     a nonzero constant term.  No inverse, gcd or factor search is needed,
     except that brackets whose offsets differ by a non-integer can leave
@@ -630,8 +683,8 @@ def qint_monomial(c, units, halves, x_units=0):
     up = {d: e for d, e in fac.items() if e > 0}
     down = {d: -e for d, e in fac.items() if e < 0}
     num = poly_shift(qp_scale(CYCLOTOMICS.expand(up), c), units + du)
-    return Scalar({tuple(sorted(map(_atom, odd))): rf_product(
-        x_units + dv, num, down, binoms)})
+    rf = rf_product(x_units + dv, num, down, binoms)
+    return Scalar(dict((_phased(tuple(sorted(map(_atom, odd))), z8, rf),)))
 
 
 def _split(halves):
@@ -725,8 +778,8 @@ def sqrt_qdiff():
 
 
 def phase(t):
-    """(-1)**t on the quarter-integer lattice."""
-    return sc_coeff(minus_one_pow(t))
+    """(-1)**t = z8**(4 t) on the quarter-integer lattice."""
+    return qint_monomial(1, 0, {}, z8=4 * to_units(t) // DENOM)
 
 
 # ------------------------------------------------------------- rendering ---
@@ -735,6 +788,7 @@ def phase(t):
 #   scalar = sum of terms rf * sqrt(radical atoms)
 #   rf     = x-Laurent fraction whose coefficients are QRats
 #   QRat   = q-Laurent fraction over rationals or Q(z8) coefficients
+# The phases of one radical are printed as one rf over Q(z8) (_by_radical).
 # A dialect holds only the strings in which the two forms differ.
 
 _Dialect = namedtuple("_Dialect", (
@@ -811,10 +865,10 @@ _LATEX = _Dialect(
 
 
 def _coeff_str(c, d):
-    if not isinstance(c, Cyclo):
+    if type(c) is not tuple:
         return d.rational(c)
     parts = []
-    for i, comp in enumerate(c.parts):
+    for i, comp in enumerate(c):
         if not comp:
             continue
         if i == 0:
@@ -883,8 +937,8 @@ def _scalar_str(s, d):
     if not s.terms:
         return "0"
     parts = []
-    for atoms in sorted(s.terms):
-        body = _rf_str(s.terms[atoms], d)
+    for atoms, rf in _by_radical(s):
+        body = _rf_str(rf, d)
         if atoms:
             rad = d.sqrt % d.atom_sep.join(_atom_str(a, d) for a in atoms)
             body = d.times % (d.group(body), rad)
@@ -900,19 +954,71 @@ def scalar_latex(s):
     return _scalar_str(s, _LATEX)
 
 
+# A radical's phases as one value over Q(z8), for the printers and the JSON.
+# The parts z8**k * rf_k of a sum are independent over Q(q, x), and each is
+# reduced, so no factor over Q of the lcm of their denominators cancels from
+# the sum: it would divide every part's numerator over the lcm, and so the
+# numerator of the part it came from.  So the x-denominator is the lcm of
+# the parts' ones, each row's q-denominator the lcm of its parts' ones, and
+# a coefficient with a phase is the tuple of its parts on 1, z8, z8**2,
+# z8**3.  (A factor over Q(z8) of a Phi_d(q**2) with 4 | d can still cancel,
+# as in (q**2 + z8**2) / (q**4 + 1); it is left in the printed form.)
+
+_Frac = namedtuple("_Frac", "num den")
+
+
+def _by_radical(s):
+    """(radical, value) for the radicals of s in order, the value the
+    RationalFunction of a radical without phases, else a _Frac over Q(z8)."""
+    groups = {}
+    for atoms, rf in s.terms.items():
+        rad, k = _phase_of(atoms)
+        groups.setdefault(rad, {})[k] = rf
+    for rad in sorted(groups):
+        parts = groups[rad]
+        if list(parts) == [0]:
+            yield rad, parts[0]
+        else:
+            den, nums = _over_lcm(
+                parts, lambda a, b: xq_mul(a, ratfn(a, b).den), ratfn)
+            yield rad, _Frac({j: _z8_qrat(row)
+                              for j, row in _transposed(nums).items()}, den)
+
+
+def _z8_qrat(parts):
+    """sum z8**k parts[k] for QRats parts[k], as a _Frac."""
+    den, nums = _over_lcm(parts, lambda a, b: qp_mul(a, qrat(a, b).den), qrat)
+    return _Frac({e: cs[0] if list(cs) == [0]
+                  else tuple(cs.get(i, 0) for i in range(4))
+                  for e, cs in _transposed(nums).items()}, den)
+
+
+def _over_lcm(parts, lcm, of_poly):
+    """(den, {k: numerator}): the lcm of the denominators of the fractions
+    parts[k], and the numerator of each over it."""
+    den = None
+    for f in parts.values():
+        den = f.den if den is None else lcm(den, f.den)
+    over = of_poly(den)
+    return den, {k: (f * over).num for k, f in parts.items()}
+
+
+def _transposed(nums):
+    """{e: {k: c}} for the coefficients c of the polynomials nums[k]."""
+    out = {}
+    for k, num in nums.items():
+        for e, c in num.items():
+            out.setdefault(e, {})[k] = c
+    return out
+
+
 # ----------------------------------------------------------------- JSON ----
 
 
 def _coeff_jsonable(c):
-    if isinstance(c, Cyclo):
-        return {"zeta8": [str(p) for p in c.parts]}
+    if type(c) is tuple:
+        return {"zeta8": [str(p) for p in c]}
     return str(c)
-
-
-def _coeff_from_jsonable(d):
-    if isinstance(d, dict):
-        return make_coeff(*[Fraction(s) for s in d["zeta8"]])
-    return make_coeff(Fraction(d))
 
 
 def _qp_jsonable(p):
@@ -922,21 +1028,8 @@ def _qp_jsonable(p):
     }
 
 
-def _qp_from_jsonable(d):
-    out = {}
-    for s, c in d.items():
-        coeff = _coeff_from_jsonable(c)
-        if coeff:
-            out[to_units(Fraction(s))] = coeff
-    return out
-
-
 def qrat_jsonable(qr):
     return {"num": _qp_jsonable(qr.num), "den": _qp_jsonable(qr.den)}
-
-
-def qrat_from_jsonable(d):
-    return qrat(_qp_from_jsonable(d["num"]), _qp_from_jsonable(d["den"]))
 
 
 def rf_jsonable(rf):
@@ -952,15 +1045,42 @@ def rf_jsonable(rf):
     }
 
 
+def _parts_from_jsonable(d, parts_of):
+    """The parts on 1, z8, z8**2, z8**3 of a polynomial in a dump, given
+    parts_of(c), those of a coefficient."""
+    parts = ({}, {}, {}, {})
+    for s, c in d.items():
+        e = to_units(Fraction(s))
+        for part, x in zip(parts, parts_of(c)):
+            if x:
+                part[e] = x
+    return parts
+
+
+def _coeff_parts_from_jsonable(c):
+    return [demote(Fraction(x))
+            for x in (c["zeta8"] if isinstance(c, dict) else (c,))]
+
+
+def _fraction_parts_from_jsonable(d, parts_of, fraction):
+    """The parts of the fraction d["num"] / d["den"] in a dump, fraction(p)
+    being the canonical fraction of a polynomial p of the level."""
+    num = _parts_from_jsonable(d["num"], parts_of)
+    den = _parts_from_jsonable(d["den"], parts_of)
+    return z8_div(list(map(fraction, num)), list(map(fraction, den)))
+
+
+def _qrat_parts_from_jsonable(d):
+    return _fraction_parts_from_jsonable(d, _coeff_parts_from_jsonable, qrat)
+
+
+def _rf_parts_from_jsonable(d):
+    """The parts on 1, z8, z8**2, z8**3 of a coefficient in a dump."""
+    return _fraction_parts_from_jsonable(d, _qrat_parts_from_jsonable, ratfn)
+
+
 def rf_from_jsonable(d):
-    num = {}
-    for s, c in d["num"].items():
-        qr = qrat_from_jsonable(c)
-        if qr:
-            num[to_units(Fraction(s))] = qr
-    den = {}
-    for s, c in d["den"].items():
-        qr = qrat_from_jsonable(c)
-        if qr:
-            den[to_units(Fraction(s))] = qr
-    return ratfn(num, den)
+    rf, *phases = _rf_parts_from_jsonable(d)
+    if any(phases):
+        raise ValueError("an eighth root of unity in a rational coefficient")
+    return rf

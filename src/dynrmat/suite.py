@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .lame import LAME_RELATIONS
 from .numeric import verify_numeric_coherence, verify_prelimit_convergence
-from .report import VerificationReport, run_comparisons
+from .report import VerificationReport, check_point, run_comparisons
 from .spins import check_algebra
 from .symbols import SYMBOL_RELATIONS
 from .twist import RELATIONS as TWIST_RELATIONS
@@ -60,7 +60,10 @@ RELATIONS = {
 
 def verify_relation(name, spins=(), mode="exact", q0=None, x0=None):
     """Check one relation at the given spins; KeyError for an unknown name,
-    ValueError for the wrong number of spins."""
+    ValueError for the wrong number of spins, an unknown mode or a point
+    numeric mode cannot use (report.check_point), whether or not the
+    relation decides in a fixed mode."""
+    check_point(mode, q0, x0)
     _, arity, build = RELATIONS[name]
     spins = tuple(Fraction(s) for s in spins)
     if len(spins) != arity:

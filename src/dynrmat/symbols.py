@@ -18,7 +18,6 @@ one scalar.qint_monomial call, never by division.
 from fractions import Fraction
 from functools import cache
 
-from .coeffs import root8_pow
 from .lattice import DENOM, ratio_str, twice
 from .polys import add_into
 from .scalar import (
@@ -62,9 +61,9 @@ K_PHASE = 0
 # Spins, projections and offsets enter once through lattice.twice and are
 # doubled ints from then on, so J = 2 j; the relation builders work on the
 # doubled ints throughout and print them with lattice.ratio_str.  A phase
-# (-1)**t is the eighth root root8_pow(4 t), and a q-exponent e is the
-# u-exponent 4 e (lattice.py).  Multiplicities of continued factorials are
-# doubled ints too.
+# (-1)**t is z8**(4 t), the phase exponent 4 t of scalar.qint_monomial, and
+# a q-exponent e is the u-exponent 4 e (lattice.py).  Multiplicities of
+# continued factorials are doubled ints too.
 
 
 def _triangle(a, b, c):
@@ -167,8 +166,9 @@ def _parts(J1, J2, J3, M1, M2, M3):
          (p, a // 2 - p, b1 - p, b2 - p, c1 + p, c2 + p))
         for p in range(max(0, -c1, -c2), min(a // 2, b1, b2) + 1)
     ]
-    # (-1)**(j1+j2-j3) q**(-(j1+j2-j3)(j1+j2+j3+1)/2 + j1 m2 - j2 m1)
-    got = _Parts(root8_pow(2 * a), -a * (s + 2) // 2 + J1 * M2 - J2 * M1,
+    # (-1)**(j1+j2-j3) q**(-(j1+j2-j3)(j1+j2+j3+1)/2 + j1 m2 - j2 m1), with
+    # j1 + j2 - j3 = a/2 an integer
+    got = _Parts((-1) ** (a // 2), -a * (s + 2) // 2 + J1 * M2 - J2 * M1,
                  halves, terms)
     return got if got else None
 
@@ -232,7 +232,7 @@ def _six_j_brute(J1, J2, J12, J3, JT, J23):
     halves = {J12 + 1: -1}
     halves[J23 + 1] = halves.get(J23 + 1, 0) - 1
     return known_sum(terms, known_term(
-        root8_pow(-2 * (J1 + J2 + J3 + JT)), 0, halves))
+        1, 0, halves, z8=-2 * (J1 + J2 + J3 + JT)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +328,8 @@ class ContinuedExpr:
                 if running:
                     add_xbracket(halves, DENOM * (t - 1), running)
         phase, units, x_units = self.mono
-        return qint_monomial(root8_pow(phase), units, halves,
-                             x_units) * self.scalar
+        return qint_monomial(1, units, halves, x_units,
+                             z8=phase) * self.scalar
 
     def __repr__(self):
         return "ContinuedExpr(%r, %r, %r, %r)" % (
@@ -449,8 +449,8 @@ def _six_j_u(pos):
         else:
             # [2 p + 1] = [K + c + 1] = <c> for p = j(x) + c/2
             add_xbracket(halves, DENOM * c, 1)
-    norm = qint_monomial(
-        root8_pow(2 * csum + K_PHASE * (wsum // 2)), 0, halves)
+    norm = qint_monomial(1, 0, halves,
+                         z8=2 * csum + K_PHASE * (wsum // 2))
     return norm * _six_j_cont(pos)
 
 
@@ -495,8 +495,8 @@ def _m_element(J, S, M):
         add_qfact(halves, n, 1)
     phase, units, x_units = _over_x_poles(halves, (J + S) // 2)
     # (-1)**(2j + sigma + m) q**(sigma (sigma - m)) x**(sigma - m)
-    pre = qint_monomial(root8_pow(2 * (2 * J + S + M) + phase),
-                        S * (S - M) + units, halves, 2 * (S - M) + x_units)
+    pre = qint_monomial(1, S * (S - M) + units, halves, 2 * (S - M) + x_units,
+                        z8=2 * (2 * J + S + M) + phase)
     return pre * _limit_sum(J, S, M)
 
 

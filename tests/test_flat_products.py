@@ -154,7 +154,7 @@ def test_every_flat_value_built_is_canonical(monkeypatch, relation, spins):
             assert not any((k - k0) % Y_DEG for k in rows)
             for e in r.fac:
                 assert xp_binom_div(r.n, e) is None
-        if r.dq and xp_qsafe(r.n, r.dq):
+        if r.dq and xp_qsafe(r.n):
             for d in r.dq:
                 assert xp_qcancel(r.n, {d: 1})[1] == {}
         if (r.fac or r.dq) and r.n.b:

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from dynrmat import polys, ratfunc
-from dynrmat.coeffs import coeff_mod, imaginary_unit, root8_pow
+from dynrmat.coeffs import coeff_mod
 from dynrmat.polys import (
     QP_ONE,
     XP_ONE,
@@ -102,7 +102,7 @@ def test_one_of_two_brackets_shared():
 
 def test_integer_division_rejects_non_divisors():
     # the trial division that accepts a candidate gcd is exact in
-    # Q(z8)[u][v]: a unit of Q is no obstacle, a power of u or of v is
+    # Q[u][v]: a unit of Q is no obstacle, a power of u or of v is
     v8_minus_1 = {8: {0: 1}, 0: {0: -1}}
     assert _div_exact({16: {0: 1}, 0: {0: -1}}, v8_minus_1) == {
         8: {0: 1}, 0: {0: 1}}
@@ -124,11 +124,10 @@ def test_monomial_operand_gives_trivial_gcd():
 @pytest.mark.parametrize(
     "scale",
     [
-        qrat({0: imaginary_unit()}),  # a Cyclo coefficient
         qrat({0: F(1)}, {0: F(1), 4: F(1)}),  # a non-unit denominator
         qrat({0: F(1, 2)}),  # a non-integer Fraction
     ],
-    ids=["cyclo", "denominator", "fraction"],
+    ids=["denominator", "fraction"],
 )
 def test_non_integer_coefficients_fall_back_to_euclid(scale):
     # every coefficient type takes the one modular gcd
@@ -249,18 +248,6 @@ def test_fraction_coefficient_does_not_swell():
     assert xq_mul(g, qb) == poly_strip(b)[0]
 
 
-def test_cyclo_gcds_are_exact():
-    # a gcd with a coefficient z8 takes all four embeddings of Q(z8) and
-    # the inverse transform back to the basis 1, z8, z8**2, z8**3
-    z8, i = root8_pow(1), imaginary_unit()
-    common = {8: qr({0: 1}), 0: qrat({4: -z8})}
-    b = xq_mul(common, xq_scale(Q, qrat({0: i})))
-    assert check(xq_mul(common, P), b) == common
-    qcommon = {2: 1, 0: -z8}
-    b = qp_mul(qcommon, qp_scale(QQ, i))
-    assert check_q(qp_mul(qcommon, PQ), b) == qcommon
-
-
 def test_gcd_matches_sympy_with_free_exponents_and_fractions():
     # Euclid, the reference above, swells on these; sympy does not
     hyp = pytest.importorskip("hypothesis")
@@ -370,7 +357,7 @@ def test_q_monomial_operand_gives_trivial_gcd():
 
 
 @pytest.mark.parametrize(
-    "scale", [imaginary_unit(), F(1, 2)], ids=["cyclo", "fraction"]
+    "scale", [F(1, 2)], ids=["fraction"]
 )
 def test_q_non_integer_coefficients_fall_back_to_euclid(scale):
     common = qp_mul(qint(2), qint(3))
@@ -381,11 +368,11 @@ def test_q_non_integer_coefficients_fall_back_to_euclid(scale):
 
 def test_unlucky_first_prime_is_outvoted(monkeypatch):
     # mod 17, u + 20 = u + 3, so the image there has degree 2; the gcd u + 1
-    # has degree 1.  2 has order eight mod 17.
+    # has degree 1
     primes = polys._primes
 
     def substituted():
-        yield 17, 2
+        yield 17
         yield from primes()
 
     monkeypatch.setattr(polys, "_primes", substituted)
@@ -610,10 +597,10 @@ def test_gcd_commutes_with_inflation():
 
 
 def test_coeff_mod_of_an_int_matches_the_fraction_path():
-    p, w = next(polys._primes())
+    p = next(polys._primes())
     for n in [0, 1, -1, -7, p - 1, p, -p - 3,
               10**40 + 7, -(10**40) - 7, 3**200]:
-        assert coeff_mod(n, p, w) == coeff_mod(F(n), p, w)
+        assert coeff_mod(n, p) == coeff_mod(F(n), p)
 
 
 def test_gcdheu_sees_deflated_operands(monkeypatch):
@@ -862,7 +849,7 @@ def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
         a = xn({k: {e + r: c for e, c in row.items()} for k, row in rows.items()})
         for d in planted:
             a = polys.xp_qtimes(a, {d: 1})
-        assert a.b and polys.xp_qsafe(a, fac)
+        assert a.b and polys.xp_qsafe(a)
         got, removed = polys.xp_qcancel(a, fac)
         want, wanted = polys.xp_qcancel(as_dict_rows(a), fac)
         assert removed == wanted
@@ -950,16 +937,13 @@ def test_a_minus_a_stores_nothing(level):
 
 def test_q_cancel_is_the_one_row_x_cancel():
     # the QRat cancel and the common q-denominator cancel of a one-row XNum
-    # accept alike and divide alike, packed or in dict rows; where a factor
-    # Phi_d with 4 | d may split over a Cyclo coefficient of a sum, both
-    # decline, and a single term both accept
+    # accept alike and divide alike, packed or in dict rows
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    from dynrmat.coeffs import imaginary_unit
 
     ds = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
     coeff = st.one_of(st.integers(-3, 3).filter(bool),
-                      st.sampled_from([F(1, 2), F(-2, 3), imaginary_unit()]))
+                      st.sampled_from([F(1, 2), F(-2, 3)]))
     row = st.dictionaries(st.integers(-2, 4).map(lambda j: 8 * j), coeff,
                           min_size=1, max_size=5)
 
@@ -967,7 +951,7 @@ def test_q_cancel_is_the_one_row_x_cancel():
         want = polys._cancel(t, fac)
         a = xn({0: t})
         for x in ((a, as_dict_rows(a)) if a.b else (a,)):
-            assert polys.xp_qsafe(x, fac) == (want is not None)
+            assert polys.xp_qsafe(x) == (want is not None)
             if want is not None:
                 got, removed = polys.xp_qcancel(x, fac)
                 assert (xp_terms(got), removed) == ({0: want[0]}, want[1])
@@ -983,14 +967,9 @@ def test_q_cancel_is_the_one_row_x_cancel():
         agree(t, fac)
 
     run()
-    # i * Phi_4(q**2) = i * (q**4 + 1) is i * (q**2 + i) * (q**2 - i) over
-    # Q(z8), so Phi_4 may split over the coefficient i
-    t = qp_scale(polys._phi_u(4), imaginary_unit())
-    assert agree(t, {4: 1}) is None
-    assert not polys.xp_qsafe(xn({0: t}), {4: 1})
-    # but i * q**2 alone shares no factor with any Phi_d
-    assert agree({8: imaginary_unit()}, {4: 1, 8: 2}) == (
-        {8: imaginary_unit()}, {})
+    t = qp_scale(polys._phi_u(4), F(1, 2))
+    assert agree(t, {4: 1}) == ({0: F(1, 2)}, {4: 1})
+    assert agree({8: F(1, 2)}, {4: 1, 8: 2}) == ({8: F(1, 2)}, {})
     assert agree(t, {2: 1}) == (t, {})
     assert agree(polys._phi_u(4), {4: 1}) == ({0: 1}, {4: 1})
 
@@ -999,7 +978,7 @@ def test_packed_cyclotomic_product_matches_the_dict_loop(monkeypatch):
     # CYCLOTOMICS.times and sum_times multiply int QPolys as packed ints;
     # the reference is one poly_mul per factor and per QPoly.  The
     # coefficients run past the first slot width, the exponents cover every
-    # residue mod 8 and the multiplicities go up to 3; a Fraction or Cyclo
+    # residue mod 8 and the multiplicities go up to 3; a Fraction
     # coefficient must take the loop, without packing
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -1012,8 +991,7 @@ def test_packed_cyclotomic_product_matches_the_dict_loop(monkeypatch):
         st.sampled_from([edge - 1, 1 - edge, edge, -edge, 3 * edge,
                          -edge ** 2]),
         st.integers(-edge ** 2, edge ** 2).filter(bool))
-    others = st.sampled_from([F(1, 2), F(-3, 4), imaginary_unit(),
-                              root8_pow(1)])
+    others = st.sampled_from([F(1, 2), F(-3, 4)])
     poly = st.dictionaries(st.integers(-20, 40), ints, min_size=1, max_size=6)
     fac = st.dictionaries(
         st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 30]),

@@ -8,16 +8,11 @@ QRats must be equal, and every QRat result must equal the oracle's value and
 be in canonical form: numerator and denominator coprime, denominator monic
 with minimum exponent zero.
 
-The oracle field is Q(u), with u = q**(1/4), when every coefficient is
-rational.  Q(z8) has no fast sympy field, so operands with Cyclo coefficients
-are checked in GF(p)(u) for two primes p = 1 mod 8 instead, with z8 mapped to
-an element of order eight.  That check is an image: a result that is wrong
-or not reduced fails it, and a correct result fails it only if both primes
-are unlucky.
+The oracle field is Q(u), with u = q**(1/4).
 
 Operands are a coefficient times a power of u times products of q-integers
-[n], q-factorials [n]!, q - 1/q and linear factors q**2 + a u**s (int,
-Fraction and Cyclo a), over products of q-integers, q-factorials and
+[n], q-factorials [n]!, q - 1/q and linear factors q**2 + a u**s (int and
+Fraction a), over products of q-integers, q-factorials and
 q - 1/q.  Some denominators also carry q**2 + 2 or q + 1, which are no
 products of cyclotomic polynomials in q**2, and a linear factor with s not a
 multiple of 8 is no polynomial in q**2.
@@ -32,7 +27,6 @@ from fractions import Fraction as F
 import pytest
 
 from dynrmat import polys
-from dynrmat.coeffs import Cyclo, coeff_parts, make_coeff
 from dynrmat.polys import (
     CYCLOTOMICS,
     QP_ONE,
@@ -69,11 +63,6 @@ MAX_INDEX = 5
 # u-exponents of the monomial and of the linear factors, in units of q**(1/4)
 MAX_SHIFT_UNITS = 8
 
-# primes = 1 mod 8 below the package's gcd primes, and an element of order
-# eight in each
-P_ORACLE = (65537, 40961)
-R8 = {p: pow(3, (p - 1) // 8, p) for p in P_ORACLE}
-
 SETTINGS = hyp.settings(
     max_examples=40,
     deadline=None,
@@ -89,8 +78,6 @@ coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
     st.tuples(st.integers(-3, 3).filter(bool), st.integers(2, 4)).map(
         lambda t: F(*t)),
-    st.tuples(*[st.integers(-2, 2)] * 4).filter(lambda t: any(t[1:])).map(
-        lambda t: make_coeff(*t)),
 )
 shifts = st.integers(-MAX_SHIFT_UNITS, MAX_SHIFT_UNITS)
 atoms = st.one_of(
@@ -196,36 +183,18 @@ _ONE_SPEC = {"coeff": 1, "qpow": 0, "num": [], "lin": [], "den": [],
              "extra": None}
 
 
-def spec_has_cyclo(*specs):
-    return any(
-        isinstance(c, Cyclo)
-        for s in specs
-        for c in [s["coeff"]] + [a for a, _ in s["lin"]]
-    )
-
-
 # ---------------------------------------------------------------- oracle ----
 
 
 class Field:
-    """The oracle field: Q(u), or GF(p)(u) with z8 sent to an element of
-    order eight."""
+    """The oracle field Q(u)."""
 
-    def __init__(self, p=None):
-        self.p = p
-        self.K, self.u = sp.field("u", sp.QQ if p is None else sp.GF(p))
+    def __init__(self):
+        self.K, self.u = sp.field("u", sp.QQ)
 
     def coeff(self, c):
-        if self.p is None:
-            if isinstance(c, Cyclo):
-                raise ValueError("Cyclo coefficient in the exact oracle")
-            c = F(c)
-            return self.K(sp.QQ(c.numerator, c.denominator))
-        total = 0
-        for i, part in enumerate(coeff_parts(c)):
-            total += (part.numerator * pow(part.denominator, -1, self.p)
-                      * R8[self.p] ** i)
-        return self.K(total % self.p)
+        c = F(c)
+        return self.K(sp.QQ(c.numerator, c.denominator))
 
     def atom(self, atom):
         u = self.u
@@ -268,34 +237,23 @@ class Field:
         return max(exps) - min(exps)
 
 
-def fields(*specs):
-    if spec_has_cyclo(*specs):
-        return [Field(p) for p in P_ORACLE]
-    return [Field()]
+FIELD = Field()
 
 
-def assert_canonical(r, expected):
-    """r is canonical and equals expected[K] in every oracle field K.
-
-    Over Q(u), equal values and equal reduced denominator degrees prove r
-    coprime.  In the GF(p) images the value must match in every image and
-    the degree in one of them, since an unlucky prime can only lower the
-    oracle's degree.
-    """
+def assert_canonical(r, want):
+    """r is canonical and equals want: equal values and equal reduced
+    denominator degrees prove r coprime."""
     den = r.den
     if r:
         assert min(den) == 0 and den[max(den)] == 1
     else:
         assert r.num == {} and den == QP_ONE
-    spans = []
-    for K, want in expected.items():
-        assert K.qrat(r) - want == 0
-        spans.append(K.span(want.denom) == max(den))
-    assert any(spans)
+    assert FIELD.qrat(r) - want == 0
+    assert FIELD.span(want.denom) == max(den)
 
 
 def oracle(specs, fn):
-    return {K: fn(*(K.spec(s) for s in specs)) for K in fields(*specs)}
+    return fn(*(FIELD.spec(s) for s in specs))
 
 
 # ----------------------------------------------------------- properties ----
@@ -414,14 +372,6 @@ def test_numerator_outside_q_squared_cancels_part_of_a_factor():
     assert r * qrat({4: 1, 0: -1}) == qrat(QP_ONE)
 
 
-def test_cyclo_numerator_cancels_over_q_z8():
-    # q**4 + 1 = (q**2 - i)(q**2 + i) over Q(z8): a numerator q**2 + i
-    # cancels half of the cyclotomic factor of index 4 in q**2
-    i = make_coeff(0, 0, 1, 0)
-    r = qrat({8: 1, 0: i}, {16: 1, 0: 1})
-    assert r.num == {0: 1} and r.den == {8: 1, 0: -i}
-
-
 # ------------------------------------------------------- cyclotomic kit ----
 
 
@@ -495,30 +445,6 @@ def test_qfact_sum_matches_term_by_term_arithmetic():
 # ------------------------------------------------------------ fallback ----
 
 
-def test_cyclo_numerator_over_phi8_reaches_the_generic_gcd(monkeypatch):
-    # Phi_8(q**2) = q**8 + 1 splits over Q(z8), so q**2 - z8 against [8],
-    # which carries Phi_8(q**2), takes qp_gcd, and the gcd cancels one of
-    # its linear factors
-    calls = []
-    qp_gcd = polys.qp_gcd
-
-    def spy(a, b):
-        calls.append(1)
-        return qp_gcd(a, b)
-
-    monkeypatch.setattr(polys, "qp_gcd", spy)
-    z8 = make_coeff(0, 1, 0, 0)
-    a = dict(_ONE_SPEC, lin=[(-z8, 0)])
-    b = dict(_ONE_SPEC, den=[("int", 8)])
-    ra, rb = build(a), build(b)
-    assert rb.fac == {2: 1, 4: 1, 8: 1}
-    calls.clear()
-    r = ra * rb
-    assert calls
-    assert_canonical(r, oracle([a, b], BINARY["mul"]))
-    assert r.fac is None and len(r.den) == 7
-
-
 GUARDED = [("RECOUPLING", (1, 1, 1)), ("RECOUPLING", (F(3, 2),) * 3)] + [
     (e.relation, e.spins) for e in default_manifest() if e.family == "symbols"
 ]
@@ -527,9 +453,8 @@ GUARDED = [("RECOUPLING", (1, 1, 1)), ("RECOUPLING", (F(3, 2),) * 3)] + [
 @pytest.mark.parametrize("relation,spins", GUARDED,
                          ids=["%s%s" % (r, tuple(map(str, s))) for r, s in GUARDED])
 def test_symbol_relations_never_reach_the_generic_gcd(monkeypatch, relation, spins):
-    # every q-denominator of these checks is a product of cyclotomic factors
-    # that stay irreducible over the numerators' coefficients, and every
-    # numerator is a polynomial in q**2 after stripping
+    # every q-denominator of these checks is a product of cyclotomic factors,
+    # and every numerator is a polynomial in q**2 after stripping
     def refuse(a, b):
         raise AssertionError("generic q-level gcd reached")
 

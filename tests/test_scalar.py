@@ -1,3 +1,4 @@
+import cmath
 import json
 import random
 from fractions import Fraction as F
@@ -23,7 +24,6 @@ from dynrmat import (
     xbracket,
     xpow,
 )
-from dynrmat.coeffs import make_coeff, root8_pow
 from dynrmat.lattice import DENOM, LatticeError, from_units, to_units
 from dynrmat.polys import QP_ONE, QRAT_ONE, qp_gcd, qrat
 from dynrmat.ratfunc import ratfn
@@ -96,6 +96,10 @@ def test_radical_edge_cases():
 def test_radical_inverse():
     s = qnum(2) * sqrt_qint(3) * sqrt_xbracket(1)
     assert (s * s.inv()).is_one()
+    # several phases under one radical: 1/((1 + z8) q)
+    s = (SC_ONE + phase("1/4")) * qpow(1)
+    assert (s * s.inv()).is_one()
+    assert str(s.inv()) == "(1/2 - 1/2*z8^1 + 1/2*z8^2 - 1/2*z8^3)*q^(-1)"
     with pytest.raises(ArithmeticError):
         (sqrt_qint(2) + sqrt_qint(3)).inv()
     with pytest.raises(ZeroDivisionError):
@@ -163,7 +167,7 @@ def test_prefactor_builder_matches_division():
         want = _prefactor_by_division(k, units, halves, qfacts, x_units)
         for n, w in qfacts:
             add_qfact(halves, n, w)
-        got = qint_monomial(root8_pow(k), units, halves, x_units)
+        got = qint_monomial(1, units, halves, x_units, z8=k)
         _same(got, want)
         (rf,) = got.terms.values()
         assert all(m > 0 for qr in rf.num.values() if qr.fac
@@ -268,8 +272,8 @@ def test_symbol_prefactors_match_division():
             for M in range(-J, J + 1, 2):
                 h = add_qfact(add_qfact(dict(halves), (J + M) // 2, 1),
                               (J - M) // 2, 1)
-                pre = qint_monomial(root8_pow(2 * (2 * J + S + M)),
-                                    S * (S - M), h) * xpow(F(S - M, 2))
+                pre = qint_monomial(1, S * (S - M), h,
+                                    z8=2 * (2 * J + S + M)) * xpow(F(S - M, 2))
                 want = pre * symbols._limit_sum(J, S, M) * over_x_poles(
                     (J + S) // 2)
                 _same(symbols.m_element(F(J, 2), F(S, 2), F(M, 2)), want)
@@ -279,8 +283,8 @@ def test_symbol_prefactors_match_division():
                 facts = {}
                 symbols._cont_triangle((0, J), (1, u), (1, u + S), h, facts,
                                        sign=-1)
-                scal = qint_monomial(root8_pow(2 * J + 3 * S - 2 * (J - S)),
-                                     J * S, h) * xpow(F(J, 2))
+                scal = qint_monomial(1, J * S, h, z8=2 * J + 3 * S
+                                     - 2 * (J - S)) * xpow(F(J, 2))
                 scal = (scal * over_x_poles((J + S) // 2)).shift_x(u)
                 got = symbols._norm_psi(J, S, u)
                 assert got.facts == facts
@@ -312,9 +316,9 @@ def test_eighth_root_phases():
     assert phase(F(1, 2)) ** 2 == phase(1)
     assert phase(F(1, 4)) ** 8 == SC_ONE
     assert phase(F(-1, 2)) * phase(F(1, 2)) == SC_ONE
-    # i as a coefficient
+    # i as the phase z8**2 of a term
     i = phase(F(1, 2))
-    assert i == sc_coeff(make_coeff(0, 0, 1, 0))
+    assert i.terms == {(("z8", 2),): sc_coeff(1).terms[()]}
     v = i.numeric_eval(0.5, 0.5)
     assert abs(v - 1j) < 1e-12
 
@@ -496,9 +500,11 @@ def test_distinct_atom_tuples_are_numerically_independent():
     st = hyp.strategies
     roots = [sqrt_qdiff()] + [sqrt_qint(n) for n in range(2, 7)] + [
         sqrt_xbracket(F(c, 4)) for c in (-4, -1, 0, 2, 5)]
-    # first every sqrt(T1) -+ sqrt(T2) for distinct tuples of up to two atoms
+    # first every z8**k sqrt(T1) -+ z8**j sqrt(T2) for distinct tuples of up
+    # to two atoms and phases k, j < 4
     tuples = [SC_ONE, *roots, *(r * t for i, r in enumerate(roots)
                                 for t in roots[i + 1:])]
+    tuples = [phase(F(k, 4)) * t for k in range(4) for t in tuples]
     values = [t.numeric_eval(1.37, 0.83) for t in tuples]
     for i, v in enumerate(values):
         for w in values[:i]:
@@ -506,22 +512,151 @@ def test_distinct_atom_tuples_are_numerically_independent():
     terms = st.lists(
         st.tuples(st.integers(-3, 3).filter(bool), st.integers(-2, 2),
                   st.integers(-2, 2), st.sets(st.sampled_from(range(len(roots))),
-                                              max_size=3)),
+                                              max_size=3),
+                  st.integers(0, 7)),
         min_size=2, max_size=4)
 
     @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hyp.given(terms, st.floats(1.1, 2.5), st.floats(0.3, 3.0))
     def run(spec, q0, x0):
         s = SC_ZERO
-        for c, a, b, picks in spec:
-            t = sc_coeff(c) * qpow(a) * xpow(b)
+        for c, a, b, picks, k in spec:
+            t = sc_coeff(c) * phase(F(k, 4)) * qpow(a) * xpow(b)
             for i in picks:
                 t = t * roots[i]
             s = s + t
         hyp.assume(len(s.terms) >= 2)
-        scale = sum(abs(Scalar({k: rf}).numeric_eval(q0, x0))
-                    for k, rf in s.terms.items())
-        assert abs(s.numeric_eval(q0, x0)) > 1e-9 * scale
+        values = [abs(Scalar({k: rf}).numeric_eval(q0, x0))
+                  for k, rf in s.terms.items()]
+        # a point where a radicand vanishes, such as x0 = q0 for <-1>, is
+        # no random point
+        hyp.assume(all(values))
+        assert abs(s.numeric_eval(q0, x0)) > 1e-9 * sum(values)
+
+    run()
+
+
+# Scalars with phases and radicals against complex evaluation.  A term is
+# c z8**k q**(s/4) x**(e/4) sqrt(prod of atoms) f, for a factor f from
+# _FACTORS; its value is computed here with cmath from the same spec, with
+# principal roots, and (-1)**e = exp(i pi e) for x = -|x|.
+
+_ROOTS = [("qdiff",), ("qint", 2), ("qint", 3), ("qint", 5), ("xbr", -1),
+          ("xbr", 2)]
+# (kind, index, power) of the factor f: [n]**power or <c/4>**power
+_FACTORS = [None, ("qnum", 3, 1), ("qnum", 4, -1), ("xbr", 1, 1),
+            ("xbr", -3, -1), ("xbr", 0, -1)]
+
+
+def _qn(q, n):
+    return (q ** n - q ** -n) / (q - 1 / q)
+
+
+def _xb(q, x, c_units):
+    y = x * q ** (c_units / 4)
+    return (y - 1 / y) / (q - 1 / q)
+
+
+def _root_scalar(atom):
+    if atom[0] == "qdiff":
+        return sqrt_qdiff()
+    if atom[0] == "qint":
+        return sqrt_qint(atom[1])
+    return sqrt_xbracket(F(atom[1], 4))
+
+
+def _root_value(atom, q, x):
+    if atom[0] == "qdiff":
+        return cmath.sqrt(q - 1 / q)
+    if atom[0] == "qint":
+        return cmath.sqrt(_qn(q, atom[1]))
+    return cmath.sqrt(_xb(q, x, atom[1]))
+
+
+def _spec_scalar(spec):
+    out = SC_ZERO
+    for c, k, s, e, roots, f in spec:
+        t = sc_coeff(c) * phase(F(k, 4)) * qpow(F(s, 4)) * xpow(F(e, 4))
+        for i in roots:
+            t = t * _root_scalar(_ROOTS[i])
+        f = _FACTORS[f]
+        if f is not None:
+            kind, n, power = f
+            g = qnum(n) if kind == "qnum" else xbracket(F(n, 4))
+            t = t * g if power > 0 else t / g
+        out = out + t
+    return out
+
+
+def _spec_terms(spec, q, x):
+    """The complex value of each term of spec at q and x."""
+    out = []
+    for c, k, s, e, roots, f in spec:
+        v = c * cmath.exp(1j * cmath.pi * k / 4) * q ** (s / 4)
+        v *= complex(x) ** (e / 4)
+        for i in roots:
+            v *= _root_value(_ROOTS[i], q, x)
+        f = _FACTORS[f]
+        if f is not None:
+            kind, n, power = f
+            g = _qn(q, n) if kind == "qnum" else _xb(q, x, n)
+            v = v * g if power > 0 else v / g
+        out.append(v)
+    return out
+
+
+def _close(got, want, scale):
+    assert abs(got - want) <= 1e-8 * max(1.0, scale), (got, want)
+
+
+def test_phase_algebra_matches_complex_evaluation():
+    # products, sums, inverses and the substitution x = +-q**a of Scalars
+    # with phases and radicals, against the complex values of their specs
+    from dynrmat.ratfunc import PoleAtSubstitution
+
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    term = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 7),
+                     st.integers(-6, 6), st.integers(-6, 6),
+                     st.sets(st.sampled_from(range(len(_ROOTS))), max_size=2),
+                     st.sampled_from(range(len(_FACTORS))))
+    specs = st.lists(term, min_size=1, max_size=3)
+
+    @hyp.settings(max_examples=80, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(specs, specs, st.floats(0.2, 0.9), st.floats(0.2, 0.9),
+               st.sampled_from([1, -1]), st.integers(-2, 2))
+    def run(sa, sb, q0, x0, sign, m):
+        a, b = _spec_scalar(sa), _spec_scalar(sb)
+        ta, tb = _spec_terms(sa, q0, x0), _spec_terms(sb, q0, x0)
+        va, vb = sum(ta), sum(tb)
+        na = sum(map(abs, ta))
+        nb = sum(map(abs, tb))
+        _close(a.numeric_eval(q0, x0), va, na)
+        _close((a * b).numeric_eval(q0, x0), va * vb, na * nb)
+        _close((a + b).numeric_eval(q0, x0), va + vb, na + nb)
+        _close((a - b).numeric_eval(q0, x0), va - vb, na + nb)
+        # one radical: every term takes the first term's atoms
+        one = [t[:4] + (sa[0][4],) + t[5:] for t in sa]
+        s = _spec_scalar(one)
+        if s:
+            inv = s.inv()
+            assert (s * inv).is_one()
+            ts = _spec_terms(one, q0, x0)
+            if abs(sum(ts)) > 1e-3 * sum(map(abs, ts)):
+                _close(inv.numeric_eval(q0, x0), 1 / sum(ts),
+                       sum(map(abs, ts)) / abs(sum(ts)) ** 2)
+        # x = sign * q**m, on the terms without an x-bracket root
+        free = [t[:4] + (frozenset(i for i in t[4] if _ROOTS[i][0] != "xbr"),)
+                + t[5:] for t in sa]
+        s = _spec_scalar(free)
+        x = sign * q0 ** m
+        try:
+            got = s.eval_x_at_signed_qpow(sign, m)
+        except PoleAtSubstitution:
+            return
+        tf = _spec_terms(free, q0, x)
+        _close(got.numeric_eval(q0, 0.5), sum(tf), sum(map(abs, tf)))
 
     run()
 

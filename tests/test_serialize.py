@@ -1,15 +1,16 @@
 """Canonical serialization: byte determinism, round trips, LaTeX shapes."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from dynrmat.coeffs import make_coeff
 from dynrmat.lame import hamiltonian, lax_matrix
 from dynrmat.polys import QRat
 from dynrmat.ratfunc import RationalFunction
 from dynrmat.scalar import (
+    phase,
     qnum,
     qpow,
     sc_coeff,
@@ -76,7 +77,7 @@ def test_round_trip_is_exact(obj):
     back = from_payload(json.loads(text))
     assert back == obj
     # loaded coefficients hash alike and have the in-memory types: int for
-    # integral values, Fraction or Cyclo otherwise
+    # integral values, Fraction otherwise
     sigs = qrat_signatures(obj)
     assert sigs and qrat_signatures(back) == sigs
     # and canonical form is a fixed point
@@ -131,7 +132,7 @@ def test_plain_text_forms():
 
 
 def _mixed():
-    c = sc_coeff(make_coeff(F(1, 2), 1))
+    c = sc_coeff(F(1, 2)) + phase(F(1, 4))
     return c * qpow(H) + sc_coeff(F(1, 3)) * xpow(1) - xpow(2)
 
 
@@ -174,8 +175,9 @@ def _mixed():
 )
 def test_scalar_text_and_latex_bytes(make, text, tex):
     # byte-exact forms for coefficient shapes the golden dumps never print:
-    # a Cyclo with a rational part, a non-integral rational in LaTeX, x-level
-    # signs that only LaTeX rewrites, and radicals beside q-denominators
+    # a Q(z8) coefficient with a rational part, a non-integral rational in
+    # LaTeX, x-level signs that only LaTeX rewrites, and radicals beside
+    # q-denominators
     s = make()
     assert plain_text(s) == str(s) == text
     assert latex(s) == tex
@@ -187,3 +189,189 @@ def test_wrap_two_groups_in_one_pair_of_parens():
     assert _wrap(body) == "\\left(%s\\right)" % body
     assert _wrap("\\left(a + b\\right)") == "\\left(a + b\\right)"
     assert _wrap("q^{2}") == "q^{2}"
+
+
+# Eighth-root phases in shapes that no golden prints: z8**k over Phi_4 and
+# Phi_12, phases under one radical over different q- and x-denominators.
+
+
+def _over_phi4():
+    return (qpow(1) + 2) * qnum(2) / qnum(4)  # over Phi_4(q**2)
+
+
+def _over_phi12():
+    return qnum(6) * qnum(4) / (qnum(12) * qnum(2))  # over Phi_12(q**2)
+
+
+PHASE_SHAPES = {
+    **{"phi4-z8^%d" % k: lambda k=k: phase(F(k, 4)) * _over_phi4()
+       for k in range(1, 8)},
+    **{"phi12-z8^%d" % k: lambda k=k: phase(F(k, 4)) * _over_phi12()
+       for k in range(1, 8)},
+    # two phases and a rational part under one radical, each over its own
+    # q-denominator, so the printer takes their lcm
+    "two-dq": lambda: (phase(F(1, 4)) / qnum(2)
+                       + phase(F(1, 2)) * qpow(H) / qnum(3)
+                       + sc_coeff(F(1, 3)) / qnum(4)) * sqrt_qint(5),
+    # a phase over an x-bracket denominator
+    "xbr-den": lambda: (phase(F(3, 4)) * xpow(H) / xbracket(1)
+                        * sqrt_qint(2)),
+    # two phases over different x-brackets, beside a rational term
+    "two-dx": lambda: (phase(F(1, 4)) / xbracket(1)
+                       + phase(F(5, 4)) * qnum(3) / xbracket(2)
+                       + xpow(1) / qnum(2)),
+}
+
+# name -> (plain text, LaTeX, sha256 of the canonical JSON dump)
+PHASE_BYTES = {
+    'phi4-z8^1': (
+        '((z8^1)*q^(3) + (2*z8^1)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{1} q^{3} + 2 \\zeta_8^{1} q^{2}}{q^{4} + 1}'
+        '\\right)',
+        '1ccf3161e6010abce873882a7141e09ddd63eaf1867bdbad810e13b175f6d515'),
+    'phi12-z8^1': (
+        '((z8^1)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{1} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        '7573295e4330adec2643e730e5b3e9a23c991e09335cce38bc4c40a055519186'),
+    'phi4-z8^2': (
+        '((z8^2)*q^(3) + (2*z8^2)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{2} q^{3} + 2 \\zeta_8^{2} q^{2}}{q^{4} + 1}'
+        '\\right)',
+        '83ed96236334fe252bba947e08a42e51a11b339b9cfe38b6643e3c42f60580e2'),
+    'phi12-z8^2': (
+        '((z8^2)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{2} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        '1871d4ef7572453ea407ed9dffed7b382305f5c7f3c68d7d18a528a579ab995d'),
+    'phi4-z8^3': (
+        '((z8^3)*q^(3) + (2*z8^3)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{3} q^{3} + 2 \\zeta_8^{3} q^{2}}{q^{4} + 1}'
+        '\\right)',
+        'c4b8c61e2e769f7dd8442fc1f2af8b061654ace9cec3a879d8f85d7ca3f7ce82'),
+    'phi12-z8^3': (
+        '((z8^3)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{\\zeta_8^{3} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        '7ae55a19f57477ce34486ded6744807d4efde59ab555fa157b47cab27d6535b1'),
+    'phi4-z8^4': (
+        '(-q^(3) - 2*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{-q^{3} - 2 q^{2}}{q^{4} + 1}\\right)',
+        'a9369a8f50185834b0e1ec1ee1a11160feb1e59da4de8bcecd2a372f4f7aae92'),
+    'phi12-z8^4': (
+        '(-q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{-q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        'cafc9598e1efe365833d7717204bfaf6d0156752c17f6050740932892ea2771f'),
+    'phi4-z8^5': (
+        '((-1*z8^1)*q^(3) + (-2*z8^1)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{1} q^{3} - 2 \\zeta_8^{1} q^{2}}{q^{4} + '
+        '1}\\right)',
+        '89e57acb8ac29c2511c12e5da51f2e00a7595c7438684907020e0028f70b71d5'),
+    'phi12-z8^5': (
+        '((-1*z8^1)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{1} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        '9199859c138f811bf76c5585345f6900ff3420df2ef070882232ec142cc413a1'),
+    'phi4-z8^6': (
+        '((-1*z8^2)*q^(3) + (-2*z8^2)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{2} q^{3} - 2 \\zeta_8^{2} q^{2}}{q^{4} + '
+        '1}\\right)',
+        'e8566ea681693f10ee7c76aca08ca14b91ddc8ecb8011241985a0fe853ebec5b'),
+    'phi12-z8^6': (
+        '((-1*z8^2)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{2} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        '5044129a0b94d3aa3abed78e7412dcd1ee5f45d1637beb4df5a72d196d766bd6'),
+    'phi4-z8^7': (
+        '((-1*z8^3)*q^(3) + (-2*z8^3)*q^(2))/(q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{3} q^{3} - 2 \\zeta_8^{3} q^{2}}{q^{4} + '
+        '1}\\right)',
+        '37ddb600aa19a5b1fbe1bb771dc61c3b0406fea6680ddef692b9561b7958e523'),
+    'phi12-z8^7': (
+        '((-1*z8^3)*q^(4))/(q^(8) - q^(4) + 1)',
+        '\\left(\\frac{-1 \\zeta_8^{3} q^{4}}{q^{8} - q^{4} + 1}\\right)',
+        'e772ae477231676595b9feeb6381757ac5bcdf6c7deb09f859fa73c19fdb984d'),
+    'two-dq': (
+        '(((z8^1)*q^(9) + (z8^2)*q^(17/2) + (1/3 + z8^1)*q^(7) + (z8^2)*q^(13'
+        '/2) + (1/3 + 2*z8^1)*q^(5) + (z8^2)*q^(9/2) + (1/3 + z8^1)*q^(3) + ('
+        'z8^2)*q^(5/2) + (z8^1)*q)/(q^(10) + 2*q^(8) + 3*q^(6) + 3*q^(4) + 2*'
+        'q^(2) + 1))*sqrt([5])',
+        '\\left(\\frac{\\zeta_8^{1} q^{9} + \\zeta_8^{2} q^{17/2} + (\\tfrac{'
+        '1}{3} + \\zeta_8^{1}) q^{7} + \\zeta_8^{2} q^{13/2} + (\\tfrac{1}{3}'
+        ' + 2 \\zeta_8^{1}) q^{5} + \\zeta_8^{2} q^{9/2} + (\\tfrac{1}{3} + '
+        '\\zeta_8^{1}) q^{3} + \\zeta_8^{2} q^{5/2} + \\zeta_8^{1} q}{q^{10} '
+        '+ 2 q^{8} + 3 q^{6} + 3 q^{4} + 2 q^{2} + 1}\\right) \\, \\sqrt{[5]}',
+        '876701f71955384ee79210fbb9f96ff4cefa9b6c439c11dfdb6ce17eff4f1a3d'),
+    'xbr-den': (
+        '((((z8^3) + (-1*z8^3)*q^(-2))*x^(3/2)) / (x^(2) + -q^(-2)))*sqrt([2]'
+        ')',
+        '\\left(\\frac{\\left(\\zeta_8^{3} - 1 \\zeta_8^{3} q^{-2}\\right) \\'
+        ', x^{3/2}}{x^{2} - q^{-2}}\\right) \\, \\sqrt{[2]}',
+        '7cb2c74610cda753a716c873d79133fc425a3ea0a07fb3aa80f282fe79c19254'),
+    'two-dx': (
+        '(((q)/(q^(2) + 1))*x^(5) + ((-1*z8^1)*q + (z8^1) + (-1*z8^1)*q^(-2) '
+        '- q^(-3) + (z8^1)*q^(-5))*x^(3) + (((z8^1)*q + (z8^1)*q^(-1) + (-1*z'
+        '8^1)*q^(-2) + (1 - 1*z8^1)*q^(-5) + (z8^1)*q^(-6) + (-1*z8^1)*q^(-7)'
+        ')/(q^(2) + 1))*x) / (x^(4) + (-q^(-2) - q^(-4))*x^(2) + q^(-6))',
+        '\\frac{\\left(\\frac{q}{q^{2} + 1}\\right) \\, x^{5} + \\left(-1 \\z'
+        'eta_8^{1} q + \\zeta_8^{1} - 1 \\zeta_8^{1} q^{-2} - q^{-3} + \\zeta'
+        '_8^{1} q^{-5}\\right) \\, x^{3} + \\left(\\frac{\\zeta_8^{1} q + \\z'
+        'eta_8^{1} q^{-1} - 1 \\zeta_8^{1} q^{-2} + (1 - 1 \\zeta_8^{1}) q^{-'
+        '5} + \\zeta_8^{1} q^{-6} - 1 \\zeta_8^{1} q^{-7}}{q^{2} + 1}\\right)'
+        ' \\, x}{x^{4} + \\left(-q^{-2} - q^{-4}\\right) \\, x^{2} + q^{-6}}',
+        '11ba7365e28a0e334be321843f26308e712aa9604ac43cdae38fb68ebcb61254'),
+}
+
+# canonical dumps with zeta8 coefficients; each loads equal to its value
+PHASE_DUMPS = {
+    'phi4-z8^5': (
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":"1","4":"1'
+        '"},"num":{"2":{"zeta8":["0","-2","0","0"]},"3":{"zeta8":["0","-1","0'
+        '","0"]}}}}},"radical":[]}]}}\n'),
+    'two-dq': (
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":"1","10":"'
+        '1","2":"2","4":"3","6":"3","8":"2"},"num":{"1":{"zeta8":["0","1","0"'
+        ',"0"]},"13/2":{"zeta8":["0","0","1","0"]},"17/2":{"zeta8":["0","0","'
+        '1","0"]},"3":{"zeta8":["1/3","1","0","0"]},"5":{"zeta8":["1/3","2","'
+        '0","0"]},"5/2":{"zeta8":["0","0","1","0"]},"7":{"zeta8":["1/3","1","'
+        '0","0"]},"9":{"zeta8":["0","1","0","0"]},"9/2":{"zeta8":["0","0","1"'
+        ',"0"]}}}}},"radical":[{"kind":"qint","n":5}]}]}}\n'),
+    'two-dx': (
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"-6":"1"}},"2":{"den":{"0":"1"},"num":{"-2":'
+        '"-1","-4":"-1"}},"4":{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"1":{'
+        '"den":{"0":"1","2":"1"},"num":{"-1":{"zeta8":["0","1","0","0"]},"-2"'
+        ':{"zeta8":["0","-1","0","0"]},"-5":{"zeta8":["1","-1","0","0"]},"-6"'
+        ':{"zeta8":["0","1","0","0"]},"-7":{"zeta8":["0","-1","0","0"]},"1":{'
+        '"zeta8":["0","1","0","0"]}}},"3":{"den":{"0":"1"},"num":{"-2":{"zeta'
+        '8":["0","-1","0","0"]},"-3":"-1","-5":{"zeta8":["0","1","0","0"]},"0'
+        '":{"zeta8":["0","1","0","0"]},"1":{"zeta8":["0","-1","0","0"]}}},"5"'
+        ':{"den":{"0":"1","2":"1"},"num":{"1":"1"}}}},"radical":[]}]}}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_SHAPES))
+def test_phase_shapes_print_pinned_bytes(name):
+    s = PHASE_SHAPES[name]()
+    text, tex, digest = PHASE_BYTES[name]
+    assert plain_text(s) == text
+    assert latex(s) == tex
+    dump = dumps_canonical(to_payload(s))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+    back = from_payload(json.loads(dump))
+    assert back == s
+    assert dumps_canonical(to_payload(back)) == dump
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_DUMPS))
+def test_zeta8_dumps_load_equal_to_their_values(name):
+    dump = PHASE_DUMPS[name]
+    assert from_payload(json.loads(dump)) == PHASE_SHAPES[name]()
+
+
+def test_a_zeta8_denominator_loads_equal_to_its_value():
+    # 1 / (q**2 - i) = (q**2 + i) / (q**4 + 1), as a dump reduced over Q(z8)
+    # writes it: the loader divides by the norm of the denominator
+    dump = ('{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":'
+            '{"0":{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":'
+            '{"zeta8":["0","0","-1","0"]},"2":"1"},"num":{"0":"1"}}}},'
+            '"radical":[]}]}}\n')
+    want = (qpow(2) + phase(H)) * qnum(2) / qnum(4) * qpow(-2)
+    assert from_payload(json.loads(dump)) == want

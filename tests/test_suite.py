@@ -141,6 +141,49 @@ def test_whole_manifest_never_inverts_a_scalar(monkeypatch):
     assert [r for r in reports if not r.ok] == []
 
 
+def test_cold_sweep_builds_rational_coefficients_only(cold_caches,
+                                                      monkeypatch):
+    # z8 is a phase on a Scalar term, never a coefficient: over one cold
+    # manifest-v1 pass every QRat and every XNum row holds int and Fraction
+    # coefficients only (a packed row holds ints), and phases occur
+    from dynrmat.polys import QRat, XNum
+    from dynrmat.scalar import Scalar
+
+    seen = Counter()
+
+    def watch(cls, check):
+        init = cls.__init__
+
+        def checked(self, *args):
+            init(self, *args)
+            check(self)
+
+        monkeypatch.setattr(cls, "__init__", checked)
+
+    def qrat(x):
+        for p in (x.num, x._den or {}):
+            seen.update(type(c).__name__ for c in p.values())
+
+    def xnum(x):
+        if x.b:
+            seen.update("packed" for _ in x.rows)
+        else:
+            seen.update(type(c).__name__ for row in x.rows.values()
+                        for c in row.values())
+
+    def phases(s):
+        seen.update("phase" for atoms in s.terms
+                    if atoms and atoms[-1][0] == "z8")
+
+    watch(QRat, qrat)
+    watch(XNum, xnum)
+    watch(Scalar, phases)
+    reports = run_suite(default_manifest())
+    assert [r for r in reports if not r.ok] == []
+    assert {"packed", "phase"} <= set(seen) <= {"int", "Fraction", "packed",
+                                                "phase"}, seen
+
+
 def test_parallel_runner_preserves_manifest_order():
     manifest = default_manifest()[:8]
     seq = run_suite(manifest, jobs=1)
@@ -187,6 +230,36 @@ def test_numeric_point_defaults_each_coordinate_alone():
         "SANITY", (), [("x", xpow(1), xpow(1))], mode="numeric", q0=0.6
     )
     assert report.ok
+
+
+FIXED_MODE = [(name, (F(1),) * arity) for name, (_, arity, _) in
+              sorted(RELATIONS.items())
+              if name in ("ALGEBRA", "CLASSICAL_LIMIT", "PRELIMIT_3J",
+                          "NUMERIC_COHERENCE")]
+
+
+@pytest.mark.parametrize("name,spins", FIXED_MODE + [("GNF", (F(1, 2),) * 3)],
+                         ids=[n for n, _ in FIXED_MODE] + ["GNF"])
+def test_an_unknown_mode_is_refused_by_every_relation(name, spins):
+    with pytest.raises(ValueError, match="unknown mode"):
+        verify_relation(name, spins, mode="bogus")
+
+
+def test_fixed_mode_relations_keep_their_mode():
+    assert verify_relation("ALGEBRA", (F(1),), mode="numeric").mode == "exact"
+
+
+@pytest.mark.parametrize("q0,x0", [(1, 0.81), (1.0, None), (0, 0.5),
+                                   (-0.5, None), (0.6, 0), (None, -1.0)])
+def test_points_where_numeric_mode_tells_nothing_are_refused(q0, x0):
+    # at q0 = 1 every q-deformation collapses: GNF R(1,1) and the constant
+    # R(1,1) agree there, so this known-false pair would pass
+    pair = [("gnf_r", dynrmat.gnf_r(1, 1), dynrmat.drinfeld_r(1, 1))]
+    assert not run_comparisons("CTRL", (1, 1), pair, mode="numeric").ok
+    with pytest.raises(ValueError, match="numeric mode needs"):
+        run_comparisons("CTRL", (1, 1), pair, mode="numeric", q0=q0, x0=x0)
+    with pytest.raises(ValueError, match="numeric mode needs"):
+        verify_relation("GNF", (F(1, 2),) * 3, mode="numeric", q0=q0, x0=x0)
 
 
 def _numpy_rank(diff):
