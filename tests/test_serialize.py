@@ -375,3 +375,77 @@ def test_a_zeta8_denominator_loads_equal_to_its_value():
             '"radical":[]}]}}\n')
     want = (qpow(2) + phase(H)) * qnum(2) / qnum(4) * qpow(-2)
     assert from_payload(json.loads(dump)) == want
+
+
+# Values with Fraction coefficients at the x level, which no golden command
+# prints: each is pinned by its text, LaTeX and canonical dump, and built a
+# second way that must give an equal value with equal coefficient hashes.
+FRACTION_SHAPES = {
+    "half-xbracket": (
+        lambda: sc_coeff(H) * xbracket(1),
+        lambda: xbracket(1) * sc_coeff(F(3, 2)) - xbracket(1),
+        "((1/2*q^(2))/(q^(2) - 1))*x + ((-1/2)/(q^(2) - 1))*x^(-1)",
+        "\\left(\\frac{\\tfrac{1}{2} q^{2}}{q^{2} - 1}\\right) \\, x"
+        " + \\left(\\frac{-\\tfrac{1}{2}}{q^{2} - 1}\\right) \\, x^{-1}",
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"-1":{"den":{"0":"-1","2":'
+        '"1"},"num":{"0":"-1/2"}},"1":{"den":{"0":"-1","2":"1"},"num":{"2":"1'
+        '/2"}}}},"radical":[]}]}}\n'),
+    "thirds-sixths": (
+        lambda: sc_coeff(F(1, 3)) * xpow(1) + sc_coeff(F(1, 6)),
+        lambda: (sc_coeff(2) * xpow(1) + sc_coeff(1)) * sc_coeff(F(1, 6)),
+        "(1/3)*x + 1/6",
+        "\\tfrac{1}{3} \\, x + \\tfrac{1}{6}",
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":"1"},"num"'
+        ':{"0":"1/6"}},"1":{"den":{"0":"1"},"num":{"0":"1/3"}}}},"radical":[]'
+        '}]}}\n'),
+    "content-cancels": (
+        lambda: (sc_coeff(H) * xpow(1) + sc_coeff(H)) * sc_coeff(2),
+        lambda: xpow(1) + sc_coeff(1),
+        "x + 1",
+        "x + 1",
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":"1"},"num"'
+        ':{"0":"1"}},"1":{"den":{"0":"1"},"num":{"0":"1"}}}},"radical":[]}]}}'
+        '\n'),
+    "over-xbracket": (
+        lambda: sc_coeff(F(-3, 4)) * sqrt_qint(3) / xbracket(H),
+        lambda: sqrt_qint(3) * sc_coeff(F(3, 4)) / -xbracket(H),
+        "(((-3/4*q^(1/2) + 3/4*q^(-3/2))*x) / (x^(2) + -q^(-1)))*sqrt([3])",
+        "\\left(\\frac{\\left(-\\tfrac{3}{4} q^{1/2} + \\tfrac{3}{4}"
+        " q^{-3/2}\\right) \\, x}{x^{2} - q^{-1}}\\right) \\, \\sqrt{[3]}",
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"-1":"-1"}},"2":{"den":{"0":"1"},"num":{"0":'
+        '"1"}}},"num":{"1":{"den":{"0":"1"},"num":{"-3/2":"3/4","1/2":"-3/4"}'
+        '}}},"radical":[{"kind":"qint","n":3}]}]}}\n'),
+    "sixths-tenths": (
+        lambda: (sc_coeff(F(1, 6)) * xpow(2) * qpow(1)
+                 + sc_coeff(F(7, 10)) * xpow(1)
+                 + sc_coeff(F(-5, 6)) * qpow(F(-1, 2))),
+        lambda: (sc_coeff(5) * xpow(2) * qpow(1) + sc_coeff(21) * xpow(1)
+                 - sc_coeff(25) * qpow(F(-1, 2))) * sc_coeff(F(1, 30)),
+        "(1/6*q)*x^(2) + (7/10)*x + -5/6*q^(-1/2)",
+        "\\tfrac{1}{6} q \\, x^{2} + \\tfrac{7}{10} \\, x"
+        " - \\tfrac{5}{6} q^{-1/2}",
+        '{"kind":"scalar","value":{"lattice":4,"terms":[{"coeff":{"den":{"0":'
+        '{"den":{"0":"1"},"num":{"0":"1"}}},"num":{"0":{"den":{"0":"1"},"num"'
+        ':{"-1/2":"-5/6"}},"1":{"den":{"0":"1"},"num":{"0":"7/10"}},"2":{"den'
+        '":{"0":"1"},"num":{"1":"1/6"}}}},"radical":[]}]}}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_SHAPES))
+def test_fraction_coefficients_print_pinned_bytes(name):
+    make, other, text, tex, dump = FRACTION_SHAPES[name]
+    s = make()
+    assert plain_text(s) == text
+    assert latex(s) == tex
+    assert dumps_canonical(to_payload(s)) == dump
+    back = from_payload(json.loads(dump))
+    assert back == s
+    assert dumps_canonical(to_payload(back)) == dump
+    for t in (back, other()):
+        assert t == s
+        assert ({a: hash(rf) for a, rf in t.terms.items()}
+                == {a: hash(rf) for a, rf in s.terms.items()})
