@@ -277,13 +277,13 @@ def _cmd_lame(parser, args):
         build = RELATIONS["SPECTRAL_PROPERTIES"][2]
         t0 = time.perf_counter()
         try:
-            comparisons = build(args.j, kmax=args.kmax)
+            report = run_comparisons(
+                "SPECTRAL_PROPERTIES", (args.j,),
+                build(args.j, kmax=args.kmax),
+                mode=args.mode, q0=args.q0, x0=args.x0,
+            )
         except ValueError as exc:
             parser.error(str(exc))
-        report = run_comparisons(
-            "SPECTRAL_PROPERTIES", (args.j,), comparisons,
-            mode=args.mode, q0=args.q0, x0=args.x0,
-        )
         report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
         return _finish_reports([report], args)
     else:

@@ -15,7 +15,7 @@ division.
 from fractions import Fraction
 from functools import cache
 
-from .lattice import DENOM, from_units, ratio_str, to_units, twice
+from .lattice import DENOM, from_units, integer, ratio_str, to_units
 from .polys import add_into, poly_add
 from .scalar import (
     SC_ONE,
@@ -53,15 +53,6 @@ __all__ = [
     "verify_classical_limit",
     "LAME_RELATIONS",
 ]
-
-
-def _integer(v, what="spin"):
-    """v as an int, for an integer v given as an int, a Fraction or a
-    string; a fractional value raises instead of truncating."""
-    t = twice(v)
-    if t % 2:
-        raise ValueError("needs an integer %s, got %s" % (what, ratio_str(t, 2)))
-    return t // 2
 
 
 _HALF = Spin(Fraction(1, 2))
@@ -190,7 +181,7 @@ def energy(k):
 
 def wavefunction_recursive(j, k):
     """Eigenfunction by the ladder cascade from the free solution."""
-    j, k = _integer(j), _integer(k, "wave number")
+    j, k = integer(j, "spin"), integer(k, "wave number")
     psi = xpow(k) - xpow(-k)
     for level in range(1, j + 1):
         psi = shift_operator(level).apply(psi)
@@ -223,11 +214,11 @@ def _wave_terms(j, k):
 
 def wavefunction_terms(j, k):
     """Summands of the closed form, kept apart for residue inspection."""
-    return list(_wave_terms(_integer(j), _integer(k, "wave number")))
+    return list(_wave_terms(integer(j, "spin"), integer(k, "wave number")))
 
 
 def wavefunction_closed(j, k):
-    return _wave_closed(_integer(j), _integer(k, "wave number"))
+    return _wave_closed(integer(j, "spin"), integer(k, "wave number"))
 
 
 @cache
@@ -373,7 +364,7 @@ def transfer_operator(j):
 
 def transfer_and_restrict(j):
     """Transfer operator on the zero-weight state."""
-    t = transfer_operator(_integer(j))
+    t = transfer_operator(integer(j, "spin"))
     spin = t.space.spins[0]
     zero = next(i for i in range(spin.dim) if spin.twice_m(i) == 0)
     return t.entry(zero, zero)
@@ -427,7 +418,7 @@ def _qdo_pairs(label, a, b):
 
 def _build_rel_intertwining(j):
     """H_j D_j = D_j H_(j-1)."""
-    j = _integer(j)
+    j = integer(j, "spin")
     lhs = hamiltonian(j) @ shift_operator(j)
     rhs = shift_operator(j) @ hamiltonian(j - 1)
     return _shift_pairs(lhs, rhs)
@@ -437,7 +428,7 @@ def _build_rel_wavefunction_routes(j, kmax=5):
     """The recursive and closed routes agree for |k| <= kmax.  Both vanish
     for |k| <= j (EXCLUSION), so kmax must exceed j for any check to have
     substance."""
-    j = _integer(j)
+    j = integer(j, "spin")
     if kmax <= j:
         raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     return [
@@ -449,7 +440,7 @@ def _build_rel_wavefunction_routes(j, kmax=5):
 def _build_rel_eigen_equation(j, kmax=5):
     """H psi_k = E(k) psi_k for |k| <= kmax.  psi_k vanishes for |k| <= j
     (EXCLUSION), so kmax must exceed j for any check to have substance."""
-    j = _integer(j)
+    j = integer(j, "spin")
     if kmax <= j:
         raise ValueError("kmax must exceed j = %d, got %d" % (j, kmax))
     h = hamiltonian(j)
@@ -462,7 +453,7 @@ def _build_rel_eigen_equation(j, kmax=5):
 
 def _build_rel_exclusion(j, methods=("recursive", "closed")):
     """Each route in `methods` annihilates the free solutions with |k| <= j."""
-    j = _integer(j)
+    j = integer(j, "spin")
     return [
         ("%s k=%d" % (method, k), wavefunction(j, k, method=method), SC_ZERO)
         for k in range(-j, j + 1)
@@ -499,7 +490,7 @@ def _residue_rows(j, k):
 
 def _build_rel_residues(j):
     """Residues of the wavefunctions cancel at x = +- q^-r, 1 <= r <= j."""
-    j = _integer(j)
+    j = integer(j, "spin")
     return _residue_rows(j, j + 1) + _residue_rows(j, j + 2)
 
 
@@ -535,7 +526,7 @@ def classical_limit_table(j, k, z, eps_values=(1e-2, 1e-3)):
     """
     import math
 
-    j, k = _integer(j), _integer(k, "wave number")
+    j, k = integer(j, "spin"), integer(k, "wave number")
     if z == 0:
         raise ValueError("the classical limit has a pole at z = 0")
     cj = c_function(j, shift=1)

@@ -7,10 +7,10 @@ quarter-integer phase bookkeeping they induce.  Spins live on (1/2)*Z.
 Inside the package an exponent is an int count of 1/D units and a spin is
 the int 2j (spins.Spin.twice); shifts, q-powers and weights are computed in
 those ints.  A Fraction appears only at the two edges: where a value given
-by a user is parsed (to_units, twice: public arguments, the CLI, JSON) and
-where one is printed (from_units, ratio_str: reports, labels, dumps).  An
-int or a Fraction with a small denominator is parsed without building a
-Fraction.
+by a user is parsed (to_units, twice, integer: public arguments, the CLI,
+JSON) and where one is printed (from_units, ratio_str: reports, labels,
+dumps).  An int or a Fraction with a small denominator is parsed without
+building a Fraction.
 """
 
 from fractions import Fraction
@@ -22,6 +22,7 @@ __all__ = [
     "to_units",
     "from_units",
     "twice",
+    "integer",
     "ratio_str",
 ]
 
@@ -64,6 +65,17 @@ def twice(v):
     if d == 2:
         return n
     raise ValueError("%s is not a half-integer" % (Fraction(n, d),))
+
+
+def integer(v, what):
+    """v as an int, for an integer v given as an int, a Fraction, a string
+    or a float; ValueError, naming v as `what`, where int() would truncate."""
+    if type(v) is int:
+        return v
+    n, d = _ratio(v)
+    if d != 1:
+        raise ValueError("needs an integer %s, got %s" % (what, v))
+    return n
 
 
 def ratio_str(n, d=DENOM):

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .lattice import ratio_str, twice
+from .lattice import integer, ratio_str, twice
 from .report import VerificationReport
 
 __all__ = [
@@ -152,7 +152,7 @@ def gnf_r_num(q0, x0, twice1=1, twice2=2):
 
 def psi_closed_num(j, k, q0, x0):
     """Closed-sum wavefunction at a numeric point."""
-    j, k = int(j), int(k)
+    j, k = integer(j, "spin"), integer(k, "wave number")
     q, x = float(q0), float(x0)
     total = 0.0
     for n in range(j + 1):

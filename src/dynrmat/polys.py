@@ -9,10 +9,10 @@ arithmetic; an integral Fraction that slips through is still correct, because
 equal values compare and hash equal whatever their type.  Level two: a QRat
 is a canonical fraction of two QPolys.  Level three: an XNum is the flat
 numerator of a RationalFunction (ratfunc.py), one Laurent polynomial in u
-and v = x**(1/D) whose rows, the coefficients of the powers of v, are packed
-into one Python int each when every coefficient is an int (see the flat
-numerators section).  A RationalFunction is N / (Dq * Dx): an XNum over a
-common q-denominator and an x-denominator, both factored.
+and v = x**(1/D) whose rows, the coefficients of the powers of v, are int
+rows packed into one Python int each, over one content denominator (see
+the flat numerators section).  A RationalFunction is N / (Dq * Dx): an
+XNum over a common q-denominator and an x-denominator, both factored.
 
 A CanonicalFraction holds the arithmetic of a fraction once.  A level
 supplies only what differs: its polynomial product and scale, its
@@ -27,8 +27,7 @@ Three rules of the arithmetic are written once, for every level:
 - the sparse sum that never stores a zero: add_into, and poly_add and
   poly_mul (the product of both Laurent levels) on top of it.  The sparse
   dicts of every level sum through them, from QPoly terms and packed XNum
-  rows to Scalar terms and operator entries; only the dict rows of an
-  XNum, whose entries are QPolys, sum by poly_add row by row.
+  rows to Scalar terms and operator entries.
 - dividing the cyclotomic factors Phi_d out of rows: _divide_out, given the
   division of one row.  Its packed case, _qcancel_packed, divides the int
   rows of xp_qcancel and of the QRat _cancel (one row), and its dense case
@@ -1077,31 +1076,37 @@ def xp_gcd(a, b):
 #
 # The numerator N of a RationalFunction (ratfunc.py) is one Laurent
 # polynomial in u and v, an XNum:
-#     N = u**o * sum_k v**k * P_k(u**s),
-# with its rows P_k by v-exponent k and a stride s that divides Q_DEG.
+#     N = u**o * sum_k v**k * P_k(u**s) / d,
+# with its int rows P_k by v-exponent k, a stride s that divides Q_DEG and
+# a content denominator d.
 #
-# Packed form, when every coefficient is an int: each row is one Python int,
-# P_k(2**b) (Kronecker substitution).  Slot j, b bits wide, holds the
-# coefficient of u**(o + s*j), balanced and signed, so a product of rows is
-# one big-int product and a sum one big-int sum.  `bound` is an upper bound
-# on every |coefficient|.  The bound rule: every slot a kit function makes,
-# of its result or on the way to it, stays below 2**(b - 1) in absolute
-# value.  So before it combines rows, each function bounds what it will
-# make (a product: ba * bb times the row count and the slot count of the
-# operand with fewer rows; a sum: ba + bb; times y - u**e: 2b; division by
-# y - u**e: b times the number of rows).  If that bound
-# reaches 2**(b - 1), it first lowers the operands' bounds to their largest
-# coefficients, and if that is not enough, repacks them to a wider b.  An
-# overflow would be a silent wrong answer.  The offset is normalized: some
-# row has a nonzero slot 0.
+# Each row is one Python int, P_k(2**b) (Kronecker substitution).  Slot j,
+# b bits wide, holds the coefficient of u**(o + s*j), balanced and signed,
+# so a product of rows is one big-int product and a sum one big-int sum.
+# `bound` is an upper bound on every |coefficient|.  The bound rule: every
+# slot a kit function makes, of its result or on the way to it, stays below
+# 2**(b - 1) in absolute value.  So before it combines rows, each function
+# bounds what it will make (a product: ba * bb times the row count and the
+# slot count of the operand with fewer rows; a sum: ba + bb, after each
+# side is scaled to the lcm of the two d; times y - u**e: 2b; division by
+# y - u**e: b times the number of rows).  If that bound reaches 2**(b - 1),
+# it first lowers the operands' bounds to their largest coefficients, and
+# if that is not enough, repacks them to a wider b.  An overflow would be a
+# silent wrong answer.  The offset is normalized: some row has a nonzero
+# slot 0.
 #
-# Dict form, when a coefficient is a Fraction: each row is a
-# QPoly in u with its absolute exponents (o = 0, s = 1, b = 0).  A result
-# whose coefficients are all ints is packed again.
+# The content denominator d is a positive int coprime to the content of the
+# rows (the gcd of their coefficients), so d == 1 exactly when every
+# coefficient of N is an int.  xp_from_terms makes d the lcm of the
+# coefficients' denominators; a product, a sum of sides scaled to one d and
+# a monomial scaling then divide d and the rows by their gcd (_lowered).
+# Division by a monic binomial or a Phi_d keeps the content (Gauss's lemma)
+# and d, and so do a shift, a negation and a repack.  A content is computed
+# only when d > 1.
 #
 # Values compare by their coefficients: rows packed at one width and stride
-# compare as ints, any other pair by their unpacked rows (xp_terms), and
-# xp_key, the hash key, reads the unpacked rows, so neither depends on the
+# compare as ints, any other pair by their slots (_slots), and xp_key, the
+# hash key, reads the coefficients (xp_terms), so neither depends on the
 # width or the stride at which a value was packed.
 
 Y_DEG = 2 * DENOM  # y = x**2 = v**Y_DEG
@@ -1112,15 +1117,16 @@ SLOT = 64  # every slot width is a multiple of SLOT
 class XNum:
     """An x-level numerator; see the section comment."""
 
-    __slots__ = ("rows", "o", "s", "b", "bound", "tight")
+    __slots__ = ("rows", "o", "s", "b", "bound", "tight", "d")
 
-    def __init__(self, rows, o=0, s=1, b=0, bound=0, tight=False):
+    def __init__(self, rows, o, s, b, bound, tight=False, d=1):
         self.rows = rows
         self.o = o
         self.s = s
-        self.b = b  # 0 for the dict form
+        self.b = b
         self.bound = bound
         self.tight = tight  # whether bound was read off the slots
+        self.d = d
 
     def __bool__(self):
         return bool(self.rows)
@@ -1129,7 +1135,7 @@ class XNum:
         return "XNum(%r)" % (xp_terms(self),)
 
 
-XN_ZERO = XNum({})
+XN_ZERO = XNum({}, 0, Q_DEG, SLOT, 0, True)
 
 
 def _width(bound):
@@ -1171,9 +1177,9 @@ def _pack(digits, b):
     return n
 
 
-def _pack_terms(rows, o, s, b):
-    """The packed XNum of int rows {k: QPoly}, every exponent o + s*j with
-    j >= 0, at slot width b or wider if its coefficients need it."""
+def _pack_terms(rows, o, s, b, d=1):
+    """The packed XNum of int rows {k: QPoly} over d, every exponent o + s*j
+    with j >= 0, at slot width b or wider if its coefficients need it."""
     bound = max(abs(c) for row in rows.values() for c in row.values())
     b = max(b, _width(bound))
     out = {}
@@ -1182,11 +1188,11 @@ def _pack_terms(rows, o, s, b):
         for e, c in row.items():
             digits[(e - o) // s] = c
         out[k] = _pack(digits, b)
-    return _packed(out, o, s, b, bound, True)
+    return _packed(out, o, s, b, bound, True, d)
 
 
-def _packed(rows, o, s, b, bound, tight=False):
-    """The XNum of packed rows, none of them zero, with its offset
+def _packed(rows, o, s, b, bound, tight=False, d=1):
+    """The XNum of packed rows over d, none of them zero, with its offset
     normalized."""
     mask = (1 << b) - 1
     for n in rows.values():
@@ -1197,7 +1203,20 @@ def _packed(rows, o, s, b, bound, tight=False):
             t = (min((n & -n).bit_length() for n in rows.values()) - 1) // b
             rows = {k: n >> (t * b) for k, n in rows.items()}
             o += s * t
-    return XNum(rows, o, s, b, bound, tight)
+    return XNum(rows, o, s, b, bound, tight, d)
+
+
+def _lowered(a):
+    """a with d and its rows divided by the gcd of d and their content."""
+    g = a.d
+    for n in a.rows.values():
+        g = math.gcd(g, *_digits(n, a.b))
+        if g == 1:
+            return a
+    # every slot of a row is a multiple of g, so the row is too, and its
+    # quotient's slots are the quotients of its slots
+    return XNum({k: n // g for k, n in a.rows.items()}, a.o, a.s, a.b,
+                a.bound // g, False, a.d // g)
 
 
 def xp_monomial(k, e):
@@ -1206,8 +1225,7 @@ def xp_monomial(k, e):
 
 
 def xp_from_terms(rows):
-    """The XNum of the rows {k: QPoly}, none of them zero, packed when every
-    coefficient is an int."""
+    """The XNum of the rows {k: QPoly}, none of them zero."""
     if not rows:
         return XN_ZERO
     if len(rows) == 1:
@@ -1216,23 +1234,38 @@ def xp_from_terms(rows):
             (e, c), = row.items()
             if type(c) is int and not abs(c) >> (SLOT - 1):
                 return XNum({k: c}, e, Q_DEG, SLOT, abs(c), True)
-    for row in rows.values():
-        for c in row.values():
-            if type(c) is not int:
-                return XNum(rows)
+    d = 1
+    if not all(type(c) is int for row in rows.values() for c in row.values()):
+        # the lcm of the reduced denominators: for each prime, a coefficient
+        # whose denominator holds d's full power of it scales to a numerator
+        # that the prime does not divide
+        d = math.lcm(*(c.denominator for row in rows.values()
+                       for c in row.values()))
+        rows = {
+            k: {e: c.numerator * (d // c.denominator) for e, c in row.items()}
+            for k, row in rows.items()}
     o = min(min(row) for row in rows.values())
     s = math.gcd(Q_DEG, *(e - o for row in rows.values() for e in row))
-    return _pack_terms(rows, o, s, SLOT)
+    return _pack_terms(rows, o, s, SLOT, d)
 
 
-def xp_terms(a):
-    """The rows of a as QPolys in u, by v-exponent."""
-    if not a.b:
-        return a.rows
+def _slots(a):
+    """The int rows of a, its coefficients times d, as QPolys in u."""
     o, s, b = a.o, a.s, a.b
     return {
         k: {o + s * j: c for j, c in enumerate(_digits(n, b)) if c}
         for k, n in a.rows.items()}
+
+
+def xp_terms(a):
+    """The rows of a as QPolys in u, by v-exponent."""
+    rows = _slots(a)
+    d = a.d
+    if d == 1:
+        return rows
+    return {
+        k: {e: demote(Fraction(c, d)) for e, c in row.items()}
+        for k, row in rows.items()}
 
 
 def xp_key(a):
@@ -1242,15 +1275,19 @@ def xp_key(a):
 
 
 def xp_equal(a, b):
-    if a.b and a.b == b.b and a.s == b.s:
+    # d is a function of the value: a.d * N_b == b.d * N_a for int rows
+    # N_a and N_b, each coprime to its d, forces a.d == b.d
+    if a.d != b.d:
+        return False
+    if a.b == b.b and a.s == b.s:
         return a.o == b.o and a.rows == b.rows
-    return xp_terms(a) == xp_terms(b)
+    return _slots(a) == _slots(b)
 
 
 def _repack(a, b, s):
     """a packed at slot width b, or wider if its coefficients need it, and
     at stride s, a divisor of a.s."""
-    return _pack_terms(xp_terms(a), a.o, s, b)
+    return _pack_terms(_slots(a), a.o, s, b, a.d)
 
 
 def _tighten(a):
@@ -1261,8 +1298,8 @@ def _tighten(a):
 
 
 def _fit(xs, bound_of):
-    """The packed XNums xs, of one width and stride, tightened and if need
-    be repacked wider, so that bound_of(xs) fits a slot; and that bound."""
+    """The XNums xs, of one width and stride, tightened and if need be
+    repacked wider, so that bound_of(xs) fits a slot; and that bound."""
     for x in xs:
         _tighten(x)
     bound = bound_of(xs)
@@ -1272,8 +1309,15 @@ def _fit(xs, bound_of):
     return xs, bound
 
 
+def _room(a, factor):
+    """a at a width that holds `factor` times its bound."""
+    if (a.bound * factor) >> (a.b - 1):
+        (a,), _ = _fit((a,), lambda xs: xs[0].bound * factor)
+    return a
+
+
 def _aligned(a, b):
-    """Packed a and b at one slot width and one stride."""
+    """a and b at one slot width and one stride."""
     w = max(a.b, b.b)
     s = math.gcd(a.s, b.s)
     if a.b != w or a.s != s:
@@ -1299,11 +1343,9 @@ def _add_bound(xs):
 
 def xp_mul(a, b):
     """The product of two x-level numerators: one big-int product per pair
-    of packed rows."""
+    of rows."""
     if not a.rows or not b.rows:
         return XN_ZERO
-    if not (a.b and b.b):
-        return _dict_mul(xp_terms(a), xp_terms(b))
     if a.b != b.b or a.s != b.s:
         a, b = _aligned(a, b)
     bound = _mul_bound((a, b))
@@ -1315,19 +1357,43 @@ def xp_mul(a, b):
             k = ka + kb
             t = out.get(k)
             out[k] = pa * pb if t is None else t + pa * pb
-    return _packed({k: n for k, n in out.items() if n},
-                   a.o + b.o, a.s, a.b, bound)
+    t = _packed({k: n for k, n in out.items() if n}, a.o + b.o, a.s, a.b,
+                bound, False, a.d * b.d)
+    return t if t.d == 1 else _lowered(t)
+
+
+def xp_scaled(m, a):
+    """m * a for a monomial m = c/d * v**k * u**e, by scaling a's rows by
+    the int c and relabelling them; None unless m is such a monomial (its
+    one packed row is one slot) and bound * |c| stays below a slot."""
+    (k, c), = m.rows.items()
+    bound = a.bound * abs(c)
+    if abs(c) >> (m.b - 1) or bound >> (a.b - 1):
+        return None
+    t = XNum({j + k: r * c for j, r in a.rows.items()}, a.o + m.o, a.s, a.b,
+             bound, a.tight and bound == a.bound, m.d * a.d)
+    return t if t.d == 1 else _lowered(t)
+
+
+def _over(a, d):
+    """a's value over d, a multiple of a.d, with its rows scaled to match:
+    a form whose d need not be the least."""
+    m = d // a.d
+    a = _room(a, m)
+    return XNum({k: n * m for k, n in a.rows.items()}, a.o, a.s, a.b,
+                a.bound * m, False, d)
 
 
 def xp_add(a, b):
-    """The sum of two x-level numerators: offsets aligned by shifts, then
-    one big-int sum per row."""
+    """The sum of two x-level numerators: sides scaled to one d, offsets
+    aligned by shifts, then one big-int sum per row."""
     if not a.rows:
         return b
     if not b.rows:
         return a
-    if not (a.b and b.b):
-        return _dict_add(xp_terms(a), xp_terms(b))
+    if a.d != b.d:
+        m = math.lcm(a.d, b.d)
+        a, b = _over(a, m), _over(b, m)
     if a.b != b.b or a.s != b.s:
         a, b = _aligned(a, b)
     d = a.o - b.o
@@ -1347,38 +1413,13 @@ def xp_add(a, b):
             sh = -d // s * w
             rb = {k: n << sh for k, n in rb.items()}
         o = a.o
-    return _packed(poly_add(ra, rb), o, s, w, bound)
+    t = _packed(poly_add(ra, rb), o, s, w, bound, False, a.d)
+    return t if t.d == 1 else _lowered(t)
 
 
 def xp_neg(a):
-    if not a.b:
-        return XNum({k: poly_neg(row) for k, row in a.rows.items()})
     return XNum({k: -n for k, n in a.rows.items()}, a.o, a.s, a.b, a.bound,
-                a.tight)
-
-
-def _dict_mul(ra, rb):
-    out = {}
-    for ka, pa in ra.items():
-        for kb, pb in rb.items():
-            k = ka + kb
-            t = poly_add(out.get(k, QP_ZERO), qp_mul(pa, pb))
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-    return xp_from_terms(out)
-
-
-def _dict_add(ra, rb):
-    out = dict(ra)
-    for k, row in rb.items():
-        t = poly_add(out.get(k, QP_ZERO), row)
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
-    return xp_from_terms(out)
+                a.tight, a.d)
 
 
 # ------------------------------------------------------------- binomials ----
@@ -1389,11 +1430,11 @@ def _dict_add(ra, rb):
 # a power of v: all its v-exponents agree mod Y_DEG.
 
 
-def _y_rows(rows, zero):
+def _y_rows(rows):
     """(k0, [P_0, ..., P_J]) with rows = v**k0 * sum_j y**j P_j, or None if
     the v-exponents of rows do not all agree mod Y_DEG."""
     k0 = min(rows)
-    ps = [zero] * ((max(rows) - k0) // Y_DEG + 1)
+    ps = [0] * ((max(rows) - k0) // Y_DEG + 1)
     for k, p in rows.items():
         j, r = divmod(k - k0, Y_DEG)
         if r:
@@ -1402,26 +1443,14 @@ def _y_rows(rows, zero):
     return k0, ps
 
 
-def _binom_ready(a, e, factor):
-    """Packed a at a stride that divides e, and at a width that holds
-    `factor` times its bound."""
-    if e % a.s:
-        a = _repack(a, a.b, math.gcd(a.s, e))
-    if (a.bound * factor) >> (a.b - 1):
-        (a,), _ = _fit((a,), lambda xs: xs[0].bound * factor)
-    return a
-
-
 def xp_binom_mul(a, e):
     """a * (y - u**e): a shift and a subtraction."""
     if not a.rows:
         return a
-    if not a.b:
-        return _dict_add({k + Y_DEG: row for k, row in a.rows.items()},
-                         {k: poly_neg(poly_shift(row, e))
-                          for k, row in a.rows.items()})
-    if e % a.s or a.bound >> (a.b - 2):
-        a = _binom_ready(a, e, 2)
+    if e % a.s:
+        a = _repack(a, a.b, math.gcd(a.s, e))
+    if a.bound >> (a.b - 2):
+        a = _room(a, 2)
     sh = abs(e) // a.s * a.b
     if e >= 0:
         up, down, o = a.rows, {k: n << sh for k, n in a.rows.items()}, a.o
@@ -1430,7 +1459,7 @@ def xp_binom_mul(a, e):
     out = {k + Y_DEG: n for k, n in up.items()}
     for k, n in down.items():
         add_into(out, k, -n)
-    return _packed(out, o, a.s, a.b, 2 * a.bound)
+    return _packed(out, o, a.s, a.b, 2 * a.bound, False, a.d)
 
 
 def xp_binom_div(a, e):
@@ -1448,75 +1477,57 @@ def xp_binom_cancel(a, fac):
     more than one row and is no polynomial in y after stripping its lowest
     power of v.
 
-    Every division runs on one list of y-rows (_binom_quotient).  Packed
-    rows are repacked once, at a stride that divides every e, and the
-    quotient is packed once.  The bound rule holds step by step: a
-    division makes slots up to the bound times the number of nonzero rows,
-    so before a step whose bound could reach a slot the rows are tightened
-    (_top), and if need be repacked wider.
+    Every division runs on one list of y-rows (_binom_quotient): the rows
+    are repacked once, at a stride that divides every e, and the quotient
+    is packed once.  The bound rule holds step by step: a division makes
+    slots up to the bound times the number of nonzero rows, so before a
+    step whose bound could reach a slot the rows are tightened (_top), and
+    if need be repacked wider.
     """
     if len(a.rows) == 1:
         return a, NO_FACTORS
-    b = a.b
-    t = a
-    if b:
-        s = math.gcd(a.s, *fac)
-        if s != a.s:
-            t = _repack(a, b, s)
-            b = t.b
-        bound = t.bound
-    got = _y_rows(t.rows, 0 if b else QP_ZERO)
+    s = math.gcd(a.s, *fac)
+    t = a if s == a.s else _repack(a, a.b, s)
+    b, bound = t.b, t.bound
+    got = _y_rows(t.rows)
     if got is None:
         return None
     k0, ps = got
     removed = {}
     for e, m in fac.items():
         for _ in range(m):
-            if b:
-                n = len(ps) - ps.count(0)
+            n = len(ps) - ps.count(0)
+            if (bound * n) >> (b - 1):
+                bound = max(_top(p, b) for p in ps if p)
                 if (bound * n) >> (b - 1):
-                    bound = max(_top(p, b) for p in ps if p)
-                    if (bound * n) >> (b - 1):
-                        w = _width(bound * n)
-                        ps = [_pack(_digits(p, b), w) for p in ps]
-                        b = w
-            q = _binom_quotient(ps, e, abs(e) // t.s * b if b else None)
+                    w = _width(bound * n)
+                    ps = [_pack(_digits(p, b), w) for p in ps]
+                    b = w
+            q = _binom_quotient(ps, e, abs(e) // s * b)
             if q is None:
                 break
             ps = q
-            if b:
-                bound *= n
+            bound *= n
             removed[e] = removed.get(e, 0) + 1
     if not removed:
         return a, NO_FACTORS
     rows = {k0 + Y_DEG * j: p for j, p in enumerate(ps) if p}
-    if not b:
-        return xp_from_terms(rows), removed
-    return _packed(rows, t.o, t.s, b, bound), removed
+    return _packed(rows, t.o, s, b, bound, False, a.d), removed
 
 
 def _binom_quotient(ps, e, sh):
     """The y-rows of (sum_j y**j ps[j]) / (y - u**e), lowest first, or None
     if y - u**e does not divide it; sh is the left shift that multiplies a
-    packed row by u**|e|, or None for QPoly rows.
+    row by u**|e|.
 
     Synthetic division, with u**|e| only ever a left shift: for e >= 0
     Horner's rule at y = u**e from the top, q_(j-1) = P_j + u**e q_j; for
     e < 0 from the bottom, q_j = u**-e (q_(j-1) - P_j), since a = q * (y -
-    u**e) gives P_0 = -u**e q_0.  What is left over decides.  QPoly rows
-    take the top-down rule for either sign.
+    u**e) gives P_0 = -u**e q_0.  What is left over decides.
     """
     q = []
-    if sh is None:
-        carry = QP_ZERO
-        for p in ps[:0:-1]:
-            carry = poly_add(p, poly_shift(carry, e))
-            q.append(carry)
-        if poly_add(ps[0], poly_shift(carry, e)):
-            return None
-        q.reverse()
-    elif e >= 0:
-        carry = 0
+    carry = 0
+    if e >= 0:
         for p in ps[:0:-1]:
             carry = p + (carry << sh)
             q.append(carry)
@@ -1524,7 +1535,6 @@ def _binom_quotient(ps, e, sh):
             return None
         q.reverse()
     else:
-        carry = 0
         for p in ps[:-1]:
             carry = (carry - p) << sh
             q.append(carry)
@@ -1544,12 +1554,9 @@ def _binom_quotient(ps, e, sh):
 
 def xp_qsafe(a):
     """Whether every factor Phi_d(u**Q_DEG) divides each row of a wholly or
-    not at all: a is a single term, which shares no factor with any Phi_d,
-    or every exponent of u in a agrees mod Q_DEG."""
-    if a.b:
-        return a.s == Q_DEG
-    exps = [e for row in a.rows.values() for e in row]
-    return not any((e - exps[0]) % Q_DEG for e in exps)
+    not at all, as when a is packed at stride Q_DEG: then every exponent of
+    u in a agrees mod Q_DEG.  A finer stride answers no, which is safe."""
+    return a.s == Q_DEG
 
 
 def xp_qtimes(a, fac):
@@ -1569,20 +1576,20 @@ def _qtimes(key):
 def xp_qcancel(a, fac):
     """(a / g, g) for g the largest product of cyclotomic factors from the
     multiset `fac` that divides every row of a, with g as a multiset; a is
-    nonzero and xp_qsafe(a)."""
-    if a.b:
-        got = _qcancel_packed(a, fac)
-        if got is not None:
-            return got
+    nonzero and xp_qsafe(a).  Packed division decides, and dense division
+    where the packed quotient's slots could have wrapped."""
+    got = _qcancel_packed(a, fac)
+    if got is not None:
+        return got
     dense, shifts = {}, {}
-    for k, row in xp_terms(a).items():
+    for k, row in _slots(a).items():
         t0, shifts[k] = poly_strip(row)
         dense[k] = _q_dense(t0)
     dense, removed = _divide_out(dense, fac, cyclotomic, _dense_div)
     if not removed:
         return a, NO_FACTORS
-    return xp_from_terms({k: _q_sparse(t, shifts[k])
-                          for k, t in dense.items()}), removed
+    return _pack_terms({k: _q_sparse(t, shifts[k]) for k, t in dense.items()},
+                       a.o, Q_DEG, SLOT, a.d), removed
 
 
 class _PackedPhis(dict):
@@ -1604,10 +1611,10 @@ def _phis_packed(b):
 
 
 def _qcancel_packed(a, fac):
-    """xp_qcancel for a packed a, by exact big-int division at a's slot
-    width, and if the quotient's slots could have wrapped there, at slots
-    that hold a's bound times ||g||_1 for every product g of factors from
-    `fac`; None if they could have wrapped there too."""
+    """xp_qcancel by exact big-int division at a's slot width, and if the
+    quotient's slots could have wrapped there, at slots that hold a's bound
+    times ||g||_1 for every product g of factors from `fac`; None if they
+    could have wrapped there too."""
     got = _divided(a, fac)
     if got is None:
         _tighten(a)
@@ -1638,7 +1645,7 @@ def _divided(a, fac):
     bound = max(_top(n, b) for n in rows.values())
     if (bound * _norm(removed)) >> (b - 1):
         return None
-    return _packed(rows, a.o, Q_DEG, b, bound, True), removed
+    return _packed(rows, a.o, Q_DEG, b, bound, True, a.d), removed
 
 
 # ---------------------------------------------------------- lattice ops ----
@@ -1658,16 +1665,13 @@ def _shift_units(m_units, k):
 def xp_qshift(a, m_units, s=0):
     """The substitution x -> x*q**(m_units/D) on a, times u**s."""
     shifts = {k: _shift_units(m_units, k) + s for k in a.rows}
-    if not a.b:
-        return XNum({k: poly_shift(row, shifts[k])
-                     for k, row in a.rows.items()})
     lo = min(shifts.values())
     g = math.gcd(a.s, *(t - lo for t in shifts.values()))
     if g != a.s:
         a = _repack(a, a.b, g)
     return _packed({k: n << ((shifts[k] - lo) // g * a.b)
                     for k, n in a.rows.items()},
-                   a.o + lo, g, a.b, a.bound, a.tight)
+                   a.o + lo, g, a.b, a.bound, a.tight, a.d)
 
 
 def xq_qshift(a, m_units):

@@ -10,10 +10,9 @@ x**(1/4), stored flat as
   x-denominator the package builds.
 - Dq is a multiset {d: multiplicity} of cyclotomic factors Phi_d(u**8), the
   common q-denominator of all the rows.
-- N = u**o * sum_k v**k * P_k(u), an XNum (polys.py).  When every
-  coefficient is an int, each row P_k is one Python int, its coefficients
-  in balanced signed slots of b bits (Kronecker substitution); a Fraction
-  coefficient keeps the rows as QPolys.
+- N = u**o * sum_k v**k * P_k(u) / d, an XNum (polys.py): int rows, each
+  packed into one Python int, over a content denominator d, which is 1
+  unless a coefficient is a Fraction.  Only polys.py reads that format.
 
 Canonical form: N is coprime in v to Dx, and Dq is minimal: no Phi_d left
 in Dq divides every row of N.  Then each row P_k / Dq, reduced at the q
@@ -24,11 +23,6 @@ that form, which the printers, the JSON and the tests read.  Equal values
 have equal N, Dq and Dx, whatever width or stride N was packed at (`==`
 and `hash` compare coefficients, not ints).
 
-The bound rule of the packed rows (polys.py): each kernel function bounds
-every slot it will make, of its result or on the way, and lowers its
-operands' coefficient bounds or repacks them wider before that bound could
-reach 2**(b - 1).  An overflow would be a silent wrong answer.
-
 Arithmetic on the flat form:
 - A product adds the multisets and multiplies the numerators, one big-int
   product per pair of rows.  Each numerator can only cancel the other's
@@ -38,7 +32,7 @@ Arithmetic on the flat form:
   coprime to its own binomials.  No Phi_d of its own Dq divides all rows of
   N, nor all rows of N over some binomials: it would divide every row of
   their product with the binomials, which is N.
-- Monomial rule: a factor c * v**k * u**e over 1, c an int, scales and
+- Monomial rule: a factor c * v**k * u**e over 1, c rational, scales and
   relabels the other factor's rows and keeps its Dq and Dx (_scaled).  A
   monomial shares no factor with a binomial or a Phi_d, so the result is
   canonical as built.
@@ -83,7 +77,6 @@ from .polys import (
     Y_DEG,
     CanonicalFraction,
     QRat,
-    XNum,
     add_into,
     poly_shift,
     poly_strip,
@@ -104,6 +97,7 @@ from .polys import (
     xp_qsafe,
     xp_qshift,
     xp_qtimes,
+    xp_scaled,
     xp_terms,
     xq_eval_complex,
     xq_mul,
@@ -536,23 +530,12 @@ class RationalFunction:
 
 
 def _scaled(m, x):
-    """m * x for a monomial m = c * v**k * u**e over 1, by scaling x's rows
-    by the int c and relabelling them; None unless m, which has one row and
-    no Dq or Dx, is such a monomial (its packed row is one slot), x's rows
-    are packed, and bound * |c| stays below a slot.  A monomial shares no
-    factor with a binomial or a Phi_d, so x's Dq and Dx stay as they are and
-    the result is canonical as built."""
-    a = m.n
-    if not a.b:
-        return None
-    (k, c), = a.rows.items()
-    n = x.n
-    bound = n.bound * abs(c)
-    if not n.b or abs(c) >> (a.b - 1) or bound >> (n.b - 1):
-        return None
-    return RationalFunction(
-        XNum({j + k: r * c for j, r in n.rows.items()}, n.o + a.o, n.s, n.b,
-             bound, n.tight and bound == n.bound), x.dq, x.fac)
+    """m * x for a monomial m = c * v**k * u**e, c rational, which has one
+    row and no Dq or Dx, by polys.xp_scaled, or None where that declines.  A
+    monomial shares no factor with a binomial or a Phi_d, so x's Dq and Dx
+    stay as they are and the result is canonical as built."""
+    n = xp_scaled(m.n, x.n)
+    return None if n is None else RationalFunction(n, x.dq, x.fac)
 
 
 def _xq_qpow_mul(a, s):

@@ -200,13 +200,14 @@ def run_comparisons(
     Scalars.  In exact mode the difference must vanish
     structurally; in numeric mode entries are compared at (q0, x0), each
     coordinate defaulting on its own.  The report's elapsed_ms is left to
-    the caller (suite.verify_relation charges the building too).
+    the caller (suite.verify_relation charges the building too).  No
+    comparison at all raises ValueError: it would pass having checked
+    nothing.
     """
     check_point(mode, q0, x0)
     q0 = _DEFAULT_POINT[0] if q0 is None else q0
     x0 = _DEFAULT_POINT[1] if x0 is None else x0
-    failing = None
-    rank = None
+    failing = rank = label = None
     for label, lhs, rhs in comparisons:
         if isinstance(lhs, (GradedOperator, Product)):
             failing, rank = _operator_failure(
@@ -217,9 +218,13 @@ def run_comparisons(
             failing = _scalar_failure_numeric(label, lhs, rhs, q0, x0, tol)
         if failing is not None:
             break
+    spins = tuple(Fraction(s) for s in spins)
+    if label is None:
+        raise ValueError("%s(%s) builds no comparison to check"
+                         % (relation, ", ".join(map(str, spins))))
     return VerificationReport(
         relation=relation,
-        spins=tuple(Fraction(s) for s in spins),
+        spins=spins,
         mode=mode,
         status="pass" if failing is None else "fail",
         failing_entry=failing,

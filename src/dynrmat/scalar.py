@@ -34,7 +34,7 @@ from functools import cache, reduce
 from itertools import chain, repeat
 
 from .coeffs import demote, z8_div
-from .lattice import DENOM, LatticeError, from_units, to_units
+from .lattice import DENOM, LatticeError, from_units, integer, to_units
 from .multisets import NO_FACTORS
 from .polys import (
     CYCLOTOMICS,
@@ -720,21 +720,21 @@ def _atom(key):
 
 def qnum(n):
     """[n] = (q^n - q^-n)/(q - q^-1)."""
-    n = int(n)
+    n = integer(n, "index")
     if not n:
         return SC_ZERO
     return qint_monomial(1 if n > 0 else -1, 0, {abs(n): 2})
 
 
 def qfact(n):
-    n = int(n)
+    n = integer(n, "index")
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
     return qint_monomial(1, 0, add_qfact({}, n, 2))
 
 
 def qbinom(n, k):
-    n, k = int(n), int(k)
+    n, k = integer(n, "index"), integer(k, "index")
     if k < 0 or k > n:
         return SC_ZERO
     halves = add_qfact(add_qfact({}, n, 2), k, -2)
@@ -751,7 +751,7 @@ def xbracket(c):
 
 
 def sqrt_qint(n):
-    n = int(n)
+    n = integer(n, "index")
     if n < 0:
         raise ValueError("square root of a negative-index q-integer")
     if n == 0:
@@ -762,7 +762,7 @@ def sqrt_qint(n):
 
 
 def sqrt_qfact(n):
-    n = int(n)
+    n = integer(n, "index")
     if n < 0:
         raise ValueError("square root of a negative q-factorial")
     atoms = tuple(("qint", i) for i in range(2, n + 1))

@@ -105,6 +105,8 @@ def test_numeric_mode_defaults_the_other_coordinate():
         ("verify", "INTERTWINING", "--spins", "5/2"),
         ("verify", "EXCLUSION", "--spins", "3/2"),
         ("verify", "RESIDUES", "--spins", "1/2"),
+        # the residue probes run over 1 <= r <= j: none at j = 0
+        ("verify", "RESIDUES", "--spins", "0"),
         ("verify", "CLASSICAL_LIMIT", "--spins", "3/2"),
         ("verify", "EIGEN_EQUATION", "--spins", "1/2"),
         ("verify", "ALGEBRA", "--spins", "1/2,1"),

@@ -10,8 +10,14 @@ any subscript store or delete, inside a function of src/dynrmat, whose base
 is a name bound at the top of the module and not bound in the function.
 
 The second guard flags a name that a module other than __init__.py imports
-but neither uses nor lists in __all__: what a refactor leaves behind.  The
-source is read, not run.
+but neither uses nor lists in __all__: what a refactor leaves behind.
+
+The third guard keeps the row format of an XNum inside polys.py: no other
+module calls XNum(...) or reads an attribute named like one of its format
+fields (b, s, o, bound, tight, d).  It is stricter than it need be, since
+it flags such a read of any object; no module outside polys.py has one.
+
+The source is read, not run.
 """
 
 import ast
@@ -137,3 +143,44 @@ SOURCES = [p for p in MODULES if p.name != "__init__.py"]
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_module_keeps_an_unused_import(path):
     assert unused_imports(path) == []
+
+
+FORMAT_FIELDS = {"b", "s", "o", "bound", "tight", "d"}
+
+
+def row_format_uses(path):
+    """(line, name) of each call of XNum and each read of an attribute named
+    like a format field of an XNum in the module at `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "XNum":
+                found.append((node.lineno, "XNum"))
+        elif (isinstance(node, ast.Attribute) and node.attr in FORMAT_FIELDS
+              and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, node.attr))
+    return sorted(set(found))
+
+
+def test_the_guard_sees_the_row_format_read_outside_polys(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from . import polys\n"
+        "def scaled(m, n, c):\n"
+        "    if not m.b or n.bound >> n.b:\n"
+        "        return polys.XNum({}, n.o, n.s, n.b, n.bound, n.tight, n.d)\n"
+        "    return n.rows, m.dq\n")
+    assert row_format_uses(src) == [
+        (3, "b"), (3, "bound"), (4, "XNum"), (4, "b"), (4, "bound"),
+        (4, "d"), (4, "o"), (4, "s"), (4, "tight")]
+
+
+OUTSIDE_POLYS = [p for p in MODULES if p.name != "polys.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_POLYS,
+                         ids=[p.stem for p in OUTSIDE_POLYS])
+def test_only_polys_knows_the_xnum_row_format(path):
+    assert row_format_uses(path) == []

@@ -197,3 +197,12 @@ def test_verify_numeric_coherence_passes():
 def test_verify_numeric_coherence_detects_bad_tolerance():
     rep = verify_numeric_coherence(points=2, tol=1e-17)
     assert not rep.ok
+
+
+def test_psi_closed_num_refuses_a_fractional_spin_or_wave_number():
+    for v in (F(5, 2), "5/2", 2.7):
+        with pytest.raises(ValueError, match="needs an integer spin"):
+            psi_closed_num(v, 1, 0.5, 0.7)
+        with pytest.raises(ValueError, match="needs an integer wave number"):
+            psi_closed_num(2, v, 0.5, 0.7)
+    assert psi_closed_num(F(4, 2), "3", 0.5, 0.7) == psi_closed_num(2, 3, 0.5, 0.7)

@@ -639,25 +639,68 @@ def xn(rows):
                           for k, row in rows.items()})
 
 
-def as_dict_rows(a):
-    """The same value held in dict rows, which the dict-row path serves."""
-    return polys.XNum(dict(xp_terms(a)))
+# The oracle of the packed kit: sympy's sparse polynomials over QQ in u and
+# v.  A Laurent polynomial of the kit, times (u*v)**(SHIFT * n), is one of
+# them, for n the number of factors it stands for.
+SHIFT = 128
+
+
+def oracle():
+    """sympy's ring QQ[u, v] and its generators."""
+    sp = pytest.importorskip("sympy")
+    return sp.ring("u v", sp.QQ)
+
+
+def sym(rows, n=1):
+    """The rows {v-exponent: {u-exponent: coefficient}} times (u*v)**(SHIFT
+    * n), in the oracle's ring."""
+    R, _, _ = oracle()
+    terms = {(e + SHIFT * n, k + SHIFT * n): R.domain(c.numerator, c.denominator)
+             for k, row in rows.items() for e, c in row.items()}
+    assert all(min(t) >= 0 for t in terms)
+    return R(terms)
+
+
+def sym_binomial(e):
+    """y - u**e over its monomial factor, which the Laurent ring inverts."""
+    _, u, v = oracle()
+    return v**8 - u**e if e >= 0 else u**-e * v**8 - 1
+
+
+def binomial_divides(n, e):
+    """Whether y - u**e divides the XNum n, by the oracle."""
+    return sym(xp_terms(n)).rem(sym_binomial(e)) == 0
+
+
+def content_ok(a):
+    """The invariants of a kit result: packed at a width of whole slots,
+    with a content denominator d >= 1 coprime to its rows' content, and
+    d == 1 exactly when every coefficient is an int."""
+    assert a.b and a.b % polys.SLOT == 0 and a.d >= 1
+    assert a.s and polys.Q_DEG % a.s == 0
+    slots = [c for row in polys._slots(a).values() for c in row.values()]
+    assert math.gcd(a.d, *slots) == 1
+    coeffs = [c for row in xp_terms(a).values() for c in row.values()]
+    assert (a.d == 1) == all(type(c) is int for c in coeffs)
+    return a
 
 
 def test_binomial_division_undoes_multiplication_and_nothing_else():
-    # a = 2 + (q**(3/4) + c) x**2 does not vanish at x**2 = q; c = 1/2 keeps
-    # the rows as dicts, c = 1 packs them
+    # a = 2 + (q**(3/4) + c) x**2 does not vanish at x**2 = q; c = 1/2 puts
+    # a over d = 2, c = 1 over d = 1
     for coeff in (F(1, 2), 1):
         a = xn({0: {0: 2}, 8: {3: 1, 0: coeff}})
-        assert bool(a.b) == (coeff == 1)
+        assert content_ok(a).d == (2 if coeff == F(1, 2) else 1)
         b = xp_binom_mul(xp_binom_mul(a, 4), 4)
         binomial = xn({8: {0: 1}, 0: {4: -1}})
         assert xp_terms(b) == xp_terms(xp_mul(a, xp_mul(binomial, binomial)))
+        assert sym(xp_terms(b), 3) == sym(xp_terms(a)) * sym(
+            xp_terms(binomial))**2
         once = xp_binom_div(b, 4)
         assert xp_terms(once) == xp_terms(xp_binom_mul(a, 4))
         assert xp_terms(xp_binom_div(once, 4)) == xp_terms(a)
-        assert xp_binom_div(a, 4) is None
-        assert xp_binom_div(b, 8) is None
+        assert xp_binom_div(a, 4) is None and not binomial_divides(a, 4)
+        assert xp_binom_div(b, 8) is None and not binomial_divides(b, 8)
 
 
 def test_negative_binomial_exponents_shift_the_other_way():
@@ -679,40 +722,46 @@ def _near_limit(st):
                      st.integers(-3, 3).filter(bool))
 
 
-def _big_rows(st, kv):
+# the same over small denominators that share primes, so that sums scale
+# their sides to an lcm and products and sums cancel part of d
+def _near_limit_over(st):
+    return st.tuples(_near_limit(st), st.sampled_from([1, 1, 2, 3, 4, 6, 10])
+                     ).map(lambda t: t[0] if t[1] == 1 else F(*t))
+
+
+def _big_rows(st, kv, coeffs=_near_limit):
     # u-exponents either all in one class mod 8 (packed at stride 8) or free
     residue = st.integers(-3, 4)
     eights = st.tuples(st.integers(-2, 6), residue).map(lambda t: 8 * t[0] + t[1])
     exps = st.one_of(eights, st.integers(-16, 40))
-    row = st.dictionaries(exps, _near_limit(st), min_size=1, max_size=8)
+    row = st.dictionaries(exps, coeffs(st), min_size=1, max_size=8)
     return st.dictionaries(st.integers(-2, 3).map(lambda j: kv * j), row,
                            min_size=1, max_size=5)
 
 
-def test_packed_kit_matches_dict_rows_near_the_slot_limit():
+def test_packed_kit_matches_sympy_near_the_slot_limit():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     es = st.integers(-20, 20)
 
     @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @hyp.given(_big_rows(st, 8), _big_rows(st, 8), es, es)
+    @hyp.given(_big_rows(st, 8, _near_limit_over),
+               _big_rows(st, 8, _near_limit_over), es, es)
     def run(ra, rb, e, f):
         a, b = xn(ra), xn(rb)
-        assert a.b and b.b
-        da, db = as_dict_rows(a), as_dict_rows(b)
-        assert not da.b
-        assert xp_terms(xp_mul(a, b)) == xp_terms(xp_mul(da, db))
-        assert xp_terms(xp_add(a, b)) == xp_terms(xp_add(da, db))
+        sa, sb = sym(ra), sym(rb)
+        assert sym(xp_terms(content_ok(xp_mul(a, b))), 2) == sa * sb
+        assert sym(xp_terms(content_ok(xp_add(a, b)))) == sa + sb
         assert xp_terms(xp_add(a, polys.xp_neg(a))) == {}
-        ab = xp_binom_mul(a, e)
-        assert xp_terms(ab) == xp_terms(xp_binom_mul(da, e))
-        abf = xp_binom_mul(ab, f)
-        for n, dn in [(ab, as_dict_rows(ab)), (abf, as_dict_rows(abf)), (a, da)]:
+        ab = content_ok(xp_binom_mul(a, e))
+        assert sym(xp_terms(ab), 2) == sa * sym({8: {0: 1}, 0: {e: -1}})
+        abf = content_ok(xp_binom_mul(ab, f))
+        for n in (ab, abf, a):
             for g in (e, f, e + 1):
-                q, dq = xp_binom_div(n, g), xp_binom_div(dn, g)
-                assert (q is None) == (dq is None)
+                q = xp_binom_div(n, g)
+                assert (q is not None) == binomial_divides(n, g)
                 if q is not None:
-                    assert xp_terms(q) == xp_terms(dq)
+                    assert xp_terms(xp_binom_mul(content_ok(q), g)) == xp_terms(n)
         assert xp_terms(xp_binom_div(ab, e)) == xp_terms(a)
         assert xp_terms(xp_binom_div(xp_binom_div(abf, f), e)) == xp_terms(a)
 
@@ -744,7 +793,7 @@ def test_one_pass_binomial_cancel_matches_the_one_binomial_loop():
                              max_size=4)
 
     @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @hyp.given(_big_rows(st, 8), counts, counts)
+    @hyp.given(_big_rows(st, 8, _near_limit_over), counts, counts)
     def run(rows, built, extra):
         n = xn(rows)
         for e, m in built.items():
@@ -756,18 +805,16 @@ def test_one_pass_binomial_cancel_matches_the_one_binomial_loop():
         q, removed = polys.xp_binom_cancel(n, fac)
         want, want_removed = _binom_loop(n, fac)
         assert removed == want_removed
-        assert xp_terms(q) == xp_terms(want)
-        dq, dremoved = polys.xp_binom_cancel(as_dict_rows(n), fac)
-        assert dremoved == removed and xp_terms(dq) == xp_terms(q)
-        back = q
+        assert xp_terms(content_ok(q)) == xp_terms(want)
+        back = sym(xp_terms(q))
         for e, m in removed.items():
-            for _ in range(m):
-                back = xp_binom_mul(back, e)
-        assert xp_terms(back) == xp_terms(n)
+            back *= sym({8: {0: 1}, 0: {e: -1}}) ** m
+        assert back == sym(xp_terms(n), 1 + sum(removed.values()))
         for e, m in fac.items():
             assert removed.get(e, 0) >= min(m, built.get(e, 0))
             if removed.get(e, 0) < m:
                 assert xp_binom_div(q, e) is None
+                assert not binomial_divides(q, e)
 
     run()
     # a numerator at stride 8 tried against exponents off that stride
@@ -789,25 +836,46 @@ def test_one_pass_binomial_cancel_matches_the_one_binomial_loop():
     assert removed == {0: 1} and xp_terms(got) == xp_terms(q)
 
 
-def test_packing_width_does_not_change_equality_or_hash():
+def test_every_route_to_a_value_gives_one_canonical_xnum():
+    # the XNum contract: every kit result is packed over a content
+    # denominator d >= 1 coprime to its rows' content, d == 1 exactly when
+    # every coefficient is an int, and equal values compare and hash equal
+    # whatever their width, stride or construction route
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     from dynrmat.multisets import NO_FACTORS
     from dynrmat.ratfunc import RationalFunction
 
-    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @hyp.given(_big_rows(st, 4))
-    def run(rows):
-        a = xn(rows)
+    half, two = xn({0: {0: F(1, 2)}}), xn({0: {0: 2}})
+
+    def same(a, other):
+        content_ok(other)
+        assert polys.xp_equal(a, other) and polys.xp_equal(other, a)
+        assert xp_key(a) == xp_key(other)
+        ra = RationalFunction(a, NO_FACTORS, NO_FACTORS)
+        rb = RationalFunction(other, NO_FACTORS, NO_FACTORS)
+        assert ra == rb and hash(ra) == hash(rb)
+
+    @hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hyp.given(_big_rows(st, 4, _near_limit_over),
+               _big_rows(st, 4, _near_limit_over))
+    def run(rows, other_rows):
+        a = content_ok(xn(rows))
+        b = content_ok(xn(other_rows))
         wide = polys._repack(a, 2 * a.b, a.s)
         assert wide.b == 2 * a.b
-        loose = polys._repack(a, a.b, 1)
-        for other in (wide, loose, as_dict_rows(a)):
-            assert polys.xp_equal(a, other) and polys.xp_equal(other, a)
-            assert xp_key(a) == xp_key(other)
-            ra = RationalFunction(a, NO_FACTORS, NO_FACTORS)
-            rb = RationalFunction(other, NO_FACTORS, NO_FACTORS)
-            assert ra == rb and hash(ra) == hash(rb)
+        routes = [wide, polys._repack(a, a.b, 1),
+                  xp_mul(a, polys.xp_monomial(0, 0)),
+                  xp_mul(xp_mul(a, two), half),
+                  xp_add(xp_add(a, b), polys.xp_neg(b)),
+                  xp_add(xp_add(b, a), polys.xp_neg(b)),
+                  xp_mul(xp_add(a, a), half),
+                  xp_from_terms(xp_terms(a))]
+        scaled = polys.xp_scaled(two, a)
+        if scaled is not None:
+            routes.append(polys.xp_scaled(half, content_ok(scaled)))
+        for other in routes:
+            same(a, other)
         # one more unit in one slot is another value at every width
         k = min(rows)
         e = min(rows[k])
@@ -815,6 +883,14 @@ def test_packing_width_does_not_change_equality_or_hash():
         assert not polys.xp_equal(bumped, wide)
 
     run()
+    # sums and products whose content cancels part or all of d
+    third, sixth = xn({0: {0: F(1, 3)}}), xn({0: {0: F(1, 6)}})
+    same(half, xp_add(third, sixth))
+    same(two, xp_mul(xp_add(half, half), two))
+    same(xn({0: {0: 1}}), xp_add(half, half))
+    same(xn({0: {0: F(1, 3), 8: F(2, 3)}}),
+         xp_add(xn({0: {0: F(1, 2), 8: F(5, 6)}}),
+                xn({0: {0: F(-1, 6), 8: F(-1, 6)}})))
 
 
 def test_root_test_and_division_widen_before_slots_could_carry():
@@ -826,19 +902,38 @@ def test_root_test_and_division_widen_before_slots_could_carry():
     a = xn({0: {0: h, 8: -1}, 8: {0: h}, 16: {0: 2}})
     assert a.b == polys.SLOT
     assert xp_binom_div(a, 0) is None
-    assert xp_binom_div(as_dict_rows(a), 0) is None
+    assert not binomial_divides(a, 0)
 
 
-def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
+def sym_qcancel(rows, fac):
+    """({k: row / g}, g) in the oracle's ring, for the rows {v-exponent:
+    {u-exponent: coefficient}} and g the largest product of Phi_d(u**8)
+    from the multiset fac that divides every row, with g as a multiset."""
+    sp = pytest.importorskip("sympy")
+    R, _, _ = oracle()
+    X = sp.Symbol("X")
+    ps = {k: sym({0: row}) for k, row in rows.items()}
+    removed = {}
+    for d, m in fac.items():
+        coeffs = sp.Poly(sp.cyclotomic_poly(d, X), X).all_coeffs()[::-1]
+        phi = R({(8 * i, 0): c for i, c in enumerate(coeffs) if c})
+        while removed.get(d, 0) < m and all(
+                p.rem(phi) == 0 for p in ps.values()):
+            ps = {k: p.exquo(phi) for k, p in ps.items()}
+            removed[d] = removed.get(d, 0) + 1
+    return ps, removed
+
+
+def test_packed_q_cancel_matches_sympy_near_the_slot_limit():
     # rows u**r times polynomials in u**8, times cyclotomic factors, with
     # coefficients near the slot limit: the exact big-int division must
-    # cancel what dense division cancels, and fall back where its quotient
-    # slots could have wrapped
+    # cancel what sympy's division cancels, and fall back where its
+    # quotient slots could have wrapped
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     ds = st.sampled_from([1, 2, 3, 4, 6, 8])
     row = st.dictionaries(st.integers(-2, 5).map(lambda j: 8 * j),
-                          _near_limit(st), min_size=1, max_size=6)
+                          _near_limit_over(st), min_size=1, max_size=6)
 
     @hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @hyp.given(st.dictionaries(st.integers(-1, 2).map(lambda j: 4 * j), row,
@@ -849,15 +944,16 @@ def test_packed_q_cancel_matches_dense_division_near_the_slot_limit():
         a = xn({k: {e + r: c for e, c in row.items()} for k, row in rows.items()})
         for d in planted:
             a = polys.xp_qtimes(a, {d: 1})
-        assert a.b and polys.xp_qsafe(a)
+        assert polys.xp_qsafe(content_ok(a))
         got, removed = polys.xp_qcancel(a, fac)
-        want, wanted = polys.xp_qcancel(as_dict_rows(a), fac)
+        want, wanted = sym_qcancel(xp_terms(a), fac)
         assert removed == wanted
-        assert xp_terms(got) == xp_terms(want)
+        assert {k: sym({0: row}) for k, row in xp_terms(content_ok(got)).items()} == want
         # the QRat cancel, packed too, divides each row alike
         for row in xp_terms(a).values():
-            want, wanted = polys.xp_qcancel(as_dict_rows(xn({0: row})), fac)
-            assert polys._cancel(row, fac) == (xp_terms(want)[0], wanted)
+            want, wanted = sym_qcancel({0: row}, fac)
+            got, removed = polys._cancel(row, fac)
+            assert (sym({0: got}), removed) == (want[0], wanted)
 
     run()
     # 2**62 (Q**3 - 1) / (Q - 1): the quotient's slots times the two of
@@ -937,7 +1033,7 @@ def test_a_minus_a_stores_nothing(level):
 
 def test_q_cancel_is_the_one_row_x_cancel():
     # the QRat cancel and the common q-denominator cancel of a one-row XNum
-    # accept alike and divide alike, packed or in dict rows
+    # accept alike and divide alike, as sympy divides
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -950,11 +1046,13 @@ def test_q_cancel_is_the_one_row_x_cancel():
     def agree(t, fac):
         want = polys._cancel(t, fac)
         a = xn({0: t})
-        for x in ((a, as_dict_rows(a)) if a.b else (a,)):
-            assert polys.xp_qsafe(x) == (want is not None)
-            if want is not None:
-                got, removed = polys.xp_qcancel(x, fac)
-                assert (xp_terms(got), removed) == ({0: want[0]}, want[1])
+        assert polys.xp_qsafe(a) == (want is not None)
+        if want is not None:
+            got, removed = polys.xp_qcancel(a, fac)
+            assert (xp_terms(content_ok(got)), removed) == ({0: want[0]},
+                                                            want[1])
+            rows, wanted = sym_qcancel({0: t}, fac)
+            assert (rows[0], wanted) == (sym({0: want[0]}), want[1])
         return want
 
     @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)

@@ -39,6 +39,18 @@ from dynrmat.scalar import (
 # ----------------------------------------------------------- q machinery ---
 
 
+@pytest.mark.parametrize("build", [
+    qnum, qfact, sqrt_qint, sqrt_qfact,
+    lambda n: qbinom(n, 1), lambda k: qbinom(7, k),
+], ids=["qnum", "qfact", "sqrt_qint", "sqrt_qfact", "qbinom-n", "qbinom-k"])
+def test_builders_refuse_a_fractional_index(build):
+    # int() would truncate each of these to 2 without a word
+    for v in (F(5, 2), "5/2", 2.7):
+        with pytest.raises(ValueError, match="needs an integer index"):
+            build(v)
+    assert build(F(4, 2)) == build("2") == build(2.0) == build(2)
+
+
 def test_qnum_small_values():
     assert qnum(0) == SC_ZERO
     assert qnum(1) == SC_ONE

@@ -144,8 +144,8 @@ def test_whole_manifest_never_inverts_a_scalar(monkeypatch):
 def test_cold_sweep_builds_rational_coefficients_only(cold_caches,
                                                       monkeypatch):
     # z8 is a phase on a Scalar term, never a coefficient: over one cold
-    # manifest-v1 pass every QRat and every XNum row holds int and Fraction
-    # coefficients only (a packed row holds ints), and phases occur
+    # manifest-v1 pass every QRat holds int and Fraction coefficients only,
+    # every XNum row is packed, and phases occur
     from dynrmat.polys import QRat, XNum
     from dynrmat.scalar import Scalar
 
@@ -165,11 +165,8 @@ def test_cold_sweep_builds_rational_coefficients_only(cold_caches,
             seen.update(type(c).__name__ for c in p.values())
 
     def xnum(x):
-        if x.b:
-            seen.update("packed" for _ in x.rows)
-        else:
-            seen.update(type(c).__name__ for row in x.rows.values()
-                        for c in row.values())
+        seen.update("packed" if type(n) is int and x.b else "unpacked"
+                    for n in x.rows.values())
 
     def phases(s):
         seen.update("phase" for atoms in s.terms
@@ -182,6 +179,17 @@ def test_cold_sweep_builds_rational_coefficients_only(cold_caches,
     assert [r for r in reports if not r.ok] == []
     assert {"packed", "phase"} <= set(seen) <= {"int", "Fraction", "packed",
                                                 "phase"}, seen
+
+
+def test_every_manifest_entry_builds_a_comparison():
+    # run_comparisons refuses an empty list, which would pass having
+    # checked nothing; no manifest entry comes near that
+    for entry in default_manifest():
+        built = RELATIONS[entry.relation][2](*entry.spins)
+        if not isinstance(built, VerificationReport):
+            assert len(list(built)) >= 1, entry
+    with pytest.raises(ValueError, match="no comparison"):
+        verify_relation("RESIDUES", (0,))
 
 
 def test_parallel_runner_preserves_manifest_order():
