@@ -1083,17 +1083,16 @@ def xp_gcd(a, b):
 # Each row is one Python int, P_k(2**b) (Kronecker substitution).  Slot j,
 # b bits wide, holds the coefficient of u**(o + s*j), balanced and signed,
 # so a product of rows is one big-int product and a sum one big-int sum.
-# `bound` is an upper bound on every |coefficient|.  The bound rule: every
-# slot a kit function makes, of its result or on the way to it, stays below
+# `bound` is an upper bound on every |slot|.  The bound rule: every slot
+# a kit function makes, of its result or on the way to it, stays below
 # 2**(b - 1) in absolute value.  So before it combines rows, each function
 # bounds what it will make (a product: ba * bb times the row count and the
 # slot count of the operand with fewer rows; a sum: ba + bb, after each
 # side is scaled to the lcm of the two d; times y - u**e: 2b; division by
 # y - u**e: b times the number of rows).  If that bound reaches 2**(b - 1),
-# it first lowers the operands' bounds to their largest coefficients, and
-# if that is not enough, repacks them to a wider b.  An overflow would be a
-# silent wrong answer.  The offset is normalized: some row has a nonzero
-# slot 0.
+# it first lowers the operands' bounds to their largest slots, and if that
+# is not enough, repacks them to a wider b.  An overflow would be a silent
+# wrong answer.  The offset is normalized: some row has a nonzero slot 0.
 #
 # The content denominator d is a positive int coprime to the content of the
 # rows (the gcd of their coefficients), so d == 1 exactly when every
@@ -1104,10 +1103,10 @@ def xp_gcd(a, b):
 # and d, and so do a shift, a negation and a repack.  A content is computed
 # only when d > 1.
 #
-# Values compare by their coefficients: rows packed at one width and stride
-# compare as ints, any other pair by their slots (_slots), and xp_key, the
-# hash key, reads the coefficients (xp_terms), so neither depends on the
-# width or the stride at which a value was packed.
+# Values compare by their coefficients: d and rows packed at one width and
+# stride compare as ints, any other pair by d and slots (_slots), and
+# xp_key, the hash key, reads the coefficients (xp_terms), so neither
+# depends on the width or the stride at which a value was packed.
 
 Y_DEG = 2 * DENOM  # y = x**2 = v**Y_DEG
 
