@@ -51,6 +51,16 @@ def _float_list(text):
     return tuple(float(p) for p in text.split(",") if p)
 
 
+def _jobs(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("jobs must be a positive integer, got %r" % text)
+    return n
+
+
 def _int_list(text):
     return tuple(int(p) for p in text.split(",") if p)
 
@@ -128,8 +138,9 @@ def _build_parser():
     p.add_argument("--spins", type=_spin_list, default=())
     _add_mode_flags(p)
     p.add_argument(
-        "--jobs", type=int, default=1,
-        help="ignored; accepted for compatibility (entries run one by one)",
+        "--jobs", type=_jobs, default=None,
+        help="processes one operator comparison may use (default: the CPUs "
+        "this process may run on); reports do not depend on it",
     )
     p.add_argument("--timings", action="store_true", help="include elapsed_ms in JSON reports")
     _add_out_flags(p, formats=("json", "text"), default="text")
@@ -184,10 +195,11 @@ def _build_parser():
     return parser
 
 
-def _verify_one(parser, args, name):
+def _verify_one(parser, args, name, jobs=None):
     try:
         report = verify_relation(
-            name, args.spins, mode=args.mode, q0=args.q0, x0=args.x0
+            name, args.spins, mode=args.mode, q0=args.q0, x0=args.x0,
+            jobs=jobs,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -197,11 +209,11 @@ def _verify_one(parser, args, name):
 def _cmd_verify(parser, args):
     _check_point(parser, args)
     if args.relation == "all":
-        reports = run_suite(mode=args.mode, q0=args.q0, x0=args.x0)
+        reports = run_suite(mode=args.mode, q0=args.q0, x0=args.x0, jobs=args.jobs)
         return _finish_reports(reports, args)
     if args.relation not in RELATIONS:
         parser.error("unknown relation %r" % args.relation)
-    return _verify_one(parser, args, args.relation)
+    return _verify_one(parser, args, args.relation, args.jobs)
 
 
 _DUMP_ARITY = {

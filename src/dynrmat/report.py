@@ -7,8 +7,37 @@ e_r A1 ... An, so a row is exact on its own whatever the factors are, and a
 product side is never held whole.  The first row that differs holds the
 least failing (row, col), the entry an evaluated difference would report;
 only then are the remaining rows built, for the residual rank.
+
+Rows are independent, so one operator comparison may use `jobs` processes
+(None: the CPUs this process may run on).  The row-block rule: rows are
+checked in order until the comparison has run FORK_COST_S, about what a
+worker costs to start.  If at least 2 rows are left then, n = min(jobs,
+rows left) processes split them into interleaved blocks: the k-th of the
+left rows goes to block k mod n.  The caller forks one worker per block
+but the first, which it checks itself, and reaps every worker on every
+path.  A worker inherits the built factors, builds its rows by the same
+kernel, and writes back only the least failing row of its block, or that
+none fails; no operator crosses a process boundary.  A worker that dies
+or writes no verdict has its block checked by the caller.
+
+The check stays in one process when jobs is 1, when a profile or trace
+function is set (a worker's calls are invisible to it, and per-layer counts
+must not depend on jobs), when os.fork is missing, and when more than one
+thread is running (a forked thread-holding process can deadlock).
+
+A report cannot depend on jobs.  Each row's verdict is the same in any
+process, because a row is built alone from the same factors by the same
+kernel, so the least failing row over all blocks is the first failing row
+of the sequential check.  When there is one, the sequential check re-runs
+from it, and that check alone builds the failing entry and the residual
+rank.
 """
 
+import os
+import signal
+import sys
+import threading
+import time
 from fractions import Fraction
 
 from .polys import poly_sub
@@ -16,10 +45,13 @@ from .scalar import SC_ZERO, Scalar
 from .spins import GradedOperator, Product
 
 __all__ = ["VerificationReport", "run_comparisons", "check_point",
-           "NUMERIC_TOL"]
+           "resolve_jobs", "NUMERIC_TOL"]
 
 NUMERIC_TOL = 1e-9
 _DEFAULT_POINT = (0.37, 0.81)
+# seconds a worker costs to start: a bare fork round trip of the loaded
+# package takes about 3 ms
+FORK_COST_S = 0.005
 
 
 def check_point(mode, q0=None, x0=None):
@@ -32,6 +64,19 @@ def check_point(mode, q0=None, x0=None):
         raise ValueError("numeric mode needs q0 > 0 and q0 != 1")
     if x0 is not None and x0 <= 0:
         raise ValueError("numeric mode needs x0 > 0")
+
+
+def resolve_jobs(jobs):
+    """The number of processes `jobs` asks for: None means the CPUs this
+    process may run on.  ValueError unless it is None or a positive int."""
+    if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError("jobs must be a positive integer or None, got %r"
+                         % (jobs,))
+    return jobs
 
 
 class VerificationReport:
@@ -129,7 +174,121 @@ def _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol):
     return None
 
 
-def _operator_failure(label, lhs, rhs, exact, q0, x0, tol):
+def _row_fails(lrow, rrow, exact, q0, x0, tol):
+    if not exact:
+        return _row_failure_numeric(None, None, lrow, rrow, q0, x0, tol) is not None
+    return lrow != rrow and bool(poly_sub(lrow, rrow))
+
+
+def _may_fork():
+    """Whether a worker can check rows without changing what this process
+    sees: see the module docstring."""
+    return (hasattr(os, "fork") and sys.getprofile() is None
+            and sys.gettrace() is None and threading.active_count() == 1)
+
+
+def _block_verdict(lhs, rhs, block, fails):
+    """The least row of `block` whose two sides differ, else None."""
+    for (r, lrow), (_, rrow) in zip(lhs.rows(block), rhs.rows(block)):
+        if fails(lrow, rrow):
+            return r
+    return None
+
+
+def _fork_worker(lhs, rhs, block, fails):
+    """(pid, read end of its pipe) of a worker that writes the verdict of
+    `block`, or None if no worker could be started."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        # the worker: whatever happens, it never returns into the caller's
+        # stack and flushes none of its buffers
+        code = 1
+        try:
+            os.close(rfd)
+            r = _block_verdict(lhs, rhs, block, fails)
+            os.write(wfd, b"pass" if r is None else b"%d" % r)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, rfd
+
+
+_NO_VERDICT = object()
+
+
+def _stop(pid, rfd):
+    """Kill a worker, close its pipe and reap it."""
+    os.kill(pid, signal.SIGKILL)
+    os.close(rfd)
+    os.waitpid(pid, 0)
+
+
+def _reap(pid, rfd):
+    """The verdict a worker wrote, once it has exited and been reaped, or
+    _NO_VERDICT if it wrote none or did not exit cleanly."""
+    data = b""
+    try:
+        while chunk := os.read(rfd, 64):
+            data += chunk
+    except BaseException:
+        _stop(pid, rfd)
+        raise
+    os.close(rfd)
+    _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return _NO_VERDICT
+    if data == b"pass":
+        return None
+    return int(data) if data.isdigit() else _NO_VERDICT
+
+
+def _in_blocks(lhs, rhs, rows, n, fails):
+    """The least failing row of `rows`, split into n interleaved blocks:
+    the caller checks the first, a forked worker each other one."""
+    blocks = [rows[k::n] for k in range(n)]
+    live = {}
+    try:
+        for k in range(1, n):
+            worker = _fork_worker(lhs, rhs, blocks[k], fails)
+            if worker is not None:
+                live[k] = worker
+        verdicts = [_block_verdict(lhs, rhs, blocks[0], fails)]
+        for k in range(1, n):
+            verdict = _reap(*live.pop(k)) if k in live else _NO_VERDICT
+            if verdict is _NO_VERDICT:
+                verdict = _block_verdict(lhs, rhs, blocks[k], fails)
+            verdicts.append(verdict)
+    finally:
+        for worker in live.values():
+            _stop(*worker)
+    failing = [r for r in verdicts if r is not None]
+    return min(failing) if failing else None
+
+
+def _least_failing_row(lhs, rhs, jobs, fails):
+    """The least row whose two sides differ, else None.  Rows are checked
+    in order until the comparison has run FORK_COST_S; if at least 2 are
+    left then, they are checked in up to `jobs` processes."""
+    dim = lhs.space.dim
+    t0 = time.perf_counter()
+    paired = zip(lhs.rows(), rhs.rows())
+    for r in range(dim):
+        if dim - r >= 2 and time.perf_counter() - t0 >= FORK_COST_S:
+            return _in_blocks(lhs, rhs, range(r, dim), min(jobs, dim - r), fails)
+        (_, lrow), (_, rrow) = next(paired)
+        if fails(lrow, rrow):
+            return r
+    return None
+
+
+def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
     """The first failing entry of two operator sides, and in exact mode the
     residual rank of their difference.
 
@@ -137,11 +296,21 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, tol):
     row is dropped once it is checked, so a side that is a spins.Product is
     never held whole.  The first row that differs holds the least failing
     (row, col); only then are the remaining rows read, to assemble the
-    difference whose rank the report gives.
+    difference whose rank the report gives.  With jobs > 1 the first row
+    that differs is found first, in up to `jobs` processes, and the check
+    starts from it.
     """
     if lhs.space != rhs.space:
         raise ValueError("operator spaces differ")
-    paired = zip(lhs.rows(), rhs.rows())
+    rows = None
+    if jobs > 1 and _may_fork():
+        start = _least_failing_row(
+            lhs, rhs, jobs,
+            lambda lrow, rrow: _row_fails(lrow, rrow, exact, q0, x0, tol))
+        if start is None:
+            return None, None
+        rows = range(start, lhs.space.dim)
+    paired = zip(lhs.rows(rows), rhs.rows(rows))
     for (r, lrow), (_, rrow) in paired:
         if not exact:
             failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol)
@@ -192,6 +361,7 @@ def run_comparisons(
     q0=None,
     x0=None,
     tol=NUMERIC_TOL,
+    jobs=None,
 ):
     """Fold labelled (lhs, rhs) pairs into a VerificationReport.
 
@@ -202,16 +372,19 @@ def run_comparisons(
     coordinate defaulting on its own.  The report's elapsed_ms is left to
     the caller (suite.verify_relation charges the building too).  No
     comparison at all raises ValueError: it would pass having checked
-    nothing.
+    nothing.  One operator comparison may check its rows in up to `jobs`
+    processes (None: the CPUs this process may run on); the report is the
+    one jobs=1 gives, byte for byte.
     """
     check_point(mode, q0, x0)
+    jobs = resolve_jobs(jobs)
     q0 = _DEFAULT_POINT[0] if q0 is None else q0
     x0 = _DEFAULT_POINT[1] if x0 is None else x0
     failing = rank = label = None
     for label, lhs, rhs in comparisons:
         if isinstance(lhs, (GradedOperator, Product)):
             failing, rank = _operator_failure(
-                label, lhs, rhs, mode == "exact", q0, x0, tol)
+                label, lhs, rhs, mode == "exact", q0, x0, tol, jobs)
         elif mode == "exact":
             failing = _scalar_failure_exact(label, lhs, rhs)
         else:

@@ -254,11 +254,12 @@ class GradedOperator:
 
     # ---------------------------------------------------------- queries
 
-    def rows(self):
-        """(r, {c: scalar}) for r = 0, 1, ..., dim - 1, empty rows included,
-        each row's columns in storage order."""
+    def rows(self, indices=None):
+        """(r, {c: scalar}) for each row index r of `indices`, by default
+        0, 1, ..., dim - 1, empty rows included, each row's columns in
+        storage order."""
         index = _row_index(self)
-        for r in range(self.space.dim):
+        for r in range(self.space.dim) if indices is None else indices:
             yield r, dict(index.get(r, ()))
 
     def to_jsonable(self):
@@ -320,11 +321,13 @@ class Product:
         self.space = space
         self.factors = factors
 
-    def rows(self):
-        """(r, {c: scalar}) for r = 0, 1, ..., dim - 1, empty rows included."""
+    def rows(self, indices=None):
+        """(r, {c: scalar}) for each row index r of `indices`, by default
+        0, 1, ..., dim - 1, empty rows included.  A row is the same
+        whichever rows are asked for with it."""
         first = _row_index(self.factors[0])
         rest = [_row_index(f) for f in self.factors[1:]]
-        for r in range(self.space.dim):
+        for r in range(self.space.dim) if indices is None else indices:
             data = {(r, c): s for c, s in first.get(r, ())}
             for index in rest:
                 if not data:

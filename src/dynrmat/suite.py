@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .lame import LAME_RELATIONS
 from .numeric import verify_numeric_coherence, verify_prelimit_convergence
-from .report import VerificationReport, check_point, run_comparisons
+from .report import VerificationReport, check_point, resolve_jobs, run_comparisons
 from .spins import check_algebra
 from .symbols import SYMBOL_RELATIONS
 from .twist import RELATIONS as TWIST_RELATIONS
@@ -58,12 +58,15 @@ RELATIONS = {
 }
 
 
-def verify_relation(name, spins=(), mode="exact", q0=None, x0=None):
+def verify_relation(name, spins=(), mode="exact", q0=None, x0=None, jobs=None):
     """Check one relation at the given spins; KeyError for an unknown name,
-    ValueError for the wrong number of spins, an unknown mode or a point
-    numeric mode cannot use (report.check_point), whether or not the
-    relation decides in a fixed mode."""
+    ValueError for the wrong number of spins, an unknown mode, a point
+    numeric mode cannot use (report.check_point) or a bad `jobs`, whether
+    or not the relation decides in a fixed mode.  An operator comparison
+    may check its rows in up to `jobs` processes (report.run_comparisons);
+    the report does not depend on it."""
     check_point(mode, q0, x0)
+    jobs = resolve_jobs(jobs)
     _, arity, build = RELATIONS[name]
     spins = tuple(Fraction(s) for s in spins)
     if len(spins) != arity:
@@ -71,7 +74,8 @@ def verify_relation(name, spins=(), mode="exact", q0=None, x0=None):
     t0 = time.perf_counter()
     report = build(*spins)
     if not isinstance(report, VerificationReport):
-        report = run_comparisons(name, spins, report, mode=mode, q0=q0, x0=x0)
+        report = run_comparisons(name, spins, report, mode=mode, q0=q0, x0=x0,
+                                 jobs=jobs)
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
@@ -173,16 +177,20 @@ def default_manifest():
     return tuple(entries)
 
 
-def run_entry(entry, mode="exact", q0=None, x0=None):
-    return verify_relation(entry.relation, entry.spins, mode=mode, q0=q0, x0=x0)
+def run_entry(entry, mode="exact", q0=None, x0=None, jobs=None):
+    return verify_relation(entry.relation, entry.spins, mode=mode, q0=q0, x0=x0,
+                           jobs=jobs)
 
 
-def run_suite(manifest=None, mode="exact", q0=None, x0=None, jobs=1):
+def run_suite(manifest=None, mode="exact", q0=None, x0=None, jobs=None):
     """Run every manifest entry in order and return their reports.
 
-    `jobs` is accepted for compatibility and ignored: the entries are pure
-    Python, so worker threads would only take turns on the interpreter lock.
+    The entries run one after another.  Within an entry, an operator
+    comparison that runs longer than a worker costs to start checks its
+    remaining rows in up to `jobs` processes (None: the CPUs this process
+    may run on; see report.run_comparisons).  The reports are the ones
+    jobs=1 gives, byte for byte.
     """
     if manifest is None:
         manifest = default_manifest()
-    return [run_entry(e, mode=mode, q0=q0, x0=x0) for e in manifest]
+    return [run_entry(e, mode=mode, q0=q0, x0=x0, jobs=jobs) for e in manifest]

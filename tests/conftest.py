@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -31,3 +32,21 @@ def cold_caches():
     for c in caches:
         c.cache_clear()
     return caches
+
+
+@pytest.fixture
+def eager_workers(monkeypatch):
+    """Fork row workers at the start of every operator comparison, and
+    count the forks the caller makes: a list whose length is that count."""
+    from dynrmat import report
+
+    monkeypatch.setattr(report, "FORK_COST_S", 0)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks

@@ -172,10 +172,11 @@ def _capture(argv):
     return code, buf.getvalue()
 
 
-def test_10_byte_reproducibility():
+def test_10_byte_reproducibility(eager_workers):
+    # every operator comparison of the sweep checks its rows in workers
     code1, sweep1 = _capture(["verify", "all", "--format", "json", "--jobs", "4"])
     code2, sweep2 = _capture(["verify", "all", "--format", "json", "--jobs", "2"])
-    ok = code1 == 0 and code2 == 0 and sweep1 == sweep2
+    ok = code1 == 0 and code2 == 0 and sweep1 == sweep2 and bool(eager_workers)
     dumps = [
         ["dump", "rmatrix", "--spins", "1/2,1/2"],
         ["dump", "twist", "--spins", "1/2,1"],

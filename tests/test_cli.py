@@ -139,8 +139,9 @@ def test_numeric_mode_runs_at_explicit_point():
     assert "[numeric]" in out
 
 
-def test_verify_all_is_byte_reproducible_and_ordered():
+def test_verify_all_is_byte_reproducible_and_ordered(eager_workers):
     code1, out1, _ = run("verify", "all", "--format", "json", "--jobs", "4")
+    assert eager_workers  # the operator comparisons ran in workers
     code2, out2, _ = run("verify", "all", "--format", "json", "--jobs", "1")
     assert code1 == 0 and code2 == 0
     assert out1 == out2
@@ -305,7 +306,8 @@ def test_failure_exit_code_is_one(monkeypatch):
     import dynrmat.cli as cli
     from dynrmat.report import VerificationReport
 
-    def fake_verify_relation(name, spins, mode="exact", q0=None, x0=None):
+    def fake_verify_relation(name, spins, mode="exact", q0=None, x0=None,
+                             jobs=None):
         return VerificationReport(
             relation=name, spins=spins, mode=mode, status="fail"
         )

@@ -192,10 +192,12 @@ def test_every_manifest_entry_builds_a_comparison():
         verify_relation("RESIDUES", (0,))
 
 
-def test_parallel_runner_preserves_manifest_order():
+def test_parallel_runner_preserves_manifest_order(eager_workers):
     manifest = default_manifest()[:8]
     seq = run_suite(manifest, jobs=1)
+    assert not eager_workers
     par = run_suite(manifest, jobs=4)
+    assert eager_workers
     key = lambda r: (r.relation, r.spins, r.status)
     assert [key(r) for r in seq] == [key(r) for r in par]
     assert [r.relation for r in seq] == [e.relation for e in manifest]
