@@ -20,7 +20,7 @@ from .lame import (
     lax_matrix,
     wavefunction,
 )
-from .report import check_point, run_comparisons
+from .report import check_point, resolve_jobs, run_comparisons
 from .serialize import dumps_canonical, latex, plain_text, to_payload
 from .suite import RELATIONS, run_suite, verify_relation
 from .symbols import limit_three_j, m_element, six_j, three_j
@@ -53,12 +53,10 @@ def _float_list(text):
 
 def _jobs(text):
     try:
-        n = int(text)
+        return resolve_jobs(int(text))
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("jobs must be a positive integer, got %r" % text)
-    return n
+        raise argparse.ArgumentTypeError(
+            "jobs must be a positive integer, got %r" % text) from None
 
 
 def _int_list(text):

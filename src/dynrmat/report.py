@@ -34,7 +34,6 @@ rank.
 """
 
 import os
-import signal
 import sys
 import threading
 import time
@@ -225,6 +224,10 @@ _NO_VERDICT = object()
 
 def _stop(pid, rfd):
     """Kill a worker, close its pipe and reap it."""
+    # imported here: only a check cut short needs it, and its import alone
+    # costs about 1 ms
+    import signal
+
     os.kill(pid, signal.SIGKILL)
     os.close(rfd)
     os.waitpid(pid, 0)

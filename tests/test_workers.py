@@ -223,7 +223,8 @@ def test_a_second_thread_keeps_the_check_in_one_process(eager_workers,
         assert verify_relation("GNF", (1, H, H), jobs=2).ok
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_no_fork_keeps_the_check_in_one_process(eager_workers, monkeypatch):
