@@ -137,8 +137,8 @@ def _build_parser():
     _add_mode_flags(p)
     p.add_argument(
         "--jobs", type=_jobs, default=None,
-        help="processes one operator comparison may use (default: the CPUs "
-        "this process may run on); reports do not depend on it",
+        help="processes one operator comparison may use, at most the CPUs "
+        "this process may run on (the default); reports do not depend on it",
     )
     p.add_argument("--timings", action="store_true", help="include elapsed_ms in JSON reports")
     _add_out_flags(p, formats=("json", "text"), default="text")

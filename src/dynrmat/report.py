@@ -8,29 +8,30 @@ product side is never held whole.  The first row that differs holds the
 least failing (row, col), the entry an evaluated difference would report;
 only then are the remaining rows built, for the residual rank.
 
-Rows are independent, so one operator comparison may use `jobs` processes
-(None: the CPUs this process may run on).  The row-block rule: rows are
-checked in order until the comparison has run FORK_COST_S, about what a
-worker costs to start.  If at least 2 rows are left then, n = min(jobs,
-rows left) processes split them into interleaved blocks: the k-th of the
-left rows goes to block k mod n.  The caller forks one worker per block
-but the first, which it checks itself, and reaps every worker on every
-path.  A worker inherits the built factors, builds its rows by the same
-kernel, and writes back only the least failing row of its block, or that
-none fails; no operator crosses a process boundary.  A worker that dies
-or writes no verdict has its block checked by the caller.
+Rows are independent, so one operator comparison may use up to `jobs`
+processes, but never more than the CPUs this process may run on, which is
+what jobs=None asks for.  The row-block rule: rows are checked in order until
+the comparison has run FORK_COST_S, about what a worker costs to start.
+If at least 2 rows are left then, n = min(jobs, rows left) processes split
+them into interleaved blocks: the k-th of the left rows goes to block
+k mod n.  The caller forks one worker per block but the first, which it
+checks itself, and reaps every worker on every path.  A worker inherits
+the built factors, builds its rows by the same kernel, checks them by the
+same row test, and writes back only the least row of its block that fails
+or raises, or that none does; no operator crosses a process boundary.  A
+worker that dies or writes no verdict has its block checked by the caller.
 
 The check stays in one process when jobs is 1, when a profile or trace
 function is set (a worker's calls are invisible to it, and per-layer counts
 must not depend on jobs), when os.fork is missing, and when more than one
 thread is running (a forked thread-holding process can deadlock).
 
-A report cannot depend on jobs.  Each row's verdict is the same in any
-process, because a row is built alone from the same factors by the same
-kernel, so the least failing row over all blocks is the first failing row
-of the sequential check.  When there is one, the sequential check re-runs
-from it, and that check alone builds the failing entry and the residual
-rank.
+A report cannot depend on jobs.  Each row's verdict, pass, fail or raise,
+is the same in any process, because a row is built alone from the same
+factors by the same kernel and checked by the same test, so the least row
+that fails or raises over all blocks is the row where the sequential check
+stops.  When there is one, the sequential check goes on from it, and that
+check alone builds the failing entry and the residual rank, or raises.
 """
 
 import os
@@ -173,10 +174,21 @@ def _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol):
     return None
 
 
-def _row_fails(lrow, rrow, exact, q0, x0, tol):
+def _row_failure(label, r, lrow, rrow, exact, q0, x0, tol):
+    """(failing entry, difference of the row or None in numeric mode) of
+    row r, else None if its two sides agree."""
     if not exact:
-        return _row_failure_numeric(None, None, lrow, rrow, q0, x0, tol) is not None
-    return lrow != rrow and bool(poly_sub(lrow, rrow))
+        failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol)
+        return None if failing is None else (failing, None)
+    # equal canonical forms are equal values: only a failure needs the
+    # difference, which the report prints
+    if lrow == rrow:
+        return None
+    diff = poly_sub(lrow, rrow)
+    if not diff:
+        return None
+    c = min(diff)
+    return {"check": label, "row": r, "col": c, "difference": str(diff[c])}, diff
 
 
 def _may_fork():
@@ -186,15 +198,21 @@ def _may_fork():
             and sys.gettrace() is None and threading.active_count() == 1)
 
 
-def _block_verdict(lhs, rhs, block, fails):
-    """The least row of `block` whose two sides differ, else None."""
-    for (r, lrow), (_, rrow) in zip(lhs.rows(block), rhs.rows(block)):
-        if fails(lrow, rrow):
-            return r
+def _block_verdict(lhs, rhs, block, failure):
+    """The least row of `block` whose check fails or raises, else None.  A
+    row that raises is one where the sequential check stops too."""
+    k = 0
+    try:
+        for (r, lrow), (_, rrow) in zip(lhs.rows(block), rhs.rows(block)):
+            if failure(r, lrow, rrow) is not None:
+                return r
+            k += 1
+    except Exception:
+        return block[k]
     return None
 
 
-def _fork_worker(lhs, rhs, block, fails):
+def _fork_worker(lhs, rhs, block, failure):
     """(pid, read end of its pipe) of a worker that writes the verdict of
     `block`, or None if no worker could be started."""
     rfd, wfd = os.pipe()
@@ -210,7 +228,7 @@ def _fork_worker(lhs, rhs, block, fails):
         code = 1
         try:
             os.close(rfd)
-            r = _block_verdict(lhs, rhs, block, fails)
+            r = _block_verdict(lhs, rhs, block, failure)
             os.write(wfd, b"pass" if r is None else b"%d" % r)
             code = 0
         finally:
@@ -252,43 +270,28 @@ def _reap(pid, rfd):
     return int(data) if data.isdigit() else _NO_VERDICT
 
 
-def _in_blocks(lhs, rhs, rows, n, fails):
-    """The least failing row of `rows`, split into n interleaved blocks:
-    the caller checks the first, a forked worker each other one."""
+def _in_blocks(lhs, rhs, rows, n, failure):
+    """The least row of `rows` whose check fails or raises, else None.  The
+    rows are split into n interleaved blocks: the caller checks the first,
+    a forked worker each other one."""
     blocks = [rows[k::n] for k in range(n)]
     live = {}
     try:
         for k in range(1, n):
-            worker = _fork_worker(lhs, rhs, blocks[k], fails)
+            worker = _fork_worker(lhs, rhs, blocks[k], failure)
             if worker is not None:
                 live[k] = worker
-        verdicts = [_block_verdict(lhs, rhs, blocks[0], fails)]
+        verdicts = [_block_verdict(lhs, rhs, blocks[0], failure)]
         for k in range(1, n):
             verdict = _reap(*live.pop(k)) if k in live else _NO_VERDICT
             if verdict is _NO_VERDICT:
-                verdict = _block_verdict(lhs, rhs, blocks[k], fails)
+                verdict = _block_verdict(lhs, rhs, blocks[k], failure)
             verdicts.append(verdict)
     finally:
         for worker in live.values():
             _stop(*worker)
     failing = [r for r in verdicts if r is not None]
     return min(failing) if failing else None
-
-
-def _least_failing_row(lhs, rhs, jobs, fails):
-    """The least row whose two sides differ, else None.  Rows are checked
-    in order until the comparison has run FORK_COST_S; if at least 2 are
-    left then, they are checked in up to `jobs` processes."""
-    dim = lhs.space.dim
-    t0 = time.perf_counter()
-    paired = zip(lhs.rows(), rhs.rows())
-    for r in range(dim):
-        if dim - r >= 2 and time.perf_counter() - t0 >= FORK_COST_S:
-            return _in_blocks(lhs, rhs, range(r, dim), min(jobs, dim - r), fails)
-        (_, lrow), (_, rrow) = next(paired)
-        if fails(lrow, rrow):
-            return r
-    return None
 
 
 def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
@@ -299,37 +302,38 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
     row is dropped once it is checked, so a side that is a spins.Product is
     never held whole.  The first row that differs holds the least failing
     (row, col); only then are the remaining rows read, to assemble the
-    difference whose rank the report gives.  With jobs > 1 the first row
-    that differs is found first, in up to `jobs` processes, and the check
-    starts from it.
+    difference whose rank the report gives.  With jobs > 1 the rows left
+    once the check has run FORK_COST_S may be checked in blocks, in up to
+    `jobs` processes; the check then goes on from the least row that fails
+    or raises there.
     """
     if lhs.space != rhs.space:
         raise ValueError("operator spaces differ")
-    rows = None
-    if jobs > 1 and _may_fork():
-        start = _least_failing_row(
-            lhs, rhs, jobs,
-            lambda lrow, rrow: _row_fails(lrow, rrow, exact, q0, x0, tol))
-        if start is None:
-            return None, None
-        rows = range(start, lhs.space.dim)
-    paired = zip(lhs.rows(rows), rhs.rows(rows))
-    for (r, lrow), (_, rrow) in paired:
-        if not exact:
-            failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol)
-            if failing is not None:
-                return failing, None
+    dim = lhs.space.dim
+
+    def failure(r, lrow, rrow):
+        return _row_failure(label, r, lrow, rrow, exact, q0, x0, tol)
+
+    forking = jobs > 1 and _may_fork()
+    t0 = time.perf_counter()
+    paired = zip(lhs.rows(), rhs.rows())
+    r = 0
+    while r < dim:
+        if forking and dim - r >= 2 and time.perf_counter() - t0 >= FORK_COST_S:
+            forking = False
+            r = _in_blocks(lhs, rhs, range(r, dim), min(jobs, dim - r), failure)
+            if r is None:
+                return None, None
+            paired = zip(lhs.rows(range(r, dim)), rhs.rows(range(r, dim)))
+        (_, lrow), (_, rrow) = next(paired)
+        found = failure(r, lrow, rrow)
+        r += 1
+        if found is None:
             continue
-        # equal canonical forms are equal values: only a failure needs the
-        # difference, which the report prints
-        if lrow == rrow:
-            continue
-        diff = poly_sub(lrow, rrow)
-        if not diff:
-            continue
-        c = min(diff)
-        entry = {"check": label, "row": r, "col": c, "difference": str(diff[c])}
-        data = {(r, k): s for k, s in diff.items()}
+        entry, diff = found
+        if diff is None:
+            return entry, None
+        data = {(entry["row"], k): s for k, s in diff.items()}
         for (r, lrow), (_, rrow) in paired:
             data.update(((r, k), s) for k, s in poly_sub(lrow, rrow).items())
         return entry, _numeric_residual_rank(GradedOperator(lhs.space, data))
@@ -376,11 +380,11 @@ def run_comparisons(
     the caller (suite.verify_relation charges the building too).  No
     comparison at all raises ValueError: it would pass having checked
     nothing.  One operator comparison may check its rows in up to `jobs`
-    processes (None: the CPUs this process may run on); the report is the
-    one jobs=1 gives, byte for byte.
+    processes, never more than the CPUs this process may run on (None: all
+    of them); the report is the one jobs=1 gives, byte for byte.
     """
     check_point(mode, q0, x0)
-    jobs = resolve_jobs(jobs)
+    jobs = min(resolve_jobs(jobs), resolve_jobs(None))
     q0 = _DEFAULT_POINT[0] if q0 is None else q0
     x0 = _DEFAULT_POINT[1] if x0 is None else x0
     failing = rank = label = None

@@ -187,8 +187,8 @@ def run_suite(manifest=None, mode="exact", q0=None, x0=None, jobs=None):
 
     The entries run one after another.  Within an entry, an operator
     comparison that runs longer than a worker costs to start checks its
-    remaining rows in up to `jobs` processes (None: the CPUs this process
-    may run on; see report.run_comparisons).  The reports are the ones
+    remaining rows in up to `jobs` processes, never more than the CPUs this
+    process may run on (None: all of them; see report.run_comparisons).  The reports are the ones
     jobs=1 gives, byte for byte.
     """
     if manifest is None:

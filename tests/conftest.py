@@ -37,10 +37,14 @@ def cold_caches():
 @pytest.fixture
 def eager_workers(monkeypatch):
     """Fork row workers at the start of every operator comparison, and
-    count the forks the caller makes: a list whose length is that count."""
+    count the forks the caller makes: a list whose length is that count.
+    The process may run on 3 CPUs, so jobs=3 starts 2 workers on any
+    host."""
     from dynrmat import report
 
     monkeypatch.setattr(report, "FORK_COST_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     forks = []
     fork = os.fork
 

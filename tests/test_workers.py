@@ -27,7 +27,7 @@ from dynrmat import report
 from dynrmat.cli import main
 from dynrmat.ratfunc import RationalFunction
 from dynrmat.report import resolve_jobs, run_comparisons
-from dynrmat.scalar import SC_ONE, sc_coeff
+from dynrmat.scalar import SC_ONE, sc_coeff, xbracket
 from dynrmat.spins import Product, _times, diag_scalars
 from dynrmat.suite import verify_relation
 from dynrmat.twist import gnf_r
@@ -120,6 +120,53 @@ def test_planted_failure_reports_the_least_failing_row(eager_workers):
         assert par.failing_entry == seq.failing_entry
         assert par.residual_rank == seq.residual_rank
         assert _bytes(par) == _bytes(seq)
+    _no_children()
+
+
+def test_jobs_is_capped_at_the_cpus_this_process_may_use(eager_workers,
+                                                          monkeypatch):
+    seq = _planted_report(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    par = _planted_report(1000)
+    assert len(eager_workers) == 1
+    assert _bytes(par) == _bytes(seq)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _bytes(_planted_report(1000)) == _bytes(seq)
+    assert len(eager_workers) == 1
+    _no_children()
+
+
+# 1/[x - 1] has a pole at x0 = q0, so numeric mode at (2, 2) raises on it
+POLE_POINT = 2.0
+
+
+def _fail_and_raise(fail_row, raise_row, jobs):
+    """A numeric comparison of two diagonal operators whose `fail_row`
+    differs and whose `raise_row` cannot be evaluated."""
+    space = gnf_r(1, 1).space
+    values = [SC_ONE] * space.dim
+    values[fail_row] = sc_coeff(2)
+    values[raise_row] = xbracket(-1).inv()
+    pair = [("planted", diag_scalars(space, [SC_ONE] * space.dim),
+             diag_scalars(space, values))]
+    return run_comparisons("PLANTED", (1, 1), pair, mode="numeric",
+                           q0=POLE_POINT, x0=POLE_POINT, jobs=jobs)
+
+
+def test_a_row_that_raises_is_where_the_sequential_check_stops(eager_workers):
+    # with two processes from row 0, row 3 is in the worker's block and
+    # row 4 in the caller's, which the caller checks before reading it
+    seq = _fail_and_raise(3, 4, 1)
+    assert seq.failing_entry["row"] == 3
+    par = _fail_and_raise(3, 4, 2)
+    assert eager_workers
+    assert _bytes(par) == _bytes(seq)
+    _no_children()
+    with pytest.raises(ZeroDivisionError):
+        _fail_and_raise(4, 3, 1)
+    with pytest.raises(ZeroDivisionError):
+        _fail_and_raise(4, 3, 2)
+    assert len(eager_workers) == 2
     _no_children()
 
 
