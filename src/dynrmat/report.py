@@ -10,16 +10,19 @@ only then are the remaining rows built, for the residual rank.
 
 Rows are independent, so one operator comparison may use up to `jobs`
 processes, but never more than the CPUs this process may run on, which is
-what jobs=None asks for.  The row-block rule: rows are checked in order until
-the comparison has run FORK_COST_S, about what a worker costs to start.
-If at least 2 rows are left then, n = min(jobs, rows left) processes split
-them into interleaved blocks: the k-th of the left rows goes to block
-k mod n.  The caller forks one worker per block but the first, which it
-checks itself, and reaps every worker on every path.  A worker inherits
-the built factors, builds its rows by the same kernel, checks them by the
-same row test, and writes back only the least row of its block that fails
-or raises, or that none does; no operator crosses a process boundary.  A
-worker that dies or writes no verdict has its block checked by the caller.
+what jobs=None asks for.  The row-block rule: rows are checked in order
+until, before some row r >= 1 with at least 2 rows left, the rows left at
+the rate of the r rows checked so far would take 2 FORK_COST_S or more,
+twice what a worker costs to start; a comparison too cheap for that never
+forks, and with FORK_COST_S 0 the fork comes before row 0.  Then
+n = min(jobs, rows left) processes split the rows left into interleaved
+blocks: the k-th of them goes to block k mod n.  The caller forks one
+worker per block but the first, which it checks itself, and reaps every
+worker on every path.  A worker inherits the built factors, builds its rows
+by the same kernel, checks them by the same row test, and writes back only
+the least row of its block that fails or raises, or that none does; no
+operator crosses a process boundary.  A worker that dies or writes no
+verdict has its block checked by the caller.
 
 The check stays in one process when jobs is 1, when a profile or trace
 function is set (a worker's calls are invisible to it, and per-layer counts
@@ -49,9 +52,10 @@ __all__ = ["VerificationReport", "run_comparisons", "check_point",
 
 NUMERIC_TOL = 1e-9
 _DEFAULT_POINT = (0.37, 0.81)
-# seconds a worker costs to start: a bare fork round trip of the loaded
-# package takes about 3 ms
-FORK_COST_S = 0.005
+# seconds a worker costs to start: a fork, write and reap round trip with
+# the package loaded takes a median of about 1.5 ms on a 2-CPU host (1.1 to
+# 2.2 ms as the host's speed varies)
+FORK_COST_S = 0.0015
 
 
 def check_point(mode, q0=None, x0=None):
@@ -303,9 +307,9 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
     never held whole.  The first row that differs holds the least failing
     (row, col); only then are the remaining rows read, to assemble the
     difference whose rank the report gives.  With jobs > 1 the rows left
-    once the check has run FORK_COST_S may be checked in blocks, in up to
-    `jobs` processes; the check then goes on from the least row that fails
-    or raises there.
+    once they would take 2 FORK_COST_S at the rate so far may be checked
+    in blocks, in up to `jobs` processes; the check then goes on from the
+    least row that fails or raises there.
     """
     if lhs.space != rhs.space:
         raise ValueError("operator spaces differ")
@@ -319,7 +323,11 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
     paired = zip(lhs.rows(), rhs.rows())
     r = 0
     while r < dim:
-        if forking and dim - r >= 2 and time.perf_counter() - t0 >= FORK_COST_S:
+        # fork once the rows left, at the rate so far, would take 2
+        # FORK_COST_S; at r = 0 the rate is unknown, so only if forks are free
+        if (forking and dim - r >= 2 and (r or not FORK_COST_S)
+                and (time.perf_counter() - t0) * (dim - r)
+                >= 2 * FORK_COST_S * r):
             forking = False
             r = _in_blocks(lhs, rhs, range(r, dim), min(jobs, dim - r), failure)
             if r is None:

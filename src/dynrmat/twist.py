@@ -1,12 +1,15 @@
 """Dynamical twist, exchange matrices and the quasi-Hopf associator.
 
 Everything here is a finite sum of raising/lowering monomials dressed with
-diagonal weight factors, so each object is assembled by one of two series
-engines:
+diagonal weight factors:
 
-* a row-dressed series  sum_k pref(k, row) * A_+^k B_-^k   where the whole
-  diagonal prefactor is evaluated at the output row (used for the constant
-  exchange matrix, the dynamical twist and its inverse).  Each of the two
+* on a pair of legs, the constant exchange matrix, the dynamical twist and
+  its inverse are  sum_k pref(k, row) * E+^k (x) E-^k  with the diagonal
+  prefactor evaluated at the output row, and each entry is written in
+  closed form: the prefactor times the known matrix elements of E+^k and
+  E-^k, one product of q-integers (_pair_series);
+* the same series with a role spread over several legs is assembled by a
+  row-dressed series engine, which multiplies operators: each of the two
   roles A and B is an ordered tuple of legs, say (0,) for a bare leg or
   (1, 2) for the coproduct spread over legs 1 and 2, and its generator is
   the iterated coproduct spins.coproduct over those legs; and
@@ -17,8 +20,9 @@ All operators live over the exact scalar field; the x argument of a family
 is always the bare one, shifted versions are produced afterwards through
 the weight-shift automorphism.  Every prefactor is a product of known
 factors, a phase, powers of q and x, q-factorials, q - 1/q and x-brackets
-<c> = (x q^c - x^-1 q^-c)/(q - q^-1), and is built by one
-scalar.qint_monomial call, never by division.
+<c> = (x q^c - x^-1 q^-c)/(q - q^-1), and is given as the arguments of
+one scalar.qint_monomial call, never built by division; a pair entry adds
+its matrix elements to those arguments.
 
 A relation side that is a plain product of operators is returned as an
 unevaluated spins.Product, which report.run_comparisons checks one row at
@@ -68,11 +72,10 @@ __all__ = [
 # prefactors
 
 
-@cache
 def _pref_rd(i, wa, wb):
     """(q - 1/q)**i / [i]! * q**(wa wb/2 + i (wa - wb)/2 - i (i + 1)/2)."""
-    return qint_monomial(1, 2 * (wa * wb + i * (wa - wb) - i * (i + 1)),
-                         add_qfact({QDIFF: 2 * i}, i, -2))
+    return (1, 2 * (wa * wb + i * (wa - wb) - i * (i + 1)),
+            add_qfact({QDIFF: 2 * i}, i, -2), 0)
 
 
 def _pref_twist(k, wa, wb, nus, sign):
@@ -82,17 +85,22 @@ def _pref_twist(k, wa, wb, nus, sign):
     halves = add_qfact({}, k, -2)
     for nu in nus:
         add_xbracket(halves, DENOM * (nu + wb), -2)
-    return qint_monomial(sign, 2 * k * (wa + wb), halves, DENOM * k)
+    return sign, 2 * k * (wa + wb), halves, DENOM * k
 
 
-@cache
 def _pref_f(k, wa, wb):
     return _pref_twist(k, wa, wb, range(k, 2 * k), (-1) ** k)
 
 
-@cache
 def _pref_f_inv(k, wa, wb):
     return _pref_twist(k, wa, wb, range(1, k + 1), 1)
+
+
+@cache
+def _pref_value(pref, k, wa, wb):
+    """The prefactor pref(k, wa, wb), given as its qint_monomial arguments,
+    as a Scalar."""
+    return qint_monomial(*pref(k, wa, wb))
 
 
 @cache
@@ -123,9 +131,7 @@ def _row_dressed_series(space, a, b, pref):
     k = 0
     while term.data:
         for (r, c), s in term.data.items():
-            p = pref(k, wa[r], wb[r])
-            if p:
-                add_into(acc, (r, c), s * p)
+            add_into(acc, (r, c), s * _pref_value(pref, k, wa[r], wb[r]))
         term = plus_a @ term @ minus_b
         k += 1
     return GradedOperator(space, acc)
@@ -164,19 +170,41 @@ def _m_series(space):
 # two-leg and one-leg families, cached on their Spins
 
 
+def _pair_series(s1, s2, pref):
+    """sum_k pref(k, wa, wb) * E+^k (x) E-^k on the pair (s1, s2), with
+    the prefactor at the output row, each entry one qint_monomial.  On
+    doubled spins a, b, column (ia, ib) meets row (ia - k, ib + k) in
+    sqrt([ia]!/[ia-k]! [a-ia+k]!/[a-ia]!) for E+^k and
+    sqrt([b-ib]!/[b-ib-k]! [ib+k]!/[ib]!) for E-^k, which are added to
+    the fresh half-exponents pref returns."""
+    a, b = s1.twice, s2.twice
+    acc = {}
+    for k in range(min(a, b) + 1):
+        for ia in range(k, a + 1):
+            for ib in range(b - k + 1):
+                ra, rb = ia - k, ib + k
+                c, units, halves, x_units = pref(k, a - 2 * ra, b - 2 * rb)
+                for n, w in ((ia, 1), (ra, -1), (a - ra, 1), (a - ia, -1),
+                             (b - ib, 1), (b - rb, -1), (rb, 1), (ib, -1)):
+                    add_qfact(halves, n, w)
+                acc[(ra * (b + 1) + rb, ia * (b + 1) + ib)] = qint_monomial(
+                    c, units, halves, x_units)
+    return GradedOperator(TensorSpace((s1, s2)), acc)
+
+
 @cache
 def _build_rd(s1, s2):
-    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_rd)
+    return _pair_series(s1, s2, _pref_rd)
 
 
 @cache
 def _build_f(s1, s2):
-    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_f)
+    return _pair_series(s1, s2, _pref_f)
 
 
 @cache
 def _build_f_inv(s1, s2):
-    return _row_dressed_series(TensorSpace((s1, s2)), (0,), (1,), _pref_f_inv)
+    return _pair_series(s1, s2, _pref_f_inv)
 
 
 @cache

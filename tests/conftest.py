@@ -35,14 +35,10 @@ def cold_caches():
 
 
 @pytest.fixture
-def eager_workers(monkeypatch):
-    """Fork row workers at the start of every operator comparison, and
-    count the forks the caller makes: a list whose length is that count.
+def counted_forks(monkeypatch):
+    """Count the forks the caller makes: a list whose length is that count.
     The process may run on 3 CPUs, so jobs=3 starts 2 workers on any
     host."""
-    from dynrmat import report
-
-    monkeypatch.setattr(report, "FORK_COST_S", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     forks = []
@@ -54,3 +50,15 @@ def eager_workers(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return forks
+
+
+@pytest.fixture
+def eager_workers(monkeypatch, counted_forks):
+    """Fork row workers before row 0 of every operator comparison with
+    jobs > 1, however cheap its rows: with FORK_COST_S 0 a fork is free,
+    so the row-block rule does not wait to learn the rows' rate.  The
+    forks are counted as in counted_forks."""
+    from dynrmat import report
+
+    monkeypatch.setattr(report, "FORK_COST_S", 0)
+    return counted_forks

@@ -205,6 +205,8 @@ def _xqc(c):
 def test_twist_prefactors_match_division():
     from dynrmat import twist
 
+    pref = twist._pref_value
+
     def rd(i, wa, wb):
         return (qdiff() ** i) / qfact(i) * qpow(
             F(wa * wb, 2) + F(i * (wa - wb), 2) - F(i * (i + 1), 2))
@@ -227,10 +229,10 @@ def test_twist_prefactors_match_division():
     for k in range(5):
         for wa in range(-4, 5):
             for wb in range(-4, 5):
-                _same(twist._pref_rd(k, wa, wb), rd(k, wa, wb))
-                _same(twist._pref_f(k, wa, wb),
+                _same(pref(twist._pref_rd, k, wa, wb), rd(k, wa, wb))
+                _same(pref(twist._pref_f, k, wa, wb),
                       f(k, wa, wb, range(k, 2 * k), (-1) ** k))
-                _same(twist._pref_f_inv(k, wa, wb),
+                _same(pref(twist._pref_f_inv, k, wa, wb),
                       f(k, wa, wb, range(1, k + 1), 1))
         for m in range(5):
             _same(twist._m_coeff(k, m), m_coeff(k, m))

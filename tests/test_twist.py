@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrmat import twist
 from dynrmat.scalar import SC_ONE, qdiff, qpow, xpow
-from dynrmat.spins import TensorSpace, identity_op
+from dynrmat.spins import Spin, TensorSpace, identity_op
 from dynrmat.twist import (
     RELATIONS,
     associator_phi,
@@ -196,3 +197,32 @@ def test_gnf_products_need_no_q_level_products_or_images(monkeypatch):
     assert verify_relation("GNF", (1, 1, 1)).ok
     assert calls["xp_mul"] > 0
     assert calls["qp_mul under xp_mul"] == 0 and calls["image"] == 0, calls
+
+
+# the product engine, kept for the multi-leg groups of triple spaces, is the
+# oracle of the closed-form pair twists
+_PAIR_KINDS = [(twist._build_rd, twist._pref_rd),
+               (twist._build_f, twist._pref_f),
+               (twist._build_f_inv, twist._pref_f_inv)]
+
+
+@pytest.mark.parametrize("a", range(7))
+def test_pair_twists_equal_the_product_engine(a):
+    s1 = Spin(F(a, 2))
+    for b in range(7):
+        s2 = Spin(F(b, 2))
+        engine = TensorSpace((s1, s2))
+        for build, pref in _PAIR_KINDS:
+            assert build(s1, s2) == twist._row_dressed_series(
+                engine, (0,), (1,), pref), (a, b, pref.__name__)
+
+
+def test_building_a_pair_twist_multiplies_no_operators(monkeypatch,
+                                                       cold_caches):
+    def no_times(*args):
+        raise AssertionError("spins._times called")
+
+    monkeypatch.setattr("dynrmat.spins._times", no_times)
+    for pair in [(1, H), (F(3, 2), 1), (2, 2)]:
+        for build, _ in _PAIR_KINDS:
+            assert build(*map(Spin, pair))

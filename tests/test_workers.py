@@ -20,6 +20,7 @@ import threading
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -226,6 +227,89 @@ def test_every_worker_is_reaped(eager_workers, monkeypatch):
         verify_relation("GNF", (1, H, H), jobs=3)
     assert time.monotonic() - t0 < 10
     assert eager_workers
+    _no_children()
+
+
+def _fork_rows(monkeypatch):
+    """The first row of every row-block check, in the order they start."""
+    rows = []
+    in_blocks = report._in_blocks
+
+    def recorded(lhs, rhs, left, n, failure):
+        rows.append(left[0])
+        return in_blocks(lhs, rhs, left, n, failure)
+
+    monkeypatch.setattr(report, "_in_blocks", recorded)
+    return rows
+
+
+def test_eager_workers_fork_before_row_0(eager_workers, monkeypatch):
+    rows = _fork_rows(monkeypatch)
+    assert not _planted_report(2).ok
+    assert rows == [0] and len(eager_workers) == 1
+    _no_children()
+
+
+def _readings(monkeypatch, elapsed):
+    """Make the row-block rule read the clock 0, then elapsed[0],
+    elapsed[1], ... seconds."""
+    it = iter((0.0,) + tuple(elapsed))
+    monkeypatch.setattr(report, "time",
+                        SimpleNamespace(perf_counter=lambda: next(it)))
+
+
+def test_the_fork_comes_once_the_rows_left_repay_it(counted_forks,
+                                                     monkeypatch):
+    # 9 rows; before row r the rows left would take elapsed * (9 - r) / r:
+    # 0.8, 1.75 and 2.2 FORK_COST_S before rows 1, 2 and 3
+    seq = _planted_report(1)
+    rows = _fork_rows(monkeypatch)
+    cost = report.FORK_COST_S
+    _readings(monkeypatch, (0.1 * cost, 0.5 * cost, 1.1 * cost))
+    par = _planted_report(2)
+    assert rows == [3] and len(counted_forks) == 1
+    assert _bytes(par) == _bytes(seq)
+    # rows that keep a rate too low to repay a fork before row 1 never
+    # repay it
+    r = gnf_r(1, 1)
+    _readings(monkeypatch, [0.24 * cost * k for k in range(1, 9)])
+    square = [("square", Product(r, r), r @ r)]
+    assert run_comparisons("SQUARE", (1, 1), square, jobs=2).ok
+    assert rows == [3] and len(counted_forks) == 1
+    _no_children()
+
+
+def test_a_comparison_too_cheap_to_repay_a_fork_makes_none(counted_forks,
+                                                           monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    space = gnf_r(1, 1).space
+    ident = diag_scalars(space, [SC_ONE] * space.dim)
+    assert run_comparisons("CHEAP", (1, 1), [("cheap", ident, ident)],
+                           jobs=2).ok
+    assert verify_relation("GNF", (H, H, H), jobs=2).ok
+
+
+def test_gnf_1_1_1_forks_within_its_first_rows(counted_forks, monkeypatch,
+                                               cold_caches):
+    # rows 0 and 1, the sparsest, take 0.2-0.4 ms together on a 2-CPU host,
+    # so the rule forks before row 2 or row 3; waiting 5 ms forked before
+    # row 11
+    rows = _fork_rows(monkeypatch)
+    assert verify_relation("GNF", (1, 1, 1), jobs=2).ok
+    assert len(rows) == 1 and 1 <= rows[0] <= 3
+    _no_children()
+
+
+@pytest.mark.parametrize("name, spins", [("GNF", (1, 1, 1)),
+                                         ("GNF", (F(3, 2), 1, H))])
+def test_reports_at_the_default_fork_cost_equal_the_sequential_ones(
+        counted_forks, name, spins):
+    seq = verify_relation(name, spins, jobs=1)
+    assert not counted_forks
+    for jobs in (2, 3):
+        par = verify_relation(name, spins, jobs=jobs)
+        assert _bytes(par) == _bytes(seq)
+    assert len(counted_forks) == 3
     _no_children()
 
 
