@@ -69,7 +69,8 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# prefactors
+# prefactors: each returns the qint_monomial arguments (c, units, halves,
+# x_units) of the value its docstring gives, with a fresh halves dict
 
 
 def _pref_rd(i, wa, wb):
