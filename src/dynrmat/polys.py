@@ -28,11 +28,11 @@ Three rules of the arithmetic are written once, for every level:
   poly_mul (the product of both Laurent levels) on top of it.  The sparse
   dicts of every level sum through them, from QPoly terms and packed XNum
   rows to Scalar terms and operator entries.
-- dividing the cyclotomic factors Phi_d out of rows: _divide_out, given the
-  division of one row.  Its packed case, _qcancel_packed, divides the int
-  rows of xp_qcancel and of the QRat _cancel (one row), and its dense case
-  the others; cyclotomic and _factor divide through it too.  Multiplying
-  factors in is packed too (CYCLOTOMICS).
+- dividing the cyclotomic factors Phi_d out of rows: xp_qcancel, exact
+  big-int division of packed rows, widened until the quotient's slots
+  cannot wrap.  The QRat _cancel is its one-row case, Fraction coefficients
+  over the content denominator, and cyclotomic and _factor divide through
+  it too.  Multiplying factors in is packed too (CYCLOTOMICS).
 - the factored sum and product: multisets.over_lcm and
   multisets.cancel_across.  CanonicalFraction uses them for its factors,
   and RationalFunction (ratfunc.py) for both Dq and Dx.
@@ -250,78 +250,35 @@ def qp_eval_complex(a, u0):
 # monomials times products of them:
 #     [n] = q**-(n-1) * prod(Phi_d(q**2), d | n, d > 1),
 #     q - 1/q = q**-1 * Phi_1(q**2).
-# Polynomials in Q are handled dense here, as lists of coefficients from
-# Q**0 up.
+# Phi_d is kept dense, as its coefficients from Q**0 up; every division by
+# one runs packed (xp_qcancel).
 
 Q_DEG = 2 * DENOM
 
 
-def _dense_div(t, phi):
-    """(t / Phi_d, whether a remainder is left) for a dense polynomial t,
-    like divmod; `phi` is a value of cyclotomic.  Synthetic division by a
-    monic divisor, so integer coefficients stay integers."""
-    c, low = phi
-    k = len(c) - 1
-    top = len(t) - 1 - k
-    if top < 0:
-        return None, True
-    r = list(t)
-    for i in range(top, -1, -1):
-        f = r[i + k]
-        if f:
-            for j, cj in low:
-                r[i + j] -= f * cj
-    return r[k:], any(r[:k])
-
-
-def _divide_out(rows, fac, phi_of, div):
-    """(quotients, g): the rows of the dict `rows` divided by the largest
-    product g of factors from the multiset `fac` that divides every row,
-    with g as a multiset.  phi_of(d) is Phi_d in the rows' form, and
-    div(t, phi) is (quotient, remainder) as divmod gives them, the
-    remainder true unless phi divides t."""
-    removed = {}
-    for d, m in fac.items():
-        phi = phi_of(d)
-        k = 0
-        while k < m:
-            quotients = {}
-            for key, t in rows.items():
-                q, r = div(t, phi)
-                if r:
-                    break
-                quotients[key] = q
-            else:
-                rows = quotients
-                k += 1
-                continue
-            break
-        if k:
-            removed[d] = k
-    return rows, removed
-
-
 @cache
 def cyclotomic(d):
-    """(dense Phi_d(Q), [(j, c_j) for its nonzero c_j with j < deg]), cached."""
-    # Q**d - 1 is the product of Phi_e(Q) over the divisors e of d
-    rows, _ = _divide_out({0: [-1] + [0] * (d - 1) + [1]},
-                          {e: 1 for e in range(1, d) if d % e == 0},
-                          cyclotomic, _dense_div)
-    t = rows[0]
-    return t, [(j, c) for j, c in enumerate(t[:-1]) if c]
+    """Phi_d(Q) as the tuple of its int coefficients from Q**0 up, cached.
+
+    Q**d - 1 is the product of Phi_e(Q) over the divisors e of d, so Phi_d is
+    Q**d - 1 divided by the Phi_e of its proper divisors (xp_qcancel), which
+    needs Phi_e for e < d only.
+    """
+    q, _ = xp_qcancel(xp_from_terms({0: {0: -1, Q_DEG * d: 1}}),
+                      {e: 1 for e in range(1, d) if d % e == 0})
+    return tuple(_digits(q.rows[0], q.b)[:_totient(d) + 1])
 
 
 @cache
 def _phi_u(d):
     """Phi_d(u**Q_DEG) as a QPoly."""
-    return _q_sparse(cyclotomic(d)[0])
+    return {Q_DEG * i: c for i, c in enumerate(cyclotomic(d)) if c}
 
 
 @cache
 def _phi_norm(d):
     """||Phi_d||_1, the sum of |coefficients| of Phi_d."""
-    return sum(map(abs, cyclotomic(d)[0]))
+    return sum(map(abs, cyclotomic(d)))
 
 
 def _norm(fac):
@@ -331,26 +288,6 @@ def _norm(fac):
     for d, m in fac.items():
         out *= _phi_norm(d) ** m
     return out
-
-
-def _q_dense(t0):
-    """t0, a QPoly with minimum exponent 0, as a dense list in Q, or None
-    unless every exponent is a multiple of Q_DEG."""
-    top = max(t0)
-    if top % Q_DEG:
-        return None
-    out = [0] * (top // Q_DEG + 1)
-    for e, c in t0.items():
-        if e % Q_DEG:
-            return None
-        out[e // Q_DEG] = c if type(c) is int else demote(c)
-    return out
-
-
-def _q_sparse(t, s=0):
-    # the QPoly u**s * t(u**Q_DEG) of a dense list t
-    return {Q_DEG * i + s: c if type(c) is int else demote(c)
-            for i, c in enumerate(t) if c}
 
 
 def _totient(d):
@@ -381,30 +318,35 @@ def _max_index(n):
 def _factor(d0):
     """The multiset {d: m} with d0 = prod Phi_d(u**Q_DEG)**m, or None.
 
-    d0 is monic with minimum exponent 0.  Trial division in increasing d,
-    over every d whose Phi_d is not longer than the quotient left, until the
-    quotient is 1.  A product of cyclotomic polynomials is its own reverse
-    up to sign, which rules most other polynomials out at once.
+    d0 is monic with minimum exponent 0.  Trial division of its packed row
+    (xp_qcancel) in increasing d, over every d whose Phi_d is not longer
+    than the quotient left, until the quotient is 1.  A product of
+    cyclotomic polynomials is its own reverse up to sign, which rules most
+    other polynomials out at once.
     """
     if len(d0) == 1:
         return NO_FACTORS
-    t = _q_dense(d0)
-    if (t is None or any(type(c) is not int for c in t)
-            or (t[::-1] != t and t[::-1] != [-c for c in t])):
+    top = max(d0)
+    rev = {top - e: c for e, c in d0.items()}
+    if rev != d0 and rev != poly_neg(d0):
+        return None
+    a = xp_from_terms({0: d0})
+    if a.d != 1 or not xp_qsafe(a):
         return None
     fac = {}
-    limit = _max_index(len(t) - 1)
+    deg = top // Q_DEG
+    limit = _max_index(deg)
     d = 1
-    while len(t) > 1:
+    while deg:
         if d > limit:
             return None
         n = _totient(d)
-        if n < len(t):
-            # Phi_d divides t at most deg(t) / deg(Phi_d) times
-            rows, got = _divide_out({0: t}, {d: (len(t) - 1) // n},
-                                    cyclotomic, _dense_div)
-            t = rows[0]
-            fac.update(got)
+        if n <= deg:
+            # Phi_d divides the quotient at most deg / n times
+            a, got = xp_qcancel(a, {d: deg // n})
+            if got:
+                fac[d] = got[d]
+                deg -= n * got[d]
         d += 1
     return fac
 
@@ -416,32 +358,19 @@ def _cancel(t, fac):
 
     Then the gcd of t with Phi_d(u**Q_DEG) is the gcd of the deflated t with
     Phi_d(Q), inflated again (module docstring), and Phi_d(Q) is
-    irreducible over Q; so that gcd is Phi_d(u**Q_DEG) or 1,
-    and exact division decides: packed when the coefficients are ints
-    (_qcancel_packed), dense, the one-row case of _divide_out, otherwise or
-    when the packed quotient's slots could have wrapped.
+    irreducible over Q; so that gcd is Phi_d(u**Q_DEG) or 1, and exact
+    division decides.  t is the one-row case of xp_qcancel: packed by
+    xp_from_terms, its Fraction coefficients over the content denominator.
     """
-    t0, st = poly_strip(t)
-    if len(t0) == 1:
+    if len(t) == 1:
         return t, NO_FACTORS
-    dense = _q_dense(t0)
-    if dense is None:
+    a = xp_from_terms({0: t})
+    if not xp_qsafe(a):
         return None
-    if all(type(c) is int for c in dense):
-        # as a packed one-row XNum
-        top = max(map(abs, dense))
-        b = _width(top)
-        got = _qcancel_packed(XNum({0: _pack(dense, b)}, 0, Q_DEG, b, top,
-                                   True), fac)
-        if got is not None:
-            q, removed = got
-            if not removed:
-                return t, NO_FACTORS
-            return poly_shift(xp_terms(q)[0], st), removed
-    rows, removed = _divide_out({0: dense}, fac, cyclotomic, _dense_div)
+    q, removed = xp_qcancel(a, fac)
     if not removed:
         return t, NO_FACTORS
-    return _q_sparse(rows[0], st), removed
+    return xp_terms(q)[0], removed
 
 
 class _PhiAlphabet(Alphabet):
@@ -1575,20 +1504,25 @@ def _qtimes(key):
 def xp_qcancel(a, fac):
     """(a / g, g) for g the largest product of cyclotomic factors from the
     multiset `fac` that divides every row of a, with g as a multiset; a is
-    nonzero and xp_qsafe(a).  Packed division decides, and dense division
-    where the packed quotient's slots could have wrapped."""
-    got = _qcancel_packed(a, fac)
-    if got is not None:
-        return got
-    dense, shifts = {}, {}
-    for k, row in _slots(a).items():
-        t0, shifts[k] = poly_strip(row)
-        dense[k] = _q_dense(t0)
-    dense, removed = _divide_out(dense, fac, cyclotomic, _dense_div)
-    if not removed:
+    nonzero and xp_qsafe(a), and is returned itself when nothing cancels.
+
+    Exact big-int division decides (_divided), at a's slot width and then,
+    while the quotient's slots could have wrapped, at
+    max(2b, the width of a's bound times ||g||_1 for every product g of
+    factors from `fac`).  The loop ends:
+    - a product g that divides the rows has a quotient with bounded slots,
+      so some width vouches for it;
+    - a product g that does not divide a row P leaves a nonzero remainder
+      R, deg R < deg g.  Once 2**b is past R's slots,
+      0 < |R(2**b)| < g(2**b), so the big-int division leaves a remainder.
+    """
+    x = a
+    while (got := _divided(x, fac)) is None:
+        _tighten(x)
+        x = _repack(x, max(2 * x.b, _width(x.bound * _norm(fac))), x.s)
+    if not got[1]:
         return a, NO_FACTORS
-    return _pack_terms({k: _q_sparse(t, shifts[k]) for k, t in dense.items()},
-                       a.o, Q_DEG, SLOT, a.d), removed
+    return got
 
 
 class _PackedPhis(dict):
@@ -1599,7 +1533,7 @@ class _PackedPhis(dict):
         self.b = b
 
     def __missing__(self, d):
-        got = self[d] = _pack(cyclotomic(d)[0], self.b)
+        got = self[d] = _pack(cyclotomic(d), self.b)
         return got
 
 
@@ -1607,22 +1541,6 @@ class _PackedPhis(dict):
 def _phis_packed(b):
     """The _PackedPhis of slot width b."""
     return _PackedPhis(b)
-
-
-def _qcancel_packed(a, fac):
-    """xp_qcancel by exact big-int division at a's slot width, and if the
-    quotient's slots could have wrapped there, at slots that hold a's bound
-    times ||g||_1 for every product g of factors from `fac`; None if they
-    could have wrapped there too."""
-    got = _divided(a, fac)
-    if got is None:
-        _tighten(a)
-        b = _width(a.bound * _norm(fac))
-        if b > a.b:
-            got = _divided(_repack(a, b, a.s), fac)
-    if got is not None and not got[1]:
-        return a, NO_FACTORS
-    return got
 
 
 def _divided(a, fac):
@@ -1637,8 +1555,24 @@ def _divided(a, fac):
     P = Q' g: every division was exact, and q is the packed quotient.
     """
     b = a.b
-    rows, removed = _divide_out(a.rows, fac, _phis_packed(b).__getitem__,
-                                divmod)
+    phis = _phis_packed(b)
+    rows, removed = a.rows, {}
+    for d, m in fac.items():
+        phi = phis[d]
+        k = 0
+        while k < m:
+            quotients = {}
+            for key, n in rows.items():
+                q, r = divmod(n, phi)
+                if r:
+                    break
+                quotients[key] = q
+            else:
+                rows, k = quotients, k + 1
+                continue
+            break
+        if k:
+            removed[d] = k
     if not removed:
         return a, NO_FACTORS
     bound = max(_top(n, b) for n in rows.values())

@@ -167,22 +167,22 @@ def _numeric_residual_rank(diff):
         [vals.get((r, c), 0) for c in cols] for r in rows])
 
 
-def _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol):
+def _row_failure_numeric(label, r, lrow, rrow, q0, x0):
     for c in sorted(lrow.keys() | rrow.keys()):
         va = lrow.get(c, SC_ZERO).numeric_eval(q0, x0)
         vb = rrow.get(c, SC_ZERO).numeric_eval(q0, x0)
         scale = max(1.0, abs(va), abs(vb))
-        if abs(va - vb) > tol * scale:
+        if abs(va - vb) > NUMERIC_TOL * scale:
             return {"check": label, "row": r, "col": c,
                     "lhs": repr(va), "rhs": repr(vb)}
     return None
 
 
-def _row_failure(label, r, lrow, rrow, exact, q0, x0, tol):
+def _row_failure(label, r, lrow, rrow, exact, q0, x0):
     """(failing entry, difference of the row or None in numeric mode) of
     row r, else None if its two sides agree."""
     if not exact:
-        failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0, tol)
+        failing = _row_failure_numeric(label, r, lrow, rrow, q0, x0)
         return None if failing is None else (failing, None)
     # equal canonical forms are equal values: only a failure needs the
     # difference, which the report prints
@@ -298,7 +298,7 @@ def _in_blocks(lhs, rhs, rows, n, failure):
     return min(failing) if failing else None
 
 
-def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
+def _operator_failure(label, lhs, rhs, exact, q0, x0, jobs):
     """The first failing entry of two operator sides, and in exact mode the
     residual rank of their difference.
 
@@ -316,7 +316,7 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, tol, jobs):
     dim = lhs.space.dim
 
     def failure(r, lrow, rrow):
-        return _row_failure(label, r, lrow, rrow, exact, q0, x0, tol)
+        return _row_failure(label, r, lrow, rrow, exact, q0, x0)
 
     forking = jobs > 1 and _may_fork()
     t0 = time.perf_counter()
@@ -359,11 +359,11 @@ def _scalar_failure_exact(label, lhs, rhs):
     return {"check": label, "difference": str(diff)}
 
 
-def _scalar_failure_numeric(label, lhs, rhs, q0, x0, tol):
+def _scalar_failure_numeric(label, lhs, rhs, q0, x0):
     va = lhs.numeric_eval(q0, x0)
     vb = rhs.numeric_eval(q0, x0)
     scale = max(1.0, abs(va), abs(vb))
-    if abs(va - vb) > tol * scale:
+    if abs(va - vb) > NUMERIC_TOL * scale:
         return {"check": label, "lhs": repr(va), "rhs": repr(vb)}
     return None
 
@@ -375,7 +375,6 @@ def run_comparisons(
     mode="exact",
     q0=None,
     x0=None,
-    tol=NUMERIC_TOL,
     jobs=None,
 ):
     """Fold labelled (lhs, rhs) pairs into a VerificationReport.
@@ -384,7 +383,7 @@ def run_comparisons(
     operators (GradedOperators or spins.Products, read row by row) or
     Scalars.  In exact mode the difference must vanish
     structurally; in numeric mode entries are compared at (q0, x0), each
-    coordinate defaulting on its own.  The report's elapsed_ms is left to
+    coordinate defaulting on its own, to a relative NUMERIC_TOL.  The report's elapsed_ms is left to
     the caller (suite.verify_relation charges the building too).  No
     comparison at all raises ValueError: it would pass having checked
     nothing.  One operator comparison may check its rows in up to `jobs`
@@ -399,11 +398,11 @@ def run_comparisons(
     for label, lhs, rhs in comparisons:
         if isinstance(lhs, (GradedOperator, Product)):
             failing, rank = _operator_failure(
-                label, lhs, rhs, mode == "exact", q0, x0, tol, jobs)
+                label, lhs, rhs, mode == "exact", q0, x0, jobs)
         elif mode == "exact":
             failing = _scalar_failure_exact(label, lhs, rhs)
         else:
-            failing = _scalar_failure_numeric(label, lhs, rhs, q0, x0, tol)
+            failing = _scalar_failure_numeric(label, lhs, rhs, q0, x0)
         if failing is not None:
             break
     spins = tuple(Fraction(s) for s in spins)

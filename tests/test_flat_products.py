@@ -133,7 +133,7 @@ def _sympy_checks(r, sp, u, v):
         binomial = v ** Y_DEG - u ** e if e >= 0 else u ** -e * v ** Y_DEG - 1
         assert sp.gcd(n, binomial).is_number
     for d in r.dq:
-        phi = sum(c * u ** (8 * j) for j, c in enumerate(cyclotomic(d)[0]))
+        phi = sum(c * u ** (8 * j) for j, c in enumerate(cyclotomic(d)))
         assert any(sp.rem(sum(sp.Integer(c) * u ** (e - lo)
                               for e, c in row.items()), phi, u)
                    for row in rows.values())

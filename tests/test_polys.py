@@ -927,8 +927,8 @@ def sym_qcancel(rows, fac):
 def test_packed_q_cancel_matches_sympy_near_the_slot_limit():
     # rows u**r times polynomials in u**8, times cyclotomic factors, with
     # coefficients near the slot limit: the exact big-int division must
-    # cancel what sympy's division cancels, and fall back where its
-    # quotient slots could have wrapped
+    # cancel what sympy's division cancels, and divide again at a wider slot
+    # where its quotient slots could have wrapped
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     ds = st.sampled_from([1, 2, 3, 4, 6, 8])
@@ -972,6 +972,19 @@ def test_packed_q_cancel_matches_sympy_near_the_slot_limit():
     got, removed = polys.xp_qcancel(a, {1: 1})
     assert removed == {} and got is a
     assert polys._cancel(xp_terms(a)[0], {1: 1}) == (xp_terms(a)[0], {})
+    # a Fraction row whose ints over its content denominator need two slots:
+    # the QRat cancel packs it too, and both divide as sympy does
+    big = F((1 << polys.SLOT) + 1, 3)
+    t = qp_mul({0: big, 8: F(-1, 2), 24: 1}, qp_mul(
+        polys._phi_u(1), qp_mul(polys._phi_u(1), polys._phi_u(6))))
+    a = content_ok(xn({0: t}))
+    assert a.d == 6 and a.b > polys.SLOT
+    for fac in ({1: 3, 6: 1, 2: 1}, {2: 2, 3: 1}):
+        want, wanted = sym_qcancel({0: t}, fac)
+        got, removed = polys.xp_qcancel(a, fac)
+        assert (sym(xp_terms(content_ok(got))), removed) == (want[0], wanted)
+        got, removed = polys._cancel(t, fac)
+        assert (sym({0: got}), removed) == (want[0], wanted)
 
 
 # ------------------------------------------------------- shared kernels ----
