@@ -1607,6 +1607,23 @@ def xp_qshift(a, m_units, s=0):
                    a.o + lo, g, a.b, a.bound, a.tight, a.d)
 
 
+def xp_collapse(a, m_units, part):
+    """{j: QPoly} for a at x -> x*q**(m_units/D), its rows then summed by
+    part: row k is added to the sum j times c, for (j, c) = part(k) and c
+    = +-1.  The rows are shifted and summed as packed ints, at a width that
+    holds the sum of all of them."""
+    a = _room(xp_qshift(a, m_units), len(a.rows))
+    sums = {}
+    for k, n in a.rows.items():
+        j, c = part(k)
+        sums[j] = sums.get(j, 0) + c * n
+    sums = {j: n for j, n in sums.items() if n}
+    if not sums:
+        return {}
+    return xp_terms(XNum(sums, a.o, a.s, a.b, a.bound * len(a.rows), False,
+                         a.d))
+
+
 def xq_qshift(a, m_units):
     """The substitution x -> x*q**(m_units/D) on a nested XPoly."""
     if not m_units:

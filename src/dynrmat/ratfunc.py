@@ -53,6 +53,9 @@ Arithmetic on the flat form:
 - A Phi_d(u**8) divides a row wholly or not at all when all exponents of u
   in N agree mod 8 (polys.xp_qsafe).  Otherwise each row is reduced as a
   QRat and the flat form is rebuilt from the reduced rows.
+- Whether a signed sum of products vanishes needs no canonical form:
+  rf_sum_vanishes multiplies and adds numerators over the lcm of the
+  multisets, and cancels nothing.
 
 Values the flat form cannot hold are stored nested, as a `_Nested` fraction
 of XPolys over QRats: an x-denominator that is no product of binomials
@@ -74,10 +77,12 @@ from .polys import (
     XN_ZERO,
     XP_ONE,
     XP_ZERO,
+    Q_DEG,
     Y_DEG,
     CanonicalFraction,
     QRat,
     add_into,
+    poly_neg,
     poly_shift,
     poly_strip,
     qrat_const,
@@ -86,6 +91,7 @@ from .polys import (
     xp_add,
     xp_binom_cancel,
     xp_binom_mul,
+    xp_collapse,
     xp_equal,
     xp_from_terms,
     xp_gcd,
@@ -116,6 +122,7 @@ __all__ = [
     "rf_qpow_units",
     "rf_xpow_units",
     "PoleAtSubstitution",
+    "rf_sum_vanishes",
 ]
 
 
@@ -495,7 +502,18 @@ class RationalFunction:
     def subs_signed_qpow(self, sign, a_units):
         """Evaluate at x = sign * q**(a_units/D).  At x = -q**a each
         x**(k/D) carries the phase (-1)**(k/D) = z8**(4k/D), so the value is
-        returned by its parts on 1, z8, z8**2, z8**3: a list of four QRats."""
+        returned by its parts on 1, z8, z8**2, z8**3: a list of four QRats.
+
+        On the flat form each binomial y - u**e becomes u**(2a) - u**e, a
+        unit times u**n - 1, n = |2a - e|, which is the product of the
+        Phi_d(u**8) over d | n/8 when 8 divides n.  Then N's rows are
+        shifted and summed by phase (polys.xp_collapse), and each part is
+        divided by Dq and those factors in one cancellation.  A nested value
+        and a binomial that is no such product take the nested path."""
+        if self.n is not None:
+            got = self._subs_flat(sign, a_units)
+            if got is not None:
+                return got
         num = _xp_subs_signed(self.num, sign, a_units)
         den = _xp_subs_signed(self.den, sign, a_units)
         if not any(den):
@@ -503,6 +521,39 @@ class RationalFunction:
                 "substitution hit a denominator zero", not any(num)
             )
         return z8_div(num, den)
+
+    def _subs_flat(self, sign, a_units):
+        """subs_signed_qpow on the flat form, or None where it declines."""
+        for k in self.n.rows:
+            if a_units * k % DENOM:
+                raise LatticeError("substitution exponent off the lattice")
+            if sign < 0 and 4 * k % DENOM:
+                raise LatticeError("sign phase off the eighth-root lattice")
+        units, negate, fac, pole = 0, False, self.dq, False
+        for e, m in self.fac.items():
+            n = 2 * a_units - e
+            if n % Q_DEG:
+                return None
+            pole = pole or not n
+            units += m * min(e, 2 * a_units)
+            negate ^= n < 0 and m % 2 == 1
+            t = abs(n) // Q_DEG
+            fac = multisets.total(fac, {d: m for d in range(1, t + 1)
+                                        if not t % d})
+
+        def part(k):
+            j = 4 * k // DENOM % 8 if sign < 0 else 0
+            return (j - 4, -1) if j >= 4 else (j, 1)
+
+        parts = xp_collapse(self.n, a_units, part) if self else {}
+        if pole:
+            raise PoleAtSubstitution("substitution hit a denominator zero",
+                                     not parts)
+        out = []
+        for j in range(4):
+            p = poly_shift(parts.get(j, {}), -units)
+            out.append(qrat_over_cyclotomics(poly_neg(p) if negate else p, fac))
+        return out
 
     # ----------------------------------------------------------- limits
 
@@ -563,6 +614,57 @@ def _xp_subs_signed(a, sign, a_units):
                 t, j = -t, j - 4
         parts[j] = parts[j] + t
     return parts
+
+
+def rf_sum_vanishes(terms):
+    """Whether the sum of sign * prod rfs over the (sign, rfs) `terms`, a
+    sign +-1 and a tuple of nonzero RationalFunctions each, is zero.
+
+    Nothing is cancelled: each term's numerator is the product of its
+    factors' numerators over the sum of their multisets, the terms over one
+    Dq and Dx are added, and each such sum times the factors of the lcm of
+    all the Dq and all the Dx that it lacks is added up.  The sum of the
+    terms is zero exactly when that numerator is.  A term with a nested
+    factor is not flat, and then the terms are summed canonically."""
+    if len(terms) == 1:
+        return False
+    if any(f.n is None for _, rfs in terms for f in rfs):
+        return not _canonical_sum(terms)
+    parts = {}
+    for sign, rfs in terms:
+        n, dq, fac = rfs[0].n, rfs[0].dq, rfs[0].fac
+        for f in rfs[1:]:
+            n = xp_mul(n, f.n)
+            dq = multisets.total(dq, f.dq)
+            fac = multisets.total(fac, f.fac)
+        if sign < 0:
+            n = xp_neg(n)
+        key = multisets.key(dq), multisets.key(fac)
+        got = parts.get(key)
+        parts[key] = (n, dq, fac) if got is None else (xp_add(got[0], n),
+                                                       dq, fac)
+    lq = lx = NO_FACTORS
+    for _, dq, fac in parts.values():
+        lq = multisets.lcm(lq, dq)
+        lx = multisets.lcm(lx, fac)
+    total = XN_ZERO
+    for n, dq, fac in parts.values():
+        if n:
+            total = xp_add(total, _xtimes(
+                xp_qtimes(n, multisets.minus(lq, dq)),
+                multisets.minus(lx, fac)))
+    return not total
+
+
+def _canonical_sum(terms):
+    """The canonical RationalFunction sum of sign * prod rfs over terms."""
+    total = RF_ZERO
+    for sign, rfs in terms:
+        p = rfs[0]
+        for f in rfs[1:]:
+            p = p * f
+        total = total + p if sign > 0 else total - p
+    return total
 
 
 RF_ZERO = RationalFunction(XN_ZERO, NO_FACTORS, NO_FACTORS)

@@ -8,6 +8,21 @@ product side is never held whole.  The first row that differs holds the
 least failing (row, col), the entry an evaluated difference would report;
 only then are the remaining rows built, for the residual rank.
 
+In exact mode a row passes by one signed sum per column, radical and phase
+that is never made canonical (_rows_agree).  A side's row r is its stage
+(spins.Product.stages): row r of all its factors but the last, built
+canonically, and the last factor, whose products with it are not taken.
+Instead each product of two terms is kept as a signed list of canonical
+factors, the radical atoms the two share squared into their radicands and
+z8**4 = -1 folded into the sign (scalar.add_term_products); an evaluated
+side's terms enter alone.  The terms of one column, radical and phase are
+brought over the lcm of their Dq and Dx and added without cancelling
+anything (ratfunc.rf_sum_vanishes), and the row passes when every such sum
+is 0.  That is an exact polynomial identity, and distinct radicals and
+phases are independent, as for canonical Scalars, so a row passes exactly
+when its canonical rows are equal.  Canonical rows are built only from the
+least row that fails on: for the failing entry, and for the residual rank.
+
 Rows are independent, so one operator comparison may use up to `jobs`
 processes, but never more than the CPUs this process may run on, which is
 what jobs=None asks for.  The row-block rule: rows are checked in order
@@ -44,8 +59,9 @@ import time
 from fractions import Fraction
 
 from .polys import poly_sub
-from .scalar import SC_ZERO, Scalar
-from .spins import GradedOperator, Product
+from .ratfunc import rf_sum_vanishes
+from .scalar import SC_ZERO, Scalar, add_term_products
+from .spins import GradedOperator, Product, finish
 
 __all__ = ["VerificationReport", "run_comparisons", "check_point",
            "resolve_jobs", "NUMERIC_TOL"]
@@ -195,6 +211,19 @@ def _row_failure(label, r, lrow, rrow, exact, q0, x0):
     return {"check": label, "row": r, "col": c, "difference": str(diff[c])}, diff
 
 
+def _rows_agree(lstage, rstage):
+    """Whether the rows of two stages, each a (row, row index) pair of
+    Product.stages, are equal, by one signed sum per column, radical and
+    phase that is never cancelled (ratfunc.rf_sum_vanishes).  Two rows with
+    no factor left are canonical already, and are compared as they are."""
+    if lstage[1] is None and rstage[1] is None:
+        return lstage[0] == rstage[0]
+    groups = {}
+    add_term_products(groups, *lstage, 1)
+    add_term_products(groups, *rstage, -1)
+    return all(map(rf_sum_vanishes, groups.values()))
+
+
 def _may_fork():
     """Whether a worker can check rows without changing what this process
     sees: see the module docstring."""
@@ -207,8 +236,9 @@ def _block_verdict(lhs, rhs, block, failure):
     row that raises is one where the sequential check stops too."""
     k = 0
     try:
-        for (r, lrow), (_, rrow) in zip(lhs.rows(block), rhs.rows(block)):
-            if failure(r, lrow, rrow) is not None:
+        for (r, *lstage), (_, *rstage) in zip(lhs.stages(block),
+                                              rhs.stages(block)):
+            if failure(r, lstage, rstage) is not None:
                 return r
             k += 1
     except Exception:
@@ -304,9 +334,11 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, jobs):
 
     Both sides are read one row at a time in increasing row order, and each
     row is dropped once it is checked, so a side that is a spins.Product is
-    never held whole.  The first row that differs holds the least failing
-    (row, col); only then are the remaining rows read, to assemble the
-    difference whose rank the report gives.  With jobs > 1 the rows left
+    never held whole.  In exact mode a row passes by the signed sums of its
+    last stage (_rows_agree), and canonical rows are built only from the
+    first row that differs, which holds the least failing (row, col): for
+    that entry, and for the remaining rows, to assemble the difference
+    whose rank the report gives.  With jobs > 1 the rows left
     once they would take 2 FORK_COST_S at the rate so far may be checked
     in blocks, in up to `jobs` processes; the check then goes on from the
     least row that fails or raises there.
@@ -315,12 +347,15 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, jobs):
         raise ValueError("operator spaces differ")
     dim = lhs.space.dim
 
-    def failure(r, lrow, rrow):
-        return _row_failure(label, r, lrow, rrow, exact, q0, x0)
+    def failure(r, lstage, rstage):
+        if exact and _rows_agree(lstage, rstage):
+            return None
+        return _row_failure(label, r, finish(*lstage), finish(*rstage), exact,
+                            q0, x0)
 
     forking = jobs > 1 and _may_fork()
     t0 = time.perf_counter()
-    paired = zip(lhs.rows(), rhs.rows())
+    paired = zip(lhs.stages(), rhs.stages())
     r = 0
     while r < dim:
         # fork once the rows left, at the rate so far, would take 2
@@ -332,9 +367,9 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, jobs):
             r = _in_blocks(lhs, rhs, range(r, dim), min(jobs, dim - r), failure)
             if r is None:
                 return None, None
-            paired = zip(lhs.rows(range(r, dim)), rhs.rows(range(r, dim)))
-        (_, lrow), (_, rrow) = next(paired)
-        found = failure(r, lrow, rrow)
+            paired = zip(lhs.stages(range(r, dim)), rhs.stages(range(r, dim)))
+        (_, *lstage), (_, *rstage) = next(paired)
+        found = failure(r, lstage, rstage)
         r += 1
         if found is None:
             continue
@@ -342,8 +377,9 @@ def _operator_failure(label, lhs, rhs, exact, q0, x0, jobs):
         if diff is None:
             return entry, None
         data = {(entry["row"], k): s for k, s in diff.items()}
-        for (r, lrow), (_, rrow) in paired:
-            data.update(((r, k), s) for k, s in poly_sub(lrow, rrow).items())
+        for (r, *lstage), (_, *rstage) in paired:
+            diff = poly_sub(finish(*lstage), finish(*rstage))
+            data.update(((r, k), s) for k, s in diff.items())
         return entry, _numeric_residual_rank(GradedOperator(lhs.space, data))
     return None, None
 

@@ -85,6 +85,7 @@ __all__ = [
     "add_qfact",
     "add_xbracket",
     "qint_monomial",
+    "add_term_products",
 ]
 
 
@@ -374,17 +375,45 @@ def _term_mul(a1, r1, a2, r2):
         return a2, r1 * r2
     if not a2:
         return a1, r1 * r2
-    if a1[-1][0] == "z8" or a2[-1][0] == "z8":
-        b1, k1 = _phase_of(a1)
-        b2, k2 = _phase_of(a2)
-        atoms, rf = _term_mul(b1, r1, b2, r2)
-        return _phased(atoms, k1 + k2, rf)
-    s1 = set(a1)
-    s2 = set(a2)
+    atoms, sign, radicands = _term_shape(a1, a2)
     rf = r1 * r2
-    for a in sorted(s1 & s2):
-        rf = rf * _radicand_rf(a)
-    return tuple(sorted(s1 ^ s2)), rf
+    for f in radicands:
+        rf = rf * f
+    return atoms, -rf if sign < 0 else rf
+
+
+@cache
+def _term_shape(a1, a2):
+    """(atoms, sign, radicands): a term r1 of atoms a1 times a term r2 of
+    atoms a2 is the term sign * r1 * r2 * prod radicands of atoms.  The
+    radical atoms the two share square out into their radicands, and the
+    phases add, z8**4 = -1 folding into the sign (_phased)."""
+    b1, k1 = _phase_of(a1)
+    b2, k2 = _phase_of(a2)
+    s1, s2 = set(b1), set(b2)
+    atoms, sign = _phased(tuple(sorted(s1 ^ s2)), k1 + k2, 1)
+    return atoms, sign, tuple(_radicand_rf(a) for a in sorted(s1 & s2))
+
+
+def add_term_products(groups, row, index, sign):
+    """Add sign times the row {k: Scalar} times the operator of row index
+    `index` ({k: [(c, Scalar)]}), or times nothing when index is None, to
+    `groups`, term product by term product and never summed: a term product
+    of column c and atoms a is appended to groups[c, a] as (sign', rfs),
+    the value sign' * prod rfs (_term_shape).  Distinct atoms are
+    independent, so the row is zero exactly when every group sums to 0."""
+    if index is None:
+        for c, s in row.items():
+            for atoms, rf in s.terms.items():
+                groups.setdefault((c, atoms), []).append((sign, (rf,)))
+        return
+    for k, sa in row.items():
+        for c, sb in index.get(k, ()):
+            for a1, r1 in sa.terms.items():
+                for a2, r2 in sb.terms.items():
+                    atoms, s, radicands = _term_shape(a1, a2)
+                    groups.setdefault((c, atoms), []).append(
+                        (sign * s, (r1, r2) + radicands))
 
 
 def _phase_of(atoms):

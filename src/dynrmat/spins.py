@@ -8,7 +8,10 @@ scalar field, keyed by (row, column).  A Product is an unevaluated product
 of GradedOperators that yields its rows one at a time: row r of
 A1 ... An is e_r A1 ... An, built left to right by the one product kernel,
 so it is exact for any factors and needs only the factors and one row in
-memory.  GradedOperator.__matmul__ is that same kernel run over every row.
+memory.  A row's stage stops one factor short: row r of A1 ... A(n-1) and
+the row index of An, which `finish` multiplies in, and which the exact row
+test of report.py reads term by term instead.  GradedOperator.__matmul__
+is that same kernel run over every row.
 
 Generator conventions on a single spin-j leg:
 
@@ -53,6 +56,7 @@ __all__ = [
     "TensorSpace",
     "GradedOperator",
     "Product",
+    "finish",
     "identity_op",
     "zero_op",
     "rep_h",
@@ -262,6 +266,12 @@ class GradedOperator:
         for r in range(self.space.dim) if indices is None else indices:
             yield r, dict(index.get(r, ()))
 
+    def stages(self, indices=None):
+        """(r, row, None) for each (r, row) of `rows`: a row with no factor
+        left to multiply in (Product.stages)."""
+        for r, row in self.rows(indices):
+            yield r, row, None
+
     def to_jsonable(self):
         return {
             "spins": [ratio_str(s.twice, 2) for s in self.space.spins],
@@ -309,10 +319,11 @@ class Product:
     its own, left to right, and a check can drop it before building the
     next: only the factors and one row are held at a time.  That is exact
     whatever the factors are (no weight needs to be conserved), and the
-    arithmetic is that of the evaluated product, pair for pair.
+    arithmetic is that of the evaluated product, pair for pair.  The row
+    indices of the factors are built once, on first use.
     """
 
-    __slots__ = ("space", "factors")
+    __slots__ = ("space", "factors", "_indices")
 
     def __init__(self, *factors):
         space = factors[0].space
@@ -320,20 +331,41 @@ class Product:
             raise ValueError("operator spaces differ")
         self.space = space
         self.factors = factors
+        self._indices = None
 
-    def rows(self, indices=None):
-        """(r, {c: scalar}) for each row index r of `indices`, by default
-        0, 1, ..., dim - 1, empty rows included.  A row is the same
-        whichever rows are asked for with it."""
-        first = _row_index(self.factors[0])
-        rest = [_row_index(f) for f in self.factors[1:]]
+    def stages(self, indices=None):
+        """(r, row, index) for each row index r of `indices`, by default
+        0, 1, ..., dim - 1: row r of A1 ... A(n-1) as {k: scalar}, and the
+        row index of An, which `finish` multiplies in; for one factor, its
+        row r and None."""
+        if self._indices is None:
+            self._indices = [_row_index(f) for f in self.factors]
+        first, *rest = self._indices
+        last = rest.pop() if rest else None
         for r in range(self.space.dim) if indices is None else indices:
             data = {(r, c): s for c, s in first.get(r, ())}
             for index in rest:
                 if not data:
                     break
                 data = _times(data, index)
-            yield r, {c: s for (_, c), s in data.items()}
+            yield r, {c: s for (_, c), s in data.items()}, last
+
+    def rows(self, indices=None):
+        """(r, {c: scalar}) for each row index r of `indices`, by default
+        0, 1, ..., dim - 1, empty rows included.  A row is the same
+        whichever rows are asked for with it."""
+        for r, row, index in self.stages(indices):
+            yield r, finish(row, index)
+
+
+def finish(row, index):
+    """The row {c: scalar} of the row {k: scalar} of a stage times the
+    operator whose row index is `index`, by the product kernel; `row` itself
+    when index is None."""
+    if index is None:
+        return row
+    data = _times({(0, k): s for k, s in row.items()}, index)
+    return {c: s for (_, c), s in data.items()}
 
 
 def zero_op(space):

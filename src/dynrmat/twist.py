@@ -212,7 +212,7 @@ def _build_f_inv(s1, s2):
 def _build_gnf_r(s1, s2):
     space = TensorSpace((s1, s2))
     f21_inv = embed(_build_f_inv(s2, s1), space, (1, 0))
-    return f21_inv @ _build_rd(s1, s2) @ _build_f(s1, s2)
+    return f21_inv @ (_build_rd(s1, s2) @ _build_f(s1, s2))
 
 
 @cache
