@@ -11,17 +11,18 @@ only then are the remaining rows built, for the residual rank.
 In exact mode a row passes by one signed sum per column, radical and phase
 that is never made canonical (_rows_agree).  A side's row r is its stage
 (spins.Product.stages): row r of all its factors but the last, built
-canonically, and the last factor, whose products with it are not taken.
-Instead each product of two terms is kept as a signed list of canonical
-factors, the radical atoms the two share squared into their radicands and
-z8**4 = -1 folded into the sign (scalar.add_term_products); an evaluated
-side's terms enter alone.  The terms of one column, radical and phase are
-brought over the lcm of their Dq and Dx and added without cancelling
-anything (ratfunc.rf_sum_vanishes), and the row passes when every such sum
-is 0.  That is an exact polynomial identity, and distinct radicals and
-phases are independent, as for canonical Scalars, so a row passes exactly
-when its canonical rows are equal.  Canonical rows are built only from the
-least row that fails on: for the failing entry, and for the residual rank.
+canonically, and the row index of the last factor.  Their products are
+not summed: each product of two terms is kept as a sign and a tuple of
+canonical factors, the radical atoms the two share squared into their
+radicands and z8**4 = -1 folded into the sign (scalar.add_term_products),
+and an evaluated side's terms enter alone.  The terms of one column,
+radical and phase are brought over the lcm of their Dq and Dx and added
+without cancelling anything (ratfunc.rf_sum_vanishes), and the row passes
+when every such sum is 0.  That is an exact polynomial identity, and
+distinct radicals and phases are independent, as for canonical Scalars, so
+a row passes exactly when its canonical rows are equal.  Canonical rows
+are built only from the least row that fails on: for the failing entry,
+and for the residual rank.
 
 Rows are independent, so one operator comparison may use up to `jobs`
 processes, but never more than the CPUs this process may run on, which is

@@ -26,6 +26,7 @@ from fractions import Fraction as F
 import pytest
 
 from dynrmat import ratfunc
+from dynrmat.lattice import LatticeError
 from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xq_mul
 from dynrmat.ratfunc import PoleAtSubstitution, ratfn
 from dynrmat.scalar import rf_from_jsonable, rf_jsonable
@@ -293,6 +294,24 @@ def test_subs_signed_qpow_matches_oracle():
         assert value - K.K(want.numer(point)) / K.K(den) == 0
 
     run()
+
+
+@hyp.settings(SETTINGS, max_examples=150)
+@hyp.given(binomial_operands, st.sampled_from([1, -1]), st.integers(-12, 12))
+def test_subs_signed_qpow_on_the_flat_form_is_the_nested_path(a, sign, au):
+    # the same value held nested takes the nested path: it must give the
+    # same parts, or raise the same error, at every point of the lattice
+    r = build_rf(a)
+    assert r.n is not None
+
+    def outcome(f):
+        try:
+            return f.subs_signed_qpow(sign, au)
+        except (PoleAtSubstitution, LatticeError) as e:
+            return type(e), str(e), getattr(e, "numerator_vanished", None)
+
+    nested = ratfunc.RationalFunction._of_nested(r._nest())
+    assert outcome(r) == outcome(nested)
 
 
 def test_json_round_trip_is_identity():
