@@ -529,7 +529,7 @@ class RationalFunction:
                 raise LatticeError("substitution exponent off the lattice")
             if sign < 0 and 4 * k % DENOM:
                 raise LatticeError("sign phase off the eighth-root lattice")
-        units, negate, fac, pole = 0, False, self.dq, False
+        units, negate, dq, pole = 0, False, self.dq, False
         for e, m in self.fac.items():
             n = 2 * a_units - e
             if n % Q_DEG:
@@ -538,8 +538,8 @@ class RationalFunction:
             units += m * min(e, 2 * a_units)
             negate ^= n < 0 and m % 2 == 1
             t = abs(n) // Q_DEG
-            fac = multisets.total(fac, {d: m for d in range(1, t + 1)
-                                        if not t % d})
+            dq = multisets.total(dq, {d: m for d in range(1, t + 1)
+                                      if not t % d})
 
         def part(k):
             j = 4 * k // DENOM % 8 if sign < 0 else 0
@@ -552,7 +552,7 @@ class RationalFunction:
         out = []
         for j in range(4):
             p = poly_shift(parts.get(j, {}), -units)
-            out.append(qrat_over_cyclotomics(poly_neg(p) if negate else p, fac))
+            out.append(qrat_over_cyclotomics(poly_neg(p) if negate else p, dq))
         return out
 
     # ----------------------------------------------------------- limits

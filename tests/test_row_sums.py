@@ -30,8 +30,14 @@ from dynrmat.scalar import (
     sqrt_qint,
     xbracket,
 )
-from dynrmat.spins import GradedOperator, Product, Spin, TensorSpace, embed
-from dynrmat.spins import finish
+from dynrmat.spins import (
+    GradedOperator,
+    Product,
+    Spin,
+    TensorSpace,
+    embed,
+    finish,
+)
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
