@@ -1372,22 +1372,50 @@ def _y_rows(rows):
 
 
 def xp_binom_mul(a, e):
-    """a * (y - u**e): a shift and a subtraction."""
-    if not a.rows:
+    """a * (y - u**e): the one-binomial case of xp_binoms_mul."""
+    return xp_binoms_mul(a, {e: 1})
+
+
+def xp_binoms_mul(a, fac):
+    """a times the binomials of the multiset `fac`.  The rows of each class
+    of v-exponents mod Y_DEG are one dense list of y-rows, and each
+    binomial is a shift and a subtraction over it; the rows are given room
+    once for the bound, which each binomial at most doubles, and packed
+    once."""
+    if not a.rows or not fac:
         return a
-    if e % a.s:
-        a = _repack(a, a.b, math.gcd(a.s, e))
-    if a.bound >> (a.b - 2):
-        a = _room(a, 2)
-    sh = abs(e) // a.s * a.b
-    if e >= 0:
-        up, down, o = a.rows, {k: n << sh for k, n in a.rows.items()}, a.o
-    else:
-        up, down, o = {k: n << sh for k, n in a.rows.items()}, a.rows, a.o + e
-    out = {k + Y_DEG: n for k, n in up.items()}
-    for k, n in down.items():
-        add_into(out, k, -n)
-    return _packed(out, o, a.s, a.b, 2 * a.bound, False, a.d)
+    s = math.gcd(a.s, *fac)
+    if s != a.s:
+        a = _repack(a, a.b, s)
+    m = sum(fac.values())
+    a = _room(a, 1 << m)
+    classes = {}
+    for k in sorted(a.rows):
+        classes.setdefault(k % Y_DEG, []).append(k)
+    lists = []
+    for ks in classes.values():
+        ps = [0] * ((ks[-1] - ks[0]) // Y_DEG + 1)
+        for k in ks:
+            ps[(k - ks[0]) // Y_DEG] = a.rows[k]
+        lists.append((ks[0], ps))
+    o = a.o
+    for e, k in fac.items():
+        sh = abs(e) // s * a.b
+        for _ in range(k):
+            if e >= 0:
+                # (y - u**e) P: Q_j = P_(j-1) - u**e P_j
+                lists = [(k0, [-(ps[0] << sh)]
+                          + [p - (q << sh) for p, q in zip(ps, ps[1:])]
+                          + [ps[-1]]) for k0, ps in lists]
+            else:
+                # u**e (u**-e y - 1) P: Q_j = u**-e P_(j-1) - P_j
+                lists = [(k0, [-ps[0]]
+                          + [(p << sh) - q for p, q in zip(ps, ps[1:])]
+                          + [ps[-1] << sh]) for k0, ps in lists]
+                o += e
+    rows = {k0 + Y_DEG * j: p for k0, ps in lists for j, p in enumerate(ps)
+            if p}
+    return _packed(rows, o, s, a.b, a.bound << m, False, a.d)
 
 
 def xp_binom_div(a, e):

@@ -90,7 +90,7 @@ from .polys import (
     qrat_over_cyclotomics,
     xp_add,
     xp_binom_cancel,
-    xp_binom_mul,
+    xp_binoms_mul,
     xp_collapse,
     xp_equal,
     xp_from_terms,
@@ -178,14 +178,6 @@ def _cancel(t, fac):
     `fac` that divides the XNum t, with g as a multiset; None if t is not a
     polynomial in y after stripping its lowest power of v."""
     return xp_binom_cancel(t, fac)
-
-
-def _xtimes(n, fac):
-    """The XNum n times the binomials of the multiset `fac`."""
-    for e, m in fac.items():
-        for _ in range(m):
-            n = xp_binom_mul(n, e)
-    return n
 
 
 # ------------------------------------------------------------ nested form ----
@@ -433,7 +425,7 @@ class RationalFunction:
         na, nb, qtied, dq = multisets.over_lcm(self.n, qa, other.n, qb,
                                                xp_qtimes)
         na, nb, tied, fac = multisets.over_lcm(na, self.fac, nb, other.fac,
-                                               _xtimes)
+                                               xp_binoms_mul)
         t = xp_add(na, nb)
         if not t:
             return RF_ZERO
@@ -650,7 +642,7 @@ def rf_sum_vanishes(terms):
     total = XN_ZERO
     for n, dq, fac in parts.values():
         if n:
-            total = xp_add(total, _xtimes(
+            total = xp_add(total, xp_binoms_mul(
                 xp_qtimes(n, multisets.minus(lq, dq)),
                 multisets.minus(lx, fac)))
     return not total
@@ -708,7 +700,7 @@ def rf_product(k, num, dq, binoms):
     """
     up = {e: m for e, m in binoms.items() if m > 0}
     fac = {e: -m for e, m in binoms.items() if m < 0}
-    return _reduce_q(_xtimes(xp_from_terms({k: num}), up), dq, fac,
+    return _reduce_q(xp_binoms_mul(xp_from_terms({k: num}), up), dq, fac,
                      NO_FACTORS, dq)
 
 

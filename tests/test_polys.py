@@ -768,6 +768,32 @@ def test_packed_kit_matches_sympy_near_the_slot_limit():
     run()
 
 
+def test_many_binomials_at_once_match_sympy_near_the_slot_limit():
+    # v-exponents in several classes mod Y_DEG, so that each class is its
+    # own list of y-rows, and up to twelve binomials at once, negative
+    # exponents and exponents off the stride included, so that the slots
+    # must widen before the first one
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    counts = st.dictionaries(st.integers(-12, 12), st.integers(1, 3),
+                             min_size=1, max_size=4)
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(_big_rows(st, 3, _near_limit_over), counts)
+    def run(rows, fac):
+        a = xn(rows)
+        got = content_ok(polys.xp_binoms_mul(a, fac))
+        want, one = sym(rows), a
+        for e, m in fac.items():
+            want *= sym({8: {0: 1}, 0: {e: -1}}) ** m
+            for _ in range(m):
+                one = xp_binom_mul(one, e)
+        assert sym(xp_terms(got), 1 + sum(fac.values())) == want
+        assert xp_terms(got) == xp_terms(one)
+
+    run()
+
+
 def _binom_loop(a, fac):
     """(a / g, g) for the largest product g of binomials from fac, one
     xp_binom_div at a time."""
