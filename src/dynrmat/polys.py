@@ -1371,11 +1371,6 @@ def _y_rows(rows):
     return k0, ps
 
 
-def xp_binom_mul(a, e):
-    """a * (y - u**e): the one-binomial case of xp_binoms_mul."""
-    return xp_binoms_mul(a, {e: 1})
-
-
 def xp_binoms_mul(a, fac):
     """a times the binomials of the multiset `fac`.  The rows of each class
     of v-exponents mod Y_DEG are one dense list of y-rows, and each
