@@ -10,6 +10,7 @@ from dynrmat.lame import hamiltonian, lax_matrix
 from dynrmat.polys import QRat
 from dynrmat.ratfunc import RationalFunction
 from dynrmat.scalar import (
+    SC_ONE,
     phase,
     qnum,
     qpow,
@@ -449,3 +450,63 @@ def test_fraction_coefficients_print_pinned_bytes(name):
         assert t == s
         assert ({a: hash(rf) for a, rf in t.terms.items()}
                 == {a: hash(rf) for a, rf in s.terms.items()})
+
+
+# Values whose reduced denominator is no product of cyclotomic factors
+# Phi_d(q**2) and binomials x**2 - q**m, up to a monomial, which no golden
+# command prints: each is pinned by its text, LaTeX and the sha256 of its
+# canonical dump, and its dump must load equal to it.
+GENERAL_SHAPES = {
+    "q-plus-2": (
+        lambda: SC_ONE / (qpow(1) + sc_coeff(2)),
+        "(1)/(q + 2)",
+        "\\left(\\frac{1}{q + 2}\\right)",
+        "331ed182b0eabe5635bdfb75f4f5e86c66208e809cfec5c4e05f0ed49aa3596e"),
+    # u - 1 divides Phi_1(q**2) = u**8 - 1, u = q**(1/4)
+    "part-of-phi1": (
+        lambda: (qpow(F(1, 4)) - sc_coeff(1)) / (qpow(2) - sc_coeff(1)),
+        "(1)/(q^(7/4) + q^(3/2) + q^(5/4) + q + q^(3/4) + q^(1/2)"
+        " + q^(1/4) + 1)",
+        "\\left(\\frac{1}{q^{7/4} + q^{3/2} + q^{5/4} + q + q^{3/4}"
+        " + q^{1/2} + q^{1/4} + 1}\\right)",
+        "c6a0a7ff6753bd216d594854a1052c9dcb002e670c3bd7f15fd5cd4192b4434d"),
+    "x4-x2-1": (
+        lambda: SC_ONE / (xpow(4) + xpow(2) + sc_coeff(1)),
+        "(1) / (x^(4) + x^(2) + 1)",
+        "\\frac{1}{x^{4} + x^{2} + 1}",
+        "aeedff2c5c882202fb56c66cb3c0b4b862d6da42350698064267246a60d18e87"),
+    "q-plus-2-binomial": (
+        lambda: xpow(1) / ((qpow(1) + sc_coeff(2)) * (xpow(2) - qpow(1))),
+        "(((1)/(q + 2))*x) / (x^(2) + -q)",
+        "\\frac{\\left(\\frac{1}{q + 2}\\right) \\, x}{x^{2} - q}",
+        "ef87038f025fa33a7fcafe5f11a03c61701ba3734e6440e96fa4afaa0396e351"),
+    # the inverse of a numerator of two powers of x
+    "multi-row-inverse": (
+        lambda: SC_ONE / (xpow(1) + qpow(H)),
+        "(1) / (x + q^(1/2))",
+        "\\frac{1}{x + q^{1/2}}",
+        "3576ab1a119c76630071bc64b96da9ccf6db9f703f798738b60ac5031a094d80"),
+    # Scalar.inv of a value of two phases, inverted by its Galois conjugates
+    "two-phase-inverse": (
+        lambda: (xpow(1) + phase(F(1, 4)) * qpow(1)).inv(),
+        "(x^(3) + ((-1*z8^1)*q)*x^(2) + ((z8^2)*q^(2))*x"
+        " + (-1*z8^3)*q^(3)) / (x^(4) + q^(4))",
+        "\\frac{x^{3} - 1 \\zeta_8^{1} q \\, x^{2} + \\zeta_8^{2} q^{2}"
+        " \\, x - 1 \\zeta_8^{3} q^{3}}{x^{4} + q^{4}}",
+        "2a753c5abfdd374a9a0fbae0ed1505c3e3b8ed888511d27e0bc1950c61694417"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_SHAPES))
+def test_general_denominators_print_pinned_bytes(name):
+    make, text, tex, digest = GENERAL_SHAPES[name]
+    s = make()
+    assert plain_text(s) == text
+    assert latex(s) == tex
+    dump = dumps_canonical(to_payload(s))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+    back = from_payload(json.loads(dump))
+    assert back == s
+    assert ({a: hash(rf) for a, rf in back.terms.items()}
+            == {a: hash(rf) for a, rf in s.terms.items()})
+    assert dumps_canonical(to_payload(back)) == dump
