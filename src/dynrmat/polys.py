@@ -12,20 +12,13 @@ numerator of a RationalFunction (ratfunc.py), one Laurent polynomial in u
 and v = x**(1/D) whose rows, the coefficients of the powers of v, are int
 rows packed into one Python int each, over one content denominator (see
 the flat numerators section).  A RationalFunction is N / (Dq * Dx): an
-XNum over a common q-denominator and an x-denominator, both factored.
-
-A CanonicalFraction holds the arithmetic of a fraction once.  A level
-supplies only what differs: its polynomial product and scale, its
-polynomial one, its coefficient one and the inverse of a coefficient, its
-factor alphabet, how it factors a denominator and cancels factors from a
-numerator, and its gcd.  QRat is one, and so is the nested form of the x
-level, a fraction of nested XPolys (dicts v-exponent -> QRat), which holds
-the x-level values the flat form cannot and runs its generic path.
-Fractions of different levels do not mix.
+XNum over a common q-denominator and an x-denominator, both factored, or
+N / G for any other reduced denominator G, an XNum too (ratfunc.py).  The
+nested XPolys (dicts v-exponent -> QRat) are only its views.
 
 Three rules of the arithmetic are written once, for every level:
 - the sparse sum that never stores a zero: add_into, and poly_add and
-  poly_mul (the product of both Laurent levels) on top of it.  The sparse
+  qp_mul on top of it.  The sparse
   dicts of every level sum through them, from QPoly terms and packed XNum
   rows to Scalar terms and operator entries.
 - dividing the cyclotomic factors Phi_d out of rows: xp_qcancel, exact
@@ -34,8 +27,8 @@ Three rules of the arithmetic are written once, for every level:
   over the content denominator, and cyclotomic and _factor divide through
   it too.  Multiplying factors in is packed too (CYCLOTOMICS).
 - the factored sum and product: multisets.over_lcm and
-  multisets.cancel_across.  CanonicalFraction uses them for its factors,
-  and RationalFunction (ratfunc.py) for both Dq and Dx.
+  multisets.cancel_across.  QRat uses them for its factors, and
+  RationalFunction (ratfunc.py) for both Dq and Dx.
 
 Canonical form of a fraction: numerator and denominator coprime (monic gcd
 on the unit-stripped parts), denominator with minimum exponent
@@ -62,9 +55,10 @@ The gcds qp_gcd and xp_gcd are the fallback only: for a numerator that is
 no polynomial in u**8 (in y), or a denominator that is no product of the
 factors.  No manifest entry and no GNF or recoupling check of the benchmark
 reaches either.  Both are one dense modular gcd (Brown 1971) over Q, the q
-level its univariate case.  The operands are deflated (in u too: u -> u**k
-embeds Q(u) in itself) and cleared of u-denominators and u-contents, so in
-Z[u][v].  With g their gcd and gamma the gcd of their leading coefficients,
+level its univariate case.  The x level runs on the rows of two XNums,
+stripped of their lowest powers and their u-contents; the operands are
+deflated (in u too: u -> u**k embeds Q(u) in itself), so in Q[u][v].  With
+g their gcd and gamma the gcd of their leading coefficients,
 it finds h = gamma * g / lc(g), a polynomial as lc(g) divides gamma.  Images
 are taken mod primes p, one image per prime, and at the x level at points
 u = x; a prime that divides a denominator, and a prime or point where a
@@ -158,24 +152,6 @@ def poly_strip(a):
     return a, 0
 
 
-def poly_mul(a, b, scale):
-    """The product of two Laurent polynomials of one level, whose product
-    with one coefficient is scale(p, c)."""
-    if not a or not b:
-        return {}
-    if len(a) == 1:
-        (e, c), = a.items()
-        return poly_shift(scale(b, c), e)
-    if len(b) == 1:
-        (e, c), = b.items()
-        return poly_shift(scale(a, c), e)
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            add_into(out, ea + eb, ca * cb)
-    return out
-
-
 def _long_div(a, b, quo, mul, sub, zero):
     """(q, r) with a = q * b + r, deg r < deg b, over a ring with product
     mul, difference sub and zero `zero`, where quo(c, lead) is c over b's
@@ -217,7 +193,19 @@ def qp_scale(a, c):
 
 
 def qp_mul(a, b):
-    return poly_mul(a, b, qp_scale)
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        (e, c), = a.items()
+        return poly_shift(qp_scale(b, c), e)
+    if len(b) == 1:
+        (e, c), = b.items()
+        return poly_shift(qp_scale(a, c), e)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            add_into(out, ea + eb, ca * cb)
+    return out
 
 
 def qp_divmod(a, b):
@@ -472,27 +460,17 @@ def _blocks(p):
 CYCLOTOMICS = _PhiAlphabet(QP_ONE, lambda p, d: qp_mul(p, _phi_u(d)))
 
 
-# --------------------------------------------------- canonical fractions ----
+# ----------------------------------------------------------------- QRat ----
 
 
-class CanonicalFraction:
-    """Canonical fraction num/den of two Laurent polynomials of one level.
+class QRat:
+    """Canonical fraction num/den of two Laurent polynomials in u = q**(1/D),
+    whose factors are the cyclotomic polynomials Phi_d(q**2), named by d.
 
-    A denominator that is a product of the level's factors is stored as the
-    multiset `fac` {factor: multiplicity} and expanded on demand; any other
-    denominator is stored expanded, with `fac` None.  Factorization is
-    unique, so equal values have equal `fac` and `num`.
-
-    A level is a subclass that sets ZERO and ONE, and:
-    - `_mul(a, b)` and `_scale(a, c)`, its polynomial product and its
-      product with a coefficient, and `_poly_one`, its polynomial 1;
-    - `_coeff_one` and `_coeff_inverse(c)`, its coefficient 1 and inverse;
-    - `_alphabet`, the Alphabet of its factors;
-    - `_factor(d)`, the multiset of a monic, min-exponent-zero denominator,
-      or None if it is no product of the factors;
-    - `_cancel(t, fac)`, (t / g, g) for the largest product g of factors
-      from `fac` that divides t, or None if the factored path cannot decide;
-    - `_gcd(a, b)`, its gcd with cofactors, for the generic path.
+    A denominator that is a product of them is stored as the multiset `fac`
+    {d: multiplicity} and expanded on demand; any other denominator is stored
+    expanded, with `fac` None.  Factorization is unique, so equal values have
+    equal `fac` and `num`.
     """
 
     __slots__ = ("num", "fac", "_den")
@@ -507,15 +485,15 @@ class CanonicalFraction:
     @property
     def den(self):
         if self._den is None:
-            self._den = self._alphabet.expand(self.fac)
+            self._den = CYCLOTOMICS.expand(self.fac)
         return self._den
 
     def __bool__(self):
         return bool(self.num)
 
-    # fractions of different levels are different types, and never mix
+    # a QRat never meets another type in arithmetic
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not QRat:
             return NotImplemented
         if self.fac is None or other.fac is None:
             return (self.fac is other.fac and self.num == other.num
@@ -529,13 +507,16 @@ class CanonicalFraction:
             else frozenset(self._den.items()),
         ))
 
+    def __repr__(self):
+        return "QRat(%r, %r)" % (self.num, self.den)
+
     def __neg__(self):
         if not self.num:
             return self
-        return type(self)(poly_neg(self.num), self.fac, self._den)
+        return QRat(poly_neg(self.num), self.fac, self._den)
 
     def __add__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not QRat:
             return NotImplemented
         if not self.num:
             return other
@@ -543,31 +524,32 @@ class CanonicalFraction:
             return self
         fa, fb = self.fac, other.fac
         if fa is not None and fb is not None:
-            got = self._add_factored(self.num, fa, other.num, fb)
+            got = _add_factored(self.num, fa, other.num, fb)
             if got is not None:
                 return got
-        return self._add_generic(self.num, self.den, other.num, other.den)
+        return _add_generic(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not QRat:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not QRat:
             return NotImplemented
         if not self.num or not other.num:
-            return self.ZERO
-        if self is self.ONE:
+            return QRAT_ZERO
+        if self is QRAT_ONE:
             return other
-        if other is self.ONE:
+        if other is QRAT_ONE:
             return self
         fa, fb = self.fac, other.fac
         if fa is not None and fb is not None:
-            got = self._mul_factored(self.num, fa, other.num, fb)
+            got = multisets.cancel_across(self.num, fa, other.num, fb, _cancel)
             if got is not None:
-                return got
-        return self._mul_generic(self.num, self.den, other.num, other.den)
+                na, fa, nb, fb = got
+                return QRat(qp_mul(na, nb), multisets.total(fa, fb))
+        return _mul_generic(self.num, self.den, other.num, other.den)
 
     def inverse(self):
         if not self.num:
@@ -575,167 +557,120 @@ class CanonicalFraction:
         n0, s = poly_strip(self.num)
         den = self.den
         lead = n0[max(n0)]
-        if lead != self._coeff_one:
-            inv = self._coeff_inverse(lead)
-            n0 = self._scale(n0, inv)
-            den = self._scale(den, inv)
-        return self._from_parts(poly_shift(den, -s), n0)
+        if lead != 1:
+            inv = _F1 / lead  # 1 / int would be a float
+            n0 = qp_scale(n0, inv)
+            den = qp_scale(den, inv)
+        return _from_parts(poly_shift(den, -s), n0)
 
     def __truediv__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not QRat:
             return NotImplemented
         return self * other.inverse()
 
-    # ---------------------------------------------------- factored path
 
-    def _add_factored(self, na, fa, nb, fb):
-        """na/fa + nb/fb, or None if _cancel declines the sum."""
-        na, nb, tied, lcm = multisets.over_lcm(na, fa, nb, fb,
-                                               self._alphabet.times)
+QRAT_ZERO = QRat(QP_ZERO, NO_FACTORS)
+QRAT_ONE = QRat(QP_ONE, NO_FACTORS)
+
+
+def _add_factored(na, fa, nb, fb):
+    """na/fa + nb/fb, or None if _cancel declines the sum."""
+    na, nb, tied, lcm = multisets.over_lcm(na, fa, nb, fb, CYCLOTOMICS.times)
+    t = poly_add(na, nb)
+    if not t:
+        return QRAT_ZERO
+    if not tied:
+        return QRat(t, lcm)
+    got = _cancel(t, tied)
+    if got is None:
+        return None
+    t, removed = got
+    return QRat(t, multisets.minus(lcm, removed))
+
+
+def _from_parts(num, den):
+    """The QRat num/den of a canonical pair."""
+    fac = _factor(den)
+    if fac is None:
+        return QRat(num, None, den)
+    return QRat(num, fac)
+
+
+# The generic path: an operand whose denominator is no product of cyclotomic
+# factors, or a numerator that _cancel declines.  It cancels by qp_gcd,
+# resolved at call time so that a replaced qp_gcd sees every call, and its
+# result is factored again.
+
+
+def _add_generic(na, da, nb, db):
+    if da == db:
         t = poly_add(na, nb)
         if not t:
-            return self.ZERO
-        if not tied:
-            return type(self)(t, lcm)
-        got = self._cancel(t, tied)
-        if got is None:
-            return None
-        t, removed = got
-        return type(self)(t, multisets.minus(lcm, removed))
-
-    def _mul_factored(self, na, fa, nb, fb):
-        """(na/fa) * (nb/fb), or None if _cancel declines a numerator."""
-        got = multisets.cancel_across(na, fa, nb, fb, self._cancel)
-        if got is None:
-            return None
-        na, fa, nb, fb = got
-        return type(self)(self._mul(na, nb), multisets.total(fa, fb))
-
-    @classmethod
-    def _from_parts(cls, num, den):
-        """The fraction num/den of a canonical pair."""
-        fac = cls._factor(den)
-        if fac is None:
-            return cls(num, None, den)
-        return cls(num, fac)
-
-    # ----------------------------------------------------- generic path
-    #
-    # An operand whose denominator is no product of the level's factors, or
-    # a numerator that _cancel declines.  It cancels by the level's gcd, and
-    # its result is factored again.
-
-    def _add_generic(self, na, da, nb, db):
-        mul = self._mul
-        if da == db:
-            t = poly_add(na, nb)
-            if not t:
-                return self.ZERO
-            t0, st = poly_strip(t)
-            _, t0, d = self._gcd(t0, da)
-            return self._from_parts(poly_shift(t0, st), d)
-        if da == self._poly_one:
-            return self._from_parts(poly_add(mul(na, db), nb), db)
-        if db == self._poly_one:
-            return self._from_parts(poly_add(mul(nb, da), na), da)
-        g, b1, d1 = self._gcd(da, db)
-        t = poly_add(mul(na, d1), mul(nb, b1))
-        if not t:
-            return self.ZERO
-        if max(g) > 0:
-            t0, st = poly_strip(t)
-            _, t0, g = self._gcd(t0, g)
-            t = poly_shift(t0, st)
-        return self._from_parts(t, mul(mul(g, b1), d1))
-
-    def _mul_generic(self, na, da, nb, db):
-        na0, sa = poly_strip(na)
-        nb0, sb = poly_strip(nb)
-        if db != self._poly_one:
-            _, na0, db = self._gcd(na0, db)
-        if da != self._poly_one:
-            _, nb0, da = self._gcd(nb0, da)
-        return self._from_parts(poly_shift(self._mul(na0, nb0), sa + sb),
-                                self._mul(da, db))
-
-    # -------------------------------------------------------- factories
-
-    @classmethod
-    def canonical(cls, num, den=None):
-        """The canonical fraction num/den of two polynomials of the level;
-        den defaults to 1."""
-        if not num:
-            return cls.ZERO
-        if den is None:
-            den = cls._poly_one
-        elif not den:
-            raise ZeroDivisionError("zero denominator")
-        n0, sn = poly_strip(num)
-        d0, sd = poly_strip(den)
-        lead = d0[max(d0)]
-        if lead != cls._coeff_one:
-            inv = cls._coeff_inverse(lead)
-            n0 = cls._scale(n0, inv)
-            d0 = cls._scale(d0, inv)
-        fac = cls._factor(d0)
-        if fac is not None:
-            got = cls._cancel(n0, fac) if fac else (n0, NO_FACTORS)
-            if got is not None:
-                n0, removed = got
-                return cls(poly_shift(n0, sn - sd),
-                           multisets.minus(fac, removed))
-        if len(n0) > 1 and len(d0) > 1:
-            _, n0, d0 = cls._gcd(n0, d0)
-        return cls._from_parts(poly_shift(n0, sn - sd), d0)
-
-    @classmethod
-    def over_factors(cls, num, fac):
-        """The canonical fraction num / (the product of the multiset `fac`
-        of the level's factors)."""
-        if not num:
-            return cls.ZERO
-        got = cls._cancel(num, fac) if fac else (num, NO_FACTORS)
-        if got is None:
-            return cls.canonical(num, cls._alphabet.times(cls._poly_one, fac))
-        num, removed = got
-        return cls(num, multisets.minus(fac, removed))
+            return QRAT_ZERO
+        t0, st = poly_strip(t)
+        _, t0, d = qp_gcd(t0, da)
+        return _from_parts(poly_shift(t0, st), d)
+    if da == QP_ONE:
+        return _from_parts(poly_add(qp_mul(na, db), nb), db)
+    if db == QP_ONE:
+        return _from_parts(poly_add(qp_mul(nb, da), na), da)
+    g, b1, d1 = qp_gcd(da, db)
+    t = poly_add(qp_mul(na, d1), qp_mul(nb, b1))
+    if not t:
+        return QRAT_ZERO
+    if max(g) > 0:
+        t0, st = poly_strip(t)
+        _, t0, g = qp_gcd(t0, g)
+        t = poly_shift(t0, st)
+    return _from_parts(t, qp_mul(qp_mul(g, b1), d1))
 
 
-# ----------------------------------------------------------------- QRat ----
+def _mul_generic(na, da, nb, db):
+    na0, sa = poly_strip(na)
+    nb0, sb = poly_strip(nb)
+    if db != QP_ONE:
+        _, na0, db = qp_gcd(na0, db)
+    if da != QP_ONE:
+        _, nb0, da = qp_gcd(nb0, da)
+    return _from_parts(poly_shift(qp_mul(na0, nb0), sa + sb), qp_mul(da, db))
 
 
-class QRat(CanonicalFraction):
-    """Canonical fraction of Laurent polynomials in u = q**(1/D), whose
-    factors are the cyclotomic polynomials Phi_d(q**2), named by d."""
+def qrat(num, den=None):
+    """The canonical QRat num/den of two QPolys; den defaults to 1."""
+    if not num:
+        return QRAT_ZERO
+    if den is None:
+        den = QP_ONE
+    elif not den:
+        raise ZeroDivisionError("zero denominator")
+    n0, sn = poly_strip(num)
+    d0, sd = poly_strip(den)
+    lead = d0[max(d0)]
+    if lead != 1:
+        inv = _F1 / lead
+        n0 = qp_scale(n0, inv)
+        d0 = qp_scale(d0, inv)
+    fac = _factor(d0)
+    if fac is not None:
+        got = _cancel(n0, fac) if fac else (n0, NO_FACTORS)
+        if got is not None:
+            n0, removed = got
+            return QRat(poly_shift(n0, sn - sd), multisets.minus(fac, removed))
+    if len(n0) > 1 and len(d0) > 1:
+        _, n0, d0 = qp_gcd(n0, d0)
+    return _from_parts(poly_shift(n0, sn - sd), d0)
 
-    __slots__ = ()
 
-    _mul = staticmethod(qp_mul)
-    _scale = staticmethod(qp_scale)
-    _poly_one = QP_ONE
-    _coeff_one = 1
-    _alphabet = CYCLOTOMICS
-    _factor = staticmethod(_factor)
-    _cancel = staticmethod(_cancel)
-
-    @staticmethod
-    def _coeff_inverse(c):
-        return _F1 / c  # 1 / int would be a float
-
-    @staticmethod
-    def _gcd(a, b):
-        # resolved at call time, so that a replaced qp_gcd sees every call
-        return qp_gcd(a, b)
-
-    def __repr__(self):
-        return "QRat(%r, %r)" % (self.num, self.den)
-
-
-QRAT_ZERO = QRat.ZERO = QRat(QP_ZERO, NO_FACTORS)
-QRAT_ONE = QRat.ONE = QRat(QP_ONE, NO_FACTORS)
-
-qrat = QRat.canonical
-qrat_over_cyclotomics = QRat.over_factors
+def qrat_over_cyclotomics(num, fac):
+    """The canonical QRat num / (the product of the multiset `fac` of
+    cyclotomic factors)."""
+    if not num:
+        return QRAT_ZERO
+    got = _cancel(num, fac) if fac else (num, NO_FACTORS)
+    if got is None:
+        return qrat(num, CYCLOTOMICS.expand(fac))
+    num, removed = got
+    return QRat(num, multisets.minus(fac, removed))
 
 
 def qrat_const(c):
@@ -747,37 +682,19 @@ def qrat_qpow(units):
     return QRat({units: 1}, NO_FACTORS)
 
 
-def qrat_monomial_mul(qr, s):
-    if not s or not qr.num:
-        return qr
-    return QRat(poly_shift(qr.num, s), qr.fac, qr._den)
-
-
 def qrat_eval_complex(qr, u0):
     return qp_eval_complex(qr.num, u0) / qp_eval_complex(qr.den, u0)
 
 
 # ---------------------------------------------------------------- XPoly ----
 #
-# A nested XPoly is a dict v-exponent -> QRat.  The generic path of the x
-# level (ratfunc.py) and the gcd below work on it; the flat numerators of
-# the next section carry every other x-level operation.
+# A nested XPoly is a dict v-exponent -> QRat: the `num` and `den` views of
+# a RationalFunction (ratfunc.py), which the printers and the JSON read.
+# xp_divmod is Euclid's remainder on them, the reference the tests hold the
+# modular gcd to.
 
 
-XP_ZERO = {}
 XP_ONE = {0: QRAT_ONE}
-
-
-def xq_scale(a, qr):
-    if not qr:
-        return XP_ZERO
-    if qr is QRAT_ONE:
-        return a
-    return {k: c * qr for k, c in a.items()}
-
-
-def xq_mul(a, b):
-    return poly_mul(a, b, xq_scale)
 
 
 def xp_divmod(a, b):
@@ -786,20 +703,6 @@ def xp_divmod(a, b):
     inv = b[max(b)].inverse()
     return _long_div(a, b, lambda c, _: c * inv, operator.mul, operator.sub,
                      QRAT_ZERO)
-
-
-def xq_monic(a):
-    lead = a[max(a)]
-    if lead is QRAT_ONE or lead == QRAT_ONE:
-        return a
-    return xq_scale(a, lead.inverse())
-
-
-def xq_eval_complex(a, u0, v0):
-    t = 0j
-    for k, c in a.items():
-        t += qrat_eval_complex(c, u0) * v0 ** k
-    return t
 
 
 # ---------------------------------------------------------- modular gcd ----
@@ -962,6 +865,8 @@ def qp_gcd(a, b):
     """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
     two nonzero QPolys, and the cofactors."""
     a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
+    if len(a0) == 1 or len(b0) == 1:
+        return QP_ONE, a0, b0
     k, ab = _deflate((a0, b0))
     got = _modular_gcd(*({e: {0: c} for e, c in f.items()} for f in ab),
                        QP_ONE)
@@ -970,35 +875,62 @@ def qp_gcd(a, b):
     return tuple(_inflate({e: t[0] for e, t in f.items()}, k) for f in got)
 
 
-def _primitive(a):
-    """(A, c, d, s), a = u**s * c * A / d for a nested XPoly a: A in
-    Q[u][v] with content c in u, d the lcm of a's denominators."""
-    dens = {frozenset(qr.den.items()): qr.den for qr in a.values()}
-    d = reduce(lambda d, t: qp_mul(d, qp_gcd(d, t)[2]), dens.values())
-    rows = {k: qp_mul(qr.num, qp_divmod(d, qr.den)[0]) for k, qr in a.items()}
-    s = min(map(min, rows.values()))
-    c = reduce(lambda c, t: qp_gcd(c, t)[0], rows.values())
-    return ({k: qp_divmod(poly_shift(t, -s), c)[0] for k, t in rows.items()},
-            c, d, s)
+def _content(rows):
+    """The monic gcd of the nonzero QPolys `rows`, stripped of its lowest
+    power of u."""
+    c = None
+    for r in rows:
+        c = poly_strip(r)[0] if c is None else qp_gcd(c, r)[0]
+        if len(c) == 1:
+            return QP_ONE
+    return qp_monic(c)
+
+
+def _quotients(rows, c):
+    """The QPolys `rows` {k: QPoly}, each divided by the QPoly c."""
+    if c == QP_ONE:
+        return rows
+    return {k: qp_divmod(r, c)[0] for k, r in rows.items()}
 
 
 def xp_gcd(a, b):
-    """(g, a0/g, b0/g): the monic gcd g of the unit-stripped parts a0, b0 of
-    two nonzero XPolys, and the cofactors."""
-    a0, b0 = poly_strip(a)[0], poly_strip(b)[0]
-    if len(a0) == 1 or len(b0) == 1:
-        return XP_ONE, a0, b0
-    k, ab = _deflate((a0, b0))
-    (pa, ca, da, sa), (pb, cb, db, sb) = map(_primitive, ab)
-    la, lb = pa[max(pa)], pb[max(pb)]
-    gamma = poly_shift(qp_gcd(la, lb)[0], min(min(la), min(lb)))
-    got = _modular_gcd(pa, pb, gamma)
-    if got is None:
-        return XP_ONE, a0, b0
-    return tuple(_inflate({j: qrat(poly_shift(qp_mul(c, t), s), d)
-                           for j, t in f.items()}, k)
-                 for f, (c, d, s) in zip(got, ((QP_ONE, gamma, 0),
-                                               (ca, da, sa), (cb, db, sb))))
+    """(g, a/g, b/g) for a gcd g over Q[u, v] of two nonzero XNums, with
+    lowest exponents 0 in u and v, and the cofactors.
+
+    a and b are p/wa and p2/wb for their primitive parts p and p2 and two
+    monomials wa and wb (xp_primitive); if p = p2, that is g.  Otherwise g
+    is the gcd c of the contents in u of p and p2 times the gcd g' of
+    their quotients pa and pb by them, deflated in v.  _modular_gcd gives h
+    = gamma * g' / lc(g'), gamma * pa / h and gamma * pb / h; so g' is h
+    over its content ch, its lowest power of u included, and the cofactors
+    are gamma * pa / h and gamma * pb / h over gamma / ch."""
+    (p, wa), (p2, wb) = xp_primitive(a), xp_primitive(b)
+    if xp_equal(p, p2):
+        return p, _reciprocal(wa), _reciprocal(wb)
+    ra, rb = xp_terms(p), xp_terms(p2)
+    ca, cb = _content(ra.values()), _content(rb.values())
+    c = QP_ONE if QP_ONE in (ca, cb) else qp_gcd(ca, cb)[0]
+    k, (pa, pb) = _deflate((_quotients(ra, ca), _quotients(rb, cb)))
+    g = {0: c}
+    if len(pa) > 1 and len(pb) > 1:
+        la, lb = pa[max(pa)], pb[max(pb)]
+        gamma = poly_shift(qp_gcd(la, lb)[0], min(min(la), min(lb)))
+        got = _modular_gcd(pa, pb, gamma)
+        if got is not None:
+            h, pa, pb = got
+            ch = poly_shift(_content(h.values()), min(map(min, h.values())))
+            g = {j: qp_mul(c, t) for j, t in _quotients(h, ch).items()}
+            lead = qp_divmod(gamma, ch)[0]
+            pa, pb = _quotients(pa, lead), _quotients(pb, lead)
+
+    def cofactor(rows, cp, w):
+        cp = qp_divmod(cp, c)[0]
+        return xp_mul(xp_from_terms({k * j: qp_mul(cp, t)
+                                     for j, t in rows.items()}),
+                      _reciprocal(w))
+
+    return (xp_from_terms(_inflate(g, k)), cofactor(pa, ca, wa),
+            cofactor(pb, cb, wb))
 
 
 # ------------------------------------------------------- flat numerators ----
@@ -1152,6 +1084,9 @@ def xp_monomial(k, e):
     return XNum({k: 1}, e, Q_DEG, SLOT, 1, True)
 
 
+XN_ONE = xp_monomial(0, 0)
+
+
 def xp_from_terms(rows):
     """The XNum of the rows {k: QPoly}, none of them zero."""
     if not rows:
@@ -1200,6 +1135,37 @@ def xp_key(a):
     """A hashable name for the value of a, whatever its packing."""
     return frozenset((k, frozenset(row.items()))
                      for k, row in xp_terms(a).items())
+
+
+def xp_is_monomial(a):
+    """Whether the nonzero a is c * v**k * u**e: one row of one slot."""
+    if len(a.rows) > 1:
+        return False
+    n, = a.rows.values()
+    return not abs(n) >> (a.b - 1)
+
+
+def _reciprocal(w):
+    """1 / w for a monomial XNum w."""
+    (k, row), = xp_terms(w).items()
+    (e, c), = row.items()
+    return xp_from_terms({-k: {-e: 1 / Fraction(c)}})
+
+
+def xp_primitive(a):
+    """(p, w) with p = w * a for a monomial w = c * v**k * u**e, c rational,
+    and p with lowest exponents 0 in u and v, int coefficients of gcd 1, and
+    a positive leading coefficient, that of the top power of u in its top
+    row in v (the sign of its packed int)."""
+    g = 0
+    for n in a.rows.values():
+        g = math.gcd(g, *_digits(n, a.b))
+    k0 = min(a.rows)
+    if a.rows[max(a.rows)] < 0:
+        g = -g
+    p = XNum({k - k0: n // g for k, n in a.rows.items()}, 0, a.s, a.b,
+             a.bound // abs(g), False)
+    return p, xp_from_terms({-k0: {-a.o: demote(Fraction(a.d, g))}})
 
 
 def xp_equal(a, b):
@@ -1645,11 +1611,3 @@ def xp_collapse(a, m_units, part):
         return {}
     return xp_terms(XNum(sums, a.o, a.s, a.b, a.bound * len(a.rows), False,
                          a.d))
-
-
-def xq_qshift(a, m_units):
-    """The substitution x -> x*q**(m_units/D) on a nested XPoly."""
-    if not m_units:
-        return a
-    return {k: qrat_monomial_mul(c, _shift_units(m_units, k))
-            for k, c in a.items()}

@@ -3,7 +3,9 @@
 A RationalFunction is a rational function of u = q**(1/4) and v =
 x**(1/4), stored flat as
 
-    N / (Dq * Dx):
+    N / (Dq * Dx)
+
+whenever its reduced denominator is such a product up to a monomial:
 
 - Dx is a multiset `fac` {e: multiplicity} of binomials y - u**e, with y =
   x**2 = v**8.  The x-brackets x q**c - x**-1 q**-c put them into every
@@ -14,14 +16,21 @@ x**(1/4), stored flat as
   packed into one Python int, over a content denominator d, which is 1
   unless a coefficient is a Fraction.  Only polys.py reads that format.
 
-Canonical form: N is coprime in v to Dx, and Dq is minimal: no Phi_d left
-in Dq divides every row of N.  Then each row P_k / Dq, reduced at the q
-level, is the canonical QRat coefficient of v**k, and the fraction of the
-XPoly of those coefficients over the expanded Dx is canonical in the sense
-of polys.CanonicalFraction; `num`, `den` and `fac` are read-only views of
-that form, which the printers, the JSON and the tests read.  Equal values
-have equal N, Dq and Dx, whatever width or stride N was packed at (`==`
-and `hash` compare coefficients, not ints).
+Canonical form: N and Dq * Dx are coprime over Q[u, v].  So N is coprime
+in v to Dx, and Dq is minimal: no Phi_d left in Dq divides every row of N.
+Then each row P_k / Dq, reduced at the q level, is the canonical QRat
+coefficient of v**k, and the XPoly of those coefficients over the expanded
+Dx, monic in v, is the canonical nested pair; `num`, `den` and `fac` are
+read-only views, which the printers, the JSON and the tests read.  Equal
+values have equal N, Dq and Dx, whatever width or stride N was packed at
+(`==` and `hash` compare coefficients, not ints).
+
+Any other value is N / G, with Dq and Dx empty (`fac` None): G is its whole
+reduced denominator as an XNum, with lowest exponents 0 in u and v, int
+coefficients of gcd 1 and a positive leading coefficient, and coprime to N
+over Q[u, v].  G is kept whole, not split beside a Dq and a Dx, because
+such a split is not closed under products: (u - 1)(u**7 + ... + 1) is
+Phi_1(q**2).  Its views are N and G over G's top row in v.
 
 Arithmetic on the flat form:
 - A product adds the multisets and multiplies the numerators, one big-int
@@ -33,9 +42,8 @@ Arithmetic on the flat form:
   N, nor all rows of N over some binomials: it would divide every row of
   their product with the binomials, which is N.
 - Monomial rule: a factor c * v**k * u**e over 1, c rational, scales and
-  relabels the other factor's rows and keeps its Dq and Dx (_scaled).  A
-  monomial shares no factor with a binomial or a Phi_d, so the result is
-  canonical as built.
+  relabels the other factor's rows and keeps its Dq and Dx, or its G
+  (_scaled).  A monomial is a unit, so the result is canonical as built.
 - A sum multiplies each numerator by the factors the other has and it does
   not, adds, and cancels only the factors of equal multiplicity on both
   sides (multisets.over_lcm).  A factor that only one side has cannot cancel
@@ -51,42 +59,41 @@ Arithmetic on the flat form:
   and the gcd of a polynomial in y with the denominator over Q(u)[v] is its
   gcd over Q(u)[y] (the deflation argument of polys.py).
 - A Phi_d(u**8) divides a row wholly or not at all when all exponents of u
-  in N agree mod 8 (polys.xp_qsafe).  Otherwise each row is reduced as a
-  QRat and the flat form is rebuilt from the reduced rows.
+  in N agree mod 8 (polys.xp_qsafe).  Otherwise a row can share part of a
+  Phi_d, and the value goes to _general.
 - Whether a signed sum of products vanishes needs no canonical form:
   rf_sum_vanishes multiplies and adds numerators over the lcm of the
-  multisets, and cancels nothing.
+  multisets, each G one more factor, and cancels nothing.
 
-Values the flat form cannot hold are stored nested, as a `_Nested` fraction
-of XPolys over QRats: an x-denominator that is no product of binomials
-(`fac` None), or a row whose reduced q-denominator is no product of
-cyclotomic factors.  So is the result of a flat operation the flat path
-cannot decide: a binomial to cancel from a numerator that is no polynomial
-in y.  That generic path cancels by xp_gcd, and its result is flattened
-again where it can be.
+Every path the flat form declines goes through one constructor, _general:
+a binomial to cancel from a numerator that is no polynomial in y, rows
+that could share part of a Phi_d, an operand with a G, ratfn and inverse.
+It cancels by xp_gcd on the packed rows, normalizes the denominator, and
+keeps it as G only where it does not factor over Phi_d(u**8) and the
+binomials.
 """
+
+from fractions import Fraction
+from functools import cache
+from itertools import chain
 
 from . import multisets
 from .coeffs import z8_div
 from .lattice import DENOM, LatticeError
-from .multisets import NO_FACTORS, Alphabet
+from .multisets import NO_FACTORS
 from .polys import (
-    CYCLOTOMICS,
-    QRAT_ONE,
-    QRAT_ZERO,
+    XN_ONE,
     XN_ZERO,
-    XP_ONE,
-    XP_ZERO,
     Q_DEG,
     Y_DEG,
-    CanonicalFraction,
     QRat,
-    add_into,
+    _factor as _phi_factors,
     poly_neg,
     poly_shift,
-    poly_strip,
+    qp_monic,
+    qrat,
     qrat_const,
-    qrat_monomial_mul,
+    qrat_eval_complex,
     qrat_over_cyclotomics,
     xp_add,
     xp_binom_cancel,
@@ -95,20 +102,18 @@ from .polys import (
     xp_equal,
     xp_from_terms,
     xp_gcd,
+    xp_is_monomial,
     xp_key,
     xp_monomial,
     xp_mul,
     xp_neg,
+    xp_primitive,
     xp_qcancel,
     xp_qsafe,
     xp_qshift,
     xp_qtimes,
     xp_scaled,
     xp_terms,
-    xq_eval_complex,
-    xq_mul,
-    xq_qshift,
-    xq_scale,
 )
 
 __all__ = [
@@ -134,43 +139,7 @@ class PoleAtSubstitution(ZeroDivisionError):
         self.numerator_vanished = numerator_vanished
 
 
-# -------------------------------------------------------------- binomials ----
-
-
-def _xq_binom_mul(a, e):
-    """A nested XPoly a times y - u**e."""
-    out = {k + Y_DEG: c for k, c in a.items()}
-    for k, c in a.items():
-        add_into(out, k, -qrat_monomial_mul(c, e))
-    return out
-
-
-# expanded x-denominators, as nested XPolys
-_BINOMIALS = Alphabet(XP_ONE, _xq_binom_mul)
-
-
-def _factor(d):
-    """The multiset of binomials whose product is d, or None if there is none.
-
-    d is a nested XPoly, monic with minimum exponent zero.  If d = prod (y -
-    u**e)**m has degree n in y, its y**(n-1) coefficient is -sum m u**e,
-    which names every candidate and its multiplicity; d factors iff their
-    product is d.
-    """
-    if len(d) == 1:
-        return NO_FACTORS
-    top = max(d)
-    c = d.get(top - Y_DEG)
-    if top % Y_DEG or c is None or c.fac != NO_FACTORS:
-        return None
-    fac = {}
-    for e, k in c.num.items():
-        if k >= 0 or k.denominator != 1:
-            return None
-        fac[e] = -int(k)
-    if sum(fac.values()) * Y_DEG != top or _BINOMIALS.expand(fac) != d:
-        return None
-    return fac
+# ------------------------------------------------------------ denominators ----
 
 
 def _cancel(t, fac):
@@ -180,73 +149,72 @@ def _cancel(t, fac):
     return xp_binom_cancel(t, fac)
 
 
-# ------------------------------------------------------------ nested form ----
+def _den_of(dq, fac):
+    """The XNum prod Phi_d(u**8) * prod (y - u**e) over the multisets dq
+    and fac."""
+    return xp_binoms_mul(xp_qtimes(XN_ONE, dq), fac)
 
 
-def _decline(t, fac):
-    return None
+@cache
+def _binomials(key):
+    """The nested XPoly of the binomials of the multiset named `key`."""
+    return {k: QRat(row, NO_FACTORS) for k, row in
+            xp_terms(_den_of(NO_FACTORS, dict(key))).items()}
 
 
-class _Nested(CanonicalFraction):
-    """The x level as a canonical fraction of nested XPolys over QRats, for
-    the values the flat form cannot hold and for the generic path.  Its
-    factored cancellation always declines, so it cancels by xp_gcd."""
+def _flat(g):
+    """(w, dq, fac) with w * g = prod Phi_d(u**8) * prod (y - u**e) over the
+    multisets dq and fac, for a primitive XNum g (polys.xp_primitive) and a
+    monomial w = c * u**e; None if g is no such product.
 
-    __slots__ = ()
-
-    _mul = staticmethod(xq_mul)
-    _scale = staticmethod(xq_scale)
-    _poly_one = XP_ONE
-    _coeff_one = QRAT_ONE
-    _coeff_inverse = staticmethod(QRat.inverse)
-    _alphabet = _BINOMIALS
-    _factor = staticmethod(_factor)
-    _cancel = staticmethod(_decline)
-
-    @staticmethod
-    def _gcd(a, b):
-        # resolved at call time, so that a replaced xp_gcd sees every call
-        return xp_gcd(a, b)
-
-
-_Nested.ZERO = _Nested(XP_ZERO, NO_FACTORS)
-_Nested.ONE = _Nested(XP_ONE, NO_FACTORS)
-
-
-def _from_qrats(num, fac):
-    """The RationalFunction of a nested XPoly of canonical QRats, coprime to
-    the binomials of the multiset `fac`, over them: flat unless a row's
-    q-denominator is no product of cyclotomic factors.  Dq is the lcm of the
-    rows' q-denominators, which makes it minimal."""
-    if not num:
-        return RF_ZERO
-    dq = NO_FACTORS
-    for qr in num.values():
-        if qr.fac is None:
-            return RationalFunction._of_nested(_Nested(num, fac))
-        if qr.fac:
-            dq = multisets.lcm(dq, qr.fac)
-    if dq:
-        rows = {k: CYCLOTOMICS.times(qr.num, multisets.minus(dq, qr.fac))
-                for k, qr in num.items()}
-    else:
-        rows = {k: qr.num for k, qr in num.items()}
-    return RationalFunction(xp_from_terms(rows), dq, fac)
+    The top row of g in y is then 1/w times the Phi_d, which polys._factor
+    names.  The row below it is that times -sum m u**e, which names every
+    binomial and its multiplicity; g factors iff the product is g."""
+    rows = xp_terms(g)
+    top = max(rows)
+    t = rows[top]
+    lo, lead = min(t), t[max(t)]
+    dq = _phi_factors(qp_monic(poly_shift(t, -lo)))
+    if dq is None or top % Y_DEG:
+        return None
+    fac = {}
+    if top:
+        c = qrat(rows.get(top - Y_DEG, {}), t)
+        if c.fac != NO_FACTORS:
+            return None
+        for e, m in c.num.items():
+            if type(m) is not int or m >= 0:
+                return None
+            fac[e] = -m
+        if sum(fac.values()) * Y_DEG != top:
+            return None
+    w = xp_from_terms({0: {-lo: 1 / Fraction(lead)}})
+    if not xp_equal(xp_mul(g, w), _den_of(dq, fac)):
+        return None
+    return w, dq, fac
 
 
-def _from_nested(x):
-    """The RationalFunction of a _Nested fraction."""
-    if x.fac is None:
-        return RationalFunction._of_nested(x)
-    return _from_qrats(x.num, x.fac)
+def _general(na, db, nb=XN_ONE, da=XN_ONE):
+    """The RationalFunction (na / da) * (nb / db) of nonzero XNums, with na
+    coprime to da and nb to db over Q[u, v]: every value that the flat form
+    declines, and every result with a G operand.
 
-
-def _requalify(t, dq, fac):
-    """The RationalFunction t / (dq * fac), for an XNum t coprime to fac
-    whose rows the flat q-path cannot reduce: each row is reduced as a QRat
-    and the form rebuilt."""
-    return _from_qrats({k: qrat_over_cyclotomics(row, dq)
-                        for k, row in xp_terms(t).items()}, fac)
+    Each numerator is cancelled against the other's denominator by xp_gcd,
+    unless one of the two is a monomial.  The denominator is made primitive
+    (polys.xp_primitive), and the numerator scaled alike.  The value is flat
+    when that denominator is a monomial times a product of Phi_d(u**8) and
+    binomials (_flat); else it is G."""
+    if not (xp_is_monomial(na) or xp_is_monomial(db)):
+        _, na, db = xp_gcd(na, db)
+    if not (xp_is_monomial(nb) or xp_is_monomial(da)):
+        _, nb, da = xp_gcd(nb, da)
+    g, w = xp_primitive(xp_mul(da, db))
+    n = xp_mul(xp_mul(na, nb), w)
+    got = _flat(g)
+    if got is None:
+        return RationalFunction(n, NO_FACTORS, None, g)
+    w, dq, fac = got
+    return RationalFunction(xp_mul(n, w), dq, fac)
 
 
 def _reduce_q(t, dq, fac, tied, shared):
@@ -254,7 +222,7 @@ def _reduce_q(t, dq, fac, tied, shared):
     fac and to every factor of dq outside the multiset `tied`, whose rows
     can share part of a factor with dq only for the factors of `shared`."""
     if shared and not xp_qsafe(t):
-        return _requalify(t, dq, fac)
+        return _general(t, _den_of(dq, fac))
     if tied:
         t, removed = xp_qcancel(t, tied)
         dq = multisets.minus(dq, removed)
@@ -265,85 +233,82 @@ def _reduce_q(t, dq, fac, tied, shared):
 
 
 class RationalFunction:
-    """Canonical rational function N / (Dq * Dx) of u and v; see the module
-    docstring.  A value the flat form cannot hold wraps a _Nested fraction,
-    and then `n` and `dq` are None."""
+    """Canonical rational function of u and v: N / (Dq * Dx) on the flat
+    form, else N / G, with `g` set, Dq empty and `fac` None; see the module
+    docstring."""
 
-    __slots__ = ("n", "dq", "fac", "_nested", "_num")
+    __slots__ = ("n", "dq", "fac", "g", "_num")
 
-    def __init__(self, n, dq, fac):
-        # raw constructor of a flat value: callers guarantee canonical form
+    def __init__(self, n, dq, fac, g=None):
+        # raw constructor: callers guarantee canonical form
         self.n = n
         self.dq = dq
         self.fac = fac
-        self._nested = None
+        self.g = g
         self._num = None
 
-    @classmethod
-    def _of_nested(cls, x):
-        """The value of a _Nested fraction that the flat form cannot hold."""
-        self = cls(None, None, x.fac)
-        self._nested = x
-        return self
+    def _denominator(self):
+        """The whole denominator as an XNum."""
+        return _den_of(self.dq, self.fac) if self.g is None else self.g
+
+    def _g_rows(self):
+        """G's rows and its top row, as QPolys."""
+        rows = xp_terms(self.g)
+        return rows, rows[max(rows)]
 
     # ------------------------------------------------------------ views
 
     @property
     def num(self):
-        """The numerator as a nested XPoly: each row of N reduced over Dq."""
-        if self._nested is not None:
-            return self._nested.num
+        """The numerator as a nested XPoly: each row of N reduced over Dq,
+        or over the top row of G."""
         got = self._num
         if got is None:
-            dq = self.dq
-            got = self._num = {
-                k: qrat_over_cyclotomics(row, dq) if dq
-                else QRat(row, NO_FACTORS)
-                for k, row in xp_terms(self.n).items()
-            }
+            rows = xp_terms(self.n)
+            if self.g is not None:
+                top = self._g_rows()[1]
+                got = {k: qrat(row, top) for k, row in rows.items()}
+            elif self.dq:
+                got = {k: qrat_over_cyclotomics(row, self.dq)
+                       for k, row in rows.items()}
+            else:
+                got = {k: QRat(row, NO_FACTORS) for k, row in rows.items()}
+            self._num = got
         return got
 
     @property
     def den(self):
-        """The denominator as a nested XPoly: Dx expanded."""
-        if self._nested is not None:
-            return self._nested.den
-        return _BINOMIALS.expand(self.fac)
-
-    def _nest(self):
-        if self._nested is not None:
-            return self._nested
-        return _Nested(self.num, self.fac)
+        """The denominator as a nested XPoly, monic with lowest v-exponent
+        0: Dx expanded, or G over its top row."""
+        if self.g is None:
+            return _binomials(multisets.key(self.fac))
+        rows, top = self._g_rows()
+        return {k: qrat(row, top) for k, row in rows.items()}
 
     # ----------------------------------------------------------- basics
 
     def __bool__(self):
-        if self.n is None:
-            return bool(self._nested)
         return bool(self.n.rows)
 
     def __eq__(self, other):
         if type(other) is not RationalFunction:
             return NotImplemented
-        a, b = self.n, other.n
-        if a is None or b is None:
-            return a is b and self._nested == other._nested
         return (self.fac == other.fac and self.dq == other.dq
-                and xp_equal(a, b))
+                and xp_equal(self.n, other.n)
+                and (self.g is None or xp_equal(self.g, other.g)))
 
     def __hash__(self):
-        if self.n is None:
-            return hash(self._nested)
-        return hash((xp_key(self.n), multisets.key(self.dq),
-                     multisets.key(self.fac)))
+        if self.g is None:
+            return hash((xp_key(self.n), multisets.key(self.dq),
+                         multisets.key(self.fac)))
+        return hash((xp_key(self.n), xp_key(self.g)))
 
     def is_one(self):
         return self == RF_ONE
 
     def is_x_free(self):
-        if self.n is None:
-            return self.fac == NO_FACTORS and set(self.num) <= {0}
-        return not self.fac and set(self.n.rows) <= {0}
+        return (not self.fac and set(self.n.rows) <= {0}
+                and (self.g is None or set(self.g.rows) <= {0}))
 
     def __repr__(self):
         n = sum(len(c.num) + len(c.den) for c in self.num.values())
@@ -358,9 +323,7 @@ class RationalFunction:
     # ------------------------------------------------------- arithmetic
 
     def __neg__(self):
-        if self.n is None:
-            return RationalFunction._of_nested(-self._nested)
-        return RationalFunction(xp_neg(self.n), self.dq, self.fac)
+        return RationalFunction(xp_neg(self.n), self.dq, self.fac, self.g)
 
     def __add__(self, other):
         if type(other) is not RationalFunction:
@@ -369,12 +332,9 @@ class RationalFunction:
             return other
         if not other:
             return self
-        if self.n is not None and other.n is not None:
-            got = self._add_factored(other)
-            if got is not None:
-                return got
-        a, b = self._nest(), other._nest()
-        return _from_nested(a._add_generic(a.num, a.den, b.num, b.den))
+        if self.g is None and other.g is None:
+            return self._add_factored(other)
+        return self._add_general(other)
 
     def __sub__(self, other):
         if type(other) is not RationalFunction:
@@ -390,28 +350,24 @@ class RationalFunction:
             return other
         if other is RF_ONE:
             return self
-        if self.n is not None and other.n is not None:
-            got = None
-            if len(self.n.rows) == 1 and not self.dq and not self.fac:
-                got = _scaled(self, other)
-            if (got is None and len(other.n.rows) == 1 and not other.dq
-                    and not other.fac):
-                got = _scaled(other, self)
-            if got is None:
-                got = self._mul_factored(other)
-            if got is not None:
-                return got
-        a, b = self._nest(), other._nest()
-        return _from_nested(a._mul_generic(a.num, a.den, b.num, b.den))
+        # a monomial c * v**k * u**e over 1 scales the other (_scaled)
+        got = None
+        if (len(self.n.rows) == 1 and self.g is None and not self.dq
+                and not self.fac):
+            got = _scaled(self, other)
+        if (got is None and len(other.n.rows) == 1 and other.g is None
+                and not other.dq and not other.fac):
+            got = _scaled(other, self)
+        if got is not None:
+            return got
+        if self.g is None and other.g is None:
+            return self._mul_factored(other)
+        return self._mul_general(other)
 
     def inverse(self):
-        if self.n is not None and len(self.n.rows) == 1:
-            # (Dq * Dx) / (v**k P): Dx over v**k, times the QRat Dq / P
-            (k, qr), = self.num.items()
-            q = qr.inverse()
-            return _from_qrats({j - k: c * q for j, c in self.den.items()},
-                               NO_FACTORS)
-        return _from_nested(self._nest().inverse())
+        if not self:
+            raise ZeroDivisionError("inverse of zero fraction")
+        return _general(self._denominator(), XN_ONE, XN_ONE, self.n)
 
     def __truediv__(self, other):
         if type(other) is not RationalFunction:
@@ -419,8 +375,7 @@ class RationalFunction:
         return self * other.inverse()
 
     def _add_factored(self, other):
-        """self + other on the flat form, or None if a tied binomial would
-        have to cancel from a sum that is no polynomial in y."""
+        """self + other on the flat form."""
         qa, qb = self.dq, other.dq
         na, nb, qtied, dq = multisets.over_lcm(self.n, qa, other.n, qb,
                                                xp_qtimes)
@@ -436,7 +391,7 @@ class RationalFunction:
         if tied:
             got = _cancel(t, tied)
             if got is None:
-                return None
+                return _general(t, _den_of(dq, fac))
             t, removed = got
             if removed:
                 shared = dq  # division by a binomial mixes the rows
@@ -444,22 +399,36 @@ class RationalFunction:
         return _reduce_q(t, dq, fac, qtied, shared)
 
     def _mul_factored(self, other):
-        """self * other on the flat form, or None if a binomial would have
-        to cancel from a numerator that is no polynomial in y."""
+        """self * other on the flat form."""
         got = multisets.cancel_across(self.n, self.fac, other.n, other.fac,
                                       _cancel)
         if got is None:
-            return None
+            return self._mul_general(other)
         na, fa, nb, fb = got
         fac = multisets.total(fa, fb)
         qa, qb = self.dq, other.dq
         if qa or qb:
-            dq = multisets.total(qa, qb)
             if not (xp_qsafe(na) and xp_qsafe(nb)):
-                return _requalify(xp_mul(na, nb), dq, fac)
+                return _general(na, _den_of(qb, fb), nb, _den_of(qa, fa))
             na, qa, nb, qb = multisets.cancel_across(na, qa, nb, qb,
                                                      xp_qcancel)
         return RationalFunction(xp_mul(na, nb), multisets.total(qa, qb), fac)
+
+    def _add_general(self, other):
+        """self + other over the product of the whole denominators, or over
+        the one when they are equal, by _general."""
+        da, db = self._denominator(), other._denominator()
+        if xp_equal(da, db):
+            t = xp_add(self.n, other.n)
+        else:
+            t = xp_add(xp_mul(self.n, db), xp_mul(other.n, da))
+            da = xp_mul(da, db)
+        return _general(t, da) if t else RF_ZERO
+
+    def _mul_general(self, other):
+        """self * other by _general."""
+        return _general(self.n, other._denominator(), other.n,
+                        self._denominator())
 
     def scale_q(self, qr):
         """Multiply by an x-free factor."""
@@ -471,25 +440,19 @@ class RationalFunction:
         """Substitute x -> x * q**(m_units/D); an exact automorphism.
 
         It takes y - u**e to u**(2m) * (y - u**(e - 2m)) for m = m_units, so
-        a factored denominator only relabels its binomials.
+        a factored denominator only relabels its binomials.  G is shifted
+        like N, and both are divided by G's new lowest power of u.
         """
         if not m_units or not self:
             return self
+        if self.g is not None:
+            g, w = xp_primitive(xp_qshift(self.g, m_units))
+            return RationalFunction(xp_mul(xp_qshift(self.n, m_units), w),
+                                    NO_FACTORS, None, g)
         fac = self.fac
-        if fac is not None:
-            s0 = 2 * m_units * sum(fac.values())
-            fac = {e - 2 * m_units: m for e, m in fac.items()}
-        if self.n is not None:
-            return RationalFunction(xp_qshift(self.n, m_units, -s0), self.dq,
-                                    fac)
-        num = xq_qshift(self.num, m_units)
-        if fac is not None:
-            return RationalFunction._of_nested(
-                _Nested(_xq_qpow_mul(num, -s0), fac))
-        den = xq_qshift(self.den, m_units)
-        s0 = m_units * max(den) // DENOM
-        return RationalFunction._of_nested(_Nested(
-            _xq_qpow_mul(num, -s0), None, _xq_qpow_mul(den, -s0)))
+        s0 = 2 * m_units * sum(fac.values())
+        return RationalFunction(xp_qshift(self.n, m_units, -s0), self.dq,
+                                {e - 2 * m_units: m for e, m in fac.items()})
 
     def subs_signed_qpow(self, sign, a_units):
         """Evaluate at x = sign * q**(a_units/D).  At x = -q**a each
@@ -500,27 +463,34 @@ class RationalFunction:
         unit times u**n - 1, n = |2a - e|, which is the product of the
         Phi_d(u**8) over d | n/8 when 8 divides n.  Then N's rows are
         shifted and summed by phase (polys.xp_collapse), and each part is
-        divided by Dq and those factors in one cancellation.  A nested value
-        and a binomial that is no such product take the nested path."""
-        if self.n is not None:
-            got = self._subs_flat(sign, a_units)
+        divided by Dq and those factors in one cancellation.  Otherwise, and
+        for a G value, N and the whole denominator are collapsed alike and
+        the parts divided (z8_div)."""
+        for k in chain(self.n.rows, () if self.g is None else self.g.rows):
+            if a_units * k % DENOM:
+                raise LatticeError("substitution exponent off the lattice")
+            if sign < 0 and 4 * k % DENOM:
+                raise LatticeError("sign phase off the eighth-root lattice")
+
+        def part(k):
+            j = 4 * k // DENOM % 8 if sign < 0 else 0
+            return (j - 4, -1) if j >= 4 else (j, 1)
+
+        if self.g is None:
+            got = self._subs_flat(a_units, part)
             if got is not None:
                 return got
-        num = _xp_subs_signed(self.num, sign, a_units)
-        den = _xp_subs_signed(self.den, sign, a_units)
+        num, den = ([qrat(p.get(j, {})) for j in range(4)]
+                    for p in (xp_collapse(x, a_units, part) if x else {}
+                              for x in (self.n, self._denominator())))
         if not any(den):
             raise PoleAtSubstitution(
                 "substitution hit a denominator zero", not any(num)
             )
         return z8_div(num, den)
 
-    def _subs_flat(self, sign, a_units):
+    def _subs_flat(self, a_units, part):
         """subs_signed_qpow on the flat form, or None where it declines."""
-        for k in self.n.rows:
-            if a_units * k % DENOM:
-                raise LatticeError("substitution exponent off the lattice")
-            if sign < 0 and 4 * k % DENOM:
-                raise LatticeError("sign phase off the eighth-root lattice")
         units, negate, dq, pole = 0, False, self.dq, False
         for e, m in self.fac.items():
             n = 2 * a_units - e
@@ -532,11 +502,6 @@ class RationalFunction:
             t = abs(n) // Q_DEG
             dq = multisets.total(dq, {d: m for d in range(1, t + 1)
                                       if not t % d})
-
-        def part(k):
-            j = 4 * k // DENOM % 8 if sign < 0 else 0
-            return (j - 4, -1) if j >= 4 else (j, 1)
-
         parts = xp_collapse(self.n, a_units, part) if self else {}
         if pole:
             raise PoleAtSubstitution("substitution hit a denominator zero",
@@ -567,45 +532,23 @@ class RationalFunction:
     def eval_complex(self, q0, x0):
         u0 = float(q0) ** (1.0 / DENOM)
         v0 = float(x0) ** (1.0 / DENOM)
-        return xq_eval_complex(self.num, u0, v0) / xq_eval_complex(
-            self.den, u0, v0
-        )
+
+        def at(a):
+            t = 0j
+            for k, c in a.items():
+                t += qrat_eval_complex(c, u0) * v0 ** k
+            return t
+
+        return at(self.num) / at(self.den)
 
 
 def _scaled(m, x):
     """m * x for a monomial m = c * v**k * u**e, c rational, which has one
     row and no Dq or Dx, by polys.xp_scaled, or None where that declines.  A
-    monomial shares no factor with a binomial or a Phi_d, so x's Dq and Dx
-    stay as they are and the result is canonical as built."""
+    monomial shares no factor with a binomial, a Phi_d or G, so x's
+    denominator stays as it is and the result is canonical as built."""
     n = xp_scaled(m.n, x.n)
-    return None if n is None else RationalFunction(n, x.dq, x.fac)
-
-
-def _xq_qpow_mul(a, s):
-    if not s:
-        return a
-    return {k: qrat_monomial_mul(c, s) for k, c in a.items()}
-
-
-def _xp_subs_signed(a, sign, a_units):
-    """The parts on 1, z8, z8**2, z8**3 of the nested XPoly a at x = sign *
-    q**(a_units/D)."""
-    parts = [QRAT_ZERO] * 4
-    for k, c in a.items():
-        s = a_units * k
-        if s % DENOM:
-            raise LatticeError("substitution exponent off the lattice")
-        t = qrat_monomial_mul(c, s // DENOM)
-        j = 0
-        if sign < 0:
-            e8 = 4 * k
-            if e8 % DENOM:
-                raise LatticeError("sign phase off the eighth-root lattice")
-            j = e8 // DENOM % 8
-            if j >= 4:  # z8**4 = -1
-                t, j = -t, j - 4
-        parts[j] = parts[j] + t
-    return parts
+    return None if n is None else RationalFunction(n, x.dq, x.fac, x.g)
 
 
 def rf_sum_vanishes(terms):
@@ -614,77 +557,67 @@ def rf_sum_vanishes(terms):
 
     Nothing is cancelled: each term's numerator is the product of its
     factors' numerators over the sum of their multisets, the terms over one
-    Dq and Dx are added, and each such sum times the factors of the lcm of
-    all the Dq and all the Dx that it lacks is added up.  The sum of the
-    terms is zero exactly when that numerator is.  A term with a nested
-    factor is not flat, and then the terms are summed canonically."""
+    Dq, Dx and multiset of Gs (named by xp_key) are added, and each such
+    sum times the factors of the lcm of all the Dq, all the Dx and all the
+    multisets of Gs that it lacks is added up.  That lcm is a common
+    multiple of the denominators, so the sum of the terms is zero exactly
+    when that numerator is."""
     if len(terms) == 1:
         return False
-    if any(f.n is None for _, rfs in terms for f in rfs):
-        return not _canonical_sum(terms)
+    gs = {}
     parts = {}
     for sign, rfs in terms:
+        # a G value's fac is None, which multisets.total takes for empty
         n, dq, fac = rfs[0].n, rfs[0].dq, rfs[0].fac
         for f in rfs[1:]:
             n = xp_mul(n, f.n)
             dq = multisets.total(dq, f.dq)
             fac = multisets.total(fac, f.fac)
+        fac = fac or NO_FACTORS
+        gk = NO_FACTORS
+        for f in rfs:
+            if f.g is not None:
+                k = xp_key(f.g)
+                gs[k] = f.g
+                gk = multisets.total(gk, {k: 1})
         if sign < 0:
             n = xp_neg(n)
-        key = multisets.key(dq), multisets.key(fac)
+        key = multisets.key(dq), multisets.key(fac), frozenset(gk.items())
         got = parts.get(key)
-        parts[key] = (n, dq, fac) if got is None else (xp_add(got[0], n),
-                                                       dq, fac)
-    lq = lx = NO_FACTORS
-    for _, dq, fac in parts.values():
+        parts[key] = (n, dq, fac, gk) if got is None else (
+            xp_add(got[0], n), dq, fac, gk)
+    lq = lx = lg = NO_FACTORS
+    for _, dq, fac, gk in parts.values():
         lq = multisets.lcm(lq, dq)
         lx = multisets.lcm(lx, fac)
+        lg = multisets.lcm(lg, gk)
     total = XN_ZERO
-    for n, dq, fac in parts.values():
+    for n, dq, fac, gk in parts.values():
         if n:
-            total = xp_add(total, xp_binoms_mul(
-                xp_qtimes(n, multisets.minus(lq, dq)),
-                multisets.minus(lx, fac)))
+            n = xp_binoms_mul(xp_qtimes(n, multisets.minus(lq, dq)),
+                              multisets.minus(lx, fac))
+            for k, m in multisets.minus(lg, gk).items():
+                for _ in range(m):
+                    n = xp_mul(n, gs[k])
+            total = xp_add(total, n)
     return not total
 
 
-def _canonical_sum(terms):
-    """The canonical RationalFunction sum of sign * prod rfs over terms."""
-    total = RF_ZERO
-    for sign, rfs in terms:
-        p = rfs[0]
-        for f in rfs[1:]:
-            p = p * f
-        total = total + p if sign > 0 else total - p
-    return total
-
-
 RF_ZERO = RationalFunction(XN_ZERO, NO_FACTORS, NO_FACTORS)
-RF_ONE = RationalFunction(xp_monomial(0, 0), NO_FACTORS, NO_FACTORS)
+RF_ONE = RationalFunction(XN_ONE, NO_FACTORS, NO_FACTORS)
 
 
 def ratfn(num, den=None):
     """The canonical RationalFunction num/den of two nested XPolys; den
-    defaults to 1."""
-    if den is None:
-        den = XP_ONE
-    if num and den:
-        d0, sd = poly_strip(den)
-        lead = d0[max(d0)]
-        n0 = num
-        if lead != QRAT_ONE:
-            inv = lead.inverse()
-            n0, d0 = xq_scale(n0, inv), xq_scale(d0, inv)
-        fac = _factor(d0)
-        if fac is not None:
-            x = _from_qrats(poly_shift(n0, -sd), NO_FACTORS)
-            if x.n is not None:
-                got = _cancel(x.n, fac) if fac else (x.n, NO_FACTORS)
-                if got is not None:
-                    t, removed = got
-                    return _reduce_q(t, x.dq, multisets.minus(fac, removed),
-                                     NO_FACTORS, x.dq)
-    return _from_nested(_Nested.canonical(num, den))
+    defaults to 1.  Each is summed from its terms, and num divided by den."""
+    if not num:
+        return RF_ZERO
+
+    def summed(a):
+        return sum((rf_const(c) * rf_xpow_units(k) for k, c in a.items()),
+                   RF_ZERO)
+
+    return summed(num) if den is None else summed(num) / summed(den)
 
 
 def rf_product(k, num, dq, binoms):
@@ -696,7 +629,7 @@ def rf_product(k, num, dq, binoms):
     Dx; distinct binomials share no root, so N is coprime to Dx, and the
     top row of N in y is num, so Dq is minimal.  The pair is canonical as
     built unless the rows could share part of a factor of Dq (xp_qsafe);
-    then each row is reduced as a QRat.
+    then it goes to _general.
     """
     up = {e: m for e, m in binoms.items() if m > 0}
     fac = {e: -m for e, m in binoms.items() if m < 0}
@@ -707,7 +640,10 @@ def rf_product(k, num, dq, binoms):
 def rf_const(qr):
     if not qr:
         return RF_ZERO
-    return _from_qrats({0: qr}, NO_FACTORS)
+    n = xp_from_terms({0: qr.num})
+    if qr.fac is None:
+        return _general(n, XN_ONE, XN_ONE, xp_from_terms({0: qr.den}))
+    return RationalFunction(n, qr.fac, NO_FACTORS)
 
 
 def rf_coeff(c):

@@ -39,6 +39,7 @@ from .multisets import NO_FACTORS
 from .polys import (
     CYCLOTOMICS,
     QP_ONE,
+    QRAT_ONE,
     XP_ONE,
     add_into,
     poly_add,
@@ -48,7 +49,6 @@ from .polys import (
     qrat,
     qrat_const,
     qrat_over_cyclotomics,
-    xq_mul,
 )
 from .ratfunc import (
     RF_ONE,
@@ -1008,28 +1008,28 @@ def _by_radical(s):
         if list(parts) == [0]:
             yield rad, parts[0]
         else:
-            den, nums = _over_lcm(
-                parts, lambda a, b: xq_mul(a, ratfn(a, b).den), ratfn)
+            den, nums = _over_lcm(parts, ratfn, RF_ONE)
             yield rad, _Frac({j: _z8_qrat(row)
                               for j, row in _transposed(nums).items()}, den)
 
 
 def _z8_qrat(parts):
     """sum z8**k parts[k] for QRats parts[k], as a _Frac."""
-    den, nums = _over_lcm(parts, lambda a, b: qp_mul(a, qrat(a, b).den), qrat)
+    den, nums = _over_lcm(parts, qrat, QRAT_ONE)
     return _Frac({e: cs[0] if list(cs) == [0]
                   else tuple(cs.get(i, 0) for i in range(4))
                   for e, cs in _transposed(nums).items()}, den)
 
 
-def _over_lcm(parts, lcm, of_poly):
+def _over_lcm(parts, of_poly, one):
     """(den, {k: numerator}): the lcm of the denominators of the fractions
-    parts[k], and the numerator of each over it."""
-    den = None
+    parts[k], and the numerator of each over it.  A fraction times the lcm
+    so far has for denominator the part of its own that the lcm lacks, and
+    of_poly(p) is the fraction p / 1 of the level, whose unit is `one`."""
+    over = one
     for f in parts.values():
-        den = f.den if den is None else lcm(den, f.den)
-    over = of_poly(den)
-    return den, {k: (f * over).num for k, f in parts.items()}
+        over = over * of_poly((f * over).den)
+    return over.num, {k: (f * over).num for k, f in parts.items()}
 
 
 def _transposed(nums):

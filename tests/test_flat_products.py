@@ -72,7 +72,7 @@ def flat_values(draw):
     binoms = draw(st.dictionaries(st.integers(-12, 12),
                                   st.integers(-2, 2).filter(bool), max_size=3))
     x = base * rf_product(0, {0: 1}, dq, binoms)
-    hyp.assume(x.n is not None and x.n.b)
+    hyp.assume(x.g is None and x.n.b)
     return x
 
 
@@ -112,9 +112,9 @@ def _record_flat(monkeypatch):
     built = []
     init = RationalFunction.__init__
 
-    def recording(self, n, dq, fac):
-        init(self, n, dq, fac)
-        if n is not None:
+    def recording(self, n, dq, fac, g=None):
+        init(self, n, dq, fac, g)
+        if g is None:
             built.append(self)
 
     monkeypatch.setattr(RationalFunction, "__init__", recording)

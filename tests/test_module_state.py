@@ -3,7 +3,7 @@ an import it does not use.
 
 Built values are remembered by functools.cache, which gives every cache a
 cache_clear and a cache_info; a dict filled by hand has neither.  The
-module-level constants NO_FACTORS, QP_ZERO, QP_ONE, XP_ZERO and XP_ONE are
+module-level constants NO_FACTORS, QP_ZERO, QP_ONE and XP_ONE are
 shared by every value that has no factors or is 0 or 1, so a store into one
 of them would change all of those values at once.  The first guard flags
 any subscript store or delete, inside a function of src/dynrmat, whose base

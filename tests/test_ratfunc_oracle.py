@@ -14,7 +14,10 @@ eight.
 Operands are products of x-brackets x q**c - x**-1 q**-c and linear factors
 x**2 + a q**s, with int and Fraction coefficients a, over products of
 x-brackets.  Some denominators also carry x**4 + x**2 + 1 or x**2 + q, which
-are no products of x**2 - q**m.
+are no products of x**2 - q**m, or q + 2, which divides no Phi_d(q**2), or a
+part of a factor: x - q**(1/2) of the binomial x**2 - q, q**(1/4) - 1 of
+Phi_1(q**2) = q**2 - 1.  Every result must also be built again, equal and
+with an equal hash, from its own views.
 
 Operand sizes are bounded by MAX_FACTORS and MAX_SHIFT_UNITS, to keep the
 run short.
@@ -22,16 +25,16 @@ run short.
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from dynrmat import ratfunc
 from dynrmat.lattice import LatticeError
-from dynrmat.polys import QRAT_ONE, XP_ONE, qrat, xq_mul
+from dynrmat.polys import QRAT_ONE, XP_ONE, add_into, qrat
 from dynrmat.ratfunc import PoleAtSubstitution, ratfn
 from dynrmat.scalar import rf_from_jsonable, rf_jsonable
-from dynrmat.suite import default_manifest
-from dynrmat.suite import verify_relation
+from dynrmat.suite import default_manifest, verify_relation
 
 sp = pytest.importorskip("sympy")
 hyp = pytest.importorskip("hypothesis")
@@ -67,7 +70,7 @@ coeffs = st.one_of(
 shifts = st.integers(-MAX_SHIFT_UNITS, MAX_SHIFT_UNITS)
 brackets = st.lists(shifts, max_size=MAX_FACTORS)
 linears = st.lists(st.tuples(coeffs, shifts), max_size=1)
-extras = st.sampled_from([None, "x4+x2+1", "x2+q"])
+extras = st.sampled_from([None, "x4+x2+1", "x2+q", "u4+2", "v4-u2", "u-1"])
 
 
 @st.composite
@@ -90,6 +93,15 @@ def qr(terms):
     return qrat(dict(terms))
 
 
+def xq_mul(a, b):
+    """The product of two nested XPolys, term by term."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            add_into(out, ka + kb, ca * cb)
+    return out
+
+
 def _product(polys):
     out = XP_ONE
     for p in polys:
@@ -108,6 +120,9 @@ def _linear(a, s):
 _EXTRA = {
     "x4+x2+1": {16: QRAT_ONE, 8: QRAT_ONE, 0: QRAT_ONE},
     "x2+q": {8: QRAT_ONE, 0: qr({4: 1})},
+    "u4+2": {0: qr({4: 1, 0: 2})},
+    "v4-u2": {4: QRAT_ONE, 0: qr({2: -1})},
+    "u-1": {0: qr({1: 1, 0: -1})},
 }
 
 
@@ -159,6 +174,12 @@ class Field:
             den *= v ** 16 + v ** 8 + 1
         elif s["extra"] == "x2+q":
             den *= v ** 8 + u ** 4
+        elif s["extra"] == "u4+2":
+            den *= u ** 4 + 2
+        elif s["extra"] == "v4-u2":
+            den *= v ** 4 - u ** 2
+        elif s["extra"] == "u-1":
+            den *= u - 1
         return num / den
 
     def qpoly(self, p):
@@ -184,7 +205,8 @@ FIELD = Field()
 
 def assert_canonical(r, want):
     """r is canonical and equals want: equal values and equal reduced
-    denominator degrees prove r coprime."""
+    denominator degrees prove r coprime.  Built again from its views, r
+    must be the same value with the same hash."""
     if r:
         den = r.den
         assert min(den) == 0
@@ -195,6 +217,8 @@ def assert_canonical(r, want):
         assert r.num == {} and r.den == XP_ONE
     assert FIELD.xpoly(r.num) / FIELD.xpoly(r.den) - want == 0
     assert FIELD.v_span(want.denom) == max(r.den)
+    again = ratfn(r.num, r.den)
+    assert again == r and hash(again) == hash(r)
 
 
 def oracle(specs, fn):
@@ -298,20 +322,24 @@ def test_subs_signed_qpow_matches_oracle():
 
 @hyp.settings(SETTINGS, max_examples=150)
 @hyp.given(binomial_operands, st.sampled_from([1, -1]), st.integers(-12, 12))
-def test_subs_signed_qpow_on_the_flat_form_is_the_nested_path(a, sign, au):
-    # the same value held nested takes the nested path: it must give the
-    # same parts, or raise the same error, at every point of the lattice
+def test_subs_signed_qpow_on_the_flat_form_is_the_general_path(a, sign, au):
+    # with the flat path declined, N and the whole denominator are
+    # collapsed alike and divided: that must give the same parts, or raise
+    # the same error, at every point of the lattice
     r = build_rf(a)
-    assert r.n is not None
+    assert r.g is None
 
-    def outcome(f):
+    def outcome():
         try:
-            return f.subs_signed_qpow(sign, au)
+            return r.subs_signed_qpow(sign, au)
         except (PoleAtSubstitution, LatticeError) as e:
             return type(e), str(e), getattr(e, "numerator_vanished", None)
 
-    nested = ratfunc.RationalFunction._of_nested(r._nest())
-    assert outcome(r) == outcome(nested)
+    flat = outcome()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ratfunc.RationalFunction, "_subs_flat",
+                  lambda self, a_units, part: None)
+        assert outcome() == flat
 
 
 def test_json_round_trip_is_identity():
@@ -362,20 +390,36 @@ def test_generic_path_serves_a_non_binomial_denominator(monkeypatch):
     assert r.fac == {8: 1}
 
 
+def _bench_relations(*workloads):
+    """The relation cases of the named workloads of bench/workloads.json."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.json"
+    spec = json.loads(path.read_text())["workloads"]
+    return [(c["relation"], tuple(F(x) for x in c["spins"]))
+            for w in workloads for c in spec[w]["children"]
+            if c["kind"] == "relation"]
+
+
+# the twist family of the manifest first, then its other entries and the
+# relation cases of the benchmark that are not in the list yet
 GUARDED = [("GNF", (1, 1, F(1, 2))), ("GNF", (1, 1, 1))] + [
     (e.relation, e.spins) for e in default_manifest() if e.family == "twist"
 ]
+GUARDED += [case for case in dict.fromkeys(
+    [(e.relation, e.spins) for e in default_manifest() if e.family != "twist"]
+    + _bench_relations("gnf_frontier", "recoupling")) if case not in GUARDED]
 
 
 @pytest.mark.parametrize("relation,spins", GUARDED,
                          ids=["%s%s" % (r, tuple(map(str, s))) for r, s in GUARDED])
 def test_relations_never_reach_the_generic_gcd(monkeypatch, relation, spins):
     # every x-denominator of these checks is a product of binomials and
-    # every numerator a polynomial in y, so no generic gcd may run
-    def refuse(a, b):
-        raise AssertionError("generic x-level gcd reached")
+    # cyclotomic factors and every numerator a polynomial in y, so no
+    # generic gcd may run and no value with a G may be built
+    def refuse(*args):
+        raise AssertionError("generic x-level gcd or a G value reached")
 
     monkeypatch.setattr(ratfunc, "xp_gcd", refuse)
+    monkeypatch.setattr(ratfunc, "_general", refuse)
     assert verify_relation(relation, spins).ok
 
 
@@ -465,11 +509,11 @@ def test_common_q_factor_cancels_from_a_sum(d):
 def test_a_q_factor_that_cancels_in_part_leaves_the_flat_form():
     # u / (q**2 - 1) - 1 / (q**2 - 1) = (u - 1) / (u**8 - 1), u = q**(1/4):
     # u - 1 divides u**8 - 1, so the reduced denominator is no product of
-    # cyclotomic factors in q**2, and the value is held nested
+    # cyclotomic factors in q**2, and the value keeps it whole as G
     phi1 = _phi_u8(1)
     s = ratfn({0: qrat({1: 1}, phi1)}) - ratfn({0: qrat({0: 1}, phi1)})
     assert s == ratfn({0: qrat({1: 1, 0: -1}, phi1)})
-    assert s.n is None and s.num[0].fac is None
+    assert s.g is not None and s.num[0].fac is None
     K = Field()
     assert K.xpoly(s.num) / K.xpoly(s.den) - (K.u - 1) / (K.u ** 8 - 1) == 0
 
@@ -478,13 +522,15 @@ def test_a_sum_whose_binomials_mix_rows_keeps_its_rows_reduced():
     # 1/(q**2 - 1) + 1/(<0><1/4>): the first numerator times the binomials
     # of the second has a row that shares part of q**2 - 1 = Phi_1(q**2),
     # which only the first side has, so that row's reduced q-denominator is
-    # no product of cyclotomic factors, and the sum is held nested
+    # no product of cyclotomic factors.  The whole reduced denominator is
+    # Phi_1(q**2) times binomials, so the sum is flat
     a = (dict(_ONE_Q_SPEC), [], [1])
     b = (dict(_ONE_Q_SPEC, den=[0, 1]), [], [])
     got = build_q_rf(a) + build_q_rf(b)
     assert_canonical(got, q_oracle(FIELD, a) + q_oracle(FIELD, b))
     assert ratfn(got.num, got.den) == got
-    assert got.n is None
+    assert got.g is None and got.dq == {1: 1}
+    assert any(c.fac is None for c in got.num.values())
 
 
 _ONE_Q_SPEC = {"coeff": 1, "xpow": 0, "qpow": 0, "num": [], "lin": [],

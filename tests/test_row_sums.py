@@ -176,11 +176,12 @@ def test_planted_rows_fail_and_equal_rows_pass():
 
 def test_nested_values_are_summed_canonically():
     # 1/(x**2 + x + 1) is no product of binomials x**2 - q**m, so its
-    # RationalFunction is nested, and the groups that hold it are compared
-    # canonically
+    # RationalFunction keeps its whole denominator as G, and the row test
+    # takes G as one more factor of the common multiple of the groups that
+    # hold it
     nested = sc_from_rf(ratfn(XP_ONE, {8: QRAT_ONE, 4: QRAT_ONE,
                                        0: QRAT_ONE}))
-    assert next(iter(nested.terms.values())).n is None
+    assert next(iter(nested.terms.values())).g is not None
     spins = (1, H, H)
     space = _space(spins)
     diag = GradedOperator(space, {(i, i): nested * qpow(i)

@@ -110,13 +110,13 @@ def test_whole_manifest_never_reaches_a_generic_gcd(monkeypatch):
 def test_whole_manifest_never_inverts_a_multi_row_numerator(monkeypatch):
     # every product of known factors is built by scalar.qint_monomial, so
     # no check of the manifest inverts a numerator of more than one power
-    # of x, which would go through the nested form
+    # of x, or a value with a G: either would build a value with a G
     from dynrmat.ratfunc import RationalFunction
 
     inverse = RationalFunction.inverse
 
     def refuse(self):
-        if self.n is None or len(self.n.rows) > 1:
+        if self.g is not None or len(self.n.rows) > 1:
             raise AssertionError("multi-row inverse")
         return inverse(self)
 

@@ -5,8 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynrmat import symbols
-from dynrmat.polys import QRat
+from dynrmat import polys, symbols
 from dynrmat.scalar import (
     SC_ONE,
     SC_ZERO,
@@ -204,7 +203,7 @@ def test_prefactors_need_no_inverse_or_factor_search(monkeypatch,
     # the prefactors are built from known q-integer factors, so neither
     # Scalar.inv nor the cyclotomic factor search runs on either side
     calls = {"inv": 0, "factor": 0}
-    inv, factor = Scalar.inv, QRat._factor
+    inv, factor = Scalar.inv, polys._factor
 
     def counted_inv(self):
         calls["inv"] += 1
@@ -215,7 +214,7 @@ def test_prefactors_need_no_inverse_or_factor_search(monkeypatch,
         return factor(d)
 
     monkeypatch.setattr(Scalar, "inv", counted_inv)
-    monkeypatch.setattr(QRat, "_factor", staticmethod(counted_factor))
+    monkeypatch.setattr(polys, "_factor", counted_factor)
     triple = (2, F(3, 2), F(3, 2))
     assert three_j(*triple, 1, H, F(3, 2)) != SC_ZERO
     for label, lhs, rhs in symbols._build_rel_recoupling(*triple):

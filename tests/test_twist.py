@@ -191,7 +191,6 @@ def test_gnf_products_need_no_q_level_products_or_images(monkeypatch):
 
     monkeypatch.setattr(ratfunc, "xp_mul", counted_xp_mul)
     monkeypatch.setattr(polys, "qp_mul", counted_qp_mul)
-    monkeypatch.setattr(polys.QRat, "_mul", staticmethod(counted_qp_mul))
     for name in ("_image",):
         monkeypatch.setattr(polys, name, counted("image", getattr(polys, name)))
     assert verify_relation("GNF", (1, 1, 1)).ok
