@@ -199,8 +199,8 @@ def _general(na, db, nb=XN_ONE, da=XN_ONE):
     coprime to da and nb to db over Q[u, v]: every value that the flat form
     declines, and every result with a G operand.
 
-    Each numerator is cancelled against the other's denominator by xp_gcd,
-    unless one of the two is a monomial.  The denominator is made primitive
+    Each numerator is cancelled against the other's denominator, the
+    argument beside it, by xp_gcd, unless one of the two is a monomial.  The denominator is made primitive
     (polys.xp_primitive), and the numerator scaled alike.  The value is flat
     when that denominator is a monomial times a product of Phi_d(u**8) and
     binomials (_flat); else it is G."""

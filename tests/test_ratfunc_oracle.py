@@ -342,6 +342,28 @@ def test_subs_signed_qpow_on_the_flat_form_is_the_general_path(a, sign, au):
         assert outcome() == flat
 
 
+def test_edge_matches_oracle():
+    # the leading power of v and its coefficient at x -> 0 and x -> oo: the
+    # lowest or highest terms in v of the reduced numerator and denominator
+    @SETTINGS
+    @hyp.given(operands(), st.booleans())
+    def run(a, at_zero):
+        want = FIELD.spec(a)
+
+        def lead(poly):
+            pick = min if at_zero else max
+            k = pick(m[1] for m in poly.monoms())
+            return k, sum((FIELD.K(c) * FIELD.u ** m[0]
+                           for m, c in poly.terms() if m[1] == k), FIELD.K(0))
+
+        (kn, cn), (kd, cd) = lead(want.numer), lead(want.denom)
+        e, c = build_rf(a).edge(at_zero)
+        assert e == kn - kd
+        assert FIELD.qrat(c) - cn / cd == 0
+
+    run()
+
+
 def test_json_round_trip_is_identity():
     @SETTINGS
     @hyp.given(operands())
